@@ -310,7 +310,7 @@ def run_solve(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
     (out / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2, sort_keys=True))
     write_manifest(out, cfg, seed, tol)
     if diagnostics["fredholm_residual_max"] > tol["fredholm_residual"]:
-        return 3
+        return 1
     return 0
 
 

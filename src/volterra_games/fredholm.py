@@ -15,6 +15,10 @@ Eliminating the conditional rows yields the forward recursion
 v = (id - B)^{-1} a whose coefficients are assembled below.  The closed form
 and the discretized equation are the same linear system, so the residual of
 a solved problem is at linear-algebra precision, not quadrature precision.
+
+Every D_k is a trailing block of D = D_0, so one reversed triangular
+factorization of D (O(n^3) time, O(n^2) memory) serves all of them, and the
+coefficient kernels and conditional surfaces are masked matrix products.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .grid_ops import GridKernel, SolveHandle, TimeGrid, invert_id_minus
 from .signals import SignalPath
 
 SELFADJOINT_TOL = 1e-10
+SURFACE_CHUNK = 1 << 18   # array elements per path chunk in conditional_surfaces_batch
 
 
 @dataclass(frozen=True)
@@ -73,10 +78,17 @@ class FredholmSolution:
 
 
 class DtFamily:
-    """LU factorizations of D_k = lam*id + dt*(K + L^T)[k:, k:], one per grid index.
+    """Every D_k = lam*id + dt*(K + L^T)[k:, k:] from one reversed factorization.
+
+    D = U @ Lw with U upper and Lw lower triangular.  Triangular factors keep
+    their trailing blocks, so D_k = U_k @ Lw_k for every k, and the trailing
+    blocks of Ui = U^{-1} and Li = Lw^{-1} give D_k^{-1} = Li_k @ Ui_k.  Setup is
+    one O(n^3) factorization with O(n^2) memory.  The factorization is a
+    non-pivoted UL (U has a unit diagonal), which exists exactly when every D_k
+    is invertible.  pivots[k] = Lw[k,k] is the Schur pivot det(D_k) / det(D_{k+1}).
 
     Handles act block-diagonally on full grid functions: entries below k are
-    divided by lam_eff, entries from k on are solved through the factorization.
+    divided by lam_eff, entries from k on are solved through the factors.
     """
 
     def __init__(self, K: GridKernel, L: GridKernel, lam_eff: float):
@@ -87,26 +99,30 @@ class DtFamily:
         self.grid = grid
         self.lam = float(lam_eff)
         self._core = core
-        self._lu = []
-        scale = max(1.0, float(np.max(np.abs(core))))
-        for k in range(n):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")   # singularity is raised below
-                lu = sla.lu_factor(core[k:, k:])
-            pivots = np.abs(np.diagonal(lu[0]))
-            if pivots.size and (not np.all(np.isfinite(lu[0])) or
-                                pivots.min() <= 1e-10 * scale):
-                raise SingularOperator(f"conditional operator D_{k} is numerically singular")
-            self._lu.append(lu)
+        tol = 1e-10 * max(1.0, float(np.max(np.abs(core))))
+        U, Lw = _reversed_factors(core, tol)
+        self.pivots = np.diagonal(Lw).copy()
+        self._Ui = sla.lapack.dtrtri(U, lower=0)[0]
+        self._Li = sla.lapack.dtrtri(Lw, lower=1)[0]
         # w_k = D_k^{-T} ell_k with ell_k[r] = L[r, k] for r >= k; these turn the
-        # backward inner products of a and B into plain dot products.
-        self.w = np.zeros((n, n))
-        for k in range(n):
-            self.w[k, k:] = sla.lu_solve(self._lu[k], L.values[k:, k], trans=1)
+        # backward inner products of a and B into plain dot products.  Row k of
+        # triu(L^T) @ Li, cut to [k:], is ell_k^T Li_k; Ui keeps the product upper.
+        self.w = np.triu(np.triu(L.values.T) @ self._Li) @ self._Ui
 
     def solve_from(self, k: int, rhs_tail: np.ndarray) -> np.ndarray:
         """Solve D_k x = rhs on indices >= k; rhs_tail has shape (n-k,) or (n-k, m)."""
-        return sla.lu_solve(self._lu[k], rhs_tail)
+        return self._Li[k:, k:] @ (self._Ui[k:, k:] @ rhs_tail)
+
+    def solve_rows(self, R: np.ndarray) -> np.ndarray:
+        """Row k of the result is D_k^{-1} R[k, k:] on [k:] and zero below k.
+
+        R has shape (m, n, n); each of the m stacked matrices is solved row-wise.
+        """
+        n = self.grid.n
+        upper = np.triu(np.ones((n, n), dtype=bool))
+        Y = (np.where(upper, R, 0.0).reshape(-1, n) @ self._Ui.T).reshape(R.shape)
+        Y *= upper
+        return (Y.reshape(-1, n) @ self._Li.T).reshape(R.shape)
 
     def handle(self, k: int):
         lam = self.lam
@@ -121,13 +137,56 @@ class DtFamily:
 
         return solve
 
+    def min_pivot(self) -> float:
+        """Smallest |Schur pivot| over all D_k: how close any D_k is to singular."""
+        return float(np.min(np.abs(self.pivots)))
+
+    def cond1(self) -> float:
+        """1-norm condition number of D_0, read off the factors."""
+        return float(np.linalg.norm(self._core, 1) * np.linalg.norm(self._Li @ self._Ui, 1))
+
     def condition_number(self, k: int) -> float:
         sv = np.linalg.svd(self._core[k:, k:], compute_uv=False)
         return float(sv[0] / sv[-1])
 
 
+def _reversed_factors(core: np.ndarray, tol: float):
+    """Return (U, Lw), U unit upper and Lw lower triangular, with core = U @ Lw.
+
+    Both come from a non-pivoted LU of the index-reversed matrix J core J, whose
+    leading blocks are the D_k.  SingularOperator names the largest k whose
+    pivot is at most tol: elimination runs from the last index down, and every
+    pivot after a failed one is meaningless.
+    """
+    n = core.shape[0]
+    with np.errstate(all="ignore"):
+        Lr, Ur = _lu_nopivot(core[::-1, ::-1], tol, n)
+    return np.ascontiguousarray(Lr[::-1, ::-1]), np.ascontiguousarray(Ur[::-1, ::-1])
+
+
+def _lu_nopivot(A: np.ndarray, tol: float, end: int):
+    """Recursive blocked LU without pivoting; A's first index is grid index end - 1."""
+    n = A.shape[0]
+    if n == 1:
+        if not abs(A[0, 0]) > tol:
+            raise _singular(end - 1)
+        return np.ones((1, 1)), A.copy()
+    h = n // 2
+    L11, U11 = _lu_nopivot(A[:h, :h], tol, end)
+    U12 = sla.solve_triangular(L11, A[:h, h:], lower=True, unit_diagonal=True,
+                               check_finite=False)
+    L21 = sla.solve_triangular(U11, A[h:, :h].T, trans="T", check_finite=False).T
+    L22, U22 = _lu_nopivot(A[h:, h:] - L21 @ U12, tol, end - h)
+    Z = np.zeros((h, n - h))
+    return np.block([[L11, Z], [L21, L22]]), np.block([[U11, U12], [Z.T, U22]])
+
+
+def _singular(k: int) -> SingularOperator:
+    return SingularOperator(f"conditional operator D_{k} is numerically singular")
+
+
 def build_Dt(K: GridKernel, L: GridKernel, lam_eff: float) -> DtFamily:
-    """Factor the masked conditional operators once; reused across all paths."""
+    """Factor D once for every masked conditional operator D_k; reused across all paths."""
     return DtFamily(K, L, lam_eff)
 
 
@@ -142,14 +201,9 @@ class FredholmSolver:
         self._forward: SolveHandle = invert_id_minus(self.B)
 
     def _assemble_B(self) -> GridKernel:
-        n = self.grid.n
-        dt = self.grid.dt
+        # B[k, :k] = (dt * W[k, k:] @ K[k:, :k] - K[k, :k]) / lam; W is upper triangular
         K = self.problem.K.values
-        lam = self.problem.lam_eff
-        W = self.dt_family.w
-        B = np.zeros((n, n))
-        for k in range(1, n):
-            B[k, :k] = (dt * (W[k, k:] @ K[k:, :k]) - K[k, :k]) / lam
+        B = np.tril(self.grid.dt * (self.dt_family.w @ K) - K, -1) / self.problem.lam_eff
         return GridKernel(self.grid, B)
 
     def assemble_a(self, path: SignalPath) -> np.ndarray:
@@ -171,26 +225,30 @@ class FredholmSolver:
     def conditional_surface(self, v: np.ndarray, path: SignalPath) -> np.ndarray:
         """Exact surface E_{t_k}[v[j]]: closed rows from D_k, adapted rows from v."""
         self._check_path(path)
-        n = self.grid.n
-        dt = self.grid.dt
-        K = self.problem.K.values
-        S = np.empty((n, n))
-        for k in range(n):
-            rhs = path.surface[k, k:] - dt * (K[k:, :k] @ v[:k])
-            S[k, k:] = self.dt_family.solve_from(k, rhs)
-            S[k, :k + 1] = v[:k + 1]
-        return S
+        return self._surfaces(v[None], path.surface[None])[0]
 
     def conditional_surfaces_batch(self, v: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
+        """conditional_surface for stacked paths: v is (P, n), surfaces (P, n, n).
+
+        Paths go through in chunks, so no temporary is as large as the output.
+        """
         n = self.grid.n
-        dt = self.grid.dt
-        K = self.problem.K.values
-        P = v.shape[0]
-        S = np.empty((P, n, n))
-        for k in range(n):
-            rhs = surfaces[:, k, k:].T - dt * (K[k:, :k] @ v[:, :k].T)
-            S[:, k, k:] = self.dt_family.solve_from(k, rhs).T
-            S[:, k, :k + 1] = v[:, :k + 1]
+        S = np.empty((v.shape[0], n, n))
+        step = max(1, SURFACE_CHUNK // (n * n))
+        for p in range(0, v.shape[0], step):
+            S[p:p + step] = self._surfaces(v[p:p + step], surfaces[p:p + step])
+        return S
+
+    def _surfaces(self, v: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
+        # row k solves D_k x = surface[k, k:] - dt * past[k, k:] with
+        # past[k, i] = sum_{r<k} K[i, r] v[r]; adapted entries j <= k are v[j]
+        past = v[:, :, None] * self.problem.K.values.T
+        np.cumsum(past, axis=1, out=past)
+        R = surfaces.copy()
+        R[:, 1:] -= self.grid.dt * past[:, :-1]
+        S = self.dt_family.solve_rows(R)
+        n = self.grid.n
+        np.copyto(S, v[:, None, :], where=np.tri(n, dtype=bool))
         return S
 
     def residual(self, v: np.ndarray, surface: np.ndarray, path: SignalPath) -> float:

@@ -256,8 +256,10 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle, indices=None,
         diagnostics={
             "mean_gap": mean_gap,
             "fredholm_residual_max": float(fred_residuals.max()) if P else 0.0,
-            "cond_D_mean_0": ops.mean_solver.dt_family.condition_number(0),
-            "cond_D_player_0": ops.player_solver.dt_family.condition_number(0),
+            "min_pivot_D_mean": ops.mean_solver.dt_family.min_pivot(),
+            "min_pivot_D_player": ops.player_solver.dt_family.min_pivot(),
+            "cond1_D_mean_0": ops.mean_solver.dt_family.cond1(),
+            "cond1_D_player_0": ops.player_solver.dt_family.cond1(),
         },
     )
     sol.diagnostics["foc_residual_max"] = max(

@@ -74,6 +74,13 @@ class TestSolve:
         assert diag["fredholm_residual_max"] <= 1e-9
         assert diag["mean_gap"] <= 1e-6
 
+    def test_residual_tolerance_failure_exits_1(self, tmp_path):
+        p = write_cfg(tmp_path, RAW_MODEL, run={"tolerances": {"fredholm_residual": 0.0}})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["fredholm_residual_max"] > 0.0
+
     def test_manifest_completeness(self, tmp_path):
         p = write_cfg(tmp_path, RAW_MODEL)
         out = tmp_path / "o"

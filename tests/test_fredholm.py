@@ -97,17 +97,51 @@ class TestDtFamily:
 
     def test_block_matches_masked_operator_definition(self):
         # handle solves (lam id + dt(mask_from(K,k) + adjoint(mask_from(L,k)))) x = y
+        # for every k, on an SPD core, a symmetric indefinite core and a
+        # non-symmetric core
         rng = np.random.default_rng(4)
         g = build_grid(1.0, 12)
         K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
-        fam = build_Dt(K, K, 2.0)
-        for k in (0, 5, 11):
-            D = 2.0 * np.eye(12) + g.dt * (mask_from(K, k).values
-                                           + adjoint(mask_from(K, k)).values)
-            y = rng.standard_normal(12)
-            y[:k] = 0.0
-            x = fam.handle(k)(y)
-            assert np.max(np.abs(D @ x - y)[k:]) < 1e-12
+        V = np.tril(rng.standard_normal((12, 12)), -1)
+        V[11, 0] = 60.0                       # only D_0 sees index 0: it turns indefinite
+        Ks = GridKernel(g, V)
+        Lp = discretize_kernel(PowerLaw(c=0.5, alpha=0.3), g)
+        cores = {
+            "spd": (build_Dt(K, K, 2.0), K, K, 2.0),
+            "indefinite": (build_Dt(Ks, Ks, 1.0), Ks, Ks, 1.0),
+            "nonsymmetric": (FredholmSolver(loose_problem(K, Lp, 2.0)).dt_family, K, Lp, 2.0),
+        }
+        for name, (fam, Kc, Lc, lam) in cores.items():
+            core = lam * np.eye(12) + g.dt * (Kc.values + Lc.values.T)
+            if name != "nonsymmetric":
+                assert (np.linalg.eigvalsh(core).min() < 0) == (name == "indefinite")
+            for k in range(12):
+                D = lam * np.eye(12) + g.dt * (mask_from(Kc, k).values
+                                               + adjoint(mask_from(Lc, k)).values)
+                y = rng.standard_normal(12)
+                x = fam.handle(k)(y)
+                assert np.max(np.abs(D @ x - y)[k:]) < 1e-12
+                assert np.max(np.abs(x[k:] - np.linalg.solve(core[k:, k:], y[k:]))) < 1e-12
+                assert np.array_equal(x[:k], y[:k] / lam)
+                # Schur pivot of D_k is det(D_k) / det(D_{k+1})
+                inv00 = np.linalg.inv(core[k:, k:])[0, 0]
+                assert abs(fam.pivots[k] * inv00 - 1.0) < 1e-12
+            assert fam.min_pivot() == np.min(np.abs(fam.pivots))
+            assert abs(fam.cond1() / np.linalg.cond(core, 1) - 1.0) < 1e-12
+
+    def test_batched_surfaces_match_per_path(self):
+        # 150 paths at n=64 span several chunks of conditional_surfaces_batch
+        rng = np.random.default_rng(5)
+        g = build_grid(1.0, 64)
+        K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
+        solver = FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=2.0))
+        v = rng.standard_normal((150, 64))
+        surfaces = rng.standard_normal((150, 64, 64))
+        batch = solver.conditional_surfaces_batch(v, surfaces)
+        stacked = np.stack([
+            solver.conditional_surface(v[p], SignalPath(g, surfaces[p, 0], surfaces[p]))
+            for p in range(150)])
+        assert np.max(np.abs(batch - stacked)) < 1e-13
 
 
 class TestNaiveOracle:
@@ -143,6 +177,39 @@ class TestNaiveOracle:
         sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), path)
         naive = self.naive_solution(K, K, 2.0, path.values, path.surface)
         assert np.max(np.abs(sol.v - naive)) <= 1e-12
+
+    def test_coefficients_and_surface_match_per_k_solves(self):
+        # w, B, v and the surface against one np.linalg.solve per D_k, on a
+        # symmetric and a non-symmetric problem
+        rng = np.random.default_rng(6)
+        g = build_grid(1.0, 48)
+        n, dt, lam = g.n, g.dt, 2.0
+        K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
+        Lp = discretize_kernel(PowerLaw(c=0.5, alpha=0.3), g)
+        f_vals = rng.standard_normal(n)
+        f_surf = rng.standard_normal((n, n))
+        f_surf[np.tril_indices(n)] = np.broadcast_to(f_vals, (n, n))[np.tril_indices(n)]
+        path = SignalPath(g, f_vals, f_surf)
+        for L in (K, Lp):
+            solver = FredholmSolver(loose_problem(K, L, lam))
+            core = lam * np.eye(n) + dt * (K.values + L.values.T)
+            w = np.zeros((n, n))
+            B = np.zeros((n, n))
+            for k in range(n):
+                w[k, k:] = np.linalg.solve(core[k:, k:].T, L.values[k:, k])
+                B[k, :k] = (dt * (w[k, k:] @ K.values[k:, :k]) - K.values[k, :k]) / lam
+            v = self.naive_solution(K, L, lam, f_vals, f_surf)
+            S = np.empty((n, n))
+            for k in range(n):
+                rhs = f_surf[k, k:] - dt * (K.values[k:, :k] @ v[:k])
+                S[k, k:] = np.linalg.solve(core[k:, k:], rhs)
+                S[k, :k + 1] = v[:k + 1]
+            sol = solver.solve_path(path)
+            assert np.max(np.abs(solver.dt_family.w - w)) <= 1e-13
+            assert np.max(np.abs(solver.B.values - B)) <= 1e-13
+            assert np.max(np.abs(sol.v - v)) <= 1e-13
+            assert np.max(np.abs(sol.surface - S)) <= 1e-13
+            assert sol.residual <= 1e-14
 
     def test_assemble_B_matches_naive(self):
         g = build_grid(1.0, 8)
@@ -322,6 +389,16 @@ class TestSingularDt:
         V[1, 0] = 2.0
         K = GridKernel(g, V)
         with pytest.raises(SingularOperator):
+            build_Dt(K, K, 1.0)
+
+    def test_error_names_the_singular_block(self):
+        # det D_0 = -0.25 but D_1 = [[1, 1], [1, 1]] is exactly singular
+        g = build_grid(1.0, 3)
+        V = np.zeros((3, 3))
+        V[2, 1] = 3.0
+        V[2, 0] = 1.5
+        K = GridKernel(g, V)
+        with pytest.raises(SingularOperator, match="D_1 is"):
             build_Dt(K, K, 1.0)
 
 
