@@ -59,7 +59,6 @@ from .signals import (
 )
 from .fredholm import (
     FredholmProblem,
-    FredholmSolution,
     FredholmSolver,
     build_Dt,
     stability_gap,
@@ -70,8 +69,8 @@ from .nplayer import (
     build_GH,
     concavity_check,
     foc_residual,
-    mean_conditional_drive,
     objective,
+    objective_per_path,
     solve_nash,
 )
 from .meanfield import (
@@ -85,8 +84,6 @@ from .meanfield import (
     eps_nash_gap,
     solve_generic,
     solve_infinite,
-    solve_map_F,
-    solve_map_G,
 )
 from .model_builders import (
     DelayMeasure,

@@ -16,9 +16,15 @@ v = (id - B)^{-1} a whose coefficients are assembled below.  The closed form
 and the discretized equation are the same linear system, so the residual of
 a solved problem is at linear-algebra precision, not quadrature precision.
 
+Drivers are affine in Brownian increments (signals.CompiledSignal) and the
+solution map is linear, so the solver works on coefficients: the mean and
+every noise tag's weight matrix pass through a and the recursion as stacked
+columns, and the solution is again a CompiledSignal, exact on every path at
+once.  Its conditional surfaces follow from its weights.
+
 Every D_k is a trailing block of D = D_0, so one reversed triangular
 factorization of D (O(n^3) time, O(n^2) memory) serves all of them, and the
-coefficient kernels and conditional surfaces are masked matrix products.
+coefficient kernels are masked matrix products.
 """
 
 from __future__ import annotations
@@ -31,10 +37,9 @@ import scipy.linalg as sla
 
 from .errors import InadmissibleKernel, ShapeError, SingularOperator
 from .grid_ops import GridKernel, SolveHandle, TimeGrid, invert_id_minus
-from .signals import SignalPath
+from .signals import CompiledSignal, NoiseBundle, compile_signal
 
 SELFADJOINT_TOL = 1e-10
-SURFACE_CHUNK = 1 << 18   # array elements per path chunk in conditional_surfaces_batch
 
 
 @dataclass(frozen=True)
@@ -66,17 +71,6 @@ class FredholmProblem:
         return self.K.grid
 
 
-@dataclass(frozen=True)
-class FredholmSolution:
-    """Per-path solution with the path-independent recursion kernel B."""
-
-    v: np.ndarray
-    a: np.ndarray
-    B: GridKernel
-    surface: np.ndarray
-    residual: float
-
-
 class DtFamily:
     """Every D_k = lam*id + dt*(K + L^T)[k:, k:] from one reversed factorization.
 
@@ -86,9 +80,6 @@ class DtFamily:
     one O(n^3) factorization with O(n^2) memory.  The factorization is a
     non-pivoted UL (U has a unit diagonal), which exists exactly when every D_k
     is invertible.  pivots[k] = Lw[k,k] is the Schur pivot det(D_k) / det(D_{k+1}).
-
-    Handles act block-diagonally on full grid functions: entries below k are
-    divided by lam_eff, entries from k on are solved through the factors.
     """
 
     def __init__(self, K: GridKernel, L: GridKernel, lam_eff: float):
@@ -97,8 +88,7 @@ class DtFamily:
         core = grid.dt * (K.values + L.values.T)
         core[np.diag_indices(n)] += float(lam_eff)
         self.grid = grid
-        self.lam = float(lam_eff)
-        self._core = core
+        self.core = core
         tol = 1e-10 * max(1.0, float(np.max(np.abs(core))))
         U, Lw = _reversed_factors(core, tol)
         self.pivots = np.diagonal(Lw).copy()
@@ -109,44 +99,16 @@ class DtFamily:
         # triu(L^T) @ Li, cut to [k:], is ell_k^T Li_k; Ui keeps the product upper.
         self.w = np.triu(np.triu(L.values.T) @ self._Li) @ self._Ui
 
-    def solve_from(self, k: int, rhs_tail: np.ndarray) -> np.ndarray:
-        """Solve D_k x = rhs on indices >= k; rhs_tail has shape (n-k,) or (n-k, m)."""
-        return self._Li[k:, k:] @ (self._Ui[k:, k:] @ rhs_tail)
-
-    def solve_rows(self, R: np.ndarray) -> np.ndarray:
-        """Row k of the result is D_k^{-1} R[k, k:] on [k:] and zero below k.
-
-        R has shape (m, n, n); each of the m stacked matrices is solved row-wise.
-        """
-        n = self.grid.n
-        upper = np.triu(np.ones((n, n), dtype=bool))
-        Y = (np.where(upper, R, 0.0).reshape(-1, n) @ self._Ui.T).reshape(R.shape)
-        Y *= upper
-        return (Y.reshape(-1, n) @ self._Li.T).reshape(R.shape)
-
-    def handle(self, k: int):
-        lam = self.lam
-
-        def solve(y: np.ndarray) -> np.ndarray:
-            y = np.asarray(y, dtype=float)
-            if y.shape[0] != self.grid.n:
-                raise ShapeError(f"rhs has length {y.shape[0]}, expected {self.grid.n}")
-            out = y / lam
-            out[k:] = self.solve_from(k, y[k:])
-            return out
-
-        return solve
-
     def min_pivot(self) -> float:
         """Smallest |Schur pivot| over all D_k: how close any D_k is to singular."""
         return float(np.min(np.abs(self.pivots)))
 
     def cond1(self) -> float:
         """1-norm condition number of D_0, read off the factors."""
-        return float(np.linalg.norm(self._core, 1) * np.linalg.norm(self._Li @ self._Ui, 1))
+        return float(np.linalg.norm(self.core, 1) * np.linalg.norm(self._Li @ self._Ui, 1))
 
     def condition_number(self, k: int) -> float:
-        sv = np.linalg.svd(self._core[k:, k:], compute_uv=False)
+        sv = np.linalg.svd(self.core[k:, k:], compute_uv=False)
         return float(sv[0] / sv[-1])
 
 
@@ -186,12 +148,12 @@ def _singular(k: int) -> SingularOperator:
 
 
 def build_Dt(K: GridKernel, L: GridKernel, lam_eff: float) -> DtFamily:
-    """Factor D once for every masked conditional operator D_k; reused across all paths."""
+    """Factor D once for every masked conditional operator D_k; reused for every driver."""
     return DtFamily(K, L, lam_eff)
 
 
 class FredholmSolver:
-    """Path-independent assembly (D_t family, recursion kernel B) plus per-path solves."""
+    """Path-independent assembly (D_t family, recursion kernel B) and coefficient solves."""
 
     def __init__(self, problem: FredholmProblem):
         self.problem = problem
@@ -206,106 +168,51 @@ class FredholmSolver:
         B = np.tril(self.grid.dt * (self.dt_family.w @ K) - K, -1) / self.problem.lam_eff
         return GridKernel(self.grid, B)
 
-    def assemble_a(self, path: SignalPath) -> np.ndarray:
-        """a[k] = (f[k] - dt * <w_k, E_{t_k} f restricted to [k:]>) / lam."""
-        self._check_path(path)
-        W = self.dt_family.w
-        a = path.values - self.grid.dt * np.einsum("kj,kj->k", W, path.surface)
-        return a / self.problem.lam_eff
-
-    def assemble_a_batch(self, values: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
-        W = self.dt_family.w
-        a = values - self.grid.dt * np.einsum("kj,pkj->pk", W, surfaces)
-        return a / self.problem.lam_eff
-
     def solve_v(self, a: np.ndarray) -> np.ndarray:
         """Forward recursion v = a + dt * B v (accepts stacked columns)."""
         return self._forward(a)
 
-    def conditional_surface(self, v: np.ndarray, path: SignalPath) -> np.ndarray:
-        """Exact surface E_{t_k}[v[j]]: closed rows from D_k, adapted rows from v."""
-        self._check_path(path)
-        return self._surfaces(v[None], path.surface[None])[0]
+    def solve(self, f: CompiledSignal) -> CompiledSignal:
+        """The solution for driver f, as a mean plus one weight matrix per tag.
 
-    def conditional_surfaces_batch(self, v: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
-        """conditional_surface for stacked paths: v is (P, n), surfaces (P, n, n).
-
-        Paths go through in chunks, so no temporary is as large as the output.
+        a[k] = (f[k] - dt * <w_k, E_{t_k} f restricted to [k:]>) / lam is, on
+        coefficients, (mean - dt W mean) / lam and, per tag,
+        (tril(w) - dt tril(W w)) / lam with strictly lower tril.  The recursion
+        keeps the weights strictly lower triangular, so the solution is adapted.
         """
-        n = self.grid.n
-        S = np.empty((v.shape[0], n, n))
-        step = max(1, SURFACE_CHUNK // (n * n))
-        for p in range(0, v.shape[0], step):
-            S[p:p + step] = self._surfaces(v[p:p + step], surfaces[p:p + step])
-        return S
+        if f.grid != self.grid:
+            raise ShapeError("driver lives on a different grid")
+        n, dt = self.grid.n, self.grid.dt
+        W = self.dt_family.w
+        tags = list(f.weights)
+        cols = [(f.mean - dt * (W @ f.mean))[:, None]]
+        cols += [np.tril(f.weights[t], -1) - dt * np.tril(W @ f.weights[t], -1) for t in tags]
+        v = self.solve_v(np.hstack(cols) / self.problem.lam_eff)
+        weights = {t: v[:, 1 + j * n:1 + (j + 1) * n] for j, t in enumerate(tags)}
+        return CompiledSignal(self.grid, v[:, 0], weights)
 
-    def _surfaces(self, v: np.ndarray, surfaces: np.ndarray) -> np.ndarray:
-        # row k solves D_k x = surface[k, k:] - dt * past[k, k:] with
-        # past[k, i] = sum_{r<k} K[i, r] v[r]; adapted entries j <= k are v[j]
-        past = v[:, :, None] * self.problem.K.values.T
-        np.cumsum(past, axis=1, out=past)
-        R = surfaces.copy()
-        R[:, 1:] -= self.grid.dt * past[:, :-1]
-        S = self.dt_family.solve_rows(R)
-        n = self.grid.n
-        np.copyto(S, v[:, None, :], where=np.tri(n, dtype=bool))
-        return S
+    def residual(self, f: CompiledSignal, v: CompiledSignal) -> CompiledSignal:
+        """D v - f with D = lam id + dt (K + L^T): the discretized equation itself.
 
-    def residual(self, v: np.ndarray, surface: np.ndarray, path: SignalPath) -> float:
-        dt = self.grid.dt
-        forward = dt * (self.problem.K.values @ v)
-        backward = dt * np.einsum("rk,kr->k", self.problem.L.values, surface)
-        res = self.problem.lam_eff * v - path.values + forward + backward
-        return float(np.max(np.abs(res)))
-
-    def solve_path(self, path: SignalPath) -> FredholmSolution:
-        a = self.assemble_a(path)
-        v = self.solve_v(a)
-        S = self.conditional_surface(v, path)
-        res = self.residual(v, S, path)
-        return FredholmSolution(v=v, a=a, B=self.B, surface=S, residual=res)
-
-    def _check_path(self, path: SignalPath) -> None:
-        if path.grid != self.grid:
-            raise ShapeError("path lives on a different grid")
-
-
-# --- thin functional facade ------------------------------------------------
-
-def assemble_B(problem: FredholmProblem) -> GridKernel:
-    return FredholmSolver(problem).B
-
-
-def assemble_a(problem: FredholmProblem, path: SignalPath) -> np.ndarray:
-    return FredholmSolver(problem).assemble_a(path)
-
-
-def solve(problem: FredholmProblem, path: SignalPath,
-          solver: FredholmSolver | None = None) -> FredholmSolution:
-    return (solver or FredholmSolver(problem)).solve_path(path)
-
-
-def conditional_solution(problem: FredholmProblem, solution: FredholmSolution,
-                         path: SignalPath) -> np.ndarray:
-    return FredholmSolver(problem).conditional_surface(solution.v, path)
-
-
-def residual(problem: FredholmProblem, solution: FredholmSolution, path: SignalPath) -> float:
-    return FredholmSolver(problem).residual(solution.v, solution.surface, path)
+        The mean row is the equation's expectation; per tag only the strictly
+        lower weights enter adapted values, so the rest is cut off.
+        """
+        D = self.dt_family.core
+        zero = np.zeros_like(D)
+        weights = {t: np.tril(D @ v.weights.get(t, zero) - f.weights.get(t, zero), -1)
+                   for t in dict.fromkeys([*f.weights, *v.weights])}
+        return CompiledSignal(self.grid, D @ v.mean - f.mean, weights)
 
 
 def stability_gap(problem_n: FredholmProblem, problem_limit: FredholmProblem,
-                  paths_n, paths_limit=None) -> float:
-    """Monte Carlo estimate of sup_k E[(v^N_k - v_k)^2] on a shared path ensemble."""
-    paths_n = list(paths_n)
-    paths_limit = list(paths_limit) if paths_limit is not None else paths_n
-    if len(paths_n) != len(paths_limit):
-        raise ShapeError("path ensembles have different sizes")
-    solver_n = FredholmSolver(problem_n)
-    solver_l = FredholmSolver(problem_limit)
-    sq = np.zeros(problem_n.grid.n)
-    for p_n, p_l in zip(paths_n, paths_limit):
-        v_n = solver_n.solve_v(solver_n.assemble_a(p_n))
-        v_l = solver_l.solve_v(solver_l.assemble_a(p_l))
-        sq += (v_n - v_l) ** 2
-    return float(np.max(sq / len(paths_n)))
+                  bundle: NoiseBundle, f_n, f_limit=None) -> float:
+    """Monte Carlo estimate of sup_k E[(v^N_k - v_k)^2] on the bundle's paths.
+
+    f_n drives problem_n and f_limit (default f_n) drives problem_limit.
+    """
+    f_limit = f_n if f_limit is None else f_limit
+    v_n = FredholmSolver(problem_n).solve(compile_signal(f_n, problem_n.grid))
+    v_l = FredholmSolver(problem_limit).solve(compile_signal(f_limit, problem_limit.grid))
+    P = bundle.n_paths
+    diff = v_n.path_values(bundle.increments, P) - v_l.path_values(bundle.increments, P)
+    return float(np.max(np.mean(diff ** 2, axis=0)))

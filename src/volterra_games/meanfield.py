@@ -5,7 +5,9 @@ v = F(b - A3(mu) - A3*(E_. mu)), where F and G solve Fredholm problems with
 kernels A2hat and A2hat + A3 and scale 2*lambda.  The infinite-player view
 replaces the conditional-mean driver by the declared limit b_infty.
 Convergence and epsilon-Nash experiments re-solve the induced finite games
-on shared noise and fit log-log rates.
+on shared noise and fit log-log rates.  Every solve maps a CompiledSignal
+driver to a CompiledSignal strategy once for all paths (see nplayer); paths
+are read off the coefficients at the sampled increments.
 """
 
 from __future__ import annotations
@@ -17,14 +19,22 @@ import numpy as np
 from .errors import InadmissibleKernel, ShapeError
 from .fredholm import FredholmProblem, FredholmSolver
 from .grid_ops import GridKernel, TimeGrid, add_kernels
-from .nplayer import GameSpec, build_operators, objective, shifted_drive
+from .nplayer import (
+    GameSpec,
+    apply_matrix,
+    build_operators,
+    conditional_surfaces,
+    objective_per_path,
+    player_base,
+    shifted_drive,
+    sup_on_paths,
+)
 from .signals import (
     CompiledSignal,
     Deterministic,
     LinearCombination,
     Martingale,
     NoiseBundle,
-    SignalPath,
     compile_signal,
 )
 
@@ -89,16 +99,6 @@ def build_mfg_operators(spec: MFGSpec) -> MFGOperators:
     )
 
 
-def solve_map_F(spec: MFGSpec, x: SignalPath, operators: MFGOperators | None = None):
-    ops = operators or build_mfg_operators(spec)
-    return ops.solver_F.solve_v(ops.solver_F.assemble_a(x))
-
-
-def solve_map_G(spec: MFGSpec, x: SignalPath, operators: MFGOperators | None = None):
-    ops = operators or build_mfg_operators(spec)
-    return ops.solver_G.solve_v(ops.solver_G.assemble_a(x))
-
-
 # ---------------------------------------------------------------------------
 # crossed noise: common blocks times idiosyncratic draws
 # ---------------------------------------------------------------------------
@@ -112,8 +112,9 @@ class CrossedNoise:
     n_idio: int
     common_tags: frozenset
 
-    def common_block(self, c: int):
-        return range(c * self.n_idio, (c + 1) * self.n_idio)
+    def block_increments(self) -> dict:
+        """Increments at the first path of every common block: tag -> (n_common, n)."""
+        return {tag: arr[::self.n_idio] for tag, arr in self.bundle.increments.items()}
 
 
 def draw_crossed_noise(grid: TimeGrid, common_tags, idio_tags, n_common: int,
@@ -132,82 +133,22 @@ def draw_crossed_noise(grid: TimeGrid, common_tags, idio_tags, n_common: int,
     return CrossedNoise(bundle, n_common, n_idio, frozenset(common_tags))
 
 
-# ---------------------------------------------------------------------------
-# batched Fredholm driver assembly for compiled signals
-# ---------------------------------------------------------------------------
-
-class BatchedDriver:
-    """Vectorized a-assembly for a compiled signal, optionally shifted per block.
-
-    Exploits m[k, j] = mean[j] + sum_{r<k} w[j, r] dW_r for j >= k, which turns
-    the backward inner product of the a-coefficients into one strictly-lower
-    matrix acting on increments; no per-path surface is materialized.
-    """
-
-    def __init__(self, solver: FredholmSolver, cs: CompiledSignal):
-        self.solver = solver
-        self.cs = cs
-        W = solver.dt_family.w
-        n = cs.grid.n
-        self._w_mean = W @ cs.mean
-        self._lower = {tag: np.tril(w, k=-1).T for tag, w in cs.weights.items()}
-        self._a_mats = {tag: np.tril(W @ w, k=-1).T for tag, w in cs.weights.items()}
-
-    def values(self, dW: dict) -> np.ndarray:
-        out = np.broadcast_to(self.cs.mean, self._shape(dW)).copy()
-        for tag, mat in self._lower.items():
-            out += dW[tag] @ mat
-        return out
-
-    def assemble(self, dW: dict, shift_values=None, shift_wdot=None):
-        """Return (values, a) for all paths; shifts are per-path arrays or None.
-
-        shift_values[k] is subtracted from the driver value, shift_wdot[k] from
-        the backward product sum_j W[k, j] m[k, j] (both already per path).
-        """
-        vals = self.values(dW)
-        wdot = np.broadcast_to(self._w_mean, vals.shape).copy()
-        for tag, mat in self._a_mats.items():
-            wdot += dW[tag] @ mat
-        if shift_values is not None:
-            vals = vals - shift_values
-        if shift_wdot is not None:
-            wdot = wdot - shift_wdot
-        dt = self.cs.grid.dt
-        a = (vals - dt * wdot) / self.solver.problem.lam_eff
-        return vals, a
-
-    def _shape(self, dW):
-        first = next(iter(dW.values())) if dW else None
-        P = first.shape[0] if first is not None else 1
-        return (P, self.cs.grid.n)
-
-
-def _shift_terms(solver: FredholmSolver, H: GridKernel, w: np.ndarray,
-                 w_surface: np.ndarray):
-    """Per-block shift of driver values and of the backward product for one w path.
-
-    values shift: dt * (sum_{r<k} H[k,r] w[r] + sum_{r>k} H[r,k] wS[k,r]);
-    backward shift: sum_{j>=k} W[k,j] * shift_surface[k,j] with
-    shift_surface[k,j] = dt * (w_surface[k] . (H + H^T))[j].
-    """
-    dt = H.grid.dt
-    Hv = H.values
-    sv = dt * (Hv @ w + np.einsum("rk,kr->k", Hv, w_surface))
-    S = dt * (w_surface @ (Hv + Hv.T))
-    wdot = np.einsum("kj,kj->k", solver.dt_family.w, S)
-    return sv, wdot
-
-
 @dataclass
 class MFGSolution:
     """Equilibrium of the generic-player (or infinite-player) mean-field game."""
 
     mu: np.ndarray              # (common, n): mean-field strategy per common block
-    mu_surface: np.ndarray      # (common, n, n)
-    v: np.ndarray               # generic: (common, idio, n); infinite: (players, common, n)
+    v: np.ndarray               # generic: (common, idio, n); infinite: (players, common*idio, n)
+    mean_field: CompiledSignal  # coefficients of mu
+    strategies: tuple           # coefficients of v: generic (v,), infinite one per player
+    block_increments: dict      # tag -> (common, n): each common block's first path
     consistency_gap: float = np.nan
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def mu_surface(self) -> np.ndarray:
+        """(common, n, n) conditional surfaces of mu, built on access."""
+        return conditional_surfaces(self.mean_field, self.block_increments, len(self.mu))
 
 
 def solve_generic(spec: MFGSpec, noise: CrossedNoise) -> MFGSolution:
@@ -222,27 +163,21 @@ def solve_generic(spec: MFGSpec, noise: CrossedNoise) -> MFGSolution:
     cx = compile_signal(x_family, grid)
     cb = compile_signal(spec.b_family(), grid)
 
-    mu = np.empty((C, grid.n))
-    mu_surface = np.empty((C, grid.n, grid.n))
-    v = np.empty((C, I, grid.n))
-    g_residual = 0.0
-    driver_b = BatchedDriver(ops.solver_F, cb)
+    mu_cs = ops.solver_G.solve(cx)
+    v_cs = ops.solver_F.solve(shifted_drive(cb, spec.a3, mu_cs))
+    first = noise.block_increments()
+    mu = mu_cs.path_values(first, C)
+    v = v_cs.path_values(noise.bundle.increments, C * I).reshape(C, I, grid.n)
+    g_residual = sup_on_paths(ops.solver_G.residual(cx, mu_cs), first, C)
 
-    for c in range(C):
-        p0 = c * I
-        dW0 = noise.bundle.path(p0)
-        xv, xs = cx.values_and_surface(dW0)
-        x_path = SignalPath(grid, xv, xs, cx.noise_tags())
-        sol_mu = ops.solver_G.solve_path(x_path)
-        mu[c] = sol_mu.v
-        mu_surface[c] = sol_mu.surface
-        g_residual = max(g_residual, sol_mu.residual)
-
-        sv, wdot = _shift_terms(ops.solver_F, spec.a3, mu[c], mu_surface[c])
-        block = list(noise.common_block(c))
-        dW = {tag: arr[block] for tag, arr in noise.bundle.increments.items()}
-        _, a = driver_b.assemble(dW, shift_values=sv[None, :], shift_wdot=wdot[None, :])
-        v[c] = ops.solver_F.solve_v(a.T).T
+    # E[v | common] = mu holds exactly: drop v's idiosyncratic weights
+    idio = compile_signal(spec.beta, grid).noise_tags()
+    zero = np.zeros((grid.n, grid.n))
+    exact = float(np.max(np.abs(v_cs.mean - mu_cs.mean)))
+    for tag in dict.fromkeys([*v_cs.weights, *mu_cs.weights]):
+        if tag not in idio:
+            diff = v_cs.weights.get(tag, zero) - mu_cs.weights.get(tag, zero)
+            exact = max(exact, float(np.max(np.abs(diff))))
 
     cond_mean = v.mean(axis=1)
     cond_std = v.std(axis=1, ddof=1) if I > 1 else np.zeros_like(cond_mean)
@@ -253,12 +188,13 @@ def solve_generic(spec: MFGSpec, noise: CrossedNoise) -> MFGSolution:
     floor = 1e-10 * max(1.0, float(np.max(np.abs(mu))) if mu.size else 1.0)
     gap_rel = gap_abs / np.maximum(stderr, floor)
     return MFGSolution(
-        mu=mu, mu_surface=mu_surface, v=v,
+        mu=mu, v=v, mean_field=mu_cs, strategies=(v_cs,), block_increments=first,
         consistency_gap=float(gap_abs.max()),
         diagnostics={
             "gap_over_stderr_max": float(gap_rel.max()),
             "stderr_max": float(stderr.max()),
-            "g_residual_max": float(g_residual),
+            "g_residual_max": g_residual,
+            "consistency_exact": exact,
         },
     )
 
@@ -269,44 +205,39 @@ def solve_infinite(spec: MFGSpec, n_view: int, noise: CrossedNoise) -> MFGSoluti
         raise ShapeError("infinite-player view needs a player family")
     ops = build_mfg_operators(spec)
     grid = spec.grid
-    C, I = noise.n_common, noise.n_idio
+    P = noise.bundle.n_paths
     c_lim = compile_signal(spec.limit_family(), grid)
     if not c_lim.noise_tags() <= noise.common_tags:
         raise ShapeError("b_infty must be measurable with respect to common noise")
 
-    nu = np.empty((C, grid.n))
-    nu_surface = np.empty((C, grid.n, grid.n))
-    v = np.empty((n_view, C * I, grid.n))
-    for c in range(C):
-        dW0 = noise.bundle.path(c * I)
-        xv, xs = c_lim.values_and_surface(dW0)
-        sol_nu = ops.solver_G.solve_path(SignalPath(grid, xv, xs, c_lim.noise_tags()))
-        nu[c] = sol_nu.v
-        nu_surface[c] = sol_nu.surface
-
+    nu_cs = ops.solver_G.solve(c_lim)
+    strategies = []
+    v = np.empty((n_view, P, grid.n))
     for i in range(n_view):
         cb_i = compile_signal(spec.player_family.signal(i, n_view), grid)
-        driver = BatchedDriver(ops.solver_F, cb_i)
-        for c in range(C):
-            sv, wdot = _shift_terms(ops.solver_F, spec.a3, nu[c], nu_surface[c])
-            block = list(noise.common_block(c))
-            dW = {tag: arr[block] for tag, arr in noise.bundle.increments.items()}
-            _, a = driver.assemble(dW, shift_values=sv[None, :], shift_wdot=wdot[None, :])
-            v[i, block] = ops.solver_F.solve_v(a.T).T
-    return MFGSolution(mu=nu, mu_surface=nu_surface, v=v)
+        strategies.append(ops.solver_F.solve(shifted_drive(cb_i, spec.a3, nu_cs)))
+        v[i] = strategies[i].path_values(noise.bundle.increments, P)
+    first = noise.block_increments()
+    return MFGSolution(mu=nu_cs.path_values(first, noise.n_common), v=v, mean_field=nu_cs,
+                       strategies=tuple(strategies), block_increments=first)
 
 
-def mfg_foc_residual(spec: MFGSpec, b_path: SignalPath, v: np.ndarray,
-                     v_surface: np.ndarray, mu: np.ndarray,
-                     mu_surface: np.ndarray) -> float:
-    """Sup residual of the generic player's first-order condition at (v, mu)."""
-    dt = spec.grid.dt
+def mfg_foc_residual(spec: MFGSpec, solution: MFGSolution, noise: CrossedNoise) -> float:
+    """Sup over the noise's paths of the generic player's first-order condition.
+
+    2 lam v - b + dt (A3 + A3^T) mu + dt (A2hat + A2hat^T) v, formed on the
+    coefficients of solve_generic's (v, mu).
+    """
+    grid = spec.grid
+    dt = grid.dt
     A3 = spec.a3.values
     A2 = spec.a2hat.values
-    res = (2.0 * spec.lam * v - b_path.values
-           + dt * (A3 @ mu) + dt * np.einsum("rk,kr->k", A3, mu_surface)
-           + dt * (A2 @ v) + dt * np.einsum("rk,kr->k", A2, v_surface))
-    return float(np.max(np.abs(res)))
+    own = 2.0 * spec.lam * np.eye(grid.n) + dt * (A2 + A2.T)
+    res = compile_signal(LinearCombination(terms=(
+        (1.0, apply_matrix(own, solution.strategies[0])),
+        (1.0, apply_matrix(dt * (A3 + A3.T), solution.mean_field)),
+        (-1.0, spec.b_family()))), grid)
+    return sup_on_paths(res, noise.bundle.increments, noise.bundle.n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -372,69 +303,38 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     """sup-t MSE of the finite-game mean and one player against the mean-field limit.
 
     The mean-strategy MSE uses every path in the bundle; the per-player MSE
-    may be restricted to the first player_paths paths (surfaces are cubic in n
-    per path, the mean route is not).
+    may be restricted to the first player_paths paths.
     """
     ops = build_mfg_operators(spec)
     grid = spec.grid
-    n = grid.n
     C, I = noise.n_common, noise.n_idio
     P = C * I
+    increments = noise.bundle.increments
     rows = []
-    c_lim = compile_signal(spec.limit_family(), grid)
 
-    # limit solves, one per common block
-    nu = np.empty((C, n))
-    nu_surface = np.empty((C, n, n))
-    for c in range(C):
-        dW0 = noise.bundle.path(c * I)
-        xv, xs = c_lim.values_and_surface(dW0)
-        sol = ops.solver_G.solve_path(SignalPath(grid, xv, xs, c_lim.noise_tags()))
-        nu[c] = sol.v
-        nu_surface[c] = sol.surface
-    nu_full = np.repeat(nu, I, axis=0)
+    # the limit, read at each common block's first path
+    nu_cs = ops.solver_G.solve(compile_signal(spec.limit_family(), grid))
+    nu_full = np.repeat(nu_cs.path_values(noise.block_increments(), C), I, axis=0)
 
     pp = P if player_paths is None else min(player_paths, P)
+    first_pp = {tag: arr[:pp] for tag, arr in increments.items()}
     for N in ns:
         game = induced_game(spec, N)
         gops = build_operators(game)
-        mean_family = LinearCombination(terms=tuple(
-            [(1.0 / N, s) for s in game.b_signals] + [(1.0 / N, game.b0_signal)]))
-        c_mean = compile_signal(mean_family, grid)
-        driver = BatchedDriver(gops.mean_solver, c_mean)
-        dW = noise.bundle.increments
-        _, a = driver.assemble(dW)
-        ubar = gops.mean_solver.solve_v(a.T).T          # (P, n)
+        c_mean = compile_signal(LinearCombination(terms=tuple(
+            (1.0 / N, f) for f in (*game.b_signals, game.b0_signal))), grid)
+        ubar_cs = gops.mean_solver.solve(c_mean)
+        ubar = ubar_cs.path_values(increments, P)
         mse_mean = float(np.max(np.mean((ubar - nu_full) ** 2, axis=0)))
 
         # player 1 of the finite game against the mean-field v^1, on a path subset
         mse_player = np.nan
         if pp > 0:
-            sel = list(range(pp))
-            vals_sel = driver.values({t: arr[sel] for t, arr in dW.items()})
-            surf_mean = _surfaces_for(c_mean, noise, sel)
-            ub_surf = gops.mean_solver.conditional_surfaces_batch(ubar[sel], surf_mean)
-            cb1 = compile_signal(LinearCombination(terms=(
-                (1.0, game.b_signals[0]), (1.0 / N, game.b0_signal))), grid)
-            surf_b1 = _surfaces_for(cb1, noise, sel)
-            vals_b1 = _values_for(cb1, noise, sel)
-            from .nplayer import shifted_drive_batch
-            d_vals, d_surfs = shifted_drive_batch(vals_b1, surf_b1, gops.H, ubar[sel], ub_surf)
-            a1p = gops.player_solver.assemble_a_batch(d_vals, d_surfs)
-            u1 = gops.player_solver.solve_v(a1p.T).T
-
+            u1 = gops.player_solver.solve(shifted_drive(player_base(game, 0), gops.H, ubar_cs))
             cbeta1 = compile_signal(spec.player_family.signal(0, N), grid)
-            drv1 = BatchedDriver(ops.solver_F, cbeta1)
-            v1 = np.empty((pp, n))
-            for c in range(C):
-                block = [p for p in noise.common_block(c) if p in set(sel)]
-                if not block:
-                    continue
-                sv, wdot = _shift_terms(ops.solver_F, spec.a3, nu[c], nu_surface[c])
-                dWb = {t: arr[block] for t, arr in dW.items()}
-                _, ab = drv1.assemble(dWb, shift_values=sv[None, :], shift_wdot=wdot[None, :])
-                v1[block] = ops.solver_F.solve_v(ab.T).T
-            mse_player = float(np.max(np.mean((u1 - v1) ** 2, axis=0)))
+            v1 = ops.solver_F.solve(shifted_drive(cbeta1, spec.a3, nu_cs))
+            gap = u1.path_values(first_pp, pp) - v1.path_values(first_pp, pp)
+            mse_player = float(np.max(np.mean(gap ** 2, axis=0)))
         rows.append({"N": int(N), "mse_mean": mse_mean, "mse_player": mse_player})
 
     out = {"rows": rows}
@@ -447,34 +347,14 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     return out
 
 
-def _values_for(cs: CompiledSignal, noise: CrossedNoise, sel) -> np.ndarray:
-    dW = {t: arr[sel] for t, arr in noise.bundle.increments.items()}
-    out = np.broadcast_to(cs.mean, (len(sel), cs.grid.n)).copy()
-    for tag, w in cs.weights.items():
-        out += dW[tag] @ np.tril(w, k=-1).T
-    return out
-
-
-def _surfaces_for(cs: CompiledSignal, noise: CrossedNoise, sel) -> np.ndarray:
-    out = np.empty((len(sel), cs.grid.n, cs.grid.n))
-    for row, p in enumerate(sel):
-        _, out[row] = cs.values_and_surface(noise.bundle.path(p))
-    return out
-
-
 def eps_nash_gap(spec: MFGSpec, n_players: int, deviation: np.ndarray,
                  noise: CrossedNoise) -> dict:
     """Gain of one fixed deviation against the mean-field profile in the N-player game."""
     sol = solve_infinite(spec, n_players, noise)
     game = induced_game(spec, n_players)
-    profile = np.ascontiguousarray(sol.v)               # (N, P, n)
-    base = objective(game, 0, profile, noise.bundle)
-    dev_profile = profile.copy()
+    dev_profile = sol.v.copy()
     dev_profile[0] = np.asarray(deviation, dtype=float)[None, :]
-    dev = objective(game, 0, dev_profile, noise.bundle)
-    per_path = _per_path_gap(game, 0, profile, dev_profile, noise.bundle)
-    stderr = float(per_path.std(ddof=1) / np.sqrt(len(per_path))) if len(per_path) > 1 else 0.0
-    return {"gap": dev - base, "stderr": stderr}
+    return _gain(game, sol.v, dev_profile, noise.bundle)
 
 
 def best_response_gap(spec: MFGSpec, n_players: int, noise: CrossedNoise) -> dict:
@@ -487,79 +367,23 @@ def best_response_gap(spec: MFGSpec, n_players: int, noise: CrossedNoise) -> dic
     sol = solve_infinite(spec, n_players, noise)
     game = induced_game(spec, n_players)
     gops = build_operators(game)
-    ops = build_mfg_operators(spec)
-    grid = spec.grid
     N = n_players
-    P = noise.bundle.n_paths
     br_solver = FredholmSolver(FredholmProblem(K=gops.G, L=gops.G, lam_eff=2.0 * spec.lam))
 
-    mean_family = LinearCombination(terms=tuple(
-        (1.0 / N, spec.player_family.signal(i, N)) for i in range(N)))
-    c_meanb = compile_signal(mean_family, grid)
-    cb0p = compile_signal(spec.player_family.signal(0, N), grid)
-    c_b0g = compile_signal(spec.b0_signal, grid)
-
-    profile = np.ascontiguousarray(sol.v)
-    gaps = np.empty(P)
-    for c in range(noise.n_common):
-        nu_c, nu_s = sol.mu[c], sol.mu_surface[c]
-        for p in noise.common_block(c):
-            dW = noise.bundle.path(p)
-            bmv, bms = c_meanb.values_and_surface(dW)
-            drive_m = shifted_drive(SignalPath(grid, bmv, bms), spec.a3, nu_c, nu_s)
-            sol_m = ops.solver_F.solve_path(drive_m)
-            b0v, b0s = cb0p.values_and_surface(dW)
-            drive_0 = shifted_drive(SignalPath(grid, b0v, b0s), spec.a3, nu_c, nu_s)
-            sol_0 = ops.solver_F.solve_path(drive_0)
-
-            # others' average carries weight (N-1)/N inside the H shift
-            u_rest = (N * sol_m.v - sol_0.v) / (N - 1.0)
-            s_rest = (N * sol_m.surface - sol_0.surface) / (N - 1.0)
-            g0v, g0s = c_b0g.values_and_surface(dW)
-            base_path = SignalPath(grid, b0v + g0v / N, b0s + g0s / N)
-            drive = shifted_drive(base_path, gops.H, (N - 1.0) / N * u_rest,
-                                  (N - 1.0) / N * s_rest)
-            br = br_solver.solve_v(br_solver.assemble_a(drive))
-            gaps[p] = _gap_one_path(game, profile[:, p, :], br, dW)
-    stderr = float(gaps.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0
-    return {"gap": float(gaps.mean()), "stderr": stderr}
+    # the others' sum over N: (N-1)/N times their average, as the H shift weighs it
+    others = compile_signal(LinearCombination(terms=tuple(
+        [(1.0 / N, s) for s in sol.strategies] + [(-1.0 / N, sol.strategies[0])])), spec.grid)
+    br = br_solver.solve(shifted_drive(player_base(game, 0), gops.H, others))
+    dev_profile = sol.v.copy()
+    dev_profile[0] = br.path_values(noise.bundle.increments, noise.bundle.n_paths)
+    return _gain(game, sol.v, dev_profile, noise.bundle)
 
 
-def _objective_one_path(game: GameSpec, i: int, profile_path: np.ndarray,
-                        bi: np.ndarray, b0: np.ndarray) -> float:
-    grid = game.grid
-    dt = grid.dt
-    ui = profile_path[i]
-    ub = profile_path.mean(axis=0)
-    return (
-        -float(ub @ game.a1.values @ ub) * dt ** 2
-        - game.lam * float(ui @ ui) * dt
-        - float(ui @ game.a2hat.values @ ui) * dt ** 2
-        - float(ui @ (game.a3.values + game.a3.values.T) @ ub) * dt ** 2
-        + float(bi @ ui) * dt + float(b0 @ ub) * dt
-    )
-
-
-def _gap_one_path(game: GameSpec, profile_path: np.ndarray, br: np.ndarray, dW) -> float:
-    cbi = compile_signal(game.b_signals[0], game.grid)
-    cb0 = compile_signal(game.b0_signal, game.grid)
-    bi, _ = cbi.values_and_surface(dW)
-    b0, _ = cb0.values_and_surface(dW)
-    base = _objective_one_path(game, 0, profile_path, bi, b0)
-    dev_path = profile_path.copy()
-    dev_path[0] = br
-    return _objective_one_path(game, 0, dev_path, bi, b0) - base
-
-
-def _per_path_gap(game: GameSpec, i: int, profile, dev_profile, bundle) -> np.ndarray:
-    cbi = compile_signal(game.b_signals[i], game.grid)
-    cb0 = compile_signal(game.b0_signal, game.grid)
-    P = profile.shape[1]
-    out = np.empty(P)
-    for p in range(P):
-        dW = bundle.path(p)
-        bi, _ = cbi.values_and_surface(dW)
-        b0, _ = cb0.values_and_surface(dW)
-        out[p] = (_objective_one_path(game, i, dev_profile[:, p, :], bi, b0)
-                  - _objective_one_path(game, i, profile[:, p, :], bi, b0))
-    return out
+def _gain(game: GameSpec, profile: np.ndarray, dev_profile: np.ndarray,
+          bundle: NoiseBundle) -> dict:
+    """Player 0's mean objective gain from profile to dev_profile, with its MC stderr."""
+    per_path = (objective_per_path(game, 0, dev_profile, bundle)
+                - objective_per_path(game, 0, profile, bundle))
+    P = len(per_path)
+    stderr = float(per_path.std(ddof=1) / np.sqrt(P)) if P > 1 else 0.0
+    return {"gap": float(per_path.mean()), "stderr": stderr}

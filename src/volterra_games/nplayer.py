@@ -5,6 +5,11 @@ Kbar = ((N-1)/N) H + G and driver bbar + b0/N; each player then solves one
 with kernel Khat = G - H/N and a driver shifted by the realized and expected
 action of the mean, where G = A1/N^2 + 2 A3/N + A2hat and H = A1/N + A3.
 Both solves share the scale lam_eff = 2*lambda.
+
+Drivers and strategies are signals.CompiledSignal values (a mean plus one
+weight matrix per noise tag), so each solve runs once for all paths.  Path
+values come from the weights and the sampled increments; conditional
+surfaces are built only when asked for.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .grid_ops import (
     check_nonneg_definite,
     symmetrized_form,
 )
-from .signals import NoiseBundle, SignalPath, combine, compile_signal
+from .signals import CompiledSignal, LinearCombination, NoiseBundle, compile_signal
 
 ADMISSIBILITY_TOL = 1e-8
 MEAN_GAP_TOL = 1e-6
@@ -116,134 +121,97 @@ def build_operators(spec: GameSpec) -> GameOperators:
     return GameOperators(G, H, kbar, khat, mean_solver, player_solver)
 
 
-def shifted_drive(base: SignalPath, H: GridKernel, w: np.ndarray,
-                  w_surface: np.ndarray) -> SignalPath:
-    """Driver base - H(w) - H*(E_. w) with its exact tower-consistent surface.
+def shifted_drive(base: CompiledSignal, H: GridKernel, w: CompiledSignal) -> CompiledSignal:
+    """Driver base - H(w) - H*(E_. w), on coefficients base - dt (H + H^T) w.
 
-    Rows of the output surface at or below the diagonal are the adapted values
-    themselves; above, expectations of expectations collapse to the outer time
-    through the rows of w_surface.
+    The shift acts on the mean and on every tag's weights alike, so the
+    driver's conditional surfaces stay tower-consistent.
     """
-    grid = base.grid
-    dt = grid.dt
-    Hv = H.values
-    d = base.values - dt * (Hv @ w) - dt * np.einsum("rk,kr->k", Hv, w_surface)
-    sym = Hv + Hv.T
-    S = base.surface - dt * (w_surface @ sym)
-    rows = np.arange(grid.n)[:, None]
-    cols = np.arange(grid.n)[None, :]
-    S = np.where(cols <= rows, d[None, :], S)
-    return SignalPath(grid, d, S, base.noise_tags)
+    sym = H.grid.dt * (H.values + H.values.T)
+    weights = dict(base.weights)
+    for tag, ww in w.weights.items():
+        weights[tag] = weights.get(tag, 0.0) - sym @ ww
+    return CompiledSignal(base.grid, base.mean - sym @ w.mean, weights)
 
 
-def shifted_drive_batch(base_values, base_surfaces, H: GridKernel, w, w_surfaces):
-    dt = H.grid.dt
-    Hv = H.values
-    d = base_values - dt * (w @ Hv.T) - dt * np.einsum("rk,pkr->pk", Hv, w_surfaces)
-    S = base_surfaces - dt * (w_surfaces @ (Hv + Hv.T))
-    n = H.grid.n
-    mask = np.arange(n)[None, :] <= np.arange(n)[:, None]
-    S = np.where(mask[None, :, :], d[:, None, :], S)
-    return d, S
+def player_base(spec: GameSpec, i: int) -> CompiledSignal:
+    """Player i's unshifted driver b^i + b^0/N."""
+    return compile_signal(LinearCombination(terms=(
+        (1.0, spec.b_signals[i]), (1.0 / spec.n_players, spec.b0_signal))), spec.grid)
 
 
-def mean_conditional_drive(spec: GameSpec, ubar: np.ndarray, ubar_surface: np.ndarray,
-                           base: SignalPath) -> SignalPath:
-    """Player driver E_t[b^i + b^0/N - ((H+H*) ubar)] as a SignalPath."""
-    _, H = build_GH(spec)
-    return shifted_drive(base, H, ubar, ubar_surface)
+def conditional_surfaces(cs: CompiledSignal, increments: dict, n_paths: int) -> np.ndarray:
+    """Surfaces m[p, i, j] = E_{t_i}[f_j] of cs on each sampled path, (n_paths, n, n)."""
+    out = np.empty((n_paths, cs.grid.n, cs.grid.n))
+    for p in range(n_paths):
+        out[p] = cs.values_and_surface({tag: arr[p] for tag, arr in increments.items()})[1]
+    return out
+
+
+def sup_on_paths(cs: CompiledSignal, increments: dict, n_paths: int) -> float:
+    """Largest |value| of cs over the grid and the sampled paths."""
+    return float(np.max(np.abs(cs.path_values(increments, n_paths)), initial=0.0))
+
+
+def _sampled(bundle: NoiseBundle, indices) -> tuple[dict, int]:
+    """Increments of the selected paths (all of them by default) and their count."""
+    if indices is None:
+        return bundle.increments, bundle.n_paths
+    rows = list(indices)
+    for k in rows:
+        if not (0 <= k < bundle.n_paths):
+            raise ShapeError(f"path index {k} outside [0, {bundle.n_paths})")
+    return {tag: arr[rows] for tag, arr in bundle.increments.items()}, len(rows)
 
 
 @dataclass
 class NashSolution:
-    """Equilibrium strategies per path plus solver diagnostics."""
+    """Equilibrium strategies as coefficients, their sampled paths, and diagnostics."""
 
     ubar: np.ndarray            # (paths, n)
-    ubar_surface: np.ndarray    # (paths, n, n)
     u: np.ndarray               # (players, paths, n)
-    u_surface: np.ndarray       # (players, paths, n, n)
     base_values: np.ndarray     # (players, paths, n): b^i + b^0/N per path
+    mean_strategy: CompiledSignal
+    strategies: tuple           # one CompiledSignal per player
+    increments: dict            # tag -> (paths, n): the sampled draws
     diagnostics: dict = field(default_factory=dict)
 
+    @property
+    def ubar_surface(self) -> np.ndarray:
+        """(paths, n, n) conditional surfaces of the mean strategy, built on access."""
+        return conditional_surfaces(self.mean_strategy, self.increments, len(self.ubar))
 
-def simulate_game_signals(spec: GameSpec, bundle: NoiseBundle, indices=None):
-    """Per-player SignalPaths of b^i and of b^0, for the selected path indices."""
-    indices = range(bundle.n_paths) if indices is None else list(indices)
-    compiled_b = [compile_signal(f, spec.grid) for f in spec.b_signals]
-    compiled_b0 = compile_signal(spec.b0_signal, spec.grid)
-    b_paths, b0_paths = [], []
-    for k in indices:
-        dW = bundle.path(k)
-        b0v, b0s = compiled_b0.values_and_surface(dW)
-        b0_paths.append(SignalPath(spec.grid, b0v, b0s, compiled_b0.noise_tags()))
-        row = []
-        for cs in compiled_b:
-            v, s = cs.values_and_surface(dW)
-            row.append(SignalPath(spec.grid, v, s, cs.noise_tags()))
-        b_paths.append(row)
-    return b_paths, b0_paths
-
-
-def _player_mean_driver(b_paths, b0_path) -> SignalPath:
-    """(1/N) sum b^i + b^0/N, accumulated in value-sorted order so the result
-    is bitwise invariant under player permutations."""
-    N = len(b_paths)
-    grid = b0_path.grid
-    vals = np.sort(np.stack([p.values for p in b_paths]), axis=0).sum(axis=0) / N
-    surf = np.sort(np.stack([p.surface for p in b_paths]), axis=0).sum(axis=0) / N
-    tags = frozenset().union(*[p.noise_tags for p in b_paths]) | b0_path.noise_tags
-    return SignalPath(grid, vals + b0_path.values / N,
-                      surf + b0_path.surface / N, tags)
-
-
-def solve_mean(spec: GameSpec, driver_paths, operators: GameOperators | None = None):
-    """Mean-strategy solve on each driver path bbar + b0/N; returns values and surfaces."""
-    ops = operators or build_operators(spec)
-    ubar, surf = [], []
-    for path in driver_paths:
-        sol = ops.mean_solver.solve_path(path)
-        ubar.append(sol.v)
-        surf.append(sol.surface)
-    return np.asarray(ubar), np.asarray(surf)
-
-
-def solve_player(spec: GameSpec, i: int, drive: SignalPath,
-                 operators: GameOperators | None = None) -> np.ndarray:
-    """Best response of player i to the solved mean, per path."""
-    ops = operators or build_operators(spec)
-    return ops.player_solver.solve_v(ops.player_solver.assemble_a(drive))
+    @property
+    def u_surface(self) -> np.ndarray:
+        """(players, paths, n, n) conditional surfaces of the strategies, built on access."""
+        return np.stack([conditional_surfaces(s, self.increments, len(self.ubar))
+                         for s in self.strategies])
 
 
 def solve_nash(spec: GameSpec, bundle: NoiseBundle, indices=None,
                mean_gap_tol: float = MEAN_GAP_TOL) -> NashSolution:
     """Full equilibrium: mean first, then every player; asserts mean consistency."""
     ops = build_operators(spec)
-    N = spec.n_players
-    b_paths, b0_paths = simulate_game_signals(spec, bundle, indices)
-    P = len(b_paths)
-    n = spec.grid.n
+    N, grid = spec.n_players, spec.grid
+    increments, P = _sampled(bundle, indices)
 
-    ubar = np.empty((P, n))
-    ubar_surface = np.empty((P, n, n))
-    u = np.empty((N, P, n))
-    u_surface = np.empty((N, P, n, n))
-    base_values = np.empty((N, P, n))
-    fred_residuals = np.zeros((N + 1, P))
-
-    for p in range(P):
-        mean_driver = _player_mean_driver(b_paths[p], b0_paths[p])
-        mean_sol = ops.mean_solver.solve_path(mean_driver)
-        ubar[p] = mean_sol.v
-        ubar_surface[p] = mean_sol.surface
-        fred_residuals[0, p] = mean_sol.residual
-        for i in range(N):
-            base = combine([(1.0, b_paths[p][i]), (1.0 / N, b0_paths[p])])
-            base_values[i, p] = base.values
-            drive = shifted_drive(base, ops.H, mean_sol.v, mean_sol.surface)
-            sol_i = ops.player_solver.solve_path(drive)
-            u[i, p] = sol_i.v
-            u_surface[i, p] = sol_i.surface
-            fred_residuals[i + 1, p] = sol_i.residual
+    mean_driver = compile_signal(LinearCombination(terms=tuple(
+        (1.0 / N, f) for f in (*spec.b_signals, spec.b0_signal))), grid)
+    mean_strategy = ops.mean_solver.solve(mean_driver)
+    fred_residual = sup_on_paths(ops.mean_solver.residual(mean_driver, mean_strategy),
+                                 increments, P)
+    strategies = []
+    u = np.empty((N, P, grid.n))
+    base_values = np.empty((N, P, grid.n))
+    for i in range(N):
+        base = player_base(spec, i)
+        drive = shifted_drive(base, ops.H, mean_strategy)
+        strategies.append(ops.player_solver.solve(drive))
+        fred_residual = max(fred_residual, sup_on_paths(
+            ops.player_solver.residual(drive, strategies[i]), increments, P))
+        u[i] = strategies[i].path_values(increments, P)
+        base_values[i] = base.path_values(increments, P)
+    ubar = mean_strategy.path_values(increments, P)
 
     mean_gap = float(np.max(np.abs(u.mean(axis=0) - ubar))) if P else 0.0
     if mean_gap > mean_gap_tol:
@@ -251,11 +219,11 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle, indices=None,
             f"per-player average deviates from mean strategy by {mean_gap:.3e}")
 
     sol = NashSolution(
-        ubar=ubar, ubar_surface=ubar_surface, u=u, u_surface=u_surface,
-        base_values=base_values,
+        ubar=ubar, u=u, base_values=base_values, mean_strategy=mean_strategy,
+        strategies=tuple(strategies), increments=increments,
         diagnostics={
             "mean_gap": mean_gap,
-            "fredholm_residual_max": float(fred_residuals.max()) if P else 0.0,
+            "fredholm_residual_max": fred_residual,
             "min_pivot_D_mean": ops.mean_solver.dt_family.min_pivot(),
             "min_pivot_D_player": ops.player_solver.dt_family.min_pivot(),
             "cond1_D_mean_0": ops.mean_solver.dt_family.cond1(),
@@ -263,68 +231,72 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle, indices=None,
         },
     )
     sol.diagnostics["foc_residual_max"] = max(
-        (foc_residual(spec, sol, i, p, operators=ops) for i in range(N) for p in range(P)),
-        default=0.0,
-    )
+        (foc_residual(spec, sol, i, operators=ops) for i in range(N)), default=0.0)
     return sol
 
 
-def foc_residual(spec: GameSpec, solution: NashSolution, i: int, path_index: int,
+def apply_matrix(M: np.ndarray, cs: CompiledSignal) -> CompiledSignal:
+    """The signal M f: M applied to the mean and to every tag's weights."""
+    return CompiledSignal(cs.grid, M @ cs.mean, {tag: M @ w for tag, w in cs.weights.items()})
+
+
+def foc_residual(spec: GameSpec, solution: NashSolution, i: int,
                  operators: GameOperators | None = None) -> float:
-    """Sup-norm residual of player i's discretized first-order condition."""
+    """Sup over the sampled paths of player i's discretized first-order condition.
+
+    2 lam u^i - (b^i + b^0/N) + dt (H + H^T) ubar + dt (Khat + Khat^T) u^i,
+    formed on coefficients and then evaluated on every sampled path.
+    """
     ops = operators or build_operators(spec)
-    dt = spec.grid.dt
-    ui = solution.u[i, path_index]
-    si = solution.u_surface[i, path_index]
-    ub = solution.ubar[path_index]
-    sb = solution.ubar_surface[path_index]
-    b = solution.base_values[i, path_index]
+    grid = spec.grid
     H, Kh = ops.H.values, ops.khat.values
-    res = (2.0 * spec.lam * ui - b
-           + dt * (H @ ub) + dt * np.einsum("rk,kr->k", H, sb)
-           + dt * (Kh @ ui) + dt * np.einsum("rk,kr->k", Kh, si))
-    return float(np.max(np.abs(res)))
+    own = 2.0 * spec.lam * np.eye(grid.n) + grid.dt * (Kh + Kh.T)
+    res = compile_signal(LinearCombination(terms=(
+        (1.0, apply_matrix(own, solution.strategies[i])),
+        (1.0, apply_matrix(grid.dt * (H + H.T), solution.mean_strategy)),
+        (-1.0, player_base(spec, i)))), grid)
+    return sup_on_paths(res, solution.increments, len(solution.ubar))
 
 
-def _quad(grid: TimeGrid, f: np.ndarray, K: GridKernel, g: np.ndarray) -> float:
-    return float(f @ K.values @ g) * grid.dt ** 2
+def objective_per_path(spec: GameSpec, i: int, strategies: np.ndarray, bundle: NoiseBundle,
+                       indices=None) -> np.ndarray:
+    """J^i on each path at the strategy profile (players, paths, n), c^i included."""
+    N = spec.n_players
+    if strategies.shape[0] != N:
+        raise ShapeError("strategy profile must cover every player")
+    increments, P = _sampled(bundle, indices)
+    if strategies.shape[1] != P:
+        raise ShapeError("strategy paths do not match the requested noise paths")
+    grid = spec.grid
+    dt = grid.dt
+
+    def inner(f, g):
+        return np.einsum("pj,pj->p", f, g) * dt
+
+    def quad(f, K, g):
+        return inner(f @ K, g) * dt
+
+    ui = strategies[i]
+    ub = strategies.mean(axis=0)
+    bi = compile_signal(spec.b_signals[i], grid).path_values(increments, P)
+    b0 = compile_signal(spec.b0_signal, grid).path_values(increments, P)
+    A3 = spec.a3.values
+    value = (-quad(ub, spec.a1.values, ub)
+             - spec.lam * inner(ui, ui)
+             - quad(ui, spec.a2hat.values, ui)
+             - quad(ui, A3 + A3.T, ub)
+             + inner(bi, ui)
+             + inner(b0, ub))
+    if spec.b0_extras and spec.b0_extras[i] is not None:
+        extra = compile_signal(spec.b0_extras[i], grid).path_values(increments, P)
+        value += inner(extra, ub - ui / N)
+    return value + spec.c_constants[i]
 
 
 def objective(spec: GameSpec, i: int, strategies: np.ndarray, bundle: NoiseBundle,
               indices=None) -> float:
     """Monte Carlo value of J^i at the given strategy profile (players, paths, n)."""
-    N = spec.n_players
-    if strategies.shape[0] != N:
-        raise ShapeError("strategy profile must cover every player")
-    grid = spec.grid
-    dt = grid.dt
-    indices = range(bundle.n_paths) if indices is None else list(indices)
-    if strategies.shape[1] != len(indices):
-        raise ShapeError("strategy paths do not match the requested noise paths")
-    compiled_bi = compile_signal(spec.b_signals[i], grid)
-    compiled_b0 = compile_signal(spec.b0_signal, grid)
-    compiled_extra = None
-    if spec.b0_extras and spec.b0_extras[i] is not None:
-        compiled_extra = compile_signal(spec.b0_extras[i], grid)
-    total = 0.0
-    for col, k in enumerate(indices):
-        dW = bundle.path(k)
-        bi, _ = compiled_bi.values_and_surface(dW)
-        b0, _ = compiled_b0.values_and_surface(dW)
-        ui = strategies[i, col]
-        ub = strategies[:, col].mean(axis=0)
-        total += (
-            -_quad(grid, ub, spec.a1, ub)
-            - spec.lam * float(ui @ ui) * dt
-            - _quad(grid, ui, spec.a2hat, ui)
-            - _quad(grid, ui, spec.a3, ub) - float(ui @ spec.a3.values.T @ ub) * dt ** 2
-            + float(bi @ ui) * dt
-            + float(b0 @ ub) * dt
-        )
-        if compiled_extra is not None:
-            ex, _ = compiled_extra.values_and_surface(dW)
-            total += float(ex @ (ub - ui / spec.n_players)) * dt
-    return total / len(indices) + spec.c_constants[i]
+    return float(np.mean(objective_per_path(spec, i, strategies, bundle, indices)))
 
 
 def concavity_check(spec: GameSpec, i: int, u_base: np.ndarray, direction: np.ndarray,
@@ -346,7 +318,6 @@ def concavity_check(spec: GameSpec, i: int, u_base: np.ndarray, direction: np.nd
 
 def scale_game(spec: GameSpec, gamma: float) -> GameSpec:
     """Scale (A1, A2hat, A3, lambda, b^i, b^0) jointly; the equilibrium is invariant."""
-    from .signals import LinearCombination
 
     def scale_sig(fam):
         return LinearCombination(terms=((gamma, fam),))

@@ -9,6 +9,8 @@ increments: the stored path value is the adapted projection
 values[j] = E_{t_j}[f_j] and the surface is m[i, j] = E_{t_i}[f_j]
 = mean[j] + sum_{r < min(i, j)} w[j, r] dW_r.  Anticipative weight rows
 (w[j, r] with r >= j) are allowed; they only enter through projections.
+The solvers map a CompiledSignal driver to a CompiledSignal solution, so
+equilibria are carried in this same form.
 """
 
 from __future__ import annotations
@@ -39,6 +41,17 @@ class CompiledSignal:
 
     def noise_tags(self) -> frozenset:
         return frozenset(self.weights)
+
+    def path_values(self, increments: dict, n_paths: int) -> np.ndarray:
+        """Adapted values E_{t_j}[f_j] on every path, shape (n_paths, n).
+
+        increments maps each tag to its (n_paths, n) draws; one GEMM per tag,
+        so no stacked copy of the increments is made.
+        """
+        out = np.broadcast_to(self.mean, (n_paths, self.grid.n)).copy()
+        for tag, w in self.weights.items():
+            out += increments[tag] @ np.tril(w, -1).T
+        return out
 
     def values_and_surface(self, dW: dict) -> tuple[np.ndarray, np.ndarray]:
         """Adapted path values and the full surface m[i, j] for one increment draw."""

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from volterra_games.fredholm import FredholmProblem, solve, stability_gap
+from volterra_games.fredholm import FredholmProblem, FredholmSolver, stability_gap
 from volterra_games.grid_ops import (
     ConstantLower,
     ExponentialDecay,
@@ -45,11 +45,8 @@ from volterra_games.signals import (
     LinearCombination,
     Martingale,
     OU,
-    SignalPath,
-    combine,
     compile_signal,
     draw_noise,
-    simulate,
 )
 
 
@@ -132,18 +129,17 @@ def test_criterion_2_fredholm_exactness():
         L = K if rng.integers(2) else add_kernels(
             (1.0, K), (rng.uniform(0.0, 0.3), zero_kernel(grid)))
         lam_eff = float(rng.uniform(0.5, 4.0))
-        path = combine([
-            (1.0, simulate(Martingale(sigma=rng.uniform(0.3, 1.0), noise="common"),
-                           grid, bundle, trial % 10)),
-            (1.0, simulate(OU(kappa=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.2, 0.8),
-                              x0=rng.uniform(-1, 1), noise="idio"), grid, bundle, trial % 10)),
-            (1.0, simulate(Deterministic(values=tuple(rng.standard_normal(64))),
-                           grid, bundle, trial % 10)),
-        ])
-        sol = solve(FredholmProblem(K=K, L=L, lam_eff=lam_eff), path)
-        worst = max(worst, sol.residual)
+        f = compile_signal(LinearCombination(terms=(
+            (1.0, Martingale(sigma=rng.uniform(0.3, 1.0), noise="common")),
+            (1.0, OU(kappa=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.2, 0.8),
+                     x0=rng.uniform(-1, 1), noise="idio")),
+            (1.0, Deterministic(values=tuple(rng.standard_normal(64)))),
+        )), grid)
+        solver = FredholmSolver(FredholmProblem(K=K, L=L, lam_eff=lam_eff))
+        residual = solver.residual(f, solver.solve(f)).path_values(bundle.increments, 10)
+        worst = max(worst, float(np.max(np.abs(residual))))
     report(2, "Fredholm exactness", worst <= 1e-9,
-           f"max residual over 100 problems at n=64: {worst:.3e} (tol 1e-9)")
+           f"max residual over 100 problems x 10 paths at n=64: {worst:.3e} (tol 1e-9)")
 
 
 def test_criterion_3_analytic_limits():
@@ -152,15 +148,16 @@ def test_criterion_3_analytic_limits():
     for n in (128, 256):
         grid = build_grid(1.0, n)
         K = discretize_kernel(ConstantLower(c=1.0), grid)
-        ones = SignalPath(grid, np.ones(n), np.ones((n, n)))
+        ones = compile_signal(Deterministic(values=(1.0,)), grid)
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             prob = FredholmProblem(K=K, L=zero_kernel(grid), lam_eff=1.0,
                                    strict_selfadjoint=False)
-        errs_exp[n] = float(np.max(np.abs(solve(prob, ones).v - np.exp(-grid.times))))
+        v_exp = FredholmSolver(prob).solve(ones).mean
+        errs_exp[n] = float(np.max(np.abs(v_exp - np.exp(-grid.times))))
         prob2 = FredholmProblem(K=K, L=K, lam_eff=1.0)
-        errs_const[n] = float(np.max(np.abs(solve(prob2, ones).v - 0.5)))
+        errs_const[n] = float(np.max(np.abs(FredholmSolver(prob2).solve(ones).mean - 0.5)))
     r1 = errs_exp[128] / errs_exp[256]
     r2 = errs_const[128] / errs_const[256]
     ok = (errs_exp[256] <= 5e-2 and errs_const[256] <= 5e-2
@@ -331,26 +328,21 @@ def test_criterion_10_stability_rates():
     ns = [4, 8, 16, 32, 64]
 
     bundle = draw_noise(grid, {"common"}, 16, seed=5)
-    paths = [simulate(Martingale(sigma=1.0, noise="common"), grid, bundle, p)
-             for p in range(16)]
+    base = Martingale(sigma=1.0, noise="common")
     kernel_gaps = []
     for N in ns:
         KN = add_kernels((1.0, K), (1.0 / N, discretize_kernel(ConstantLower(c=1.0), grid)))
         kernel_gaps.append(stability_gap(FredholmProblem(K=KN, L=KN, lam_eff=2.0),
-                                         prob, paths))
+                                         prob, bundle, base))
     slope_k = fit_loglog_slope(ns, kernel_gaps)
 
     M = 256
     bundle2 = draw_noise(grid, {"common", "pert"}, M, seed=6)
-    base = [simulate(Martingale(sigma=1.0, noise="common"), grid, bundle2, p)
-            for p in range(M)]
     driver_gaps = []
     for N in ns:
-        pert = [combine([(1.0, base[p]),
-                         (1.0 / np.sqrt(N),
-                          simulate(Martingale(sigma=1.0, noise="pert"), grid, bundle2, p))])
-                for p in range(M)]
-        driver_gaps.append(stability_gap(prob, prob, pert, base))
+        pert = LinearCombination(terms=(
+            (1.0, base), (1.0 / np.sqrt(N), Martingale(sigma=1.0, noise="pert"))))
+        driver_gaps.append(stability_gap(prob, prob, bundle2, pert, base))
     slope_f = fit_loglog_slope(ns, driver_gaps)
 
     ok = (-2.4 <= slope_k <= -1.6) and (-1.4 <= slope_f <= -0.6)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,6 +160,14 @@ class TestOracleCheck:
                  "x0": [1.0, 2.0], "signal_sigma": [0.2, 0.0]}
         p = write_cfg(tmp_path, model, grid={"T": 1.0, "n": 6})
         assert main(["oracle-check", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+
+    def test_oversized_tree_exits_3(self, tmp_path, capsys):
+        # the shipped systemic game needs 308,955 unknowns, past the tree budget
+        cfg = Path(__file__).resolve().parents[1] / "run_configs" / "systemic.json"
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "SizeExceeded" in capsys.readouterr().err
+        assert not (out / "oracle.json").exists()
 
 
 class TestStudies:

@@ -9,7 +9,6 @@ from volterra_games.fredholm import (
     FredholmProblem,
     FredholmSolver,
     build_Dt,
-    solve,
     stability_gap,
 )
 from volterra_games.grid_ops import (
@@ -23,20 +22,35 @@ from volterra_games.grid_ops import (
     mask_from,
     zero_kernel,
 )
+from volterra_games.nplayer import conditional_surfaces
 from volterra_games.signals import (
+    CompiledSignal,
     Deterministic,
+    LinearCombination,
     Martingale,
     OU,
-    SignalPath,
-    combine,
+    compile_signal,
     draw_noise,
     simulate,
 )
 
 
-def det_path(grid, values):
-    vals = np.asarray(values, dtype=float)
-    return SignalPath(grid, vals, np.tile(vals, (grid.n, 1)))
+def det_signal(grid, values):
+    return CompiledSignal(grid, np.asarray(values, dtype=float), {})
+
+
+def solve(problem, f):
+    return FredholmSolver(problem).solve(compile_signal(f, problem.grid))
+
+
+def residual_sup(problem, f, bundle=None):
+    """Sup of the Fredholm residual at the solution over the bundle's paths."""
+    solver = FredholmSolver(problem)
+    f = compile_signal(f, problem.grid)
+    res = solver.residual(f, solver.solve(f))
+    if bundle is None:
+        return float(np.max(np.abs(res.path_values({}, 1))))
+    return float(np.max(np.abs(res.path_values(bundle.increments, bundle.n_paths))))
 
 
 def loose_problem(K, L, lam):
@@ -70,19 +84,16 @@ class TestDtFamily:
         g = build_grid(1.0, 8)
         Z = zero_kernel(g)
         fam = build_Dt(Z, Z, 2.0)
-        y = np.arange(8.0)
         for k in (0, 3, 7):
-            assert np.allclose(fam.handle(k)(y), y / 2.0)
+            assert np.allclose(fam._Li[k:, k:] @ fam._Ui[k:, k:], np.eye(8 - k) / 2.0)
 
     def test_last_index_masks_to_single_cell(self):
         g = build_grid(1.0, 8)
         K = discretize_kernel(ExponentialDecay(), g)
         fam = build_Dt(K, K, 1.0)
-        y = np.zeros(8)
-        y[7] = 3.0
-        out = fam.handle(7)(y)
+        out = fam._Li[7:, 7:] @ (fam._Ui[7:, 7:] @ np.array([3.0]))
         # surviving block is the single masked cell: (1 + dt*(K+K^T)[7,7]) x = y
-        assert abs(out[7] - 3.0) < 1e-14
+        assert abs(out[0] - 3.0) < 1e-14
 
     def test_masked_condition_numbers_stay_bounded(self):
         # masking removes nonnegative contributions: cond(D_k) ~ cond(D_0) + O(1)
@@ -96,9 +107,9 @@ class TestDtFamily:
             assert max(conds) <= fam.condition_number(0) + 1.0
 
     def test_block_matches_masked_operator_definition(self):
-        # handle solves (lam id + dt(mask_from(K,k) + adjoint(mask_from(L,k)))) x = y
-        # for every k, on an SPD core, a symmetric indefinite core and a
-        # non-symmetric core
+        # Li_k @ Ui_k inverts the trailing block of lam id + dt(mask_from(K,k) +
+        # adjoint(mask_from(L,k))) for every k, on an SPD core, a symmetric
+        # indefinite core and a non-symmetric core
         rng = np.random.default_rng(4)
         g = build_grid(1.0, 12)
         K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
@@ -119,10 +130,11 @@ class TestDtFamily:
                 D = lam * np.eye(12) + g.dt * (mask_from(Kc, k).values
                                                + adjoint(mask_from(Lc, k)).values)
                 y = rng.standard_normal(12)
-                x = fam.handle(k)(y)
-                assert np.max(np.abs(D @ x - y)[k:]) < 1e-12
-                assert np.max(np.abs(x[k:] - np.linalg.solve(core[k:, k:], y[k:]))) < 1e-12
-                assert np.array_equal(x[:k], y[:k] / lam)
+                inv_k = fam._Li[k:, k:] @ fam._Ui[k:, k:]
+                assert np.max(np.abs(inv_k - np.linalg.inv(core[k:, k:]))) < 1e-12
+                x = inv_k @ y[k:]
+                assert np.max(np.abs(D[k:, k:] @ x - y[k:])) < 1e-12
+                assert np.max(np.abs(x - np.linalg.solve(core[k:, k:], y[k:]))) < 1e-12
                 # Schur pivot of D_k is det(D_k) / det(D_{k+1})
                 inv00 = np.linalg.inv(core[k:, k:])[0, 0]
                 assert abs(fam.pivots[k] * inv00 - 1.0) < 1e-12
@@ -130,18 +142,28 @@ class TestDtFamily:
             assert abs(fam.cond1() / np.linalg.cond(core, 1) - 1.0) < 1e-12
 
     def test_batched_surfaces_match_per_path(self):
-        # 150 paths at n=64 span several chunks of conditional_surfaces_batch
+        # surfaces read off the solution's weights for every path at once equal
+        # the closed rows D_k x = E_{t_k} f - dt K v(past), solved path by path
         rng = np.random.default_rng(5)
         g = build_grid(1.0, 64)
+        n, dt = g.n, g.dt
         K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
         solver = FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=2.0))
-        v = rng.standard_normal((150, 64))
-        surfaces = rng.standard_normal((150, 64, 64))
-        batch = solver.conditional_surfaces_batch(v, surfaces)
-        stacked = np.stack([
-            solver.conditional_surface(v[p], SignalPath(g, surfaces[p, 0], surfaces[p]))
-            for p in range(150)])
-        assert np.max(np.abs(batch - stacked)) < 1e-13
+        f = CompiledSignal(g, rng.standard_normal(n), {"a": rng.standard_normal((n, n)),
+                                                       "b": rng.standard_normal((n, n))})
+        bundle = draw_noise(g, {"a", "b"}, 20, 5)
+        sol = solver.solve(f)
+        batch = conditional_surfaces(sol, bundle.increments, 20)
+        core = solver.dt_family.core
+        values = sol.path_values(bundle.increments, 20)
+        for p, v in enumerate(values):
+            _, f_surf = f.values_and_surface(bundle.path(p))
+            S = np.empty((n, n))
+            for k in range(n):
+                S[k, k:] = np.linalg.solve(core[k:, k:],
+                                           f_surf[k, k:] - dt * (K.values[k:, :k] @ v[:k]))
+                S[k, :k] = v[:k]
+            assert np.max(np.abs(batch[p] - S)) < 1e-13
 
 
 class TestNaiveOracle:
@@ -164,32 +186,33 @@ class TestNaiveOracle:
         g = build_grid(1.0, 8)
         K = discretize_kernel(ConstantLower(c=0.8), g)
         prob = FredholmProblem(K=K, L=K, lam_eff=1.0)
-        path = det_path(g, 1.0 + g.times)
-        sol = solve(prob, path)
-        naive = self.naive_solution(K, K, 1.0, path.values, path.surface)
-        assert np.max(np.abs(sol.v - naive)) <= 1e-12
+        vals = 1.0 + g.times
+        sol = solve(prob, det_signal(g, vals))
+        naive = self.naive_solution(K, K, 1.0, vals, np.tile(vals, (g.n, 1)))
+        assert np.max(np.abs(sol.mean - naive)) <= 1e-12
 
     def test_matches_naive_on_random_driver(self):
         g = build_grid(1.0, 8)
         K = discretize_kernel(ExponentialDecay(c=1.1, rho=0.5), g)
         bundle = draw_noise(g, {"common"}, 1, 2)
-        path = simulate(OU(kappa=1.0, sigma=0.7, x0=0.2), g, bundle, 0)
-        sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), path)
+        ou = OU(kappa=1.0, sigma=0.7, x0=0.2)
+        path = simulate(ou, g, bundle, 0)
+        sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), ou)
         naive = self.naive_solution(K, K, 2.0, path.values, path.surface)
-        assert np.max(np.abs(sol.v - naive)) <= 1e-12
+        assert np.max(np.abs(sol.path_values(bundle.increments, 1)[0] - naive)) <= 1e-12
 
     def test_coefficients_and_surface_match_per_k_solves(self):
         # w, B, v and the surface against one np.linalg.solve per D_k, on a
-        # symmetric and a non-symmetric problem
+        # symmetric and a non-symmetric problem; the driver's weights are
+        # anticipative, so only their adapted projections may enter
         rng = np.random.default_rng(6)
         g = build_grid(1.0, 48)
         n, dt, lam = g.n, g.dt, 2.0
         K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
         Lp = discretize_kernel(PowerLaw(c=0.5, alpha=0.3), g)
-        f_vals = rng.standard_normal(n)
-        f_surf = rng.standard_normal((n, n))
-        f_surf[np.tril_indices(n)] = np.broadcast_to(f_vals, (n, n))[np.tril_indices(n)]
-        path = SignalPath(g, f_vals, f_surf)
+        f = CompiledSignal(g, rng.standard_normal(n), {"common": rng.standard_normal((n, n))})
+        dW = {"common": rng.standard_normal(n)}
+        f_vals, f_surf = f.values_and_surface(dW)
         for L in (K, Lp):
             solver = FredholmSolver(loose_problem(K, L, lam))
             core = lam * np.eye(n) + dt * (K.values + L.values.T)
@@ -204,12 +227,15 @@ class TestNaiveOracle:
                 rhs = f_surf[k, k:] - dt * (K.values[k:, :k] @ v[:k])
                 S[k, k:] = np.linalg.solve(core[k:, k:], rhs)
                 S[k, :k + 1] = v[:k + 1]
-            sol = solver.solve_path(path)
+            sol = solver.solve(f)
+            sol_vals, sol_surf = sol.values_and_surface(dW)
+            residual = solver.residual(f, sol).path_values(
+                {"common": dW["common"][None, :]}, 1)
             assert np.max(np.abs(solver.dt_family.w - w)) <= 1e-13
             assert np.max(np.abs(solver.B.values - B)) <= 1e-13
-            assert np.max(np.abs(sol.v - v)) <= 1e-13
-            assert np.max(np.abs(sol.surface - S)) <= 1e-13
-            assert sol.residual <= 1e-14
+            assert np.max(np.abs(sol_vals - v)) <= 1e-13
+            assert np.max(np.abs(sol_surf - S)) <= 1e-13
+            assert np.max(np.abs(residual)) <= 1e-14
 
     def test_assemble_B_matches_naive(self):
         g = build_grid(1.0, 8)
@@ -231,13 +257,14 @@ class TestClosedForms:
     def test_zero_kernels(self):
         g = build_grid(1.0, 16)
         Z = zero_kernel(g)
-        path = det_path(g, np.sin(g.times))
-        sol = solve(FredholmProblem(K=Z, L=Z, lam_eff=2.0), path)
-        assert np.max(np.abs(sol.v - path.values / 2.0)) < 1e-15
-        assert sol.residual == 0.0
+        f = det_signal(g, np.sin(g.times))
+        sol = solve(FredholmProblem(K=Z, L=Z, lam_eff=2.0), f)
+        assert np.max(np.abs(sol.mean - f.mean / 2.0)) < 1e-15
+        assert residual_sup(FredholmProblem(K=Z, L=Z, lam_eff=2.0), f) == 0.0
         # above the diagonal the surface is the conditional driver / lam_eff
         iu = np.triu_indices(16, k=1)
-        assert np.max(np.abs(sol.surface[iu] - path.surface[iu] / 2.0)) < 1e-15
+        f_surf = f.values_and_surface({})[1]
+        assert np.max(np.abs(sol.values_and_surface({})[1][iu] - f_surf[iu] / 2.0)) < 1e-15
 
     def test_forward_only_exponential_limit(self):
         errs = {}
@@ -245,8 +272,8 @@ class TestClosedForms:
             g = build_grid(1.0, n)
             K = discretize_kernel(ConstantLower(c=1.0), g)
             prob = loose_problem(K, zero_kernel(g), 1.0)
-            sol = solve(prob, det_path(g, np.ones(n)))
-            errs[n] = np.max(np.abs(sol.v - np.exp(-g.times)))
+            sol = solve(prob, det_signal(g, np.ones(n)))
+            errs[n] = np.max(np.abs(sol.mean - np.exp(-g.times)))
         assert errs[256] <= 5e-2
         assert 1.5 <= errs[128] / errs[256] <= 2.5
 
@@ -254,34 +281,35 @@ class TestClosedForms:
         g = build_grid(1.0, 16)
         K = discretize_kernel(ConstantLower(c=1.0), g)
         prob = loose_problem(K, zero_kernel(g), 2.0)
-        path = det_path(g, np.cos(g.times))
-        a = FredholmSolver(prob).assemble_a(path)
-        assert np.max(np.abs(a - path.values / 2.0)) < 1e-15
+        # L = 0 zeroes w, so a = f / lam_eff and v solves the bare recursion
+        f = det_signal(g, np.cos(g.times))
+        solver = FredholmSolver(prob)
+        assert np.all(solver.dt_family.w == 0.0)
+        assert np.max(np.abs(solver.solve(f).mean - solver.solve_v(f.mean / 2.0))) < 1e-15
 
     def test_symmetric_constant_fixed_point(self):
         errs = {}
         for n in (128, 256):
             g = build_grid(1.0, n)
             K = discretize_kernel(ConstantLower(c=1.0), g)
-            sol = solve(FredholmProblem(K=K, L=K, lam_eff=1.0), det_path(g, np.ones(n)))
-            errs[n] = np.max(np.abs(sol.v - 0.5))
+            sol = solve(FredholmProblem(K=K, L=K, lam_eff=1.0), det_signal(g, np.ones(n)))
+            errs[n] = np.max(np.abs(sol.mean - 0.5))
         assert errs[256] <= 5e-2
         assert 1.5 <= errs[128] / errs[256] <= 2.5
 
     def test_zero_driver(self):
         g = build_grid(1.0, 16)
         K = discretize_kernel(ExponentialDecay(), g)
-        sol = solve(FredholmProblem(K=K, L=K, lam_eff=1.0), det_path(g, np.zeros(16)))
-        assert np.all(sol.v == 0.0)
+        sol = solve(FredholmProblem(K=K, L=K, lam_eff=1.0), det_signal(g, np.zeros(16)))
+        assert np.all(sol.mean == 0.0)
 
 
 class TestExactness:
     def test_small_rational_case(self):
         g = build_grid(1.0, 4)
         K = discretize_kernel(ConstantLower(c=1.0), g)
-        sol = solve(FredholmProblem(K=K, L=K, lam_eff=1.0),
-                    det_path(g, np.array([1.0, 2.0, 3.0, 4.0])))
-        assert sol.residual <= 1e-12
+        assert residual_sup(FredholmProblem(K=K, L=K, lam_eff=1.0),
+                            det_signal(g, np.array([1.0, 2.0, 3.0, 4.0]))) <= 1e-12
 
     def test_randomized_residuals(self):
         rng = np.random.default_rng(8)
@@ -290,50 +318,51 @@ class TestExactness:
         for trial in range(10):
             K = discretize_kernel(ExponentialDecay(c=rng.uniform(0.2, 1.5),
                                                    rho=rng.uniform(0.2, 3.0)), g)
-            path = combine([
-                (1.0, simulate(Martingale(sigma=0.7, noise="common"), g, bundle, trial % 4)),
-                (1.0, simulate(OU(kappa=1.0, sigma=0.5, x0=0.4, noise="idio"), g, bundle, trial % 4)),
-            ])
-            sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), path)
-            assert sol.residual <= 1e-9
+            f = LinearCombination(terms=(
+                (1.0, Martingale(sigma=0.7, noise="common")),
+                (1.0, OU(kappa=1.0, sigma=0.5, x0=0.4, noise="idio")),
+            ))
+            assert residual_sup(FredholmProblem(K=K, L=K, lam_eff=2.0), f, bundle) <= 1e-9
 
     def test_conditional_solution_diag_and_adapted_rows(self):
         g = build_grid(1.0, 16)
         K = discretize_kernel(ExponentialDecay(c=0.9, rho=1.2), g)
         bundle = draw_noise(g, {"common"}, 1, 1)
-        path = simulate(Martingale(sigma=1.0), g, bundle, 0)
-        sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), path)
-        assert np.array_equal(np.diagonal(sol.surface), sol.v)
+        sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), Martingale(sigma=1.0))
+        vals, surface = sol.values_and_surface(bundle.path(0))
+        assert np.max(np.abs(vals - sol.path_values(bundle.increments, 1)[0])) < 1e-14
+        assert np.array_equal(np.diagonal(surface), vals)
         for k in range(16):
-            assert np.array_equal(sol.surface[k, :k], sol.v[:k])
+            assert np.array_equal(surface[k, :k], vals[:k])
 
     def test_deterministic_driver_surface_rows_equal_solution(self):
         g = build_grid(1.0, 16)
         K = discretize_kernel(ExponentialDecay(c=0.9, rho=1.2), g)
-        sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), det_path(g, 1.0 + g.times))
-        assert np.max(np.abs(sol.surface - sol.v[None, :])) < 1e-12
+        sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), det_signal(g, 1.0 + g.times))
+        assert np.max(np.abs(sol.values_and_surface({})[1] - sol.mean[None, :])) < 1e-12
 
     def test_linearity_in_driver(self):
         g = build_grid(1.0, 32)
         K = discretize_kernel(ExponentialDecay(c=0.7, rho=2.0), g)
         solver = FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=2.0))
         bundle = draw_noise(g, {"common"}, 1, 4)
-        p1 = simulate(Martingale(sigma=1.0), g, bundle, 0)
-        p2 = simulate(OU(kappa=2.0, sigma=0.5, x0=1.0), g, bundle, 0)
-        v1 = solver.solve_v(solver.assemble_a(p1))
-        v2 = solver.solve_v(solver.assemble_a(p2))
-        mix = combine([(0.7, p1), (-0.4, p2)])
-        vm = solver.solve_v(solver.assemble_a(mix))
-        assert np.max(np.abs(vm - 0.7 * v1 + 0.4 * v2)) <= 1e-10
+        f1 = Martingale(sigma=1.0)
+        f2 = OU(kappa=2.0, sigma=0.5, x0=1.0)
+
+        def values(f):
+            return solver.solve(compile_signal(f, g)).path_values(bundle.increments, 1)[0]
+
+        vm = values(LinearCombination(terms=((0.7, f1), (-0.4, f2))))
+        assert np.max(np.abs(vm - 0.7 * values(f1) + 0.4 * values(f2))) <= 1e-10
 
     def test_bitwise_reproducible(self):
         g = build_grid(1.0, 32)
         K = discretize_kernel(ExponentialDecay(c=0.7, rho=2.0), g)
-        path = det_path(g, np.sin(3 * g.times))
-        a = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), path)
-        b = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), path)
-        assert np.array_equal(a.v, b.v)
-        assert np.array_equal(a.surface, b.surface)
+        f = det_signal(g, np.sin(3 * g.times))
+        a = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), f)
+        b = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), f)
+        assert np.array_equal(a.mean, b.mean)
+        assert np.array_equal(a.values_and_surface({})[1], b.values_and_surface({})[1])
 
 
 class TestStability:
@@ -342,14 +371,12 @@ class TestStability:
         K = discretize_kernel(ExponentialDecay(), g)
         prob = FredholmProblem(K=K, L=K, lam_eff=2.0)
         bundle = draw_noise(g, {"common"}, 8, 0)
-        paths = [simulate(Martingale(sigma=1.0), g, bundle, p) for p in range(8)]
-        assert stability_gap(prob, prob, paths) <= 1e-20
+        assert stability_gap(prob, prob, bundle, Martingale(sigma=1.0)) <= 1e-20
 
     def test_kernel_perturbation_slope(self):
         g = build_grid(1.0, 32)
         K = discretize_kernel(ExponentialDecay(c=1.0, rho=1.0), g)
         bundle = draw_noise(g, {"common"}, 16, 5)
-        paths = [simulate(Martingale(sigma=1.0), g, bundle, p) for p in range(16)]
         prob = FredholmProblem(K=K, L=K, lam_eff=2.0)
         ns = [4, 8, 16, 32, 64]
         gaps = []
@@ -358,7 +385,8 @@ class TestStability:
             KN = discretize_kernel(ExponentialDecay(c=1.0, rho=1.0), g)
             from volterra_games.grid_ops import add_kernels
             KN = add_kernels((1.0, KN), (1.0, pert))
-            gaps.append(stability_gap(FredholmProblem(K=KN, L=KN, lam_eff=2.0), prob, paths))
+            gaps.append(stability_gap(FredholmProblem(K=KN, L=KN, lam_eff=2.0), prob, bundle,
+                                      Martingale(sigma=1.0)))
         slope = np.polyfit(np.log(ns), np.log(gaps), 1)[0]
         assert -2.4 <= slope <= -1.6
 
@@ -368,15 +396,13 @@ class TestStability:
         prob = FredholmProblem(K=K, L=K, lam_eff=2.0)
         M = 256
         bundle = draw_noise(g, {"common", "pert"}, M, 6)
-        base = [simulate(Martingale(sigma=1.0, noise="common"), g, bundle, p) for p in range(M)]
+        base = Martingale(sigma=1.0, noise="common")
         ns = [4, 8, 16, 32, 64]
         gaps = []
         for N in ns:
-            pert = [combine([(1.0, base[p]),
-                             (1.0 / np.sqrt(N),
-                              simulate(Martingale(sigma=1.0, noise="pert"), g, bundle, p))])
-                    for p in range(M)]
-            gaps.append(stability_gap(prob, prob, pert, base))
+            pert = LinearCombination(terms=(
+                (1.0, base), (1.0 / np.sqrt(N), Martingale(sigma=1.0, noise="pert"))))
+            gaps.append(stability_gap(prob, prob, bundle, pert, base))
         slope = np.polyfit(np.log(ns), np.log(gaps), 1)[0]
         assert -1.4 <= slope <= -0.6
 
@@ -411,12 +437,12 @@ class TestGridRefinementOfSolution:
         Kf = discretize_kernel(ExponentialDecay(c=0.8, rho=1.3), fine)
         f_fine = np.cos(2 * fine.times)
         ref = solve(FredholmProblem(K=Kf, L=Kf, lam_eff=2.0),
-                    det_path(fine, f_fine)).v
+                    det_signal(fine, f_fine)).mean
         for n in (32, 64):
             g = build_grid(1.0, n)
             K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.3), g)
             v = solve(FredholmProblem(K=K, L=K, lam_eff=2.0),
-                      det_path(g, np.cos(2 * g.times))).v
+                      det_signal(g, np.cos(2 * g.times))).mean
             errs[n] = np.max(np.abs(v - ref[::256 // n]))
         assert 1.5 <= errs[32] / errs[64] <= 2.5
 
@@ -439,21 +465,20 @@ class TestCoefficientDegenerateForms:
         g = build_grid(1.0, 8)
         K = discretize_kernel(ExponentialDecay(c=0.9, rho=1.4), g)
         solver = FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=2.0))
-        assert np.all(solver.assemble_a(det_path(g, np.zeros(8))) == 0.0)
+        assert np.all(solver.solve(det_signal(g, np.zeros(8))).mean == 0.0)
 
 
 class TestEdgeGrids:
     def test_minimal_two_point_grid_end_to_end(self):
         g = build_grid(1.0, 2)
         K = discretize_kernel(ConstantLower(c=0.5), g)
-        sol = solve(FredholmProblem(K=K, L=K, lam_eff=1.0), det_path(g, np.ones(2)))
         # by hand: v0 solves v0 = 1 - dt*K10*m00... with n=2 the system is tiny
-        assert sol.residual <= 1e-14
+        assert residual_sup(FredholmProblem(K=K, L=K, lam_eff=1.0),
+                            det_signal(g, np.ones(2))) <= 1e-14
 
     def test_power_law_near_admissibility_boundary(self):
         g = build_grid(1.0, 64)
         K = discretize_kernel(PowerLaw(c=0.5, alpha=0.49), g)
         bundle = draw_noise(g, {"common"}, 1, 0)
-        path = simulate(Martingale(sigma=1.0), g, bundle, 0)
-        sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), path)
-        assert sol.residual <= 1e-9
+        assert residual_sup(FredholmProblem(K=K, L=K, lam_eff=2.0), Martingale(sigma=1.0),
+                            bundle) <= 1e-9

@@ -1,0 +1,103 @@
+"""Property tests of FredholmSolver.solve over random admissible problems.
+
+Each example draws a kernel family and its parameters, lam_eff, a grid with
+2 to 256 points and drivers mixing deterministic, martingale and OU terms on
+one or two noise tags.  Derandomized, so every run checks the same examples.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from volterra_games.fredholm import FredholmProblem, FredholmSolver
+from volterra_games.grid_ops import (
+    ConstantLower,
+    DelayIndicator,
+    ExponentialDecay,
+    PowerLaw,
+    build_grid,
+    discretize_kernel,
+)
+from volterra_games.signals import (
+    OU,
+    Deterministic,
+    LinearCombination,
+    Martingale,
+    compile_signal,
+    draw_noise,
+)
+
+TAGS = ("common", "idio")
+PROPERTIES = settings(derandomize=True, deadline=None, max_examples=50)
+
+
+def unit(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def solvers(draw):
+    grid = build_grid(1.0, draw(st.integers(2, 256)))
+    family = draw(st.one_of(
+        st.builds(ExponentialDecay, c=unit(0.1, 1.0), rho=unit(0.2, 3.0)),
+        st.builds(ConstantLower, c=unit(0.1, 1.0)),
+        st.builds(PowerLaw, c=unit(0.1, 0.6), alpha=unit(0.05, 0.45)),
+        st.builds(DelayIndicator, tau=unit(1.0, 1.5)),
+    ))
+    K = discretize_kernel(family, grid)
+    return FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=draw(unit(0.5, 4.0))))
+
+
+@st.composite
+def drivers(draw, grid):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("deterministic", "martingale", "ou")))
+        if kind == "deterministic":
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            term = Deterministic(values=tuple(rng.standard_normal(grid.n)))
+        elif kind == "martingale":
+            term = Martingale(sigma=draw(unit(0.1, 1.5)), noise=draw(st.sampled_from(TAGS)))
+        else:
+            term = OU(kappa=draw(unit(0.2, 3.0)), sigma=draw(unit(0.1, 1.0)),
+                      x0=draw(unit(-1.0, 1.0)), noise=draw(st.sampled_from(TAGS)))
+        terms.append((draw(unit(-2.0, 2.0)), term))
+    return compile_signal(LinearCombination(terms=tuple(terms)), grid)
+
+
+def coefficient_gap(a, b):
+    """Largest difference between two signals' means and strictly lower weights."""
+    zero = np.zeros((a.grid.n, a.grid.n))
+    gap = float(np.max(np.abs(a.mean - b.mean)))
+    for tag in dict.fromkeys([*a.weights, *b.weights]):
+        diff = np.tril(a.weights.get(tag, zero) - b.weights.get(tag, zero), -1)
+        gap = max(gap, float(np.max(np.abs(diff))))
+    return gap
+
+
+@PROPERTIES
+@given(st.data())
+def test_residual_tiny_and_solution_adapted(data):
+    solver = data.draw(solvers())
+    f = data.draw(drivers(solver.grid))
+    v = solver.solve(f)
+    for w in v.weights.values():
+        assert not np.any(np.triu(w))
+    res = solver.residual(f, v)
+    assert coefficient_gap(res, compile_signal(Deterministic(values=(0.0,)), solver.grid)) <= 1e-9
+    bundle = draw_noise(solver.grid, TAGS, 4, seed=data.draw(st.integers(0, 2 ** 16)))
+    assert np.max(np.abs(res.path_values(bundle.increments, 4))) <= 1e-9
+
+
+@PROPERTIES
+@given(st.data())
+def test_solve_is_linear_in_the_driver(data):
+    solver = data.draw(solvers())
+    f1 = data.draw(drivers(solver.grid))
+    f2 = data.draw(drivers(solver.grid))
+    c1, c2 = data.draw(unit(-2.0, 2.0)), data.draw(unit(-2.0, 2.0))
+    mixed = solver.solve(compile_signal(LinearCombination(terms=((c1, f1), (c2, f2))),
+                                        solver.grid))
+    parts = compile_signal(LinearCombination(terms=((c1, solver.solve(f1)),
+                                                    (c2, solver.solve(f2)))), solver.grid)
+    assert coefficient_gap(mixed, parts) <= 1e-10

@@ -23,19 +23,22 @@ from volterra_games.meanfield import (
     mfg_foc_residual,
     solve_generic,
     solve_infinite,
-    solve_map_F,
-    solve_map_G,
 )
-from volterra_games.nplayer import shifted_drive, solve_nash
+from volterra_games.nplayer import conditional_surfaces, shifted_drive, solve_nash
 from volterra_games.signals import (
     Deterministic,
     LinearCombination,
     Martingale,
-    SignalPath,
     compile_signal,
     draw_noise,
     simulate,
 )
+
+
+def solve_on(solver, f, bundle):
+    """Values on every path of the bundle of the solution driven by f."""
+    cs = compile_signal(f, solver.grid)
+    return solver.solve(cs).path_values(bundle.increments, bundle.n_paths)
 
 
 def make_mfg(grid, zero=False, a3_zero=False, beta_sigma=0.8, common_sigma=0.4):
@@ -56,28 +59,29 @@ def make_mfg(grid, zero=False, a3_zero=False, beta_sigma=0.8, common_sigma=0.4):
 class TestMaps:
     def test_zero_kernel_maps_divide(self, grid16):
         spec = make_mfg(grid16, zero=True)
+        ops = build_mfg_operators(spec)
         bundle = draw_noise(grid16, {"common"}, 1, 0)
-        x = simulate(Martingale(sigma=1.0, noise="common"), grid16, bundle, 0)
-        assert np.max(np.abs(solve_map_F(spec, x) - x.values / 2.0)) < 1e-14
-        assert np.max(np.abs(solve_map_G(spec, x) - x.values / 2.0)) < 1e-14
+        f = Martingale(sigma=1.0, noise="common")
+        x = simulate(f, grid16, bundle, 0)
+        assert np.max(np.abs(solve_on(ops.solver_F, f, bundle)[0] - x.values / 2.0)) < 1e-14
+        assert np.max(np.abs(solve_on(ops.solver_G, f, bundle)[0] - x.values / 2.0)) < 1e-14
 
     def test_a3_zero_collapses_G_to_F(self, grid16):
         spec = make_mfg(grid16, a3_zero=True)
         ops = build_mfg_operators(spec)
         bundle = draw_noise(grid16, {"common"}, 2, 1)
-        for p in range(2):
-            x = simulate(Martingale(sigma=1.0, noise="common"), grid16, bundle, p)
-            assert np.max(np.abs(solve_map_F(spec, x, ops)
-                                 - solve_map_G(spec, x, ops))) <= 1e-12
+        f = Martingale(sigma=1.0, noise="common")
+        assert np.max(np.abs(solve_on(ops.solver_F, f, bundle)
+                             - solve_on(ops.solver_G, f, bundle))) <= 1e-12
 
     def test_linearity(self, grid16):
         spec = make_mfg(grid16)
         ops = build_mfg_operators(spec)
         bundle = draw_noise(grid16, {"common"}, 1, 2)
-        x = simulate(Martingale(sigma=1.0, noise="common"), grid16, bundle, 0)
-        x2 = SignalPath(grid16, 3.0 * x.values, 3.0 * x.surface, x.noise_tags)
-        assert np.max(np.abs(solve_map_F(spec, x2, ops)
-                             - 3.0 * solve_map_F(spec, x, ops))) <= 1e-10
+        x = Martingale(sigma=1.0, noise="common")
+        x2 = LinearCombination(terms=((3.0, x),))
+        assert np.max(np.abs(solve_on(ops.solver_F, x2, bundle)
+                             - 3.0 * solve_on(ops.solver_F, x, bundle))) <= 1e-10
 
     def test_deterministic_matches_fredholm_constant_case(self):
         # A2hat = ConstantLower(c), x = 1: F solves the constant-kernel problem
@@ -87,8 +91,8 @@ class TestMaps:
                        a3=Z, beta=Deterministic(values=(0.0,)),
                        beta0=Deterministic(values=(1.0,)),
                        b0_signal=Deterministic(values=(0.0,)), grid=g)
-        x = SignalPath(g, np.ones(256), np.ones((256, 256)))
-        v = solve_map_F(spec, x)
+        x = compile_signal(Deterministic(values=(1.0,)), g)
+        v = build_mfg_operators(spec).solver_F.solve(x).mean
         assert np.max(np.abs(v - 1.0 / (1.0 + 1.0))) <= 5e-2
 
 
@@ -127,19 +131,31 @@ class TestGenericPlayer:
         spec = make_mfg(grid16)
         noise = draw_crossed_noise(grid16, {"common"}, {"idio"}, 2, 4, seed=3)
         sol = solve_generic(spec, noise)
+        assert mfg_foc_residual(spec, sol, noise) <= 1e-8
+        # the same condition path by path, through the on-demand surfaces
         ops = build_mfg_operators(spec)
         cb = compile_signal(spec.b_family(), grid16)
+        v = ops.solver_F.solve(shifted_drive(cb, spec.a3, sol.mean_field))
+        v_surface = conditional_surfaces(v, noise.bundle.increments, 8)
+        mu_surface = sol.mu_surface
+        dt, A3, A2 = grid16.dt, spec.a3.values, spec.a2hat.values
         for c in range(2):
             for e in range(2):
                 p = c * 4 + e
-                bv, bs = cb.values_and_surface(noise.bundle.path(p))
-                bpath = SignalPath(grid16, bv, bs)
-                drive = shifted_drive(bpath, spec.a3, sol.mu[c], sol.mu_surface[c])
-                fs = ops.solver_F.solve_path(drive)
-                assert np.max(np.abs(fs.v - sol.v[c, e])) <= 1e-12
-                res = mfg_foc_residual(spec, bpath, fs.v, fs.surface,
-                                       sol.mu[c], sol.mu_surface[c])
-                assert res <= 1e-8
+                bv, _ = cb.values_and_surface(noise.bundle.path(p))
+                vp = v_surface[p].diagonal()
+                assert np.max(np.abs(vp - sol.v[c, e])) <= 1e-12
+                res = (2.0 * spec.lam * vp - bv
+                       + dt * (A3 @ sol.mu[c]) + dt * np.einsum("rk,kr->k", A3, mu_surface[c])
+                       + dt * (A2 @ vp) + dt * np.einsum("rk,kr->k", A2, v_surface[p]))
+                assert np.max(np.abs(res)) <= 1e-8
+
+    def test_consistency_exact_on_coefficients(self, grid16, grid64):
+        # E[v | common] = mu on the coefficients, for every path at once
+        for grid in (grid16, grid64):
+            spec = make_mfg(grid)
+            noise = draw_crossed_noise(grid, {"common"}, {"idio"}, 2, 3, seed=42)
+            assert solve_generic(spec, noise).diagnostics["consistency_exact"] <= 1e-12
 
     def test_disjoint_noise_required(self, grid16):
         with pytest.raises(ShapeError):
@@ -299,7 +315,7 @@ class TestEpsNash:
 
 class TestBatchedPipelineCrossValidation:
     def test_batched_driver_matches_per_path_assembly(self, grid16):
-        from volterra_games.meanfield import BatchedDriver, _shift_terms
+        # the coefficient solve against a = (f - dt <w_k, E_{t_k} f>) / lam per path
         from volterra_games.fredholm import FredholmProblem, FredholmSolver
         from volterra_games.grid_ops import ExponentialDecay, discretize_kernel
 
@@ -311,45 +327,26 @@ class TestBatchedPipelineCrossValidation:
             (0.7, Martingale(sigma=0.8, noise="b"))))
         cs = compile_signal(fam, grid16)
         bundle = draw_noise(grid16, {"a", "b"}, 6, seed=31)
-        driver = BatchedDriver(solver, cs)
-        vals_b, a_b = driver.assemble(bundle.increments)
+        vals_b = cs.path_values(bundle.increments, 6)
+        v_b = solver.solve(cs).path_values(bundle.increments, 6)
+        W = solver.dt_family.w
         for p in range(6):
             path = simulate(fam, grid16, bundle, p)
             assert np.max(np.abs(vals_b[p] - path.values)) <= 1e-13
-            assert np.max(np.abs(a_b[p] - solver.assemble_a(path))) <= 1e-13
+            a = (path.values - grid16.dt * np.einsum("kj,kj->k", W, path.surface)) / 2.0
+            assert np.max(np.abs(v_b[p] - solver.solve_v(a))) <= 1e-13
 
     def test_convergence_study_player_route_matches_solve_nash(self, grid16):
-        # the vectorized finite-game player solve inside convergence_study must
-        # reproduce the reference per-path pipeline
-        from volterra_games.nplayer import solve_nash as reference_solve
-        from volterra_games.meanfield import induced_game
-
+        # the finite-game mean and player solves inside convergence_study must
+        # reproduce solve_nash, and the limit solve_infinite
         spec = TestConvergence().base_spec(grid16, "iid")
         fam = spec.player_family
         N = 4
         noise = draw_crossed_noise(grid16, set(), fam.idio_tags(N), 1, 5, seed=21)
-        game = induced_game(spec, N)
-        ref = reference_solve(game, noise.bundle)
-
-        from volterra_games.meanfield import BatchedDriver, _surfaces_for, _values_for
-        from volterra_games.nplayer import build_operators, shifted_drive_batch
-        gops = build_operators(game)
-        mean_family = LinearCombination(terms=tuple(
-            [(1.0 / N, s) for s in game.b_signals] + [(1.0 / N, game.b0_signal)]))
-        c_mean = compile_signal(mean_family, grid16)
-        driver = BatchedDriver(gops.mean_solver, c_mean)
-        _, a = driver.assemble(noise.bundle.increments)
-        ubar = gops.mean_solver.solve_v(a.T).T
-        assert np.max(np.abs(ubar - ref.ubar)) <= 1e-11
-
-        sel = list(range(5))
-        surf_mean = _surfaces_for(c_mean, noise, sel)
-        ub_surf = gops.mean_solver.conditional_surfaces_batch(ubar[sel], surf_mean)
-        cb1 = compile_signal(LinearCombination(terms=(
-            (1.0, game.b_signals[0]), (1.0 / N, game.b0_signal))), grid16)
-        d_vals, d_surfs = shifted_drive_batch(_values_for(cb1, noise, sel),
-                                              _surfaces_for(cb1, noise, sel),
-                                              gops.H, ubar[sel], ub_surf)
-        a1 = gops.player_solver.assemble_a_batch(d_vals, d_surfs)
-        u1 = gops.player_solver.solve_v(a1.T).T
-        assert np.max(np.abs(u1 - ref.u[0])) <= 1e-11
+        ref = solve_nash(induced_game(spec, N), noise.bundle)
+        limit = solve_infinite(spec, N, noise)
+        row = convergence_study(spec, [N], noise, player_paths=5)["rows"][0]
+        mse_mean = np.max(np.mean((ref.ubar - limit.mu[0]) ** 2, axis=0))
+        mse_player = np.max(np.mean((ref.u[0] - limit.v[0]) ** 2, axis=0))
+        assert abs(row["mse_mean"] - mse_mean) <= 1e-11
+        assert abs(row["mse_player"] - mse_player) <= 1e-11

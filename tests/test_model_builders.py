@@ -27,7 +27,7 @@ from volterra_games.model_builders import (
     simulate_states,
     solve_linear_state,
 )
-from volterra_games.nplayer import concavity_check, objective, solve_nash
+from volterra_games.nplayer import concavity_check, objective, objective_per_path, solve_nash
 from volterra_games.signals import (
     Deterministic,
     Martingale,
@@ -271,7 +271,7 @@ class TestSystemic:
         sol = solve_nash(game, bundle)
         assert np.max(np.abs(sol.u)) <= 1e-12
 
-    def test_equilibrium_beats_zero_strategy(self, grid16):
+    def systemic_equilibrium(self, grid16):
         game, _ = build_systemic_game(
             self.params(beta=0.3, eps=0.25, cost_c=1.0,
                         sigma=[0.2, 0.2, 0.2]), grid16)
@@ -279,15 +279,30 @@ class TestSystemic:
         for f in game.b_signals:
             tags |= compile_signal(f, grid16).noise_tags()
         bundle = draw_noise(grid16, tags, 300, 5)
-        sol = solve_nash(game, bundle)
+        return game, bundle, solve_nash(game, bundle)
+
+    def test_equilibrium_beats_zero_strategy(self, grid16):
+        game, bundle, sol = self.systemic_equilibrium(grid16)
         zero = np.zeros_like(sol.u)
         for i in range(3):
             j_eq = objective(game, i, sol.u, bundle)
             j_zero = objective(game, i, zero, bundle)
-            from volterra_games.meanfield import _per_path_gap
-            per = _per_path_gap(game, i, sol.u, zero, bundle)
+            per = (objective_per_path(game, i, zero, bundle)
+                   - objective_per_path(game, i, sol.u, bundle))
             se = per.std(ddof=1) / np.sqrt(len(per))
             assert j_eq >= j_zero - 3 * se
+
+    def test_per_path_gaps_average_to_objective_gap(self, grid16):
+        # the per-path objective keeps the b0 extras, so its gaps average to
+        # the objective difference that the standard errors above describe
+        game, bundle, sol = self.systemic_equilibrium(grid16)
+        assert any(extra is not None for extra in game.b0_extras)
+        zero = np.zeros_like(sol.u)
+        for i in range(3):
+            per = (objective_per_path(game, i, sol.u, bundle)
+                   - objective_per_path(game, i, zero, bundle))
+            gap = objective(game, i, sol.u, bundle) - objective(game, i, zero, bundle)
+            assert abs(per.mean() - gap) <= 1e-12
 
     def test_fidelity_symmetric_profiles(self):
         g = build_grid(1.0, 6)

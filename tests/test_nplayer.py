@@ -15,24 +15,24 @@ from volterra_games.nplayer import (
     build_GH,
     build_operators,
     concavity_check,
+    conditional_surfaces,
     foc_residual,
-    mean_conditional_drive,
     objective,
+    objective_per_path,
+    player_base,
     scale_game,
     shifted_drive,
     solve_nash,
 )
 from volterra_games.signals import (
+    CompiledSignal,
     Deterministic,
     LinearCombination,
     Martingale,
     OU,
-    SignalPath,
-    combine,
     compile_signal,
     draw_noise,
     signal_mean,
-    simulate,
 )
 
 
@@ -185,18 +185,24 @@ class TestDrive:
     def test_zero_mean_kernel_is_identity(self, grid16):
         spec = make_spec(grid16, N=2, zero=True)
         bundle = bundle_for(spec, 1, 0)
-        b = simulate(spec.b_signals[0], grid16, bundle, 0)
-        d = mean_conditional_drive(spec, np.zeros(16), np.zeros((16, 16)), b)
-        assert np.array_equal(d.values, b.values)
-        assert np.array_equal(d.surface, b.surface)
+        b = compile_signal(spec.b_signals[0], grid16)
+        _, H = build_GH(spec)
+        zero = CompiledSignal(grid16, np.zeros(16), {"common": np.zeros((16, 16))})
+        d = shifted_drive(b, H, zero)
+        assert np.array_equal(d.mean, b.mean)
+        for tag in b.weights:
+            assert np.array_equal(d.weights[tag], b.weights[tag])
+        db, bb = d.values_and_surface(bundle.path(0)), b.values_and_surface(bundle.path(0))
+        assert np.array_equal(db[0], bb[0])
+        assert np.array_equal(db[1], bb[1])
 
     def test_deterministic_inputs_flat_surface(self, grid16):
         spec = make_spec(grid16, N=2)
-        vals = 1.0 + grid16.times
-        base = SignalPath(grid16, vals, np.tile(vals, (16, 1)))
-        w = np.sin(grid16.times)
-        d = mean_conditional_drive(spec, w, np.tile(w, (16, 1)), base)
-        assert np.max(np.abs(d.surface - d.values[None, :])) < 1e-14
+        base = CompiledSignal(grid16, 1.0 + grid16.times, {})
+        w = CompiledSignal(grid16, np.sin(grid16.times), {})
+        _, H = build_GH(spec)
+        values, surface = shifted_drive(base, H, w).values_and_surface({})
+        assert np.max(np.abs(surface - values[None, :])) < 1e-14
 
     def test_tower_property_on_enumerated_filtration(self):
         # drive surfaces must satisfy E_i[E_k'[d_j]] = E_i[d_j] exactly; check by
@@ -207,15 +213,11 @@ class TestDrive:
         bundle = binomial_bundle(g, tag="common")
         ops = build_operators(spec)
         L = bundle.n_paths
-        drives = []
-        for p in range(L):
-            bp = simulate(spec.b_signals[0], g, bundle, p)
-            b0p = simulate(spec.b0_signal, g, bundle, p)
-            base = combine([(1.0, bp), (0.5, b0p)])
-            ms = ops.mean_solver.solve_path(combine(
-                [(0.5, bp), (0.5, bp), (0.5, b0p)]))  # symmetric players share bp
-            drives.append(shifted_drive(base, ops.H, ms.v, ms.surface).surface)
-        drives = np.stack(drives)
+        bp, b0p = spec.b_signals[0], spec.b0_signal
+        base = compile_signal(LinearCombination(terms=((1.0, bp), (0.5, b0p))), g)
+        ms = ops.mean_solver.solve(compile_signal(LinearCombination(
+            terms=((0.5, bp), (0.5, bp), (0.5, b0p))), g))  # symmetric players share bp
+        drives = conditional_surfaces(shifted_drive(base, ops.H, ms), bundle.increments, L)
         rng = np.random.default_rng(1)
         for _ in range(25):
             i = rng.integers(0, 4)
@@ -233,16 +235,15 @@ class TestFOC:
         bundle = bundle_for(spec, 3, 13)
         sol = solve_nash(spec, bundle)
         for i in range(3):
-            for p in range(3):
-                assert foc_residual(spec, sol, i, p) <= 1e-8
+            assert foc_residual(spec, sol, i) <= 1e-8
 
     def test_perturbation_sensitivity(self, grid16):
         spec = make_spec(grid16, N=2)
         bundle = bundle_for(spec, 1, 17)
         sol = solve_nash(spec, bundle)
-        sol.u[0, 0, 0] += 0.1
+        sol.strategies[0].mean[0] += 0.1
         # the diagonal term alone moves the residual by 2*lam*0.1
-        assert foc_residual(spec, sol, 0, 0) >= 0.1 * 2.0 * spec.lam * 0.9
+        assert foc_residual(spec, sol, 0) >= 0.1 * 2.0 * spec.lam * 0.9
 
     def test_zero_operators_residual_identity(self, grid16):
         spec = make_spec(grid16, N=2, zero=True)
@@ -286,8 +287,8 @@ class TestObjective:
             dev[0] = dev[0] + h[None, :]
             gain = objective(spec, 0, dev, bundle) - base
             # MC std error of the gain: linear term has zero mean at equilibrium
-            from volterra_games.meanfield import _per_path_gap
-            per = _per_path_gap(spec, 0, sol.u, dev, bundle)
+            per = (objective_per_path(spec, 0, dev, bundle)
+                   - objective_per_path(spec, 0, sol.u, bundle))
             se = per.std(ddof=1) / np.sqrt(len(per))
             assert gain <= 3.0 * se
 
@@ -322,21 +323,17 @@ class TestConcavity:
 
 class TestFunctionalForms:
     def test_solve_mean_and_solve_player_compose_to_solve_nash(self, grid16):
-        from volterra_games.nplayer import solve_mean, solve_player, simulate_game_signals
+        # the mean solve, then player 0's solve on the shifted drive, by hand
         spec = make_spec(grid16, N=2)
         bundle = bundle_for(spec, 2, 43)
         ops = build_operators(spec)
-        b_paths, b0_paths = simulate_game_signals(spec, bundle)
-        drivers = [combine([(0.5, bp) for bp in b_paths[p]] + [(0.5, b0_paths[p])])
-                   for p in range(2)]
-        ubar, usurf = solve_mean(spec, drivers, ops)
+        driver = compile_signal(LinearCombination(
+            terms=tuple((0.5, b) for b in spec.b_signals) + ((0.5, spec.b0_signal),)), grid16)
+        ubar = ops.mean_solver.solve(driver)
         full = solve_nash(spec, bundle)
-        assert np.max(np.abs(ubar - full.ubar)) <= 1e-12
-        for p in range(2):
-            base = combine([(1.0, b_paths[p][0]), (0.5, b0_paths[p])])
-            drive = mean_conditional_drive(spec, ubar[p], usurf[p], base)
-            u0 = solve_player(spec, 0, drive, ops)
-            assert np.max(np.abs(u0 - full.u[0, p])) <= 1e-12
+        assert np.max(np.abs(ubar.path_values(bundle.increments, 2) - full.ubar)) <= 1e-12
+        u0 = ops.player_solver.solve(shifted_drive(player_base(spec, 0), ops.H, ubar))
+        assert np.max(np.abs(u0.path_values(bundle.increments, 2) - full.u[0])) <= 1e-12
 
 
 class TestLiteralTranscription:
@@ -349,9 +346,6 @@ class TestLiteralTranscription:
     """
 
     def test_mean_and_player_coefficients(self, grid16):
-        from volterra_games.grid_ops import adjoint, mask_from
-        from volterra_games.nplayer import simulate_game_signals
-
         spec = make_spec(grid16, N=3)
         ops = build_operators(spec)
         n, dt = grid16.n, grid16.dt
@@ -360,8 +354,10 @@ class TestLiteralTranscription:
         G, H = ops.G.values, ops.H.values
         kbar = (N - 1) / N * H + G
         bundle = bundle_for(spec, 1, 51)
-        b_paths, b0_paths = simulate_game_signals(spec, bundle)
-        bbar = combine([(1.0 / N, bp) for bp in b_paths[0]] + [(1.0 / N, b0_paths[0])])
+        dW = bundle.path(0)
+        bbar = compile_signal(LinearCombination(
+            terms=tuple((1.0 / N, b) for b in spec.b_signals) + ((1.0 / N, spec.b0_signal),)),
+            grid16)
 
         def dense_family(kmat):
             mats = []
@@ -371,7 +367,8 @@ class TestLiteralTranscription:
                 mats.append(2.0 * lam * np.eye(n) + dt * (masked + masked.T))
             return mats
 
-        def literal_solution(kmat, path):
+        def literal_solution(kmat, signal):
+            values, surface = signal.values_and_surface(dW)
             Dt = dense_family(kmat)
             a = np.empty(n)
             B = np.zeros((n, n))
@@ -379,8 +376,8 @@ class TestLiteralTranscription:
                 ell = np.zeros(n)
                 ell[k:] = kmat[k:, k]
                 rhs = np.zeros(n)
-                rhs[k:] = path.surface[k, k:]
-                a[k] = (path.values[k] - dt * ell @ np.linalg.solve(Dt[k], rhs)) / (2 * lam)
+                rhs[k:] = surface[k, k:]
+                a[k] = (values[k] - dt * ell @ np.linalg.solve(Dt[k], rhs)) / (2 * lam)
                 for j in range(k):
                     kcol = np.zeros(n)
                     kcol[k:] = kmat[k:, j]
@@ -392,15 +389,17 @@ class TestLiteralTranscription:
             return v, a, B
 
         ubar_lit, abar_lit, Bbar_lit = literal_solution(kbar, bbar)
-        mean_sol = ops.mean_solver.solve_path(bbar)
-        assert np.max(np.abs(mean_sol.v - ubar_lit)) <= 1e-12
+        mean_sol = ops.mean_solver.solve(bbar)
+        ubar = mean_sol.values_and_surface(dW)[0]
+        assert np.max(np.abs(ubar - ubar_lit)) <= 1e-12
         assert np.max(np.abs(ops.mean_solver.B.values - Bbar_lit)) <= 1e-12
-        assert np.max(np.abs(ops.mean_solver.assemble_a(bbar) - abar_lit)) <= 1e-12
+        # the recursion v = a + dt B v gives back the solver's a
+        abar = ubar - dt * ops.mean_solver.B.values @ ubar
+        assert np.max(np.abs(abar - abar_lit)) <= 1e-12
 
         khat = G - H / N
-        base = combine([(1.0, b_paths[0][0]), (1.0 / N, b0_paths[0])])
-        drive = shifted_drive(base, ops.H, mean_sol.v, mean_sol.surface)
+        drive = shifted_drive(player_base(spec, 0), ops.H, mean_sol)
         u_lit, _, Bhat_lit = literal_solution(khat, drive)
-        player_sol = ops.player_solver.solve_path(drive)
-        assert np.max(np.abs(player_sol.v - u_lit)) <= 1e-12
+        player_sol = ops.player_solver.solve(drive)
+        assert np.max(np.abs(player_sol.values_and_surface(dW)[0] - u_lit)) <= 1e-12
         assert np.max(np.abs(ops.player_solver.B.values - Bhat_lit)) <= 1e-12
