@@ -50,7 +50,6 @@ from .signals import (
     LinearCombination,
     Martingale,
     OU,
-    compile_signal,
     draw_noise,
 )
 
@@ -216,12 +215,10 @@ def build_mfg_from_config(cfg: dict, grid: TimeGrid) -> MFGSpec:
                                              amplitude=float(model.get("amplitude", 0.5)),
                                              shape=shape)
         beta = base
-        h_model = "zero"
     elif pk == "iid":
         sig = float(model.get("sigma", 0.5))
         family = IIDBrownianFamily(base=base, sigma=sig)
         beta = LinearCombination(terms=((1.0, base), (1.0, Martingale(sigma=sig, noise="idio0"))))
-        h_model = "iid"
     else:
         raise ConfigError(f"unknown player_kind {pk!r}")
     return MFGSpec(
@@ -235,7 +232,6 @@ def build_mfg_from_config(cfg: dict, grid: TimeGrid) -> MFGSpec:
         grid=grid,
         b_infty=base,
         player_family=family,
-        h_model=h_model,
     )
 
 
@@ -254,8 +250,8 @@ def load_config(path: str) -> dict:
         if key not in cfg:
             raise ConfigError(f"config needs a '{key}' block")
     _require_keys(cfg["grid"], {"T", "n"}, "grid")
-    _require_keys(cfg.get("noise", {}), {"paths", "seed", "common_paths"}, "noise")
-    _require_keys(cfg.get("run", {}), {"out", "Ns", "tolerances", "deviation_scale"}, "run")
+    _require_keys(cfg.get("noise", {}), {"paths", "seed"}, "noise")
+    _require_keys(cfg.get("run", {}), {"out", "Ns", "tolerances"}, "run")
     return cfg
 
 
@@ -289,10 +285,7 @@ def run_solve(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
     grid = _grid_from(cfg, grid_n)
     tol = _tolerances(cfg)
     spec = build_game_from_config(cfg, grid)
-    tags = set()
-    for fam in list(spec.b_signals) + [spec.b0_signal]:
-        tags |= compile_signal(fam, grid).noise_tags()
-    bundle = draw_noise(grid, tags or {"common"}, paths, seed)
+    bundle = draw_noise(grid, spec.noise_tags() or {"common"}, paths, seed)
     sol = solve_nash(spec, bundle, mean_gap_tol=tol["mean_consistency"])
 
     out.mkdir(parents=True, exist_ok=True)
@@ -319,9 +312,8 @@ def run_converge(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> in
     tol = _tolerances(cfg)
     spec = build_mfg_from_config(cfg, grid)
     ns = cfg.get("run", {}).get("Ns", [4, 8, 16, 32, 64])
-    idio = set()
-    if isinstance(spec.player_family, IIDBrownianFamily):
-        idio = spec.player_family.idio_tags(max(ns))
+    iid = isinstance(spec.player_family, IIDBrownianFamily)
+    idio = spec.player_family.idio_tags(max(ns)) if iid else set()
     if not idio and not spec.common_tags():
         paths = 1          # fully deterministic limit: one path is exact
     noise = draw_crossed_noise(grid, spec.common_tags(), idio, 1, paths, seed)
@@ -337,7 +329,7 @@ def run_converge(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> in
             if j >= 1:
                 slope = f"{fit_loglog_slope([x['N'] for x in rows[:j + 1]], [x['mse_mean'] for x in rows[:j + 1]]):.6g}"
             w.writerow([r["N"], f"{r['mse_mean']:.12g}", f"{r['mse_player']:.12g}", slope])
-    bracket = (-2.5, -1.5) if spec.h_model == "zero" else (-1.4, -0.6)
+    bracket = (-1.4, -0.6) if iid else (-2.5, -1.5)
     slope = study.get("slope_mean", float("nan"))
     ok = bracket[0] <= slope <= bracket[1]
     write_manifest(out, cfg, seed, tol,

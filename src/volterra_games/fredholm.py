@@ -197,11 +197,8 @@ class FredholmSolver:
         The mean row is the equation's expectation; per tag only the strictly
         lower weights enter adapted values, so the rest is cut off.
         """
-        D = self.dt_family.core
-        zero = np.zeros_like(D)
-        weights = {t: np.tril(D @ v.weights.get(t, zero) - f.weights.get(t, zero), -1)
-                   for t in dict.fromkeys([*f.weights, *v.weights])}
-        return CompiledSignal(self.grid, D @ v.mean - f.mean, weights)
+        r = self.dt_family.core @ v - f
+        return CompiledSignal(self.grid, r.mean, {t: np.tril(w, -1) for t, w in r.weights.items()})
 
 
 def stability_gap(problem_n: FredholmProblem, problem_limit: FredholmProblem,

@@ -346,11 +346,6 @@ def invert_id_minus(B: GridKernel) -> SolveHandle:
     return SolveHandle(B)
 
 
-def scale_kernel(K: GridKernel, gamma: float) -> GridKernel:
-    diag = None if K.diag_half is None else gamma * K.diag_half
-    return GridKernel(K.grid, K.values * gamma, volterra=K.volterra, diag_half=diag)
-
-
 def add_kernels(*terms: tuple[float, GridKernel]) -> GridKernel:
     """Entrywise linear combination sum_i coef_i * K_i; exact diagonals combine too."""
     coef0, K0 = terms[0]

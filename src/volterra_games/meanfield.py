@@ -21,7 +21,6 @@ from .fredholm import FredholmProblem, FredholmSolver
 from .grid_ops import GridKernel, TimeGrid, add_kernels
 from .nplayer import (
     GameSpec,
-    apply_matrix,
     build_operators,
     conditional_surfaces,
     objective_per_path,
@@ -53,7 +52,6 @@ class MFGSpec:
     grid: TimeGrid
     b_infty: object | None = None
     player_family: object | None = None
-    h_model: str = "zero"
 
     def __post_init__(self):
         if not (self.lam > 0.0):
@@ -172,12 +170,9 @@ def solve_generic(spec: MFGSpec, noise: CrossedNoise) -> MFGSolution:
 
     # E[v | common] = mu holds exactly: drop v's idiosyncratic weights
     idio = compile_signal(spec.beta, grid).noise_tags()
-    zero = np.zeros((grid.n, grid.n))
-    exact = float(np.max(np.abs(v_cs.mean - mu_cs.mean)))
-    for tag in dict.fromkeys([*v_cs.weights, *mu_cs.weights]):
-        if tag not in idio:
-            diff = v_cs.weights.get(tag, zero) - mu_cs.weights.get(tag, zero)
-            exact = max(exact, float(np.max(np.abs(diff))))
+    diff = v_cs - mu_cs
+    exact = max(float(np.max(np.abs(a))) for a in
+                [diff.mean, *(w for tag, w in diff.weights.items() if tag not in idio)])
 
     cond_mean = v.mean(axis=1)
     cond_std = v.std(axis=1, ddof=1) if I > 1 else np.zeros_like(cond_mean)
@@ -233,10 +228,8 @@ def mfg_foc_residual(spec: MFGSpec, solution: MFGSolution, noise: CrossedNoise) 
     A3 = spec.a3.values
     A2 = spec.a2hat.values
     own = 2.0 * spec.lam * np.eye(grid.n) + dt * (A2 + A2.T)
-    res = compile_signal(LinearCombination(terms=(
-        (1.0, apply_matrix(own, solution.strategies[0])),
-        (1.0, apply_matrix(dt * (A3 + A3.T), solution.mean_field)),
-        (-1.0, spec.b_family()))), grid)
+    res = (own @ solution.strategies[0] + (dt * (A3 + A3.T)) @ solution.mean_field
+           - compile_signal(spec.b_family(), grid))
     return sup_on_paths(res, noise.bundle.increments, noise.bundle.n_paths)
 
 
@@ -371,8 +364,7 @@ def best_response_gap(spec: MFGSpec, n_players: int, noise: CrossedNoise) -> dic
     br_solver = FredholmSolver(FredholmProblem(K=gops.G, L=gops.G, lam_eff=2.0 * spec.lam))
 
     # the others' sum over N: (N-1)/N times their average, as the H shift weighs it
-    others = compile_signal(LinearCombination(terms=tuple(
-        [(1.0 / N, s) for s in sol.strategies] + [(-1.0 / N, sol.strategies[0])])), spec.grid)
+    others = sum((1.0 / N) * s for s in sol.strategies) - (1.0 / N) * sol.strategies[0]
     br = br_solver.solve(shifted_drive(player_base(game, 0), gops.H, others))
     dev_profile = sol.v.copy()
     dev_profile[0] = br.path_values(noise.bundle.increments, noise.bundle.n_paths)

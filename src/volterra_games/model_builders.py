@@ -187,41 +187,23 @@ def _compiled_pair(vspec: VolterraGameSpec, i: int):
     return c1, c2
 
 
-def _stack_mean(c1: CompiledSignal, c2: CompiledSignal) -> np.ndarray:
-    return np.stack([c1.mean, c2.mean])                      # (2, n)
+def _stacked_state(vspec: VolterraGameSpec, i: int):
+    """Player i's state signal as 2-vectors: mean (2, n), weights per tag (2, n, n),
+    terminal mean (2,) and terminal weights per tag (2, n), tags in sorted order."""
+    c1, c2 = _compiled_pair(vspec, i)
+    if c1.mean_T is None or c2.mean_T is None:
+        raise ShapeError("state signals need terminal extensions for the reduction")
+    c1, c2 = c1 + 0.0 * c2, c2 + 0.0 * c1          # each now carries every tag of both
+    return (np.stack([c1.mean, c2.mean]),
+            {t: np.stack([c1.weights[t], c2.weights[t]]) for t in sorted(c1.weights)},
+            np.array([c1.mean_T, c2.mean_T]),
+            {t: np.stack([c1.weights_T[t], c2.weights_T[t]]) for t in sorted(c1.weights_T)})
 
 
-def _stack_weights(c1: CompiledSignal, c2: CompiledSignal, n: int) -> dict:
-    tags = set(c1.weights) | set(c2.weights)
-    out = {}
-    for tag in tags:
-        w = np.zeros((2, n, n))
-        if tag in c1.weights:
-            w[0] = c1.weights[tag]
-        if tag in c2.weights:
-            w[1] = c2.weights[tag]
-        out[tag] = w
-    return out
-
-
-def _terminal_mean(c1, c2) -> np.ndarray:
-    for c in (c1, c2):
-        if c.mean_T is None:
-            raise ShapeError("state signals need terminal extensions for the reduction")
-    return np.array([c1.mean_T, c2.mean_T])
-
-
-def _terminal_weights(c1, c2, n: int) -> dict:
-    tags = set(c1.weights_T) | set(c2.weights_T)
-    out = {}
-    for tag in tags:
-        w = np.zeros((2, n))
-        if tag in c1.weights_T:
-            w[0] = c1.weights_T[tag]
-        if tag in c2.weights_T:
-            w[1] = c2.weights_T[tag]
-        out[tag] = w
-    return out
+def _nonzero_tags(cs: CompiledSignal) -> CompiledSignal:
+    """cs without its all-zero weights, tags in sorted order."""
+    return CompiledSignal(cs.grid, cs.mean,
+                          {t: cs.weights[t] for t in sorted(cs.weights) if np.any(cs.weights[t])})
 
 
 def _second_moment(grid, mean_x, w_x, mean_y, w_y, A) -> float:
@@ -267,72 +249,45 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
     a1 = GridKernel(grid, M[:, :, 1, 1] * lower)
     a3 = GridKernel(grid, 0.5 * (M[:, :, 0, 1] + M[:, :, 1, 0]) * lower)
 
-    # drivers: row 1 is b^i, row 2 the player's share of b^0
-    rows_mean = []
-    rows_w = []
+    # drivers: row 1 is b^i, row 2 the player's share of b^0.  Weight rows are
+    # projected onto past increments (r < j): the value and surface conventions
+    # never read the rest, and the raw form stays adapted.
+    rows = []
     c_consts = []
     for i in range(N):
-        c1, c2 = _compiled_pair(vspec, i)
-        d_mean = _stack_mean(c1, c2)                       # (2, n)
-        d_w = _stack_weights(c1, c2, n)
-        dT_mean = _terminal_mean(c1, c2)
-        dT_w = _terminal_weights(c1, c2, n)
+        d_mean, d_w, dT_mean, dT_w = _stacked_state(vspec, i)
         s_term = vspec.s_terminals[i]
 
         bm = np.einsum("jab,a->bj", DmT, s_term.mean - Sbar @ dT_mean)
         bm -= dt * np.einsum("kjab,ac,ck->bj", Dm, Qbar, d_mean, optimize=True)
         bm[0] += d_mean.T @ vspec.qvec
-        rows_mean.append(bm)                               # (2, n)
 
-        tags = set(d_w) | set(dT_w) | set(s_term.weights)
         wrow = {}
-        for tag in tags:
+        for tag in sorted(set(d_w) | set(dT_w) | set(s_term.weights)):
             sw = s_term.weights.get(tag, np.zeros((2, n)))
             dTw = dT_w.get(tag, np.zeros((2, n)))
             dw = d_w.get(tag, np.zeros((2, n, n)))
             w = np.einsum("jab,ar->bjr", DmT, sw - Sbar @ dTw)
             w -= dt * np.einsum("kjab,ac,ckr->bjr", Dm, Qbar, dw, optimize=True)
             w[0] += np.einsum("cjr,c->jr", dw, vspec.qvec)
-            wrow[tag] = w                                  # (2, n, n)
-        rows_w.append(wrow)
+            wrow[tag] = np.tril(w, -1)                     # (2, n, n)
+        rows.append([CompiledSignal(grid, bm[b], {t: w[b] for t, w in wrow.items()})
+                     for b in (0, 1)])
 
-        c_i = -dt * sum(_second_moment(grid, d_mean[:, k], {t: w[:, k, :] for t, w in d_w.items()},
-                                       d_mean[:, k], {t: w[:, k, :] for t, w in d_w.items()},
-                                       vspec.qmat) for k in range(n))
+        c_i = -dt * (np.einsum("ak,ab,bk->", d_mean, vspec.qmat, d_mean)
+                     + dt * sum(np.einsum("akr,ab,bkr->", w, vspec.qmat, w)
+                                for w in d_w.values()))
         c_i -= _second_moment(grid, dT_mean, dT_w, dT_mean, dT_w, vspec.smat)
         c_i += _second_moment(grid, dT_mean, dT_w, s_term.mean, s_term.weights, np.eye(2))
-        c_consts.append(c_i)
+        c_consts.append(float(c_i))
 
-    # common b^0 = cross-player average of second rows; remainders fold into b^i.
-    # Weight rows are projected onto past increments (r < j): the value and
-    # surface conventions never read the rest, and the raw form stays adapted.
-    proj = np.tril(np.ones((n, n)), k=-1)
-    all_tags = sorted(set().union(*[set(w) for w in rows_w]) if rows_w else set())
-    b0_mean = np.mean([bm[1] for bm in rows_mean], axis=0)
-    b0_w = {tag: proj * np.mean([w.get(tag, np.zeros((2, n, n)))[1] for w in rows_w], axis=0)
-            for tag in all_tags}
-    b0 = CompiledSignal(grid, b0_mean, {t: w for t, w in b0_w.items() if np.any(w)})
-
-    b_signals = []
+    # common b^0 = cross-player average of second rows; remainders fold into b^i
+    b0 = _nonzero_tags(sum(row[1] for row in rows) / N)
+    b_signals = [_nonzero_tags(row[0] + (row[1] - b0) / N) for row in rows]
     b0_extras = []
-    for i in range(N):
-        mean_i = rows_mean[i][0] + (rows_mean[i][1] - b0_mean) / N
-        w_i = {}
-        extra_w = {}
-        for tag in all_tags:
-            w = rows_w[i].get(tag, np.zeros((2, n, n))) * proj
-            cand = w[0] + (w[1] - b0_w[tag]) / N
-            if np.any(cand):
-                w_i[tag] = cand
-            rem = w[1] - b0_w[tag]
-            if np.any(rem):
-                extra_w[tag] = rem
-        b_signals.append(CompiledSignal(grid, mean_i, w_i))
-        extra_mean = rows_mean[i][1] - b0_mean
-        if np.any(extra_mean) or extra_w:
-            b0_extras.append(CompiledSignal(grid, extra_mean, extra_w))
-        else:
-            b0_extras.append(None)
+    for row in rows:
+        extra = _nonzero_tags(row[1] - b0)
+        b0_extras.append(extra if np.any(extra.mean) or extra.weights else None)
 
     low = float(np.linalg.eigvalsh(symmetrized_form(a2hat))[0])
     if low < -(vspec.p + 1e-8):

@@ -89,6 +89,11 @@ class GameSpec:
         if len(self.c_constants) != self.n_players:
             raise ShapeError("one c constant required per player")
 
+    def noise_tags(self) -> frozenset:
+        """Noise tags of every driver, b^i and b^0."""
+        return frozenset().union(*(compile_signal(f, self.grid).noise_tags()
+                                   for f in (*self.b_signals, self.b0_signal)))
+
 
 def build_GH(spec: GameSpec) -> tuple[GridKernel, GridKernel]:
     """G = A1/N^2 + 2 A3/N + A2hat and H = A1/N + A3, entrywise."""
@@ -127,11 +132,7 @@ def shifted_drive(base: CompiledSignal, H: GridKernel, w: CompiledSignal) -> Com
     The shift acts on the mean and on every tag's weights alike, so the
     driver's conditional surfaces stay tower-consistent.
     """
-    sym = H.grid.dt * (H.values + H.values.T)
-    weights = dict(base.weights)
-    for tag, ww in w.weights.items():
-        weights[tag] = weights.get(tag, 0.0) - sym @ ww
-    return CompiledSignal(base.grid, base.mean - sym @ w.mean, weights)
+    return base - (H.grid.dt * (H.values + H.values.T)) @ w
 
 
 def player_base(spec: GameSpec, i: int) -> CompiledSignal:
@@ -235,11 +236,6 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle, indices=None,
     return sol
 
 
-def apply_matrix(M: np.ndarray, cs: CompiledSignal) -> CompiledSignal:
-    """The signal M f: M applied to the mean and to every tag's weights."""
-    return CompiledSignal(cs.grid, M @ cs.mean, {tag: M @ w for tag, w in cs.weights.items()})
-
-
 def foc_residual(spec: GameSpec, solution: NashSolution, i: int,
                  operators: GameOperators | None = None) -> float:
     """Sup over the sampled paths of player i's discretized first-order condition.
@@ -251,10 +247,8 @@ def foc_residual(spec: GameSpec, solution: NashSolution, i: int,
     grid = spec.grid
     H, Kh = ops.H.values, ops.khat.values
     own = 2.0 * spec.lam * np.eye(grid.n) + grid.dt * (Kh + Kh.T)
-    res = compile_signal(LinearCombination(terms=(
-        (1.0, apply_matrix(own, solution.strategies[i])),
-        (1.0, apply_matrix(grid.dt * (H + H.T), solution.mean_strategy)),
-        (-1.0, player_base(spec, i)))), grid)
+    res = (own @ solution.strategies[i] + (grid.dt * (H + H.T)) @ solution.mean_strategy
+           - player_base(spec, i))
     return sup_on_paths(res, solution.increments, len(solution.ubar))
 
 

@@ -85,10 +85,7 @@ def build_tree(spec: GameSpec, branching: int, depth: int) -> ScenarioTree:
     """Deterministic joint tree over the game's noise tags; no randomness involved."""
     grid = spec.grid
     depth = int(min(depth, grid.n - 1))
-    tags = set()
-    for fam in list(spec.b_signals) + [spec.b0_signal]:
-        tags |= compile_signal(fam, grid).noise_tags()
-    tags = tuple(sorted(tags))
+    tags = tuple(sorted(spec.noise_tags()))
     joint = branching ** len(tags) if tags else 1
     n_leaves = joint ** depth
     total = sum(joint ** min(k, depth) for k in range(grid.n))

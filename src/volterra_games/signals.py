@@ -10,11 +10,14 @@ values[j] = E_{t_j}[f_j] and the surface is m[i, j] = E_{t_i}[f_j]
 = mean[j] + sum_{r < min(i, j)} w[j, r] dW_r.  Anticipative weight rows
 (w[j, r] with r >= j) are allowed; they only enter through projections.
 The solvers map a CompiledSignal driver to a CompiledSignal solution, so
-equilibria are carried in this same form.
+equilibria are carried in this same form, and the linear algebra of the
+form (sums, scalings, matrices applied to every weight) lives here only.
 """
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +34,14 @@ class CompiledSignal:
 
     mean_T / weights_T extend the signal to the horizon endpoint T; they are
     optional and only required by model reductions with terminal data.
+
+    Signals form a vector space: f + g, f - g, c * f and f / c act on the mean
+    and on every tag's weights, and M @ f applies an (n, n) matrix to them.  A
+    sum carries the union of its operands' tags in operand order, a missing
+    tag reading as zero, and keeps a tag even where the sum is zero.  Its
+    terminal extension is the sum of the operands' (mean_T is None if any
+    operand's is); M @ f has none.  numpy scalars and arrays defer to these
+    operators, and sum() works from its start value 0.
     """
 
     grid: TimeGrid
@@ -39,8 +50,62 @@ class CompiledSignal:
     mean_T: float | None = None
     weights_T: dict = field(default_factory=dict)   # tag -> (n,) array
 
+    __array_ufunc__ = None    # np.float64 * f and ndarray @ f reach __rmul__ / __rmatmul__
+
     def noise_tags(self) -> frozenset:
         return frozenset(self.weights)
+
+    def _combine(self, other, op):
+        if not isinstance(other, CompiledSignal):
+            return NotImplemented
+        if other.grid != self.grid:
+            raise ShapeError("signals live on different grids")
+        mean_T = None if self.mean_T is None or other.mean_T is None \
+            else op(self.mean_T, other.mean_T)
+        return CompiledSignal(self.grid, op(self.mean, other.mean),
+                              _tagwise(op, self.weights, other.weights),
+                              mean_T, _tagwise(op, self.weights_T, other.weights_T))
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
+
+    def __radd__(self, other):
+        if isinstance(other, int) and other == 0:
+            return self
+        return NotImplemented
+
+    def _scaled(self, fn):
+        """fn applied to the mean, to every tag's weights and to the terminal extension."""
+        mean_T = None if self.mean_T is None else fn(self.mean_T)
+        return CompiledSignal(self.grid, fn(self.mean),
+                              {tag: fn(w) for tag, w in self.weights.items()}, mean_T,
+                              {tag: fn(w) for tag, w in self.weights_T.items()})
+
+    def __mul__(self, c):
+        if not isinstance(c, numbers.Real):
+            return NotImplemented
+        c = float(c)
+        return self._scaled(lambda x: c * x)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        if not isinstance(c, numbers.Real):
+            return NotImplemented
+        c = float(c)
+        return self._scaled(lambda x: x / c)
+
+    def __rmatmul__(self, M):
+        if not isinstance(M, np.ndarray):
+            return NotImplemented
+        if M.shape != (self.grid.n, self.grid.n):
+            raise ShapeError(f"matrix of shape {M.shape} does not act on a signal of length "
+                             f"{self.grid.n}")
+        return CompiledSignal(self.grid, M @ self.mean,
+                              {tag: M @ w for tag, w in self.weights.items()})
 
     def path_values(self, increments: dict, n_paths: int) -> np.ndarray:
         """Adapted values E_{t_j}[f_j] on every path, shape (n_paths, n).
@@ -66,18 +131,15 @@ class CompiledSignal:
         values = surface.diagonal().copy()
         return values, surface
 
-    def terminal_value_and_projection(self, dW: dict) -> tuple[float, np.ndarray]:
-        """Raw terminal value f_T and the curve E_{t_i}[f_T]."""
-        if self.mean_T is None:
-            raise UnsupportedSignal("signal has no terminal extension")
-        n = self.grid.n
-        proj = np.full(n, float(self.mean_T))
-        value = float(self.mean_T)
-        for tag, wT in self.weights_T.items():
-            wd = np.asarray(wT) * np.asarray(dW[tag])
-            value += float(wd.sum())
-            proj[1:] += np.cumsum(wd)[:-1]
-        return value, proj
+
+def _tagwise(op, a: dict, b: dict) -> dict:
+    """op(a[tag], b[tag]) over the union of tags in operand order; a missing tag reads as 0.
+
+    A tag that only a carries keeps a's array (signals never write to their
+    arrays), so a running sum over many signals copies each array once.
+    """
+    return {tag: a[tag] if tag not in b else op(a.get(tag, 0.0), b[tag])
+            for tag in dict.fromkeys([*a, *b])}
 
 
 class SignalFamily:
@@ -166,21 +228,9 @@ class LinearCombination(SignalFamily):
     terms: tuple   # of (coef, SignalFamily)
 
     def compile(self, grid):
-        compiled = [(float(c), compile_signal(fam, grid)) for c, fam in self.terms]
-        mean = sum(c * cs.mean for c, cs in compiled)
-        weights: dict = {}
-        weights_T: dict = {}
-        for c, cs in compiled:
-            for tag, w in cs.weights.items():
-                weights[tag] = weights.get(tag, 0.0) + c * w
-            for tag, wT in cs.weights_T.items():
-                weights_T[tag] = weights_T.get(tag, 0.0) + c * wT
-        if all(cs.mean_T is not None for _, cs in compiled):
-            mean_T = sum(c * cs.mean_T for c, cs in compiled)
-        else:
-            mean_T = None
-        return CompiledSignal(grid, np.asarray(mean, dtype=float), weights,
-                              mean_T=mean_T, weights_T=weights_T)
+        if not self.terms:
+            raise ShapeError("a linear combination needs at least one term")
+        return sum(c * compile_signal(fam, grid) for c, fam in self.terms)
 
 
 def compile_signal(family, grid: TimeGrid) -> CompiledSignal:
@@ -220,9 +270,6 @@ class NoiseBundle:
         if not (0 <= k < self.n_paths):
             raise ShapeError(f"path index {k} outside [0, {self.n_paths})")
         return {tag: arr[k] for tag, arr in self.increments.items()}
-
-    def restrict(self, tags) -> dict:
-        return {tag: self.increments[tag] for tag in tags}
 
 
 GENERATOR_NAME = "numpy.default_rng(PCG64)"

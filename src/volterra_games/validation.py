@@ -64,10 +64,7 @@ def validation_report(spec: GameSpec, paths: int = 8, seed: int = 0,
     checks.append(_check("volterra_closure",
                          float(np.max(np.abs(np.triu(closure.values)))), 0.0))
 
-    tags = set()
-    for fam in list(spec.b_signals) + [spec.b0_signal]:
-        tags |= compile_signal(fam, grid).noise_tags()
-    bundle = draw_noise(grid, tags or {"common"}, paths, seed)
+    bundle = draw_noise(grid, spec.noise_tags() or {"common"}, paths, seed)
 
     adapt = 0.0
     for fam in list(spec.b_signals) + [spec.b0_signal]:

@@ -197,14 +197,14 @@ def _mfg_spec(grid, kind):
     if kind == "balanced":
         fam = BalancedDeterministicFamily(base=base, amplitude=0.5,
                                           shape=tuple(np.sin(np.pi * grid.times)))
-        beta, h_model = base, "zero"
+        beta = base
     else:
         fam = IIDBrownianFamily(base=base, sigma=0.6)
-        beta, h_model = Martingale(sigma=0.6, noise="idio0"), "iid"
+        beta = Martingale(sigma=0.6, noise="idio0")
     return MFGSpec(lam=1.0, a1=a1, a2hat=a2, a3=a3, beta=beta,
                    beta0=Deterministic(values=(0.0,)),
                    b0_signal=Deterministic(values=(0.4,)), grid=grid,
-                   b_infty=base, player_family=fam, h_model=h_model)
+                   b_infty=base, player_family=fam)
 
 
 def test_criterion_5_convergence_rates():

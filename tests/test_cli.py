@@ -1,10 +1,21 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from volterra_games.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "run_configs"
+# every shipped config with the subcommands the README runs it through
+SHIPPED = [(path.name, command) for path in sorted(CONFIGS.glob("*.json"))
+           for command in (("converge", "eps-nash")
+                           if json.loads(path.read_text())["model"]["kind"] == "mfg"
+                           else ("solve",))]
 
 RAW_MODEL = {
     "kind": "raw", "N": 2, "lam": 1.0,
@@ -59,6 +70,13 @@ class TestConfigErrors:
     def test_missing_grid_block(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"model": RAW_MODEL}))
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("block, key", [("noise", "common_paths"), ("run", "deviation_scale")])
+    def test_unread_key_is_rejected(self, tmp_path, block, key):
+        blocks = {"noise": {"paths": 6, "seed": 3}, "run": {}}
+        blocks[block][key] = 2
+        p = write_cfg(tmp_path, RAW_MODEL, noise=blocks["noise"], run=blocks["run"])
         assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
@@ -272,3 +290,30 @@ class TestOracleFlag:
         assert main(["solve", "--config", str(p), "--out", str(out), "--oracle"]) == 0
         assert (out / "strategies.csv").exists()
         assert (out / "oracle.json").exists()
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("config, command", SHIPPED)
+    def test_documented_subcommand_succeeds(self, tmp_path, config, command):
+        out = tmp_path / "o"
+        assert main([command, "--config", str(CONFIGS / config), "--grid-n", "16",
+                     "--out", str(out)]) == 0
+
+    def test_output_does_not_depend_on_hash_seed(self, tmp_path):
+        # noise tags are strings; any sum over them in set order would differ
+        # between interpreters with different PYTHONHASHSEED values
+        path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+                               if p)
+        outputs = []
+        for hash_seed in ("0", "1", "2"):
+            out = tmp_path / f"o{hash_seed}"
+            subprocess.run(
+                [sys.executable, "-m", "volterra_games.cli", "solve",
+                 "--config", str(CONFIGS / "systemic.json"), "--grid-n", "32",
+                 "--paths", "16", "--out", str(out)],
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+                check=True, timeout=600)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("strategies.csv", "diagnostics.json")])
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]

@@ -176,7 +176,7 @@ class TestInfinitePlayers:
                        beta=Martingale(sigma=sigma, noise="idio0"),
                        beta0=Deterministic(values=(0.0,)),
                        b0_signal=Deterministic(values=(0.4,)), grid=grid,
-                       b_infty=base, player_family=fam, h_model="iid")
+                       b_infty=base, player_family=fam)
 
     def test_zero_kernel_identities(self, grid16):
         base = Deterministic(values=(2.0,))
@@ -217,14 +217,14 @@ class TestConvergence:
         if kind == "balanced":
             fam = BalancedDeterministicFamily(
                 base=base, amplitude=0.5, shape=tuple(np.sin(np.pi * grid.times)))
-            beta, h_model = base, "zero"
+            beta = base
         else:
             fam = IIDBrownianFamily(base=base, sigma=0.6)
-            beta, h_model = Martingale(sigma=0.6, noise="idio0"), "iid"
+            beta = Martingale(sigma=0.6, noise="idio0")
         return MFGSpec(lam=1.0, a1=a1, a2hat=a2, a3=a3, beta=beta,
                        beta0=Deterministic(values=(0.0,)),
                        b0_signal=Deterministic(values=(0.4,)), grid=grid,
-                       b_infty=base, player_family=fam, h_model=h_model)
+                       b_infty=base, player_family=fam)
 
     def test_deterministic_balanced_rate_and_monotonicity(self, grid16):
         spec = self.base_spec(grid16, "balanced")
@@ -264,7 +264,7 @@ class TestEpsNash:
                        beta=Martingale(sigma=0.5, noise="idio0"),
                        beta0=Deterministic(values=(0.0,)),
                        b0_signal=Deterministic(values=(0.4,)), grid=grid,
-                       b_infty=base, player_family=fam, h_model="iid")
+                       b_infty=base, player_family=fam)
 
     def test_equilibrium_deviation_is_zero(self, grid16):
         # deterministic game: v^i is flat across paths, so u = v^0 is admissible
@@ -289,7 +289,7 @@ class TestEpsNash:
                        beta=Martingale(sigma=0.5, noise="idio0"),
                        beta0=Deterministic(values=(0.0,)),
                        b0_signal=Deterministic(values=(0.0,)), grid=grid16,
-                       b_infty=base, player_family=fam, h_model="iid")
+                       b_infty=base, player_family=fam)
         noise = draw_crossed_noise(grid16, set(), fam.idio_tags(4), 1, 40, seed=3)
         dev = 0.3 + 0.1 * grid16.times
         out = eps_nash_gap(spec, 4, dev, noise)

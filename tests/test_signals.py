@@ -5,6 +5,7 @@ from volterra_games.errors import ShapeError, UnsupportedSignal
 from volterra_games.grid_ops import build_grid
 from volterra_games.signals import (
     BrownianWeighted,
+    CompiledSignal,
     Deterministic,
     LinearCombination,
     Martingale,
@@ -190,6 +191,116 @@ class TestCombine:
         q = simulate(Martingale(noise="c"), build_grid(1.0, 5), b2, 0)
         with pytest.raises(ShapeError):
             combine([(1.0, p), (1.0, q)])
+
+
+def reference_combination(terms, grid):
+    """LinearCombination.compile as a hand merge of tag dictionaries."""
+    compiled = [(float(c), compile_signal(fam, grid)) for c, fam in terms]
+    mean = sum(c * cs.mean for c, cs in compiled)
+    weights, weights_T = {}, {}
+    for c, cs in compiled:
+        for tag, w in cs.weights.items():
+            weights[tag] = weights.get(tag, 0.0) + c * w
+        for tag, wT in cs.weights_T.items():
+            weights_T[tag] = weights_T.get(tag, 0.0) + c * wT
+    mean_T = None
+    if all(cs.mean_T is not None for _, cs in compiled):
+        mean_T = sum(c * cs.mean_T for c, cs in compiled)
+    return CompiledSignal(grid, np.asarray(mean, dtype=float), weights,
+                          mean_T=mean_T, weights_T=weights_T)
+
+
+def assert_same_signal(a, b):
+    assert list(a.weights) == list(b.weights)
+    assert np.array_equal(a.mean, b.mean)
+    for tag in a.weights:
+        assert np.array_equal(a.weights[tag], b.weights[tag])
+    assert a.mean_T == b.mean_T
+    assert list(a.weights_T) == list(b.weights_T)
+    for tag in a.weights_T:
+        assert np.array_equal(a.weights_T[tag], b.weights_T[tag])
+
+
+def random_weighted(grid, rng, noise, terminal=True):
+    """Anticipative weights, optionally with a terminal extension."""
+    n = grid.n
+    return BrownianWeighted(g=tuple(rng.standard_normal(n)),
+                            w=tuple(map(tuple, rng.standard_normal((n, n)))), noise=noise,
+                            g_T=float(rng.standard_normal()) if terminal else None,
+                            w_T=tuple(rng.standard_normal(n)) if terminal else None)
+
+
+class TestArithmetic:
+    def test_tag_union_is_kept_when_the_sum_is_zero(self):
+        g = build_grid(1.0, 8)
+        f = compile_signal(LinearCombination(terms=(
+            (1.0, Martingale(sigma=1.0, noise="b")), (2.0, OU(noise="a")))), g)
+        zero = f - f
+        assert list(zero.weights) == ["b", "a"]
+        assert not np.any(zero.mean)
+        assert all(not np.any(w) for w in zero.weights.values())
+        assert list(zero.weights_T) == ["b", "a"]
+        # operand order, not set order
+        h = compile_signal(Martingale(noise="c"), g) + f
+        assert list(h.weights) == ["c", "b", "a"]
+
+    def test_terminal_extension_rules_match_the_hand_merge(self):
+        g = build_grid(1.0, 6)
+        rng = np.random.default_rng(4)
+        cases = [
+            ((1.0, Deterministic(values=(2.0,), terminal=3.0)), (-0.5, Martingale(noise="a"))),
+            ((0.3, OU(kappa=1.5, sigma=0.7, x0=1.0, noise="a")),
+             (1.7, random_weighted(g, rng, "b")), (-2.0, Martingale(sigma=0.4, noise="a"))),
+            # one operand without a terminal extension: mean_T is None, weights_T still add
+            ((1.0, random_weighted(g, rng, "a", terminal=False)),
+             (0.25, random_weighted(g, rng, "a")), (3, OU(noise="b"))),
+        ]
+        for terms in cases:
+            assert_same_signal(compile_signal(LinearCombination(terms=terms), g),
+                               reference_combination(terms, g))
+        f = compile_signal(LinearCombination(terms=cases[1]), g)
+        scaled = f / 4.0
+        assert scaled.mean_T == f.mean_T / 4.0
+        assert np.array_equal(scaled.weights_T["b"], f.weights_T["b"] / 4.0)
+        mapped = rng.standard_normal((6, 6)) @ f
+        assert mapped.mean_T is None and mapped.weights_T == {}
+
+    def test_numpy_operands_defer_to_the_operators(self):
+        g = build_grid(1.0, 5)
+        f = compile_signal(OU(kappa=1.0, sigma=0.5, x0=1.0, noise="a"), g)
+        c = np.float64(0.7)
+        for out in (c * f, f * c):
+            assert isinstance(out, CompiledSignal)
+            assert_same_signal(out, 0.7 * f)
+        assert_same_signal(f / np.float64(2.0), f / 2.0)
+        M = np.random.default_rng(0).standard_normal((5, 5))
+        out = M @ f
+        assert isinstance(out, CompiledSignal)
+        assert np.array_equal(out.weights["a"], M @ f.weights["a"])
+        assert_same_signal(sum([f, 2.0 * f]), f + 2.0 * f)
+        with pytest.raises(TypeError):
+            np.ones(5) * f
+        with pytest.raises(TypeError):
+            f + np.ones(5)
+
+    def test_matrix_product_applies_to_mean_and_every_weight(self):
+        g = build_grid(1.0, 7)
+        rng = np.random.default_rng(11)
+        f = compile_signal(LinearCombination(terms=(
+            (1.0, random_weighted(g, rng, "a")), (1.0, random_weighted(g, rng, "b")))), g)
+        M = rng.standard_normal((7, 7))
+        expect = CompiledSignal(g, M @ f.mean, {tag: M @ w for tag, w in f.weights.items()})
+        assert_same_signal(M @ f, expect)
+        with pytest.raises(ShapeError):
+            np.ones((6, 7)) @ f
+
+    def test_grid_mismatch(self):
+        f = compile_signal(Martingale(noise="c"), build_grid(1.0, 4))
+        h = compile_signal(Martingale(noise="c"), build_grid(1.0, 5))
+        with pytest.raises(ShapeError):
+            f + h
+        with pytest.raises(ShapeError):
+            LinearCombination(terms=()).compile(build_grid(1.0, 4))
 
 
 class TestMotivatingWeightedSignal:
