@@ -288,16 +288,24 @@ def run_solve(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
     bundle = draw_noise(grid, spec.noise_tags() or {"common"}, paths, seed)
     sol = solve_nash(spec, bundle, mean_gap_tol=tol["mean_consistency"])
 
+    # one reduction per strategy over its (n, P) samples, copied contiguous over
+    # paths: bitwise equal to numpy's mean/std per row, and the only temporary
+    # is one strategy's samples, whose deviations overwrite them
+    means = np.empty((grid.n, 1 + spec.n_players))
+    stds = np.empty_like(means)
+    for j, values in enumerate((sol.ubar, *sol.u)):
+        x = values.T.copy()
+        means[:, j] = x.mean(axis=1)
+        x -= means[:, j, None]
+        stds[:, j] = np.sqrt(np.square(x, out=x).mean(axis=1))
+    labels = ["mean", *range(1, spec.n_players + 1)]
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "strategies.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "player", "mean", "std"])
         for k, t in enumerate(grid.times):
-            w.writerow([f"{t:.12g}", "mean", f"{sol.ubar[:, k].mean():.12g}",
-                        f"{sol.ubar[:, k].std():.12g}"])
-            for i in range(spec.n_players):
-                w.writerow([f"{t:.12g}", i + 1, f"{sol.u[i, :, k].mean():.12g}",
-                            f"{sol.u[i, :, k].std():.12g}"])
+            for label, m, sd in zip(labels, means[k], stds[k]):
+                w.writerow([f"{t:.12g}", label, f"{m:.12g}", f"{sd:.12g}"])
     diagnostics = dict(sol.diagnostics)
     diagnostics.update({"paths": paths, "seed": seed, "players": spec.n_players})
     (out / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2, sort_keys=True))

@@ -24,7 +24,10 @@ once.  Its conditional surfaces follow from its weights.
 
 Every D_k is a trailing block of D = D_0, so one reversed triangular
 factorization of D (O(n^3) time, O(n^2) memory) serves all of them, and the
-coefficient kernels are masked matrix products.
+coefficient kernels are masked matrix products.  The factorization is a
+recursive LU computed in place on one copy of the index-reversed D; the
+callers (nplayer, meanfield) form each equilibrium's mean-field shift once
+and hand the solver drivers that already carry it.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .grid_ops import GridKernel, SolveHandle, TimeGrid, invert_id_minus
 from .signals import CompiledSignal, NoiseBundle, compile_signal
 
 SELFADJOINT_TOL = 1e-10
+LU_LEAF = 32               # blocks this small are eliminated by an unblocked loop
 
 
 @dataclass(frozen=True)
@@ -116,31 +120,42 @@ def _reversed_factors(core: np.ndarray, tol: float):
     """Return (U, Lw), U unit upper and Lw lower triangular, with core = U @ Lw.
 
     Both come from a non-pivoted LU of the index-reversed matrix J core J, whose
-    leading blocks are the D_k.  SingularOperator names the largest k whose
-    pivot is at most tol: elimination runs from the last index down, and every
-    pivot after a failed one is meaningless.
+    leading blocks are the D_k, computed in place on one copy.  SingularOperator
+    names the largest k whose pivot is at most tol: elimination runs from the
+    last index down, and every pivot after a failed one is meaningless.
     """
     n = core.shape[0]
+    A = np.array(core[::-1, ::-1])
     with np.errstate(all="ignore"):
-        Lr, Ur = _lu_nopivot(core[::-1, ::-1], tol, n)
-    return np.ascontiguousarray(Lr[::-1, ::-1]), np.ascontiguousarray(Ur[::-1, ::-1])
+        _lu_inplace(A, tol, n)
+    A = A[::-1, ::-1]
+    U = np.triu(A, 1)
+    U[np.diag_indices(n)] = 1.0
+    return U, np.tril(A)
 
 
-def _lu_nopivot(A: np.ndarray, tol: float, end: int):
-    """Recursive blocked LU without pivoting; A's first index is grid index end - 1."""
+def _lu_inplace(A: np.ndarray, tol: float, end: int) -> None:
+    """Non-pivoted LU overwriting A with L (unit diagonal, below) and U (on and above).
+
+    A's first index is grid index end - 1.  The halves recurse on views down to
+    LU_LEAF, where a rank-1 loop tests the pivots in elimination order.
+    """
     n = A.shape[0]
-    if n == 1:
-        if not abs(A[0, 0]) > tol:
-            raise _singular(end - 1)
-        return np.ones((1, 1)), A.copy()
+    if n <= LU_LEAF:
+        for j in range(n):
+            if not abs(A[j, j]) > tol:
+                raise _singular(end - 1 - j)
+            A[j + 1:, j] /= A[j, j]
+            A[j + 1:, j + 1:] -= A[j + 1:, j, None] * A[j, None, j + 1:]
+        return
     h = n // 2
-    L11, U11 = _lu_nopivot(A[:h, :h], tol, end)
-    U12 = sla.solve_triangular(L11, A[:h, h:], lower=True, unit_diagonal=True,
-                               check_finite=False)
-    L21 = sla.solve_triangular(U11, A[h:, :h].T, trans="T", check_finite=False).T
-    L22, U22 = _lu_nopivot(A[h:, h:] - L21 @ U12, tol, end - h)
-    Z = np.zeros((h, n - h))
-    return np.block([[L11, Z], [L21, L22]]), np.block([[U11, U12], [Z.T, U22]])
+    _lu_inplace(A[:h, :h], tol, end)
+    A[:h, h:] = sla.solve_triangular(A[:h, :h], A[:h, h:], lower=True, unit_diagonal=True,
+                                     check_finite=False)
+    A[h:, :h] = sla.solve_triangular(A[:h, :h], A[h:, :h].T, trans="T",
+                                     check_finite=False).T
+    A[h:, h:] -= A[h:, :h] @ A[:h, h:]
+    _lu_inplace(A[h:, h:], tol, end - h)
 
 
 def _singular(k: int) -> SingularOperator:
@@ -177,7 +192,7 @@ class FredholmSolver:
 
         a[k] = (f[k] - dt * <w_k, E_{t_k} f restricted to [k:]>) / lam is, on
         coefficients, (mean - dt W mean) / lam and, per tag,
-        (tril(w) - dt tril(W w)) / lam with strictly lower tril.  The recursion
+        tril(w - dt W w) / lam with strictly lower tril.  The recursion
         keeps the weights strictly lower triangular, so the solution is adapted.
         """
         if f.grid != self.grid:
@@ -185,9 +200,13 @@ class FredholmSolver:
         n, dt = self.grid.n, self.grid.dt
         W = self.dt_family.w
         tags = list(f.weights)
-        cols = [(f.mean - dt * (W @ f.mean))[:, None]]
-        cols += [np.tril(f.weights[t], -1) - dt * np.tril(W @ f.weights[t], -1) for t in tags]
-        v = self.solve_v(np.hstack(cols) / self.problem.lam_eff)
+        # filled in place, so the stacked right-hand side exists only once
+        a = np.empty((n, 1 + len(tags) * n))
+        a[:, 0] = f.mean - dt * (W @ f.mean)
+        for j, t in enumerate(tags):
+            a[:, 1 + j * n:1 + (j + 1) * n] = np.tril(f.weights[t] - dt * (W @ f.weights[t]), -1)
+        a /= self.problem.lam_eff
+        v = self.solve_v(a)
         weights = {t: v[:, 1 + j * n:1 + (j + 1) * n] for j, t in enumerate(tags)}
         return CompiledSignal(self.grid, v[:, 0], weights)
 

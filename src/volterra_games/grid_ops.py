@@ -49,9 +49,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridKernel:
     """A discretized kernel: n x n matrix acting with quadrature weight dt.
+
+    Equality is identity, as for signals.CompiledSignal: comparing the arrays
+    would be ambiguous.
 
     diag_half optionally stores the kernel's exact averages over the lower
     half of the diagonal cells, (2/dt^2) * int int_{t_j < s < t < t_j + dt}

@@ -23,6 +23,7 @@ from .nplayer import (
     GameSpec,
     build_operators,
     conditional_surfaces,
+    mean_field_shift,
     objective_per_path,
     player_base,
     shifted_drive,
@@ -206,11 +207,12 @@ def solve_infinite(spec: MFGSpec, n_view: int, noise: CrossedNoise) -> MFGSoluti
         raise ShapeError("b_infty must be measurable with respect to common noise")
 
     nu_cs = ops.solver_G.solve(c_lim)
+    shift = mean_field_shift(spec.a3, nu_cs)
     strategies = []
     v = np.empty((n_view, P, grid.n))
     for i in range(n_view):
         cb_i = compile_signal(spec.player_family.signal(i, n_view), grid)
-        strategies.append(ops.solver_F.solve(shifted_drive(cb_i, spec.a3, nu_cs)))
+        strategies.append(ops.solver_F.solve(cb_i - shift))
         v[i] = strategies[i].path_values(noise.bundle.increments, P)
     first = noise.block_increments()
     return MFGSolution(mu=nu_cs.path_values(first, noise.n_common), v=v, mean_field=nu_cs,

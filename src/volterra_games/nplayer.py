@@ -4,7 +4,9 @@ The mean strategy solves a Fredholm problem with kernel
 Kbar = ((N-1)/N) H + G and driver bbar + b0/N; each player then solves one
 with kernel Khat = G - H/N and a driver shifted by the realized and expected
 action of the mean, where G = A1/N^2 + 2 A3/N + A2hat and H = A1/N + A3.
-Both solves share the scale lam_eff = 2*lambda.
+Both solves share the scale lam_eff = 2*lambda.  The shift
+dt (H + H^T) ubar is formed once per solve_nash and serves every player's
+driver and first-order condition.
 
 Drivers and strategies are signals.CompiledSignal values (a mean plus one
 weight matrix per noise tag), so each solve runs once for all paths.  Path
@@ -126,13 +128,18 @@ def build_operators(spec: GameSpec) -> GameOperators:
     return GameOperators(G, H, kbar, khat, mean_solver, player_solver)
 
 
+def mean_field_shift(H: GridKernel, w: CompiledSignal) -> CompiledSignal:
+    """H(w) + H*(E_. w), on coefficients dt (H + H^T) w."""
+    return (H.grid.dt * (H.values + H.values.T)) @ w
+
+
 def shifted_drive(base: CompiledSignal, H: GridKernel, w: CompiledSignal) -> CompiledSignal:
     """Driver base - H(w) - H*(E_. w), on coefficients base - dt (H + H^T) w.
 
     The shift acts on the mean and on every tag's weights alike, so the
     driver's conditional surfaces stay tower-consistent.
     """
-    return base - (H.grid.dt * (H.values + H.values.T)) @ w
+    return base - mean_field_shift(H, w)
 
 
 def player_base(spec: GameSpec, i: int) -> CompiledSignal:
@@ -201,15 +208,19 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle, indices=None,
     mean_strategy = ops.mean_solver.solve(mean_driver)
     fred_residual = sup_on_paths(ops.mean_solver.residual(mean_driver, mean_strategy),
                                  increments, P)
+    # every player's driver and FOC share one shift by the mean strategy
+    shift = mean_field_shift(ops.H, mean_strategy)
     strategies = []
     u = np.empty((N, P, grid.n))
     base_values = np.empty((N, P, grid.n))
+    foc = []
     for i in range(N):
         base = player_base(spec, i)
-        drive = shifted_drive(base, ops.H, mean_strategy)
+        drive = base - shift
         strategies.append(ops.player_solver.solve(drive))
         fred_residual = max(fred_residual, sup_on_paths(
             ops.player_solver.residual(drive, strategies[i]), increments, P))
+        foc.append(_foc_sup(spec, ops, strategies[i], shift, base, increments, P))
         u[i] = strategies[i].path_values(increments, P)
         base_values[i] = base.path_values(increments, P)
     ubar = mean_strategy.path_values(increments, P)
@@ -219,37 +230,41 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle, indices=None,
         raise ConsistencyViolation(
             f"per-player average deviates from mean strategy by {mean_gap:.3e}")
 
-    sol = NashSolution(
+    return NashSolution(
         ubar=ubar, u=u, base_values=base_values, mean_strategy=mean_strategy,
         strategies=tuple(strategies), increments=increments,
         diagnostics={
             "mean_gap": mean_gap,
             "fredholm_residual_max": fred_residual,
+            "foc_residual_max": max(foc),
             "min_pivot_D_mean": ops.mean_solver.dt_family.min_pivot(),
             "min_pivot_D_player": ops.player_solver.dt_family.min_pivot(),
             "cond1_D_mean_0": ops.mean_solver.dt_family.cond1(),
             "cond1_D_player_0": ops.player_solver.dt_family.cond1(),
         },
     )
-    sol.diagnostics["foc_residual_max"] = max(
-        (foc_residual(spec, sol, i, operators=ops) for i in range(N)), default=0.0)
-    return sol
 
 
 def foc_residual(spec: GameSpec, solution: NashSolution, i: int,
                  operators: GameOperators | None = None) -> float:
-    """Sup over the sampled paths of player i's discretized first-order condition.
-
-    2 lam u^i - (b^i + b^0/N) + dt (H + H^T) ubar + dt (Khat + Khat^T) u^i,
-    formed on coefficients and then evaluated on every sampled path.
-    """
+    """Sup over the sampled paths of player i's discretized first-order condition."""
     ops = operators or build_operators(spec)
+    return _foc_sup(spec, ops, solution.strategies[i],
+                    mean_field_shift(ops.H, solution.mean_strategy), player_base(spec, i),
+                    solution.increments, len(solution.ubar))
+
+
+def _foc_sup(spec: GameSpec, ops: GameOperators, strategy: CompiledSignal,
+             shift: CompiledSignal, base: CompiledSignal, increments: dict, P: int) -> float:
+    """2 lam u^i - (b^i + b^0/N) + dt (H + H^T) ubar + dt (Khat + Khat^T) u^i.
+
+    Formed on coefficients, with dt (H + H^T) ubar given as shift, and then
+    evaluated on every sampled path.
+    """
     grid = spec.grid
-    H, Kh = ops.H.values, ops.khat.values
+    Kh = ops.khat.values
     own = 2.0 * spec.lam * np.eye(grid.n) + grid.dt * (Kh + Kh.T)
-    res = (own @ solution.strategies[i] + (grid.dt * (H + H.T)) @ solution.mean_strategy
-           - player_base(spec, i))
-    return sup_on_paths(res, solution.increments, len(solution.ubar))
+    return sup_on_paths(own @ strategy + shift - base, increments, P)
 
 
 def objective_per_path(spec: GameSpec, i: int, strategies: np.ndarray, bundle: NoiseBundle,

@@ -28,7 +28,7 @@ from .grid_ops import TimeGrid
 COMMON = "common"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledSignal:
     """Affine-in-increments representation of a signal on a grid.
 
@@ -41,7 +41,8 @@ class CompiledSignal:
     tag reading as zero, and keeps a tag even where the sum is zero.  Its
     terminal extension is the sum of the operands' (mean_T is None if any
     operand's is); M @ f has none.  numpy scalars and arrays defer to these
-    operators, and sum() works from its start value 0.
+    operators, and sum() works from its start value 0.  Equality is identity:
+    a comparison of the coefficients would be ambiguous on arrays.
     """
 
     grid: TimeGrid

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid_ops import adjoint, apply, grid_inner, resolvent, star_product, symmetrized_form
-from .nplayer import GameSpec, build_operators, foc_residual, solve_nash
+from .nplayer import GameSpec, build_operators, solve_nash
 from .signals import compile_signal, draw_noise
 
 

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volterra_games.cli import main
+from volterra_games.cli import build_game_from_config, main
+from volterra_games.grid_ops import build_grid
+from volterra_games.nplayer import foc_residual, solve_nash
+from volterra_games.signals import draw_noise
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "run_configs"
@@ -30,6 +33,16 @@ RAW_MODEL = {
     ],
     "b0": {"family": "deterministic", "values": [0.25]},
 }
+
+
+def widened_systemic(players):
+    """run_configs/systemic.json with per-bank sigma and x0 cycled to `players` banks."""
+    cfg = json.loads((CONFIGS / "systemic.json").read_text())
+    model = cfg["model"]
+    model["N"] = players
+    for key in ("sigma", "x0"):
+        model[key] = [model[key][i % len(model[key])] for i in range(players)]
+    return cfg
 
 
 def write_cfg(tmp_path, model, grid=None, noise=None, run=None, name="cfg.json"):
@@ -136,6 +149,39 @@ class TestSolve:
         assert main(["solve", "--config", str(p), "--out", str(out1)]) == 0
         assert main(["solve", "--config", str(p), "--out", str(out2), "--seed", "99"]) == 0
         assert (out1 / "strategies.csv").read_bytes() != (out2 / "strategies.csv").read_bytes()
+
+
+class TestSolveOutputs:
+    """The CLI reports the equilibrium that solve_nash and foc_residual describe."""
+
+    @pytest.mark.parametrize("name", ["systemic_n16", "raw_game"])
+    def test_diagnostics_and_statistics_match_the_solution(self, tmp_path, name):
+        cfg = (widened_systemic(16) if name == "systemic_n16"
+               else json.loads((CONFIGS / "raw_game.json").read_text()))
+        cfg["grid"]["n"] = 32
+        cfg["noise"]["paths"] = 20
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 0
+
+        grid = build_grid(cfg["grid"]["T"], 32)
+        spec = build_game_from_config(cfg, grid)
+        bundle = draw_noise(grid, spec.noise_tags() or {"common"}, 20, cfg["noise"]["seed"])
+        sol = solve_nash(spec, bundle)
+        foc = max(foc_residual(spec, sol, i) for i in range(spec.n_players))
+        assert abs(sol.diagnostics["foc_residual_max"] - foc) <= 1e-12 * foc
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["foc_residual_max"] == sol.diagnostics["foc_residual_max"]
+
+        # rows per time step: the mean strategy, then players 1..N
+        rows = (out / "strategies.csv").read_text().strip().splitlines()[1:]
+        table = np.array([[float(x) for x in row.split(",")[2:]] for row in rows])
+        table = table.reshape(grid.n, 1 + spec.n_players, 2)
+        samples = np.concatenate([sol.ubar[None], sol.u])
+        # printed to 12 significant digits
+        np.testing.assert_allclose(table[..., 0], samples.mean(axis=1).T, rtol=1e-11, atol=1e-15)
+        np.testing.assert_allclose(table[..., 1], samples.std(axis=1).T, rtol=1e-11, atol=1e-15)
 
 
 class TestValidate:

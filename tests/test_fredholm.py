@@ -6,6 +6,7 @@ import scipy.linalg as sla
 
 from volterra_games.errors import InadmissibleKernel, SingularOperator
 from volterra_games.fredholm import (
+    LU_LEAF,
     FredholmProblem,
     FredholmSolver,
     build_Dt,
@@ -59,6 +60,43 @@ def loose_problem(K, L, lam):
         return FredholmProblem(K=K, L=L, lam_eff=lam, strict_selfadjoint=False)
 
 
+def check_block_definition(n):
+    """Li_k @ Ui_k inverts the trailing block of lam id + dt(mask_from(K,k) +
+    adjoint(mask_from(L,k))) for every k, on an SPD core, a symmetric
+    indefinite core and a non-symmetric core; pivots, min_pivot and cond1 agree.
+    """
+    rng = np.random.default_rng(4)
+    g = build_grid(1.0, n)
+    K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
+    V = np.tril(rng.standard_normal((n, n)), -1)
+    V[n - 1, 0] = 5.0 * n                  # only D_0 sees index 0: it turns indefinite
+    Ks = GridKernel(g, V)
+    Lp = discretize_kernel(PowerLaw(c=0.5, alpha=0.3), g)
+    cores = {
+        "spd": (build_Dt(K, K, 2.0), K, K, 2.0),
+        "indefinite": (build_Dt(Ks, Ks, 1.0), Ks, Ks, 1.0),
+        "nonsymmetric": (FredholmSolver(loose_problem(K, Lp, 2.0)).dt_family, K, Lp, 2.0),
+    }
+    for name, (fam, Kc, Lc, lam) in cores.items():
+        core = lam * np.eye(n) + g.dt * (Kc.values + Lc.values.T)
+        if name != "nonsymmetric":
+            assert (np.linalg.eigvalsh(core).min() < 0) == (name == "indefinite")
+        for k in range(n):
+            D = lam * np.eye(n) + g.dt * (mask_from(Kc, k).values
+                                          + adjoint(mask_from(Lc, k)).values)
+            y = rng.standard_normal(n)
+            inv_k = fam._Li[k:, k:] @ fam._Ui[k:, k:]
+            exact = np.linalg.inv(core[k:, k:])
+            assert np.max(np.abs(inv_k - exact)) < 1e-12
+            x = inv_k @ y[k:]
+            assert np.max(np.abs(D[k:, k:] @ x - y[k:])) < 1e-12
+            assert np.max(np.abs(x - np.linalg.solve(core[k:, k:], y[k:]))) < 1e-12
+            # Schur pivot of D_k is det(D_k) / det(D_{k+1})
+            assert abs(fam.pivots[k] * exact[0, 0] - 1.0) < 1e-12
+        assert fam.min_pivot() == np.min(np.abs(fam.pivots))
+        assert abs(fam.cond1() / np.linalg.cond(core, 1) - 1.0) < 1e-12
+
+
 class TestProblemValidation:
     def test_self_adjointness_enforced(self):
         g = build_grid(1.0, 8)
@@ -107,39 +145,13 @@ class TestDtFamily:
             assert max(conds) <= fam.condition_number(0) + 1.0
 
     def test_block_matches_masked_operator_definition(self):
-        # Li_k @ Ui_k inverts the trailing block of lam id + dt(mask_from(K,k) +
-        # adjoint(mask_from(L,k))) for every k, on an SPD core, a symmetric
-        # indefinite core and a non-symmetric core
-        rng = np.random.default_rng(4)
-        g = build_grid(1.0, 12)
-        K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
-        V = np.tril(rng.standard_normal((12, 12)), -1)
-        V[11, 0] = 60.0                       # only D_0 sees index 0: it turns indefinite
-        Ks = GridKernel(g, V)
-        Lp = discretize_kernel(PowerLaw(c=0.5, alpha=0.3), g)
-        cores = {
-            "spd": (build_Dt(K, K, 2.0), K, K, 2.0),
-            "indefinite": (build_Dt(Ks, Ks, 1.0), Ks, Ks, 1.0),
-            "nonsymmetric": (FredholmSolver(loose_problem(K, Lp, 2.0)).dt_family, K, Lp, 2.0),
-        }
-        for name, (fam, Kc, Lc, lam) in cores.items():
-            core = lam * np.eye(12) + g.dt * (Kc.values + Lc.values.T)
-            if name != "nonsymmetric":
-                assert (np.linalg.eigvalsh(core).min() < 0) == (name == "indefinite")
-            for k in range(12):
-                D = lam * np.eye(12) + g.dt * (mask_from(Kc, k).values
-                                               + adjoint(mask_from(Lc, k)).values)
-                y = rng.standard_normal(12)
-                inv_k = fam._Li[k:, k:] @ fam._Ui[k:, k:]
-                assert np.max(np.abs(inv_k - np.linalg.inv(core[k:, k:]))) < 1e-12
-                x = inv_k @ y[k:]
-                assert np.max(np.abs(D[k:, k:] @ x - y[k:])) < 1e-12
-                assert np.max(np.abs(x - np.linalg.solve(core[k:, k:], y[k:]))) < 1e-12
-                # Schur pivot of D_k is det(D_k) / det(D_{k+1})
-                inv00 = np.linalg.inv(core[k:, k:])[0, 0]
-                assert abs(fam.pivots[k] * inv00 - 1.0) < 1e-12
-            assert fam.min_pivot() == np.min(np.abs(fam.pivots))
-            assert abs(fam.cond1() / np.linalg.cond(core, 1) - 1.0) < 1e-12
+        check_block_definition(12)
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_block_definition_past_the_leaf(self, n):
+        # large enough that the factorization recurses past its unblocked leaf
+        assert n > 2 * LU_LEAF
+        check_block_definition(n)
 
     def test_batched_surfaces_match_per_path(self):
         # surfaces read off the solution's weights for every path at once equal
@@ -426,6 +438,22 @@ class TestSingularDt:
         K = GridKernel(g, V)
         with pytest.raises(SingularOperator, match="D_1 is"):
             build_Dt(K, K, 1.0)
+
+    def test_error_names_the_singular_block_past_the_leaf(self):
+        # scale column 37 of K so that the Schur pivot of D_37,
+        # lam - s^2 b^T D_38^{-1} b with b = dt K[38:, 37], vanishes
+        n, j, lam = 100, 37, 1.0
+        g = build_grid(1.0, n)
+        K0 = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
+        assert n - 1 - j >= LU_LEAF          # the pivot is reached through a Schur update
+        assert build_Dt(K0, K0, lam).min_pivot() > 0.5
+        V = K0.values.copy()
+        D_next = lam * np.eye(n - j - 1) + g.dt * (V + V.T)[j + 1:, j + 1:]
+        b = g.dt * V[j + 1:, j]
+        V[:, j] *= np.sqrt(lam / (b @ np.linalg.solve(D_next, b)))
+        K = GridKernel(g, V)
+        with pytest.raises(SingularOperator, match=f"D_{j} is"):
+            build_Dt(K, K, lam)
 
 
 class TestGridRefinementOfSolution:

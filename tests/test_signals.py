@@ -230,6 +230,26 @@ def random_weighted(grid, rng, noise, terminal=True):
                             w_T=tuple(rng.standard_normal(n)) if terminal else None)
 
 
+class TestEquality:
+    def test_compiled_signals_compare_by_identity(self):
+        g = build_grid(1.0, 4)
+        f, h = compile_signal(Martingale(), g), compile_signal(Martingale(), g)
+        assert f == f and f != h
+        assert f in [h, f] and h not in [f]
+        assert len({f, h}) == 2
+
+    def test_reduced_game_specs_compare_without_raising(self):
+        from volterra_games.model_builders import DelayMeasure, build_systemic_game
+
+        g = build_grid(1.0, 8)
+        params = dict(N=2, beta=0.3, eps=0.25, cost_c=1.0, sigma=[0.2, 0.2], x0=[1.0, 0.5],
+                      delay=DelayMeasure(atoms=((0.0, 1.0), (0.3, -1.0))))
+        a, b = (build_systemic_game(params, g)[0] for _ in range(2))
+        assert isinstance(a.b_signals[0], CompiledSignal)
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+
+
 class TestArithmetic:
     def test_tag_union_is_kept_when_the_sum_is_zero(self):
         g = build_grid(1.0, 8)
