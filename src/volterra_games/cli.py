@@ -52,14 +52,11 @@ from .signals import (
     OU,
     draw_noise,
 )
+from .validation import DEFAULT_TOLERANCES, validation_report
 
-DEFAULT_TOLERANCES = {
-    "fredholm_residual": 1e-9,
-    "mean_consistency": 1e-6,
-    "foc_residual": 1e-8,
-    "admissibility": 1e-8,
-    "oracle": 1e-8,
-}
+# diagnostics.json entry -> the tolerance that gates it in `solve`
+SOLVE_GATES = {"fredholm_residual_max": "fredholm_residual", "foc_residual_max": "foc_residual",
+               "mean_gap": "mean_consistency"}
 
 
 def _require_keys(obj: dict, allowed: set, context: str) -> None:
@@ -286,7 +283,8 @@ def run_solve(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
     tol = _tolerances(cfg)
     spec = build_game_from_config(cfg, grid)
     bundle = draw_noise(grid, spec.noise_tags() or {"common"}, paths, seed)
-    sol = solve_nash(spec, bundle, mean_gap_tol=tol["mean_consistency"])
+    # the gates apply after the outputs are written, so a failed run leaves its diagnostics
+    sol = solve_nash(spec, bundle, mean_gap_tol=np.inf)
 
     # one reduction per strategy over its (n, P) samples, copied contiguous over
     # paths: bitwise equal to numpy's mean/std per row, and the only temporary
@@ -310,9 +308,7 @@ def run_solve(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
     diagnostics.update({"paths": paths, "seed": seed, "players": spec.n_players})
     (out / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2, sort_keys=True))
     write_manifest(out, cfg, seed, tol)
-    if diagnostics["fredholm_residual_max"] > tol["fredholm_residual"]:
-        return 1
-    return 0
+    return 1 if any(diagnostics[key] > tol[name] for key, name in SOLVE_GATES.items()) else 0
 
 
 def run_converge(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
@@ -373,8 +369,6 @@ def run_eps_nash(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> in
 
 
 def run_validate(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
-    from .validation import validation_report
-
     grid = _grid_from(cfg, grid_n)
     tol = _tolerances(cfg)
     spec = build_game_from_config(cfg, grid)

@@ -25,9 +25,12 @@ once.  Its conditional surfaces follow from its weights.
 Every D_k is a trailing block of D = D_0, so one reversed triangular
 factorization of D (O(n^3) time, O(n^2) memory) serves all of them, and the
 coefficient kernels are masked matrix products.  The factorization is a
-recursive LU computed in place on one copy of the index-reversed D; the
-callers (nplayer, meanfield) form each equilibrium's mean-field shift once
-and hand the solver drivers that already carry it.
+recursive LU computed in place on one copy of the index-reversed D, whose
+off-diagonal blocks are products with the leading block's inverse factors.
+Those, the factors' own inverses and the recursion's (id - B)^{-1} all come
+from grid_ops.triangular_inverse, so every solve is a GEMM.  The callers
+(nplayer, meanfield) form each equilibrium's mean-field shift once and hand
+the solver drivers that already carry it.
 """
 
 from __future__ import annotations
@@ -36,14 +39,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InadmissibleKernel, ShapeError, SingularOperator
-from .grid_ops import GridKernel, SolveHandle, TimeGrid, invert_id_minus
+from .grid_ops import LU_LEAF, GridKernel, TimeGrid, invert_id_minus, triangular_inverse
 from .signals import CompiledSignal, NoiseBundle, compile_signal
 
 SELFADJOINT_TOL = 1e-10
-LU_LEAF = 32               # blocks this small are eliminated by an unblocked loop
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,8 @@ class DtFamily:
         tol = 1e-10 * max(1.0, float(np.max(np.abs(core))))
         U, Lw = _reversed_factors(core, tol)
         self.pivots = np.diagonal(Lw).copy()
-        self._Ui = sla.lapack.dtrtri(U, lower=0)[0]
-        self._Li = sla.lapack.dtrtri(Lw, lower=1)[0]
+        self._Ui = triangular_inverse(U, lower=False)
+        self._Li = triangular_inverse(Lw)
         # w_k = D_k^{-T} ell_k with ell_k[r] = L[r, k] for r >= k; these turn the
         # backward inner products of a and B into plain dot products.  Row k of
         # triu(L^T) @ Li, cut to [k:], is ell_k^T Li_k; Ui keeps the product upper.
@@ -150,10 +151,8 @@ def _lu_inplace(A: np.ndarray, tol: float, end: int) -> None:
         return
     h = n // 2
     _lu_inplace(A[:h, :h], tol, end)
-    A[:h, h:] = sla.solve_triangular(A[:h, :h], A[:h, h:], lower=True, unit_diagonal=True,
-                                     check_finite=False)
-    A[h:, :h] = sla.solve_triangular(A[:h, :h], A[h:, :h].T, trans="T",
-                                     check_finite=False).T
+    A[:h, h:] = triangular_inverse(A[:h, :h], unit=True) @ A[:h, h:]
+    A[h:, :h] = A[h:, :h] @ triangular_inverse(A[:h, :h], lower=False)
     A[h:, h:] -= A[h:, :h] @ A[:h, h:]
     _lu_inplace(A[h:, h:], tol, end - h)
 
@@ -175,7 +174,7 @@ class FredholmSolver:
         self.grid = problem.grid
         self.dt_family = build_Dt(problem.K, problem.L, problem.lam_eff)
         self.B = self._assemble_B()
-        self._forward: SolveHandle = invert_id_minus(self.B)
+        self._forward = invert_id_minus(self.B)
 
     def _assemble_B(self) -> GridKernel:
         # B[k, :k] = (dt * W[k, k:] @ K[k:, :k] - K[k, :k]) / lam; W is upper triangular
@@ -184,8 +183,8 @@ class FredholmSolver:
         return GridKernel(self.grid, B)
 
     def solve_v(self, a: np.ndarray) -> np.ndarray:
-        """Forward recursion v = a + dt * B v (accepts stacked columns)."""
-        return self._forward(a)
+        """Forward recursion v = a + dt * B v (accepts stacked columns): one GEMM."""
+        return self._forward @ a
 
     def solve(self, f: CompiledSignal) -> CompiledSignal:
         """The solution for driver f, as a mean plus one weight matrix per tag.

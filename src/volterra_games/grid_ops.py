@@ -3,7 +3,9 @@
 Kernels G(t, s) vanish for s >= t (Volterra convention).  A kernel is stored
 as an n x n matrix of cell averages K[i, j] ~ (1/dt) * int_{t_j}^{t_j+dt}
 G(t_i, s) ds, strictly lower triangular, so that the induced integral
-operator acts on grid functions as (K f)[i] = sum_j K[i, j] f[j] dt.
+operator acts on grid functions as (K f)[i] = sum_j K[i, j] f[j] dt.  Every
+id - dt K is then unit lower triangular: triangular_inverse inverts it, and
+the D_t factors in fredholm too.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InadmissibleKernel, InvalidGrid, ShapeError, SingularOperator
 
 SINGULAR_SV_TOL = 1e-10
+LU_LEAF = 32               # triangular blocks this small are inverted (or eliminated) directly
 
 
 @dataclass(frozen=True)
@@ -278,15 +280,7 @@ def star_product(G: GridKernel, H: GridKernel) -> GridKernel:
 
 def resolvent(K: GridKernel) -> GridKernel:
     """R with R = K + K * R (equivalently (id - K)^{-1} = id + R)."""
-    n = K.grid.n
-    A = np.eye(n) - K.grid.dt * K.values
-    if K.volterra:
-        R = sla.solve_triangular(A, K.values, lower=True, unit_diagonal=True)
-    else:
-        if np.linalg.svd(A, compute_uv=False)[-1] <= SINGULAR_SV_TOL:
-            raise SingularOperator("id - K is numerically singular")
-        R = np.linalg.solve(A, K.values)
-    return GridKernel(K.grid, R, volterra=K.volterra)
+    return GridKernel(K.grid, invert_id_minus(K) @ K.values, volterra=K.volterra)
 
 
 def mask_from(K: GridKernel, t_index: int) -> GridKernel:
@@ -322,31 +316,37 @@ def check_nonneg_definite(K: GridKernel, tol: float = 1e-8) -> bool:
     return float(np.linalg.eigvalsh(symmetrized_form(K))[0]) >= -tol
 
 
-class SolveHandle:
-    """Cached factorization of (id - dt * B); read-only after construction."""
+def triangular_inverse(T: np.ndarray, lower: bool = True, unit: bool = False) -> np.ndarray:
+    """Inverse of the lower (upper: via T^T) triangle of T, exactly zero off it.
 
-    def __init__(self, B: GridKernel):
-        self.grid = B.grid
-        self._A = np.eye(B.grid.n) - B.grid.dt * B.values
-        self._volterra = B.volterra
-        if not B.volterra:
-            if np.linalg.svd(self._A, compute_uv=False)[-1] <= SINGULAR_SV_TOL:
-                raise SingularOperator("id - dt*B is numerically singular")
-            self._lu = sla.lu_factor(self._A)
+    [[A, 0], [C, B]]^{-1} = [[A^{-1}, 0], [-B^{-1} C A^{-1}, B^{-1}]] down to
+    LU_LEAF rows, where np.linalg.inv is cut back to the triangle.  Only the
+    triangle is read (unit=True: not its diagonal), so T may be a packed LU.
+    """
+    if not lower:
+        return triangular_inverse(T.T, True, unit).T
+    n = T.shape[0]
+    if n <= LU_LEAF:
+        leaf = np.tril(T, -1 if unit else 0)
+        if unit:
+            leaf[np.diag_indices(n)] = 1.0
+        return np.tril(np.linalg.inv(leaf))
+    h = n // 2
+    X = np.zeros((n, n))
+    X[:h, :h] = triangular_inverse(T[:h, :h], True, unit)
+    X[h:, h:] = triangular_inverse(T[h:, h:], True, unit)
+    X[h:, :h] = -X[h:, h:] @ (T[h:, :h] @ X[:h, :h])
+    return X
 
-    def __call__(self, a: np.ndarray) -> np.ndarray:
-        """Solve h = a + dt * B h; accepts (n,) or (n, m) stacked columns."""
-        a = np.asarray(a, dtype=float)
-        if a.shape[0] != self.grid.n:
-            raise ShapeError(f"rhs has length {a.shape[0]}, expected {self.grid.n}")
-        if self._volterra:
-            return sla.solve_triangular(self._A, a, lower=True, unit_diagonal=True)
-        return sla.lu_solve(self._lu, a)
 
-
-def invert_id_minus(B: GridKernel) -> SolveHandle:
-    """Handle for (id - B)^{-1} under the grid quadrature action."""
-    return SolveHandle(B)
+def invert_id_minus(B: GridKernel) -> np.ndarray:
+    """The matrix (id - dt B)^{-1}: (id - B)^{-1} under the grid quadrature action."""
+    A = np.eye(B.grid.n) - B.grid.dt * B.values
+    if B.volterra:
+        return triangular_inverse(A)
+    if np.linalg.svd(A, compute_uv=False)[-1] <= SINGULAR_SV_TOL:
+        raise SingularOperator("id - dt*B is numerically singular")
+    return np.linalg.inv(A)
 
 
 def add_kernels(*terms: tuple[float, GridKernel]) -> GridKernel:

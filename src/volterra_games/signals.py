@@ -111,12 +111,13 @@ class CompiledSignal:
     def path_values(self, increments: dict, n_paths: int) -> np.ndarray:
         """Adapted values E_{t_j}[f_j] on every path, shape (n_paths, n).
 
-        increments maps each tag to its (n_paths, n) draws; one GEMM per tag,
-        so no stacked copy of the increments is made.
+        increments maps each tag to its (n_paths, n) draws: one GEMM per tag, no
+        stacked copy, and tags in sorted order, so the order that built the signal
+        does not change the rounding.
         """
         out = np.broadcast_to(self.mean, (n_paths, self.grid.n)).copy()
-        for tag, w in self.weights.items():
-            out += increments[tag] @ np.tril(w, -1).T
+        for tag in sorted(self.weights):
+            out += increments[tag] @ np.tril(self.weights[tag], -1).T
         return out
 
     def values_and_surface(self, dW: dict) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,10 @@ from .grid_ops import adjoint, apply, grid_inner, resolvent, star_product, symme
 from .nplayer import GameSpec, build_operators, solve_nash
 from .signals import compile_signal, draw_noise
 
+# the one tolerance table: the CLI and validation_report copy it, then apply run.tolerances
+DEFAULT_TOLERANCES = {"fredholm_residual": 1e-9, "mean_consistency": 1e-6, "foc_residual": 1e-8,
+                      "admissibility": 1e-8, "oracle": 1e-8}
+
 
 def _check(name, value, tolerance, larger_ok=False):
     passed = value >= -tolerance if larger_ok else value <= tolerance
@@ -17,8 +21,7 @@ def _check(name, value, tolerance, larger_ok=False):
 
 def validation_report(spec: GameSpec, paths: int = 8, seed: int = 0,
                       tolerances: dict | None = None) -> dict:
-    tol = {"fredholm_residual": 1e-9, "mean_consistency": 1e-6,
-           "foc_residual": 1e-8, "admissibility": 1e-8}
+    tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     grid = spec.grid
     checks = []

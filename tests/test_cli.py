@@ -113,6 +113,17 @@ class TestSolve:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["fredholm_residual_max"] > 0.0
 
+    @pytest.mark.parametrize("name, key", [("foc_residual", "foc_residual_max"),
+                                           ("mean_consistency", "mean_gap")])
+    def test_every_reported_tolerance_is_gated(self, tmp_path, name, key):
+        # a negative tolerance fails whatever the rounding; the outputs are still written
+        p = write_cfg(tmp_path, RAW_MODEL, run={"tolerances": {name: -1.0}})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 1
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag[key] >= 0.0
+        assert (out / "strategies.csv").exists()
+
     def test_manifest_completeness(self, tmp_path):
         p = write_cfg(tmp_path, RAW_MODEL)
         out = tmp_path / "o"
@@ -363,3 +374,22 @@ class TestShippedConfigs:
                             for name in ("strategies.csv", "diagnostics.json")])
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import volterra_games, volterra_games.cli
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+from importlib.metadata import packages_distributions
+print(sorted(loaded & set(packages_distributions()) - {"numpy", "volterra_games"}))
+"""
+
+
+def test_numpy_is_the_only_third_party_import():
+    # of the modules that installed distributions provide, the package and its CLI load numpy only
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert res.stdout.strip() == "[]"

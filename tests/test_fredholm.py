@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
 from volterra_games.errors import InadmissibleKernel, SingularOperator
 from volterra_games.fredholm import (

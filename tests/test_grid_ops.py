@@ -7,8 +7,8 @@ from volterra_games.grid_ops import (
     DelayIndicator,
     ExponentialDecay,
     GridKernel,
+    LU_LEAF,
     PowerLaw,
-    SolveHandle,
     Tabulated,
     ZeroK,
     adjoint,
@@ -22,6 +22,7 @@ from volterra_games.grid_ops import (
     resolvent,
     star_product,
     symmetrized_form,
+    triangular_inverse,
     zero_kernel,
 )
 
@@ -276,16 +277,16 @@ class TestInvertIdMinus:
         g = build_grid(1.0, 8)
         h = invert_id_minus(zero_kernel(g))
         a = np.arange(8.0)
-        assert np.array_equal(h(a), a)
-        assert np.all(h(np.zeros(8)) == 0.0)
+        assert np.array_equal(h @ a, a)
+        assert np.all(h @ np.zeros(8) == 0.0)
 
     def test_exponential_decay_limit(self):
-        # B = -c 1_{s<t}: h(1) solves v' = -c v, v(0) = 1
+        # B = -c 1_{s<t}: h @ 1 solves v' = -c v, v(0) = 1
         errs = {}
         for n in (128, 256):
             g = build_grid(1.0, n)
             h = invert_id_minus(discretize_kernel(ConstantLower(c=-1.0), g))
-            errs[n] = np.max(np.abs(h(np.ones(n)) - np.exp(-g.times)))
+            errs[n] = np.max(np.abs(h @ np.ones(n) - np.exp(-g.times)))
         assert errs[256] <= 5e-2
         assert 1.5 <= errs[128] / errs[256] <= 2.5
 
@@ -294,6 +295,33 @@ class TestInvertIdMinus:
         B = GridKernel(g, np.eye(2) / g.dt, volterra=False)
         with pytest.raises(SingularOperator):
             invert_id_minus(B)
+
+
+class TestTriangularInverse:
+    @pytest.mark.parametrize("n", [1, 2, LU_LEAF - 1, LU_LEAF, LU_LEAF + 1, 100, 512])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_inverse_and_exact_zeros(self, n, lower):
+        rng = np.random.default_rng(n)
+        # unit-scale diagonal, off-diagonal entries small enough to keep it well conditioned
+        T = rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+        T[np.diag_indices(n)] = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        T = np.tril(T) if lower else np.triu(T)
+        X = triangular_inverse(T, lower=lower)
+        assert np.max(np.abs(T @ X - np.eye(n))) <= 1e-12
+        off = np.triu(X, 1) if lower else np.tril(X, -1)
+        assert np.all(off == 0.0)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_reads_only_the_triangle(self, lower):
+        # packed LU storage: the other triangle and, with unit=True, the diagonal are ignored
+        n = 3 * LU_LEAF + 5
+        rng = np.random.default_rng(7)
+        packed = rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+        T = np.tril(packed, -1) if lower else np.triu(packed, 1)
+        T[np.diag_indices(n)] = 1.0
+        X = triangular_inverse(packed, lower=lower, unit=True)
+        assert np.array_equal(X, triangular_inverse(T, lower=lower))
+        assert np.max(np.abs(T @ X - np.eye(n))) <= 1e-12
 
 
 class TestGridRefinement:

@@ -150,6 +150,17 @@ class TestInvariants:
         for tag in ("x", "y"):
             assert np.array_equal(a.increments[tag], b.increments[tag])
 
+    def test_path_values_do_not_depend_on_tag_order(self):
+        grid = build_grid(1.0, 16)
+        rng = np.random.default_rng(4)
+        mean = rng.standard_normal(16)
+        weights = {tag: rng.standard_normal((16, 16)) for tag in ("a", "b", "c")}
+        bundle = draw_noise(grid, set(weights), 50, 5)
+        forward = CompiledSignal(grid, mean, weights)
+        backward = CompiledSignal(grid, mean, dict(reversed(weights.items())))
+        assert np.array_equal(forward.path_values(bundle.increments, 50),
+                              backward.path_values(bundle.increments, 50))
+
 
 class TestCombine:
     def test_single_identity(self):
