@@ -27,8 +27,10 @@ factorization of D (O(n^3) time, O(n^2) memory) serves all of them, and the
 coefficient kernels are masked matrix products.  The factorization is a
 recursive LU computed in place on one copy of the index-reversed D, whose
 off-diagonal blocks are products with the leading block's inverse factors.
-Those, the factors' own inverses and the recursion's (id - B)^{-1} all come
-from grid_ops.triangular_inverse, so every solve is a GEMM.  The callers
+The recursion also fills in the factors' own inverses, block by block as
+grid_ops.triangular_inverse builds them, so no block is inverted twice;
+triangular_inverse gives the recursion's (id - B)^{-1}, so every solve is a
+GEMM.  The callers
 (nplayer, meanfield) form each equilibrium's mean-field shift once and hand
 the solver drivers that already carry it.
 """
@@ -95,10 +97,7 @@ class DtFamily:
         self.grid = grid
         self.core = core
         tol = 1e-10 * max(1.0, float(np.max(np.abs(core))))
-        U, Lw = _reversed_factors(core, tol)
-        self.pivots = np.diagonal(Lw).copy()
-        self._Ui = triangular_inverse(U, lower=False)
-        self._Li = triangular_inverse(Lw)
+        self.pivots, self._Ui, self._Li = _reversed_factors(core, tol)
         # w_k = D_k^{-T} ell_k with ell_k[r] = L[r, k] for r >= k; these turn the
         # backward inner products of a and B into plain dot products.  Row k of
         # triu(L^T) @ Li, cut to [k:], is ell_k^T Li_k; Ui keeps the product upper.
@@ -118,26 +117,33 @@ class DtFamily:
 
 
 def _reversed_factors(core: np.ndarray, tol: float):
-    """Return (U, Lw), U unit upper and Lw lower triangular, with core = U @ Lw.
+    """Return (pivots, Ui, Li) for core = U @ Lw, U unit upper and Lw lower triangular:
+    pivots = diag(Lw), Ui = U^{-1} and Li = Lw^{-1}.
 
-    Both come from a non-pivoted LU of the index-reversed matrix J core J, whose
-    leading blocks are the D_k, computed in place on one copy.  SingularOperator
-    names the largest k whose pivot is at most tol: elimination runs from the
-    last index down, and every pivot after a failed one is meaningless.
+    All come from a non-pivoted LU of the index-reversed matrix J core J = L R,
+    whose leading blocks are the D_k, computed in place on one copy: U = J L J
+    and Lw = J R J, so the factors' inverses are the recursion's, reversed.
+    Once the pivots are read, the copy's buffer takes Ui.
+    SingularOperator names the largest k whose pivot is at most tol: elimination
+    runs from the last index down, and every pivot after a failed one is meaningless.
     """
     n = core.shape[0]
     A = np.array(core[::-1, ::-1])
+    L_inv, Rt_inv = np.zeros((n, n)), np.zeros((n, n))
     with np.errstate(all="ignore"):
-        _lu_inplace(A, tol, n)
-    A = A[::-1, ::-1]
-    U = np.triu(A, 1)
-    U[np.diag_indices(n)] = 1.0
-    return U, np.tril(A)
+        _lu_inplace(A, L_inv, Rt_inv, tol, n)
+    pivots = np.diagonal(A)[::-1].copy()
+    A[...] = L_inv[::-1, ::-1]
+    L_inv[...] = Rt_inv.T[::-1, ::-1]
+    return pivots, A, L_inv
 
 
-def _lu_inplace(A: np.ndarray, tol: float, end: int) -> None:
+def _lu_inplace(A: np.ndarray, L_inv: np.ndarray, Ut_inv: np.ndarray, tol: float,
+                end: int) -> None:
     """Non-pivoted LU overwriting A with L (unit diagonal, below) and U (on and above).
 
+    Fills the zeroed L_inv with L^{-1} and Ut_inv with (U^T)^{-1}, block by block
+    as grid_ops.triangular_inverse builds them, so every block is inverted once.
     A's first index is grid index end - 1.  The halves recurse on views down to
     LU_LEAF, where a rank-1 loop tests the pivots in elimination order.
     """
@@ -148,13 +154,17 @@ def _lu_inplace(A: np.ndarray, tol: float, end: int) -> None:
                 raise _singular(end - 1 - j)
             A[j + 1:, j] /= A[j, j]
             A[j + 1:, j + 1:] -= A[j + 1:, j, None] * A[j, None, j + 1:]
+        L_inv[...] = triangular_inverse(A, unit=True)
+        Ut_inv[...] = triangular_inverse(A.T)
         return
     h = n // 2
-    _lu_inplace(A[:h, :h], tol, end)
-    A[:h, h:] = triangular_inverse(A[:h, :h], unit=True) @ A[:h, h:]
-    A[h:, :h] = A[h:, :h] @ triangular_inverse(A[:h, :h], lower=False)
+    _lu_inplace(A[:h, :h], L_inv[:h, :h], Ut_inv[:h, :h], tol, end)
+    A[:h, h:] = L_inv[:h, :h] @ A[:h, h:]
+    A[h:, :h] = A[h:, :h] @ Ut_inv[:h, :h].T
     A[h:, h:] -= A[h:, :h] @ A[:h, h:]
-    _lu_inplace(A[h:, h:], tol, end - h)
+    _lu_inplace(A[h:, h:], L_inv[h:, h:], Ut_inv[h:, h:], tol, end - h)
+    L_inv[h:, :h] = -L_inv[h:, h:] @ (A[h:, :h] @ L_inv[:h, :h])
+    Ut_inv[h:, :h] = -Ut_inv[h:, h:] @ (A[:h, h:].T @ Ut_inv[:h, :h])
 
 
 def _singular(k: int) -> SingularOperator:

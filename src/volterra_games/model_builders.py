@@ -180,24 +180,18 @@ class VolterraGameSpec:
             raise ShapeError("per-player signal data must cover every player")
 
 
-def _compiled_pair(vspec: VolterraGameSpec, i: int):
-    grid = vspec.grid
-    c1 = compile_signal(vspec.d_signals[i][0], grid)
-    c2 = compile_signal(vspec.d_signals[i][1], grid)
-    return c1, c2
+def _compiled_states(vspec: VolterraGameSpec) -> list:
+    """Every player's state pair compiled, each distinct signal object once.
 
-
-def _stacked_state(vspec: VolterraGameSpec, i: int):
-    """Player i's state signal as 2-vectors: mean (2, n), weights per tag (2, n, n),
-    terminal mean (2,) and terminal weights per tag (2, n), tags in sorted order."""
-    c1, c2 = _compiled_pair(vspec, i)
-    if c1.mean_T is None or c2.mean_T is None:
-        raise ShapeError("state signals need terminal extensions for the reduction")
-    c1, c2 = c1 + 0.0 * c2, c2 + 0.0 * c1          # each now carries every tag of both
-    return (np.stack([c1.mean, c2.mean]),
-            {t: np.stack([c1.weights[t], c2.weights[t]]) for t in sorted(c1.weights)},
-            np.array([c1.mean_T, c2.mean_T]),
-            {t: np.stack([c1.weights_T[t], c2.weights_T[t]]) for t in sorted(c1.weights_T)})
+    Players may share signal objects (the systemic mean field is one object in
+    every pair); they then share the compiled signal too, keyed by identity.
+    """
+    compiled = {}
+    for pair in vspec.d_signals:
+        for fam in pair:
+            if id(fam) not in compiled:
+                compiled[id(fam)] = compile_signal(fam, vspec.grid)
+    return [(compiled[id(d1)], compiled[id(d2)]) for d1, d2 in vspec.d_signals]
 
 
 def _nonzero_tags(cs: CompiledSignal) -> CompiledSignal:
@@ -206,13 +200,27 @@ def _nonzero_tags(cs: CompiledSignal) -> CompiledSignal:
                           {t: cs.weights[t] for t in sorted(cs.weights) if np.any(cs.weights[t])})
 
 
-def _second_moment(grid, mean_x, w_x, mean_y, w_y, A) -> float:
-    """E[x^T A y] for jointly affine 2-vectors (weights keyed by tag)."""
-    total = float(mean_x @ A @ mean_y)
-    for tag, wx in w_x.items():
-        if tag in w_y:
-            total += float(np.einsum("ar,ab,br->", wx, A, w_y[tag])) * grid.dt
-    return total
+def _moments(x: CompiledSignal, y: CompiledSignal, dt: float) -> tuple[float, float]:
+    """E[sum_k x_k y_k] over the grid and E[x_T y_T] at the horizon."""
+    body = float(x.mean @ y.mean)
+    body += dt * sum(float(np.vdot(w, y.weights[t])) for t, w in x.weights.items()
+                     if t in y.weights)
+    term = float(x.mean_T * y.mean_T)
+    term += dt * sum(float(w @ y.weights_T[t]) for t, w in x.weights_T.items()
+                     if t in y.weights_T)
+    return body, term
+
+
+def _rows(grid: TimeGrid, mean: np.ndarray, weights: dict) -> tuple:
+    """A stacked (2n,) mean and (2n, n) weights as the two row signals.
+
+    Weights are projected onto past increments (r < j): the value and surface
+    conventions never read the rest, and the raw form stays adapted.
+    """
+    n = grid.n
+    cut = {t: np.tril(w.reshape(2, n, n), -1) for t, w in weights.items()}
+    return tuple(CompiledSignal(grid, mean[b * n:(b + 1) * n], {t: w[b] for t, w in cut.items()})
+                 for b in (0, 1))
 
 
 def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
@@ -225,6 +233,14 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
     the common b^0 come out as compiled signals; the player-dependent part of
     the second row is folded into b^i with weight 1/N, which leaves every
     first-order condition unchanged.
+
+    The driver rows are linear in each state component: player i's row pair,
+    stacked as 2n rows, is R_1 d^i_1 + R_2 d^i_2 + T s^i with fixed (2n x n)
+    row maps R_c (plus a terminal column) built once from the state blocks,
+    Q, S and q.  Each distinct state signal object is compiled once and
+    mapped once per component it fills, one GEMM per tag, so a signal that
+    every player shares (the systemic mean field) costs one map, not N, and
+    the cost grows with the distinct signals' tags, not with players x tags.
     """
     if vspec.grid != grid:
         raise ShapeError("vspec was discretized on a different grid")
@@ -248,45 +264,60 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
     a2hat = GridKernel(grid, M[:, :, 0, 0] * lower)
     a1 = GridKernel(grid, M[:, :, 1, 1] * lower)
     a3 = GridKernel(grid, 0.5 * (M[:, :, 0, 1] + M[:, :, 1, 0]) * lower)
+    del M, qrow, lower
 
-    # drivers: row 1 is b^i, row 2 the player's share of b^0.  Weight rows are
-    # projected onto past increments (r < j): the value and surface conventions
-    # never read the rest, and the raw form stays adapted.
+    # drivers: row 1 is b^i, row 2 the player's share of b^0, stacked as 2n rows
+    # (b, j).  State component c enters through R[c] on its grid values and
+    # RT[:, c] on its terminal value, the terminal target s^i through T.
+    R = -dt * np.einsum("kjab,ac->cbjk", Dm, Qbar).reshape(2, 2 * n, n)
+    R[:, :n] += vspec.qvec[:, None, None] * np.eye(n)
+    RT = -np.einsum("jab,ac->bjc", DmT, Sbar).reshape(2 * n, 2)
+    T = np.einsum("jab->bja", DmT).reshape(2 * n, 2)
+
+    states = _compiled_states(vspec)
+    mapped = {}        # (component, compiled signal) -> its row pair
+
+    def row_pair(c, cs):
+        if (c, cs) not in mapped:
+            if cs.mean_T is None:
+                raise ShapeError("state signals need terminal extensions for the reduction")
+            weights = {}
+            for tag in dict.fromkeys([*cs.weights, *cs.weights_T]):
+                w = R[c] @ cs.weights[tag] if tag in cs.weights else np.zeros((2 * n, n))
+                if tag in cs.weights_T:
+                    w += np.outer(RT[:, c], cs.weights_T[tag])
+                weights[tag] = w
+            mapped[c, cs] = _rows(grid, R[c] @ cs.mean + RT[:, c] * cs.mean_T, weights)
+        return mapped[c, cs]
+
     rows = []
     c_consts = []
-    for i in range(N):
-        d_mean, d_w, dT_mean, dT_w = _stacked_state(vspec, i)
+    for i, d in enumerate(states):
         s_term = vspec.s_terminals[i]
+        target = _rows(grid, T @ s_term.mean, {t: T @ w for t, w in s_term.weights.items()})
+        parts = (row_pair(0, d[0]), row_pair(1, d[1]), target)
+        rows.append([sum(part[b] for part in parts) for b in (0, 1)])
 
-        bm = np.einsum("jab,a->bj", DmT, s_term.mean - Sbar @ dT_mean)
-        bm -= dt * np.einsum("kjab,ac,ck->bj", Dm, Qbar, d_mean, optimize=True)
-        bm[0] += d_mean.T @ vspec.qvec
-
-        wrow = {}
-        for tag in sorted(set(d_w) | set(dT_w) | set(s_term.weights)):
-            sw = s_term.weights.get(tag, np.zeros((2, n)))
-            dTw = dT_w.get(tag, np.zeros((2, n)))
-            dw = d_w.get(tag, np.zeros((2, n, n)))
-            w = np.einsum("jab,ar->bjr", DmT, sw - Sbar @ dTw)
-            w -= dt * np.einsum("kjab,ac,ckr->bjr", Dm, Qbar, dw, optimize=True)
-            w[0] += np.einsum("cjr,c->jr", dw, vspec.qvec)
-            wrow[tag] = np.tril(w, -1)                     # (2, n, n)
-        rows.append([CompiledSignal(grid, bm[b], {t: w[b] for t, w in wrow.items()})
-                     for b in (0, 1)])
-
-        c_i = -dt * (np.einsum("ak,ab,bk->", d_mean, vspec.qmat, d_mean)
-                     + dt * sum(np.einsum("akr,ab,bkr->", w, vspec.qmat, w)
-                                for w in d_w.values()))
-        c_i -= _second_moment(grid, dT_mean, dT_w, dT_mean, dT_w, vspec.smat)
-        c_i += _second_moment(grid, dT_mean, dT_w, s_term.mean, s_term.weights, np.eye(2))
+        # c_i = -dt E[sum_k d_k^T Q d_k] - E[d_T^T S d_T] + E[d_T . s], component by component
+        c_i = 0.0
+        for a in (0, 1):
+            for b in (0, 1):
+                body, term = _moments(d[a], d[b], dt)
+                c_i -= dt * vspec.qmat[a, b] * body + vspec.smat[a, b] * term
+            c_i += d[a].mean_T * s_term.mean[a]
+            c_i += dt * sum(float(wT @ s_term.weights[t][a]) for t, wT in d[a].weights_T.items()
+                            if t in s_term.weights)
         c_consts.append(float(c_i))
+    del states, mapped
 
     # common b^0 = cross-player average of second rows; remainders fold into b^i
     b0 = _nonzero_tags(sum(row[1] for row in rows) / N)
-    b_signals = [_nonzero_tags(row[0] + (row[1] - b0) / N) for row in rows]
-    b0_extras = []
-    for row in rows:
-        extra = _nonzero_tags(row[1] - b0)
+    b_signals, b0_extras = [], []
+    for i, (row0, row1) in enumerate(rows):
+        rows[i] = None             # each player's rows are released once consumed
+        rest = row1 - b0
+        b_signals.append(_nonzero_tags(row0 + rest / N))
+        extra = _nonzero_tags(rest)
         b0_extras.append(extra if np.any(extra.mean) or extra.weights else None)
 
     low = float(np.linalg.eigvalsh(symmetrized_form(a2hat))[0])
@@ -314,8 +345,7 @@ def simulate_states(vspec: VolterraGameSpec, profile: np.ndarray, dW: dict):
     ubar = profile.mean(axis=0)
     Z = np.empty((N, n, 2))
     ZT = np.empty((N, 2))
-    for i in range(N):
-        c1, c2 = _compiled_pair(vspec, i)
+    for i, (c1, c2) in enumerate(_compiled_states(vspec)):
         w = np.stack([profile[i], ubar], axis=1)           # (n, 2)
         dvals = np.stack([_raw_values(c1, dW), _raw_values(c2, dW)], axis=1)   # (n, 2)
         dT = np.array([_raw_terminal(c1, dW), _raw_terminal(c2, dW)])
@@ -364,7 +394,6 @@ def direct_objective(vspec: VolterraGameSpec, i: int, profile: np.ndarray,
     term_q -= float(np.einsum("ja,ab,jb->", term_cells, vspec.smat, term_cells))
 
     if s_values is None:
-        c1, c2 = _compiled_pair(vspec, i)
         s_term = vspec.s_terminals[i]
         s_values = s_term.mean.copy()
         for tag, wt in s_term.weights.items():

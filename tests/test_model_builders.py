@@ -29,8 +29,11 @@ from volterra_games.model_builders import (
 )
 from volterra_games.nplayer import concavity_check, objective, objective_per_path, solve_nash
 from volterra_games.signals import (
+    OU,
     Deterministic,
+    LinearCombination,
     Martingale,
+    NoiseBundle,
     compile_signal,
     draw_noise,
 )
@@ -176,6 +179,48 @@ class TestReduce:
                 for i in range(2):
                     Jd = direct_objective(vspec, i, prof, dW)
                     Js = objective(game, i, prof[:, None, :], bundle)
+                    assert abs(Jd - Js) <= 1e-8 * max(1.0, abs(Jd))
+
+        # noisy state signals, shared across players by object ("common") and
+        # by tag, on the 2m cubature paths dW = +-sqrt(m dt) e_(tag, r): they
+        # carry every first and second moment of the m increments, so for
+        # strategies affine in past increments each objective's path average is
+        # its exact expectation, and the two must agree
+        tags = ("common", "x0", "x1")
+        m = len(tags) * n
+        draws = np.sqrt(m * g.dt) * np.concatenate([np.eye(m), -np.eye(m)])
+        P = 2 * m
+        bundle = NoiseBundle(g, P, 0, {t: draws[:, k * n:(k + 1) * n]
+                                       for k, t in enumerate(tags)})
+        for trial in range(3):
+            Qr = rng.standard_normal((2, 2)) * 0.3
+            Sr = rng.standard_normal((2, 2)) * 0.3
+            q = rng.standard_normal(2) * 0.5
+            common = OU(kappa=rng.uniform(0.5, 2.0), sigma=0.4, x0=0.2, noise="common")
+            sigs = tuple((LinearCombination(terms=(
+                              (1.0, Deterministic(values=tuple(rng.standard_normal(n)),
+                                                  terminal=float(rng.standard_normal()))),
+                              (rng.uniform(0.2, 0.8), Martingale(sigma=0.5, noise=f"x{i}")),
+                              (rng.uniform(-0.5, 0.5), common))),
+                          common)
+                         for i in range(2))
+            terms = tuple(TerminalVector(rng.standard_normal(2),
+                                         {"common": rng.standard_normal((2, n)),
+                                          f"x{1 - i}": rng.standard_normal((2, n))})
+                          for i in range(2))
+            vspec = VolterraGameSpec(n_players=2, p=2.0, qmat=Qr, smat=Sr, qvec=q,
+                                     dblock=dblock, d_signals=sigs,
+                                     s_terminals=terms, grid=g)
+            game = reduce_volterra_game(vspec, g)
+            for _ in range(5):
+                u = rng.standard_normal(n) + sum(
+                    bundle.increments[t] @ np.tril(rng.standard_normal((n, n)), -1).T
+                    for t in tags)                                   # (P, n), adapted
+                prof = np.stack([u, u])
+                for i in range(2):
+                    Jd = np.mean([direct_objective(vspec, i, prof[:, p], bundle.path(p))
+                                  for p in range(P)])
+                    Js = objective(game, i, prof, bundle)
                     assert abs(Jd - Js) <= 1e-8 * max(1.0, abs(Jd))
 
 
