@@ -11,28 +11,26 @@ j >= k, through the operator
 
     D_k = lam * id + dt * (K + L^T) restricted to indices >= k.
 
-Eliminating the conditional rows yields the forward recursion
-v = (id - B)^{-1} a whose coefficients are assembled below.  The closed form
-and the discretized equation are the same linear system, so the residual of
-a solved problem is at linear-algebra precision, not quadrature precision.
-
 Drivers are affine in Brownian increments (signals.CompiledSignal) and the
-solution map is linear, so the solver works on coefficients: the mean and
-every noise tag's weight matrix pass through a and the recursion as stacked
-columns, and the solution is again a CompiledSignal, exact on every path at
-once.  Its conditional surfaces follow from its weights.
+solution map is linear, so the solver works on coefficients and the solution
+is again a CompiledSignal, exact on every path at once.  The mean solves
+D_0 m = f.mean, and weight column s of each noise tag, the response to the
+increment on step s, solves D_{s+1} restricted to the rows after s: the
+discretized equation itself, so the residual of a solved problem is at
+linear-algebra precision, not quadrature precision.  Eliminating the
+conditional rows instead gives the paper's forward recursion
+v = (id - B)^{-1} a; it is the same linear system, and the tests keep it as a
+reference.  Conditional surfaces follow from the solution's weights.
 
 Every D_k is a trailing block of D = D_0, so one reversed triangular
-factorization of D (O(n^3) time, O(n^2) memory) serves all of them, and the
-coefficient kernels are masked matrix products.  The factorization is a
-recursive LU computed in place on one copy of the index-reversed D, whose
-off-diagonal blocks are products with the leading block's inverse factors.
-The recursion also fills in the factors' own inverses, block by block as
-grid_ops.triangular_inverse builds them, so no block is inverted twice;
-triangular_inverse gives the recursion's (id - B)^{-1}, so every solve is a
-GEMM.  The callers
-(nplayer, meanfield) form each equilibrium's mean-field shift once and hand
-the solver drivers that already carry it.
+factorization of D (O(n^3) time, O(n^2) memory) serves all of them.  The
+factorization is a recursive LU computed in place on one copy of the
+index-reversed D, whose off-diagonal blocks are products with the leading
+block's inverse factors.  The recursion also fills in the factors' own
+inverses, block by block as grid_ops.triangular_inverse builds them, so no
+block is inverted twice, and a solve is two triangular products per noise
+tag.  The callers (nplayer, meanfield) form each equilibrium's mean-field
+shift once and hand the solver drivers that already carry it.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InadmissibleKernel, ShapeError, SingularOperator
-from .grid_ops import LU_LEAF, GridKernel, TimeGrid, invert_id_minus, triangular_inverse
+from .grid_ops import LU_LEAF, GridKernel, TimeGrid, triangular_inverse
 from .signals import CompiledSignal, NoiseBundle, compile_signal
 
 SELFADJOINT_TOL = 1e-10
@@ -83,10 +81,11 @@ class DtFamily:
 
     D = U @ Lw with U upper and Lw lower triangular.  Triangular factors keep
     their trailing blocks, so D_k = U_k @ Lw_k for every k, and the trailing
-    blocks of Ui = U^{-1} and Li = Lw^{-1} give D_k^{-1} = Li_k @ Ui_k.  Setup is
-    one O(n^3) factorization with O(n^2) memory.  The factorization is a
-    non-pivoted UL (U has a unit diagonal), which exists exactly when every D_k
-    is invertible.  pivots[k] = Lw[k,k] is the Schur pivot det(D_k) / det(D_{k+1}).
+    blocks of Ui = U^{-1} and Li = Lw^{-1} give D_k^{-1} = Li_k @ Ui_k, which
+    FredholmSolver.solve applies directly.  Setup is one O(n^3) factorization
+    with O(n^2) memory.  The factorization is a non-pivoted UL (U has a unit
+    diagonal), which exists exactly when every D_k is invertible.
+    pivots[k] = Lw[k,k] is the Schur pivot det(D_k) / det(D_{k+1}).
     """
 
     def __init__(self, K: GridKernel, L: GridKernel, lam_eff: float):
@@ -98,10 +97,6 @@ class DtFamily:
         self.core = core
         tol = 1e-10 * max(1.0, float(np.max(np.abs(core))))
         self.pivots, self._Ui, self._Li = _reversed_factors(core, tol)
-        # w_k = D_k^{-T} ell_k with ell_k[r] = L[r, k] for r >= k; these turn the
-        # backward inner products of a and B into plain dot products.  Row k of
-        # triu(L^T) @ Li, cut to [k:], is ell_k^T Li_k; Ui keeps the product upper.
-        self.w = np.triu(np.triu(L.values.T) @ self._Li) @ self._Ui
 
     def min_pivot(self) -> float:
         """Smallest |Schur pivot| over all D_k: how close any D_k is to singular."""
@@ -177,47 +172,28 @@ def build_Dt(K: GridKernel, L: GridKernel, lam_eff: float) -> DtFamily:
 
 
 class FredholmSolver:
-    """Path-independent assembly (D_t family, recursion kernel B) and coefficient solves."""
+    """The factored D_t family of one problem, and coefficient solves against it."""
 
     def __init__(self, problem: FredholmProblem):
         self.problem = problem
         self.grid = problem.grid
         self.dt_family = build_Dt(problem.K, problem.L, problem.lam_eff)
-        self.B = self._assemble_B()
-        self._forward = invert_id_minus(self.B)
-
-    def _assemble_B(self) -> GridKernel:
-        # B[k, :k] = (dt * W[k, k:] @ K[k:, :k] - K[k, :k]) / lam; W is upper triangular
-        K = self.problem.K.values
-        B = np.tril(self.grid.dt * (self.dt_family.w @ K) - K, -1) / self.problem.lam_eff
-        return GridKernel(self.grid, B)
-
-    def solve_v(self, a: np.ndarray) -> np.ndarray:
-        """Forward recursion v = a + dt * B v (accepts stacked columns): one GEMM."""
-        return self._forward @ a
 
     def solve(self, f: CompiledSignal) -> CompiledSignal:
         """The solution for driver f, as a mean plus one weight matrix per tag.
 
-        a[k] = (f[k] - dt * <w_k, E_{t_k} f restricted to [k:]>) / lam is, on
-        coefficients, (mean - dt W mean) / lam and, per tag,
-        tril(w - dt W w) / lam with strictly lower tril.  The recursion
-        keeps the weights strictly lower triangular, so the solution is adapted.
+        The mean is D_0^{-1} f.mean.  Weight column s is
+        D_{s+1}^{-1} f.weights[s+1:, s], below a zero head: the triangular
+        inverse factors keep trailing blocks, and Ui @ w read strictly below the
+        diagonal sees only rows after s, so the weights come out strictly lower
+        triangular and the solution is adapted.  Tags go one at a time, so no
+        stacked right-hand side is built.
         """
         if f.grid != self.grid:
             raise ShapeError("driver lives on a different grid")
-        n, dt = self.grid.n, self.grid.dt
-        W = self.dt_family.w
-        tags = list(f.weights)
-        # filled in place, so the stacked right-hand side exists only once
-        a = np.empty((n, 1 + len(tags) * n))
-        a[:, 0] = f.mean - dt * (W @ f.mean)
-        for j, t in enumerate(tags):
-            a[:, 1 + j * n:1 + (j + 1) * n] = np.tril(f.weights[t] - dt * (W @ f.weights[t]), -1)
-        a /= self.problem.lam_eff
-        v = self.solve_v(a)
-        weights = {t: v[:, 1 + j * n:1 + (j + 1) * n] for j, t in enumerate(tags)}
-        return CompiledSignal(self.grid, v[:, 0], weights)
+        Ui, Li = self.dt_family._Ui, self.dt_family._Li
+        weights = {t: Li @ np.tril(Ui @ w, -1) for t, w in f.weights.items()}
+        return CompiledSignal(self.grid, Li @ (Ui @ f.mean), weights)
 
     def residual(self, f: CompiledSignal, v: CompiledSignal) -> CompiledSignal:
         """D v - f with D = lam id + dt (K + L^T): the discretized equation itself.

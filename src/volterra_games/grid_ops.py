@@ -4,8 +4,9 @@ Kernels G(t, s) vanish for s >= t (Volterra convention).  A kernel is stored
 as an n x n matrix of cell averages K[i, j] ~ (1/dt) * int_{t_j}^{t_j+dt}
 G(t_i, s) ds, strictly lower triangular, so that the induced integral
 operator acts on grid functions as (K f)[i] = sum_j K[i, j] f[j] dt.  Every
-id - dt K is then unit lower triangular: triangular_inverse inverts it, and
-the D_t factors in fredholm too.
+id - dt K is then unit lower triangular, so triangular_inverse gives the
+resolvent's (id - dt K)^{-1}; fredholm builds its D_t factors' inverses with
+it too.
 """
 
 from __future__ import annotations

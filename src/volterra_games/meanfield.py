@@ -21,6 +21,7 @@ from .fredholm import FredholmProblem, FredholmSolver
 from .grid_ops import GridKernel, TimeGrid, add_kernels
 from .nplayer import (
     GameSpec,
+    build_GH,
     build_operators,
     conditional_surfaces,
     mean_field_shift,
@@ -361,13 +362,13 @@ def best_response_gap(spec: MFGSpec, n_players: int, noise: CrossedNoise) -> dic
     """
     sol = solve_infinite(spec, n_players, noise)
     game = induced_game(spec, n_players)
-    gops = build_operators(game)
+    G, H = build_GH(game)
     N = n_players
-    br_solver = FredholmSolver(FredholmProblem(K=gops.G, L=gops.G, lam_eff=2.0 * spec.lam))
+    br_solver = FredholmSolver(FredholmProblem(K=G, L=G, lam_eff=2.0 * spec.lam))
 
     # the others' sum over N: (N-1)/N times their average, as the H shift weighs it
     others = sum((1.0 / N) * s for s in sol.strategies) - (1.0 / N) * sol.strategies[0]
-    br = br_solver.solve(shifted_drive(player_base(game, 0), gops.H, others))
+    br = br_solver.solve(shifted_drive(player_base(game, 0), H, others))
     dev_profile = sol.v.copy()
     dev_profile[0] = br.path_values(noise.bundle.increments, noise.bundle.n_paths)
     return _gain(game, sol.v, dev_profile, noise.bundle)

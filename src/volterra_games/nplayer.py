@@ -6,7 +6,9 @@ with kernel Khat = G - H/N and a driver shifted by the realized and expected
 action of the mean, where G = A1/N^2 + 2 A3/N + A2hat and H = A1/N + A3.
 Both solves share the scale lam_eff = 2*lambda.  The shift
 dt (H + H^T) ubar is formed once per solve_nash and serves every player's
-driver and first-order condition.
+driver.  The first-order condition is the gradient of J^i formed from A1,
+A2hat and A3 directly, not from G and H, so it also checks build_GH and the
+reduction to the two Fredholm problems.
 
 Drivers and strategies are signals.CompiledSignal values (a mean plus one
 weight matrix per noise tag), so each solve runs once for all paths.  Path
@@ -208,8 +210,9 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle, indices=None,
     mean_strategy = ops.mean_solver.solve(mean_driver)
     fred_residual = sup_on_paths(ops.mean_solver.residual(mean_driver, mean_strategy),
                                  increments, P)
-    # every player's driver and FOC share one shift by the mean strategy
+    # every player's driver shares one shift by the mean strategy, every FOC the term cross
     shift = mean_field_shift(ops.H, mean_strategy)
+    own, cross = _foc_terms(spec, mean_strategy)
     strategies = []
     u = np.empty((N, P, grid.n))
     base_values = np.empty((N, P, grid.n))
@@ -220,7 +223,7 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle, indices=None,
         strategies.append(ops.player_solver.solve(drive))
         fred_residual = max(fred_residual, sup_on_paths(
             ops.player_solver.residual(drive, strategies[i]), increments, P))
-        foc.append(_foc_sup(spec, ops, strategies[i], shift, base, increments, P))
+        foc.append(sup_on_paths(own @ strategies[i] + cross - base, increments, P))
         u[i] = strategies[i].path_values(increments, P)
         base_values[i] = base.path_values(increments, P)
     ubar = mean_strategy.path_values(increments, P)
@@ -245,26 +248,28 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle, indices=None,
     )
 
 
-def foc_residual(spec: GameSpec, solution: NashSolution, i: int,
-                 operators: GameOperators | None = None) -> float:
+def foc_residual(spec: GameSpec, solution: NashSolution, i: int) -> float:
     """Sup over the sampled paths of player i's discretized first-order condition."""
-    ops = operators or build_operators(spec)
-    return _foc_sup(spec, ops, solution.strategies[i],
-                    mean_field_shift(ops.H, solution.mean_strategy), player_base(spec, i),
-                    solution.increments, len(solution.ubar))
+    own, cross = _foc_terms(spec, solution.mean_strategy)
+    return sup_on_paths(own @ solution.strategies[i] + cross - player_base(spec, i),
+                        solution.increments, len(solution.ubar))
 
 
-def _foc_sup(spec: GameSpec, ops: GameOperators, strategy: CompiledSignal,
-             shift: CompiledSignal, base: CompiledSignal, increments: dict, P: int) -> float:
-    """2 lam u^i - (b^i + b^0/N) + dt (H + H^T) ubar + dt (Khat + Khat^T) u^i.
+def _foc_terms(spec: GameSpec, mean_strategy: CompiledSignal) -> tuple[np.ndarray, CompiledSignal]:
+    """(own, cross) such that own @ u^i + cross - (b^i + b^0/N) is minus J^i's gradient.
 
-    Formed on coefficients, with dt (H + H^T) ubar given as shift, and then
-    evaluated on every sampled path.
+    own = 2 lam id + dt (A2hat + A2hat^T + (A3 + A3^T)/N) and
+    cross = dt ((A1 + A1^T)/N + A3 + A3^T) ubar, read off the objective's A1,
+    A2hat and A3, so a wrong G, H or solver shows in the residual.  Formed on
+    coefficients; sup_on_paths then evaluates the condition on every path.
     """
-    grid = spec.grid
-    Kh = ops.khat.values
-    own = 2.0 * spec.lam * np.eye(grid.n) + grid.dt * (Kh + Kh.T)
-    return sup_on_paths(own @ strategy + shift - base, increments, P)
+    N, dt = spec.n_players, spec.grid.dt
+    A1, A2, A3 = spec.a1.values, spec.a2hat.values, spec.a3.values
+    sym3 = A3 + A3.T
+    own = dt * (A2 + A2.T + sym3 / N)
+    own[np.diag_indices(spec.grid.n)] += 2.0 * spec.lam
+    cross = (dt * ((A1 + A1.T) / N + sym3)) @ mean_strategy
+    return own, cross
 
 
 def objective_per_path(spec: GameSpec, i: int, strategies: np.ndarray, bundle: NoiseBundle,

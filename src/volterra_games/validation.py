@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid_ops import adjoint, apply, grid_inner, resolvent, star_product, symmetrized_form
-from .nplayer import GameSpec, build_operators, solve_nash
+from .nplayer import GameSpec, build_GH, solve_nash
 from .signals import compile_signal, draw_noise
 
 # the one tolerance table: the CLI and validation_report copy it, then apply run.tolerances
@@ -38,8 +38,8 @@ def validation_report(spec: GameSpec, paths: int = 8, seed: int = 0,
             checks.append({"name": f"min_eig_{name}", "value": low,
                            "tolerance": float("nan"), "passed": True})
     if spec.kernel_check == "concave":
-        ops = build_operators(spec)
-        low = float(np.linalg.eigvalsh(symmetrized_form(ops.G))[0])
+        G, _ = build_GH(spec)
+        low = float(np.linalg.eigvalsh(symmetrized_form(G))[0])
         checks.append(_check("player_concavity_form", low,
                              spec.lam + tol["admissibility"], larger_ok=True))
 

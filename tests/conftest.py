@@ -7,7 +7,6 @@ from volterra_games.grid_ops import (
     TimeGrid,
     build_grid,
     discretize_kernel,
-    zero_kernel,
 )
 
 

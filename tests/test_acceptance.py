@@ -8,7 +8,6 @@ to see the per-criterion lines.
 import time
 
 import numpy as np
-import pytest
 
 from volterra_games.fredholm import FredholmProblem, FredholmSolver, stability_gap
 from volterra_games.grid_ops import (
@@ -40,7 +39,6 @@ from volterra_games.model_builders import (
 from volterra_games.nplayer import GameSpec, concavity_check, objective, solve_nash
 from volterra_games.oracle import build_tree, compare, discrete_nash_kkt, solve_game_on_tree
 from volterra_games.signals import (
-    BrownianWeighted,
     Deterministic,
     LinearCombination,
     Martingale,

@@ -25,7 +25,6 @@ from volterra_games.grid_ops import (
 from volterra_games.nplayer import conditional_surfaces
 from volterra_games.signals import (
     CompiledSignal,
-    Deterministic,
     LinearCombination,
     Martingale,
     OU,
@@ -213,7 +212,8 @@ class TestNaiveOracle:
         assert np.max(np.abs(sol.path_values(bundle.increments, 1)[0] - naive)) <= 1e-12
 
     def test_coefficients_and_surface_match_per_k_solves(self):
-        # w, B, v and the surface against one np.linalg.solve per D_k, on a
+        # v and the surface against one np.linalg.solve per D_k, and v against
+        # the paper's recursion v = a + dt B v with w, B and a built per k, on a
         # symmetric and a non-symmetric problem; the driver's weights are
         # anticipative, so only their adapted projections may enter
         rng = np.random.default_rng(6)
@@ -229,9 +229,11 @@ class TestNaiveOracle:
             core = lam * np.eye(n) + dt * (K.values + L.values.T)
             w = np.zeros((n, n))
             B = np.zeros((n, n))
+            a = np.empty(n)
             for k in range(n):
                 w[k, k:] = np.linalg.solve(core[k:, k:].T, L.values[k:, k])
                 B[k, :k] = (dt * (w[k, k:] @ K.values[k:, :k]) - K.values[k, :k]) / lam
+                a[k] = (f_vals[k] - dt * (w[k, k:] @ f_surf[k, k:])) / lam
             v = self.naive_solution(K, L, lam, f_vals, f_surf)
             S = np.empty((n, n))
             for k in range(n):
@@ -242,26 +244,33 @@ class TestNaiveOracle:
             sol_vals, sol_surf = sol.values_and_surface(dW)
             residual = solver.residual(f, sol).path_values(
                 {"common": dW["common"][None, :]}, 1)
-            assert np.max(np.abs(solver.dt_family.w - w)) <= 1e-13
-            assert np.max(np.abs(solver.B.values - B)) <= 1e-13
+            assert np.max(np.abs(sol_vals - (a + dt * B @ sol_vals))) <= 1e-13
             assert np.max(np.abs(sol_vals - v)) <= 1e-13
             assert np.max(np.abs(sol_surf - S)) <= 1e-13
             assert np.max(np.abs(residual)) <= 1e-14
 
     def test_assemble_B_matches_naive(self):
+        # the paper's a and B, one full-space masked solve per entry: the
+        # solution satisfies its forward recursion v = a + dt B v
         g = build_grid(1.0, 8)
         K = discretize_kernel(ConstantLower(c=0.8), g)
-        solver = FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=1.0))
+        f = 1.0 + np.sin(3.0 * g.times)
+        v = solve(FredholmProblem(K=K, L=K, lam_eff=1.0), det_signal(g, f)).mean
         n, dt = g.n, g.dt
-        for k in range(1, n):
+        a = np.empty(n)
+        B = np.zeros((n, n))
+        for k in range(n):
             D = np.eye(n) + dt * (mask_from(K, k).values + mask_from(K, k).values.T)
+            ell = np.zeros(n)
+            ell[k:] = K.values[k:, k]
+            fcol = np.zeros(n)
+            fcol[k:] = f[k:]
+            a[k] = f[k] - dt * (ell @ np.linalg.solve(D, fcol))
             for j in range(k):
                 kcol = np.zeros(n)
                 kcol[k:] = K.values[k:, j]
-                ell = np.zeros(n)
-                ell[k:] = K.values[k:, k]
-                naive = dt * (ell @ np.linalg.solve(D, kcol)) - K.values[k, j]
-                assert abs(solver.B.values[k, j] - naive) <= 1e-12
+                B[k, j] = dt * (ell @ np.linalg.solve(D, kcol)) - K.values[k, j]
+        assert np.max(np.abs(v - (a + dt * B @ v))) <= 1e-12
 
 
 class TestClosedForms:
@@ -293,10 +302,10 @@ class TestClosedForms:
         K = discretize_kernel(ConstantLower(c=1.0), g)
         prob = loose_problem(K, zero_kernel(g), 2.0)
         # L = 0 zeroes w, so a = f / lam_eff and v solves the bare recursion
-        f = det_signal(g, np.cos(g.times))
-        solver = FredholmSolver(prob)
-        assert np.all(solver.dt_family.w == 0.0)
-        assert np.max(np.abs(solver.solve(f).mean - solver.solve_v(f.mean / 2.0))) < 1e-15
+        # (lam_eff id + dt K) v = f
+        f = np.cos(g.times)
+        direct = np.linalg.solve(2.0 * np.eye(16) + g.dt * K.values, f)
+        assert np.max(np.abs(solve(prob, det_signal(g, f)).mean - direct)) < 1e-15
 
     def test_symmetric_constant_fixed_point(self):
         errs = {}
@@ -476,17 +485,24 @@ class TestGridRefinementOfSolution:
 
 class TestCoefficientDegenerateForms:
     def test_zero_kernels_give_zero_B(self):
+        # B = 0 and w = 0: the solution is a = f / lam_eff, exactly
         g = build_grid(1.0, 8)
         Z = zero_kernel(g)
-        solver = FredholmSolver(FredholmProblem(K=Z, L=Z, lam_eff=2.0))
-        assert np.all(solver.B.values == 0.0)
+        rng = np.random.default_rng(8)
+        f = CompiledSignal(g, rng.standard_normal(8), {"common": rng.standard_normal((8, 8))})
+        sol = FredholmSolver(FredholmProblem(K=Z, L=Z, lam_eff=2.0)).solve(f)
+        assert np.all(sol.mean == f.mean / 2.0)
+        assert np.all(sol.weights["common"] == np.tril(f.weights["common"], -1) / 2.0)
 
     def test_backward_free_B_is_minus_forward_kernel(self):
-        # L = 0 kills the inner product: B[k][j] = -K[k][j] / lam_eff
+        # L = 0 kills the inner product: B[k][j] = -K[k][j] / lam_eff, so the
+        # recursion v = f / lam_eff + dt B v is (lam_eff id + dt K) v = f
         g = build_grid(1.0, 8)
         K = discretize_kernel(ExponentialDecay(c=0.9, rho=1.4), g)
-        solver = FredholmSolver(loose_problem(K, zero_kernel(g), 2.0))
-        assert np.max(np.abs(solver.B.values + K.values / 2.0)) <= 1e-15
+        f = 1.0 + g.times
+        direct = np.linalg.solve(2.0 * np.eye(8) + g.dt * K.values, f)
+        sol = solve(loose_problem(K, zero_kernel(g), 2.0), det_signal(g, f))
+        assert np.max(np.abs(sol.mean - direct)) <= 1e-15
 
     def test_zero_driver_gives_zero_a(self):
         g = build_grid(1.0, 8)

@@ -2,8 +2,12 @@
 
 Each example draws a kernel family and its parameters, lam_eff, a grid with
 2 to 256 points and drivers mixing deterministic, martingale and OU terms on
-one or two noise tags.  Derandomized, so every run checks the same examples.
+one or two noise tags.  The check against the paper's per-k closed form also
+draws a backward kernel L of its own, so K + L^T need not be symmetric.
+Derandomized, so every run checks the same examples.
 """
+
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -35,17 +39,32 @@ def unit(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-@st.composite
-def solvers(draw):
-    grid = build_grid(1.0, draw(st.integers(2, 256)))
-    family = draw(st.one_of(
+def kernels(grid):
+    return st.one_of(
         st.builds(ExponentialDecay, c=unit(0.1, 1.0), rho=unit(0.2, 3.0)),
         st.builds(ConstantLower, c=unit(0.1, 1.0)),
         st.builds(PowerLaw, c=unit(0.1, 0.6), alpha=unit(0.05, 0.45)),
         st.builds(DelayIndicator, tau=unit(1.0, 1.5)),
-    ))
-    K = discretize_kernel(family, grid)
-    return FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=draw(unit(0.5, 4.0))))
+    ).map(lambda family: discretize_kernel(family, grid))
+
+
+@st.composite
+def solvers(draw, max_n=256, own_backward=False):
+    """A solver with L = K, or with L drawn on its own when own_backward is set.
+
+    Every kernel drawn here has dt (K + K^T) >= -0.75 (the worst case is a
+    power law on two points), so with its own L, lam_eff starts at 1: the
+    symmetric part of D then stays positive definite and every D_k invertible.
+    """
+    grid = build_grid(1.0, draw(st.integers(2, max_n)))
+    K = draw(kernels(grid))
+    L = draw(kernels(grid)) if own_backward else K
+    lam_eff = draw(unit(1.0 if own_backward else 0.5, 4.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        problem = FredholmProblem(K=K, L=L, lam_eff=lam_eff,
+                                  strict_selfadjoint=not own_backward)
+    return FredholmSolver(problem)
 
 
 @st.composite
@@ -101,3 +120,28 @@ def test_solve_is_linear_in_the_driver(data):
     parts = compile_signal(LinearCombination(terms=((c1, solver.solve(f1)),
                                                     (c2, solver.solve(f2)))), solver.grid)
     assert coefficient_gap(mixed, parts) <= 1e-10
+
+
+@PROPERTIES
+@given(st.data())
+def test_solution_satisfies_the_per_k_closed_form(data):
+    """v = a + dt B v with the paper's w_k = D_k^{-T} ell_k, a and B, one solve per k."""
+    solver = data.draw(solvers(max_n=96, own_backward=True))
+    f = data.draw(drivers(solver.grid))
+    grid, problem = solver.grid, solver.problem
+    n, dt, lam = grid.n, grid.dt, problem.lam_eff
+    K, L = problem.K.values, problem.L.values
+    core = lam * np.eye(n) + dt * (K + L.T)
+    w = np.zeros((n, n))
+    B = np.zeros((n, n))
+    for k in range(n):
+        w[k, k:] = np.linalg.solve(core[k:, k:].T, L[k:, k])
+        B[k, :k] = (dt * (w[k, k:] @ K[k:, :k]) - K[k, :k]) / lam
+    v = solver.solve(f)
+    bundle = draw_noise(grid, TAGS, 2, seed=data.draw(st.integers(0, 2 ** 16)))
+    for p in range(2):
+        dW = bundle.path(p)
+        f_vals, f_surf = f.values_and_surface(dW)
+        a = (f_vals - dt * np.einsum("kj,kj->k", w, f_surf)) / lam
+        v_vals = v.values_and_surface(dW)[0]
+        assert np.max(np.abs(v_vals - (a + dt * B @ v_vals))) <= 1e-10

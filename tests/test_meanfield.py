@@ -329,12 +329,20 @@ class TestBatchedPipelineCrossValidation:
         bundle = draw_noise(grid16, {"a", "b"}, 6, seed=31)
         vals_b = cs.path_values(bundle.increments, 6)
         v_b = solver.solve(cs).path_values(bundle.increments, 6)
-        W = solver.dt_family.w
+        # the paper's w_k = D_k^{-T} ell_k and recursion kernel B, one solve per k
+        n, dt = grid16.n, grid16.dt
+        core = 2.0 * np.eye(n) + dt * (K.values + K.values.T)
+        W = np.zeros((n, n))
+        B = np.zeros((n, n))
+        for k in range(n):
+            W[k, k:] = np.linalg.solve(core[k:, k:].T, K.values[k:, k])
+            B[k, :k] = (dt * (W[k, k:] @ K.values[k:, :k]) - K.values[k, :k]) / 2.0
+        forward = np.linalg.inv(np.eye(n) - dt * B)
         for p in range(6):
             path = simulate(fam, grid16, bundle, p)
             assert np.max(np.abs(vals_b[p] - path.values)) <= 1e-13
-            a = (path.values - grid16.dt * np.einsum("kj,kj->k", W, path.surface)) / 2.0
-            assert np.max(np.abs(v_b[p] - solver.solve_v(a))) <= 1e-13
+            a = (path.values - dt * np.einsum("kj,kj->k", W, path.surface)) / 2.0
+            assert np.max(np.abs(v_b[p] - forward @ a)) <= 1e-13
 
     def test_convergence_study_player_route_matches_solve_nash(self, grid16):
         # the finite-game mean and player solves inside convergence_study must

@@ -13,7 +13,6 @@ from volterra_games.grid_ops import (
 )
 from volterra_games.model_builders import (
     DelayMeasure,
-    MeasureConvolution,
     TerminalVector,
     VolterraGameSpec,
     build_advertising_game,
@@ -24,7 +23,6 @@ from volterra_games.model_builders import (
     linear_state_residual,
     measure_to_kernel,
     reduce_volterra_game,
-    simulate_states,
     solve_linear_state,
 )
 from volterra_games.nplayer import concavity_check, objective, objective_per_path, solve_nash

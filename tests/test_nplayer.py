@@ -1,11 +1,17 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from volterra_games import nplayer
+from volterra_games.cli import build_game_from_config
 from volterra_games.errors import ConsistencyViolation, InadmissibleKernel, ShapeError
 from volterra_games.grid_ops import (
     ConstantLower,
     ExponentialDecay,
     GridKernel,
+    add_kernels,
     build_grid,
     discretize_kernel,
     zero_kernel,
@@ -29,10 +35,8 @@ from volterra_games.signals import (
     Deterministic,
     LinearCombination,
     Martingale,
-    OU,
     compile_signal,
     draw_noise,
-    signal_mean,
 )
 
 
@@ -251,6 +255,25 @@ class TestFOC:
         sol = solve_nash(spec, bundle)
         assert sol.diagnostics["foc_residual_max"] == 0.0
 
+    def test_wrong_GH_shows_in_foc_only(self, monkeypatch):
+        # G with A3 weighted 1/N instead of 2/N: both Fredholm solves stay exact
+        # for the wrong kernels, so only the gradient of J^i, formed from A1,
+        # A2hat and A3 directly, can see the fault
+        def wrong_GH(spec):
+            N = spec.n_players
+            G = add_kernels((1.0 / N ** 2, spec.a1), (1.0 / N, spec.a3), (1.0, spec.a2hat))
+            return G, add_kernels((1.0 / N, spec.a1), (1.0, spec.a3))
+
+        cfg = json.loads((Path(__file__).parent.parent / "run_configs" / "raw_game.json")
+                         .read_text())
+        grid = build_grid(cfg["grid"]["T"], 32)
+        spec = build_game_from_config(cfg, grid)
+        bundle = draw_noise(grid, spec.noise_tags(), 8, cfg["noise"]["seed"])
+        monkeypatch.setattr(nplayer, "build_GH", wrong_GH)
+        sol = solve_nash(spec, bundle)
+        assert sol.diagnostics["fredholm_residual_max"] < 1e-12
+        assert sol.diagnostics["foc_residual_max"] > 1e-6
+
 
 class TestObjective:
     def test_all_zero_strategies_give_constant(self, grid16):
@@ -342,7 +365,8 @@ class TestLiteralTranscription:
     Independently rebuilds, with full-space dense solves and explicit masks,
     the mean-level operator family 2*lam*id + ((N-1)/N)(H_t + H_t*) + G_t + G_t*
     and its recursion coefficients, then the player-level family with
-    Khat = G - H/N, and checks the production pipeline reproduces both.
+    Khat = G - H/N, and checks that the production solutions match both
+    and satisfy their recursions v = a + dt B v.
     """
 
     def test_mean_and_player_coefficients(self, grid16):
@@ -392,14 +416,13 @@ class TestLiteralTranscription:
         mean_sol = ops.mean_solver.solve(bbar)
         ubar = mean_sol.values_and_surface(dW)[0]
         assert np.max(np.abs(ubar - ubar_lit)) <= 1e-12
-        assert np.max(np.abs(ops.mean_solver.B.values - Bbar_lit)) <= 1e-12
-        # the recursion v = a + dt B v gives back the solver's a
-        abar = ubar - dt * ops.mean_solver.B.values @ ubar
+        # the solver's ubar satisfies the literal recursion ubar = a + dt B ubar
+        abar = ubar - dt * Bbar_lit @ ubar
         assert np.max(np.abs(abar - abar_lit)) <= 1e-12
 
         khat = G - H / N
         drive = shifted_drive(player_base(spec, 0), ops.H, mean_sol)
-        u_lit, _, Bhat_lit = literal_solution(khat, drive)
-        player_sol = ops.player_solver.solve(drive)
-        assert np.max(np.abs(player_sol.values_and_surface(dW)[0] - u_lit)) <= 1e-12
-        assert np.max(np.abs(ops.player_solver.B.values - Bhat_lit)) <= 1e-12
+        u_lit, ahat_lit, Bhat_lit = literal_solution(khat, drive)
+        u = ops.player_solver.solve(drive).values_and_surface(dW)[0]
+        assert np.max(np.abs(u - u_lit)) <= 1e-12
+        assert np.max(np.abs(u - dt * Bhat_lit @ u - ahat_lit)) <= 1e-12

@@ -10,9 +10,8 @@ from volterra_games.grid_ops import (
     discretize_kernel,
     zero_kernel,
 )
-from volterra_games.nplayer import GameSpec, solve_nash
+from volterra_games.nplayer import GameSpec
 from volterra_games.oracle import (
-    ScenarioTree,
     build_tree,
     compare,
     discrete_nash_kkt,
@@ -29,7 +28,6 @@ from volterra_games.signals import (
     Martingale,
     OU,
     compile_signal,
-    simulate,
 )
 
 

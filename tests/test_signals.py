@@ -11,7 +11,6 @@ from volterra_games.signals import (
     Martingale,
     NoiseBundle,
     OU,
-    SignalPath,
     combine,
     compile_signal,
     draw_noise,
