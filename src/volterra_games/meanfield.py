@@ -7,11 +7,14 @@ replaces the conditional-mean driver by the declared limit b_infty.
 Convergence and epsilon-Nash experiments re-solve the induced finite games
 on shared noise and fit log-log rates.  Every solve maps a CompiledSignal
 driver to a CompiledSignal strategy once for all paths (see nplayer); paths
-are read off the coefficients at the sampled increments.
+are read off the coefficients at the sampled increments.  The convergence
+study reads the noise as a stream, one tag at a time, so its memory does not
+grow with the number of tags.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +40,7 @@ from .signals import (
     Martingale,
     NoiseBundle,
     compile_signal,
+    stream_increments,
 )
 
 
@@ -105,12 +109,32 @@ def build_mfg_operators(spec: MFGSpec) -> MFGOperators:
 
 @dataclass(frozen=True)
 class CrossedNoise:
-    """Noise bundle where path p = c * n_idio + e shares common draws within a block."""
+    """Noise where path p = c * n_idio + e shares its common draws with block c.
 
-    bundle: NoiseBundle
+    Nothing is drawn up front.  stream() draws the tags one at a time, sorted
+    common tags first; bundle draws them all on first access and keeps them.
+    Both come from one generator seeded with seed, so the arrays are the same.
+    """
+
+    grid: TimeGrid
+    common_tags: tuple     # sorted
+    idio_tags: tuple       # sorted
     n_common: int
     n_idio: int
-    common_tags: frozenset
+    seed: int
+
+    def stream(self):
+        """Yield (tag, (n_common * n_idio, n) increments) in draw order."""
+        return stream_increments(self.grid, self.common_tags, self.idio_tags,
+                                 self.n_common, self.n_idio, self.seed)
+
+    @property
+    def bundle(self) -> NoiseBundle:
+        """Every tag's increments, drawn once and kept."""
+        if "_bundle" not in self.__dict__:      # frozen: cache past __setattr__
+            self.__dict__["_bundle"] = NoiseBundle(
+                self.grid, self.n_common * self.n_idio, self.seed, dict(self.stream()))
+        return self.__dict__["_bundle"]
 
     def block_increments(self) -> dict:
         """Increments at the first path of every common block: tag -> (n_common, n)."""
@@ -119,18 +143,95 @@ class CrossedNoise:
 
 def draw_crossed_noise(grid: TimeGrid, common_tags, idio_tags, n_common: int,
                        n_idio: int, seed: int) -> CrossedNoise:
-    rng = np.random.default_rng(seed)
-    std = np.sqrt(grid.dt)
-    incs = {}
-    for tag in sorted(set(common_tags)):
-        block = std * rng.standard_normal((n_common, grid.n))
-        incs[tag] = np.repeat(block, n_idio, axis=0)
-        incs[tag].flags.writeable = False
-    for tag in sorted(set(idio_tags)):
-        incs[tag] = std * rng.standard_normal((n_common * n_idio, grid.n))
-        incs[tag].flags.writeable = False
-    bundle = NoiseBundle(grid, n_common * n_idio, seed, incs)
-    return CrossedNoise(bundle, n_common, n_idio, frozenset(common_tags))
+    both = set(common_tags) & set(idio_tags)
+    if both:
+        raise ShapeError(f"tags {sorted(both)} are both common and idiosyncratic")
+    return CrossedNoise(grid, tuple(sorted(set(common_tags))), tuple(sorted(set(idio_tags))),
+                        n_common, n_idio, seed)
+
+
+_END = object()
+
+
+def _one_ahead(items):
+    """Iterate over items while one helper thread computes the next item.
+
+    The helper runs at most one item ahead of the caller.  An exception it
+    raises is re-raised here; when this generator ends, closed early or not,
+    the helper has ended too.
+    """
+    slot = [None]                       # (item, exception) handed to the caller
+    filled = threading.Semaphore(0)     # the helper put an item in the slot
+    taken = threading.Semaphore(0)      # the caller took it: compute the next
+    stop = False
+
+    def advance():
+        try:
+            for item in items:
+                slot[0] = (item, None)
+                filled.release()
+                taken.acquire()
+                if stop:
+                    return
+            slot[0] = (_END, None)
+        except BaseException as exc:    # re-raised in the caller
+            slot[0] = (None, exc)
+        filled.release()
+
+    helper = threading.Thread(target=advance, name="noise-draw", daemon=True)
+    helper.start()
+    try:
+        while True:
+            filled.acquire()
+            item, exc = slot[0]
+            slot[0] = None
+            if exc is not None:
+                raise exc
+            if item is _END:
+                return
+            taken.release()
+            yield item
+    finally:
+        stop = True
+        taken.release()
+        helper.join()
+
+
+def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
+    """Each signal's path values on every path of the noise, from one pass over its stream.
+
+    Returns the (n_paths, n) values per signal, each tag's first head_rows rows
+    and each tag's first row per common block.  A tag is added into every
+    signal that carries it, in sorted tag order as CompiledSignal.path_values
+    adds them, so the values equal path_values on the bundle bitwise.  Of the
+    increments, only the tags in use or waiting for their turn, and the next
+    one, drawn on a helper thread meanwhile, are held whole.
+    """
+    P, n = noise.n_common * noise.n_idio, noise.grid.n
+    order = sorted((*noise.common_tags, *noise.idio_tags))
+    missing = set().union(*(s.noise_tags() for s in signals)) - set(order)
+    if missing:
+        raise ShapeError(f"noise lacks tags {sorted(missing)}")
+    values = [np.broadcast_to(s.mean, (P, n)).copy() for s in signals]
+    head, blocks, pending = {}, {}, {}
+    k = 0
+    stream = _one_ahead(noise.stream())
+    try:
+        for tag, dW in stream:
+            head[tag] = dW[:head_rows].copy()
+            blocks[tag] = dW[::noise.n_idio].copy()
+            pending[tag] = dW
+            # the stream is sorted within common and within idiosyncratic tags;
+            # a tag that arrives before its turn waits here
+            while k < len(order) and order[k] in pending:
+                increments = pending.pop(order[k])
+                for s, out in zip(signals, values):
+                    if order[k] in s.weights:
+                        s.add_tag_values(out, order[k], increments)
+                k += 1
+    finally:
+        stream.close()
+    return values, head, blocks
 
 
 @dataclass
@@ -204,7 +305,7 @@ def solve_infinite(spec: MFGSpec, n_view: int, noise: CrossedNoise) -> MFGSoluti
     grid = spec.grid
     P = noise.bundle.n_paths
     c_lim = compile_signal(spec.limit_family(), grid)
-    if not c_lim.noise_tags() <= noise.common_tags:
+    if not c_lim.noise_tags() <= set(noise.common_tags):
         raise ShapeError("b_infty must be measurable with respect to common noise")
 
     nu_cs = ops.solver_G.solve(c_lim)
@@ -298,37 +399,41 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
                       player_paths: int | None = None) -> dict:
     """sup-t MSE of the finite-game mean and one player against the mean-field limit.
 
-    The mean-strategy MSE uses every path in the bundle; the per-player MSE
-    may be restricted to the first player_paths paths.
+    The mean-strategy MSE uses every path of the noise; the per-player MSE
+    may be restricted to the first player_paths paths.  Every coefficient
+    solve comes first; then one pass over the noise stream forms every N's
+    mean paths, so the noise is never held whole.
     """
     ops = build_mfg_operators(spec)
     grid = spec.grid
     C, I = noise.n_common, noise.n_idio
     P = C * I
-    increments = noise.bundle.increments
-    rows = []
-
-    # the limit, read at each common block's first path
-    nu_cs = ops.solver_G.solve(compile_signal(spec.limit_family(), grid))
-    nu_full = np.repeat(nu_cs.path_values(noise.block_increments(), C), I, axis=0)
-
     pp = P if player_paths is None else min(player_paths, P)
-    first_pp = {tag: arr[:pp] for tag, arr in increments.items()}
+
+    nu_cs = ops.solver_G.solve(compile_signal(spec.limit_family(), grid))
+    means, players = [], []
     for N in ns:
         game = induced_game(spec, N)
         gops = build_operators(game)
         c_mean = compile_signal(LinearCombination(terms=tuple(
             (1.0 / N, f) for f in (*game.b_signals, game.b0_signal))), grid)
-        ubar_cs = gops.mean_solver.solve(c_mean)
-        ubar = ubar_cs.path_values(increments, P)
-        mse_mean = float(np.max(np.mean((ubar - nu_full) ** 2, axis=0)))
-
+        means.append(gops.mean_solver.solve(c_mean))
         # player 1 of the finite game against the mean-field v^1, on a path subset
-        mse_player = np.nan
         if pp > 0:
-            u1 = gops.player_solver.solve(shifted_drive(player_base(game, 0), gops.H, ubar_cs))
+            u1 = gops.player_solver.solve(shifted_drive(player_base(game, 0), gops.H, means[-1]))
             cbeta1 = compile_signal(spec.player_family.signal(0, N), grid)
             v1 = ops.solver_F.solve(shifted_drive(cbeta1, spec.a3, nu_cs))
+            players.append((u1, v1))
+
+    ubars, first_pp, first = _streamed_path_values(means, noise, pp)
+    # the limit, read at each common block's first path
+    nu_full = np.repeat(nu_cs.path_values(first, C), I, axis=0)
+    rows = []
+    for j, N in enumerate(ns):
+        mse_mean = float(np.max(np.mean((ubars[j] - nu_full) ** 2, axis=0)))
+        mse_player = np.nan
+        if pp > 0:
+            u1, v1 = players[j]
             gap = u1.path_values(first_pp, pp) - v1.path_values(first_pp, pp)
             mse_player = float(np.max(np.mean(gap ** 2, axis=0)))
         rows.append({"N": int(N), "mse_mean": mse_mean, "mse_player": mse_player})

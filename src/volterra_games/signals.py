@@ -117,8 +117,16 @@ class CompiledSignal:
         """
         out = np.broadcast_to(self.mean, (n_paths, self.grid.n)).copy()
         for tag in sorted(self.weights):
-            out += increments[tag] @ np.tril(self.weights[tag], -1).T
+            self.add_tag_values(out, tag, increments[tag])
         return out
+
+    def add_tag_values(self, out: np.ndarray, tag, increments: np.ndarray) -> None:
+        """Add one tag's part of the adapted values at its (n_paths, n) increments to out.
+
+        path_values is the mean plus these parts in sorted tag order; a caller
+        that adds them in that order gets path_values bitwise.
+        """
+        out += increments @ np.tril(self.weights[tag], -1).T
 
     def values_and_surface(self, dW: dict) -> tuple[np.ndarray, np.ndarray]:
         """Adapted path values and the full surface m[i, j] for one increment draw."""
@@ -277,14 +285,30 @@ class NoiseBundle:
 GENERATOR_NAME = "numpy.default_rng(PCG64)"
 
 
-def draw_noise(grid: TimeGrid, tags, n_paths: int, seed: int) -> NoiseBundle:
+def stream_increments(grid: TimeGrid, common_tags, idio_tags, n_common: int, n_idio: int,
+                      seed: int):
+    """Yield (tag, increments) one tag at a time, each (n_common * n_idio, n) and read-only.
+
+    One generator seeded with seed draws the sorted common tags, then the
+    sorted idiosyncratic tags.  Path p = c * n_idio + e lies in common block c:
+    a common tag draws one row per block and repeats it over the block's
+    n_idio paths, an idiosyncratic tag draws every row.
+    """
     rng = np.random.default_rng(seed)
     std = np.sqrt(grid.dt)
-    incs = {}
-    for tag in sorted(set(tags)):
-        arr = std * rng.standard_normal((n_paths, grid.n))
-        arr.flags.writeable = False        # bundles are shared read-only
-        incs[tag] = arr
+    draws = [(tag, n_common, n_idio) for tag in sorted(set(common_tags))]
+    draws += [(tag, n_common * n_idio, 1) for tag in sorted(set(idio_tags))]
+    for tag, rows, repeats in draws:
+        arr = std * rng.standard_normal((rows, grid.n))
+        if repeats > 1:
+            arr = np.repeat(arr, repeats, axis=0)
+        arr.flags.writeable = False        # increments are shared read-only
+        yield tag, arr
+
+
+def draw_noise(grid: TimeGrid, tags, n_paths: int, seed: int) -> NoiseBundle:
+    """Every tag idiosyncratic in one common block: the stream, kept whole."""
+    incs = dict(stream_increments(grid, (), tags, 1, n_paths, seed))
     return NoiseBundle(grid, n_paths, seed, incs)
 
 

@@ -10,9 +10,11 @@ Derandomized, so every run checks the same examples.
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from volterra_games.errors import SingularOperator
 from volterra_games.fredholm import FredholmProblem, FredholmSolver
 from volterra_games.grid_ops import (
     ConstantLower,
@@ -53,13 +55,20 @@ def solvers(draw, max_n=256, own_backward=False):
     """A solver with L = K, or with L drawn on its own when own_backward is set.
 
     Every kernel drawn here has dt (K + K^T) >= -0.75 (the worst case is a
-    power law on two points), so with its own L, lam_eff starts at 1: the
-    symmetric part of D then stays positive definite and every D_k invertible.
+    power law on two points), so with its own L, lam_eff starts at 1.  With
+    L = K it starts at 0.5, which can make D singular (ConstantLower(c=1) on
+    two points), so draws whose core D has a symmetric part that is not
+    positive definite are rejected.  A positive definite symmetric part bounds
+    every Schur pivot of every D_k below by its smallest eigenvalue; the margin
+    is the pivot threshold DtFamily applies.
     """
     grid = build_grid(1.0, draw(st.integers(2, max_n)))
     K = draw(kernels(grid))
     L = draw(kernels(grid)) if own_backward else K
     lam_eff = draw(unit(1.0 if own_backward else 0.5, 4.0))
+    core = lam_eff * np.eye(grid.n) + grid.dt * (K.values + L.values.T)
+    margin = 1e-10 * max(1.0, float(np.max(np.abs(core))))
+    assume(np.linalg.eigvalsh(0.5 * (core + core.T))[0] > margin)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         problem = FredholmProblem(K=K, L=L, lam_eff=lam_eff,
@@ -92,6 +101,14 @@ def coefficient_gap(a, b):
         diff = np.tril(a.weights.get(tag, zero) - b.weights.get(tag, zero), -1)
         gap = max(gap, float(np.max(np.abs(diff))))
     return gap
+
+
+def test_lowest_drawable_lam_eff_makes_two_point_constant_kernel_singular():
+    # the draw the generator rejects: D = [[0.5, 0.5], [0.5, 0.5]]
+    grid = build_grid(1.0, 2)
+    K = discretize_kernel(ConstantLower(c=1.0), grid)
+    with pytest.raises(SingularOperator, match="D_0 is"):
+        FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=0.5))
 
 
 @PROPERTIES

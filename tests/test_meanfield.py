@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from volterra_games import meanfield
 from volterra_games.errors import ShapeError
 from volterra_games.grid_ops import (
     ConstantLower,
@@ -24,8 +28,15 @@ from volterra_games.meanfield import (
     solve_generic,
     solve_infinite,
 )
-from volterra_games.nplayer import conditional_surfaces, shifted_drive, solve_nash
+from volterra_games.nplayer import (
+    build_operators,
+    conditional_surfaces,
+    player_base,
+    shifted_drive,
+    solve_nash,
+)
 from volterra_games.signals import (
+    CompiledSignal,
     Deterministic,
     LinearCombination,
     Martingale,
@@ -358,3 +369,177 @@ class TestBatchedPipelineCrossValidation:
         mse_player = np.max(np.mean((ref.u[0] - limit.v[0]) ** 2, axis=0))
         assert abs(row["mse_mean"] - mse_mean) <= 1e-11
         assert abs(row["mse_player"] - mse_player) <= 1e-11
+
+
+def materialized_study(spec, ns, noise, player_paths=None):
+    """convergence_study's rows from the whole bundle, one path_values per N.
+
+    The form the study had before it streamed the noise, kept as the reference.
+    """
+    ops = build_mfg_operators(spec)
+    grid = spec.grid
+    C, I = noise.n_common, noise.n_idio
+    P = C * I
+    increments = noise.bundle.increments
+    nu_cs = ops.solver_G.solve(compile_signal(spec.limit_family(), grid))
+    nu_full = np.repeat(nu_cs.path_values(noise.block_increments(), C), I, axis=0)
+    pp = P if player_paths is None else min(player_paths, P)
+    first_pp = {tag: arr[:pp] for tag, arr in increments.items()}
+    rows = []
+    for N in ns:
+        game = induced_game(spec, N)
+        gops = build_operators(game)
+        c_mean = compile_signal(LinearCombination(terms=tuple(
+            (1.0 / N, f) for f in (*game.b_signals, game.b0_signal))), grid)
+        ubar_cs = gops.mean_solver.solve(c_mean)
+        ubar = ubar_cs.path_values(increments, P)
+        mse_mean = float(np.max(np.mean((ubar - nu_full) ** 2, axis=0)))
+        mse_player = np.nan
+        if pp > 0:
+            u1 = gops.player_solver.solve(shifted_drive(player_base(game, 0), gops.H, ubar_cs))
+            cbeta1 = compile_signal(spec.player_family.signal(0, N), grid)
+            v1 = ops.solver_F.solve(shifted_drive(cbeta1, spec.a3, nu_cs))
+            gap = u1.path_values(first_pp, pp) - v1.path_values(first_pp, pp)
+            mse_player = float(np.max(np.mean(gap ** 2, axis=0)))
+        rows.append({"N": int(N), "mse_mean": mse_mean, "mse_player": mse_player})
+    return rows
+
+
+def crossed_spec(grid):
+    """IID players on top of common noise: tag a0 sorts before the idio tags, zc after."""
+    det = Deterministic(values=(1.0,))
+    base = LinearCombination(terms=((1.0, det), (1.0, Martingale(sigma=0.3, noise="zc"))))
+    b0 = LinearCombination(terms=((0.4, det), (1.0, Martingale(sigma=0.2, noise="a0"))))
+    return MFGSpec(lam=1.0, a1=discretize_kernel(ConstantLower(c=0.2), grid),
+                   a2hat=discretize_kernel(ExponentialDecay(c=0.6, rho=1.5), grid),
+                   a3=discretize_kernel(ExponentialDecay(c=0.4, rho=1.0), grid),
+                   beta=Martingale(sigma=0.6, noise="idio0"), beta0=base, b0_signal=b0,
+                   grid=grid, player_family=IIDBrownianFamily(base=base, sigma=0.6))
+
+
+def study_case(kind, grid):
+    """(spec, ns, noise) for the IID, crossed and deterministic one-path studies."""
+    if kind == "iid":
+        spec = TestConvergence().base_spec(grid, "iid")
+        ns = [4, 8, 16, 32, 64]
+        return spec, ns, draw_crossed_noise(grid, set(), spec.player_family.idio_tags(64),
+                                            1, 300, seed=1)
+    if kind == "crossed":
+        spec = crossed_spec(grid)
+        ns = [2, 4, 8]
+        return spec, ns, draw_crossed_noise(grid, spec.common_tags(),
+                                            spec.player_family.idio_tags(8), 3, 40, seed=4)
+    spec = TestConvergence().base_spec(grid, "balanced")
+    return spec, [4, 8, 16, 32, 64], draw_crossed_noise(grid, set(), set(), 1, 1, seed=0)
+
+
+class TestStreamedNoise:
+    @pytest.mark.parametrize("n_common, n_idio", [(3, 4), (2, 1)])
+    def test_stream_order_and_arrays(self, grid16, n_common, n_idio):
+        noise = draw_crossed_noise(grid16, {"zc", "a0"}, {"idio1", "idio0"},
+                                   n_common, n_idio, seed=7)
+        streamed = list(noise.stream())
+        assert [tag for tag, _ in streamed] == ["a0", "zc", "idio0", "idio1"]
+        # the eager draw before the noise was streamed, kept as the reference
+        rng = np.random.default_rng(7)
+        std = np.sqrt(grid16.dt)
+        want = {}
+        for tag in ("a0", "zc"):
+            want[tag] = np.repeat(std * rng.standard_normal((n_common, grid16.n)), n_idio, axis=0)
+        for tag in ("idio0", "idio1"):
+            want[tag] = std * rng.standard_normal((n_common * n_idio, grid16.n))
+        assert noise.bundle is noise.bundle
+        assert noise.bundle.n_paths == n_common * n_idio
+        for tag, arr in streamed:
+            assert np.array_equal(arr, want[tag])
+            assert np.array_equal(noise.bundle.increments[tag], want[tag])
+            assert np.array_equal(noise.block_increments()[tag], want[tag][::n_idio])
+
+    def test_tag_both_common_and_idiosyncratic_rejected(self, grid16):
+        with pytest.raises(ShapeError, match="both common and idiosyncratic"):
+            draw_crossed_noise(grid16, {"w", "c"}, {"w"}, 1, 4, seed=0)
+
+    @pytest.mark.parametrize("kind, player_paths", [
+        ("iid", 0), ("iid", 100), ("iid", None),
+        ("crossed", 0), ("crossed", 50), ("crossed", None),
+        ("deterministic", None),
+    ])
+    def test_streamed_rows_match_materialized(self, grid16, kind, player_paths):
+        spec, ns, noise = study_case(kind, grid16)
+        got = convergence_study(spec, ns, noise, player_paths=player_paths)["rows"]
+        want = materialized_study(spec, ns, noise, player_paths=player_paths)
+        assert [r["N"] for r in got] == ns
+        for g, w in zip(got, want):
+            assert g["N"] == w["N"]
+            assert abs(g["mse_mean"] - w["mse_mean"]) <= 1e-15 * abs(w["mse_mean"])
+            if player_paths == 0:
+                assert np.isnan(g["mse_player"]) and np.isnan(w["mse_player"])
+            else:
+                assert abs(g["mse_player"] - w["mse_player"]) <= 1e-15 * abs(w["mse_player"])
+            # the stream adds tags in the order path_values adds them: the mean
+            # paths, and so this row, agree bitwise
+            assert g["mse_mean"] == w["mse_mean"]
+
+    def test_noise_missing_a_tag_rejected(self, grid16):
+        spec, ns, _ = study_case("iid", grid16)
+        noise = draw_crossed_noise(grid16, set(), spec.player_family.idio_tags(4), 1, 20, seed=1)
+        with pytest.raises(ShapeError, match="idio4"):
+            convergence_study(spec, [4, 8], noise)
+
+    def test_concurrent_studies_under_frequent_switches(self, grid16):
+        # four studies at once, each with its own helper, switching threads every
+        # microsecond: a handoff that lost or repeated a tag would change a row
+        spec, ns, noise = study_case("crossed", grid16)
+        want = materialized_study(spec, ns, noise, player_paths=20)
+        results = [None] * 4
+
+        def run(i):
+            results[i] = convergence_study(spec, ns, noise, player_paths=20)["rows"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        for rows in results:
+            assert [(r["mse_mean"], r["mse_player"]) for r in rows] == \
+                [(r["mse_mean"], r["mse_player"]) for r in want]
+
+    def test_draw_failure_reaches_the_caller(self, grid16, monkeypatch):
+        spec, ns, noise = study_case("crossed", grid16)
+        real = meanfield.stream_increments
+
+        def failing(*args):
+            for k, item in enumerate(real(*args)):
+                if k == 3:
+                    raise RuntimeError("draw failed")
+                yield item
+
+        monkeypatch.setattr(meanfield, "stream_increments", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            convergence_study(spec, ns, noise)
+        assert threading.active_count() == before
+
+    def test_caller_failure_ends_the_helper(self, grid16, monkeypatch):
+        spec, ns, noise = study_case("iid", grid16)
+        real = CompiledSignal.add_tag_values
+        calls = []
+
+        def failing(self, out, tag, increments):
+            calls.append(tag)
+            if len(calls) == 5:
+                raise MemoryError("accumulator")
+            real(self, out, tag, increments)
+
+        monkeypatch.setattr(CompiledSignal, "add_tag_values", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="accumulator"):
+            convergence_study(spec, ns, noise, player_paths=0)
+        assert threading.active_count() == before

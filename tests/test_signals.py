@@ -149,6 +149,17 @@ class TestInvariants:
         for tag in ("x", "y"):
             assert np.array_equal(a.increments[tag], b.increments[tag])
 
+    def test_bundle_is_the_per_tag_formula_bitwise(self):
+        # the draw before it went through stream_increments, kept as the reference
+        g = build_grid(1.0, 8)
+        rng = np.random.default_rng(42)
+        want = {tag: np.sqrt(g.dt) * rng.standard_normal((5, g.n)) for tag in ("x", "y", "z")}
+        bundle = draw_noise(g, {"z", "x", "y"}, 5, 42)
+        assert list(bundle.increments) == ["x", "y", "z"]
+        for tag, arr in bundle.increments.items():
+            assert np.array_equal(arr, want[tag])
+            assert not arr.flags.writeable
+
     def test_path_values_do_not_depend_on_tag_order(self):
         grid = build_grid(1.0, 16)
         rng = np.random.default_rng(4)
