@@ -50,12 +50,8 @@ from .signals import (
     NoiseBundle,
     OU,
     SignalFamily,
-    SignalPath,
-    combine,
     compile_signal,
     draw_noise,
-    signal_mean,
-    simulate,
 )
 from .fredholm import (
     FredholmProblem,

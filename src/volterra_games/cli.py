@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, VolterraGamesError
+from .errors import ConfigError, InvalidGrid, VolterraGamesError
 from .grid_ops import (
     ConstantLower,
     DelayIndicator,
@@ -60,6 +60,8 @@ SOLVE_GATES = {"fredholm_residual_max": "fredholm_residual", "foc_residual_max":
 
 
 def _require_keys(obj: dict, allowed: set, context: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
@@ -134,23 +136,30 @@ def parse_signal(obj, grid: TimeGrid, idio_tag: str, context: str = "signal"):
 
 
 def parse_measure(obj, context: str = "measure") -> DelayMeasure:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be an object")
     _require_keys(obj, {"atoms", "density"}, context)
     atoms = tuple((float(t), float(m)) for t, m in obj.get("atoms", ()))
     dens = obj.get("density")
     return DelayMeasure(atoms=atoms, density=None if dens is None else tuple(map(float, dens)))
 
 
-def build_game_from_config(cfg: dict, grid: TimeGrid):
+def _model_from(build, cfg: dict, grid: TimeGrid):
+    """build(cfg, grid), with a malformed or inadmissible model raised as ConfigError."""
     # model-parameter violations (inadmissible kernels, convexity, shapes)
     # are configuration errors, not numerical failures
     try:
-        return _build_game(cfg, grid)
+        return build(cfg, grid)
     except ConfigError:
         raise
-    except VolterraGamesError as exc:
+    except (VolterraGamesError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid model: {type(exc).__name__}: {exc}")
+
+
+def build_game_from_config(cfg: dict, grid: TimeGrid):
+    return _model_from(_build_game, cfg, grid)
+
+
+def build_mfg_from_config(cfg: dict, grid: TimeGrid) -> MFGSpec:
+    return _model_from(_build_mfg, cfg, grid)
 
 
 def _build_game(cfg: dict, grid: TimeGrid):
@@ -198,7 +207,7 @@ def _build_game(cfg: dict, grid: TimeGrid):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def build_mfg_from_config(cfg: dict, grid: TimeGrid) -> MFGSpec:
+def _build_mfg(cfg: dict, grid: TimeGrid) -> MFGSpec:
     model = cfg["model"]
     _require_keys(model, {"kind", "lam", "a1", "a2hat", "a3", "b0", "player_base",
                           "player_kind", "amplitude", "shape", "sigma"}, "model")
@@ -254,8 +263,17 @@ def load_config(path: str) -> dict:
 
 def _grid_from(cfg: dict, override_n=None) -> TimeGrid:
     g = cfg["grid"]
-    n = int(override_n) if override_n else int(g["n"])
-    return build_grid(float(g["T"]), n)
+    try:
+        return build_grid(float(g["T"]), int(g["n"] if override_n is None else override_n))
+    except (KeyError, TypeError, ValueError, InvalidGrid) as exc:
+        raise ConfigError(f"invalid grid: {type(exc).__name__}: {exc}")
+
+
+def _player_counts(cfg: dict) -> list:
+    ns = cfg.get("run", {}).get("Ns", [4, 8, 16, 32, 64])
+    if not (isinstance(ns, list) and ns and all(isinstance(N, int) and N >= 1 for N in ns)):
+        raise ConfigError(f"run.Ns must be a nonempty list of positive integers, got {ns!r}")
+    return ns
 
 
 def _tolerances(cfg: dict) -> dict:
@@ -315,7 +333,7 @@ def run_converge(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> in
     grid = _grid_from(cfg, grid_n)
     tol = _tolerances(cfg)
     spec = build_mfg_from_config(cfg, grid)
-    ns = cfg.get("run", {}).get("Ns", [4, 8, 16, 32, 64])
+    ns = _player_counts(cfg)
     iid = isinstance(spec.player_family, IIDBrownianFamily)
     idio = spec.player_family.idio_tags(max(ns)) if iid else set()
     if not idio and not spec.common_tags():
@@ -345,7 +363,7 @@ def run_eps_nash(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> in
     grid = _grid_from(cfg, grid_n)
     tol = _tolerances(cfg)
     spec = build_mfg_from_config(cfg, grid)
-    ns = cfg.get("run", {}).get("Ns", [4, 8, 16, 32, 64])
+    ns = _player_counts(cfg)
     rows = []
     for N in ns:
         idio = set()
@@ -415,8 +433,11 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         noise_cfg = cfg.get("noise", {})
-        paths = args.paths if args.paths is not None else int(noise_cfg.get("paths", 64))
-        seed = args.seed if args.seed is not None else int(noise_cfg.get("seed", 0))
+        try:
+            paths = args.paths if args.paths is not None else int(noise_cfg.get("paths", 64))
+            seed = args.seed if args.seed is not None else int(noise_cfg.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"noise.paths and noise.seed must be integers: {exc}")
         out = Path(cfg.get("run", {}).get("out", args.out)) if args.out == "out" \
             else Path(args.out)
         runner = {

@@ -9,13 +9,14 @@ on shared noise and fit log-log rates.  Every solve maps a CompiledSignal
 driver to a CompiledSignal strategy once for all paths (see nplayer); paths
 are read off the coefficients at the sampled increments.  The convergence
 study reads the noise as a stream, one tag at a time, so its memory does not
-grow with the number of tags.
+grow with the number of tags; a one-worker concurrent.futures pool draws the
+next tag while the current one is added in.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,13 +129,11 @@ class CrossedNoise:
         return stream_increments(self.grid, self.common_tags, self.idio_tags,
                                  self.n_common, self.n_idio, self.seed)
 
-    @property
+    @cached_property
     def bundle(self) -> NoiseBundle:
         """Every tag's increments, drawn once and kept."""
-        if "_bundle" not in self.__dict__:      # frozen: cache past __setattr__
-            self.__dict__["_bundle"] = NoiseBundle(
-                self.grid, self.n_common * self.n_idio, self.seed, dict(self.stream()))
-        return self.__dict__["_bundle"]
+        return NoiseBundle(self.grid, self.n_common * self.n_idio, self.seed,
+                           dict(self.stream()))
 
     def block_increments(self) -> dict:
         """Increments at the first path of every common block: tag -> (n_common, n)."""
@@ -153,50 +152,6 @@ def draw_crossed_noise(grid: TimeGrid, common_tags, idio_tags, n_common: int,
 _END = object()
 
 
-def _one_ahead(items):
-    """Iterate over items while one helper thread computes the next item.
-
-    The helper runs at most one item ahead of the caller.  An exception it
-    raises is re-raised here; when this generator ends, closed early or not,
-    the helper has ended too.
-    """
-    slot = [None]                       # (item, exception) handed to the caller
-    filled = threading.Semaphore(0)     # the helper put an item in the slot
-    taken = threading.Semaphore(0)      # the caller took it: compute the next
-    stop = False
-
-    def advance():
-        try:
-            for item in items:
-                slot[0] = (item, None)
-                filled.release()
-                taken.acquire()
-                if stop:
-                    return
-            slot[0] = (_END, None)
-        except BaseException as exc:    # re-raised in the caller
-            slot[0] = (None, exc)
-        filled.release()
-
-    helper = threading.Thread(target=advance, name="noise-draw", daemon=True)
-    helper.start()
-    try:
-        while True:
-            filled.acquire()
-            item, exc = slot[0]
-            slot[0] = None
-            if exc is not None:
-                raise exc
-            if item is _END:
-                return
-            taken.release()
-            yield item
-    finally:
-        stop = True
-        taken.release()
-        helper.join()
-
-
 def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
     """Each signal's path values on every path of the noise, from one pass over its stream.
 
@@ -205,8 +160,12 @@ def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
     signal that carries it, in sorted tag order as CompiledSignal.path_values
     adds them, so the values equal path_values on the bundle bitwise.  Of the
     increments, only the tags in use or waiting for their turn, and the next
-    one, drawn on a helper thread meanwhile, are held whole.
+    one, drawn by one worker thread meanwhile, are held whole.
     """
+    # imported here: the executor's import would otherwise count against
+    # every command's start-up, and only this pass uses it
+    from concurrent.futures import ThreadPoolExecutor
+
     P, n = noise.n_common * noise.n_idio, noise.grid.n
     order = sorted((*noise.common_tags, *noise.idio_tags))
     missing = set().union(*(s.noise_tags() for s in signals)) - set(order)
@@ -215,9 +174,13 @@ def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
     values = [np.broadcast_to(s.mean, (P, n)).copy() for s in signals]
     head, blocks, pending = {}, {}, {}
     k = 0
-    stream = _one_ahead(noise.stream())
-    try:
-        for tag, dW in stream:
+    stream = noise.stream()
+    # the worker draws one tag ahead; leaving the block waits for that draw
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="noise-draw") as pool:
+        ahead = pool.submit(next, stream, _END)
+        while (item := ahead.result()) is not _END:
+            ahead = pool.submit(next, stream, _END)
+            tag, dW = item
             head[tag] = dW[:head_rows].copy()
             blocks[tag] = dW[::noise.n_idio].copy()
             pending[tag] = dW
@@ -229,8 +192,6 @@ def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
                     if order[k] in s.weights:
                         s.add_tag_values(out, order[k], increments)
                 k += 1
-    finally:
-        stream.close()
     return values, head, blocks
 
 

@@ -18,7 +18,7 @@ surfaces are built only when asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -163,17 +163,6 @@ def sup_on_paths(cs: CompiledSignal, increments: dict, n_paths: int) -> float:
     return float(np.max(np.abs(cs.path_values(increments, n_paths)), initial=0.0))
 
 
-def _sampled(bundle: NoiseBundle, indices) -> tuple[dict, int]:
-    """Increments of the selected paths (all of them by default) and their count."""
-    if indices is None:
-        return bundle.increments, bundle.n_paths
-    rows = list(indices)
-    for k in rows:
-        if not (0 <= k < bundle.n_paths):
-            raise ShapeError(f"path index {k} outside [0, {bundle.n_paths})")
-    return {tag: arr[rows] for tag, arr in bundle.increments.items()}, len(rows)
-
-
 @dataclass
 class NashSolution:
     """Equilibrium strategies as coefficients, their sampled paths, and diagnostics."""
@@ -198,12 +187,12 @@ class NashSolution:
                          for s in self.strategies])
 
 
-def solve_nash(spec: GameSpec, bundle: NoiseBundle, indices=None,
+def solve_nash(spec: GameSpec, bundle: NoiseBundle,
                mean_gap_tol: float = MEAN_GAP_TOL) -> NashSolution:
     """Full equilibrium: mean first, then every player; asserts mean consistency."""
     ops = build_operators(spec)
     N, grid = spec.n_players, spec.grid
-    increments, P = _sampled(bundle, indices)
+    increments, P = bundle.increments, bundle.n_paths
 
     mean_driver = compile_signal(LinearCombination(terms=tuple(
         (1.0 / N, f) for f in (*spec.b_signals, spec.b0_signal))), grid)
@@ -272,15 +261,15 @@ def _foc_terms(spec: GameSpec, mean_strategy: CompiledSignal) -> tuple[np.ndarra
     return own, cross
 
 
-def objective_per_path(spec: GameSpec, i: int, strategies: np.ndarray, bundle: NoiseBundle,
-                       indices=None) -> np.ndarray:
+def objective_per_path(spec: GameSpec, i: int, strategies: np.ndarray,
+                       bundle: NoiseBundle) -> np.ndarray:
     """J^i on each path at the strategy profile (players, paths, n), c^i included."""
     N = spec.n_players
     if strategies.shape[0] != N:
         raise ShapeError("strategy profile must cover every player")
-    increments, P = _sampled(bundle, indices)
+    increments, P = bundle.increments, bundle.n_paths
     if strategies.shape[1] != P:
-        raise ShapeError("strategy paths do not match the requested noise paths")
+        raise ShapeError("strategy paths do not match the noise paths")
     grid = spec.grid
     dt = grid.dt
 
@@ -307,43 +296,45 @@ def objective_per_path(spec: GameSpec, i: int, strategies: np.ndarray, bundle: N
     return value + spec.c_constants[i]
 
 
-def objective(spec: GameSpec, i: int, strategies: np.ndarray, bundle: NoiseBundle,
-              indices=None) -> float:
+def objective(spec: GameSpec, i: int, strategies: np.ndarray, bundle: NoiseBundle) -> float:
     """Monte Carlo value of J^i at the given strategy profile (players, paths, n)."""
-    return float(np.mean(objective_per_path(spec, i, strategies, bundle, indices)))
+    return float(np.mean(objective_per_path(spec, i, strategies, bundle)))
 
 
 def concavity_check(spec: GameSpec, i: int, u_base: np.ndarray, direction: np.ndarray,
-                    bundle: NoiseBundle, indices=None, delta: float = 1.0,
+                    bundle: NoiseBundle, delta: float = 1.0,
                     tol: float = 1e-10) -> bool:
     """Second central difference of eps -> J^i(u_base^i + eps*h) must be <= +tol."""
     h = np.asarray(direction, dtype=float)
     if not np.any(h != 0.0):
         raise ValueError("direction must not be identically zero")
-    j0 = objective(spec, i, u_base, bundle, indices)
+    j0 = objective(spec, i, u_base, bundle)
     up = u_base.copy()
     up[i] = up[i] + delta * h[None, :]
-    jp = objective(spec, i, up, bundle, indices)
+    jp = objective(spec, i, up, bundle)
     um = u_base.copy()
     um[i] = um[i] - delta * h[None, :]
-    jm = objective(spec, i, um, bundle, indices)
+    jm = objective(spec, i, um, bundle)
     return (jp + jm - 2.0 * j0) <= tol
 
 
 def scale_game(spec: GameSpec, gamma: float) -> GameSpec:
-    """Scale (A1, A2hat, A3, lambda, b^i, b^0) jointly; the equilibrium is invariant."""
+    """Scale (A1, A2hat, A3, lambda, b^i, b^0, c^i) jointly by gamma > 0.
 
-    def scale_sig(fam):
+    The equilibrium is invariant and every objective scales by gamma.
+    """
+
+    def scaled(fam):
         return LinearCombination(terms=((gamma, fam),))
 
-    return GameSpec(
-        n_players=spec.n_players,
+    return replace(
+        spec,
         lam=gamma * spec.lam,
-        a1=GridKernel(spec.grid, gamma * spec.a1.values),
-        a2hat=GridKernel(spec.grid, gamma * spec.a2hat.values),
-        a3=GridKernel(spec.grid, gamma * spec.a3.values),
-        b_signals=tuple(scale_sig(f) for f in spec.b_signals),
-        b0_signal=scale_sig(spec.b0_signal),
-        grid=spec.grid,
-        c_constants=spec.c_constants,
+        a1=add_kernels((gamma, spec.a1)),
+        a2hat=add_kernels((gamma, spec.a2hat)),
+        a3=add_kernels((gamma, spec.a3)),
+        b_signals=tuple(scaled(f) for f in spec.b_signals),
+        b0_signal=scaled(spec.b0_signal),
+        c_constants=tuple(gamma * c for c in spec.c_constants),
+        b0_extras=tuple(None if e is None else scaled(e) for e in spec.b0_extras),
     )

@@ -1,4 +1,4 @@
-"""Progressively measurable inputs as sampled paths with exact conditional surfaces.
+"""Progressively measurable inputs, carried as their coefficients in Brownian increments.
 
 Every supported family is affine in Brownian increments,
 
@@ -12,6 +12,8 @@ values[j] = E_{t_j}[f_j] and the surface is m[i, j] = E_{t_i}[f_j]
 The solvers map a CompiledSignal driver to a CompiledSignal solution, so
 equilibria are carried in this same form, and the linear algebra of the
 form (sums, scalings, matrices applied to every weight) lives here only.
+Sampled paths are read off the coefficients: path_values for every path at
+once, values_and_surface for one path with its conditional surface.
 """
 
 from __future__ import annotations
@@ -130,6 +132,9 @@ class CompiledSignal:
 
     def values_and_surface(self, dW: dict) -> tuple[np.ndarray, np.ndarray]:
         """Adapted path values and the full surface m[i, j] for one increment draw."""
+        missing = self.noise_tags() - set(dW)
+        if missing:
+            raise UnsupportedSignal(f"noise lacks tags {sorted(missing)}")
         n = self.grid.n
         C = np.zeros((n, n))         # C[j, i] = sum_{r < i} w[j, r] dW_r
         for tag, w in self.weights.items():
@@ -172,10 +177,6 @@ class Deterministic(SignalFamily):
             raise ShapeError(f"deterministic signal has length {g.shape}, expected {grid.n}")
         term = self.terminal if self.terminal is not None else float(g[-1])
         return CompiledSignal(grid, g, {}, mean_T=term)
-
-
-def constant_signal(level: float) -> Deterministic:
-    return Deterministic(values=(float(level),), terminal=float(level))
 
 
 @dataclass(frozen=True)
@@ -253,13 +254,8 @@ def compile_signal(family, grid: TimeGrid) -> CompiledSignal:
     return family.compile(grid)
 
 
-def signal_mean(family, grid: TimeGrid) -> np.ndarray:
-    """Analytic E[f] on the grid (increments are centered)."""
-    return compile_signal(family, grid).mean.copy()
-
-
 # ---------------------------------------------------------------------------
-# noise and simulation
+# noise
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -310,42 +306,3 @@ def draw_noise(grid: TimeGrid, tags, n_paths: int, seed: int) -> NoiseBundle:
     """Every tag idiosyncratic in one common block: the stream, kept whole."""
     incs = dict(stream_increments(grid, (), tags, 1, n_paths, seed))
     return NoiseBundle(grid, n_paths, seed, incs)
-
-
-@dataclass(frozen=True)
-class SignalPath:
-    """One realized scenario: adapted values plus the surface m[i, j] = E_{t_i}[f_j]."""
-
-    grid: TimeGrid
-    values: np.ndarray
-    surface: np.ndarray
-    noise_tags: frozenset = frozenset()
-
-
-def simulate(family, grid: TimeGrid, bundle: NoiseBundle, path_index: int) -> SignalPath:
-    """Realize one path of the family with its exact conditional surface."""
-    cs = compile_signal(family, grid)
-    dW = bundle.path(path_index)
-    missing = cs.noise_tags() - set(dW)
-    if missing:
-        raise UnsupportedSignal(f"noise bundle lacks tags {sorted(missing)}")
-    values, surface = cs.values_and_surface(dW)
-    return SignalPath(grid, values, surface, cs.noise_tags())
-
-
-def combine(paths) -> SignalPath:
-    """Exact linear combination sum_i coef_i * path_i of values and surfaces."""
-    terms = list(paths)
-    if not terms:
-        raise ShapeError("combine needs at least one path")
-    grid = terms[0][1].grid
-    values = np.zeros(grid.n)
-    surface = np.zeros((grid.n, grid.n))
-    tags = frozenset()
-    for coef, p in terms:
-        if p.grid != grid:
-            raise ShapeError("combined paths live on different grids")
-        values = values + coef * p.values
-        surface = surface + coef * p.surface
-        tags = tags | p.noise_tags
-    return SignalPath(grid, values, surface, tags)

@@ -34,6 +34,8 @@ RAW_MODEL = {
     "b0": {"family": "deterministic", "values": [0.25]},
 }
 
+MFG_MODEL = json.loads((CONFIGS / "mfg_convergence.json").read_text())["model"]
+
 
 def widened_systemic(players):
     """run_configs/systemic.json with per-bank sigma and x0 cycled to `players` banks."""
@@ -91,6 +93,32 @@ class TestConfigErrors:
         blocks[block][key] = 2
         p = write_cfg(tmp_path, RAW_MODEL, noise=blocks["noise"], run=blocks["run"])
         assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+
+    # each once ended in a traceback (exit 1), was reported as a numerical error
+    # (exit 3) or, for --grid-n 0, was ignored in favour of the config's n
+    @pytest.mark.parametrize("command, overrides, argv", [
+        ("solve", {"grid": 5}, []),
+        ("solve", {"grid": {"T": "abc", "n": 12}}, []),
+        ("solve", {"grid": {"T": 1.0, "n": 1}}, []),
+        ("solve", {}, ["--grid-n", "1"]),
+        ("solve", {}, ["--grid-n", "0"]),
+        ("solve", {"noise": {"paths": "many", "seed": 3}}, []),
+        ("solve", {"model": {**RAW_MODEL, "N": "two"}}, []),
+        ("solve", {"model": {k: v for k, v in RAW_MODEL.items() if k != "lam"}}, []),
+        ("converge", {"model": {k: v for k, v in MFG_MODEL.items() if k != "lam"}}, []),
+        ("converge", {"model": {**MFG_MODEL, "lam": -1.0}}, []),
+        ("converge", {"model": {**MFG_MODEL,
+                                "a2hat": {"family": "power_law", "c": 1.0, "alpha": 0.9}}}, []),
+        ("converge", {"run": {"Ns": "abc"}}, []),
+    ], ids=["grid-not-object", "T-not-number", "n-1", "grid-n-1", "grid-n-0",
+            "paths-not-integer", "N-not-integer", "raw-lam-missing", "mfg-lam-missing",
+            "mfg-lam-negative", "mfg-alpha-0.9", "Ns-not-list"])
+    def test_malformed_value_exits_2(self, tmp_path, command, overrides, argv):
+        cfg = {"grid": {"T": 1.0, "n": 12}, "noise": {"paths": 6, "seed": 3},
+               "model": RAW_MODEL if command == "solve" else MFG_MODEL, **overrides}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o"), *argv]) == 2
 
 
 class TestSolve:

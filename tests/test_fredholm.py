@@ -30,7 +30,6 @@ from volterra_games.signals import (
     OU,
     compile_signal,
     draw_noise,
-    simulate,
 )
 
 
@@ -206,9 +205,9 @@ class TestNaiveOracle:
         K = discretize_kernel(ExponentialDecay(c=1.1, rho=0.5), g)
         bundle = draw_noise(g, {"common"}, 1, 2)
         ou = OU(kappa=1.0, sigma=0.7, x0=0.2)
-        path = simulate(ou, g, bundle, 0)
+        values, surface = compile_signal(ou, g).values_and_surface(bundle.path(0))
         sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), ou)
-        naive = self.naive_solution(K, K, 2.0, path.values, path.surface)
+        naive = self.naive_solution(K, K, 2.0, values, surface)
         assert np.max(np.abs(sol.path_values(bundle.increments, 1)[0] - naive)) <= 1e-12
 
     def test_coefficients_and_surface_match_per_k_solves(self):

@@ -42,7 +42,6 @@ from volterra_games.signals import (
     Martingale,
     compile_signal,
     draw_noise,
-    simulate,
 )
 
 
@@ -73,9 +72,9 @@ class TestMaps:
         ops = build_mfg_operators(spec)
         bundle = draw_noise(grid16, {"common"}, 1, 0)
         f = Martingale(sigma=1.0, noise="common")
-        x = simulate(f, grid16, bundle, 0)
-        assert np.max(np.abs(solve_on(ops.solver_F, f, bundle)[0] - x.values / 2.0)) < 1e-14
-        assert np.max(np.abs(solve_on(ops.solver_G, f, bundle)[0] - x.values / 2.0)) < 1e-14
+        x, _ = compile_signal(f, grid16).values_and_surface(bundle.path(0))
+        assert np.max(np.abs(solve_on(ops.solver_F, f, bundle)[0] - x / 2.0)) < 1e-14
+        assert np.max(np.abs(solve_on(ops.solver_G, f, bundle)[0] - x / 2.0)) < 1e-14
 
     def test_a3_zero_collapses_G_to_F(self, grid16):
         spec = make_mfg(grid16, a3_zero=True)
@@ -350,9 +349,9 @@ class TestBatchedPipelineCrossValidation:
             B[k, :k] = (dt * (W[k, k:] @ K.values[k:, :k]) - K.values[k, :k]) / 2.0
         forward = np.linalg.inv(np.eye(n) - dt * B)
         for p in range(6):
-            path = simulate(fam, grid16, bundle, p)
-            assert np.max(np.abs(vals_b[p] - path.values)) <= 1e-13
-            a = (path.values - dt * np.einsum("kj,kj->k", W, path.surface)) / 2.0
+            values, surface = cs.values_and_surface(bundle.path(p))
+            assert np.max(np.abs(vals_b[p] - values)) <= 1e-13
+            a = (values - dt * np.einsum("kj,kj->k", W, surface)) / 2.0
             assert np.max(np.abs(v_b[p] - forward @ a)) <= 1e-13
 
     def test_convergence_study_player_route_matches_solve_nash(self, grid16):

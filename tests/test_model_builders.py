@@ -410,11 +410,12 @@ class TestAdvertising:
         for trial in range(20):
             prof = rng.standard_normal((2, 6))
             dW = bundle.path(trial % 2)
+            one_path = NoiseBundle(g, 1, bundle.seed, {tag: w[None] for tag, w in dW.items()})
             for i in range(2):
                 jd = direct_objective(vspec, i, prof, dW)
                 jd0 = direct_objective(vspec, i, np.zeros((2, 6)), dW)
-                js = objective(game, i, prof[:, None, :], bundle, indices=[trial % 2])
-                js0 = objective(game, i, np.zeros((2, 1, 6)), bundle, indices=[trial % 2])
+                js = objective(game, i, prof[:, None, :], one_path)
+                js0 = objective(game, i, np.zeros((2, 1, 6)), one_path)
                 # compare the strategy-dependent parts; the constant c^i is an
                 # expectation while the direct value is pathwise
                 assert abs((jd - jd0) - (js - js0)) <= 1e-10

@@ -167,6 +167,25 @@ class TestSolve:
         assert np.max(np.abs(sol_g.u - sol.u)) <= 1e-10
         assert np.max(np.abs(sol_g.ubar - sol.ubar)) <= 1e-10
 
+    @pytest.mark.parametrize("model", ["systemic", "liquidation"])
+    def test_scaled_reduced_game_scales_every_objective(self, model):
+        # a reduced game carries kernel_check="concave", diag_half, b0_extras
+        # and c_constants; scale_game must keep or scale each of them
+        cfg = json.loads((Path(__file__).parent.parent / "run_configs" / f"{model}.json")
+                         .read_text())
+        grid = build_grid(cfg["grid"]["T"], 16)
+        spec = build_game_from_config(cfg, grid)
+        bundle = draw_noise(grid, spec.noise_tags(), 4, cfg["noise"]["seed"])
+        gamma = 2.0
+        scaled = scale_game(spec, gamma)
+        sol = solve_nash(spec, bundle)
+        sol_g = solve_nash(scaled, bundle)
+        assert np.max(np.abs(sol_g.u - sol.u)) <= 1e-10
+        assert np.max(np.abs(sol_g.ubar - sol.ubar)) <= 1e-10
+        for i in range(spec.n_players):
+            J = objective(spec, i, sol.u, bundle)
+            assert abs(objective(scaled, i, sol.u, bundle) - gamma * J) <= 1e-12
+
     def test_player_permutation_symmetry(self, grid16):
         spec = make_spec(grid16, N=3)
         bundle = bundle_for(spec, 2, 9)

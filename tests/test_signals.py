@@ -11,11 +11,8 @@ from volterra_games.signals import (
     Martingale,
     NoiseBundle,
     OU,
-    combine,
     compile_signal,
     draw_noise,
-    signal_mean,
-    simulate,
 )
 
 FAMILIES = [
@@ -23,6 +20,11 @@ FAMILIES = [
     Martingale(sigma=1.3, noise="common"),
     OU(kappa=2.0, sigma=0.8, x0=0.5, noise="common"),
 ]
+
+
+def realize(fam, grid, bundle, k):
+    """(values, surface) of fam on path k of bundle."""
+    return compile_signal(fam, grid).values_and_surface(bundle.path(k))
 
 
 def binomial_bundle(grid, tag="common", depth=None):
@@ -40,34 +42,34 @@ class TestFamilies:
     def test_deterministic_constant(self):
         g = build_grid(1.0, 8)
         bundle = draw_noise(g, {"common"}, 1, 0)
-        p = simulate(Deterministic(values=(3.0,)), g, bundle, 0)
-        assert np.all(p.values == 3.0)
-        assert np.all(p.surface == 3.0)
+        values, surface = realize(Deterministic(values=(3.0,)), g, bundle, 0)
+        assert np.all(values == 3.0)
+        assert np.all(surface == 3.0)
 
     def test_martingale_surface_freezes(self):
         g = build_grid(1.0, 16)
         bundle = draw_noise(g, {"common"}, 3, 1)
-        p = simulate(Martingale(sigma=1.0), g, bundle, 2)
+        values, surface = realize(Martingale(sigma=1.0), g, bundle, 2)
         for i in range(16):
             for j in range(i, 16):
-                assert p.surface[i, j] == p.values[i]
+                assert surface[i, j] == values[i]
 
     def test_ou_noiseless_decay(self):
         g = build_grid(1.0, 16)
         bundle = draw_noise(g, {"common"}, 1, 0)
-        p = simulate(OU(kappa=2.0, sigma=0.0, x0=1.0), g, bundle, 0)
-        assert np.max(np.abs(p.values - np.exp(-2.0 * g.times))) < 1e-14
-        assert np.max(np.abs(p.surface - np.exp(-2.0 * g.times)[None, :])) < 1e-14
+        values, surface = realize(OU(kappa=2.0, sigma=0.0, x0=1.0), g, bundle, 0)
+        assert np.max(np.abs(values - np.exp(-2.0 * g.times))) < 1e-14
+        assert np.max(np.abs(surface - np.exp(-2.0 * g.times)[None, :])) < 1e-14
 
     def test_brownian_weighted_zero_weights_is_deterministic(self):
         g = build_grid(1.0, 8)
         bundle = draw_noise(g, {"common"}, 2, 5)
         gvals = np.linspace(0.0, 1.0, 8)
-        p = simulate(BrownianWeighted(g=tuple(gvals), w=tuple(map(tuple, np.zeros((8, 8))))),
-                     g, bundle, 1)
-        q = simulate(Deterministic(values=tuple(gvals)), g, bundle, 1)
-        assert np.array_equal(p.values, q.values)
-        assert np.array_equal(p.surface, q.surface)
+        p = realize(BrownianWeighted(g=tuple(gvals), w=tuple(map(tuple, np.zeros((8, 8))))),
+                    g, bundle, 1)
+        q = realize(Deterministic(values=tuple(gvals)), g, bundle, 1)
+        assert np.array_equal(p[0], q[0])
+        assert np.array_equal(p[1], q[1])
 
     def test_anticipative_weights_project(self):
         # full weight matrix: values use only past increments
@@ -75,31 +77,31 @@ class TestFamilies:
         rng = np.random.default_rng(2)
         w = rng.standard_normal((6, 6))
         bundle = draw_noise(g, {"common"}, 1, 3)
-        p = simulate(BrownianWeighted(g=(0.0,) * 6, w=tuple(map(tuple, w))), g, bundle, 0)
+        values, _ = realize(BrownianWeighted(g=(0.0,) * 6, w=tuple(map(tuple, w))), g, bundle, 0)
         dW = bundle.path(0)["common"]
         for j in range(6):
-            assert abs(p.values[j] - w[j, :j] @ dW[:j]) < 1e-14
+            assert abs(values[j] - w[j, :j] @ dW[:j]) < 1e-14
 
     def test_means(self):
         g = build_grid(1.0, 8)
-        assert np.all(signal_mean(Martingale(sigma=2.0), g) == 0.0)
-        assert np.allclose(signal_mean(OU(kappa=1.0, sigma=3.0, x0=2.0), g),
+        assert np.all(compile_signal(Martingale(sigma=2.0), g).mean == 0.0)
+        assert np.allclose(compile_signal(OU(kappa=1.0, sigma=3.0, x0=2.0), g).mean,
                            2.0 * np.exp(-g.times))
         combo = LinearCombination(terms=((2.0, Deterministic(values=(1.0,))),
                                          (1.0, Martingale(sigma=1.0))))
-        assert np.all(signal_mean(combo, g) == 2.0)
+        assert np.all(compile_signal(combo, g).mean == 2.0)
 
     def test_unknown_family_rejected(self):
         g = build_grid(1.0, 4)
         bundle = draw_noise(g, {"common"}, 1, 0)
         with pytest.raises(UnsupportedSignal):
-            simulate(object(), g, bundle, 0)
+            realize(object(), g, bundle, 0)
 
     def test_missing_noise_tag_rejected(self):
         g = build_grid(1.0, 4)
         bundle = draw_noise(g, {"other"}, 1, 0)
         with pytest.raises(UnsupportedSignal):
-            simulate(Martingale(noise="common"), g, bundle, 0)
+            realize(Martingale(noise="common"), g, bundle, 0)
 
 
 class TestInvariants:
@@ -108,9 +110,9 @@ class TestInvariants:
         g = build_grid(1.0, 16)
         bundle = draw_noise(g, {"common"}, 4, 9)
         for k in range(4):
-            p = simulate(fam, g, bundle, k)
+            values, surface = realize(fam, g, bundle, k)
             ii, jj = np.tril_indices(16)
-            assert np.max(np.abs(p.surface[ii, jj] - p.values[jj])) <= 1e-12
+            assert np.max(np.abs(surface[ii, jj] - values[jj])) <= 1e-12
 
     @pytest.mark.parametrize("fam", FAMILIES + [
         BrownianWeighted(g=(0.0,) * 6,
@@ -120,7 +122,7 @@ class TestInvariants:
         g = build_grid(1.0, 6)
         bundle = binomial_bundle(g)
         L = bundle.n_paths
-        surfaces = np.stack([simulate(fam, g, bundle, p).surface for p in range(L)])
+        surfaces = np.stack([realize(fam, g, bundle, p)[1] for p in range(L)])
         rng = np.random.default_rng(0)
         for _ in range(20):
             i = rng.integers(0, 5)
@@ -136,7 +138,7 @@ class TestInvariants:
         g = build_grid(1.0, 8)
         M = 10_000
         bundle = draw_noise(g, {"common"}, M, 123)
-        vals = np.stack([simulate(Martingale(sigma=1.0), g, bundle, p).values
+        vals = np.stack([realize(Martingale(sigma=1.0), g, bundle, p)[0]
                          for p in range(M)])
         for j in range(1, 8):
             bound = 4.0 * np.sqrt(g.times[j] / M)
@@ -170,48 +172,6 @@ class TestInvariants:
         backward = CompiledSignal(grid, mean, dict(reversed(weights.items())))
         assert np.array_equal(forward.path_values(bundle.increments, 50),
                               backward.path_values(bundle.increments, 50))
-
-
-class TestCombine:
-    def test_single_identity(self):
-        g = build_grid(1.0, 8)
-        bundle = draw_noise(g, {"common"}, 1, 0)
-        p = simulate(Martingale(sigma=1.0), g, bundle, 0)
-        q = combine([(1.0, p)])
-        assert np.array_equal(q.values, p.values)
-        assert np.array_equal(q.surface, p.surface)
-
-    def test_half_plus_half(self):
-        g = build_grid(1.0, 8)
-        bundle = draw_noise(g, {"common"}, 1, 0)
-        p = simulate(OU(kappa=1.0, sigma=1.0, x0=0.3), g, bundle, 0)
-        q = combine([(0.5, p), (0.5, p)])
-        assert np.array_equal(q.values, p.values)
-
-    def test_average_of_deterministics(self):
-        g = build_grid(1.0, 8)
-        bundle = draw_noise(g, {"common"}, 1, 0)
-        gs = [np.sin(g.times + i) for i in range(4)]
-        paths = [simulate(Deterministic(values=tuple(v)), g, bundle, 0) for v in gs]
-        avg = combine([(0.25, p) for p in paths])
-        assert np.allclose(avg.values, np.mean(gs, axis=0), atol=1e-15)
-
-    def test_exact_linearity(self):
-        g = build_grid(1.0, 8)
-        bundle = draw_noise(g, {"a", "b"}, 2, 7)
-        p = simulate(Martingale(sigma=1.0, noise="a"), g, bundle, 1)
-        q = simulate(Martingale(sigma=2.0, noise="b"), g, bundle, 1)
-        r = combine([(0.3, p), (-1.2, q)])
-        assert np.array_equal(r.values, 0.3 * p.values - 1.2 * q.values)
-        assert np.array_equal(r.surface, 0.3 * p.surface - 1.2 * q.surface)
-
-    def test_grid_mismatch(self):
-        b1 = draw_noise(build_grid(1.0, 4), {"c"}, 1, 0)
-        b2 = draw_noise(build_grid(1.0, 5), {"c"}, 1, 0)
-        p = simulate(Martingale(noise="c"), build_grid(1.0, 4), b1, 0)
-        q = simulate(Martingale(noise="c"), build_grid(1.0, 5), b2, 0)
-        with pytest.raises(ShapeError):
-            combine([(1.0, p), (1.0, q)])
 
 
 def reference_combination(terms, grid):
@@ -335,6 +295,14 @@ class TestArithmetic:
         with pytest.raises(ShapeError):
             np.ones((6, 7)) @ f
 
+    def test_average_of_deterministics(self):
+        g = build_grid(1.0, 8)
+        bundle = draw_noise(g, {"common"}, 1, 0)
+        gs = [np.sin(g.times + i) for i in range(4)]
+        avg = sum(0.25 * compile_signal(Deterministic(values=tuple(v)), g) for v in gs)
+        values, _ = avg.values_and_surface(bundle.path(0))
+        assert np.allclose(values, np.mean(gs, axis=0), atol=1e-15)
+
     def test_grid_mismatch(self):
         f = compile_signal(Martingale(noise="c"), build_grid(1.0, 4))
         h = compile_signal(Martingale(noise="c"), build_grid(1.0, 5))
@@ -354,9 +322,9 @@ class TestMotivatingWeightedSignal:
         w = 2.0 * np.exp(a * (2 * T - g.times[:, None] - g.times[None, :]))
         fam = BrownianWeighted(g=(0.0,) * 8, w=tuple(map(tuple, w)))
         bundle = draw_noise(g, {"common"}, 1, 21)
-        p = simulate(fam, g, bundle, 0)
+        _, surface = realize(fam, g, bundle, 0)
         dW = bundle.path(0)["common"]
         for i in range(8):
             for j in range(8):
                 expect = w[j, :min(i, j)] @ dW[:min(i, j)]
-                assert abs(p.surface[i, j] - expect) < 1e-13
+                assert abs(surface[i, j] - expect) < 1e-13

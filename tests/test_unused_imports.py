@@ -1,8 +1,11 @@
-"""Every name a module imports is used in it.
+"""Every name a module imports is used in it, and every definition is used somewhere.
 
-Covers the package modules (not __init__.py, whose imports are its public
-interface) and the test modules.  A name counts as used when it appears as
-an identifier anywhere in the module, attribute bases included.
+The import check covers the package modules (not __init__.py, whose imports
+are its public interface) and the test modules.  A name counts as used when
+it appears as an identifier anywhere in the module, attribute bases included.
+The definition check asks that each top-level function or class of a package
+module be named, as an identifier or an attribute, in some package module
+other than __init__.py or in some test module.
 """
 
 import ast
@@ -11,8 +14,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([p for p in (ROOT / "src" / "volterra_games").glob("*.py")
-                  if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py")))
+SOURCES = sorted(p for p in (ROOT / "src" / "volterra_games").glob("*.py")
+                 if p.name != "__init__.py")
+MODULES = sorted(SOURCES + list((ROOT / "tests").glob("*.py")))
+
+
+def identifiers(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,8 +33,20 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = identifiers(tree)
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def unreferenced_definitions(defining: dict, others: list) -> list[str]:
+    """Top-level functions and classes in defining (name -> source) that no source names."""
+    trees = {name: ast.parse(source) for name, source in defining.items()}
+    used = set()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        used |= identifiers(tree)
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in used]
 
 
 def test_detects_an_unused_import():
@@ -34,6 +54,20 @@ def test_detects_an_unused_import():
         "line 1: os", "line 2: tau"]
 
 
+def test_detects_an_unreferenced_definition():
+    defining = {"a.py": "def kept():\n    return helper()\n\n"
+                        "def helper():\n    return 1\n\nclass Dead:\n    pass\n\n"
+                        "def orphan():\n    return Dead\n",
+                "b.py": "import a\n\ndef run():\n    return a.kept()\n"}
+    assert unreferenced_definitions(defining, ["from b import run\nrun()\n"]) == [
+        "a.py: orphan"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_definition_is_named_somewhere():
+    tests = [p.read_text() for p in MODULES if p not in SOURCES]
+    assert unreferenced_definitions({p.name: p.read_text() for p in SOURCES}, tests) == []
