@@ -35,23 +35,19 @@ from .grid_ops import (
     check_nonneg_definite,
     discretize_kernel,
     invert_id_minus,
-    mask_from,
     resolvent,
     star_product,
     zero_kernel,
 )
 from .signals import (
     COMMON,
-    BrownianWeighted,
     CompiledSignal,
-    Deterministic,
-    LinearCombination,
-    Martingale,
     NoiseBundle,
-    OU,
-    SignalFamily,
-    compile_signal,
+    brownian_weighted,
+    deterministic,
     draw_noise,
+    martingale,
+    ou,
 )
 from .fredholm import (
     FredholmProblem,

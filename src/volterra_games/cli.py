@@ -44,14 +44,7 @@ from .model_builders import (
     build_systemic_game,
 )
 from .nplayer import GameSpec, solve_nash
-from .signals import (
-    GENERATOR_NAME,
-    Deterministic,
-    LinearCombination,
-    Martingale,
-    OU,
-    draw_noise,
-)
+from .signals import GENERATOR_NAME, CompiledSignal, deterministic, draw_noise, martingale, ou
 from .validation import DEFAULT_TOLERANCES, validation_report
 
 # diagnostics.json entry -> the tolerance that gates it in `solve`
@@ -101,7 +94,7 @@ def parse_kernel(obj, grid: TimeGrid, context: str = "kernel"):
     raise ConfigError(f"unknown kernel family {fam!r} in {context}")
 
 
-def parse_signal(obj, grid: TimeGrid, idio_tag: str, context: str = "signal"):
+def parse_signal(obj, grid: TimeGrid, idio_tag: str, context: str = "signal") -> CompiledSignal:
     if not isinstance(obj, dict) or "family" not in obj:
         raise ConfigError(f"{context} must be an object with a 'family' key")
     fam = obj["family"]
@@ -109,29 +102,27 @@ def parse_signal(obj, grid: TimeGrid, idio_tag: str, context: str = "signal"):
         _require_keys(obj, {"family", "values", "kind", "a", "b", "terminal"}, context)
         if obj.get("kind") == "affine":
             a, b = float(obj.get("a", 0.0)), float(obj.get("b", 0.0))
-            vals = a + b * grid.times
-            term = a + b * grid.horizon
-            return Deterministic(values=tuple(vals), terminal=term)
+            return deterministic(grid, a + b * grid.times, terminal=a + b * grid.horizon)
         vals = obj.get("values")
         if vals is None:
             raise ConfigError(f"{context}: deterministic signal needs 'values' or affine kind")
         term = obj.get("terminal")
-        return Deterministic(values=tuple(float(v) for v in np.atleast_1d(vals)),
+        return deterministic(grid, [float(v) for v in np.atleast_1d(vals)],
                              terminal=None if term is None else float(term))
     noise = obj.get("noise", "idiosyncratic")
     tag = "common" if noise == "common" else idio_tag
     if fam == "martingale":
         _require_keys(obj, {"family", "sigma", "noise"}, context)
-        return Martingale(sigma=float(obj.get("sigma", 1.0)), noise=tag)
+        return martingale(grid, float(obj.get("sigma", 1.0)), tag)
     if fam == "ou":
         _require_keys(obj, {"family", "kappa", "sigma", "x0", "noise"}, context)
-        return OU(kappa=float(obj.get("kappa", 1.0)), sigma=float(obj.get("sigma", 1.0)),
+        return ou(grid, kappa=float(obj.get("kappa", 1.0)), sigma=float(obj.get("sigma", 1.0)),
                   x0=float(obj.get("x0", 0.0)), noise=tag)
     if fam == "combination":
         _require_keys(obj, {"family", "terms"}, context)
-        terms = tuple((float(c), parse_signal(s, grid, idio_tag, context))
-                      for c, s in obj["terms"])
-        return LinearCombination(terms=terms)
+        if not obj["terms"]:
+            raise ConfigError(f"{context}: a combination needs at least one term")
+        return sum(float(c) * parse_signal(s, grid, idio_tag, context) for c, s in obj["terms"])
     raise ConfigError(f"unknown signal family {fam!r} in {context}")
 
 
@@ -215,16 +206,15 @@ def _build_mfg(cfg: dict, grid: TimeGrid) -> MFGSpec:
     pk = model.get("player_kind", "balanced")
     if pk == "balanced":
         shape = model.get("shape")
-        shape = tuple(np.sin(np.pi * grid.times / grid.horizon)) if shape is None \
-            else tuple(map(float, shape))
+        shape = np.sin(np.pi * grid.times / grid.horizon) if shape is None \
+            else [float(s) for s in shape]
         family = BalancedDeterministicFamily(base=base,
                                              amplitude=float(model.get("amplitude", 0.5)),
-                                             shape=shape)
+                                             shape=deterministic(grid, shape))
         beta = base
     elif pk == "iid":
-        sig = float(model.get("sigma", 0.5))
-        family = IIDBrownianFamily(base=base, sigma=sig)
-        beta = LinearCombination(terms=((1.0, base), (1.0, Martingale(sigma=sig, noise="idio0"))))
+        family = IIDBrownianFamily(base=base, sigma=float(model.get("sigma", 0.5)))
+        beta = family.signal(0, 1)
     else:
         raise ConfigError(f"unknown player_kind {pk!r}")
     return MFGSpec(
@@ -233,7 +223,7 @@ def _build_mfg(cfg: dict, grid: TimeGrid) -> MFGSpec:
         a2hat=discretize_kernel(parse_kernel(model["a2hat"], grid, "a2hat"), grid),
         a3=discretize_kernel(parse_kernel(model["a3"], grid, "a3"), grid),
         beta=beta,
-        beta0=Deterministic(values=(0.0,)),
+        beta0=deterministic(grid, 0.0),
         b0_signal=parse_signal(model["b0"], grid, "common", "b0"),
         grid=grid,
         b_infty=base,
@@ -423,8 +413,8 @@ def main(argv=None) -> int:
                         choices=["solve", "converge", "eps-nash", "validate", "oracle-check"])
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--paths", type=int, default=None, help="Monte Carlo paths")
-    parser.add_argument("--seed", type=int, default=None, help="noise seed")
+    parser.add_argument("--paths", type=int, default=None, help="Monte Carlo paths, at least 1")
+    parser.add_argument("--seed", type=int, default=None, help="noise seed, at least 0")
     parser.add_argument("--grid-n", type=int, default=None, help="override grid point count")
     parser.add_argument("--oracle", action="store_true",
                         help="also run the oracle comparison after the command")
@@ -438,6 +428,8 @@ def main(argv=None) -> int:
             seed = args.seed if args.seed is not None else int(noise_cfg.get("seed", 0))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"noise.paths and noise.seed must be integers: {exc}")
+        if paths < 1 or seed < 0:
+            raise ConfigError(f"need paths >= 1 and seed >= 0, got paths={paths}, seed={seed}")
         out = Path(cfg.get("run", {}).get("out", args.out)) if args.out == "out" \
             else Path(args.out)
         runner = {

@@ -22,7 +22,7 @@ class SingularOperator(VolterraGamesError):
 
 
 class UnsupportedSignal(VolterraGamesError):
-    """Signal family is unknown or missing required data."""
+    """An input is not a signal, or the noise lacks one of a signal's tags."""
 
 
 class ConsistencyViolation(VolterraGamesError):

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import InadmissibleKernel, ShapeError, SingularOperator
 from .grid_ops import LU_LEAF, GridKernel, TimeGrid, triangular_inverse
-from .signals import CompiledSignal, NoiseBundle, compile_signal
+from .signals import CompiledSignal, NoiseBundle
 
 SELFADJOINT_TOL = 1e-10
 
@@ -105,10 +105,6 @@ class DtFamily:
     def cond1(self) -> float:
         """1-norm condition number of D_0, read off the factors."""
         return float(np.linalg.norm(self.core, 1) * np.linalg.norm(self._Li @ self._Ui, 1))
-
-    def condition_number(self, k: int) -> float:
-        sv = np.linalg.svd(self.core[k:, k:], compute_uv=False)
-        return float(sv[0] / sv[-1])
 
 
 def _reversed_factors(core: np.ndarray, tol: float):
@@ -206,14 +202,15 @@ class FredholmSolver:
 
 
 def stability_gap(problem_n: FredholmProblem, problem_limit: FredholmProblem,
-                  bundle: NoiseBundle, f_n, f_limit=None) -> float:
+                  bundle: NoiseBundle, f_n: CompiledSignal,
+                  f_limit: CompiledSignal | None = None) -> float:
     """Monte Carlo estimate of sup_k E[(v^N_k - v_k)^2] on the bundle's paths.
 
     f_n drives problem_n and f_limit (default f_n) drives problem_limit.
     """
     f_limit = f_n if f_limit is None else f_limit
-    v_n = FredholmSolver(problem_n).solve(compile_signal(f_n, problem_n.grid))
-    v_l = FredholmSolver(problem_limit).solve(compile_signal(f_limit, problem_limit.grid))
+    v_n = FredholmSolver(problem_n).solve(f_n)
+    v_l = FredholmSolver(problem_limit).solve(f_limit)
     P = bundle.n_paths
     diff = v_n.path_values(bundle.increments, P) - v_l.path_values(bundle.increments, P)
     return float(np.max(np.mean(diff ** 2, axis=0)))

@@ -284,19 +284,6 @@ def resolvent(K: GridKernel) -> GridKernel:
     return GridKernel(K.grid, invert_id_minus(K) @ K.values, volterra=K.volterra)
 
 
-def mask_from(K: GridKernel, t_index: int) -> GridKernel:
-    """Zero columns j < t_index, realizing G_t(s, r) = G(s, r) 1_{r >= t}."""
-    if not (0 <= t_index < K.grid.n):
-        raise ShapeError(f"mask index {t_index} outside [0, {K.grid.n})")
-    vals = K.values.copy()
-    vals[:, :t_index] = 0.0
-    diag = None
-    if K.diag_half is not None:
-        diag = K.diag_half.copy()
-        diag[:t_index] = 0.0
-    return GridKernel(K.grid, vals, volterra=K.volterra, diag_half=diag)
-
-
 def symmetrized_form(K: GridKernel) -> np.ndarray:
     """(dt/2)(Kc + Kc^T) where Kc closes the lower triangle with its diagonal cell.
 

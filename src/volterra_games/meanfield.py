@@ -27,7 +27,7 @@ from .nplayer import (
     GameSpec,
     build_GH,
     build_operators,
-    conditional_surfaces,
+    mean_driver,
     mean_field_shift,
     objective_per_path,
     player_base,
@@ -36,56 +36,58 @@ from .nplayer import (
 )
 from .signals import (
     CompiledSignal,
-    Deterministic,
-    LinearCombination,
-    Martingale,
     NoiseBundle,
-    compile_signal,
+    deterministic,
+    martingale,
+    on_grid,
     stream_increments,
 )
 
 
 @dataclass(frozen=True)
 class MFGSpec:
-    """Mean-field game data: operators plus the generic player's noise split."""
+    """Mean-field game data: operators plus the generic player's noise split.
+
+    The signals are CompiledSignals on grid, checked on entry.
+    """
 
     lam: float
     a1: GridKernel
     a2hat: GridKernel
     a3: GridKernel
-    beta: object              # idiosyncratic part of b
-    beta0: object             # common part of b, independent of beta
-    b0_signal: object
+    beta: CompiledSignal      # idiosyncratic part of b
+    beta0: CompiledSignal     # common part of b, independent of beta
+    b0_signal: CompiledSignal
     grid: TimeGrid
-    b_infty: object | None = None
+    b_infty: CompiledSignal | None = None
     player_family: object | None = None
 
     def __post_init__(self):
         if not (self.lam > 0.0):
             raise InadmissibleKernel(f"lambda must be positive, got {self.lam}")
-        cb = compile_signal(self.beta, self.grid)
-        cb0 = compile_signal(self.beta0, self.grid)
-        if cb.noise_tags() & cb0.noise_tags():
+        on_grid(self.grid, self.beta, self.beta0, self.b0_signal)
+        if self.b_infty is not None:
+            on_grid(self.grid, self.b_infty)
+        if self.beta.noise_tags() & self.beta0.noise_tags():
             raise ShapeError("beta and beta0 must use disjoint noise tags")
 
     def common_tags(self) -> frozenset:
-        tags = compile_signal(self.beta0, self.grid).noise_tags()
-        tags = tags | compile_signal(self.b0_signal, self.grid).noise_tags()
+        tags = self.beta0.noise_tags() | self.b0_signal.noise_tags()
         if self.b_infty is not None:
-            tags = tags | compile_signal(self.b_infty, self.grid).noise_tags()
+            tags = tags | self.b_infty.noise_tags()
         return tags
 
-    def b_family(self):
-        return LinearCombination(terms=((1.0, self.beta), (1.0, self.beta0)))
+    def b_family(self) -> CompiledSignal:
+        """The generic player's b = beta + beta0."""
+        return self.beta + self.beta0
 
-    def limit_family(self):
-        if self.b_infty is not None:
-            return self.b_infty
-        mean_beta = compile_signal(self.beta, self.grid).mean
-        return LinearCombination(terms=(
-            (1.0, Deterministic(values=tuple(mean_beta))),
-            (1.0, self.beta0),
-        ))
+    def mean_field_driver(self) -> CompiledSignal:
+        """E[beta] + beta0, the driver of the mean field mu = G(E[beta] + beta0)."""
+        return deterministic(self.grid, self.beta.mean) + self.beta0
+
+    def limit_family(self) -> CompiledSignal:
+        """b_infty, or E[beta] + beta0 where none is declared."""
+        return self.mean_field_driver() if self.b_infty is None else self.b_infty
 
 
 @dataclass
@@ -207,11 +209,6 @@ class MFGSolution:
     consistency_gap: float = np.nan
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def mu_surface(self) -> np.ndarray:
-        """(common, n, n) conditional surfaces of mu, built on access."""
-        return conditional_surfaces(self.mean_field, self.block_increments, len(self.mu))
-
 
 def solve_generic(spec: MFGSpec, noise: CrossedNoise) -> MFGSolution:
     """Generic-player equilibrium with common noise, plus the conditional-MC gap."""
@@ -219,21 +216,16 @@ def solve_generic(spec: MFGSpec, noise: CrossedNoise) -> MFGSolution:
     grid = spec.grid
     C, I = noise.n_common, noise.n_idio
 
-    mean_beta = compile_signal(spec.beta, grid).mean
-    x_family = LinearCombination(terms=(
-        (1.0, Deterministic(values=tuple(mean_beta))), (1.0, spec.beta0)))
-    cx = compile_signal(x_family, grid)
-    cb = compile_signal(spec.b_family(), grid)
-
+    cx = spec.mean_field_driver()
     mu_cs = ops.solver_G.solve(cx)
-    v_cs = ops.solver_F.solve(shifted_drive(cb, spec.a3, mu_cs))
+    v_cs = ops.solver_F.solve(shifted_drive(spec.b_family(), spec.a3, mu_cs))
     first = noise.block_increments()
     mu = mu_cs.path_values(first, C)
     v = v_cs.path_values(noise.bundle.increments, C * I).reshape(C, I, grid.n)
     g_residual = sup_on_paths(ops.solver_G.residual(cx, mu_cs), first, C)
 
     # E[v | common] = mu holds exactly: drop v's idiosyncratic weights
-    idio = compile_signal(spec.beta, grid).noise_tags()
+    idio = spec.beta.noise_tags()
     diff = v_cs - mu_cs
     exact = max(float(np.max(np.abs(a))) for a in
                 [diff.mean, *(w for tag, w in diff.weights.items() if tag not in idio)])
@@ -265,7 +257,7 @@ def solve_infinite(spec: MFGSpec, n_view: int, noise: CrossedNoise) -> MFGSoluti
     ops = build_mfg_operators(spec)
     grid = spec.grid
     P = noise.bundle.n_paths
-    c_lim = compile_signal(spec.limit_family(), grid)
+    c_lim = spec.limit_family()
     if not c_lim.noise_tags() <= set(noise.common_tags):
         raise ShapeError("b_infty must be measurable with respect to common noise")
 
@@ -274,8 +266,7 @@ def solve_infinite(spec: MFGSpec, n_view: int, noise: CrossedNoise) -> MFGSoluti
     strategies = []
     v = np.empty((n_view, P, grid.n))
     for i in range(n_view):
-        cb_i = compile_signal(spec.player_family.signal(i, n_view), grid)
-        strategies.append(ops.solver_F.solve(cb_i - shift))
+        strategies.append(ops.solver_F.solve(spec.player_family.signal(i, n_view) - shift))
         v[i] = strategies[i].path_values(noise.bundle.increments, P)
     first = noise.block_increments()
     return MFGSolution(mu=nu_cs.path_values(first, noise.n_common), v=v, mean_field=nu_cs,
@@ -294,7 +285,7 @@ def mfg_foc_residual(spec: MFGSpec, solution: MFGSolution, noise: CrossedNoise) 
     A2 = spec.a2hat.values
     own = 2.0 * spec.lam * np.eye(grid.n) + dt * (A2 + A2.T)
     res = (own @ solution.strategies[0] + (dt * (A3 + A3.T)) @ solution.mean_field
-           - compile_signal(spec.b_family(), grid))
+           - spec.b_family())
     return sup_on_paths(res, noise.bundle.increments, noise.bundle.n_paths)
 
 
@@ -306,14 +297,13 @@ def mfg_foc_residual(spec: MFGSpec, solution: MFGSolution, noise: CrossedNoise) 
 class BalancedDeterministicFamily:
     """b^i = base + (-1)^i * amplitude * shape: averages cancel exactly (h = 0)."""
 
-    base: object
+    base: CompiledSignal
     amplitude: float
-    shape: tuple
+    shape: CompiledSignal       # deterministic
 
-    def signal(self, i: int, n_players: int):
+    def signal(self, i: int, n_players: int) -> CompiledSignal:
         sign = 1.0 if i % 2 == 0 else -1.0
-        bump = tuple(sign * self.amplitude * s for s in self.shape)
-        return LinearCombination(terms=((1.0, self.base), (1.0, Deterministic(values=bump))))
+        return self.base + (sign * self.amplitude) * self.shape
 
     def h_rate(self, n_players: int) -> float:
         return 0.0
@@ -323,12 +313,11 @@ class BalancedDeterministicFamily:
 class IIDBrownianFamily:
     """b^i = base + sigma W^i with i.i.d. idiosyncratic Brownian motions: h(N) ~ sigma^2 T / N."""
 
-    base: object
+    base: CompiledSignal
     sigma: float
 
-    def signal(self, i: int, n_players: int):
-        return LinearCombination(terms=(
-            (1.0, self.base), (1.0, Martingale(sigma=self.sigma, noise=f"idio{i}"))))
+    def signal(self, i: int, n_players: int) -> CompiledSignal:
+        return self.base + martingale(self.base.grid, self.sigma, f"idio{i}")
 
     def idio_tags(self, n_players: int):
         return {f"idio{i}" for i in range(n_players)}
@@ -371,19 +360,16 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     P = C * I
     pp = P if player_paths is None else min(player_paths, P)
 
-    nu_cs = ops.solver_G.solve(compile_signal(spec.limit_family(), grid))
+    nu_cs = ops.solver_G.solve(spec.limit_family())
     means, players = [], []
     for N in ns:
         game = induced_game(spec, N)
         gops = build_operators(game)
-        c_mean = compile_signal(LinearCombination(terms=tuple(
-            (1.0 / N, f) for f in (*game.b_signals, game.b0_signal))), grid)
-        means.append(gops.mean_solver.solve(c_mean))
+        means.append(gops.mean_solver.solve(mean_driver(game)))
         # player 1 of the finite game against the mean-field v^1, on a path subset
         if pp > 0:
             u1 = gops.player_solver.solve(shifted_drive(player_base(game, 0), gops.H, means[-1]))
-            cbeta1 = compile_signal(spec.player_family.signal(0, N), grid)
-            v1 = ops.solver_F.solve(shifted_drive(cbeta1, spec.a3, nu_cs))
+            v1 = ops.solver_F.solve(shifted_drive(game.b_signals[0], spec.a3, nu_cs))
             players.append((u1, v1))
 
     ubars, first_pp, first = _streamed_path_values(means, noise, pp)

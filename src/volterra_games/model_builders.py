@@ -29,13 +29,7 @@ from .grid_ops import (
     symmetrized_form,
 )
 from .nplayer import GameSpec
-from .signals import (
-    CompiledSignal,
-    Deterministic,
-    LinearCombination,
-    Martingale,
-    compile_signal,
-)
+from .signals import CompiledSignal, deterministic, martingale, on_grid
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +160,7 @@ class VolterraGameSpec:
     smat: np.ndarray           # (2, 2)
     qvec: np.ndarray           # (2,)
     dblock: np.ndarray         # (n + 1, n, 2, 2)
-    d_signals: tuple           # per player: (component-1 signal, component-2 signal)
+    d_signals: tuple           # per player: (component-1, component-2) CompiledSignals
     s_terminals: tuple         # per player: TerminalVector
     grid: TimeGrid
 
@@ -178,20 +172,7 @@ class VolterraGameSpec:
             raise ShapeError("dblock must have shape (n+1, n, 2, 2)")
         if len(self.d_signals) != self.n_players or len(self.s_terminals) != self.n_players:
             raise ShapeError("per-player signal data must cover every player")
-
-
-def _compiled_states(vspec: VolterraGameSpec) -> list:
-    """Every player's state pair compiled, each distinct signal object once.
-
-    Players may share signal objects (the systemic mean field is one object in
-    every pair); they then share the compiled signal too, keyed by identity.
-    """
-    compiled = {}
-    for pair in vspec.d_signals:
-        for fam in pair:
-            if id(fam) not in compiled:
-                compiled[id(fam)] = compile_signal(fam, vspec.grid)
-    return [(compiled[id(d1)], compiled[id(d2)]) for d1, d2 in vspec.d_signals]
+        on_grid(self.grid, *(d for pair in self.d_signals for d in pair))
 
 
 def _nonzero_tags(cs: CompiledSignal) -> CompiledSignal:
@@ -223,6 +204,20 @@ def _rows(grid: TimeGrid, mean: np.ndarray, weights: dict) -> tuple:
                  for b in (0, 1))
 
 
+def _state_rows(grid: TimeGrid, Rc: np.ndarray, RTc: np.ndarray, cs: CompiledSignal) -> tuple:
+    """Row pair of one state component cs: Rc on its grid values, RTc on its terminal value."""
+    if cs.mean_T is None:
+        raise ShapeError("state signals need terminal extensions for the reduction")
+    n = grid.n
+    weights = {}
+    for tag in dict.fromkeys([*cs.weights, *cs.weights_T]):
+        w = Rc @ cs.weights[tag] if tag in cs.weights else np.zeros((2 * n, n))
+        if tag in cs.weights_T:
+            w += np.outer(RTc, cs.weights_T[tag])
+        weights[tag] = w
+    return _rows(grid, Rc @ cs.mean + RTc * cs.mean_T, weights)
+
+
 def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
     """Exact static form of the discrete Volterra game.
 
@@ -237,10 +232,10 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
     The driver rows are linear in each state component: player i's row pair,
     stacked as 2n rows, is R_1 d^i_1 + R_2 d^i_2 + T s^i with fixed (2n x n)
     row maps R_c (plus a terminal column) built once from the state blocks,
-    Q, S and q.  Each distinct state signal object is compiled once and
-    mapped once per component it fills, one GEMM per tag, so a signal that
-    every player shares (the systemic mean field) costs one map, not N, and
-    the cost grows with the distinct signals' tags, not with players x tags.
+    Q, S and q.  Each distinct state signal object is mapped once per
+    component it fills, one GEMM per tag, so a signal that every player
+    shares (the systemic mean field) costs one map, not N, and the cost
+    grows with the distinct signals' tags, not with players x tags.
     """
     if vspec.grid != grid:
         raise ShapeError("vspec was discretized on a different grid")
@@ -274,25 +269,16 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
     RT = -np.einsum("jab,ac->bjc", DmT, Sbar).reshape(2 * n, 2)
     T = np.einsum("jab->bja", DmT).reshape(2 * n, 2)
 
-    states = _compiled_states(vspec)
-    mapped = {}        # (component, compiled signal) -> its row pair
+    mapped = {}        # (component, state signal) -> its row pair; keys live in vspec
 
     def row_pair(c, cs):
         if (c, cs) not in mapped:
-            if cs.mean_T is None:
-                raise ShapeError("state signals need terminal extensions for the reduction")
-            weights = {}
-            for tag in dict.fromkeys([*cs.weights, *cs.weights_T]):
-                w = R[c] @ cs.weights[tag] if tag in cs.weights else np.zeros((2 * n, n))
-                if tag in cs.weights_T:
-                    w += np.outer(RT[:, c], cs.weights_T[tag])
-                weights[tag] = w
-            mapped[c, cs] = _rows(grid, R[c] @ cs.mean + RT[:, c] * cs.mean_T, weights)
+            mapped[c, cs] = _state_rows(grid, R[c], RT[:, c], cs)
         return mapped[c, cs]
 
     rows = []
     c_consts = []
-    for i, d in enumerate(states):
+    for i, d in enumerate(vspec.d_signals):
         s_term = vspec.s_terminals[i]
         target = _rows(grid, T @ s_term.mean, {t: T @ w for t, w in s_term.weights.items()})
         parts = (row_pair(0, d[0]), row_pair(1, d[1]), target)
@@ -308,7 +294,7 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
             c_i += dt * sum(float(wT @ s_term.weights[t][a]) for t, wT in d[a].weights_T.items()
                             if t in s_term.weights)
         c_consts.append(float(c_i))
-    del states, mapped
+    del mapped
 
     # common b^0 = cross-player average of second rows; remainders fold into b^i
     b0 = _nonzero_tags(sum(row[1] for row in rows) / N)
@@ -345,7 +331,7 @@ def simulate_states(vspec: VolterraGameSpec, profile: np.ndarray, dW: dict):
     ubar = profile.mean(axis=0)
     Z = np.empty((N, n, 2))
     ZT = np.empty((N, 2))
-    for i, (c1, c2) in enumerate(_compiled_states(vspec)):
+    for i, (c1, c2) in enumerate(vspec.d_signals):
         w = np.stack([profile[i], ubar], axis=1)           # (n, 2)
         dvals = np.stack([_raw_values(c1, dW), _raw_values(c2, dW)], axis=1)   # (n, 2)
         dT = np.array([_raw_terminal(c1, dW), _raw_terminal(c2, dW)])
@@ -441,13 +427,12 @@ def build_liquidation_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
 
     d_signals, s_terms = [], []
     for i in range(N):
-        terms = [(1.0, Deterministic(values=(0.0,), terminal=0.0))]
+        price = deterministic(grid, 0.0, terminal=0.0)
         if sigmas[i] != 0.0:
-            terms.append((1.0, Martingale(sigma=sigmas[i], noise=f"price{i}")))
+            price = price + martingale(grid, sigmas[i], f"price{i}")
         if sigma0 != 0.0:
-            terms.append((1.0, Martingale(sigma=sigma0, noise="price_common")))
-        price = compile_signal(LinearCombination(terms=tuple(terms)), grid)
-        inv = Deterministic(values=(x0[i],), terminal=float(x0[i]))
+            price = price + martingale(grid, sigma0, "price_common")
+        inv = deterministic(grid, x0[i], terminal=float(x0[i]))
         d_signals.append((inv, price))
         s_terms.append(TerminalVector(np.array([price.mean_T, 0.0]),
                                       {t: np.stack([wT, np.zeros(n)])
@@ -493,7 +478,7 @@ def build_systemic_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volterr
     dblock[:, :, 1, 1] = rows
 
     h_all = params.get("h")
-    p_fams = []
+    reserves = []
     for i in range(N):
         drift = np.full(n, x0[i])
         term = float(x0[i])
@@ -501,13 +486,14 @@ def build_systemic_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volterr
             h_i = np.asarray(h_all[i], dtype=float)
             drift = x0[i] + np.concatenate([[0.0], np.cumsum(h_i)[:-1]]) * grid.dt
             term = x0[i] + float(np.sum(h_i)) * grid.dt
-        terms = [(1.0, Deterministic(values=tuple(drift), terminal=term))]
+        reserve = deterministic(grid, drift, terminal=term)
         if sigma[i] != 0.0:
-            terms.append((1.0, Martingale(sigma=sigma[i], noise=f"reserve{i}")))
-        p_fams.append(LinearCombination(terms=tuple(terms)))
-    mean_fam = LinearCombination(terms=tuple((1.0 / N, f) for f in p_fams))
+            reserve = reserve + martingale(grid, sigma[i], f"reserve{i}")
+        reserves.append(reserve)
+    # one mean-field object in every bank's pair: the reduction maps it once
+    mean_field = sum((1.0 / N) * r for r in reserves)
 
-    d_signals = tuple((p_fams[i], mean_fam) for i in range(N))
+    d_signals = tuple((reserves[i], mean_field) for i in range(N))
     s_terms = tuple(TerminalVector.zero() for _ in range(N))
     vspec = VolterraGameSpec(
         n_players=N, p=0.5,
@@ -578,8 +564,7 @@ def build_advertising_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
             if np.any(w):
                 weights_T[f"adv{l}"] = w[:n]
         goodwill = CompiledSignal(grid, np.zeros(n), weights, mean_T=0.0, weights_T=weights_T)
-        zero = Deterministic(values=(0.0,), terminal=0.0)
-        d_signals.append((goodwill, zero))
+        d_signals.append((goodwill, deterministic(grid, 0.0, terminal=0.0)))
         s_terms.append(TerminalVector(np.array([beta, 0.0]), {}))
 
     vspec = VolterraGameSpec(

@@ -31,7 +31,7 @@ from .grid_ops import (
     check_nonneg_definite,
     symmetrized_form,
 )
-from .signals import CompiledSignal, LinearCombination, NoiseBundle, compile_signal
+from .signals import CompiledSignal, NoiseBundle, on_grid
 
 ADMISSIBILITY_TOL = 1e-8
 MEAN_GAP_TOL = 1e-6
@@ -40,6 +40,9 @@ MEAN_GAP_TOL = 1e-6
 @dataclass(frozen=True)
 class GameSpec:
     """Static game data: operators, per-player drivers, constants.
+
+    The drivers b^i, b^0 and the b0_extras are CompiledSignals on grid,
+    checked on entry.
 
     kernel_check is "strict" for hand-assembled games (each kernel must be
     nonnegative definite on its own) or "concave" for games reduced from
@@ -53,8 +56,8 @@ class GameSpec:
     a1: GridKernel
     a2hat: GridKernel
     a3: GridKernel
-    b_signals: tuple
-    b0_signal: object
+    b_signals: tuple           # one CompiledSignal per player
+    b0_signal: CompiledSignal
     grid: TimeGrid
     c_constants: tuple = ()
     kernel_check: str = "strict"
@@ -70,6 +73,8 @@ class GameSpec:
             raise InadmissibleKernel(f"lambda must be positive, got {self.lam}")
         if len(self.b_signals) != self.n_players:
             raise ShapeError("one b signal required per player")
+        on_grid(self.grid, *self.b_signals, self.b0_signal,
+                *(e for e in self.b0_extras if e is not None))
         for name, K in (("A1", self.a1), ("A2hat", self.a2hat), ("A3", self.a3)):
             if K.grid != self.grid:
                 raise ShapeError(f"{name} lives on a different grid")
@@ -95,8 +100,7 @@ class GameSpec:
 
     def noise_tags(self) -> frozenset:
         """Noise tags of every driver, b^i and b^0."""
-        return frozenset().union(*(compile_signal(f, self.grid).noise_tags()
-                                   for f in (*self.b_signals, self.b0_signal)))
+        return frozenset().union(*(f.noise_tags() for f in (*self.b_signals, self.b0_signal)))
 
 
 def build_GH(spec: GameSpec) -> tuple[GridKernel, GridKernel]:
@@ -146,8 +150,13 @@ def shifted_drive(base: CompiledSignal, H: GridKernel, w: CompiledSignal) -> Com
 
 def player_base(spec: GameSpec, i: int) -> CompiledSignal:
     """Player i's unshifted driver b^i + b^0/N."""
-    return compile_signal(LinearCombination(terms=(
-        (1.0, spec.b_signals[i]), (1.0 / spec.n_players, spec.b0_signal))), spec.grid)
+    return spec.b_signals[i] + (1.0 / spec.n_players) * spec.b0_signal
+
+
+def mean_driver(spec: GameSpec) -> CompiledSignal:
+    """The mean strategy's driver bbar + b^0/N, the players' average of b^i + b^0/N."""
+    N = spec.n_players
+    return sum((1.0 / N) * f for f in (*spec.b_signals, spec.b0_signal))
 
 
 def conditional_surfaces(cs: CompiledSignal, increments: dict, n_paths: int) -> np.ndarray:
@@ -194,10 +203,9 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
     N, grid = spec.n_players, spec.grid
     increments, P = bundle.increments, bundle.n_paths
 
-    mean_driver = compile_signal(LinearCombination(terms=tuple(
-        (1.0 / N, f) for f in (*spec.b_signals, spec.b0_signal))), grid)
-    mean_strategy = ops.mean_solver.solve(mean_driver)
-    fred_residual = sup_on_paths(ops.mean_solver.residual(mean_driver, mean_strategy),
+    mean_drive = mean_driver(spec)
+    mean_strategy = ops.mean_solver.solve(mean_drive)
+    fred_residual = sup_on_paths(ops.mean_solver.residual(mean_drive, mean_strategy),
                                  increments, P)
     # every player's driver shares one shift by the mean strategy, every FOC the term cross
     shift = mean_field_shift(ops.H, mean_strategy)
@@ -270,8 +278,7 @@ def objective_per_path(spec: GameSpec, i: int, strategies: np.ndarray,
     increments, P = bundle.increments, bundle.n_paths
     if strategies.shape[1] != P:
         raise ShapeError("strategy paths do not match the noise paths")
-    grid = spec.grid
-    dt = grid.dt
+    dt = spec.grid.dt
 
     def inner(f, g):
         return np.einsum("pj,pj->p", f, g) * dt
@@ -281,8 +288,8 @@ def objective_per_path(spec: GameSpec, i: int, strategies: np.ndarray,
 
     ui = strategies[i]
     ub = strategies.mean(axis=0)
-    bi = compile_signal(spec.b_signals[i], grid).path_values(increments, P)
-    b0 = compile_signal(spec.b0_signal, grid).path_values(increments, P)
+    bi = spec.b_signals[i].path_values(increments, P)
+    b0 = spec.b0_signal.path_values(increments, P)
     A3 = spec.a3.values
     value = (-quad(ub, spec.a1.values, ub)
              - spec.lam * inner(ui, ui)
@@ -291,7 +298,7 @@ def objective_per_path(spec: GameSpec, i: int, strategies: np.ndarray,
              + inner(bi, ui)
              + inner(b0, ub))
     if spec.b0_extras and spec.b0_extras[i] is not None:
-        extra = compile_signal(spec.b0_extras[i], grid).path_values(increments, P)
+        extra = spec.b0_extras[i].path_values(increments, P)
         value += inner(extra, ub - ui / N)
     return value + spec.c_constants[i]
 
@@ -324,17 +331,14 @@ def scale_game(spec: GameSpec, gamma: float) -> GameSpec:
     The equilibrium is invariant and every objective scales by gamma.
     """
 
-    def scaled(fam):
-        return LinearCombination(terms=((gamma, fam),))
-
     return replace(
         spec,
         lam=gamma * spec.lam,
         a1=add_kernels((gamma, spec.a1)),
         a2hat=add_kernels((gamma, spec.a2hat)),
         a3=add_kernels((gamma, spec.a3)),
-        b_signals=tuple(scaled(f) for f in spec.b_signals),
-        b0_signal=scaled(spec.b0_signal),
+        b_signals=tuple(gamma * f for f in spec.b_signals),
+        b0_signal=gamma * spec.b0_signal,
         c_constants=tuple(gamma * c for c in spec.c_constants),
-        b0_extras=tuple(None if e is None else scaled(e) for e in spec.b0_extras),
+        b0_extras=tuple(None if e is None else gamma * e for e in spec.b0_extras),
     )

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NonConcave, ShapeError, SingularSystem, SizeExceeded
 from .grid_ops import TimeGrid
 from .nplayer import GameSpec, build_GH
-from .signals import NoiseBundle, compile_signal
+from .signals import NoiseBundle
 
 MAX_UNKNOWNS = 50_000
 MAX_DENSE = 8_000
@@ -143,9 +143,8 @@ def discrete_nash_kkt(spec: GameSpec, tree: ScenarioTree,
             out += tree.increments[tag] @ np.tril(w, k=-1).T
         return out
 
-    b0_leaf = leaf_values(compile_signal(spec.b0_signal, grid))
-    b_nodes = [_node_values(tree, leaf_values(compile_signal(spec.b_signals[i], grid))
-                            + b0_leaf / N)
+    b0_leaf = leaf_values(spec.b0_signal)
+    b_nodes = [_node_values(tree, leaf_values(spec.b_signals[i]) + b0_leaf / N)
                for i in range(N)]
 
     offsets = [tree.level_offset(k) for k in range(n)]
@@ -271,20 +270,15 @@ def solve_game_on_tree(spec: GameSpec, tree: ScenarioTree) -> np.ndarray:
 def tree_objective(spec: GameSpec, tree: ScenarioTree, i: int,
                    u_nodes: np.ndarray) -> float:
     """Tree-exact expected objective of player i at flat node strategies."""
-    grid = spec.grid
-    dt = grid.dt
+    dt = spec.grid.dt
     u_leaf = nodes_to_leaves(tree, u_nodes)
     bundle = tree.bundle()
-    cbi = compile_signal(spec.b_signals[i], grid)
-    cb0 = compile_signal(spec.b0_signal, grid)
-    extra = None
-    if spec.b0_extras and spec.b0_extras[i] is not None:
-        extra = compile_signal(spec.b0_extras[i], grid)
+    extra = spec.b0_extras[i] if spec.b0_extras else None
     total = 0.0
     for p in range(tree.n_leaves):
         dW = bundle.path(p)
-        bi, _ = cbi.values_and_surface(dW)
-        b0, _ = cb0.values_and_surface(dW)
+        bi, _ = spec.b_signals[i].values_and_surface(dW)
+        b0, _ = spec.b0_signal.values_and_surface(dW)
         ui = u_leaf[i, p]
         ub = u_leaf[:, p].mean(axis=0)
         val = (-float(ub @ spec.a1.values @ ub) * dt ** 2

@@ -1,6 +1,6 @@
 """Progressively measurable inputs, carried as their coefficients in Brownian increments.
 
-Every supported family is affine in Brownian increments,
+Every supported input is affine in Brownian increments,
 
     f_j = mean[j] + sum_tag sum_r w[tag][j, r] dW^tag_r,
 
@@ -12,6 +12,8 @@ values[j] = E_{t_j}[f_j] and the surface is m[i, j] = E_{t_i}[f_j]
 The solvers map a CompiledSignal driver to a CompiledSignal solution, so
 equilibria are carried in this same form, and the linear algebra of the
 form (sums, scalings, matrices applied to every weight) lives here only.
+Inputs are built on their grid by deterministic, martingale, ou and
+brownian_weighted, and combined with + and *; there is no other signal type.
 Sampled paths are read off the coefficients: path_values for every path at
 once, values_and_surface for one path with its conditional surface.
 """
@@ -157,101 +159,57 @@ def _tagwise(op, a: dict, b: dict) -> dict:
             for tag in dict.fromkeys([*a, *b])}
 
 
-class SignalFamily:
-    """Base class; subclasses provide compile(grid) -> CompiledSignal."""
-
-    def compile(self, grid: TimeGrid) -> CompiledSignal:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Deterministic(SignalFamily):
-    values: tuple
-    terminal: float | None = None
-
-    def compile(self, grid):
-        g = np.asarray(self.values, dtype=float)
-        if g.ndim == 0 or g.size == 1:
-            g = np.full(grid.n, float(g.reshape(-1)[0]))
-        if g.shape != (grid.n,):
-            raise ShapeError(f"deterministic signal has length {g.shape}, expected {grid.n}")
-        term = self.terminal if self.terminal is not None else float(g[-1])
-        return CompiledSignal(grid, g, {}, mean_T=term)
+def on_grid(grid: TimeGrid, *signals) -> None:
+    """Raise UnsupportedSignal for a non-signal and ShapeError for a signal on another grid."""
+    for s in signals:
+        if not isinstance(s, CompiledSignal):
+            raise UnsupportedSignal(f"expected a CompiledSignal, got {type(s).__name__}")
+        if s.grid != grid:
+            raise ShapeError("signal lives on a different grid")
 
 
-@dataclass(frozen=True)
-class Martingale(SignalFamily):
+def deterministic(grid: TimeGrid, values, terminal: float | None = None) -> CompiledSignal:
+    """A known function of time: n values, or one held constant; it ends at terminal.
+
+    terminal defaults to the last value.
+    """
+    g = np.array(values, dtype=float)
+    if g.ndim == 0 or g.size == 1:
+        g = np.full(grid.n, float(g.reshape(-1)[0]))
+    if g.shape != (grid.n,):
+        raise ShapeError(f"deterministic signal has length {g.shape}, expected {grid.n}")
+    term = terminal if terminal is not None else float(g[-1])
+    return CompiledSignal(grid, g, {}, mean_T=term)
+
+
+def martingale(grid: TimeGrid, sigma: float = 1.0, noise: str = COMMON) -> CompiledSignal:
     """Scaled Brownian motion started at 0: f = sigma * W."""
-
-    sigma: float = 1.0
-    noise: str = COMMON
-
-    def compile(self, grid):
-        n = grid.n
-        w = self.sigma * np.tril(np.ones((n, n)), k=-1)
-        return CompiledSignal(grid, np.zeros(n), {self.noise: w},
-                              mean_T=0.0, weights_T={self.noise: np.full(n, self.sigma)})
+    n = grid.n
+    w = sigma * np.tril(np.ones((n, n)), k=-1)
+    return CompiledSignal(grid, np.zeros(n), {noise: w},
+                          mean_T=0.0, weights_T={noise: np.full(n, sigma)})
 
 
-@dataclass(frozen=True)
-class OU(SignalFamily):
+def ou(grid: TimeGrid, kappa: float = 1.0, sigma: float = 1.0, x0: float = 0.0,
+       noise: str = COMMON) -> CompiledSignal:
     """Mean-reverting recursion f_{j+1} = e^{-kappa dt} f_j + sigma dW_j, f_0 = x0."""
-
-    kappa: float = 1.0
-    sigma: float = 1.0
-    x0: float = 0.0
-    noise: str = COMMON
-
-    def compile(self, grid):
-        n, dt, t = grid.n, grid.dt, grid.times
-        mean = self.x0 * np.exp(-self.kappa * t)
-        w = self.sigma * np.exp(-self.kappa * (t[:, None] - (t[None, :] + dt)))
-        w = np.tril(w, k=-1)
-        wT = self.sigma * np.exp(-self.kappa * (grid.horizon - (t + dt)))
-        return CompiledSignal(grid, mean, {self.noise: w},
-                              mean_T=self.x0 * np.exp(-self.kappa * grid.horizon),
-                              weights_T={self.noise: wT})
+    dt, t = grid.dt, grid.times
+    mean = x0 * np.exp(-kappa * t)
+    w = np.tril(sigma * np.exp(-kappa * (t[:, None] - (t[None, :] + dt))), k=-1)
+    wT = sigma * np.exp(-kappa * (grid.horizon - (t + dt)))
+    return CompiledSignal(grid, mean, {noise: w}, mean_T=x0 * np.exp(-kappa * grid.horizon),
+                          weights_T={noise: wT})
 
 
-@dataclass(frozen=True)
-class BrownianWeighted(SignalFamily):
+def brownian_weighted(grid: TimeGrid, g, w, noise: str = COMMON, g_T: float | None = None,
+                      w_T=None) -> CompiledSignal:
     """f_j = g[j] + sum_r w[j, r] dW_r with arbitrary (possibly anticipative) weights."""
-
-    g: tuple
-    w: tuple
-    noise: str = COMMON
-    g_T: float | None = None
-    w_T: tuple | None = None
-
-    def compile(self, grid):
-        g = np.asarray(self.g, dtype=float)
-        w = np.asarray(self.w, dtype=float)
-        if g.shape != (grid.n,) or w.shape != (grid.n, grid.n):
-            raise ShapeError("BrownianWeighted needs g of shape (n,) and w of shape (n, n)")
-        wT = {self.noise: np.asarray(self.w_T, dtype=float)} if self.w_T is not None else {}
-        return CompiledSignal(grid, g, {self.noise: w}, mean_T=self.g_T, weights_T=wT)
-
-
-@dataclass(frozen=True)
-class LinearCombination(SignalFamily):
-    """sum_i coef_i * family_i, sharing noise sources by tag."""
-
-    terms: tuple   # of (coef, SignalFamily)
-
-    def compile(self, grid):
-        if not self.terms:
-            raise ShapeError("a linear combination needs at least one term")
-        return sum(c * compile_signal(fam, grid) for c, fam in self.terms)
-
-
-def compile_signal(family, grid: TimeGrid) -> CompiledSignal:
-    if isinstance(family, CompiledSignal):
-        if family.grid != grid:
-            raise ShapeError("compiled signal lives on a different grid")
-        return family
-    if not isinstance(family, SignalFamily):
-        raise UnsupportedSignal(f"unknown signal family {type(family).__name__}")
-    return family.compile(grid)
+    g = np.array(g, dtype=float)
+    w = np.array(w, dtype=float)
+    if g.shape != (grid.n,) or w.shape != (grid.n, grid.n):
+        raise ShapeError("a Brownian-weighted signal needs g of shape (n,) and w of shape (n, n)")
+    wT = {noise: np.array(w_T, dtype=float)} if w_T is not None else {}
+    return CompiledSignal(grid, g, {noise: w}, mean_T=g_T, weights_T=wT)
 
 
 # ---------------------------------------------------------------------------

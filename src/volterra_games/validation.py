@@ -6,7 +6,7 @@ import numpy as np
 
 from .grid_ops import adjoint, apply, grid_inner, resolvent, star_product, symmetrized_form
 from .nplayer import GameSpec, build_GH, solve_nash
-from .signals import compile_signal, draw_noise
+from .signals import draw_noise
 
 # the one tolerance table: the CLI and validation_report copy it, then apply run.tolerances
 DEFAULT_TOLERANCES = {"fredholm_residual": 1e-9, "mean_consistency": 1e-6, "foc_residual": 1e-8,
@@ -70,8 +70,7 @@ def validation_report(spec: GameSpec, paths: int = 8, seed: int = 0,
     bundle = draw_noise(grid, spec.noise_tags() or {"common"}, paths, seed)
 
     adapt = 0.0
-    for fam in list(spec.b_signals) + [spec.b0_signal]:
-        cs = compile_signal(fam, grid)
+    for cs in (*spec.b_signals, spec.b0_signal):
         for p in range(min(paths, 4)):
             vals, surf = cs.values_and_surface(bundle.path(p))
             ii, jj = np.tril_indices(grid.n)

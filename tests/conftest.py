@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from volterra_games.errors import ShapeError
 from volterra_games.grid_ops import (
     ConstantLower,
     ExponentialDecay,
+    GridKernel,
     TimeGrid,
     build_grid,
     discretize_kernel,
 )
+from volterra_games.nplayer import conditional_surfaces
 
 
 @pytest.fixture
@@ -37,5 +40,29 @@ def admissible_kernels(grid, rng):
 
 def rand_lower(grid, rng, scale=1.0):
     vals = np.tril(rng.standard_normal((grid.n, grid.n)), k=-1) * scale
-    from volterra_games.grid_ops import GridKernel
     return GridKernel(grid, vals)
+
+
+def mask_from(K: GridKernel, t_index: int) -> GridKernel:
+    """Zero columns j < t_index, realizing G_t(s, r) = G(s, r) 1_{r >= t}."""
+    if not (0 <= t_index < K.grid.n):
+        raise ShapeError(f"mask index {t_index} outside [0, {K.grid.n})")
+    vals = K.values.copy()
+    vals[:, :t_index] = 0.0
+    diag = None
+    if K.diag_half is not None:
+        diag = K.diag_half.copy()
+        diag[:t_index] = 0.0
+    return GridKernel(K.grid, vals, volterra=K.volterra, diag_half=diag)
+
+
+def condition_number(dt_family, k: int) -> float:
+    """2-norm condition number of D_k, the trailing block of a DtFamily's core, by SVD."""
+    sv = np.linalg.svd(dt_family.core[k:, k:], compute_uv=False)
+    return float(sv[0] / sv[-1])
+
+
+def mu_surface(solution) -> np.ndarray:
+    """(common, n, n) conditional surfaces of an MFGSolution's mean field mu."""
+    return conditional_surfaces(solution.mean_field, solution.block_increments,
+                                len(solution.mu))

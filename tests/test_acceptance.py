@@ -38,14 +38,7 @@ from volterra_games.model_builders import (
 )
 from volterra_games.nplayer import GameSpec, concavity_check, objective, solve_nash
 from volterra_games.oracle import build_tree, compare, discrete_nash_kkt, solve_game_on_tree
-from volterra_games.signals import (
-    Deterministic,
-    LinearCombination,
-    Martingale,
-    OU,
-    compile_signal,
-    draw_noise,
-)
+from volterra_games.signals import deterministic, draw_noise, martingale, ou
 
 
 def report(num, name, passed, detail):
@@ -73,22 +66,19 @@ def random_game(rng):
     layout = int(rng.integers(3))
     b = []
     for i in range(N):
-        det = Deterministic(values=tuple(
-            rng.uniform(0.5, 1.5) + rng.uniform(-0.5, 0.5) * grid.times))
-        terms = [(1.0, det)]
+        det = deterministic(grid, rng.uniform(0.5, 1.5) + rng.uniform(-0.5, 0.5) * grid.times)
         if layout == 0:
-            terms.append((1.0, Martingale(sigma=rng.uniform(0.2, 0.8), noise="common")))
+            b.append(det + martingale(grid, sigma=rng.uniform(0.2, 0.8), noise="common"))
         elif layout == 1:
-            terms.append((1.0, OU(kappa=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.2, 0.6),
-                                  x0=rng.uniform(-0.5, 0.5), noise="common")))
+            b.append(det + ou(grid, kappa=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.2, 0.6),
+                              x0=rng.uniform(-0.5, 0.5), noise="common"))
         else:
-            terms.append((1.0, Martingale(sigma=0.4, noise="common")))
-            terms.append((1.0, Martingale(sigma=0.3, noise="idio")))
-        b.append(LinearCombination(terms=tuple(terms)))
+            b.append(det + martingale(grid, sigma=0.4, noise="common")
+                     + martingale(grid, sigma=0.3, noise="idio"))
     if rng.integers(2):
-        b0 = Deterministic(values=(float(rng.uniform(-0.5, 0.5)),))
+        b0 = deterministic(grid, float(rng.uniform(-0.5, 0.5)))
     else:
-        b0 = LinearCombination(terms=((1.0, Martingale(sigma=0.3, noise="common")),))
+        b0 = martingale(grid, sigma=0.3, noise="common")
     spec = GameSpec(n_players=N, lam=float(rng.uniform(0.5, 2.0)),
                     a1=random_admissible_kernel(grid, rng),
                     a2hat=random_admissible_kernel(grid, rng),
@@ -127,12 +117,10 @@ def test_criterion_2_fredholm_exactness():
         L = K if rng.integers(2) else add_kernels(
             (1.0, K), (rng.uniform(0.0, 0.3), zero_kernel(grid)))
         lam_eff = float(rng.uniform(0.5, 4.0))
-        f = compile_signal(LinearCombination(terms=(
-            (1.0, Martingale(sigma=rng.uniform(0.3, 1.0), noise="common")),
-            (1.0, OU(kappa=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.2, 0.8),
-                     x0=rng.uniform(-1, 1), noise="idio")),
-            (1.0, Deterministic(values=tuple(rng.standard_normal(64)))),
-        )), grid)
+        f = (martingale(grid, sigma=rng.uniform(0.3, 1.0), noise="common")
+             + ou(grid, kappa=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.2, 0.8),
+                  x0=rng.uniform(-1, 1), noise="idio")
+             + deterministic(grid, rng.standard_normal(64)))
         solver = FredholmSolver(FredholmProblem(K=K, L=L, lam_eff=lam_eff))
         residual = solver.residual(f, solver.solve(f)).path_values(bundle.increments, 10)
         worst = max(worst, float(np.max(np.abs(residual))))
@@ -146,7 +134,7 @@ def test_criterion_3_analytic_limits():
     for n in (128, 256):
         grid = build_grid(1.0, n)
         K = discretize_kernel(ConstantLower(c=1.0), grid)
-        ones = compile_signal(Deterministic(values=(1.0,)), grid)
+        ones = deterministic(grid, 1.0)
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -172,12 +160,11 @@ def test_criterion_4_mean_consistency():
     a3 = discretize_kernel(ExponentialDecay(c=0.4, rho=1.0), grid)
     worst = 0.0
     for N in (2, 5, 10):
-        b = tuple(LinearCombination(terms=(
-            (1.0, Deterministic(values=(1.0 + 0.1 * i,))),
-            (1.0, Martingale(sigma=0.4, noise=f"idio{i}")),
-            (1.0, Martingale(sigma=0.3, noise="common")))) for i in range(N))
+        b = tuple(deterministic(grid, 1.0 + 0.1 * i)
+                  + martingale(grid, sigma=0.4, noise=f"idio{i}")
+                  + martingale(grid, sigma=0.3, noise="common") for i in range(N))
         spec = GameSpec(n_players=N, lam=1.0, a1=a1, a2hat=a2, a3=a3, b_signals=b,
-                        b0_signal=Deterministic(values=(0.4,)), grid=grid)
+                        b0_signal=deterministic(grid, 0.4), grid=grid)
         tags = {"common"} | {f"idio{i}" for i in range(N)}
         bundle = draw_noise(grid, tags, 8, seed=N)
         sol = solve_nash(spec, bundle)
@@ -188,20 +175,20 @@ def test_criterion_4_mean_consistency():
 
 
 def _mfg_spec(grid, kind):
-    base = Deterministic(values=(1.0,))
+    base = deterministic(grid, 1.0)
     a1 = discretize_kernel(ConstantLower(c=0.2), grid)
     a2 = discretize_kernel(ExponentialDecay(c=0.6, rho=1.5), grid)
     a3 = discretize_kernel(ExponentialDecay(c=0.4, rho=1.0), grid)
     if kind == "balanced":
-        fam = BalancedDeterministicFamily(base=base, amplitude=0.5,
-                                          shape=tuple(np.sin(np.pi * grid.times)))
+        fam = BalancedDeterministicFamily(
+            base=base, amplitude=0.5, shape=deterministic(grid, np.sin(np.pi * grid.times)))
         beta = base
     else:
         fam = IIDBrownianFamily(base=base, sigma=0.6)
-        beta = Martingale(sigma=0.6, noise="idio0")
+        beta = martingale(grid, sigma=0.6, noise="idio0")
     return MFGSpec(lam=1.0, a1=a1, a2hat=a2, a3=a3, beta=beta,
-                   beta0=Deterministic(values=(0.0,)),
-                   b0_signal=Deterministic(values=(0.4,)), grid=grid,
+                   beta0=deterministic(grid, 0.0),
+                   b0_signal=deterministic(grid, 0.4), grid=grid,
                    b_infty=base, player_family=fam)
 
 
@@ -234,11 +221,9 @@ def test_criterion_6_mfg_consistency_condition():
                    a1=discretize_kernel(ConstantLower(c=0.2), grid),
                    a2hat=discretize_kernel(ExponentialDecay(c=0.6, rho=1.5), grid),
                    a3=discretize_kernel(ExponentialDecay(c=0.4, rho=1.0), grid),
-                   beta=Martingale(sigma=0.8, noise="idio"),
-                   beta0=LinearCombination(terms=(
-                       (1.0, Deterministic(values=(1.0,))),
-                       (1.0, Martingale(sigma=0.4, noise="common")))),
-                   b0_signal=Deterministic(values=(0.3,)), grid=grid)
+                   beta=martingale(grid, sigma=0.8, noise="idio"),
+                   beta0=deterministic(grid, 1.0) + martingale(grid, sigma=0.4, noise="common"),
+                   b0_signal=deterministic(grid, 0.3), grid=grid)
     noise = draw_crossed_noise(grid, {"common"}, {"idio"}, 4, 2500, seed=42)
     sol = solve_generic(spec, noise)
     worst = sol.diagnostics["gap_over_stderr_max"]
@@ -300,8 +285,7 @@ def test_criterion_9_model_reduction_fidelity():
     for name, (game, vspec) in _example_games(grid).items():
         tags = set()
         for p_sig, r_sig in vspec.d_signals:
-            tags |= compile_signal(p_sig, grid).noise_tags()
-            tags |= compile_signal(r_sig, grid).noise_tags()
+            tags |= p_sig.noise_tags() | r_sig.noise_tags()
         bundle = draw_noise(grid, tags or {"w"}, 1, 0)
         dW = bundle.path(0)
         N = game.n_players
@@ -326,7 +310,7 @@ def test_criterion_10_stability_rates():
     ns = [4, 8, 16, 32, 64]
 
     bundle = draw_noise(grid, {"common"}, 16, seed=5)
-    base = Martingale(sigma=1.0, noise="common")
+    base = martingale(grid, sigma=1.0, noise="common")
     kernel_gaps = []
     for N in ns:
         KN = add_kernels((1.0, K), (1.0 / N, discretize_kernel(ConstantLower(c=1.0), grid)))
@@ -338,8 +322,7 @@ def test_criterion_10_stability_rates():
     bundle2 = draw_noise(grid, {"common", "pert"}, M, seed=6)
     driver_gaps = []
     for N in ns:
-        pert = LinearCombination(terms=(
-            (1.0, base), (1.0 / np.sqrt(N), Martingale(sigma=1.0, noise="pert"))))
+        pert = base + (1.0 / np.sqrt(N)) * martingale(grid, sigma=1.0, noise="pert")
         driver_gaps.append(stability_gap(prob, prob, bundle2, pert, base))
     slope_f = fit_loglog_slope(ns, driver_gaps)
 

@@ -95,7 +95,8 @@ class TestConfigErrors:
         assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
     # each once ended in a traceback (exit 1), was reported as a numerical error
-    # (exit 3) or, for --grid-n 0, was ignored in favour of the config's n
+    # (exit 3) or, for --grid-n 0, was ignored in favour of the config's n; and
+    # --paths 0 once wrote NaN statistics with exit 0
     @pytest.mark.parametrize("command, overrides, argv", [
         ("solve", {"grid": 5}, []),
         ("solve", {"grid": {"T": "abc", "n": 12}}, []),
@@ -110,12 +111,31 @@ class TestConfigErrors:
         ("converge", {"model": {**MFG_MODEL,
                                 "a2hat": {"family": "power_law", "c": 1.0, "alpha": 0.9}}}, []),
         ("converge", {"run": {"Ns": "abc"}}, []),
+        ("solve", {"model": {**RAW_MODEL, "b0": {"family": "combination", "terms": []}}}, []),
+        ("solve", {"model": {**RAW_MODEL,
+                             "b0": {"family": "deterministic", "values": [1.0, 2.0, 3.0]}}},
+         []),
+        ("solve", {}, ["--paths", "0"]),
+        ("solve", {}, ["--paths", "-1"]),
+        ("solve", {}, ["--seed", "-1"]),
+        ("solve", {"noise": {"paths": 0, "seed": 3}}, []),
+        ("solve", {"noise": {"paths": 6, "seed": -3}}, []),
+        ("validate", {}, ["--paths", "0"]),
+        ("oracle-check", {}, ["--seed", "-1"]),
+        ("converge", {}, ["--paths", "-1"]),
+        ("eps-nash", {}, ["--paths", "0"]),
+        ("eps-nash", {}, ["--seed", "-1"]),
     ], ids=["grid-not-object", "T-not-number", "n-1", "grid-n-1", "grid-n-0",
             "paths-not-integer", "N-not-integer", "raw-lam-missing", "mfg-lam-missing",
-            "mfg-lam-negative", "mfg-alpha-0.9", "Ns-not-list"])
+            "mfg-lam-negative", "mfg-alpha-0.9", "Ns-not-list", "combination-empty",
+            "deterministic-wrong-length", "paths-0", "paths-negative", "seed-negative",
+            "noise-paths-0", "noise-seed-negative", "validate-paths-0",
+            "oracle-check-seed-negative", "converge-paths-negative", "eps-nash-paths-0",
+            "eps-nash-seed-negative"])
     def test_malformed_value_exits_2(self, tmp_path, command, overrides, argv):
+        game = command in ("solve", "validate", "oracle-check")
         cfg = {"grid": {"T": 1.0, "n": 12}, "noise": {"paths": 6, "seed": 3},
-               "model": RAW_MODEL if command == "solve" else MFG_MODEL, **overrides}
+               "model": RAW_MODEL if game else MFG_MODEL, **overrides}
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o"), *argv]) == 2

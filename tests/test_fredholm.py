@@ -19,18 +19,12 @@ from volterra_games.grid_ops import (
     adjoint,
     build_grid,
     discretize_kernel,
-    mask_from,
     zero_kernel,
 )
 from volterra_games.nplayer import conditional_surfaces
-from volterra_games.signals import (
-    CompiledSignal,
-    LinearCombination,
-    Martingale,
-    OU,
-    compile_signal,
-    draw_noise,
-)
+from volterra_games.signals import CompiledSignal, draw_noise, martingale, ou
+
+from conftest import condition_number, mask_from
 
 
 def det_signal(grid, values):
@@ -38,13 +32,12 @@ def det_signal(grid, values):
 
 
 def solve(problem, f):
-    return FredholmSolver(problem).solve(compile_signal(f, problem.grid))
+    return FredholmSolver(problem).solve(f)
 
 
 def residual_sup(problem, f, bundle=None):
     """Sup of the Fredholm residual at the solution over the bundle's paths."""
     solver = FredholmSolver(problem)
-    f = compile_signal(f, problem.grid)
     res = solver.residual(f, solver.solve(f))
     if bundle is None:
         return float(np.max(np.abs(res.path_values({}, 1))))
@@ -138,8 +131,8 @@ class TestDtFamily:
             K = discretize_kernel(ExponentialDecay(c=rng.uniform(0.2, 2.0),
                                                    rho=rng.uniform(0.2, 3.0)), g)
             fam = build_Dt(K, K, 2.0)
-            conds = [fam.condition_number(k) for k in range(32)]
-            assert max(conds) <= fam.condition_number(0) + 1.0
+            conds = [condition_number(fam, k) for k in range(32)]
+            assert max(conds) <= condition_number(fam, 0) + 1.0
 
     def test_block_matches_masked_operator_definition(self):
         check_block_definition(12)
@@ -204,9 +197,9 @@ class TestNaiveOracle:
         g = build_grid(1.0, 8)
         K = discretize_kernel(ExponentialDecay(c=1.1, rho=0.5), g)
         bundle = draw_noise(g, {"common"}, 1, 2)
-        ou = OU(kappa=1.0, sigma=0.7, x0=0.2)
-        values, surface = compile_signal(ou, g).values_and_surface(bundle.path(0))
-        sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), ou)
+        f = ou(g, kappa=1.0, sigma=0.7, x0=0.2)
+        values, surface = f.values_and_surface(bundle.path(0))
+        sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), f)
         naive = self.naive_solution(K, K, 2.0, values, surface)
         assert np.max(np.abs(sol.path_values(bundle.increments, 1)[0] - naive)) <= 1e-12
 
@@ -337,17 +330,15 @@ class TestExactness:
         for trial in range(10):
             K = discretize_kernel(ExponentialDecay(c=rng.uniform(0.2, 1.5),
                                                    rho=rng.uniform(0.2, 3.0)), g)
-            f = LinearCombination(terms=(
-                (1.0, Martingale(sigma=0.7, noise="common")),
-                (1.0, OU(kappa=1.0, sigma=0.5, x0=0.4, noise="idio")),
-            ))
+            f = (martingale(g, sigma=0.7, noise="common")
+                 + ou(g, kappa=1.0, sigma=0.5, x0=0.4, noise="idio"))
             assert residual_sup(FredholmProblem(K=K, L=K, lam_eff=2.0), f, bundle) <= 1e-9
 
     def test_conditional_solution_diag_and_adapted_rows(self):
         g = build_grid(1.0, 16)
         K = discretize_kernel(ExponentialDecay(c=0.9, rho=1.2), g)
         bundle = draw_noise(g, {"common"}, 1, 1)
-        sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), Martingale(sigma=1.0))
+        sol = solve(FredholmProblem(K=K, L=K, lam_eff=2.0), martingale(g, sigma=1.0))
         vals, surface = sol.values_and_surface(bundle.path(0))
         assert np.max(np.abs(vals - sol.path_values(bundle.increments, 1)[0])) < 1e-14
         assert np.array_equal(np.diagonal(surface), vals)
@@ -365,13 +356,13 @@ class TestExactness:
         K = discretize_kernel(ExponentialDecay(c=0.7, rho=2.0), g)
         solver = FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=2.0))
         bundle = draw_noise(g, {"common"}, 1, 4)
-        f1 = Martingale(sigma=1.0)
-        f2 = OU(kappa=2.0, sigma=0.5, x0=1.0)
+        f1 = martingale(g, sigma=1.0)
+        f2 = ou(g, kappa=2.0, sigma=0.5, x0=1.0)
 
         def values(f):
-            return solver.solve(compile_signal(f, g)).path_values(bundle.increments, 1)[0]
+            return solver.solve(f).path_values(bundle.increments, 1)[0]
 
-        vm = values(LinearCombination(terms=((0.7, f1), (-0.4, f2))))
+        vm = values(0.7 * f1 + -0.4 * f2)
         assert np.max(np.abs(vm - 0.7 * values(f1) + 0.4 * values(f2))) <= 1e-10
 
     def test_bitwise_reproducible(self):
@@ -390,7 +381,7 @@ class TestStability:
         K = discretize_kernel(ExponentialDecay(), g)
         prob = FredholmProblem(K=K, L=K, lam_eff=2.0)
         bundle = draw_noise(g, {"common"}, 8, 0)
-        assert stability_gap(prob, prob, bundle, Martingale(sigma=1.0)) <= 1e-20
+        assert stability_gap(prob, prob, bundle, martingale(g, sigma=1.0)) <= 1e-20
 
     def test_kernel_perturbation_slope(self):
         g = build_grid(1.0, 32)
@@ -405,7 +396,7 @@ class TestStability:
             from volterra_games.grid_ops import add_kernels
             KN = add_kernels((1.0, KN), (1.0, pert))
             gaps.append(stability_gap(FredholmProblem(K=KN, L=KN, lam_eff=2.0), prob, bundle,
-                                      Martingale(sigma=1.0)))
+                                      martingale(g, sigma=1.0)))
         slope = np.polyfit(np.log(ns), np.log(gaps), 1)[0]
         assert -2.4 <= slope <= -1.6
 
@@ -415,12 +406,11 @@ class TestStability:
         prob = FredholmProblem(K=K, L=K, lam_eff=2.0)
         M = 256
         bundle = draw_noise(g, {"common", "pert"}, M, 6)
-        base = Martingale(sigma=1.0, noise="common")
+        base = martingale(g, sigma=1.0, noise="common")
         ns = [4, 8, 16, 32, 64]
         gaps = []
         for N in ns:
-            pert = LinearCombination(terms=(
-                (1.0, base), (1.0 / np.sqrt(N), Martingale(sigma=1.0, noise="pert"))))
+            pert = base + (1.0 / np.sqrt(N)) * martingale(g, sigma=1.0, noise="pert")
             gaps.append(stability_gap(prob, prob, bundle, pert, base))
         slope = np.polyfit(np.log(ns), np.log(gaps), 1)[0]
         assert -1.4 <= slope <= -0.6
@@ -522,5 +512,5 @@ class TestEdgeGrids:
         g = build_grid(1.0, 64)
         K = discretize_kernel(PowerLaw(c=0.5, alpha=0.49), g)
         bundle = draw_noise(g, {"common"}, 1, 0)
-        assert residual_sup(FredholmProblem(K=K, L=K, lam_eff=2.0), Martingale(sigma=1.0),
+        assert residual_sup(FredholmProblem(K=K, L=K, lam_eff=2.0), martingale(g, sigma=1.0),
                             bundle) <= 1e-9

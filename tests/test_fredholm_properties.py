@@ -24,14 +24,7 @@ from volterra_games.grid_ops import (
     build_grid,
     discretize_kernel,
 )
-from volterra_games.signals import (
-    OU,
-    Deterministic,
-    LinearCombination,
-    Martingale,
-    compile_signal,
-    draw_noise,
-)
+from volterra_games.signals import deterministic, draw_noise, martingale, ou
 
 TAGS = ("common", "idio")
 PROPERTIES = settings(derandomize=True, deadline=None, max_examples=50)
@@ -83,14 +76,15 @@ def drivers(draw, grid):
         kind = draw(st.sampled_from(("deterministic", "martingale", "ou")))
         if kind == "deterministic":
             rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-            term = Deterministic(values=tuple(rng.standard_normal(grid.n)))
+            term = deterministic(grid, rng.standard_normal(grid.n))
         elif kind == "martingale":
-            term = Martingale(sigma=draw(unit(0.1, 1.5)), noise=draw(st.sampled_from(TAGS)))
+            term = martingale(grid, sigma=draw(unit(0.1, 1.5)),
+                              noise=draw(st.sampled_from(TAGS)))
         else:
-            term = OU(kappa=draw(unit(0.2, 3.0)), sigma=draw(unit(0.1, 1.0)),
+            term = ou(grid, kappa=draw(unit(0.2, 3.0)), sigma=draw(unit(0.1, 1.0)),
                       x0=draw(unit(-1.0, 1.0)), noise=draw(st.sampled_from(TAGS)))
         terms.append((draw(unit(-2.0, 2.0)), term))
-    return compile_signal(LinearCombination(terms=tuple(terms)), grid)
+    return sum(c * term for c, term in terms)
 
 
 def coefficient_gap(a, b):
@@ -120,7 +114,7 @@ def test_residual_tiny_and_solution_adapted(data):
     for w in v.weights.values():
         assert not np.any(np.triu(w))
     res = solver.residual(f, v)
-    assert coefficient_gap(res, compile_signal(Deterministic(values=(0.0,)), solver.grid)) <= 1e-9
+    assert coefficient_gap(res, deterministic(solver.grid, 0.0)) <= 1e-9
     bundle = draw_noise(solver.grid, TAGS, 4, seed=data.draw(st.integers(0, 2 ** 16)))
     assert np.max(np.abs(res.path_values(bundle.increments, 4))) <= 1e-9
 
@@ -132,10 +126,8 @@ def test_solve_is_linear_in_the_driver(data):
     f1 = data.draw(drivers(solver.grid))
     f2 = data.draw(drivers(solver.grid))
     c1, c2 = data.draw(unit(-2.0, 2.0)), data.draw(unit(-2.0, 2.0))
-    mixed = solver.solve(compile_signal(LinearCombination(terms=((c1, f1), (c2, f2))),
-                                        solver.grid))
-    parts = compile_signal(LinearCombination(terms=((c1, solver.solve(f1)),
-                                                    (c2, solver.solve(f2)))), solver.grid)
+    mixed = solver.solve(c1 * f1 + c2 * f2)
+    parts = c1 * solver.solve(f1) + c2 * solver.solve(f2)
     assert coefficient_gap(mixed, parts) <= 1e-10
 
 

@@ -18,7 +18,6 @@ from volterra_games.grid_ops import (
     discretize_kernel,
     grid_inner,
     invert_id_minus,
-    mask_from,
     resolvent,
     star_product,
     symmetrized_form,
@@ -26,7 +25,7 @@ from volterra_games.grid_ops import (
     zero_kernel,
 )
 
-from conftest import rand_lower
+from conftest import mask_from, rand_lower
 
 
 class TestGrid:

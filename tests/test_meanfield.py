@@ -35,20 +35,14 @@ from volterra_games.nplayer import (
     shifted_drive,
     solve_nash,
 )
-from volterra_games.signals import (
-    CompiledSignal,
-    Deterministic,
-    LinearCombination,
-    Martingale,
-    compile_signal,
-    draw_noise,
-)
+from volterra_games.signals import CompiledSignal, deterministic, draw_noise, martingale
+
+from conftest import mu_surface
 
 
 def solve_on(solver, f, bundle):
     """Values on every path of the bundle of the solution driven by f."""
-    cs = compile_signal(f, solver.grid)
-    return solver.solve(cs).path_values(bundle.increments, bundle.n_paths)
+    return solver.solve(f).path_values(bundle.increments, bundle.n_paths)
 
 
 def make_mfg(grid, zero=False, a3_zero=False, beta_sigma=0.8, common_sigma=0.4):
@@ -56,14 +50,13 @@ def make_mfg(grid, zero=False, a3_zero=False, beta_sigma=0.8, common_sigma=0.4):
     a1 = Z if zero else discretize_kernel(ConstantLower(c=0.2), grid)
     a2 = Z if zero else discretize_kernel(ExponentialDecay(c=0.6, rho=1.5), grid)
     a3 = Z if (zero or a3_zero) else discretize_kernel(ExponentialDecay(c=0.4, rho=1.0), grid)
-    beta = Martingale(sigma=beta_sigma, noise="idio") if beta_sigma else \
-        Deterministic(values=(0.0,))
-    beta0_terms = [(1.0, Deterministic(values=(1.0,)))]
+    beta = martingale(grid, sigma=beta_sigma, noise="idio") if beta_sigma else \
+        deterministic(grid, 0.0)
+    beta0 = deterministic(grid, 1.0)
     if common_sigma:
-        beta0_terms.append((1.0, Martingale(sigma=common_sigma, noise="common")))
-    return MFGSpec(lam=1.0, a1=a1, a2hat=a2, a3=a3, beta=beta,
-                   beta0=LinearCombination(terms=tuple(beta0_terms)),
-                   b0_signal=Deterministic(values=(0.3,)), grid=grid)
+        beta0 = beta0 + martingale(grid, sigma=common_sigma, noise="common")
+    return MFGSpec(lam=1.0, a1=a1, a2hat=a2, a3=a3, beta=beta, beta0=beta0,
+                   b0_signal=deterministic(grid, 0.3), grid=grid)
 
 
 class TestMaps:
@@ -71,8 +64,8 @@ class TestMaps:
         spec = make_mfg(grid16, zero=True)
         ops = build_mfg_operators(spec)
         bundle = draw_noise(grid16, {"common"}, 1, 0)
-        f = Martingale(sigma=1.0, noise="common")
-        x, _ = compile_signal(f, grid16).values_and_surface(bundle.path(0))
+        f = martingale(grid16, sigma=1.0, noise="common")
+        x, _ = f.values_and_surface(bundle.path(0))
         assert np.max(np.abs(solve_on(ops.solver_F, f, bundle)[0] - x / 2.0)) < 1e-14
         assert np.max(np.abs(solve_on(ops.solver_G, f, bundle)[0] - x / 2.0)) < 1e-14
 
@@ -80,7 +73,7 @@ class TestMaps:
         spec = make_mfg(grid16, a3_zero=True)
         ops = build_mfg_operators(spec)
         bundle = draw_noise(grid16, {"common"}, 2, 1)
-        f = Martingale(sigma=1.0, noise="common")
+        f = martingale(grid16, sigma=1.0, noise="common")
         assert np.max(np.abs(solve_on(ops.solver_F, f, bundle)
                              - solve_on(ops.solver_G, f, bundle))) <= 1e-12
 
@@ -88,8 +81,8 @@ class TestMaps:
         spec = make_mfg(grid16)
         ops = build_mfg_operators(spec)
         bundle = draw_noise(grid16, {"common"}, 1, 2)
-        x = Martingale(sigma=1.0, noise="common")
-        x2 = LinearCombination(terms=((3.0, x),))
+        x = martingale(grid16, sigma=1.0, noise="common")
+        x2 = 3.0 * x
         assert np.max(np.abs(solve_on(ops.solver_F, x2, bundle)
                              - 3.0 * solve_on(ops.solver_F, x, bundle))) <= 1e-10
 
@@ -98,10 +91,10 @@ class TestMaps:
         g = build_grid(1.0, 256)
         Z = zero_kernel(g)
         spec = MFGSpec(lam=0.5, a1=Z, a2hat=discretize_kernel(ConstantLower(c=1.0), g),
-                       a3=Z, beta=Deterministic(values=(0.0,)),
-                       beta0=Deterministic(values=(1.0,)),
-                       b0_signal=Deterministic(values=(0.0,)), grid=g)
-        x = compile_signal(Deterministic(values=(1.0,)), g)
+                       a3=Z, beta=deterministic(g, 0.0),
+                       beta0=deterministic(g, 1.0),
+                       b0_signal=deterministic(g, 0.0), grid=g)
+        x = deterministic(g, 1.0)
         v = build_mfg_operators(spec).solver_F.solve(x).mean
         assert np.max(np.abs(v - 1.0 / (1.0 + 1.0))) <= 5e-2
 
@@ -110,13 +103,13 @@ class TestGenericPlayer:
     def test_zero_kernels_closed_form(self, grid16):
         spec = MFGSpec(lam=1.0, a1=zero_kernel(grid16), a2hat=zero_kernel(grid16),
                        a3=zero_kernel(grid16),
-                       beta=Martingale(sigma=0.8, noise="idio"),
-                       beta0=Deterministic(values=(2.0,)),
-                       b0_signal=Deterministic(values=(0.0,)), grid=grid16)
+                       beta=martingale(grid16, sigma=0.8, noise="idio"),
+                       beta0=deterministic(grid16, 2.0),
+                       b0_signal=deterministic(grid16, 0.0), grid=grid16)
         noise = draw_crossed_noise(grid16, set(), {"idio"}, 1, 32, seed=2)
         sol = solve_generic(spec, noise)
         assert np.max(np.abs(sol.mu - 1.0)) < 1e-14      # (E beta + beta0)/(2 lam)
-        cb = compile_signal(spec.b_family(), grid16)
+        cb = spec.b_family()
         for e in range(4):
             vals, _ = cb.values_and_surface(noise.bundle.path(e))
             assert np.max(np.abs(sol.v[0, e] - vals / 2.0)) < 1e-14
@@ -144,10 +137,10 @@ class TestGenericPlayer:
         assert mfg_foc_residual(spec, sol, noise) <= 1e-8
         # the same condition path by path, through the on-demand surfaces
         ops = build_mfg_operators(spec)
-        cb = compile_signal(spec.b_family(), grid16)
+        cb = spec.b_family()
         v = ops.solver_F.solve(shifted_drive(cb, spec.a3, sol.mean_field))
         v_surface = conditional_surfaces(v, noise.bundle.increments, 8)
-        mu_surface = sol.mu_surface
+        mu_surf = mu_surface(sol)
         dt, A3, A2 = grid16.dt, spec.a3.values, spec.a2hat.values
         for c in range(2):
             for e in range(2):
@@ -156,7 +149,7 @@ class TestGenericPlayer:
                 vp = v_surface[p].diagonal()
                 assert np.max(np.abs(vp - sol.v[c, e])) <= 1e-12
                 res = (2.0 * spec.lam * vp - bv
-                       + dt * (A3 @ sol.mu[c]) + dt * np.einsum("rk,kr->k", A3, mu_surface[c])
+                       + dt * (A3 @ sol.mu[c]) + dt * np.einsum("rk,kr->k", A3, mu_surf[c])
                        + dt * (A2 @ vp) + dt * np.einsum("rk,kr->k", A2, v_surface[p]))
                 assert np.max(np.abs(res)) <= 1e-8
 
@@ -171,32 +164,32 @@ class TestGenericPlayer:
         with pytest.raises(ShapeError):
             MFGSpec(lam=1.0, a1=zero_kernel(grid16), a2hat=zero_kernel(grid16),
                     a3=zero_kernel(grid16),
-                    beta=Martingale(sigma=1.0, noise="common"),
-                    beta0=Martingale(sigma=1.0, noise="common"),
-                    b0_signal=Deterministic(values=(0.0,)), grid=grid16)
+                    beta=martingale(grid16, sigma=1.0, noise="common"),
+                    beta0=martingale(grid16, sigma=1.0, noise="common"),
+                    b0_signal=deterministic(grid16, 0.0), grid=grid16)
 
 
 class TestInfinitePlayers:
     def make_spec(self, grid, sigma=0.5):
-        base = Deterministic(values=(1.0,))
+        base = deterministic(grid, 1.0)
         fam = IIDBrownianFamily(base=base, sigma=sigma)
         return MFGSpec(lam=1.0, a1=discretize_kernel(ConstantLower(c=0.2), grid),
                        a2hat=discretize_kernel(ExponentialDecay(c=0.6, rho=1.5), grid),
                        a3=discretize_kernel(ExponentialDecay(c=0.4, rho=1.0), grid),
-                       beta=Martingale(sigma=sigma, noise="idio0"),
-                       beta0=Deterministic(values=(0.0,)),
-                       b0_signal=Deterministic(values=(0.4,)), grid=grid,
+                       beta=martingale(grid, sigma=sigma, noise="idio0"),
+                       beta0=deterministic(grid, 0.0),
+                       b0_signal=deterministic(grid, 0.4), grid=grid,
                        b_infty=base, player_family=fam)
 
     def test_zero_kernel_identities(self, grid16):
-        base = Deterministic(values=(2.0,))
+        base = deterministic(grid16, 2.0)
         Z = zero_kernel(grid16)
         spec = MFGSpec(lam=1.0, a1=Z, a2hat=Z, a3=Z, beta=base,
-                       beta0=Deterministic(values=(0.0,)),
-                       b0_signal=Deterministic(values=(0.0,)), grid=grid16,
+                       beta0=deterministic(grid16, 0.0),
+                       b0_signal=deterministic(grid16, 0.0), grid=grid16,
                        b_infty=base,
                        player_family=BalancedDeterministicFamily(
-                           base=base, amplitude=0.0, shape=(0.0,) * 16))
+                           base=base, amplitude=0.0, shape=deterministic(grid16, 0.0)))
         noise = draw_crossed_noise(grid16, set(), set(), 1, 1, seed=0)
         sol = solve_infinite(spec, 4, noise)
         assert np.max(np.abs(sol.mu - 1.0)) < 1e-14
@@ -220,20 +213,20 @@ class TestInfinitePlayers:
 
 class TestConvergence:
     def base_spec(self, grid, kind):
-        base = Deterministic(values=(1.0,))
+        base = deterministic(grid, 1.0)
         a1 = discretize_kernel(ConstantLower(c=0.2), grid)
         a2 = discretize_kernel(ExponentialDecay(c=0.6, rho=1.5), grid)
         a3 = discretize_kernel(ExponentialDecay(c=0.4, rho=1.0), grid)
         if kind == "balanced":
             fam = BalancedDeterministicFamily(
-                base=base, amplitude=0.5, shape=tuple(np.sin(np.pi * grid.times)))
+                base=base, amplitude=0.5, shape=deterministic(grid, np.sin(np.pi * grid.times)))
             beta = base
         else:
             fam = IIDBrownianFamily(base=base, sigma=0.6)
-            beta = Martingale(sigma=0.6, noise="idio0")
+            beta = martingale(grid, sigma=0.6, noise="idio0")
         return MFGSpec(lam=1.0, a1=a1, a2hat=a2, a3=a3, beta=beta,
-                       beta0=Deterministic(values=(0.0,)),
-                       b0_signal=Deterministic(values=(0.4,)), grid=grid,
+                       beta0=deterministic(grid, 0.0),
+                       b0_signal=deterministic(grid, 0.4), grid=grid,
                        b_infty=base, player_family=fam)
 
     def test_deterministic_balanced_rate_and_monotonicity(self, grid16):
@@ -245,12 +238,13 @@ class TestConvergence:
         assert all(a > b for a, b in zip(mses, mses[1:]))
 
     def test_identical_players_zero_kernels_exact(self, grid16):
-        base = Deterministic(values=(1.0,))
+        base = deterministic(grid16, 1.0)
         Z = zero_kernel(grid16)
-        fam = BalancedDeterministicFamily(base=base, amplitude=0.0, shape=(0.0,) * 16)
+        fam = BalancedDeterministicFamily(base=base, amplitude=0.0,
+                                          shape=deterministic(grid16, 0.0))
         spec = MFGSpec(lam=1.0, a1=Z, a2hat=Z, a3=Z, beta=base,
-                       beta0=Deterministic(values=(0.0,)),
-                       b0_signal=Deterministic(values=(0.0,)), grid=grid16,
+                       beta0=deterministic(grid16, 0.0),
+                       b0_signal=deterministic(grid16, 0.0), grid=grid16,
                        b_infty=base, player_family=fam)
         noise = draw_crossed_noise(grid16, set(), set(), 1, 1, seed=0)
         out = convergence_study(spec, [2, 4], noise)
@@ -266,24 +260,25 @@ class TestConvergence:
 
 class TestEpsNash:
     def spec(self, grid):
-        base = Deterministic(values=(1.0,))
+        base = deterministic(grid, 1.0)
         fam = IIDBrownianFamily(base=base, sigma=0.5)
         return MFGSpec(lam=1.0, a1=discretize_kernel(ConstantLower(c=0.2), grid),
                        a2hat=discretize_kernel(ExponentialDecay(c=0.6, rho=1.5), grid),
                        a3=discretize_kernel(ExponentialDecay(c=0.4, rho=1.0), grid),
-                       beta=Martingale(sigma=0.5, noise="idio0"),
-                       beta0=Deterministic(values=(0.0,)),
-                       b0_signal=Deterministic(values=(0.4,)), grid=grid,
+                       beta=martingale(grid, sigma=0.5, noise="idio0"),
+                       beta0=deterministic(grid, 0.0),
+                       b0_signal=deterministic(grid, 0.4), grid=grid,
                        b_infty=base, player_family=fam)
 
     def test_equilibrium_deviation_is_zero(self, grid16):
         # deterministic game: v^i is flat across paths, so u = v^0 is admissible
-        base = Deterministic(values=(1.0,))
+        base = deterministic(grid16, 1.0)
         Z = zero_kernel(grid16)
-        fam = BalancedDeterministicFamily(base=base, amplitude=0.0, shape=(0.0,) * 16)
+        fam = BalancedDeterministicFamily(base=base, amplitude=0.0,
+                                          shape=deterministic(grid16, 0.0))
         spec = MFGSpec(lam=1.0, a1=Z, a2hat=Z, a3=Z, beta=base,
-                       beta0=Deterministic(values=(0.0,)),
-                       b0_signal=Deterministic(values=(0.0,)), grid=grid16,
+                       beta0=deterministic(grid16, 0.0),
+                       b0_signal=deterministic(grid16, 0.0), grid=grid16,
                        b_infty=base, player_family=fam)
         noise = draw_crossed_noise(grid16, set(), set(), 1, 1, seed=0)
         sol = solve_infinite(spec, 4, noise)
@@ -292,13 +287,13 @@ class TestEpsNash:
 
     def test_zero_kernels_no_gain(self, grid16):
         # decoupled game: the mean-field strategy is exactly optimal at any N
-        base = Deterministic(values=(1.0,))
+        base = deterministic(grid16, 1.0)
         Z = zero_kernel(grid16)
         fam = IIDBrownianFamily(base=base, sigma=0.5)
         spec = MFGSpec(lam=1.0, a1=Z, a2hat=Z, a3=Z,
-                       beta=Martingale(sigma=0.5, noise="idio0"),
-                       beta0=Deterministic(values=(0.0,)),
-                       b0_signal=Deterministic(values=(0.0,)), grid=grid16,
+                       beta=martingale(grid16, sigma=0.5, noise="idio0"),
+                       beta0=deterministic(grid16, 0.0),
+                       b0_signal=deterministic(grid16, 0.0), grid=grid16,
                        b_infty=base, player_family=fam)
         noise = draw_crossed_noise(grid16, set(), fam.idio_tags(4), 1, 40, seed=3)
         dev = 0.3 + 0.1 * grid16.times
@@ -331,11 +326,9 @@ class TestBatchedPipelineCrossValidation:
 
         K = discretize_kernel(ExponentialDecay(c=0.6, rho=1.5), grid16)
         solver = FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=2.0))
-        fam = LinearCombination(terms=(
-            (1.0, Deterministic(values=tuple(1.0 + grid16.times))),
-            (1.0, Martingale(sigma=0.5, noise="a")),
-            (0.7, Martingale(sigma=0.8, noise="b"))))
-        cs = compile_signal(fam, grid16)
+        cs = (deterministic(grid16, 1.0 + grid16.times)
+              + martingale(grid16, sigma=0.5, noise="a")
+              + 0.7 * martingale(grid16, sigma=0.8, noise="b"))
         bundle = draw_noise(grid16, {"a", "b"}, 6, seed=31)
         vals_b = cs.path_values(bundle.increments, 6)
         v_b = solver.solve(cs).path_values(bundle.increments, 6)
@@ -380,7 +373,7 @@ def materialized_study(spec, ns, noise, player_paths=None):
     C, I = noise.n_common, noise.n_idio
     P = C * I
     increments = noise.bundle.increments
-    nu_cs = ops.solver_G.solve(compile_signal(spec.limit_family(), grid))
+    nu_cs = ops.solver_G.solve(spec.limit_family())
     nu_full = np.repeat(nu_cs.path_values(noise.block_increments(), C), I, axis=0)
     pp = P if player_paths is None else min(player_paths, P)
     first_pp = {tag: arr[:pp] for tag, arr in increments.items()}
@@ -388,16 +381,15 @@ def materialized_study(spec, ns, noise, player_paths=None):
     for N in ns:
         game = induced_game(spec, N)
         gops = build_operators(game)
-        c_mean = compile_signal(LinearCombination(terms=tuple(
-            (1.0 / N, f) for f in (*game.b_signals, game.b0_signal))), grid)
+        c_mean = sum((1.0 / N) * f for f in (*game.b_signals, game.b0_signal))
         ubar_cs = gops.mean_solver.solve(c_mean)
         ubar = ubar_cs.path_values(increments, P)
         mse_mean = float(np.max(np.mean((ubar - nu_full) ** 2, axis=0)))
         mse_player = np.nan
         if pp > 0:
             u1 = gops.player_solver.solve(shifted_drive(player_base(game, 0), gops.H, ubar_cs))
-            cbeta1 = compile_signal(spec.player_family.signal(0, N), grid)
-            v1 = ops.solver_F.solve(shifted_drive(cbeta1, spec.a3, nu_cs))
+            v1 = ops.solver_F.solve(shifted_drive(spec.player_family.signal(0, N), spec.a3,
+                                                  nu_cs))
             gap = u1.path_values(first_pp, pp) - v1.path_values(first_pp, pp)
             mse_player = float(np.max(np.mean(gap ** 2, axis=0)))
         rows.append({"N": int(N), "mse_mean": mse_mean, "mse_player": mse_player})
@@ -406,13 +398,13 @@ def materialized_study(spec, ns, noise, player_paths=None):
 
 def crossed_spec(grid):
     """IID players on top of common noise: tag a0 sorts before the idio tags, zc after."""
-    det = Deterministic(values=(1.0,))
-    base = LinearCombination(terms=((1.0, det), (1.0, Martingale(sigma=0.3, noise="zc"))))
-    b0 = LinearCombination(terms=((0.4, det), (1.0, Martingale(sigma=0.2, noise="a0"))))
+    det = deterministic(grid, 1.0)
+    base = det + martingale(grid, sigma=0.3, noise="zc")
+    b0 = 0.4 * det + martingale(grid, sigma=0.2, noise="a0")
     return MFGSpec(lam=1.0, a1=discretize_kernel(ConstantLower(c=0.2), grid),
                    a2hat=discretize_kernel(ExponentialDecay(c=0.6, rho=1.5), grid),
                    a3=discretize_kernel(ExponentialDecay(c=0.4, rho=1.0), grid),
-                   beta=Martingale(sigma=0.6, noise="idio0"), beta0=base, b0_signal=b0,
+                   beta=martingale(grid, sigma=0.6, noise="idio0"), beta0=base, b0_signal=b0,
                    grid=grid, player_family=IIDBrownianFamily(base=base, sigma=0.6))
 
 

@@ -26,15 +26,7 @@ from volterra_games.model_builders import (
     solve_linear_state,
 )
 from volterra_games.nplayer import concavity_check, objective, objective_per_path, solve_nash
-from volterra_games.signals import (
-    OU,
-    Deterministic,
-    LinearCombination,
-    Martingale,
-    NoiseBundle,
-    compile_signal,
-    draw_noise,
-)
+from volterra_games.signals import NoiseBundle, deterministic, draw_noise, martingale, ou
 from volterra_games.validation import validation_report
 
 
@@ -117,7 +109,7 @@ class TestReduce:
         n = grid16.n
         dblock = np.zeros((n + 1, n, 2, 2))
         dblock[:, :, 0, 0] = 1.0  # any block; costs are zero
-        zero_sig = Deterministic(values=(0.0,), terminal=0.0)
+        zero_sig = deterministic(grid16, 0.0, terminal=0.0)
         vspec = VolterraGameSpec(
             n_players=2, p=1.3, qmat=np.zeros((2, 2)), smat=np.zeros((2, 2)),
             qvec=np.zeros(2), dblock=dblock,
@@ -127,12 +119,12 @@ class TestReduce:
         assert game.lam == 1.3
         for K in (game.a1, game.a2hat, game.a3):
             assert np.all(K.values == 0.0)
-        assert np.all(compile_signal(game.b_signals[0], grid16).mean == 0.0)
+        assert np.all(game.b_signals[0].mean == 0.0)
         assert game.c_constants == (0.0, 0.0)
 
     def test_positive_control_cost_required(self, grid16):
         n = grid16.n
-        zero_sig = Deterministic(values=(0.0,), terminal=0.0)
+        zero_sig = deterministic(grid16, 0.0, terminal=0.0)
         vspec = VolterraGameSpec(
             n_players=1, p=0.0, qmat=np.zeros((2, 2)), smat=np.zeros((2, 2)),
             qvec=np.zeros(2), dblock=np.zeros((n + 1, n, 2, 2)),
@@ -159,9 +151,9 @@ class TestReduce:
             Qr = rng.standard_normal((2, 2)) * 0.3
             Sr = rng.standard_normal((2, 2)) * 0.3
             q = rng.standard_normal(2) * 0.5
-            sigs = tuple((Deterministic(values=tuple(rng.standard_normal(n)),
+            sigs = tuple((deterministic(g, rng.standard_normal(n),
                                         terminal=float(rng.standard_normal())),
-                          Deterministic(values=tuple(rng.standard_normal(n)),
+                          deterministic(g, rng.standard_normal(n),
                                         terminal=float(rng.standard_normal())))
                          for _ in range(2))
             terms = tuple(TerminalVector(rng.standard_normal(2), {}) for _ in range(2))
@@ -194,12 +186,11 @@ class TestReduce:
             Qr = rng.standard_normal((2, 2)) * 0.3
             Sr = rng.standard_normal((2, 2)) * 0.3
             q = rng.standard_normal(2) * 0.5
-            common = OU(kappa=rng.uniform(0.5, 2.0), sigma=0.4, x0=0.2, noise="common")
-            sigs = tuple((LinearCombination(terms=(
-                              (1.0, Deterministic(values=tuple(rng.standard_normal(n)),
-                                                  terminal=float(rng.standard_normal()))),
-                              (rng.uniform(0.2, 0.8), Martingale(sigma=0.5, noise=f"x{i}")),
-                              (rng.uniform(-0.5, 0.5), common))),
+            common = ou(g, kappa=rng.uniform(0.5, 2.0), sigma=0.4, x0=0.2, noise="common")
+            sigs = tuple((deterministic(g, rng.standard_normal(n),
+                                        terminal=float(rng.standard_normal()))
+                          + rng.uniform(0.2, 0.8) * martingale(g, sigma=0.5, noise=f"x{i}")
+                          + rng.uniform(-0.5, 0.5) * common,
                           common)
                          for i in range(2))
             terms = tuple(TerminalVector(rng.standard_normal(2),
@@ -233,7 +224,7 @@ class TestLiquidation:
         # b^i = 2 (rho + phi (T - t)) x0 in the continuum; the discrete tail is
         # strict, so agreement is exact in discrete form and O(dt) to the continuum
         game, _ = build_liquidation_game(self.params(signal_sigma=[0.3, 0.0]), grid16)
-        cb = compile_signal(game.b_signals[0], grid16)
+        cb = game.b_signals[0]
         t = grid16.times
         discrete = 2 * 1.0 * 1.0 + 2 * 0.5 * 1.0 * grid16.dt * (grid16.n - 1 - np.arange(16))
         cont = 2 * (1.0 + 0.5 * (1.0 - t)) * 1.0
@@ -244,7 +235,7 @@ class TestLiquidation:
 
     def test_common_b0_is_zero(self, grid16):
         game, _ = build_liquidation_game(self.params(), grid16)
-        cb0 = compile_signal(game.b0_signal, grid16)
+        cb0 = game.b0_signal
         assert np.max(np.abs(cb0.mean)) < 1e-12
 
     def test_zero_inventory_zero_strategy(self, grid16):
@@ -320,7 +311,7 @@ class TestSystemic:
                         sigma=[0.2, 0.2, 0.2]), grid16)
         tags = set()
         for f in game.b_signals:
-            tags |= compile_signal(f, grid16).noise_tags()
+            tags |= f.noise_tags()
         bundle = draw_noise(grid16, tags, 300, 5)
         return game, bundle, solve_nash(game, bundle)
 
@@ -403,8 +394,7 @@ class TestAdvertising:
             sigma=[0.3, 0.2]), g)
         tags = set()
         for p_sig, r_sig in vspec.d_signals:
-            tags |= compile_signal(p_sig, g).noise_tags()
-            tags |= compile_signal(r_sig, g).noise_tags()
+            tags |= p_sig.noise_tags() | r_sig.noise_tags()
         bundle = draw_noise(g, tags or {"w"}, 2, 3)
         rng = np.random.default_rng(17)
         for trial in range(20):
@@ -467,7 +457,6 @@ class TestStochasticStateReduction:
         g = build_grid(1.0, 6)
         n, N = g.n, 2
         from volterra_games.grid_ops import discretize_kernel_rows
-        from volterra_games.signals import Martingale, OU
 
         dblock = np.zeros((n + 1, n, 2, 2))
         for a in range(2):
@@ -478,8 +467,8 @@ class TestStochasticStateReduction:
         Q = rng.standard_normal((2, 2)) * 0.2
         S = rng.standard_normal((2, 2)) * 0.2
         q = rng.standard_normal(2) * 0.4
-        sigs = tuple((Martingale(sigma=0.5, noise=f"w{i}"),
-                      OU(kappa=1.0, sigma=0.4, x0=0.3, noise=f"w{i}")) for i in range(N))
+        sigs = tuple((martingale(g, sigma=0.5, noise=f"w{i}"),
+                      ou(g, kappa=1.0, sigma=0.4, x0=0.3, noise=f"w{i}")) for i in range(N))
         terms = tuple(TerminalVector(rng.standard_normal(2), {}) for _ in range(N))
         vspec = VolterraGameSpec(n_players=N, p=2.0, qmat=Q, smat=S, qvec=q,
                                  dblock=dblock, d_signals=sigs, s_terminals=terms, grid=g)

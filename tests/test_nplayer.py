@@ -30,14 +30,7 @@ from volterra_games.nplayer import (
     shifted_drive,
     solve_nash,
 )
-from volterra_games.signals import (
-    CompiledSignal,
-    Deterministic,
-    LinearCombination,
-    Martingale,
-    compile_signal,
-    draw_noise,
-)
+from volterra_games.signals import CompiledSignal, deterministic, draw_noise, martingale
 
 
 def make_spec(grid, N=3, lam=1.0, zero=False, symmetric=False, seediness=0):
@@ -49,23 +42,21 @@ def make_spec(grid, N=3, lam=1.0, zero=False, symmetric=False, seediness=0):
         a2 = discretize_kernel(ExponentialDecay(c=0.8, rho=2.0), grid)
         a3 = discretize_kernel(ConstantLower(c=0.3), grid)
     if symmetric:
-        b = tuple(LinearCombination(terms=(
-            (1.0, Deterministic(values=(1.0,))),
-            (1.0, Martingale(sigma=0.5, noise="common")))) for _ in range(N))
+        b = tuple(deterministic(grid, 1.0) + martingale(grid, sigma=0.5, noise="common")
+                  for _ in range(N))
     else:
-        b = tuple(LinearCombination(terms=(
-            (1.0, Deterministic(values=(1.0 + 0.2 * i,))),
-            (1.0, Martingale(sigma=0.5, noise=f"idio{i}")),
-            (1.0, Martingale(sigma=0.3, noise="common")))) for i in range(N))
-    b0 = Deterministic(values=(0.5,))
+        b = tuple(deterministic(grid, 1.0 + 0.2 * i)
+                  + martingale(grid, sigma=0.5, noise=f"idio{i}")
+                  + martingale(grid, sigma=0.3, noise="common") for i in range(N))
+    b0 = deterministic(grid, 0.5)
     return GameSpec(n_players=N, lam=lam, a1=a1, a2hat=a2, a3=a3,
                     b_signals=b, b0_signal=b0, grid=grid)
 
 
 def bundle_for(spec, n_paths, seed):
     tags = set()
-    for fam in list(spec.b_signals) + [spec.b0_signal]:
-        tags |= compile_signal(fam, spec.grid).noise_tags()
+    for cs in (*spec.b_signals, spec.b0_signal):
+        tags |= cs.noise_tags()
     return draw_noise(spec.grid, tags or {"common"}, n_paths, seed)
 
 
@@ -74,23 +65,23 @@ class TestSpecValidation:
         Z = zero_kernel(grid16)
         with pytest.raises(InadmissibleKernel):
             GameSpec(n_players=1, lam=0.0, a1=Z, a2hat=Z, a3=Z,
-                     b_signals=(Deterministic(values=(1.0,)),),
-                     b0_signal=Deterministic(values=(0.0,)), grid=grid16)
+                     b_signals=(deterministic(grid16, 1.0),),
+                     b0_signal=deterministic(grid16, 0.0), grid=grid16)
 
     def test_strict_mode_rejects_indefinite_kernel(self, grid16):
         Z = zero_kernel(grid16)
         bad = GridKernel(grid16, -discretize_kernel(ConstantLower(c=1.0), grid16).values)
         with pytest.raises(InadmissibleKernel):
             GameSpec(n_players=1, lam=1.0, a1=Z, a2hat=bad, a3=Z,
-                     b_signals=(Deterministic(values=(1.0,)),),
-                     b0_signal=Deterministic(values=(0.0,)), grid=grid16)
+                     b_signals=(deterministic(grid16, 1.0),),
+                     b0_signal=deterministic(grid16, 0.0), grid=grid16)
 
     def test_concave_mode_accepts_signed_a3(self, grid16):
         Z = zero_kernel(grid16)
         neg = GridKernel(grid16, -0.1 * discretize_kernel(ConstantLower(c=1.0), grid16).values)
         spec = GameSpec(n_players=2, lam=1.0, a1=Z, a2hat=Z, a3=neg,
-                        b_signals=(Deterministic(values=(1.0,)),) * 2,
-                        b0_signal=Deterministic(values=(0.0,)), grid=grid16,
+                        b_signals=(deterministic(grid16, 1.0),) * 2,
+                        b0_signal=deterministic(grid16, 0.0), grid=grid16,
                         kernel_check="concave")
         assert spec.n_players == 2
 
@@ -98,8 +89,8 @@ class TestSpecValidation:
         Z = zero_kernel(grid16)
         with pytest.raises(ShapeError):
             GameSpec(n_players=2, lam=1.0, a1=Z, a2hat=Z, a3=Z,
-                     b_signals=(Deterministic(values=(1.0,)),),
-                     b0_signal=Deterministic(values=(0.0,)), grid=grid16)
+                     b_signals=(deterministic(grid16, 1.0),),
+                     b0_signal=deterministic(grid16, 0.0), grid=grid16)
 
 
 class TestOperators:
@@ -208,7 +199,7 @@ class TestDrive:
     def test_zero_mean_kernel_is_identity(self, grid16):
         spec = make_spec(grid16, N=2, zero=True)
         bundle = bundle_for(spec, 1, 0)
-        b = compile_signal(spec.b_signals[0], grid16)
+        b = spec.b_signals[0]
         _, H = build_GH(spec)
         zero = CompiledSignal(grid16, np.zeros(16), {"common": np.zeros((16, 16))})
         d = shifted_drive(b, H, zero)
@@ -237,9 +228,8 @@ class TestDrive:
         ops = build_operators(spec)
         L = bundle.n_paths
         bp, b0p = spec.b_signals[0], spec.b0_signal
-        base = compile_signal(LinearCombination(terms=((1.0, bp), (0.5, b0p))), g)
-        ms = ops.mean_solver.solve(compile_signal(LinearCombination(
-            terms=((0.5, bp), (0.5, bp), (0.5, b0p))), g))  # symmetric players share bp
+        base = 1.0 * bp + 0.5 * b0p
+        ms = ops.mean_solver.solve(0.5 * bp + 0.5 * bp + 0.5 * b0p)  # symmetric players share bp
         drives = conditional_surfaces(shifted_drive(base, ops.H, ms), bundle.increments, L)
         rng = np.random.default_rng(1)
         for _ in range(25):
@@ -309,8 +299,8 @@ class TestObjective:
         spec = GameSpec(n_players=1, lam=1.0,
                         a1=zero_kernel(grid16), a2hat=zero_kernel(grid16),
                         a3=zero_kernel(grid16),
-                        b_signals=(Deterministic(values=tuple(bvals)),),
-                        b0_signal=Deterministic(values=(0.0,)), grid=grid16,
+                        b_signals=(deterministic(grid16, bvals),),
+                        b0_signal=deterministic(grid16, 0.0), grid=grid16,
                         c_constants=(2.0,))
         bundle = draw_noise(grid16, {"common"}, 1, 0)
         u = (bvals / 2.0)[None, None, :]
@@ -369,8 +359,7 @@ class TestFunctionalForms:
         spec = make_spec(grid16, N=2)
         bundle = bundle_for(spec, 2, 43)
         ops = build_operators(spec)
-        driver = compile_signal(LinearCombination(
-            terms=tuple((0.5, b) for b in spec.b_signals) + ((0.5, spec.b0_signal),)), grid16)
+        driver = sum(0.5 * b for b in (*spec.b_signals, spec.b0_signal))
         ubar = ops.mean_solver.solve(driver)
         full = solve_nash(spec, bundle)
         assert np.max(np.abs(ubar.path_values(bundle.increments, 2) - full.ubar)) <= 1e-12
@@ -398,9 +387,7 @@ class TestLiteralTranscription:
         kbar = (N - 1) / N * H + G
         bundle = bundle_for(spec, 1, 51)
         dW = bundle.path(0)
-        bbar = compile_signal(LinearCombination(
-            terms=tuple((1.0 / N, b) for b in spec.b_signals) + ((1.0 / N, spec.b0_signal),)),
-            grid16)
+        bbar = sum((1.0 / N) * b for b in (*spec.b_signals, spec.b0_signal))
 
         def dense_family(kmat):
             mats = []

@@ -22,13 +22,7 @@ from volterra_games.oracle import (
     tree_objective,
     _node_values,
 )
-from volterra_games.signals import (
-    Deterministic,
-    LinearCombination,
-    Martingale,
-    OU,
-    compile_signal,
-)
+from volterra_games.signals import brownian_weighted, deterministic, martingale, ou
 
 
 def small_spec(grid, N=2, zero=False, signal="martingale", lam=1.0):
@@ -41,18 +35,15 @@ def small_spec(grid, N=2, zero=False, signal="martingale", lam=1.0):
         a3 = discretize_kernel(ConstantLower(c=0.25), grid)
     sigs = []
     for i in range(N):
-        det = Deterministic(values=tuple(1.0 + 0.3 * i + 0.2 * grid.times))
+        det = deterministic(grid, 1.0 + 0.3 * i + 0.2 * grid.times)
         if signal == "martingale":
-            sigs.append(LinearCombination(terms=(
-                (1.0, det), (1.0, Martingale(sigma=0.5, noise="common")))))
+            sigs.append(det + martingale(grid, sigma=0.5, noise="common"))
         elif signal == "ou":
-            sigs.append(LinearCombination(terms=(
-                (1.0, det), (1.0, OU(kappa=1.5, sigma=0.4, x0=0.2, noise="common")))))
+            sigs.append(det + ou(grid, kappa=1.5, sigma=0.4, x0=0.2, noise="common"))
         else:
             sigs.append(det)
     return GameSpec(n_players=N, lam=lam, a1=a1, a2hat=a2, a3=a3,
-                    b_signals=tuple(sigs), b0_signal=Deterministic(values=(0.4,)),
-                    grid=grid)
+                    b_signals=tuple(sigs), b0_signal=deterministic(grid, 0.4), grid=grid)
 
 
 class TestTree:
@@ -89,7 +80,7 @@ class TestTree:
         spec = small_spec(g)
         tree = build_tree(spec, branching=2, depth=4)
         bundle = tree.bundle()
-        cs = compile_signal(spec.b_signals[0], g)
+        cs = spec.b_signals[0]
         both = [cs.values_and_surface(bundle.path(p)) for p in range(tree.n_leaves)]
         vals = np.stack([v for v, _ in both])
         surfs = np.stack([s for _, s in both])
@@ -106,7 +97,7 @@ class TestTree:
         spec = small_spec(g, signal="ou")
         tree = build_tree(spec, branching=2, depth=5)
         bundle = tree.bundle()
-        cs = compile_signal(spec.b_signals[1], g)
+        cs = spec.b_signals[1]
         vals = np.stack([cs.values_and_surface(bundle.path(p))[0]
                          for p in range(tree.n_leaves)])
         for k in range(6):
@@ -129,8 +120,7 @@ class TestKKT:
         u = discrete_nash_kkt(spec, tree)
         bundle = tree.bundle()
         for i in range(2):
-            cb = compile_signal(spec.b_signals[i], g)
-            cb0 = compile_signal(spec.b0_signal, g)
+            cb, cb0 = spec.b_signals[i], spec.b0_signal
             leaf = np.stack([cb.values_and_surface(bundle.path(p))[0]
                              + cb0.values_and_surface(bundle.path(p))[0] / 2
                              for p in range(tree.n_leaves)])
@@ -141,8 +131,8 @@ class TestKKT:
         Z = zero_kernel(g)
         spec = GameSpec(n_players=1, lam=1.0, a1=Z,
                         a2hat=discretize_kernel(ConstantLower(c=1.0), g), a3=Z,
-                        b_signals=(Deterministic(values=tuple(1.0 + g.times)),),
-                        b0_signal=Deterministic(values=(0.0,)), grid=g)
+                        b_signals=(deterministic(g, 1.0 + g.times),),
+                        b0_signal=deterministic(g, 0.0), grid=g)
         tree = build_tree(spec, branching=1, depth=3)
         diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)
         assert diff <= 1e-10
@@ -172,8 +162,8 @@ class TestKKT:
             V[i, i - 1] = 0.2
             V[i, :max(0, i - 1)] = -0.5
         spec = GameSpec(n_players=1, lam=0.05, a1=Z, a2hat=GridKernel(g, V), a3=Z,
-                        b_signals=(Deterministic(values=(1.0,)),),
-                        b0_signal=Deterministic(values=(0.0,)), grid=g,
+                        b_signals=(deterministic(g, 1.0),),
+                        b0_signal=deterministic(g, 0.0), grid=g,
                         kernel_check="concave")
         tree = build_tree(spec, branching=1, depth=0)
         with pytest.raises(NonConcave):
@@ -229,10 +219,9 @@ class TestEdgeCases:
             a1=zero_kernel(g),
             a2hat=discretize_kernel(PowerLaw(c=0.3, alpha=0.45), g),
             a3=discretize_kernel(PowerLaw(c=0.2, alpha=0.25), g),
-            b_signals=tuple(LinearCombination(terms=(
-                (1.0, Deterministic(values=(1.0 + 0.2 * i,))),
-                (1.0, Martingale(sigma=0.4, noise="common")))) for i in range(2)),
-            b0_signal=Deterministic(values=(0.3,)), grid=g)
+            b_signals=tuple(deterministic(g, 1.0 + 0.2 * i)
+                            + martingale(g, sigma=0.4, noise="common") for i in range(2)),
+            b0_signal=deterministic(g, 0.3), grid=g)
         tree = build_tree(spec, branching=2, depth=5)
         diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)
         assert diff <= 1e-8
@@ -258,7 +247,6 @@ class TestDynamicStateToyGame:
         # reduces by variation of constants to a static game with a signed
         # instantaneous-cost kernel and an anticipative weighted signal
         from volterra_games.grid_ops import GridKernel, symmetrized_form
-        from volterra_games.signals import BrownianWeighted
 
         a, T, n, N = -2.0, 1.0, 6, 2
         g = build_grid(T, n)
@@ -273,11 +261,10 @@ class TestDynamicStateToyGame:
         assert np.linalg.eigvalsh(symmetrized_form(a2hat))[0] > -1.0   # strictly concave
 
         w = 2.0 * np.exp(a * (2 * T - t[:, None] - t[None, :]))
-        b_sigs = tuple(BrownianWeighted(g=(0.0,) * n, w=tuple(map(tuple, w)),
-                                        noise=f"toy{i}") for i in range(N))
+        b_sigs = tuple(brownian_weighted(g, np.zeros(n), w, noise=f"toy{i}") for i in range(N))
         spec = GameSpec(n_players=N, lam=1.0, a1=zero_kernel(g), a2hat=a2hat,
                         a3=zero_kernel(g), b_signals=b_sigs,
-                        b0_signal=Deterministic(values=(1.0,)), grid=g,
+                        b0_signal=deterministic(g, 1.0), grid=g,
                         kernel_check="concave")
         tree = build_tree(spec, branching=2, depth=2)
         diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)

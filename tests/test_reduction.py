@@ -1,7 +1,7 @@
 """The row-map reduction against the per-player einsum formulation it replaced.
 
 einsum_reduction below is that formulation, kept verbatim in its arithmetic:
-every player's state pair compiled on its own, both components zero-filled to
+every player's state pair taken on its own, both components zero-filled to
 the union of their tags, and one einsum per player and tag.  It is the
 reference for reduce_volterra_game's drivers, kernels and constants.
 """
@@ -26,19 +26,16 @@ from volterra_games.model_builders import (
     reduce_volterra_game,
 )
 from volterra_games.signals import (
-    OU,
-    BrownianWeighted,
     CompiledSignal,
-    Deterministic,
-    LinearCombination,
-    Martingale,
-    compile_signal,
+    brownian_weighted,
+    deterministic,
+    martingale,
+    ou,
 )
 
 
 def _stacked_state(vspec, i):
-    c1 = compile_signal(vspec.d_signals[i][0], vspec.grid)
-    c2 = compile_signal(vspec.d_signals[i][1], vspec.grid)
+    c1, c2 = vspec.d_signals[i]
     c1, c2 = c1 + 0.0 * c2, c2 + 0.0 * c1
     return (np.stack([c1.mean, c2.mean]),
             {t: np.stack([c1.weights[t], c2.weights[t]]) for t in sorted(c1.weights)},
@@ -162,22 +159,19 @@ def random_vspec(seed, n=10, N=3):
             fam = ExponentialDecay(c=rng.uniform(0.1, 0.6), rho=rng.uniform(0.5, 2.0))
             dblock[:n, :, a, b] = discretize_kernel(fam, g).values
             dblock[n, :, a, b] = discretize_kernel_rows(fam, g, np.array([g.horizon]))[0]
-    common = OU(kappa=rng.uniform(0.5, 2.0), sigma=0.4, x0=0.3, noise="common")
-    anticipative = BrownianWeighted(g=tuple(rng.standard_normal(n)),
-                                    w=tuple(map(tuple, rng.standard_normal((n, n)))),
-                                    noise="w0", g_T=float(rng.standard_normal()),
-                                    w_T=tuple(rng.standard_normal(n)))
+    common = ou(g, kappa=rng.uniform(0.5, 2.0), sigma=0.4, x0=0.3, noise="common")
+    anticipative = brownian_weighted(g, rng.standard_normal(n), rng.standard_normal((n, n)),
+                                     noise="w0", g_T=float(rng.standard_normal()),
+                                     w_T=rng.standard_normal(n))
     # a noise source that reaches the state only at the horizon
     terminal_only = CompiledSignal(g, np.zeros(n), {}, mean_T=0.0,
                                    weights_T={"late": rng.standard_normal(n)})
     sigs = []
     for i in range(N):
-        own = LinearCombination(terms=(
-            (1.0, Deterministic(values=tuple(rng.standard_normal(n)),
-                                terminal=float(rng.standard_normal()))),
-            (rng.uniform(0.2, 0.8), Martingale(sigma=0.5, noise=f"w{i}")),
-            (rng.uniform(-0.5, 0.5), common),
-            (rng.uniform(-0.5, 0.5), terminal_only)))
+        own = (deterministic(g, rng.standard_normal(n), terminal=float(rng.standard_normal()))
+               + rng.uniform(0.2, 0.8) * martingale(g, sigma=0.5, noise=f"w{i}")
+               + rng.uniform(-0.5, 0.5) * common
+               + rng.uniform(-0.5, 0.5) * terminal_only)
         sigs.append((own, common if i < N - 1 else anticipative))
     terms = tuple(TerminalVector(rng.standard_normal(2),
                                  {"common": rng.standard_normal((2, n)),
@@ -218,17 +212,19 @@ class TestAgainstEinsumReduction:
         assert {"common", "w0", "late"} <= set(game.b_signals[0].weights)
 
 
-def test_shared_state_signal_compiles_once(monkeypatch):
+def test_shared_state_signal_is_mapped_once(monkeypatch):
     # systemic: N own reserve signals plus one mean field that every bank shares
     N = 16
     g = build_grid(1.0, 8)
     _, vspec = build_systemic_game(systemic_params(N), g)
+    assert len({id(pair[1]) for pair in vspec.d_signals}) == 1
     calls = []
+    state_rows = mb._state_rows
 
-    def counting(fam, grid):
-        calls.append(fam)
-        return compile_signal(fam, grid)
+    def counting(grid, Rc, RTc, cs):
+        calls.append(cs)
+        return state_rows(grid, Rc, RTc, cs)
 
-    monkeypatch.setattr(mb, "compile_signal", counting)
+    monkeypatch.setattr(mb, "_state_rows", counting)
     reduce_volterra_game(vspec, g)
     assert len(calls) == N + 1

@@ -1,30 +1,40 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from volterra_games.errors import ShapeError, UnsupportedSignal
-from volterra_games.grid_ops import build_grid
+from volterra_games.grid_ops import build_grid, zero_kernel
+from volterra_games.meanfield import MFGSpec
+from volterra_games.model_builders import TerminalVector, VolterraGameSpec
+from volterra_games.nplayer import GameSpec
 from volterra_games.signals import (
-    BrownianWeighted,
     CompiledSignal,
-    Deterministic,
-    LinearCombination,
-    Martingale,
     NoiseBundle,
-    OU,
-    compile_signal,
+    brownian_weighted,
+    deterministic,
     draw_noise,
+    martingale,
+    ou,
 )
 
+# each builds its signal on a given grid
 FAMILIES = [
-    Deterministic(values=(3.0,)),
-    Martingale(sigma=1.3, noise="common"),
-    OU(kappa=2.0, sigma=0.8, x0=0.5, noise="common"),
+    partial(deterministic, values=3.0),
+    partial(martingale, sigma=1.3, noise="common"),
+    partial(ou, kappa=2.0, sigma=0.8, x0=0.5, noise="common"),
 ]
 
 
-def realize(fam, grid, bundle, k):
-    """(values, surface) of fam on path k of bundle."""
-    return compile_signal(fam, grid).values_and_surface(bundle.path(k))
+def realize(cs, bundle, k):
+    """(values, surface) of cs on path k of bundle."""
+    return cs.values_and_surface(bundle.path(k))
+
+
+def one_player_game(grid, b_signal, b0_signal):
+    zero = zero_kernel(grid)
+    return GameSpec(n_players=1, lam=1.0, a1=zero, a2hat=zero, a3=zero,
+                    b_signals=(b_signal,), b0_signal=b0_signal, grid=grid)
 
 
 def binomial_bundle(grid, tag="common", depth=None):
@@ -42,14 +52,14 @@ class TestFamilies:
     def test_deterministic_constant(self):
         g = build_grid(1.0, 8)
         bundle = draw_noise(g, {"common"}, 1, 0)
-        values, surface = realize(Deterministic(values=(3.0,)), g, bundle, 0)
+        values, surface = realize(deterministic(g, 3.0), bundle, 0)
         assert np.all(values == 3.0)
         assert np.all(surface == 3.0)
 
     def test_martingale_surface_freezes(self):
         g = build_grid(1.0, 16)
         bundle = draw_noise(g, {"common"}, 3, 1)
-        values, surface = realize(Martingale(sigma=1.0), g, bundle, 2)
+        values, surface = realize(martingale(g, sigma=1.0), bundle, 2)
         for i in range(16):
             for j in range(i, 16):
                 assert surface[i, j] == values[i]
@@ -57,7 +67,7 @@ class TestFamilies:
     def test_ou_noiseless_decay(self):
         g = build_grid(1.0, 16)
         bundle = draw_noise(g, {"common"}, 1, 0)
-        values, surface = realize(OU(kappa=2.0, sigma=0.0, x0=1.0), g, bundle, 0)
+        values, surface = realize(ou(g, kappa=2.0, sigma=0.0, x0=1.0), bundle, 0)
         assert np.max(np.abs(values - np.exp(-2.0 * g.times))) < 1e-14
         assert np.max(np.abs(surface - np.exp(-2.0 * g.times)[None, :])) < 1e-14
 
@@ -65,9 +75,8 @@ class TestFamilies:
         g = build_grid(1.0, 8)
         bundle = draw_noise(g, {"common"}, 2, 5)
         gvals = np.linspace(0.0, 1.0, 8)
-        p = realize(BrownianWeighted(g=tuple(gvals), w=tuple(map(tuple, np.zeros((8, 8))))),
-                    g, bundle, 1)
-        q = realize(Deterministic(values=tuple(gvals)), g, bundle, 1)
+        p = realize(brownian_weighted(g, gvals, np.zeros((8, 8))), bundle, 1)
+        q = realize(deterministic(g, gvals), bundle, 1)
         assert np.array_equal(p[0], q[0])
         assert np.array_equal(p[1], q[1])
 
@@ -77,31 +86,36 @@ class TestFamilies:
         rng = np.random.default_rng(2)
         w = rng.standard_normal((6, 6))
         bundle = draw_noise(g, {"common"}, 1, 3)
-        values, _ = realize(BrownianWeighted(g=(0.0,) * 6, w=tuple(map(tuple, w))), g, bundle, 0)
+        values, _ = realize(brownian_weighted(g, np.zeros(6), w), bundle, 0)
         dW = bundle.path(0)["common"]
         for j in range(6):
             assert abs(values[j] - w[j, :j] @ dW[:j]) < 1e-14
 
     def test_means(self):
         g = build_grid(1.0, 8)
-        assert np.all(compile_signal(Martingale(sigma=2.0), g).mean == 0.0)
-        assert np.allclose(compile_signal(OU(kappa=1.0, sigma=3.0, x0=2.0), g).mean,
-                           2.0 * np.exp(-g.times))
-        combo = LinearCombination(terms=((2.0, Deterministic(values=(1.0,))),
-                                         (1.0, Martingale(sigma=1.0))))
-        assert np.all(compile_signal(combo, g).mean == 2.0)
+        assert np.all(martingale(g, sigma=2.0).mean == 0.0)
+        assert np.allclose(ou(g, kappa=1.0, sigma=3.0, x0=2.0).mean, 2.0 * np.exp(-g.times))
+        combo = 2.0 * deterministic(g, 1.0) + martingale(g, sigma=1.0)
+        assert np.all(combo.mean == 2.0)
 
     def test_unknown_family_rejected(self):
+        # games accept only signals
         g = build_grid(1.0, 4)
-        bundle = draw_noise(g, {"common"}, 1, 0)
         with pytest.raises(UnsupportedSignal):
-            realize(object(), g, bundle, 0)
+            one_player_game(g, deterministic(g, 1.0), object())
+        with pytest.raises(UnsupportedSignal):
+            one_player_game(g, (1.0, 2.0, 3.0, 4.0), deterministic(g, 0.0))
+        with pytest.raises(UnsupportedSignal):
+            VolterraGameSpec(n_players=1, p=1.0, qmat=np.zeros((2, 2)), smat=np.zeros((2, 2)),
+                             qvec=np.zeros(2), dblock=np.zeros((5, 4, 2, 2)),
+                             d_signals=((object(), deterministic(g, 0.0, terminal=0.0)),),
+                             s_terminals=(TerminalVector.zero(),), grid=g)
 
     def test_missing_noise_tag_rejected(self):
         g = build_grid(1.0, 4)
         bundle = draw_noise(g, {"other"}, 1, 0)
         with pytest.raises(UnsupportedSignal):
-            realize(Martingale(noise="common"), g, bundle, 0)
+            realize(martingale(g, noise="common"), bundle, 0)
 
 
 class TestInvariants:
@@ -110,19 +124,20 @@ class TestInvariants:
         g = build_grid(1.0, 16)
         bundle = draw_noise(g, {"common"}, 4, 9)
         for k in range(4):
-            values, surface = realize(fam, g, bundle, k)
+            values, surface = realize(fam(g), bundle, k)
             ii, jj = np.tril_indices(16)
             assert np.max(np.abs(surface[ii, jj] - values[jj])) <= 1e-12
 
     @pytest.mark.parametrize("fam", FAMILIES + [
-        BrownianWeighted(g=(0.0,) * 6,
-                         w=tuple(map(tuple, np.random.default_rng(4).standard_normal((6, 6)))))])
+        partial(brownian_weighted, g=np.zeros(6),
+                w=np.random.default_rng(4).standard_normal((6, 6)))])
     def test_tower_property_on_enumerated_filtration(self, fam):
         # group-average the surface over all continuations: E_i[E_k'[f_j]] = E_i[f_j]
         g = build_grid(1.0, 6)
         bundle = binomial_bundle(g)
         L = bundle.n_paths
-        surfaces = np.stack([realize(fam, g, bundle, p)[1] for p in range(L)])
+        cs = fam(g)
+        surfaces = np.stack([realize(cs, bundle, p)[1] for p in range(L)])
         rng = np.random.default_rng(0)
         for _ in range(20):
             i = rng.integers(0, 5)
@@ -138,8 +153,8 @@ class TestInvariants:
         g = build_grid(1.0, 8)
         M = 10_000
         bundle = draw_noise(g, {"common"}, M, 123)
-        vals = np.stack([realize(Martingale(sigma=1.0), g, bundle, p)[0]
-                         for p in range(M)])
+        cs = martingale(g, sigma=1.0)
+        vals = np.stack([realize(cs, bundle, p)[0] for p in range(M)])
         for j in range(1, 8):
             bound = 4.0 * np.sqrt(g.times[j] / M)
             assert abs(vals[:, j].mean()) <= bound
@@ -175,18 +190,18 @@ class TestInvariants:
 
 
 def reference_combination(terms, grid):
-    """LinearCombination.compile as a hand merge of tag dictionaries."""
-    compiled = [(float(c), compile_signal(fam, grid)) for c, fam in terms]
-    mean = sum(c * cs.mean for c, cs in compiled)
+    """sum(c * s for c, s in terms) as a hand merge of tag dictionaries."""
+    terms = [(float(c), cs) for c, cs in terms]
+    mean = sum(c * cs.mean for c, cs in terms)
     weights, weights_T = {}, {}
-    for c, cs in compiled:
+    for c, cs in terms:
         for tag, w in cs.weights.items():
             weights[tag] = weights.get(tag, 0.0) + c * w
         for tag, wT in cs.weights_T.items():
             weights_T[tag] = weights_T.get(tag, 0.0) + c * wT
     mean_T = None
-    if all(cs.mean_T is not None for _, cs in compiled):
-        mean_T = sum(c * cs.mean_T for c, cs in compiled)
+    if all(cs.mean_T is not None for _, cs in terms):
+        mean_T = sum(c * cs.mean_T for c, cs in terms)
     return CompiledSignal(grid, np.asarray(mean, dtype=float), weights,
                           mean_T=mean_T, weights_T=weights_T)
 
@@ -205,16 +220,16 @@ def assert_same_signal(a, b):
 def random_weighted(grid, rng, noise, terminal=True):
     """Anticipative weights, optionally with a terminal extension."""
     n = grid.n
-    return BrownianWeighted(g=tuple(rng.standard_normal(n)),
-                            w=tuple(map(tuple, rng.standard_normal((n, n)))), noise=noise,
-                            g_T=float(rng.standard_normal()) if terminal else None,
-                            w_T=tuple(rng.standard_normal(n)) if terminal else None)
+    return brownian_weighted(grid, rng.standard_normal(n), rng.standard_normal((n, n)),
+                             noise=noise,
+                             g_T=float(rng.standard_normal()) if terminal else None,
+                             w_T=rng.standard_normal(n) if terminal else None)
 
 
 class TestEquality:
     def test_compiled_signals_compare_by_identity(self):
         g = build_grid(1.0, 4)
-        f, h = compile_signal(Martingale(), g), compile_signal(Martingale(), g)
+        f, h = martingale(g), martingale(g)
         assert f == f and f != h
         assert f in [h, f] and h not in [f]
         assert len({f, h}) == 2
@@ -234,32 +249,30 @@ class TestEquality:
 class TestArithmetic:
     def test_tag_union_is_kept_when_the_sum_is_zero(self):
         g = build_grid(1.0, 8)
-        f = compile_signal(LinearCombination(terms=(
-            (1.0, Martingale(sigma=1.0, noise="b")), (2.0, OU(noise="a")))), g)
+        f = martingale(g, sigma=1.0, noise="b") + 2.0 * ou(g, noise="a")
         zero = f - f
         assert list(zero.weights) == ["b", "a"]
         assert not np.any(zero.mean)
         assert all(not np.any(w) for w in zero.weights.values())
         assert list(zero.weights_T) == ["b", "a"]
         # operand order, not set order
-        h = compile_signal(Martingale(noise="c"), g) + f
+        h = martingale(g, noise="c") + f
         assert list(h.weights) == ["c", "b", "a"]
 
     def test_terminal_extension_rules_match_the_hand_merge(self):
         g = build_grid(1.0, 6)
         rng = np.random.default_rng(4)
         cases = [
-            ((1.0, Deterministic(values=(2.0,), terminal=3.0)), (-0.5, Martingale(noise="a"))),
-            ((0.3, OU(kappa=1.5, sigma=0.7, x0=1.0, noise="a")),
-             (1.7, random_weighted(g, rng, "b")), (-2.0, Martingale(sigma=0.4, noise="a"))),
+            ((1.0, deterministic(g, 2.0, terminal=3.0)), (-0.5, martingale(g, noise="a"))),
+            ((0.3, ou(g, kappa=1.5, sigma=0.7, x0=1.0, noise="a")),
+             (1.7, random_weighted(g, rng, "b")), (-2.0, martingale(g, sigma=0.4, noise="a"))),
             # one operand without a terminal extension: mean_T is None, weights_T still add
             ((1.0, random_weighted(g, rng, "a", terminal=False)),
-             (0.25, random_weighted(g, rng, "a")), (3, OU(noise="b"))),
+             (0.25, random_weighted(g, rng, "a")), (3, ou(g, noise="b"))),
         ]
         for terms in cases:
-            assert_same_signal(compile_signal(LinearCombination(terms=terms), g),
-                               reference_combination(terms, g))
-        f = compile_signal(LinearCombination(terms=cases[1]), g)
+            assert_same_signal(sum(c * cs for c, cs in terms), reference_combination(terms, g))
+        f = sum(c * cs for c, cs in cases[1])
         scaled = f / 4.0
         assert scaled.mean_T == f.mean_T / 4.0
         assert np.array_equal(scaled.weights_T["b"], f.weights_T["b"] / 4.0)
@@ -268,7 +281,7 @@ class TestArithmetic:
 
     def test_numpy_operands_defer_to_the_operators(self):
         g = build_grid(1.0, 5)
-        f = compile_signal(OU(kappa=1.0, sigma=0.5, x0=1.0, noise="a"), g)
+        f = ou(g, kappa=1.0, sigma=0.5, x0=1.0, noise="a")
         c = np.float64(0.7)
         for out in (c * f, f * c):
             assert isinstance(out, CompiledSignal)
@@ -287,8 +300,7 @@ class TestArithmetic:
     def test_matrix_product_applies_to_mean_and_every_weight(self):
         g = build_grid(1.0, 7)
         rng = np.random.default_rng(11)
-        f = compile_signal(LinearCombination(terms=(
-            (1.0, random_weighted(g, rng, "a")), (1.0, random_weighted(g, rng, "b")))), g)
+        f = random_weighted(g, rng, "a") + random_weighted(g, rng, "b")
         M = rng.standard_normal((7, 7))
         expect = CompiledSignal(g, M @ f.mean, {tag: M @ w for tag, w in f.weights.items()})
         assert_same_signal(M @ f, expect)
@@ -299,17 +311,24 @@ class TestArithmetic:
         g = build_grid(1.0, 8)
         bundle = draw_noise(g, {"common"}, 1, 0)
         gs = [np.sin(g.times + i) for i in range(4)]
-        avg = sum(0.25 * compile_signal(Deterministic(values=tuple(v)), g) for v in gs)
+        avg = sum(0.25 * deterministic(g, v) for v in gs)
         values, _ = avg.values_and_surface(bundle.path(0))
         assert np.allclose(values, np.mean(gs, axis=0), atol=1e-15)
 
     def test_grid_mismatch(self):
-        f = compile_signal(Martingale(noise="c"), build_grid(1.0, 4))
-        h = compile_signal(Martingale(noise="c"), build_grid(1.0, 5))
+        g4, g5 = build_grid(1.0, 4), build_grid(1.0, 5)
+        f, h = martingale(g4, noise="c"), martingale(g5, noise="c")
         with pytest.raises(ShapeError):
             f + h
+        # games accept only signals on their own grid
         with pytest.raises(ShapeError):
-            LinearCombination(terms=()).compile(build_grid(1.0, 4))
+            one_player_game(g4, f, deterministic(g5, 0.0))
+        zero = zero_kernel(g4)
+        with pytest.raises(ShapeError):
+            MFGSpec(lam=1.0, a1=zero, a2hat=zero, a3=zero, beta=deterministic(g4, 0.0),
+                    beta0=f, b0_signal=deterministic(g4, 0.0), grid=g4, b_infty=h)
+        with pytest.raises(ShapeError):
+            deterministic(g4, (1.0, 2.0, 3.0))
 
 
 class TestMotivatingWeightedSignal:
@@ -320,9 +339,8 @@ class TestMotivatingWeightedSignal:
         g = build_grid(1.0, 8)
         T = g.horizon
         w = 2.0 * np.exp(a * (2 * T - g.times[:, None] - g.times[None, :]))
-        fam = BrownianWeighted(g=(0.0,) * 8, w=tuple(map(tuple, w)))
         bundle = draw_noise(g, {"common"}, 1, 21)
-        _, surface = realize(fam, g, bundle, 0)
+        _, surface = realize(brownian_weighted(g, np.zeros(8), w), bundle, 0)
         dW = bundle.path(0)["common"]
         for i in range(8):
             for j in range(8):
