@@ -108,11 +108,14 @@ class KernelSpec:
 
     scale: float = 1.0
 
-    def row_averages(self, t: float, grid: TimeGrid) -> np.ndarray:
+    def row_averages(self, t, grid: TimeGrid) -> np.ndarray:
         """Cell averages (1/dt) int_{t_j}^{t_j+dt} G(t, s) ds over all n columns.
 
-        Columns whose cell is not strictly below t must be zeroed by the caller;
-        this returns the raw averages for cells entirely inside [0, t].
+        t is one row time or a column of them, shape (r, 1); the result
+        broadcasts against the (r, n) rows (a family that does not depend on t
+        may return one row).  Columns whose cell is not strictly below t must
+        be zeroed by the caller; this returns the raw averages for cells
+        entirely inside [0, t].
         """
         raise NotImplementedError
 
@@ -225,9 +228,7 @@ def discretize_kernel(spec: KernelSpec, grid: TimeGrid) -> GridKernel:
             raise ShapeError(f"tabulated kernel must be {n} x {n}, got {vals.shape}")
         out = np.tril(vals, k=-1) * spec.scale
         return GridKernel(grid, out)
-    out = np.zeros((n, n))
-    for i in range(1, n):
-        out[i, :i] = spec.row_averages(grid.times[i], grid)[:i]
+    out = np.tril(np.broadcast_to(spec.row_averages(grid.times[:, None], grid), (n, n)), -1)
     diag = np.full(n, spec.half_cell_average(grid) * spec.scale)
     return GridKernel(grid, out * spec.scale, diag_half=diag)
 
@@ -241,13 +242,9 @@ def discretize_kernel_rows(spec: KernelSpec, grid: TimeGrid, row_times: np.ndarr
     spec.validate()
     if isinstance(spec, Tabulated):
         raise InadmissibleKernel("tabulated kernels have no off-grid rows")
-    out = np.zeros((len(row_times), grid.n))
-    cell_end = grid.times + grid.dt
-    for r, t in enumerate(row_times):
-        live = cell_end <= t + 1e-12 * max(grid.horizon, 1.0)
-        row = spec.row_averages(t, grid) * spec.scale
-        out[r, live] = row[live]
-    return out
+    t = np.asarray(row_times, dtype=float)[:, None]
+    live = grid.times + grid.dt <= t + 1e-12 * max(grid.horizon, 1.0)
+    return np.where(live, spec.row_averages(t, grid) * spec.scale, 0.0)
 
 
 # ---------------------------------------------------------------------------

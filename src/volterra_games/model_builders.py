@@ -29,7 +29,7 @@ from .grid_ops import (
     symmetrized_form,
 )
 from .nplayer import GameSpec
-from .signals import CompiledSignal, deterministic, martingale, on_grid
+from .signals import CompiledSignal, IdentityMemo, deterministic, martingale, on_grid
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ class MeasureConvolution(KernelSpec):
 
     def row_averages(self, t, grid):
         dt = grid.dt
-        out = np.zeros(grid.n)
+        out = np.zeros(np.broadcast_shapes(np.shape(t), grid.times.shape))
         for tau, mass in self.measure.atoms:
             out += mass * np.clip((t - tau - grid.times) / dt, 0.0, 1.0)
         if self.measure.density is not None:
@@ -235,7 +235,11 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
     Q, S and q.  Each distinct state signal object is mapped once per
     component it fills, one GEMM per tag, so a signal that every player
     shares (the systemic mean field) costs one map, not N, and the cost
-    grows with the distinct signals' tags, not with players x tags.
+    grows with the distinct signals' tags, not with players x tags.  The
+    sharing carries through: sums keep an operand's array where it alone
+    carries a tag, and the fold into b^i runs once per distinct (tag, row
+    weights), so players hold the same weight object wherever their weights
+    are the same function of the same state signals.
     """
     if vspec.grid != grid:
         raise ShapeError("vspec was discretized on a different grid")
@@ -298,13 +302,35 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
 
     # common b^0 = cross-player average of second rows; remainders fold into b^i
     b0 = _nonzero_tags(sum(row[1] for row in rows) / N)
+    tags = sorted(set(b0.weights).union(*(r.weights for row in rows for r in row)))
+
+    def fold(row0, row1, tag):
+        """Part tag of (b^i, rest) = (row0 + rest / N, row1 - b^0)."""
+        rest = row1.part(tag) - b0.part(tag)
+        return row0.part(tag) + rest / N, rest
+
+    def fold_tag(row0, row1, tag):
+        """fold's weights for tag, None where missing or all zero."""
+        return [f.weights[tag] if tag in f.weights and np.any(f.weights[tag]) else None
+                for f in fold(row0, row1, tag)]
+
+    # a tag's fold depends on a player only through the row weights it carries
+    # for the tag: each distinct pair folds once, and the players share the result
+    shared = IdentityMemo((tag, (row0.weights.get(tag), row1.weights.get(tag)))
+                          for row0, row1 in rows for tag in tags)
     b_signals, b0_extras = [], []
     for i, (row0, row1) in enumerate(rows):
         rows[i] = None             # each player's rows are released once consumed
-        rest = row1 - b0
-        b_signals.append(_nonzero_tags(row0 + rest / N))
-        extra = _nonzero_tags(rest)
-        b0_extras.append(extra if np.any(extra.mean) or extra.weights else None)
+        means = [f.mean for f in fold(row0, row1, None)]
+        weights = ({}, {})
+        for tag in tags:
+            pair = (row0.weights.get(tag), row1.weights.get(tag))
+            for out, w in zip(weights, shared(tag, pair, fold_tag, row0, row1, tag)):
+                if w is not None:
+                    out[tag] = w
+        b_i, rest = (CompiledSignal(grid, m, w) for m, w in zip(means, weights))
+        b_signals.append(b_i)
+        b0_extras.append(rest if np.any(rest.mean) or rest.weights else None)
 
     low = float(np.linalg.eigvalsh(symmetrized_form(a2hat))[0])
     if low < -(vspec.p + 1e-8):

@@ -14,6 +14,14 @@ Drivers and strategies are signals.CompiledSignal values (a mean plus one
 weight matrix per noise tag), so each solve runs once for all paths.  Path
 values come from the weights and the sampled increments; conditional
 surfaces are built only when asked for.
+
+Players that carry the same weight object for a noise tag share one solve,
+one residual and FOC check and one sampling for that tag: every step is
+linear and acts on each tag apart, so a tag's part of a player's strategy
+depends on the player only through that object.  The reduction of a dynamic
+game hands out such shared objects (a bank's weights for another bank's
+noise come from the one mean field), so an exchangeable game costs and holds
+O(distinct weights), not players x tags.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from .grid_ops import (
     check_nonneg_definite,
     symmetrized_form,
 )
-from .signals import CompiledSignal, NoiseBundle, on_grid
+from .signals import CompiledSignal, IdentityMemo, NoiseBundle, on_grid
 
 ADMISSIBILITY_TOL = 1e-8
 MEAN_GAP_TOL = 1e-6
@@ -198,7 +206,18 @@ class NashSolution:
 
 def solve_nash(spec: GameSpec, bundle: NoiseBundle,
                mean_gap_tol: float = MEAN_GAP_TOL) -> NashSolution:
-    """Full equilibrium: mean first, then every player; asserts mean consistency."""
+    """Full equilibrium: mean first, then every player; asserts mean consistency.
+
+    A player's driver, strategy, Fredholm residual and FOC are affine in b^i,
+    so each is the sum of its parts (CompiledSignal.part): the mean, formed
+    per player, and one part per noise tag, which depends on the player only
+    through the weight object b^i carries for that tag.  Each distinct
+    (tag, weights) is therefore solved, checked and sampled once, and every
+    player that carries it shares the resulting arrays; exchangeable players
+    (one mean field in every driver) share all but their own tags.  Each
+    player's samples add the parts in sorted tag order, as path_values does,
+    so every output is bitwise what a player-by-player solve gives.
+    """
     ops = build_operators(spec)
     N, grid = spec.n_players, spec.grid
     increments, P = bundle.increments, bundle.n_paths
@@ -210,19 +229,43 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
     # every player's driver shares one shift by the mean strategy, every FOC the term cross
     shift = mean_field_shift(ops.H, mean_strategy)
     own, cross = _foc_terms(spec, mean_strategy)
+    b0 = (1.0 / N) * spec.b0_signal
+    tags = sorted(mean_strategy.weights)       # every tag of every driver
+
+    def player_part(b: CompiledSignal, tag):
+        """Part tag (None: the mean) of the strategy for b, and its samples.
+
+        The samples are those of the strategy, the Fredholm residual, the FOC
+        and the driver; a tag's part is None where the driver lacks the tag.
+        """
+        base = b.part(tag) + b0.part(tag)
+        drive = base - shift.part(tag)
+        strategy = ops.player_solver.solve(drive)
+        parts = (strategy, ops.player_solver.residual(drive, strategy),
+                 own @ strategy + cross.part(tag) - base, base)
+        if tag is None:
+            return strategy, [p.path_values(increments, P) for p in parts]
+        return strategy, [p.tag_values(tag, increments[tag]) if p.weights else None
+                          for p in parts]
+
+    shared = IdentityMemo((tag, (f.weights.get(tag),)) for f in spec.b_signals for tag in tags)
     strategies = []
     u = np.empty((N, P, grid.n))
     base_values = np.empty((N, P, grid.n))
     foc = []
-    for i in range(N):
-        base = player_base(spec, i)
-        drive = base - shift
-        strategies.append(ops.player_solver.solve(drive))
-        fred_residual = max(fred_residual, sup_on_paths(
-            ops.player_solver.residual(drive, strategies[i]), increments, P))
-        foc.append(sup_on_paths(own @ strategies[i] + cross - base, increments, P))
-        u[i] = strategies[i].path_values(increments, P)
-        base_values[i] = base.path_values(increments, P)
+    for i, b in enumerate(spec.b_signals):
+        strategy, samples = player_part(b, None)
+        weights = {}
+        for tag in tags:
+            part, tag_samples = shared(tag, (b.weights.get(tag),), player_part, b, tag)
+            weights[tag] = part.weights[tag]
+            for out, values in zip(samples, tag_samples):
+                if values is not None:
+                    out += values
+        strategies.append(CompiledSignal(grid, strategy.mean, weights))
+        u[i], residual, foc_i, base_values[i] = samples
+        fred_residual = max(fred_residual, float(np.max(np.abs(residual), initial=0.0)))
+        foc.append(float(np.max(np.abs(foc_i), initial=0.0)))
     ubar = mean_strategy.path_values(increments, P)
 
     mean_gap = float(np.max(np.abs(u.mean(axis=0) - ubar))) if P else 0.0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,8 @@ class CompiledSignal:
     Signals form a vector space: f + g, f - g, c * f and f / c act on the mean
     and on every tag's weights, and M @ f applies an (n, n) matrix to them.  A
     sum carries the union of its operands' tags in operand order, a missing
-    tag reading as zero, and keeps a tag even where the sum is zero.  Its
+    tag reading as zero, and keeps a tag even where the sum is zero; where one
+    operand alone carries a tag, the sum holds that operand's array.  Its
     terminal extension is the sum of the operands' (mean_T is None if any
     operand's is); M @ f has none.  numpy scalars and arrays defer to these
     operators, and sum() works from its start value 0.  Equality is identity:
@@ -124,13 +126,29 @@ class CompiledSignal:
             self.add_tag_values(out, tag, increments[tag])
         return out
 
-    def add_tag_values(self, out: np.ndarray, tag, increments: np.ndarray) -> None:
-        """Add one tag's part of the adapted values at its (n_paths, n) increments to out.
+    def tag_values(self, tag, increments: np.ndarray) -> np.ndarray:
+        """One tag's part of the adapted values at its (n_paths, n) increments.
 
         path_values is the mean plus these parts in sorted tag order; a caller
         that adds them in that order gets path_values bitwise.
         """
-        out += increments @ np.tril(self.weights[tag], -1).T
+        return increments @ np.tril(self.weights[tag], -1).T
+
+    def add_tag_values(self, out: np.ndarray, tag, increments: np.ndarray) -> None:
+        """Add one tag's part of the adapted values (tag_values) to out."""
+        out += self.tag_values(tag, increments)
+
+    def part(self, tag=None) -> CompiledSignal:
+        """The mean alone (tag None), or tag's weights alone on a zero mean.
+
+        Every operator acts on the mean and on each tag apart, so an expression
+        in signals equals, part by part, the same expression in their parts.  A
+        signal without the tag has an empty part; the extension to T is dropped.
+        """
+        if tag is None:
+            return CompiledSignal(self.grid, self.mean, {})
+        weights = {tag: self.weights[tag]} if tag in self.weights else {}
+        return CompiledSignal(self.grid, np.zeros(self.grid.n), weights)
 
     def values_and_surface(self, dW: dict) -> tuple[np.ndarray, np.ndarray]:
         """Adapted path values and the full surface m[i, j] for one increment draw."""
@@ -152,11 +170,46 @@ class CompiledSignal:
 def _tagwise(op, a: dict, b: dict) -> dict:
     """op(a[tag], b[tag]) over the union of tags in operand order; a missing tag reads as 0.
 
-    A tag that only a carries keeps a's array (signals never write to their
-    arrays), so a running sum over many signals copies each array once.
+    A tag that only one operand of a sum carries keeps that operand's array
+    (signals never write to their arrays): a running sum over many signals
+    copies each array once, and a tag's weights stay the same object wherever
+    they are the same sum of the same arrays.
     """
-    return {tag: a[tag] if tag not in b else op(a.get(tag, 0.0), b[tag])
+    return {tag: a[tag] if tag not in b
+            else b[tag] if tag not in a and op is operator.add
+            else op(a.get(tag, 0.0), b[tag])
             for tag in dict.fromkeys([*a, *b])}
+
+
+class IdentityMemo:
+    """Work per (tag, operand objects): done at a key's first use, dropped after its last.
+
+    Exchangeable players carry the same weight objects, so work that depends
+    on a player only through them is done once per distinct key.  uses lists
+    every (tag, operands) the caller will ask for, once per request: an entry
+    is dropped at its counted last use, so the memo holds only pending work.
+    Operands compare by identity, and an entry keeps its operands alive, so no
+    id is reused while it is pending.
+    """
+
+    def __init__(self, uses):
+        self._left = Counter(self._key(tag, operands) for tag, operands in uses)
+        self._held = {}
+
+    @staticmethod
+    def _key(tag, operands) -> tuple:
+        return (tag, *map(id, operands))
+
+    def __call__(self, tag, operands: tuple, work, *args):
+        """work(*args) for this key: computed at the first request, dropped after the last."""
+        key = self._key(tag, operands)
+        if key not in self._held:
+            self._held[key] = operands, work(*args)
+        result = self._held[key][1]
+        self._left[key] -= 1
+        if self._left[key] <= 0:
+            del self._held[key]
+        return result
 
 
 def on_grid(grid: TimeGrid, *signals) -> None:

@@ -1,0 +1,164 @@
+"""Exchangeable players: each distinct (tag, weights) is solved, checked and sampled once.
+
+Players whose drivers carry the same weight object for a tag share that tag's
+work.  The sharing must change no result: solve_nash on a game equals,
+bitwise, solve_nash on a copy in which every array is a fresh copy, so that
+nothing is shared.  The work counts pin how much is shared.
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from volterra_games.cli import build_game_from_config
+from volterra_games.fredholm import FredholmSolver
+from volterra_games.grid_ops import build_grid
+from volterra_games.nplayer import solve_nash
+from volterra_games.signals import CompiledSignal, IdentityMemo, draw_noise
+
+CONFIGS = Path(__file__).resolve().parent.parent / "run_configs"
+
+
+def game(name, players=None, sigmas=None, n=16):
+    """A shipped config's game on n points; systemic widened to `players` banks.
+
+    The banks' x0 cycle over the config's values and their sigma over `sigmas`
+    (default: the config's).
+    """
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    model = cfg["model"]
+    if players is not None:
+        model["N"] = players
+        sigmas = model["sigma"] if sigmas is None else sigmas
+        model["sigma"] = [sigmas[i % len(sigmas)] for i in range(players)]
+        model["x0"] = [model["x0"][i % len(model["x0"])] for i in range(players)]
+    grid = build_grid(cfg["grid"]["T"], n)
+    spec = build_game_from_config(cfg, grid)
+    return spec, draw_noise(grid, spec.noise_tags() or {"common"}, 5, cfg["noise"]["seed"])
+
+
+GAMES = {
+    "systemic16": lambda: game("systemic", players=16),
+    "systemic16_three_sigmas": lambda: game("systemic", players=16, sigmas=[0.1, 0.2, 0.35]),
+    "liquidation": lambda: game("liquidation"),
+    "advertising": lambda: game("advertising"),
+    "raw": lambda: game("raw_game"),
+}
+
+
+def fresh(f):
+    """f with every array copied: it shares no object with anything."""
+    if f is None:
+        return None
+    return CompiledSignal(f.grid, f.mean.copy(), {t: w.copy() for t, w in f.weights.items()},
+                          f.mean_T, {t: w.copy() for t, w in f.weights_T.items()})
+
+
+def unshared(spec):
+    return replace(spec, b_signals=tuple(fresh(f) for f in spec.b_signals),
+                   b0_signal=fresh(spec.b0_signal),
+                   b0_extras=tuple(fresh(e) for e in spec.b0_extras))
+
+
+def weight_objects(signals) -> int:
+    return len({id(w) for f in signals for w in f.weights.values()})
+
+
+def assert_signals_equal(a, b):
+    assert np.array_equal(a.mean, b.mean)
+    assert list(a.weights) == list(b.weights)
+    for tag in a.weights:
+        assert np.array_equal(a.weights[tag], b.weights[tag]), tag
+
+
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_sharing_changes_no_result(name):
+    spec, bundle = GAMES[name]()
+    plain = unshared(spec)
+    assert weight_objects(plain.b_signals) == sum(len(f.weights) for f in spec.b_signals)
+    sol, ref = solve_nash(spec, bundle), solve_nash(plain, bundle)
+    assert np.array_equal(sol.ubar, ref.ubar)
+    assert np.array_equal(sol.u, ref.u)
+    assert np.array_equal(sol.base_values, ref.base_values)
+    assert_signals_equal(sol.mean_strategy, ref.mean_strategy)
+    for s, r in zip(sol.strategies, ref.strategies, strict=True):
+        assert_signals_equal(s, r)
+    assert sol.diagnostics == ref.diagnostics
+
+
+@pytest.mark.parametrize("name", ["systemic16", "systemic16_three_sigmas"])
+def test_reduction_hands_out_shared_weights(name):
+    # bank i's weights for another bank's tag come from the mean field alone
+    spec, _ = GAMES[name]()
+    N = spec.n_players
+    assert sum(len(f.weights) for f in spec.b_signals) == N * N
+    assert weight_objects(spec.b_signals) <= 2 * N
+    assert weight_objects(e for e in spec.b0_extras if e is not None) <= 2 * N
+
+
+def work_counts(spec, bundle, monkeypatch):
+    """solve_nash's per-tag solves and per-tag samples, and its solution."""
+    counts = {"solves": 0, "samples": 0}
+    solve, tag_values = FredholmSolver.solve, CompiledSignal.tag_values
+
+    def counted_solve(self, f):
+        counts["solves"] += len(f.weights)
+        return solve(self, f)
+
+    def counted_tag_values(self, tag, increments):
+        counts["samples"] += 1
+        return tag_values(self, tag, increments)
+
+    monkeypatch.setattr(FredholmSolver, "solve", counted_solve)
+    monkeypatch.setattr(CompiledSignal, "tag_values", counted_tag_values)
+    sol = solve_nash(spec, bundle)
+    return counts, sol
+
+
+def test_systemic_work_grows_with_distinct_weights(monkeypatch):
+    # 16 tags: the mean solves each once, the players each distinct (tag, weights)
+    # once, 2 per tag, where player by player gave 16 + 16 x 16 solves
+    spec, bundle = GAMES["systemic16"]()
+    N = spec.n_players
+    counts, sol = work_counts(spec, bundle, monkeypatch)
+    assert counts["solves"] <= N + 2 * N
+    # mean strategy and mean residual, then strategy, residual, FOC and driver per key
+    assert counts["samples"] <= 2 * N + 4 * 2 * N
+    assert weight_objects(sol.strategies) <= 2 * N
+
+
+@pytest.mark.parametrize("players", [6, 12])
+def test_heterogeneous_work_is_linear_in_players(players, monkeypatch):
+    # per-bank sigma over 3 values: still one own tag per bank plus the shared
+    # mean field, so the count grows as N, not as N^2
+    spec, bundle = game("systemic", players=players, sigmas=[0.1, 0.2, 0.35])
+    counts, sol = work_counts(spec, bundle, monkeypatch)
+    assert counts["solves"] <= players + 2 * players
+    assert weight_objects(sol.strategies) <= 2 * players
+
+
+def test_unshared_game_does_the_full_work(monkeypatch):
+    # the counts measure sharing: with fresh arrays every (player, tag) is solved
+    spec, bundle = GAMES["systemic16"]()
+    N = spec.n_players
+    counts, _ = work_counts(unshared(spec), bundle, monkeypatch)
+    assert counts["solves"] == N + N * N
+
+
+class TestIdentityMemo:
+    def test_work_runs_once_per_key_and_is_dropped_after_its_last_use(self):
+        a, b = np.zeros(2), np.zeros(2)          # equal, but distinct objects
+        calls = []
+
+        def work(x):
+            calls.append(x)
+            return len(calls)
+
+        memo = IdentityMemo([("t", (a,)), ("t", (b,)), ("t", (a,)), ("u", (a,))])
+        assert [memo("t", (a,), work, "a"), memo("t", (b,), work, "b"),
+                memo("t", (a,), work, "a"), memo("u", (a,), work, "ua")] == [1, 2, 1, 3]
+        # the counted uses of ("t", a) are spent: a further request works again
+        assert memo("t", (a,), work, "a") == 4

@@ -16,6 +16,7 @@ from volterra_games.grid_ops import (
     build_grid,
     check_nonneg_definite,
     discretize_kernel,
+    discretize_kernel_rows,
     grid_inner,
     invert_id_minus,
     resolvent,
@@ -24,6 +25,8 @@ from volterra_games.grid_ops import (
     triangular_inverse,
     zero_kernel,
 )
+
+from volterra_games.model_builders import DelayMeasure, MeasureConvolution
 
 from conftest import mask_from, rand_lower
 
@@ -104,6 +107,59 @@ class TestDiscretize:
         K1 = discretize_kernel(ExponentialDecay(c=1.0, rho=1.0), g)
         K3 = discretize_kernel(ExponentialDecay(scale=3.0, c=1.0, rho=1.0), g)
         assert np.allclose(K3.values, 3.0 * K1.values)
+
+
+def row_loop_kernel(spec, g):
+    """discretize_kernel's values as a loop over rows, one row time at a time."""
+    out = np.zeros((g.n, g.n))
+    for i in range(1, g.n):
+        out[i, :i] = spec.row_averages(g.times[i], g)[:i]
+    return out * spec.scale
+
+
+def row_loop_rows(spec, g, row_times):
+    """discretize_kernel_rows as a loop over the row times."""
+    out = np.zeros((len(row_times), g.n))
+    cell_end = g.times + g.dt
+    for r, t in enumerate(row_times):
+        live = cell_end <= t + 1e-12 * max(g.horizon, 1.0)
+        row = spec.row_averages(t, g) * spec.scale
+        out[r, live] = row[live]
+    return out
+
+
+def every_family(g):
+    """One kernel of each analytic family, with nondefault scales and parameters."""
+    density = tuple(np.cos(3.0 * g.times))
+    return [
+        ZeroK(),
+        ConstantLower(c=-0.7, scale=1.3),
+        ExponentialDecay(c=0.5, rho=2.0),
+        ExponentialDecay(c=1.5, rho=0.0, scale=0.4),
+        PowerLaw(c=0.5, alpha=0.4),
+        DelayIndicator(tau=0.3),
+        DelayIndicator(tau=1.5, scale=-2.0),
+        MeasureConvolution(measure=DelayMeasure(atoms=((0.0, 1.0), (0.3, -1.0)))),
+        MeasureConvolution(measure=DelayMeasure(atoms=((0.05, 0.5),), density=density)),
+    ]
+
+
+class TestVectorisedRows:
+    """All rows at once give the same bits as the loop over rows."""
+
+    @pytest.mark.parametrize("n", [2, 7, 64, 512])
+    def test_kernel_matches_row_loop_bitwise(self, n):
+        g = build_grid(1.0, n)
+        for spec in every_family(g):
+            assert np.array_equal(discretize_kernel(spec, g).values, row_loop_kernel(spec, g)), spec
+
+    @pytest.mark.parametrize("n", [2, 7, 64, 512])
+    def test_rows_match_row_loop_bitwise(self, n):
+        g = build_grid(1.3, n)
+        row_times = np.concatenate([g.times, [g.horizon, 0.37, 2.0]])
+        for spec in every_family(g):
+            assert np.array_equal(discretize_kernel_rows(spec, g, row_times),
+                                  row_loop_rows(spec, g, row_times)), spec
 
 
 class TestApply:
