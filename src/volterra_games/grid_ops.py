@@ -6,7 +6,8 @@ G(t_i, s) ds, strictly lower triangular, so that the induced integral
 operator acts on grid functions as (K f)[i] = sum_j K[i, j] f[j] dt.  Every
 id - dt K is then unit lower triangular, so triangular_inverse gives the
 resolvent's (id - dt K)^{-1}; fredholm builds its D_t factors' inverses with
-it too.
+it too.  Adapted weights are strictly lower triangular as well, so the
+solver's products with them (lower_product) form only that triangle.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .errors import InadmissibleKernel, InvalidGrid, ShapeError, SingularOperato
 
 SINGULAR_SV_TOL = 1e-10
 LU_LEAF = 32               # triangular blocks this small are inverted (or eliminated) directly
+TRI_BLOCK = 64             # column block of lower_product, row block of cut_upper
+_UPPER = np.triu(np.ones((TRI_BLOCK, TRI_BLOCK), dtype=bool))    # on and above the diagonal
 
 
 @dataclass(frozen=True)
@@ -296,9 +299,14 @@ def symmetrized_form(K: GridKernel) -> np.ndarray:
     return 0.5 * K.grid.dt * (Kc + Kc.T)
 
 
+def min_eigenvalue(K: GridKernel) -> float:
+    """The minimum eigenvalue of K's symmetrized weighted form (symmetrized_form)."""
+    return float(np.linalg.eigvalsh(symmetrized_form(K))[0])
+
+
 def check_nonneg_definite(K: GridKernel, tol: float = 1e-8) -> bool:
     """True iff the minimum eigenvalue of the symmetrized weighted form is >= -tol."""
-    return float(np.linalg.eigvalsh(symmetrized_form(K))[0]) >= -tol
+    return min_eigenvalue(K) >= -tol
 
 
 def triangular_inverse(T: np.ndarray, lower: bool = True, unit: bool = False) -> np.ndarray:
@@ -322,6 +330,44 @@ def triangular_inverse(T: np.ndarray, lower: bool = True, unit: bool = False) ->
     X[h:, h:] = triangular_inverse(T[h:, h:], True, unit)
     X[h:, :h] = -X[h:, h:] @ (T[h:, :h] @ X[:h, :h])
     return X
+
+
+def cut_upper(a: np.ndarray) -> np.ndarray:
+    """Zero the square a on and above its diagonal, in place, and return it.
+
+    The values of np.tril(a, -1) without its n x n mask: each band of
+    TRI_BLOCK rows clears its diagonal block through one fixed small mask and
+    the columns right of it by a slice.
+    """
+    n = a.shape[0]
+    for j in range(0, n, TRI_BLOCK):
+        k = min(j + TRI_BLOCK, n)
+        a[j:k, j:k][_UPPER[:k - j, :k - j]] = 0.0
+        a[j:k, k:] = 0.0
+    return a
+
+
+def lower_product(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """tril(A @ tril(W, -1), -1), formed one column block at a time.
+
+    Column block [j, k) of the product reads only rows >= j of A and W, so it
+    is the one GEMM A[j:, j:] @ W[j:, j:k], with W's diagonal block read
+    strictly lower and the result's cut on and above the diagonal: n^3/3
+    multiply-adds instead of n^3, and at n <= TRI_BLOCK the single GEMM A @ W.
+    A may be any (n, n) matrix; only W's strictly lower triangle is read, and
+    the result is exactly zero on and above the diagonal.
+    """
+    n = W.shape[0]
+    out = np.zeros((n, n))
+    for j in range(0, n, TRI_BLOCK):
+        k = min(j + TRI_BLOCK, n)
+        upper = _UPPER[:k - j, :k - j]
+        w = W[j:, j:k].copy()
+        w[:k - j][upper] = 0.0
+        block = out[j:, j:k]
+        np.matmul(A[j:, j:], w, out=block)
+        block[:k - j][upper] = 0.0
+    return out
 
 
 def invert_id_minus(B: GridKernel) -> np.ndarray:

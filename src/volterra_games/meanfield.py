@@ -284,8 +284,8 @@ def mfg_foc_residual(spec: MFGSpec, solution: MFGSolution, noise: CrossedNoise) 
     A3 = spec.a3.values
     A2 = spec.a2hat.values
     own = 2.0 * spec.lam * np.eye(grid.n) + dt * (A2 + A2.T)
-    res = (own @ solution.strategies[0] + (dt * (A3 + A3.T)) @ solution.mean_field
-           - spec.b_family())
+    res = (solution.strategies[0].adapted_matmul(own)
+           + solution.mean_field.adapted_matmul(dt * (A3 + A3.T)) - spec.b_family())
     return sup_on_paths(res, noise.bundle.increments, noise.bundle.n_paths)
 
 

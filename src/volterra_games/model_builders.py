@@ -24,9 +24,9 @@ from .grid_ops import (
     apply,
     discretize_kernel,
     discretize_kernel_rows,
+    min_eigenvalue,
     resolvent,
     star_product,
-    symmetrized_form,
 )
 from .nplayer import GameSpec
 from .signals import CompiledSignal, IdentityMemo, deterministic, martingale, on_grid
@@ -332,7 +332,7 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
         b_signals.append(b_i)
         b0_extras.append(rest if np.any(rest.mean) or rest.weights else None)
 
-    low = float(np.linalg.eigvalsh(symmetrized_form(a2hat))[0])
+    low = min_eigenvalue(a2hat)
     if low < -(vspec.p + 1e-8):
         raise InadmissibleKernel(
             f"assembled instantaneous cost loses definiteness: min eig {low:.3e} < -p")

@@ -8,7 +8,9 @@ Both solves share the scale lam_eff = 2*lambda.  The shift
 dt (H + H^T) ubar is formed once per solve_nash and serves every player's
 driver.  The first-order condition is the gradient of J^i formed from A1,
 A2hat and A3 directly, not from G and H, so it also checks build_GH and the
-reduction to the two Fredholm problems.
+reduction to the two Fredholm problems.  The shift and the condition apply
+matrices to solver outputs, whose weights are strictly lower, so each is an
+adapted product (CompiledSignal.adapted_matmul).
 
 Drivers and strategies are signals.CompiledSignal values (a mean plus one
 weight matrix per noise tag), so each solve runs once for all paths.  Path
@@ -36,8 +38,7 @@ from .grid_ops import (
     GridKernel,
     TimeGrid,
     add_kernels,
-    check_nonneg_definite,
-    symmetrized_form,
+    min_eigenvalue,
 )
 from .signals import CompiledSignal, IdentityMemo, NoiseBundle, on_grid
 
@@ -57,6 +58,9 @@ class GameSpec:
     dynamic models, whose cross kernels carry signs: there only positivity of
     the per-player quadratic form lam*id + A1/N^2 + (A3+A3*)/N + A2hat is
     required, which is what strict concavity of the objective needs.
+    margins keeps the minimum eigenvalue of each form the check tests:
+    min_eig_A1, min_eig_A2hat and min_eig_A3 ("strict") or min_eig_player_form
+    ("concave").
     """
 
     n_players: int
@@ -73,6 +77,7 @@ class GameSpec:
     # b_signals for the solvers; enters only objective values, through the
     # first-order-null term <extra_i, ubar - u^i/N>
     b0_extras: tuple = ()
+    margins: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n_players < 1:
@@ -90,12 +95,13 @@ class GameSpec:
                 raise InadmissibleKernel(f"{name} must be a Volterra kernel")
         if self.kernel_check == "strict":
             for name, K in (("A1", self.a1), ("A2hat", self.a2hat), ("A3", self.a3)):
-                if not check_nonneg_definite(K, ADMISSIBILITY_TOL):
+                low = self.margins[f"min_eig_{name}"] = min_eigenvalue(K)
+                if low < -ADMISSIBILITY_TOL:
                     raise InadmissibleKernel(f"{name} fails nonnegative-definiteness")
         elif self.kernel_check == "concave":
             N = self.n_players
             hess = add_kernels((1.0 / N ** 2, self.a1), (2.0 / N, self.a3), (1.0, self.a2hat))
-            low = float(np.linalg.eigvalsh(symmetrized_form(hess))[0])
+            low = self.margins["min_eig_player_form"] = min_eigenvalue(hess)
             if low < -(self.lam + ADMISSIBILITY_TOL):
                 raise InadmissibleKernel(
                     f"player quadratic form loses concavity: min eig {low:.3e} < -lam")
@@ -143,8 +149,11 @@ def build_operators(spec: GameSpec) -> GameOperators:
 
 
 def mean_field_shift(H: GridKernel, w: CompiledSignal) -> CompiledSignal:
-    """H(w) + H*(E_. w), on coefficients dt (H + H^T) w."""
-    return (H.grid.dt * (H.values + H.values.T)) @ w
+    """H(w) + H*(E_. w), on coefficients dt (H + H^T) w.
+
+    w is a solver output (or a sum of them), so its weights are strictly lower.
+    """
+    return w.adapted_matmul(H.grid.dt * (H.values + H.values.T))
 
 
 def shifted_drive(base: CompiledSignal, H: GridKernel, w: CompiledSignal) -> CompiledSignal:
@@ -242,7 +251,7 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
         drive = base - shift.part(tag)
         strategy = ops.player_solver.solve(drive)
         parts = (strategy, ops.player_solver.residual(drive, strategy),
-                 own @ strategy + cross.part(tag) - base, base)
+                 strategy.adapted_matmul(own) + cross.part(tag) - base, base)
         if tag is None:
             return strategy, [p.path_values(increments, P) for p in parts]
         return strategy, [p.tag_values(tag, increments[tag]) if p.weights else None
@@ -282,8 +291,9 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
             "foc_residual_max": max(foc),
             "min_pivot_D_mean": ops.mean_solver.dt_family.min_pivot(),
             "min_pivot_D_player": ops.player_solver.dt_family.min_pivot(),
-            "cond1_D_mean_0": ops.mean_solver.dt_family.cond1(),
-            "cond1_D_player_0": ops.player_solver.dt_family.cond1(),
+            "cond1_est_D_mean_0": ops.mean_solver.dt_family.cond1_est(),
+            "cond1_est_D_player_0": ops.player_solver.dt_family.cond1_est(),
+            **spec.margins,
         },
     )
 
@@ -291,7 +301,8 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
 def foc_residual(spec: GameSpec, solution: NashSolution, i: int) -> float:
     """Sup over the sampled paths of player i's discretized first-order condition."""
     own, cross = _foc_terms(spec, solution.mean_strategy)
-    return sup_on_paths(own @ solution.strategies[i] + cross - player_base(spec, i),
+    return sup_on_paths(solution.strategies[i].adapted_matmul(own) + cross
+                        - player_base(spec, i),
                         solution.increments, len(solution.ubar))
 
 
@@ -308,7 +319,7 @@ def _foc_terms(spec: GameSpec, mean_strategy: CompiledSignal) -> tuple[np.ndarra
     sym3 = A3 + A3.T
     own = dt * (A2 + A2.T + sym3 / N)
     own[np.diag_indices(spec.grid.n)] += 2.0 * spec.lam
-    cross = (dt * ((A1 + A1.T) / N + sym3)) @ mean_strategy
+    cross = mean_strategy.adapted_matmul(dt * ((A1 + A1.T) / N + sym3))
     return own, cross
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, UnsupportedSignal
-from .grid_ops import TimeGrid
+from .grid_ops import TimeGrid, cut_upper, lower_product
 
 COMMON = "common"
 
@@ -41,7 +41,8 @@ class CompiledSignal:
     optional and only required by model reductions with terminal data.
 
     Signals form a vector space: f + g, f - g, c * f and f / c act on the mean
-    and on every tag's weights, and M @ f applies an (n, n) matrix to them.  A
+    and on every tag's weights, and M @ f applies an (n, n) matrix to them
+    (adapted_matmul forms only the strictly lower part of the weights).  A
     sum carries the union of its operands' tags in operand order, a missing
     tag reading as zero, and keeps a tag even where the sum is zero; where one
     operand alone carries a tag, the sum holds that operand's array.  Its
@@ -108,11 +109,26 @@ class CompiledSignal:
     def __rmatmul__(self, M):
         if not isinstance(M, np.ndarray):
             return NotImplemented
+        return self._applied(M, operator.matmul)
+
+    def adapted_matmul(self, M: np.ndarray) -> CompiledSignal:
+        """M @ self for a signal whose weights are strictly lower triangular.
+
+        Precondition: every weight matrix is zero on and above the diagonal, as
+        a solver output's is (only the strictly lower part is read).  The
+        result's weights are then tril(M @ w, -1), formed by
+        grid_ops.lower_product at a third of the full product's cost; on and
+        above the diagonal they are zero, which no adapted value reads.
+        """
+        return self._applied(M, lower_product)
+
+    def _applied(self, M: np.ndarray, product) -> CompiledSignal:
+        """M on the mean and product(M, w) on every tag's weights; no extension to T."""
         if M.shape != (self.grid.n, self.grid.n):
             raise ShapeError(f"matrix of shape {M.shape} does not act on a signal of length "
                              f"{self.grid.n}")
         return CompiledSignal(self.grid, M @ self.mean,
-                              {tag: M @ w for tag, w in self.weights.items()})
+                              {tag: product(M, w) for tag, w in self.weights.items()})
 
     def path_values(self, increments: dict, n_paths: int) -> np.ndarray:
         """Adapted values E_{t_j}[f_j] on every path, shape (n_paths, n).
@@ -132,7 +148,7 @@ class CompiledSignal:
         path_values is the mean plus these parts in sorted tag order; a caller
         that adds them in that order gets path_values bitwise.
         """
-        return increments @ np.tril(self.weights[tag], -1).T
+        return increments @ cut_upper(self.weights[tag].copy()).T
 
     def add_tag_values(self, out: np.ndarray, tag, increments: np.ndarray) -> None:
         """Add one tag's part of the adapted values (tag_values) to out."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid_ops import adjoint, apply, grid_inner, resolvent, star_product, symmetrized_form
+from .grid_ops import adjoint, apply, grid_inner, min_eigenvalue, resolvent, star_product
 from .nplayer import GameSpec, build_GH, solve_nash
 from .signals import draw_noise
 
@@ -30,7 +30,7 @@ def validation_report(spec: GameSpec, paths: int = 8, seed: int = 0,
                          abs(grid.dt * grid.n - grid.horizon), 1e-12))
 
     for name, K in (("a1", spec.a1), ("a2hat", spec.a2hat), ("a3", spec.a3)):
-        low = float(np.linalg.eigvalsh(symmetrized_form(K))[0])
+        low = min_eigenvalue(K)
         if spec.kernel_check == "strict":
             checks.append(_check(f"nonneg_definite_{name}", low,
                                  tol["admissibility"], larger_ok=True))
@@ -39,7 +39,7 @@ def validation_report(spec: GameSpec, paths: int = 8, seed: int = 0,
                            "tolerance": float("nan"), "passed": True})
     if spec.kernel_check == "concave":
         G, _ = build_GH(spec)
-        low = float(np.linalg.eigvalsh(symmetrized_form(G))[0])
+        low = min_eigenvalue(G)
         checks.append(_check("player_concavity_form", low,
                              spec.lam + tol["admissibility"], larger_ok=True))
 

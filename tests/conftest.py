@@ -62,6 +62,12 @@ def condition_number(dt_family, k: int) -> float:
     return float(sv[0] / sv[-1])
 
 
+def cond1(dt_family) -> float:
+    """Exact 1-norm condition number of D_0, from the whole inverse Li @ Ui."""
+    return float(np.linalg.norm(dt_family.core, 1)
+                 * np.linalg.norm(dt_family._Li @ dt_family._Ui, 1))
+
+
 def mu_surface(solution) -> np.ndarray:
     """(common, n, n) conditional surfaces of an MFGSolution's mean field mu."""
     return conditional_surfaces(solution.mean_field, solution.block_increments,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from volterra_games.cli import build_game_from_config, main
-from volterra_games.grid_ops import build_grid
+from volterra_games.grid_ops import build_grid, symmetrized_form
 from volterra_games.nplayer import foc_residual, solve_nash
 from volterra_games.signals import draw_noise
 
@@ -153,6 +153,17 @@ class TestSolve:
         diag = json.loads((out1 / "diagnostics.json").read_text())
         assert diag["fredholm_residual_max"] <= 1e-9
         assert diag["mean_gap"] <= 1e-6
+
+    def test_diagnostics_report_margins_and_condition_estimates(self, tmp_path):
+        p = write_cfg(tmp_path, RAW_MODEL)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        spec = build_game_from_config(json.loads(p.read_text()), build_grid(1.0, 12))
+        for name, K in (("A1", spec.a1), ("A2hat", spec.a2hat), ("A3", spec.a3)):
+            assert diag[f"min_eig_{name}"] == np.linalg.eigvalsh(symmetrized_form(K))[0]
+        assert diag["cond1_est_D_mean_0"] >= 1.0
+        assert diag["cond1_est_D_player_0"] >= 1.0
 
     def test_residual_tolerance_failure_exits_1(self, tmp_path):
         p = write_cfg(tmp_path, RAW_MODEL, run={"tolerances": {"fredholm_residual": 0.0}})

@@ -12,6 +12,7 @@ from volterra_games.fredholm import (
     stability_gap,
 )
 from volterra_games.grid_ops import (
+    TRI_BLOCK,
     ConstantLower,
     ExponentialDecay,
     GridKernel,
@@ -24,7 +25,7 @@ from volterra_games.grid_ops import (
 from volterra_games.nplayer import conditional_surfaces
 from volterra_games.signals import CompiledSignal, draw_noise, martingale, ou
 
-from conftest import condition_number, mask_from
+from conftest import cond1, condition_number, mask_from
 
 
 def det_signal(grid, values):
@@ -50,11 +51,9 @@ def loose_problem(K, L, lam):
         return FredholmProblem(K=K, L=L, lam_eff=lam, strict_selfadjoint=False)
 
 
-def check_block_definition(n):
-    """Li_k @ Ui_k inverts the trailing block of lam id + dt(mask_from(K,k) +
-    adjoint(mask_from(L,k))) for every k, on an SPD core, a symmetric
-    indefinite core and a non-symmetric core; pivots, min_pivot and cond1 agree.
-    """
+def block_cores(n):
+    """An SPD core, a symmetric indefinite core and a non-symmetric core on n points:
+    name -> (DtFamily, K, L, lam)."""
     rng = np.random.default_rng(4)
     g = build_grid(1.0, n)
     K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
@@ -62,12 +61,22 @@ def check_block_definition(n):
     V[n - 1, 0] = 5.0 * n                  # only D_0 sees index 0: it turns indefinite
     Ks = GridKernel(g, V)
     Lp = discretize_kernel(PowerLaw(c=0.5, alpha=0.3), g)
-    cores = {
+    return {
         "spd": (build_Dt(K, K, 2.0), K, K, 2.0),
         "indefinite": (build_Dt(Ks, Ks, 1.0), Ks, Ks, 1.0),
         "nonsymmetric": (FredholmSolver(loose_problem(K, Lp, 2.0)).dt_family, K, Lp, 2.0),
     }
-    for name, (fam, Kc, Lc, lam) in cores.items():
+
+
+def check_block_definition(n):
+    """Li_k @ Ui_k inverts the trailing block of lam id + dt(mask_from(K,k) +
+    adjoint(mask_from(L,k))) for every k, on an SPD core, a symmetric
+    indefinite core and a non-symmetric core; pivots, min_pivot and cond1 agree.
+    """
+    rng = np.random.default_rng(4)
+    rng.standard_normal((n, n))            # the draw block_cores takes
+    g = build_grid(1.0, n)
+    for name, (fam, Kc, Lc, lam) in block_cores(n).items():
         core = lam * np.eye(n) + g.dt * (Kc.values + Lc.values.T)
         if name != "nonsymmetric":
             assert (np.linalg.eigvalsh(core).min() < 0) == (name == "indefinite")
@@ -84,7 +93,7 @@ def check_block_definition(n):
             # Schur pivot of D_k is det(D_k) / det(D_{k+1})
             assert abs(fam.pivots[k] * exact[0, 0] - 1.0) < 1e-12
         assert fam.min_pivot() == np.min(np.abs(fam.pivots))
-        assert abs(fam.cond1() / np.linalg.cond(core, 1) - 1.0) < 1e-12
+        assert abs(cond1(fam) / np.linalg.cond(core, 1) - 1.0) < 1e-12
 
 
 class TestProblemValidation:
@@ -204,18 +213,33 @@ class TestNaiveOracle:
         assert np.max(np.abs(sol.path_values(bundle.increments, 1)[0] - naive)) <= 1e-12
 
     def test_coefficients_and_surface_match_per_k_solves(self):
-        # v and the surface against one np.linalg.solve per D_k, and v against
-        # the paper's recursion v = a + dt B v with w, B and a built per k, on a
-        # symmetric and a non-symmetric problem; the driver's weights are
-        # anticipative, so only their adapted projections may enter
+        residual, _ = self.check_per_k_solves(48)
+        assert residual <= 1e-14
+
+    @pytest.mark.parametrize("n", [65, 130, 300])
+    def test_blocked_solve_matches_per_k_solves(self, n):
+        # past one column block of grid_ops.lower_product; the driver's values
+        # grow like sqrt(n) (unit increments), so the residual is held relative
+        # to them
+        assert n > TRI_BLOCK
+        residual, scale = self.check_per_k_solves(n)
+        assert residual <= 1e-14 * scale
+
+    def check_per_k_solves(self, n):
+        """(sup residual, sup |driver value|): v and the surface against one
+        np.linalg.solve per D_k, and v against the paper's recursion
+        v = a + dt B v with w, B and a built per k, on a symmetric and a
+        non-symmetric problem; the driver's weights are anticipative, so only
+        their adapted projections may enter."""
         rng = np.random.default_rng(6)
-        g = build_grid(1.0, 48)
+        g = build_grid(1.0, n)
         n, dt, lam = g.n, g.dt, 2.0
         K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
         Lp = discretize_kernel(PowerLaw(c=0.5, alpha=0.3), g)
         f = CompiledSignal(g, rng.standard_normal(n), {"common": rng.standard_normal((n, n))})
         dW = {"common": rng.standard_normal(n)}
         f_vals, f_surf = f.values_and_surface(dW)
+        worst = 0.0
         for L in (K, Lp):
             solver = FredholmSolver(loose_problem(K, L, lam))
             core = lam * np.eye(n) + dt * (K.values + L.values.T)
@@ -239,7 +263,8 @@ class TestNaiveOracle:
             assert np.max(np.abs(sol_vals - (a + dt * B @ sol_vals))) <= 1e-13
             assert np.max(np.abs(sol_vals - v)) <= 1e-13
             assert np.max(np.abs(sol_surf - S)) <= 1e-13
-            assert np.max(np.abs(residual)) <= 1e-14
+            worst = max(worst, float(np.max(np.abs(residual))))
+        return worst, max(1.0, float(np.max(np.abs(f_vals))))
 
     def test_assemble_B_matches_naive(self):
         # the paper's a and B, one full-space masked solve per entry: the
@@ -514,3 +539,50 @@ class TestEdgeGrids:
         bundle = draw_noise(g, {"common"}, 1, 0)
         assert residual_sup(FredholmProblem(K=K, L=K, lam_eff=2.0), martingale(g, sigma=1.0),
                             bundle) <= 1e-9
+
+
+class TestTriangularSolve:
+    """The solve forms only the strictly lower half of its two triangular products."""
+
+    @staticmethod
+    def problems(n):
+        rng = np.random.default_rng(n)
+        g = build_grid(1.0, n)
+        K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
+        Lp = discretize_kernel(PowerLaw(c=0.5, alpha=0.3), g)
+        f = CompiledSignal(g, rng.standard_normal(n), {"a": rng.standard_normal((n, n)),
+                                                        "b": rng.standard_normal((n, n))})
+        return f, (FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=2.0)),
+                   FredholmSolver(loose_problem(K, Lp, 2.0)))
+
+    @pytest.mark.parametrize("n", [48, 130])
+    def test_weights_are_exactly_zero_on_and_above_the_diagonal(self, n):
+        f, solvers = self.problems(n)
+        for solver in solvers:
+            v = solver.solve(f)
+            for w in (*v.weights.values(), *solver.residual(f, v).weights.values()):
+                assert not np.any(np.triu(w))
+
+    @pytest.mark.parametrize("n", [TRI_BLOCK, 200])
+    def test_matches_the_two_full_products(self, n):
+        # the expression the solve replaced, Li @ tril(Ui @ w, -1): the same GEMMs
+        # up to one column block, rounding apart past it
+        f, solvers = self.problems(n)
+        for solver in solvers:
+            Ui, Li = solver.dt_family._Ui, solver.dt_family._Li
+            v = solver.solve(f)
+            for tag, w in f.weights.items():
+                ref = Li @ np.tril(Ui @ w, -1)
+                if n <= TRI_BLOCK:
+                    assert np.array_equal(v.weights[tag], ref)
+                else:
+                    err = np.max(np.abs(v.weights[tag] - ref))
+                    assert err <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestCond1Estimate:
+    @pytest.mark.parametrize("n", [12, 100, 300])
+    def test_estimate_is_a_close_lower_bound(self, n):
+        for fam, *_ in block_cores(n).values():
+            exact = cond1(fam)
+            assert 0.9 * exact <= fam.cond1_est() <= exact * (1.0 + 1e-12)

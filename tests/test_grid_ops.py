@@ -8,6 +8,7 @@ from volterra_games.grid_ops import (
     ExponentialDecay,
     GridKernel,
     LU_LEAF,
+    TRI_BLOCK,
     PowerLaw,
     Tabulated,
     ZeroK,
@@ -15,10 +16,12 @@ from volterra_games.grid_ops import (
     apply,
     build_grid,
     check_nonneg_definite,
+    cut_upper,
     discretize_kernel,
     discretize_kernel_rows,
     grid_inner,
     invert_id_minus,
+    lower_product,
     resolvent,
     star_product,
     symmetrized_form,
@@ -401,3 +404,46 @@ class TestGridRefinement:
             K = discretize_kernel(ConstantLower(c=1.0), g)
             errs[n] = np.max(np.abs(apply(K, g.times) - g.times ** 2 / 2.0))
         assert 1.5 <= errs[64] / errs[128] <= 2.5
+
+
+class TestLowerProduct:
+    """lower_product against np.tril(A @ np.tril(W, -1), -1): the same GEMM, bit for
+    bit, up to one column block, and within 1e-13 of the largest entry past it."""
+
+    SIZES = [1, 2, 63, 64, 65, 127, 128, 129, 300, 512]
+
+    @staticmethod
+    def check(A, W):
+        got = lower_product(A, W)
+        ref = np.tril(A @ np.tril(W, -1), -1)
+        assert not np.any(np.triu(got))
+        if W.shape[0] <= TRI_BLOCK:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_full_left_factor(self, n):
+        rng = np.random.default_rng(n)
+        self.check(rng.standard_normal((n, n)), np.tril(rng.standard_normal((n, n)), -1))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_upper_left_factor_reads_only_the_strict_lower_weights(self, n):
+        # an upper A, as the solver's Ui, against anticipative weights: the
+        # product equals tril(A @ W, -1) whatever W holds on and above its diagonal
+        rng = np.random.default_rng(1000 + n)
+        A = np.triu(rng.standard_normal((n, n)))
+        W = rng.standard_normal((n, n))
+        self.check(A, W)
+        if n > 1:
+            ref = np.tril(A @ W, -1)
+            assert np.max(np.abs(lower_product(A, W) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    def test_cut_upper_is_tril_in_place(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        ref = np.tril(a, -1)
+        out = cut_upper(a)
+        assert out is a
+        assert np.array_equal(out, ref)
+

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,12 +9,14 @@ from volterra_games import nplayer
 from volterra_games.cli import build_game_from_config
 from volterra_games.errors import ConsistencyViolation, InadmissibleKernel, ShapeError
 from volterra_games.grid_ops import (
+    TRI_BLOCK,
     ConstantLower,
     ExponentialDecay,
     GridKernel,
     add_kernels,
     build_grid,
     discretize_kernel,
+    symmetrized_form,
     zero_kernel,
 )
 from volterra_games.nplayer import (
@@ -23,6 +26,7 @@ from volterra_games.nplayer import (
     concavity_check,
     conditional_surfaces,
     foc_residual,
+    mean_driver,
     objective,
     objective_per_path,
     player_base,
@@ -31,6 +35,8 @@ from volterra_games.nplayer import (
     solve_nash,
 )
 from volterra_games.signals import CompiledSignal, deterministic, draw_noise, martingale
+
+from conftest import cond1
 
 
 def make_spec(grid, N=3, lam=1.0, zero=False, symmetric=False, seediness=0):
@@ -287,7 +293,7 @@ class TestFOC:
 class TestObjective:
     def test_all_zero_strategies_give_constant(self, grid16):
         spec = make_spec(grid16, N=2, zero=True)
-        spec = GameSpec(**{**spec.__dict__, "c_constants": (2.5, -1.0)})
+        spec = replace(spec, c_constants=(2.5, -1.0))
         bundle = bundle_for(spec, 4, 23)
         u = np.zeros((2, 4, 16))
         assert objective(spec, 0, u, bundle) == 2.5
@@ -432,3 +438,63 @@ class TestLiteralTranscription:
         u = ops.player_solver.solve(drive).values_and_surface(dW)[0]
         assert np.max(np.abs(u - u_lit)) <= 1e-12
         assert np.max(np.abs(u - dt * Bhat_lit @ u - ahat_lit)) <= 1e-12
+
+
+def shipped_game(model, n):
+    """(config, spec) of a shipped run config on an n-point grid."""
+    cfg = json.loads((Path(__file__).parent.parent / "run_configs" / f"{model}.json")
+                     .read_text())
+    return cfg, build_game_from_config(cfg, build_grid(cfg["grid"]["T"], n))
+
+
+class TestBlockedProducts:
+    """Past one column block (grid_ops.TRI_BLOCK) the solver's products run blocked."""
+
+    def test_raw_game_residuals_stay_at_precision(self):
+        cfg, spec = shipped_game("raw_game", 130)
+        assert spec.grid.n > 2 * TRI_BLOCK
+        sol = solve_nash(spec, draw_noise(spec.grid, spec.noise_tags(), 4, cfg["noise"]["seed"]))
+        assert sol.diagnostics["fredholm_residual_max"] <= 1e-12
+        assert sol.diagnostics["foc_residual_max"] <= 1e-12
+
+    def test_raw_game_cond1_estimates_at_n512(self):
+        _, spec = shipped_game("raw_game", 512)
+        ops = build_operators(spec)
+        for solver in (ops.mean_solver, ops.player_solver):
+            exact = cond1(solver.dt_family)
+            assert 0.9 * exact <= solver.dt_family.cond1_est() <= exact * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("n", [TRI_BLOCK, 130])
+    def test_adapted_product_reads_like_the_full_product(self, n):
+        # M @ v keeps the full product; on a solver output v every adapted value and
+        # every surface entry reads only the strictly lower weights, which agree
+        cfg, spec = shipped_game("raw_game", n)
+        v = build_operators(spec).mean_solver.solve(mean_driver(spec))
+        M = np.random.default_rng(n).standard_normal((n, n))
+        full, adapted = M @ v, v.adapted_matmul(M)
+        bundle = draw_noise(spec.grid, spec.noise_tags(), 3, cfg["noise"]["seed"])
+        pairs = [(full.path_values(bundle.increments, 3), adapted.path_values(bundle.increments, 3)),
+                 *zip(full.values_and_surface(bundle.path(0)),
+                      adapted.values_and_surface(bundle.path(0)))]
+        for want, got in pairs:
+            if n <= TRI_BLOCK:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestMargins:
+    def test_strict_check_reports_each_kernels_lowest_eigenvalue(self, grid16):
+        spec = make_spec(grid16)
+        diag = solve_nash(spec, bundle_for(spec, 2, 3)).diagnostics
+        for name, K in (("A1", spec.a1), ("A2hat", spec.a2hat), ("A3", spec.a3)):
+            assert diag[f"min_eig_{name}"] == np.linalg.eigvalsh(symmetrized_form(K))[0]
+        assert "min_eig_player_form" not in diag
+
+    def test_concave_check_reports_the_player_forms_lowest_eigenvalue(self):
+        cfg, spec = shipped_game("systemic", 16)
+        assert spec.kernel_check == "concave"
+        diag = solve_nash(spec, draw_noise(spec.grid, spec.noise_tags(), 2, 1)).diagnostics
+        G, _ = build_GH(spec)
+        assert diag["min_eig_player_form"] == np.linalg.eigvalsh(symmetrized_form(G))[0]
+        assert not any(f"min_eig_{name}" in diag for name in ("A1", "A2hat", "A3"))
