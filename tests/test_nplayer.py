@@ -35,6 +35,7 @@ from volterra_games.nplayer import (
     solve_nash,
 )
 from volterra_games.signals import CompiledSignal, deterministic, draw_noise, martingale
+from volterra_games.validation import validation_report
 
 from conftest import cond1
 
@@ -498,3 +499,15 @@ class TestMargins:
         G, _ = build_GH(spec)
         assert diag["min_eig_player_form"] == np.linalg.eigvalsh(symmetrized_form(G))[0]
         assert not any(f"min_eig_{name}" in diag for name in ("A1", "A2hat", "A3"))
+
+    @pytest.mark.parametrize("model", ["strict", "systemic"])
+    def test_validation_report_reads_the_same_eigenvalues(self, grid16, model):
+        spec = make_spec(grid16) if model == "strict" else shipped_game(model, 16)[1]
+        checks = {c["name"]: c["value"] for c in validation_report(spec, paths=2)["checks"]}
+        if model == "strict":
+            for name, K in (("A1", spec.a1), ("A2hat", spec.a2hat), ("A3", spec.a3)):
+                want = np.linalg.eigvalsh(symmetrized_form(K))[0]
+                assert checks[f"nonneg_definite_{name.lower()}"] == want
+        else:
+            G, _ = build_GH(spec)
+            assert checks["player_concavity_form"] == np.linalg.eigvalsh(symmetrized_form(G))[0]
