@@ -10,11 +10,12 @@ driver to a CompiledSignal strategy once for all paths (see nplayer); paths
 are read off the coefficients at the sampled increments.  The convergence
 study reads the noise as a stream, one tag at a time, so its memory does not
 grow with the number of tags; a one-worker concurrent.futures pool draws the
-next tag while the current one is added in.
+next tag, into one of two recycled buffers, while the current one is added in.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -126,10 +127,10 @@ class CrossedNoise:
     n_idio: int
     seed: int
 
-    def stream(self):
-        """Yield (tag, (n_common * n_idio, n) increments) in draw order."""
+    def stream(self, buffers=None):
+        """Yield (tag, (n_common * n_idio, n) increments) in draw order (stream_increments)."""
         return stream_increments(self.grid, self.common_tags, self.idio_tags,
-                                 self.n_common, self.n_idio, self.seed)
+                                 self.n_common, self.n_idio, self.seed, buffers)
 
     @cached_property
     def bundle(self) -> NoiseBundle:
@@ -161,8 +162,12 @@ def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
     and each tag's first row per common block.  A tag is added into every
     signal that carries it, in sorted tag order as CompiledSignal.path_values
     adds them, so the values equal path_values on the bundle bitwise.  Of the
-    increments, only the tags in use or waiting for their turn, and the next
-    one, drawn by one worker thread meanwhile, are held whole.
+    increments, only the tag in use, copies of the tags waiting for their
+    turn, and the next tag, drawn by one worker thread meanwhile, are held
+    whole.  The worker draws into two buffers allocated here, in turn, and
+    allocates nothing of that size itself: every large array is allocated and
+    freed by this thread in a fixed order, so the process's peak memory does
+    not depend on how the two threads interleave.
     """
     # imported here: the executor's import would otherwise count against
     # every command's start-up, and only this pass uses it
@@ -176,7 +181,9 @@ def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
     values = [np.broadcast_to(s.mean, (P, n)).copy() for s in signals]
     head, blocks, pending = {}, {}, {}
     k = 0
-    stream = noise.stream()
+    # a buffer is redrawn only after the next tag's draw has been collected,
+    # when this thread is done with the tag it held
+    stream = noise.stream(itertools.cycle([np.empty((P, n)), np.empty((P, n))]))
     # the worker draws one tag ahead; leaving the block waits for that draw
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="noise-draw") as pool:
         ahead = pool.submit(next, stream, _END)
@@ -194,6 +201,8 @@ def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
                     if order[k] in s.weights:
                         s.add_tag_values(out, order[k], increments)
                 k += 1
+            if tag in pending:      # still waiting: its buffer comes round again
+                pending[tag] = dW.copy()
     return values, head, blocks
 
 

@@ -309,24 +309,33 @@ GENERATOR_NAME = "numpy.default_rng(PCG64)"
 
 
 def stream_increments(grid: TimeGrid, common_tags, idio_tags, n_common: int, n_idio: int,
-                      seed: int):
+                      seed: int, buffers=None):
     """Yield (tag, increments) one tag at a time, each (n_common * n_idio, n) and read-only.
 
     One generator seeded with seed draws the sorted common tags, then the
     sorted idiosyncratic tags.  Path p = c * n_idio + e lies in common block c:
     a common tag draws one row per block and repeats it over the block's
-    n_idio paths, an idiosyncratic tag draws every row.
+    n_idio paths, an idiosyncratic tag draws every row.  Each tag is drawn
+    into a new array, or, if buffers (an iterator of writable arrays of that
+    shape) is given, into the next buffer, yielded as a read-only view: the
+    caller must be done with a buffer's last tag before it comes round again.
     """
     rng = np.random.default_rng(seed)
     std = np.sqrt(grid.dt)
     draws = [(tag, n_common, n_idio) for tag in sorted(set(common_tags))]
     draws += [(tag, n_common * n_idio, 1) for tag in sorted(set(idio_tags))]
     for tag, rows, repeats in draws:
-        arr = std * rng.standard_normal((rows, grid.n))
+        arr = np.empty((n_common * n_idio, grid.n)) if buffers is None else next(buffers)
         if repeats > 1:
-            arr = np.repeat(arr, repeats, axis=0)
-        arr.flags.writeable = False        # increments are shared read-only
-        yield tag, arr
+            block = rng.standard_normal((rows, grid.n))
+            block *= std
+            arr.reshape(rows, repeats, grid.n)[:] = block[:, None, :]
+        else:
+            rng.standard_normal(out=arr)
+            arr *= std
+        view = arr.view()
+        view.flags.writeable = False       # increments are shared read-only
+        yield tag, view
 
 
 def draw_noise(grid: TimeGrid, tags, n_paths: int, seed: int) -> NoiseBundle:

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -445,6 +446,13 @@ class TestStreamedNoise:
             assert np.array_equal(arr, want[tag])
             assert np.array_equal(noise.bundle.increments[tag], want[tag])
             assert np.array_equal(noise.block_increments()[tag], want[tag][::n_idio])
+        # drawn into one recycled buffer: the same arrays, as read-only views of it
+        buffer = np.full((n_common * n_idio, grid16.n), np.nan)
+        recycled = [(tag, arr.copy()) for tag, arr in noise.stream(itertools.repeat(buffer))
+                    if np.shares_memory(arr, buffer) and not arr.flags.writeable]
+        assert [tag for tag, _ in recycled] == ["a0", "zc", "idio0", "idio1"]
+        for tag, arr in recycled:
+            assert np.array_equal(arr, want[tag])
 
     def test_tag_both_common_and_idiosyncratic_rejected(self, grid16):
         with pytest.raises(ShapeError, match="both common and idiosyncratic"):
