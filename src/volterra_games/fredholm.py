@@ -81,27 +81,83 @@ class FredholmProblem:
         return self.K.grid
 
 
-class DtFamily:
-    """Every D_k = lam*id + dt*(K + L^T)[k:, k:] from one reversed factorization.
+def build_Dt(K: GridKernel, L: GridKernel, lam_eff: float) -> tuple[np.ndarray, ...]:
+    """Form D = lam_eff*id + dt*(K + L^T) and factor it once for every D_k.
+
+    Returns (core, pivots, Ui, Li) for core = D = U @ Lw, U unit upper and Lw
+    lower triangular: pivots = diag(Lw), Ui = U^{-1} and Li = Lw^{-1}.
+    All come from a non-pivoted LU of the index-reversed matrix J D J = L R,
+    whose leading blocks are the D_k, computed in place on one copy: U = J L J
+    and Lw = J R J, so the factors' inverses are the recursion's, reversed.
+    Once the pivots are read, the copy's buffer takes Ui.
+    SingularOperator names the largest k whose pivot is at most tol: elimination
+    runs from the last index down, and every pivot after a failed one is meaningless.
+    """
+    n = K.grid.n
+    core = K.grid.dt * (K.values + L.values.T)
+    core[np.diag_indices(n)] += float(lam_eff)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(core))))
+    A = np.array(core[::-1, ::-1])
+    L_inv, Rt_inv = np.zeros((n, n)), np.zeros((n, n))
+    with np.errstate(all="ignore"):
+        _lu_inplace(A, L_inv, Rt_inv, tol, n)
+    pivots = np.diagonal(A)[::-1].copy()
+    A[...] = L_inv[::-1, ::-1]
+    L_inv[...] = Rt_inv.T[::-1, ::-1]
+    return core, pivots, A, L_inv
+
+
+def _lu_inplace(A: np.ndarray, L_inv: np.ndarray, Ut_inv: np.ndarray, tol: float,
+                end: int) -> None:
+    """Non-pivoted LU overwriting A with L (unit diagonal, below) and U (on and above).
+
+    Fills the zeroed L_inv with L^{-1} and Ut_inv with (U^T)^{-1}, block by block
+    as grid_ops.triangular_inverse builds them, so every block is inverted once.
+    A's first index is grid index end - 1.  The halves recurse on views down to
+    LU_LEAF, where a rank-1 loop tests the pivots in elimination order.
+    """
+    n = A.shape[0]
+    if n <= LU_LEAF:
+        for j in range(n):
+            if not abs(A[j, j]) > tol:
+                raise _singular(end - 1 - j)
+            A[j + 1:, j] /= A[j, j]
+            A[j + 1:, j + 1:] -= A[j + 1:, j, None] * A[j, None, j + 1:]
+        L_inv[...] = triangular_inverse(A, unit=True)
+        Ut_inv[...] = triangular_inverse(A.T)
+        return
+    h = n // 2
+    _lu_inplace(A[:h, :h], L_inv[:h, :h], Ut_inv[:h, :h], tol, end)
+    A[:h, h:] = L_inv[:h, :h] @ A[:h, h:]
+    A[h:, :h] = A[h:, :h] @ Ut_inv[:h, :h].T
+    A[h:, h:] -= A[h:, :h] @ A[:h, h:]
+    _lu_inplace(A[h:, h:], L_inv[h:, h:], Ut_inv[h:, h:], tol, end - h)
+    L_inv[h:, :h] = -L_inv[h:, h:] @ (A[h:, :h] @ L_inv[:h, :h])
+    Ut_inv[h:, :h] = -Ut_inv[h:, h:] @ (A[:h, h:].T @ Ut_inv[:h, :h])
+
+
+def _singular(k: int) -> SingularOperator:
+    return SingularOperator(f"conditional operator D_{k} is numerically singular")
+
+
+class FredholmSolver:
+    """Every D_k = lam*id + dt*(K + L^T)[k:, k:] of one problem, from one reversed
+    factorization, and coefficient solves against them.
 
     D = U @ Lw with U upper and Lw lower triangular.  Triangular factors keep
     their trailing blocks, so D_k = U_k @ Lw_k for every k, and the trailing
     blocks of Ui = U^{-1} and Li = Lw^{-1} give D_k^{-1} = Li_k @ Ui_k, which
-    FredholmSolver.solve applies directly.  Setup is one O(n^3) factorization
+    solve applies directly.  Setup is one O(n^3) factorization (build_Dt)
     with O(n^2) memory.  The factorization is a non-pivoted UL (U has a unit
     diagonal), which exists exactly when every D_k is invertible.
     pivots[k] = Lw[k,k] is the Schur pivot det(D_k) / det(D_{k+1}).
     """
 
-    def __init__(self, K: GridKernel, L: GridKernel, lam_eff: float):
-        grid = K.grid
-        n = grid.n
-        core = grid.dt * (K.values + L.values.T)
-        core[np.diag_indices(n)] += float(lam_eff)
-        self.grid = grid
-        self.core = core
-        tol = 1e-10 * max(1.0, float(np.max(np.abs(core))))
-        self.pivots, self._Ui, self._Li = _reversed_factors(core, tol)
+    def __init__(self, problem: FredholmProblem):
+        self.problem = problem
+        self.grid = problem.grid
+        self.core, self.pivots, self._Ui, self._Li = build_Dt(problem.K, problem.L,
+                                                              problem.lam_eff)
 
     def min_pivot(self) -> float:
         """Smallest |Schur pivot| over all D_k: how close any D_k is to singular."""
@@ -141,75 +197,6 @@ class DtFamily:
         est = max(est, float(np.abs(Li @ (Ui @ alt)).sum()) / float(np.abs(alt).sum()))
         return float(np.linalg.norm(self.core, 1)) * est
 
-
-def _reversed_factors(core: np.ndarray, tol: float):
-    """Return (pivots, Ui, Li) for core = U @ Lw, U unit upper and Lw lower triangular:
-    pivots = diag(Lw), Ui = U^{-1} and Li = Lw^{-1}.
-
-    All come from a non-pivoted LU of the index-reversed matrix J core J = L R,
-    whose leading blocks are the D_k, computed in place on one copy: U = J L J
-    and Lw = J R J, so the factors' inverses are the recursion's, reversed.
-    Once the pivots are read, the copy's buffer takes Ui.
-    SingularOperator names the largest k whose pivot is at most tol: elimination
-    runs from the last index down, and every pivot after a failed one is meaningless.
-    """
-    n = core.shape[0]
-    A = np.array(core[::-1, ::-1])
-    L_inv, Rt_inv = np.zeros((n, n)), np.zeros((n, n))
-    with np.errstate(all="ignore"):
-        _lu_inplace(A, L_inv, Rt_inv, tol, n)
-    pivots = np.diagonal(A)[::-1].copy()
-    A[...] = L_inv[::-1, ::-1]
-    L_inv[...] = Rt_inv.T[::-1, ::-1]
-    return pivots, A, L_inv
-
-
-def _lu_inplace(A: np.ndarray, L_inv: np.ndarray, Ut_inv: np.ndarray, tol: float,
-                end: int) -> None:
-    """Non-pivoted LU overwriting A with L (unit diagonal, below) and U (on and above).
-
-    Fills the zeroed L_inv with L^{-1} and Ut_inv with (U^T)^{-1}, block by block
-    as grid_ops.triangular_inverse builds them, so every block is inverted once.
-    A's first index is grid index end - 1.  The halves recurse on views down to
-    LU_LEAF, where a rank-1 loop tests the pivots in elimination order.
-    """
-    n = A.shape[0]
-    if n <= LU_LEAF:
-        for j in range(n):
-            if not abs(A[j, j]) > tol:
-                raise _singular(end - 1 - j)
-            A[j + 1:, j] /= A[j, j]
-            A[j + 1:, j + 1:] -= A[j + 1:, j, None] * A[j, None, j + 1:]
-        L_inv[...] = triangular_inverse(A, unit=True)
-        Ut_inv[...] = triangular_inverse(A.T)
-        return
-    h = n // 2
-    _lu_inplace(A[:h, :h], L_inv[:h, :h], Ut_inv[:h, :h], tol, end)
-    A[:h, h:] = L_inv[:h, :h] @ A[:h, h:]
-    A[h:, :h] = A[h:, :h] @ Ut_inv[:h, :h].T
-    A[h:, h:] -= A[h:, :h] @ A[:h, h:]
-    _lu_inplace(A[h:, h:], L_inv[h:, h:], Ut_inv[h:, h:], tol, end - h)
-    L_inv[h:, :h] = -L_inv[h:, h:] @ (A[h:, :h] @ L_inv[:h, :h])
-    Ut_inv[h:, :h] = -Ut_inv[h:, h:] @ (A[:h, h:].T @ Ut_inv[:h, :h])
-
-
-def _singular(k: int) -> SingularOperator:
-    return SingularOperator(f"conditional operator D_{k} is numerically singular")
-
-
-def build_Dt(K: GridKernel, L: GridKernel, lam_eff: float) -> DtFamily:
-    """Factor D once for every masked conditional operator D_k; reused for every driver."""
-    return DtFamily(K, L, lam_eff)
-
-
-class FredholmSolver:
-    """The factored D_t family of one problem, and coefficient solves against it."""
-
-    def __init__(self, problem: FredholmProblem):
-        self.problem = problem
-        self.grid = problem.grid
-        self.dt_family = build_Dt(problem.K, problem.L, problem.lam_eff)
-
     def solve(self, f: CompiledSignal) -> CompiledSignal:
         """The solution for driver f, as a mean plus one weight matrix per tag.
 
@@ -225,7 +212,7 @@ class FredholmSolver:
         """
         if f.grid != self.grid:
             raise ShapeError("driver lives on a different grid")
-        Ui, Li = self.dt_family._Ui, self.dt_family._Li
+        Ui, Li = self._Ui, self._Li
         weights = {t: lower_product(Li, lower_product(Ui, w)) for t, w in f.weights.items()}
         return CompiledSignal(self.grid, Li @ (Ui @ f.mean), weights)
 
@@ -237,7 +224,7 @@ class FredholmSolver:
         solution, so its weights are strictly lower and D v is an adapted
         product; every weight of the difference is a new array, cut in place.
         """
-        r = v.adapted_matmul(self.dt_family.core) - f
+        r = v.adapted_matmul(self.core) - f
         return CompiledSignal(self.grid, r.mean, {t: cut_upper(w) for t, w in r.weights.items()})
 
 

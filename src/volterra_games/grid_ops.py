@@ -79,7 +79,7 @@ class GridKernel:
             raise ShapeError(f"kernel values must be {self.grid.n} x {self.grid.n}, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise InadmissibleKernel("kernel has non-finite entries")
-        if self.volterra and np.any(np.triu(v) != 0.0):
+        if self.volterra and _any_upper(v):
             raise InadmissibleKernel("volterra kernel must be strictly lower triangular")
         object.__setattr__(self, "values", _readonly(v))
         if self.diag_half is not None:
@@ -345,6 +345,16 @@ def cut_upper(a: np.ndarray) -> np.ndarray:
         a[j:k, j:k][_UPPER[:k - j, :k - j]] = 0.0
         a[j:k, k:] = 0.0
     return a
+
+
+def _any_upper(a: np.ndarray) -> bool:
+    """Whether a has a nonzero (not -0.0) on or above its diagonal: cut_upper's bands, read."""
+    n = a.shape[0]
+    for j in range(0, n, TRI_BLOCK):
+        k = min(j + TRI_BLOCK, n)
+        if np.any(a[j:k, j:k][_UPPER[:k - j, :k - j]]) or np.any(a[j:k, k:]):
+            return True
+    return False
 
 
 def lower_product(A: np.ndarray, W: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Mean-field game equilibria, the infinite-player view, and limit experiments.
 
-The generic player's equilibrium is mu = G(E[beta] + beta0) with
-v = F(b - A3(mu) - A3*(E_. mu)), where F and G solve Fredholm problems with
-kernels A2hat and A2hat + A3 and scale 2*lambda.  The infinite-player view
+The mean-field game is the N-player game at N = inf: MFGSpec.n_players is
+math.inf, and nplayer.build_operators, with every 1/N term at 0, gives its
+player solver F (kernel A2hat), its mean solver G (kernel A2hat + A3), both
+at scale 2*lambda, and its shift kernel H = A3.  The generic player's
+equilibrium is mu = G(E[beta] + beta0) with v = F(b - A3(mu) - A3*(E_. mu)),
+and its first-order condition is nplayer's at N = inf.  The infinite-player view
 replaces the conditional-mean driver by the declared limit b_infty.
 Convergence and epsilon-Nash experiments re-solve the induced finite games
 on shared noise and fit log-log rates.  Every solve maps a CompiledSignal
@@ -16,16 +19,19 @@ next tag, into one of two recycled buffers, while the current one is added in.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import InadmissibleKernel, ShapeError
 from .fredholm import FredholmProblem, FredholmSolver
-from .grid_ops import GridKernel, TimeGrid, add_kernels
+from .grid_ops import GridKernel, TimeGrid
 from .nplayer import (
     GameSpec,
+    _foc_terms,
     build_GH,
     build_operators,
     mean_driver,
@@ -52,6 +58,7 @@ class MFGSpec:
     The signals are CompiledSignals on grid, checked on entry.
     """
 
+    n_players: ClassVar[float] = math.inf     # nplayer's 1/N terms vanish
     lam: float
     a1: GridKernel
     a2hat: GridKernel
@@ -89,22 +96,6 @@ class MFGSpec:
     def limit_family(self) -> CompiledSignal:
         """b_infty, or E[beta] + beta0 where none is declared."""
         return self.mean_field_driver() if self.b_infty is None else self.b_infty
-
-
-@dataclass
-class MFGOperators:
-    solver_F: FredholmSolver   # kernels A2hat
-    solver_G: FredholmSolver   # kernels A2hat + A3
-
-
-def build_mfg_operators(spec: MFGSpec) -> MFGOperators:
-    lam_eff = 2.0 * spec.lam
-    kF = spec.a2hat
-    kG = add_kernels((1.0, spec.a2hat), (1.0, spec.a3))
-    return MFGOperators(
-        solver_F=FredholmSolver(FredholmProblem(K=kF, L=kF, lam_eff=lam_eff)),
-        solver_G=FredholmSolver(FredholmProblem(K=kG, L=kG, lam_eff=lam_eff)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +212,17 @@ class MFGSolution:
 
 def solve_generic(spec: MFGSpec, noise: CrossedNoise) -> MFGSolution:
     """Generic-player equilibrium with common noise, plus the conditional-MC gap."""
-    ops = build_mfg_operators(spec)
+    ops = build_operators(spec)
     grid = spec.grid
     C, I = noise.n_common, noise.n_idio
 
     cx = spec.mean_field_driver()
-    mu_cs = ops.solver_G.solve(cx)
-    v_cs = ops.solver_F.solve(shifted_drive(spec.b_family(), spec.a3, mu_cs))
+    mu_cs = ops.mean_solver.solve(cx)
+    v_cs = ops.player_solver.solve(shifted_drive(spec.b_family(), ops.H, mu_cs))
     first = noise.block_increments()
     mu = mu_cs.path_values(first, C)
     v = v_cs.path_values(noise.bundle.increments, C * I).reshape(C, I, grid.n)
-    g_residual = sup_on_paths(ops.solver_G.residual(cx, mu_cs), first, C)
+    g_residual = sup_on_paths(ops.mean_solver.residual(cx, mu_cs), first, C)
 
     # E[v | common] = mu holds exactly: drop v's idiosyncratic weights
     idio = spec.beta.noise_tags()
@@ -263,19 +254,19 @@ def solve_infinite(spec: MFGSpec, n_view: int, noise: CrossedNoise) -> MFGSoluti
     """Infinite-player equilibrium: nu = G(b_infty), v^i = F(b^i - A3 shift of nu)."""
     if spec.player_family is None:
         raise ShapeError("infinite-player view needs a player family")
-    ops = build_mfg_operators(spec)
+    ops = build_operators(spec)
     grid = spec.grid
     P = noise.bundle.n_paths
     c_lim = spec.limit_family()
     if not c_lim.noise_tags() <= set(noise.common_tags):
         raise ShapeError("b_infty must be measurable with respect to common noise")
 
-    nu_cs = ops.solver_G.solve(c_lim)
-    shift = mean_field_shift(spec.a3, nu_cs)
+    nu_cs = ops.mean_solver.solve(c_lim)
+    shift = mean_field_shift(ops.H, nu_cs)
     strategies = []
     v = np.empty((n_view, P, grid.n))
     for i in range(n_view):
-        strategies.append(ops.solver_F.solve(spec.player_family.signal(i, n_view) - shift))
+        strategies.append(ops.player_solver.solve(spec.player_family.signal(i, n_view) - shift))
         v[i] = strategies[i].path_values(noise.bundle.increments, P)
     first = noise.block_increments()
     return MFGSolution(mu=nu_cs.path_values(first, noise.n_common), v=v, mean_field=nu_cs,
@@ -285,16 +276,11 @@ def solve_infinite(spec: MFGSpec, n_view: int, noise: CrossedNoise) -> MFGSoluti
 def mfg_foc_residual(spec: MFGSpec, solution: MFGSolution, noise: CrossedNoise) -> float:
     """Sup over the noise's paths of the generic player's first-order condition.
 
-    2 lam v - b + dt (A3 + A3^T) mu + dt (A2hat + A2hat^T) v, formed on the
-    coefficients of solve_generic's (v, mu).
+    nplayer's condition at N = inf, 2 lam v - b + dt (A3 + A3^T) mu
+    + dt (A2hat + A2hat^T) v, formed on the coefficients of solve_generic's (v, mu).
     """
-    grid = spec.grid
-    dt = grid.dt
-    A3 = spec.a3.values
-    A2 = spec.a2hat.values
-    own = 2.0 * spec.lam * np.eye(grid.n) + dt * (A2 + A2.T)
-    res = (solution.strategies[0].adapted_matmul(own)
-           + solution.mean_field.adapted_matmul(dt * (A3 + A3.T)) - spec.b_family())
+    own, cross = _foc_terms(spec, solution.mean_field)
+    res = solution.strategies[0].adapted_matmul(own) + cross - spec.b_family()
     return sup_on_paths(res, noise.bundle.increments, noise.bundle.n_paths)
 
 
@@ -363,13 +349,13 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     solve comes first; then one pass over the noise stream forms every N's
     mean paths, so the noise is never held whole.
     """
-    ops = build_mfg_operators(spec)
+    ops = build_operators(spec)
     grid = spec.grid
     C, I = noise.n_common, noise.n_idio
     P = C * I
     pp = P if player_paths is None else min(player_paths, P)
 
-    nu_cs = ops.solver_G.solve(spec.limit_family())
+    nu_cs = ops.mean_solver.solve(spec.limit_family())
     means, players = [], []
     for N in ns:
         game = induced_game(spec, N)
@@ -378,7 +364,7 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
         # player 1 of the finite game against the mean-field v^1, on a path subset
         if pp > 0:
             u1 = gops.player_solver.solve(shifted_drive(player_base(game, 0), gops.H, means[-1]))
-            v1 = ops.solver_F.solve(shifted_drive(game.b_signals[0], spec.a3, nu_cs))
+            v1 = ops.player_solver.solve(shifted_drive(game.b_signals[0], ops.H, nu_cs))
             players.append((u1, v1))
 
     ubars, first_pp, first = _streamed_path_values(means, noise, pp)

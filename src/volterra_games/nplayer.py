@@ -12,6 +12,11 @@ reduction to the two Fredholm problems.  The shift and the condition apply
 matrices to solver outputs, whose weights are strictly lower, so each is an
 adapted product (CompiledSignal.adapted_matmul).
 
+The mean-field game is this game at N = inf (meanfield.MFGSpec.n_players =
+math.inf): build_GH, build_operators and the first-order terms serve it as
+they stand, every 1/N term evaluating to 0, so its mean kernel is
+A2hat + A3, its player kernel A2hat and its shift kernel H = A3.
+
 Drivers and strategies are signals.CompiledSignal values (a mean plus one
 weight matrix per noise tag), so each solve runs once for all paths.  Path
 values come from the weights and the sampled increments; conditional
@@ -28,6 +33,7 @@ O(distinct weights), not players x tags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -131,21 +137,21 @@ class GameOperators:
 
     G: GridKernel
     H: GridKernel
-    kbar: GridKernel
-    khat: GridKernel
     mean_solver: FredholmSolver
     player_solver: FredholmSolver
 
 
 def build_operators(spec: GameSpec) -> GameOperators:
+    """Factor the game's mean (kernel Kbar) and player (kernel Khat) problems."""
     G, H = build_GH(spec)
     N = spec.n_players
-    kbar = add_kernels(((N - 1.0) / N, H), (1.0, G))
+    # (N - 1)/N is nan at N = inf; 1 - 1/N would round differently at some finite N
+    kbar = add_kernels(((N - 1.0) / N if N < math.inf else 1.0, H), (1.0, G))
     khat = add_kernels((1.0, G), (-1.0 / N, H))
     lam_eff = 2.0 * spec.lam
     mean_solver = FredholmSolver(FredholmProblem(K=kbar, L=kbar, lam_eff=lam_eff))
     player_solver = FredholmSolver(FredholmProblem(K=khat, L=khat, lam_eff=lam_eff))
-    return GameOperators(G, H, kbar, khat, mean_solver, player_solver)
+    return GameOperators(G, H, mean_solver, player_solver)
 
 
 def mean_field_shift(H: GridKernel, w: CompiledSignal) -> CompiledSignal:
@@ -289,10 +295,10 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
             "mean_gap": mean_gap,
             "fredholm_residual_max": fred_residual,
             "foc_residual_max": max(foc),
-            "min_pivot_D_mean": ops.mean_solver.dt_family.min_pivot(),
-            "min_pivot_D_player": ops.player_solver.dt_family.min_pivot(),
-            "cond1_est_D_mean_0": ops.mean_solver.dt_family.cond1_est(),
-            "cond1_est_D_player_0": ops.player_solver.dt_family.cond1_est(),
+            "min_pivot_D_mean": ops.mean_solver.min_pivot(),
+            "min_pivot_D_player": ops.player_solver.min_pivot(),
+            "cond1_est_D_mean_0": ops.mean_solver.cond1_est(),
+            "cond1_est_D_player_0": ops.player_solver.cond1_est(),
             **spec.margins,
         },
     )

@@ -68,12 +68,16 @@ def validation_report(spec: GameSpec, paths: int = 8, seed: int = 0,
 
     bundle = draw_noise(grid, spec.noise_tags() or {"common"}, paths, seed)
 
+    # E_{t_j}[f_j] two ways on the same paths: surface cumsums against path_values' GEMMs
     adapt = 0.0
+    k = min(paths, 4)
+    first = {tag: arr[:k] for tag, arr in bundle.increments.items()}
+    ii, jj = np.tril_indices(grid.n)
     for cs in (*spec.b_signals, spec.b0_signal):
-        for p in range(min(paths, 4)):
-            vals, surf = cs.values_and_surface(bundle.path(p))
-            ii, jj = np.tril_indices(grid.n)
-            adapt = max(adapt, float(np.max(np.abs(surf[ii, jj] - vals[jj]))))
+        values = cs.path_values(first, k)
+        for p in range(k):
+            surf = cs.values_and_surface(bundle.path(p))[1]
+            adapt = max(adapt, float(np.max(np.abs(surf[ii, jj] - values[p, jj]))))
     checks.append(_check("signal_adaptedness", adapt, 1e-12))
 
     sol = solve_nash(spec, bundle, mean_gap_tol=np.inf)

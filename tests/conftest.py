@@ -56,16 +56,16 @@ def mask_from(K: GridKernel, t_index: int) -> GridKernel:
     return GridKernel(K.grid, vals, volterra=K.volterra, diag_half=diag)
 
 
-def condition_number(dt_family, k: int) -> float:
-    """2-norm condition number of D_k, the trailing block of a DtFamily's core, by SVD."""
-    sv = np.linalg.svd(dt_family.core[k:, k:], compute_uv=False)
+def condition_number(solver, k: int) -> float:
+    """2-norm condition number of D_k, the trailing block of a FredholmSolver's core, by SVD."""
+    sv = np.linalg.svd(solver.core[k:, k:], compute_uv=False)
     return float(sv[0] / sv[-1])
 
 
-def cond1(dt_family) -> float:
-    """Exact 1-norm condition number of D_0, from the whole inverse Li @ Ui."""
-    return float(np.linalg.norm(dt_family.core, 1)
-                 * np.linalg.norm(dt_family._Li @ dt_family._Ui, 1))
+def cond1(solver) -> float:
+    """Exact 1-norm condition number of a FredholmSolver's D_0, from the whole inverse Li @ Ui."""
+    return float(np.linalg.norm(solver.core, 1)
+                 * np.linalg.norm(solver._Li @ solver._Ui, 1))
 
 
 def mu_surface(solution) -> np.ndarray:

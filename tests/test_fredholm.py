@@ -51,9 +51,14 @@ def loose_problem(K, L, lam):
         return FredholmProblem(K=K, L=L, lam_eff=lam, strict_selfadjoint=False)
 
 
+def factor(K, lam):
+    """The factored D_k family of lam id + dt (K + K^T)."""
+    return FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=lam))
+
+
 def block_cores(n):
     """An SPD core, a symmetric indefinite core and a non-symmetric core on n points:
-    name -> (DtFamily, K, L, lam)."""
+    name -> (FredholmSolver, K, L, lam)."""
     rng = np.random.default_rng(4)
     g = build_grid(1.0, n)
     K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
@@ -62,9 +67,9 @@ def block_cores(n):
     Ks = GridKernel(g, V)
     Lp = discretize_kernel(PowerLaw(c=0.5, alpha=0.3), g)
     return {
-        "spd": (build_Dt(K, K, 2.0), K, K, 2.0),
-        "indefinite": (build_Dt(Ks, Ks, 1.0), Ks, Ks, 1.0),
-        "nonsymmetric": (FredholmSolver(loose_problem(K, Lp, 2.0)).dt_family, K, Lp, 2.0),
+        "spd": (factor(K, 2.0), K, K, 2.0),
+        "indefinite": (factor(Ks, 1.0), Ks, Ks, 1.0),
+        "nonsymmetric": (FredholmSolver(loose_problem(K, Lp, 2.0)), K, Lp, 2.0),
     }
 
 
@@ -76,7 +81,7 @@ def check_block_definition(n):
     rng = np.random.default_rng(4)
     rng.standard_normal((n, n))            # the draw block_cores takes
     g = build_grid(1.0, n)
-    for name, (fam, Kc, Lc, lam) in block_cores(n).items():
+    for name, (solver, Kc, Lc, lam) in block_cores(n).items():
         core = lam * np.eye(n) + g.dt * (Kc.values + Lc.values.T)
         if name != "nonsymmetric":
             assert (np.linalg.eigvalsh(core).min() < 0) == (name == "indefinite")
@@ -84,16 +89,16 @@ def check_block_definition(n):
             D = lam * np.eye(n) + g.dt * (mask_from(Kc, k).values
                                           + adjoint(mask_from(Lc, k)).values)
             y = rng.standard_normal(n)
-            inv_k = fam._Li[k:, k:] @ fam._Ui[k:, k:]
+            inv_k = solver._Li[k:, k:] @ solver._Ui[k:, k:]
             exact = np.linalg.inv(core[k:, k:])
             assert np.max(np.abs(inv_k - exact)) < 1e-12
             x = inv_k @ y[k:]
             assert np.max(np.abs(D[k:, k:] @ x - y[k:])) < 1e-12
             assert np.max(np.abs(x - np.linalg.solve(core[k:, k:], y[k:]))) < 1e-12
             # Schur pivot of D_k is det(D_k) / det(D_{k+1})
-            assert abs(fam.pivots[k] * exact[0, 0] - 1.0) < 1e-12
-        assert fam.min_pivot() == np.min(np.abs(fam.pivots))
-        assert abs(cond1(fam) / np.linalg.cond(core, 1) - 1.0) < 1e-12
+            assert abs(solver.pivots[k] * exact[0, 0] - 1.0) < 1e-12
+        assert solver.min_pivot() == np.min(np.abs(solver.pivots))
+        assert abs(cond1(solver) / np.linalg.cond(core, 1) - 1.0) < 1e-12
 
 
 class TestProblemValidation:
@@ -120,15 +125,15 @@ class TestDtFamily:
     def test_zero_kernels_divide_by_scale(self):
         g = build_grid(1.0, 8)
         Z = zero_kernel(g)
-        fam = build_Dt(Z, Z, 2.0)
+        solver = factor(Z, 2.0)
         for k in (0, 3, 7):
-            assert np.allclose(fam._Li[k:, k:] @ fam._Ui[k:, k:], np.eye(8 - k) / 2.0)
+            assert np.allclose(solver._Li[k:, k:] @ solver._Ui[k:, k:], np.eye(8 - k) / 2.0)
 
     def test_last_index_masks_to_single_cell(self):
         g = build_grid(1.0, 8)
         K = discretize_kernel(ExponentialDecay(), g)
-        fam = build_Dt(K, K, 1.0)
-        out = fam._Li[7:, 7:] @ (fam._Ui[7:, 7:] @ np.array([3.0]))
+        solver = factor(K, 1.0)
+        out = solver._Li[7:, 7:] @ (solver._Ui[7:, 7:] @ np.array([3.0]))
         # surviving block is the single masked cell: (1 + dt*(K+K^T)[7,7]) x = y
         assert abs(out[0] - 3.0) < 1e-14
 
@@ -139,9 +144,9 @@ class TestDtFamily:
         for _ in range(5):
             K = discretize_kernel(ExponentialDecay(c=rng.uniform(0.2, 2.0),
                                                    rho=rng.uniform(0.2, 3.0)), g)
-            fam = build_Dt(K, K, 2.0)
-            conds = [condition_number(fam, k) for k in range(32)]
-            assert max(conds) <= condition_number(fam, 0) + 1.0
+            solver = factor(K, 2.0)
+            conds = [condition_number(solver, k) for k in range(32)]
+            assert max(conds) <= condition_number(solver, 0) + 1.0
 
     def test_block_matches_masked_operator_definition(self):
         check_block_definition(12)
@@ -165,7 +170,7 @@ class TestDtFamily:
         bundle = draw_noise(g, {"a", "b"}, 20, 5)
         sol = solver.solve(f)
         batch = conditional_surfaces(sol, bundle.increments, 20)
-        core = solver.dt_family.core
+        core = solver.core
         values = sol.path_values(bundle.increments, 20)
         for p, v in enumerate(values):
             _, f_surf = f.values_and_surface(bundle.path(p))
@@ -468,7 +473,7 @@ class TestSingularDt:
         g = build_grid(1.0, n)
         K0 = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
         assert n - 1 - j >= LU_LEAF          # the pivot is reached through a Schur update
-        assert build_Dt(K0, K0, lam).min_pivot() > 0.5
+        assert factor(K0, lam).min_pivot() > 0.5
         V = K0.values.copy()
         D_next = lam * np.eye(n - j - 1) + g.dt * (V + V.T)[j + 1:, j + 1:]
         b = g.dt * V[j + 1:, j]
@@ -569,7 +574,7 @@ class TestTriangularSolve:
         # up to one column block, rounding apart past it
         f, solvers = self.problems(n)
         for solver in solvers:
-            Ui, Li = solver.dt_family._Ui, solver.dt_family._Li
+            Ui, Li = solver._Ui, solver._Li
             v = solver.solve(f)
             for tag, w in f.weights.items():
                 ref = Li @ np.tril(Ui @ w, -1)
@@ -583,6 +588,6 @@ class TestTriangularSolve:
 class TestCond1Estimate:
     @pytest.mark.parametrize("n", [12, 100, 300])
     def test_estimate_is_a_close_lower_bound(self, n):
-        for fam, *_ in block_cores(n).values():
-            exact = cond1(fam)
-            assert 0.9 * exact <= fam.cond1_est() <= exact * (1.0 + 1e-12)
+        for solver, *_ in block_cores(n).values():
+            exact = cond1(solver)
+            assert 0.9 * exact <= solver.cond1_est() <= exact * (1.0 + 1e-12)

@@ -53,7 +53,7 @@ def solvers(draw, max_n=256, own_backward=False):
     two points), so draws whose core D has a symmetric part that is not
     positive definite are rejected.  A positive definite symmetric part bounds
     every Schur pivot of every D_k below by its smallest eigenvalue; the margin
-    is the pivot threshold DtFamily applies.
+    is the pivot threshold build_Dt applies.
     """
     grid = build_grid(1.0, draw(st.integers(2, max_n)))
     K = draw(kernels(grid))

@@ -447,3 +447,25 @@ class TestLowerProduct:
         assert out is a
         assert np.array_equal(out, ref)
 
+
+class TestVolterraCheck:
+    """GridKernel rejects any nonzero on or above the diagonal, band by band."""
+
+    @pytest.mark.parametrize("n", [3, 64, 65, 130])
+    def test_each_upper_entry_is_seen(self, n):
+        g = build_grid(1.0, n)
+        base = np.tril(np.random.default_rng(n).standard_normal((n, n)), -1)
+        # diagonal, just above it (across a band boundary too), the top-right corner
+        edge = (min(TRI_BLOCK, n) - 1, min(TRI_BLOCK, n - 1))
+        for i, j in ((n - 1, n - 1), (n // 2, n // 2), (n - 2, n - 1), (0, 1), edge, (0, n - 1)):
+            v = base.copy()
+            v[i, j] = 1e-300
+            with pytest.raises(InadmissibleKernel, match="strictly lower"):
+                GridKernel(g, v)
+
+    @pytest.mark.parametrize("n", [3, 64, 65, 130])
+    def test_negative_zero_upper_triangle_passes(self, n):
+        g = build_grid(1.0, n)
+        v = np.tril(np.random.default_rng(n).standard_normal((n, n)), -1)
+        v[np.triu_indices(n)] = -0.0
+        assert np.array_equal(GridKernel(g, v).values, v)

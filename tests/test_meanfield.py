@@ -10,6 +10,7 @@ from volterra_games.errors import ShapeError
 from volterra_games.grid_ops import (
     ConstantLower,
     ExponentialDecay,
+    add_kernels,
     build_grid,
     discretize_kernel,
     zero_kernel,
@@ -19,7 +20,6 @@ from volterra_games.meanfield import (
     IIDBrownianFamily,
     MFGSpec,
     best_response_gap,
-    build_mfg_operators,
     convergence_study,
     draw_crossed_noise,
     eps_nash_gap,
@@ -35,6 +35,7 @@ from volterra_games.nplayer import (
     player_base,
     shifted_drive,
     solve_nash,
+    sup_on_paths,
 )
 from volterra_games.signals import CompiledSignal, deterministic, draw_noise, martingale
 
@@ -63,29 +64,29 @@ def make_mfg(grid, zero=False, a3_zero=False, beta_sigma=0.8, common_sigma=0.4):
 class TestMaps:
     def test_zero_kernel_maps_divide(self, grid16):
         spec = make_mfg(grid16, zero=True)
-        ops = build_mfg_operators(spec)
+        ops = build_operators(spec)
         bundle = draw_noise(grid16, {"common"}, 1, 0)
         f = martingale(grid16, sigma=1.0, noise="common")
         x, _ = f.values_and_surface(bundle.path(0))
-        assert np.max(np.abs(solve_on(ops.solver_F, f, bundle)[0] - x / 2.0)) < 1e-14
-        assert np.max(np.abs(solve_on(ops.solver_G, f, bundle)[0] - x / 2.0)) < 1e-14
+        assert np.max(np.abs(solve_on(ops.player_solver, f, bundle)[0] - x / 2.0)) < 1e-14
+        assert np.max(np.abs(solve_on(ops.mean_solver, f, bundle)[0] - x / 2.0)) < 1e-14
 
     def test_a3_zero_collapses_G_to_F(self, grid16):
         spec = make_mfg(grid16, a3_zero=True)
-        ops = build_mfg_operators(spec)
+        ops = build_operators(spec)
         bundle = draw_noise(grid16, {"common"}, 2, 1)
         f = martingale(grid16, sigma=1.0, noise="common")
-        assert np.max(np.abs(solve_on(ops.solver_F, f, bundle)
-                             - solve_on(ops.solver_G, f, bundle))) <= 1e-12
+        assert np.max(np.abs(solve_on(ops.player_solver, f, bundle)
+                             - solve_on(ops.mean_solver, f, bundle))) <= 1e-12
 
     def test_linearity(self, grid16):
         spec = make_mfg(grid16)
-        ops = build_mfg_operators(spec)
+        ops = build_operators(spec)
         bundle = draw_noise(grid16, {"common"}, 1, 2)
         x = martingale(grid16, sigma=1.0, noise="common")
         x2 = 3.0 * x
-        assert np.max(np.abs(solve_on(ops.solver_F, x2, bundle)
-                             - 3.0 * solve_on(ops.solver_F, x, bundle))) <= 1e-10
+        assert np.max(np.abs(solve_on(ops.player_solver, x2, bundle)
+                             - 3.0 * solve_on(ops.player_solver, x, bundle))) <= 1e-10
 
     def test_deterministic_matches_fredholm_constant_case(self):
         # A2hat = ConstantLower(c), x = 1: F solves the constant-kernel problem
@@ -96,8 +97,39 @@ class TestMaps:
                        beta0=deterministic(g, 1.0),
                        b0_signal=deterministic(g, 0.0), grid=g)
         x = deterministic(g, 1.0)
-        v = build_mfg_operators(spec).solver_F.solve(x).mean
+        v = build_operators(spec).player_solver.solve(x).mean
         assert np.max(np.abs(v - 1.0 / (1.0 + 1.0))) <= 5e-2
+
+
+class TestLimitOperators:
+    """The mean-field game's operators and first-order condition are nplayer's at N = inf."""
+
+    @pytest.mark.parametrize("n", [16, 100])
+    def test_kernels_are_a2hat_plus_a3_and_a2hat(self, n):
+        spec = make_mfg(build_grid(1.0, n))
+        ops = build_operators(spec)
+        # the kernels the limit game was built with before it shared nplayer's operators
+        mean = add_kernels((1.0, spec.a2hat), (1.0, spec.a3))
+        for solver, K in ((ops.mean_solver, mean), (ops.player_solver, spec.a2hat)):
+            assert solver.problem.K.values.tobytes() == K.values.tobytes()
+            assert solver.problem.L is solver.problem.K
+            assert solver.problem.lam_eff == 2.0 * spec.lam
+        assert ops.H.values.tobytes() == spec.a3.values.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 100])
+    def test_foc_residual_is_the_limit_formula(self, n):
+        grid = build_grid(1.0, n)
+        spec = make_mfg(grid)
+        noise = draw_crossed_noise(grid, {"common"}, {"idio"}, 3, 5, seed=2)
+        sol = solve_generic(spec, noise)
+        # the formula mfg_foc_residual kept before it used nplayer's first-order terms
+        dt, A2, A3 = grid.dt, spec.a2hat.values, spec.a3.values
+        own = 2.0 * spec.lam * np.eye(n) + dt * (A2 + A2.T)
+        res = (sol.strategies[0].adapted_matmul(own)
+               + sol.mean_field.adapted_matmul(dt * (A3 + A3.T)) - spec.b_family())
+        want = sup_on_paths(res, noise.bundle.increments, noise.bundle.n_paths)
+        assert 0.0 < want <= 1e-8
+        assert mfg_foc_residual(spec, sol, noise) == want
 
 
 class TestGenericPlayer:
@@ -137,9 +169,9 @@ class TestGenericPlayer:
         sol = solve_generic(spec, noise)
         assert mfg_foc_residual(spec, sol, noise) <= 1e-8
         # the same condition path by path, through the on-demand surfaces
-        ops = build_mfg_operators(spec)
+        ops = build_operators(spec)
         cb = spec.b_family()
-        v = ops.solver_F.solve(shifted_drive(cb, spec.a3, sol.mean_field))
+        v = ops.player_solver.solve(shifted_drive(cb, spec.a3, sol.mean_field))
         v_surface = conditional_surfaces(v, noise.bundle.increments, 8)
         mu_surf = mu_surface(sol)
         dt, A3, A2 = grid16.dt, spec.a3.values, spec.a2hat.values
@@ -369,12 +401,12 @@ def materialized_study(spec, ns, noise, player_paths=None):
 
     The form the study had before it streamed the noise, kept as the reference.
     """
-    ops = build_mfg_operators(spec)
+    ops = build_operators(spec)
     grid = spec.grid
     C, I = noise.n_common, noise.n_idio
     P = C * I
     increments = noise.bundle.increments
-    nu_cs = ops.solver_G.solve(spec.limit_family())
+    nu_cs = ops.mean_solver.solve(spec.limit_family())
     nu_full = np.repeat(nu_cs.path_values(noise.block_increments(), C), I, axis=0)
     pp = P if player_paths is None else min(player_paths, P)
     first_pp = {tag: arr[:pp] for tag, arr in increments.items()}
@@ -389,7 +421,7 @@ def materialized_study(spec, ns, noise, player_paths=None):
         mse_player = np.nan
         if pp > 0:
             u1 = gops.player_solver.solve(shifted_drive(player_base(game, 0), gops.H, ubar_cs))
-            v1 = ops.solver_F.solve(shifted_drive(spec.player_family.signal(0, N), spec.a3,
+            v1 = ops.player_solver.solve(shifted_drive(spec.player_family.signal(0, N), spec.a3,
                                                   nu_cs))
             gap = u1.path_values(first_pp, pp) - v1.path_values(first_pp, pp)
             mse_player = float(np.max(np.mean(gap ** 2, axis=0)))

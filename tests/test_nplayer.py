@@ -34,7 +34,8 @@ from volterra_games.nplayer import (
     shifted_drive,
     solve_nash,
 )
-from volterra_games.signals import CompiledSignal, deterministic, draw_noise, martingale
+from volterra_games.signals import (CompiledSignal, brownian_weighted, deterministic,
+                                   draw_noise, martingale)
 from volterra_games.validation import validation_report
 
 from conftest import cond1
@@ -126,6 +127,15 @@ class TestOperators:
             lhs = G.values - H.values / N
             rhs = spec.a2hat.values + spec.a3.values / N
             assert np.max(np.abs(lhs - rhs)) <= 1e-14
+
+    @pytest.mark.parametrize("N", [3, 7, 63])
+    def test_mean_kernel_weighs_H_by_N_minus_1_over_N(self, grid16, N):
+        # at these N, 1 - 1/N rounds differently from (N - 1)/N
+        assert 1.0 - 1.0 / N != (N - 1.0) / N
+        spec = make_spec(grid16, N=N)
+        G, H = build_GH(spec)
+        want = add_kernels(((N - 1.0) / N, H), (1.0, G)).values
+        assert build_operators(spec).mean_solver.problem.K.values.tobytes() == want.tobytes()
 
 
 class TestSolve:
@@ -462,8 +472,8 @@ class TestBlockedProducts:
         _, spec = shipped_game("raw_game", 512)
         ops = build_operators(spec)
         for solver in (ops.mean_solver, ops.player_solver):
-            exact = cond1(solver.dt_family)
-            assert 0.9 * exact <= solver.dt_family.cond1_est() <= exact * (1.0 + 1e-12)
+            exact = cond1(solver)
+            assert 0.9 * exact <= solver.cond1_est() <= exact * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("n", [TRI_BLOCK, 130])
     def test_adapted_product_reads_like_the_full_product(self, n):
@@ -511,3 +521,24 @@ class TestMargins:
         else:
             G, _ = build_GH(spec)
             assert checks["player_concavity_form"] == np.linalg.eigvalsh(symmetrized_form(G))[0]
+
+
+def test_signal_adaptedness_sees_values_that_read_ahead(grid16, monkeypatch):
+    # an anticipative driver: its surface reads only the past, and so must path_values
+    rng = np.random.default_rng(9)
+    w = rng.standard_normal((grid16.n, grid16.n))
+    spec = make_spec(grid16)
+    b = (brownian_weighted(grid16, np.ones(grid16.n), w, noise="common"),
+         *spec.b_signals[1:])
+    spec = replace(spec, b_signals=b)
+
+    def adaptedness():
+        checks = validation_report(spec, paths=2)["checks"]
+        return next(c for c in checks if c["name"] == "signal_adaptedness")
+
+    assert adaptedness()["passed"]
+    # path values that keep the weights on and above the diagonal
+    monkeypatch.setattr(CompiledSignal, "tag_values",
+                        lambda self, tag, increments: increments @ self.weights[tag].T)
+    check = adaptedness()
+    assert not check["passed"] and check["value"] > 1e-3
