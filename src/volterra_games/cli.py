@@ -2,18 +2,30 @@
 
 Exit codes: 0 success, 1 invariant or oracle-tolerance failure, 2 config
 error, 3 numerical error.  Every run writes a manifest with the config echo,
-package version, seed, and the tolerance table actually used.
+package version, seed, the tolerance table actually used, and what the run
+cost the process.
+
+main sets the process's allocator policy (keep_freed_heap); importing the
+package leaves the allocator alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
+import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:             # Unix only: elsewhere the manifest has no run block
+    resource = None
 
 from . import __version__
 from .errors import ConfigError, InvalidGrid, VolterraGamesError
@@ -42,6 +54,7 @@ from .model_builders import (
     build_advertising_game,
     build_liquidation_game,
     build_systemic_game,
+    integer_field,
 )
 from .nplayer import GameSpec, solve_nash
 from .signals import GENERATOR_NAME, CompiledSignal, deterministic, draw_noise, martingale, ou
@@ -50,6 +63,20 @@ from .validation import DEFAULT_TOLERANCES, validation_report
 # diagnostics.json entry -> the tolerance that gates it in `solve`
 SOLVE_GATES = {"fredholm_residual_max": "fredholm_residual", "foc_residual_max": "foc_residual",
                "mean_gap": "mean_consistency"}
+
+# glibc serves a block of at least M_MMAP_THRESHOLD bytes by mmap and unmaps it
+# when freed, and returns the top of its heap to the kernel once more than
+# M_TRIM_THRESHOLD bytes are free there; both start at 128 KiB and grow to 1x
+# and 2x the largest block it has unmapped (mallopt(3)).  A solve allocates and
+# frees n x n float arrays (2 MiB at n = 512) over and over, so every new one
+# faulted its pages in again: 27.4k minor faults (107 MB) and 45-80 ms of
+# system time per raw-game solve at n = 512, P = 4.  With these two settings
+# every n x n array below n = 2048 comes from the heap and freed heap stays
+# mapped: at most a few dozen faults per repeated call, peak memory unchanged.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20           # glibc's ceiling on 64-bit builds
+TRIM_THRESHOLD = 256 << 20
+RUN_WIDTH = 14                      # characters per number in the manifest's run block
 
 
 def _require_keys(obj: dict, allowed: set, context: str) -> None:
@@ -158,7 +185,7 @@ def _build_game(cfg: dict, grid: TimeGrid):
     kind = model.get("kind")
     if kind == "raw":
         _require_keys(model, {"kind", "N", "lam", "a1", "a2hat", "a3", "b", "b0"}, "model")
-        N = int(model["N"])
+        N = integer_field(model["N"], "model.N")
         b_list = model["b"]
         if len(b_list) != N:
             raise ConfigError("model.b must list one signal per player")
@@ -254,14 +281,17 @@ def load_config(path: str) -> dict:
 def _grid_from(cfg: dict, override_n=None) -> TimeGrid:
     g = cfg["grid"]
     try:
-        return build_grid(float(g["T"]), int(g["n"] if override_n is None else override_n))
+        n = integer_field(g["n"], "grid.n") if override_n is None else override_n
+        return build_grid(float(g["T"]), n)
     except (KeyError, TypeError, ValueError, InvalidGrid) as exc:
         raise ConfigError(f"invalid grid: {type(exc).__name__}: {exc}")
 
 
 def _player_counts(cfg: dict) -> list:
     ns = cfg.get("run", {}).get("Ns", [4, 8, 16, 32, 64])
-    if not (isinstance(ns, list) and ns and all(isinstance(N, int) and N >= 1 for N in ns)):
+    if isinstance(ns, list) and ns:
+        ns = [integer_field(N, "run.Ns") for N in ns]
+    if not (isinstance(ns, list) and ns and min(ns) >= 1):
         raise ConfigError(f"run.Ns must be a nonempty list of positive integers, got {ns!r}")
     return ns
 
@@ -272,23 +302,83 @@ def _tolerances(cfg: dict) -> dict:
     return tol
 
 
-def write_manifest(out: Path, cfg: dict, seed: int, tolerances: dict, extra=None) -> None:
-    manifest = {
+def write_manifest(out: Path, cfg: dict, seed: int, tolerances: dict, extra: dict,
+                   run: dict | None) -> None:
+    """manifest.json: the run's inputs, the extra results, and run_record's block last.
+
+    Each number of the run block is right-aligned in RUN_WIDTH characters (JSON
+    allows the spaces), so the file's size does not vary with what the run
+    cost: repeated runs of one config write outputs of one size.
+    """
+    text = json.dumps({
         "tool": "volterra-games",
         "version": __version__,
         "generator": GENERATOR_NAME,
         "seed": seed,
         "tolerances": tolerances,
         "config": cfg,
+        **extra,
+    }, indent=2, sort_keys=True)
+    if run is not None:
+        fields = ",\n".join(f"    {json.dumps(key)}: {_fixed_width(value)}"
+                            for key, value in sorted(run.items()))
+        text = f'{text[:-2]},\n  "run": {{\n{fields}\n  }}\n}}'     # text ends "\n}"
+    (out / "manifest.json").write_text(text)
+
+
+def _fixed_width(value) -> str:
+    if isinstance(value, str):
+        return json.dumps(value)
+    return f"{value:{RUN_WIDTH}.6f}" if isinstance(value, float) else f"{value:{RUN_WIDTH}d}"
+
+
+def run_record(started: float, usage) -> dict | None:
+    """What this call of main cost the process, or None where resource is missing.
+
+    Wall time, CPU times and minor page faults since main started (started and
+    usage are perf_counter and getrusage read then), and the process's peak
+    resident memory so far, in MB of 2^20 bytes as the benchmark reports it.
+    """
+    if resource is None:
+        return None
+    now = resource.getrusage(resource.RUSAGE_SELF)
+    rss_unit = 2 ** 20 if sys.platform == "darwin" else 2 ** 10   # ru_maxrss: bytes or KiB
+    # uname only: platform.platform() scans the interpreter binary for its libc (~15 ms)
+    system = platform.uname()
+    return {
+        "numpy": np.__version__,
+        "platform": f"{system.system}-{system.release}-{system.machine}",
+        "wall_s": time.perf_counter() - started,
+        "utime_s": now.ru_utime - usage.ru_utime,
+        "stime_s": now.ru_stime - usage.ru_stime,
+        "minflt": now.ru_minflt - usage.ru_minflt,
+        "maxrss_mb": now.ru_maxrss / rss_unit,
     }
-    if extra:
-        manifest.update(extra)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def run_solve(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
+def keep_freed_heap() -> bool:
+    """Set glibc's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD for this process.
+
+    Returns whether both calls took.  Does nothing on another C library
+    (no gnu_get_libc_version) or without mallopt; a call glibc refuses
+    (returns 0) is left as it is.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):    # no handle to the running process (Windows)
+        return False
+    if not (hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt")):
+        return False
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return (mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD) == 1
+            and mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) == 1)
+
+
+def run_solve(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
+              grid_n=None) -> tuple[int, dict]:
     grid = _grid_from(cfg, grid_n)
-    tol = _tolerances(cfg)
     spec = build_game_from_config(cfg, grid)
     bundle = draw_noise(grid, spec.noise_tags() or {"common"}, paths, seed)
     # the gates apply after the outputs are written, so a failed run leaves its diagnostics
@@ -315,13 +405,13 @@ def run_solve(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
     diagnostics = dict(sol.diagnostics)
     diagnostics.update({"paths": paths, "seed": seed, "players": spec.n_players})
     (out / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2, sort_keys=True))
-    write_manifest(out, cfg, seed, tol)
-    return 1 if any(diagnostics[key] > tol[name] for key, name in SOLVE_GATES.items()) else 0
+    failed = any(diagnostics[key] > tol[name] for key, name in SOLVE_GATES.items())
+    return int(failed), {}
 
 
-def run_converge(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
+def run_converge(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
+                 grid_n=None) -> tuple[int, dict]:
     grid = _grid_from(cfg, grid_n)
-    tol = _tolerances(cfg)
     spec = build_mfg_from_config(cfg, grid)
     ns = _player_counts(cfg)
     iid = isinstance(spec.player_family, IIDBrownianFamily)
@@ -344,14 +434,12 @@ def run_converge(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> in
     bracket = (-1.4, -0.6) if iid else (-2.5, -1.5)
     slope = study.get("slope_mean", float("nan"))
     ok = bracket[0] <= slope <= bracket[1]
-    write_manifest(out, cfg, seed, tol,
-                   extra={"slope_mean": slope, "bracket": bracket, "slope_ok": ok})
-    return 0 if ok else 1
+    return 0 if ok else 1, {"slope_mean": slope, "bracket": bracket, "slope_ok": ok}
 
 
-def run_eps_nash(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
+def run_eps_nash(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
+                 grid_n=None) -> tuple[int, dict]:
     grid = _grid_from(cfg, grid_n)
-    tol = _tolerances(cfg)
     spec = build_mfg_from_config(cfg, grid)
     ns = _player_counts(cfg)
     rows = []
@@ -372,28 +460,26 @@ def run_eps_nash(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> in
     slope = fit_loglog_slope([r["N"] for r in rows], np.maximum(gaps, 1e-300)) \
         if len(rows) > 1 else float("nan")
     ok = (not np.isfinite(slope)) or slope <= -0.4
-    write_manifest(out, cfg, seed, tol, extra={"gap_slope": slope, "slope_ok": bool(ok)})
-    return 0 if ok else 1
+    return 0 if ok else 1, {"gap_slope": slope, "slope_ok": bool(ok)}
 
 
-def run_validate(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
+def run_validate(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
+                 grid_n=None) -> tuple[int, dict]:
     grid = _grid_from(cfg, grid_n)
-    tol = _tolerances(cfg)
     spec = build_game_from_config(cfg, grid)
     report = validation_report(spec, paths=max(4, min(paths, 16)), seed=seed, tolerances=tol)
     out.mkdir(parents=True, exist_ok=True)
     (out / "validate.json").write_text(json.dumps(report, indent=2, sort_keys=True))
-    write_manifest(out, cfg, seed, tol)
-    return 0 if all(item["passed"] for item in report["checks"]) else 1
+    return 0 if all(item["passed"] for item in report["checks"]) else 1, {}
 
 
-def run_oracle_check(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -> int:
+def run_oracle_check(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
+                     grid_n=None) -> tuple[int, dict]:
     from .oracle import build_tree, compare, discrete_nash_kkt, solve_game_on_tree
 
     grid = _grid_from(cfg, grid_n)
     if grid.n > 8:
         grid = build_grid(grid.horizon, 8)
-    tol = _tolerances(cfg)
     spec = build_game_from_config(cfg, grid)
     tree = build_tree(spec, branching=2, depth=min(5, grid.n - 1))
     diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)
@@ -401,16 +487,25 @@ def run_oracle_check(cfg: dict, out: Path, paths: int, seed: int, grid_n=None) -
     (out / "oracle.json").write_text(json.dumps(
         {"max_abs_diff": diff, "tolerance": tol["oracle"],
          "leaves": tree.n_leaves, "nodes": tree.total_nodes}, indent=2))
-    write_manifest(out, cfg, seed, tol, extra={"oracle_diff": diff})
-    return 0 if diff <= tol["oracle"] else 1
+    return 0 if diff <= tol["oracle"] else 1, {"oracle_diff": diff}
+
+
+RUNNERS = {
+    "solve": run_solve,
+    "converge": run_converge,
+    "eps-nash": run_eps_nash,
+    "validate": run_validate,
+    "oracle-check": run_oracle_check,
+}
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
+    usage = resource.getrusage(resource.RUSAGE_SELF) if resource is not None else None
     parser = argparse.ArgumentParser(
         prog="volgames",
         description="Nash equilibria of LQ stochastic games with Volterra-operator costs")
-    parser.add_argument("command",
-                        choices=["solve", "converge", "eps-nash", "validate", "oracle-check"])
+    parser.add_argument("command", choices=list(RUNNERS))
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--paths", type=int, default=None, help="Monte Carlo paths, at least 1")
@@ -419,29 +514,28 @@ def main(argv=None) -> int:
     parser.add_argument("--oracle", action="store_true",
                         help="also run the oracle comparison after the command")
     args = parser.parse_args(argv)
+    keep_freed_heap()
 
     try:
         cfg = load_config(args.config)
         noise_cfg = cfg.get("noise", {})
-        try:
-            paths = args.paths if args.paths is not None else int(noise_cfg.get("paths", 64))
-            seed = args.seed if args.seed is not None else int(noise_cfg.get("seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"noise.paths and noise.seed must be integers: {exc}")
+        paths = args.paths if args.paths is not None \
+            else integer_field(noise_cfg.get("paths", 64), "noise.paths")
+        seed = args.seed if args.seed is not None \
+            else integer_field(noise_cfg.get("seed", 0), "noise.seed")
         if paths < 1 or seed < 0:
             raise ConfigError(f"need paths >= 1 and seed >= 0, got paths={paths}, seed={seed}")
         out = Path(cfg.get("run", {}).get("out", args.out)) if args.out == "out" \
             else Path(args.out)
-        runner = {
-            "solve": run_solve,
-            "converge": run_converge,
-            "eps-nash": run_eps_nash,
-            "validate": run_validate,
-            "oracle-check": run_oracle_check,
-        }[args.command]
-        code = runner(cfg, out, paths, seed, args.grid_n)
-        if code == 0 and args.oracle and args.command != "oracle-check":
-            code = run_oracle_check(cfg, out, paths, seed, args.grid_n)
+        tol = _tolerances(cfg)
+        commands = [args.command]
+        if args.oracle and args.command != "oracle-check":
+            commands.append("oracle-check")
+        for command in commands:
+            code, extra = RUNNERS[command](cfg, tol, out, paths, seed, args.grid_n)
+            write_manifest(out, cfg, seed, tol, extra, run_record(started, usage))
+            if code != 0:
+                break
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -68,6 +68,8 @@ class FredholmProblem:
             raise InadmissibleKernel(f"lam_eff must be positive, got {self.lam_eff}")
         if not (self.K.volterra and self.L.volterra):
             raise InadmissibleKernel("K and L must be Volterra kernels")
+        if self.K is self.L:
+            return              # K + K^T is exactly symmetric: IEEE addition commutes
         sym = self.K.values + self.L.values.T
         gap = float(np.max(np.abs(sym - sym.T))) if sym.size else 0.0
         if gap > SELFADJOINT_TOL:
@@ -94,7 +96,8 @@ def build_Dt(K: GridKernel, L: GridKernel, lam_eff: float) -> tuple[np.ndarray, 
     runs from the last index down, and every pivot after a failed one is meaningless.
     """
     n = K.grid.n
-    core = K.grid.dt * (K.values + L.values.T)
+    core = K.values + L.values.T
+    core *= K.grid.dt
     core[np.diag_indices(n)] += float(lam_eff)
     tol = 1e-10 * max(1.0, float(np.max(np.abs(core))))
     A = np.array(core[::-1, ::-1])

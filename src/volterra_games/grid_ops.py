@@ -296,7 +296,9 @@ def symmetrized_form(K: GridKernel) -> np.ndarray:
     """
     Kc = K.values.copy()
     Kc[np.diag_indices(K.grid.n)] = K.diagonal_estimate()
-    return 0.5 * K.grid.dt * (Kc + Kc.T)
+    S = Kc + Kc.T
+    S *= 0.5 * K.grid.dt
+    return S
 
 
 def min_eigenvalue(K: GridKernel) -> float:
@@ -399,7 +401,7 @@ def add_kernels(*terms: tuple[float, GridKernel]) -> GridKernel:
     diag = coef0 * K0.diag_half if K0.diag_half is not None else None
     for coef, K in terms[1:]:
         _same_grid(K0, K)
-        acc = acc + coef * K.values
+        acc += coef * K.values
         volt = volt and K.volterra
         diag = diag + coef * K.diag_half if (diag is not None and K.diag_half is not None) else None
     return GridKernel(grid, acc, volterra=volt, diag_half=diag)

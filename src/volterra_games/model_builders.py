@@ -11,11 +11,12 @@ serves as the independent fidelity oracle.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvexityViolation, InadmissibleKernel, ShapeError
+from .errors import ConfigError, ConvexityViolation, InadmissibleKernel, ShapeError
 from .grid_ops import (
     ConstantLower,
     GridKernel,
@@ -30,6 +31,18 @@ from .grid_ops import (
 )
 from .nplayer import GameSpec
 from .signals import CompiledSignal, IdentityMemo, deterministic, martingale, on_grid
+
+
+def integer_field(value, name: str) -> int:
+    """A count or seed read from a config: an integer, or a float with no fractional part.
+
+    Booleans, fractional or non-finite numbers and anything else raise
+    ConfigError naming the field, where int() would truncate or accept them.
+    """
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or (isinstance(value, float) and value.is_integer())):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +449,7 @@ def build_liquidation_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
     signal_sigma (per player, price martingale volatility; 0 for none),
     common_signal_sigma (optional common price factor).
     """
-    N = int(params["N"])
+    N = integer_field(params["N"], "model.N")
     lam, phi, rho_term = float(params["lam"]), float(params["phi"]), float(params["rho_term"])
     if min(lam, phi, rho_term) <= 0.0:
         raise InadmissibleKernel("liquidation needs lam, phi, rho_term > 0")
@@ -487,7 +500,7 @@ def build_systemic_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volterr
     params: N, beta, eps, cost_c, sigma (per player), delay (DelayMeasure),
     x0 (per player), h (optional per-player drift cell values).
     """
-    N = int(params["N"])
+    N = integer_field(params["N"], "model.N")
     beta, eps, cost_c = float(params["beta"]), float(params["eps"]), float(params["cost_c"])
     if beta ** 2 > eps:
         raise ConvexityViolation(f"need beta^2 <= eps, got beta^2 = {beta ** 2}, eps = {eps}")
@@ -542,7 +555,7 @@ def build_advertising_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
     sigma (per player).  The state response to controls and to noise is built
     from resolvents on a grid extended to the horizon endpoint.
     """
-    N = int(params["N"])
+    N = integer_field(params["N"], "model.N")
     lam, beta = float(params["lam"]), float(params["beta"])
     if lam <= 0.0 or beta < 0.0:
         raise InadmissibleKernel("advertising needs lam > 0 and beta >= 0")

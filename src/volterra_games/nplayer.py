@@ -159,7 +159,9 @@ def mean_field_shift(H: GridKernel, w: CompiledSignal) -> CompiledSignal:
 
     w is a solver output (or a sum of them), so its weights are strictly lower.
     """
-    return w.adapted_matmul(H.grid.dt * (H.values + H.values.T))
+    S = H.values + H.values.T
+    S *= H.grid.dt
+    return w.adapted_matmul(S)
 
 
 def shifted_drive(base: CompiledSignal, H: GridKernel, w: CompiledSignal) -> CompiledSignal:
@@ -323,10 +325,15 @@ def _foc_terms(spec: GameSpec, mean_strategy: CompiledSignal) -> tuple[np.ndarra
     N, dt = spec.n_players, spec.grid.dt
     A1, A2, A3 = spec.a1.values, spec.a2hat.values, spec.a3.values
     sym3 = A3 + A3.T
-    own = dt * (A2 + A2.T + sym3 / N)
+    own = A2 + A2.T
+    own += sym3 / N
+    own *= dt
     own[np.diag_indices(spec.grid.n)] += 2.0 * spec.lam
-    cross = mean_strategy.adapted_matmul(dt * ((A1 + A1.T) / N + sym3))
-    return own, cross
+    cross = A1 + A1.T
+    cross /= N
+    cross += sym3
+    cross *= dt
+    return own, mean_strategy.adapted_matmul(cross)
 
 
 def objective_per_path(spec: GameSpec, i: int, strategies: np.ndarray,

@@ -1,12 +1,15 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from volterra_games import cli
 from volterra_games.cli import build_game_from_config, main
 from volterra_games.grid_ops import build_grid, symmetrized_form
 from volterra_games.nplayer import foc_residual, solve_nash
@@ -35,6 +38,9 @@ RAW_MODEL = {
 }
 
 MFG_MODEL = json.loads((CONFIGS / "mfg_convergence.json").read_text())["model"]
+WORKED = {name: json.loads((CONFIGS / f"{name}.json").read_text())["model"]
+          for name in ("systemic", "liquidation", "advertising")}
+SRC_PATH = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
 
 
 def widened_systemic(players):
@@ -125,13 +131,27 @@ class TestConfigErrors:
         ("converge", {}, ["--paths", "-1"]),
         ("eps-nash", {}, ["--paths", "0"]),
         ("eps-nash", {}, ["--seed", "-1"]),
+        # int() once truncated these (2.7 players ran as 2) or let a boolean through
+        ("solve", {"model": {**RAW_MODEL, "N": 2.7}}, []),
+        ("solve", {"grid": {"T": 1.0, "n": 16.9}}, []),
+        ("solve", {"noise": {"paths": 3.5, "seed": 3}}, []),
+        ("solve", {"noise": {"paths": 6, "seed": 1.5}}, []),
+        ("solve", {"noise": {"paths": True, "seed": 3}}, []),
+        ("eps-nash", {"run": {"Ns": [True, 2]}}, []),
+        ("converge", {"run": {"Ns": [2.5, 4]}}, []),
+        ("solve", {"model": {**WORKED["systemic"], "N": 3.5}}, []),
+        ("solve", {"model": {**WORKED["liquidation"], "N": 2.5}}, []),
+        ("solve", {"model": {**WORKED["advertising"], "N": True}}, []),
     ], ids=["grid-not-object", "T-not-number", "n-1", "grid-n-1", "grid-n-0",
             "paths-not-integer", "N-not-integer", "raw-lam-missing", "mfg-lam-missing",
             "mfg-lam-negative", "mfg-alpha-0.9", "Ns-not-list", "combination-empty",
             "deterministic-wrong-length", "paths-0", "paths-negative", "seed-negative",
             "noise-paths-0", "noise-seed-negative", "validate-paths-0",
             "oracle-check-seed-negative", "converge-paths-negative", "eps-nash-paths-0",
-            "eps-nash-seed-negative"])
+            "eps-nash-seed-negative", "N-fractional", "grid-n-fractional",
+            "noise-paths-fractional", "noise-seed-fractional", "noise-paths-bool", "Ns-bool",
+            "Ns-fractional", "systemic-N-fractional", "liquidation-N-fractional",
+            "advertising-N-bool"])
     def test_malformed_value_exits_2(self, tmp_path, command, overrides, argv):
         game = command in ("solve", "validate", "oracle-check")
         cfg = {"grid": {"T": 1.0, "n": 12}, "noise": {"paths": 6, "seed": 3},
@@ -139,6 +159,15 @@ class TestConfigErrors:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o"), *argv]) == 2
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        p = write_cfg(tmp_path, RAW_MODEL, name="int.json")
+        q = write_cfg(tmp_path, {**RAW_MODEL, "N": 2.0}, grid={"T": 1.0, "n": 12.0},
+                      noise={"paths": 6.0, "seed": 3.0}, name="float.json")
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path / "a")]) == 0
+        assert main(["solve", "--config", str(q), "--out", str(tmp_path / "b")]) == 0
+        for name in ("strategies.csv", "diagnostics.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestSolve:
@@ -184,15 +213,29 @@ class TestSolve:
         assert (out / "strategies.csv").exists()
 
     def test_manifest_completeness(self, tmp_path):
-        p = write_cfg(tmp_path, RAW_MODEL)
-        out = tmp_path / "o"
-        assert main(["solve", "--config", str(p), "--out", str(out)]) == 0
-        man = json.loads((out / "manifest.json").read_text())
-        assert man["seed"] == 3
-        assert "version" in man and "generator" in man
-        assert man["config"]["model"]["kind"] == "raw"
-        assert set(man["tolerances"]) >= {"fredholm_residual", "mean_consistency",
-                                          "foc_residual", "oracle"}
+        runs = [("solve", RAW_MODEL, None), ("converge", MFG_MODEL, {"Ns": [4, 8]})]
+        for command, model, run in runs:
+            p = write_cfg(tmp_path, model, run=run, name=f"{command}.json")
+            out = tmp_path / command
+            assert main([command, "--config", str(p), "--out", str(out)]) == 0
+            man = json.loads((out / "manifest.json").read_text())
+            assert man["seed"] == 3
+            assert "version" in man and "generator" in man
+            assert man["config"]["model"]["kind"] == model["kind"]
+            assert set(man["tolerances"]) >= {"fredholm_residual", "mean_consistency",
+                                              "foc_residual", "oracle"}
+            if cli.resource is None:
+                assert "run" not in man
+                continue
+            cost = man["run"]
+            assert set(cost) == {"numpy", "platform", "wall_s", "utime_s", "stime_s",
+                                 "minflt", "maxrss_mb"}
+            assert cost["numpy"] == np.__version__ and cost["platform"]
+            assert cost["wall_s"] > 0.0 and cost["utime_s"] >= 0.0 and cost["stime_s"] >= 0.0
+            assert cost["minflt"] >= 0 and cost["maxrss_mb"] > 10.0
+        # the run's cost goes to the manifest only: diagnostics.json stays reproducible
+        assert not set(json.loads((tmp_path / "solve" / "diagnostics.json").read_text())) \
+            & {"run", *cost}
 
     def test_zero_kernel_strategies_follow_driver(self, tmp_path):
         model = {
@@ -418,8 +461,6 @@ class TestShippedConfigs:
     def test_output_does_not_depend_on_hash_seed(self, tmp_path):
         # noise tags are strings; any sum over them in set order would differ
         # between interpreters with different PYTHONHASHSEED values
-        path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
-                               if p)
         outputs = []
         for hash_seed in ("0", "1", "2"):
             out = tmp_path / f"o{hash_seed}"
@@ -427,12 +468,86 @@ class TestShippedConfigs:
                 [sys.executable, "-m", "volterra_games.cli", "solve",
                  "--config", str(CONFIGS / "systemic.json"), "--grid-n", "32",
                  "--paths", "16", "--out", str(out)],
-                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+                env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC_PATH),
                 check=True, timeout=600)
             outputs.append([(out / name).read_bytes()
                             for name in ("strategies.csv", "diagnostics.json")])
         assert outputs[1] == outputs[0]
         assert outputs[2] == outputs[0]
+
+
+class TestInProcessReruns:
+    """main called twice in one process, as the benchmark calls it: no state a call
+    leaves behind (memos, cached properties, the allocator policy) reaches the outputs."""
+
+    @pytest.mark.parametrize("command, config, grid_n, files", [
+        ("solve", "raw_game.json", 128, ("strategies.csv", "diagnostics.json")),
+        ("solve", "systemic.json", 32, ("strategies.csv", "diagnostics.json")),
+        ("converge", "mfg_convergence.json", 16, ("convergence.csv",)),
+        ("eps-nash", "mfg_convergence.json", 8, ("epsnash.csv",)),
+    ])
+    def test_rerun_is_byte_identical(self, tmp_path, command, config, grid_n, files):
+        outs = [tmp_path / "first", tmp_path / "second"]
+        for out in outs:
+            assert main([command, "--config", str(CONFIGS / config), "--grid-n", str(grid_n),
+                         "--out", str(out)]) == 0
+        for name in files:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # the run block's figures differ, its size does not
+        sizes = {(out / "manifest.json").stat().st_size for out in outs}
+        assert len(sizes) == 1
+
+
+# the third of three in-process solves: minor page faults it takes
+FAULT_PROBE = """
+import resource, sys
+from volterra_games.cli import main
+argv = ["solve", "--config", sys.argv[1], "--grid-n", sys.argv[2], "--paths", "4",
+        "--out", sys.argv[3]]
+for _ in range(2):
+    assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's")
+    @pytest.mark.parametrize("grid_n", [128, 256])
+    def test_repeated_solve_keeps_its_heap(self, tmp_path, grid_n):
+        # with glibc's default thresholds the third solve faulted 964 pages at n = 128
+        # and 6,597 at n = 256, as every freed n x n array went back to the kernel
+        res = subprocess.run([sys.executable, "-c", FAULT_PROBE, str(CONFIGS / "raw_game.json"),
+                              str(grid_n), str(tmp_path / "o")],
+                             env=dict(os.environ, PYTHONPATH=SRC_PATH),
+                             capture_output=True, text=True, check=True, timeout=300)
+        assert int(res.stdout) <= 200
+
+    @pytest.mark.parametrize("libc", [
+        SimpleNamespace(),                                           # not glibc, no mallopt
+        SimpleNamespace(gnu_get_libc_version=lambda: b"2.36"),       # glibc without mallopt
+        SimpleNamespace(gnu_get_libc_version=lambda: b"2.36",
+                        mallopt=lambda param, value: 0),             # glibc refusing both
+        None,                                                        # no process handle
+    ], ids=["other-libc", "no-mallopt", "mallopt-refuses", "no-handle"])
+    def test_main_runs_without_the_policy(self, tmp_path, monkeypatch, libc):
+        p = write_cfg(tmp_path, RAW_MODEL)
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path / "with")]) == 0
+
+        def cdll(name):
+            if libc is None:
+                raise OSError("no handle")
+            return libc
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        assert cli.keep_freed_heap() is False
+        out = tmp_path / "without"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 0
+        assert (out / "strategies.csv").read_bytes() == \
+            (tmp_path / "with" / "strategies.csv").read_bytes()
+        bad = write_cfg(tmp_path, {**RAW_MODEL, "N": 2.5}, name="bad.json")
+        assert main(["solve", "--config", str(bad), "--out", str(out)]) == 2
 
 
 IMPORT_PROBE = """
@@ -447,8 +562,7 @@ print(sorted(loaded & set(packages_distributions()) - {"numpy", "volterra_games"
 
 def test_numpy_is_the_only_third_party_import():
     # of the modules that installed distributions provide, the package and its CLI load numpy only
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     res = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
-                         env=dict(os.environ, PYTHONPATH=path),
+                         env=dict(os.environ, PYTHONPATH=SRC_PATH),
                          capture_output=True, text=True, check=True, timeout=120)
     assert res.stdout.strip() == "[]"

@@ -114,6 +114,17 @@ class TestProblemValidation:
         with pytest.warns(UserWarning):
             FredholmProblem(K=K, L=zero_kernel(g), lam_eff=1.0, strict_selfadjoint=False)
 
+    def test_distinct_kernels_are_still_scanned(self):
+        # only K is L skips the scan: an equal copy passes it, an asymmetric pair fails it
+        g = build_grid(1.0, 8)
+        K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
+        FredholmProblem(K=K, L=GridKernel(g, K.values.copy()), lam_eff=1.0)
+        L = discretize_kernel(PowerLaw(c=0.5, alpha=0.3), g)
+        with pytest.raises(InadmissibleKernel):
+            FredholmProblem(K=K, L=L, lam_eff=1.0)
+        with pytest.warns(UserWarning):
+            FredholmProblem(K=K, L=L, lam_eff=1.0, strict_selfadjoint=False)
+
     def test_nonpositive_scale(self):
         g = build_grid(1.0, 8)
         Z = zero_kernel(g)
