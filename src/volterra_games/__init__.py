@@ -29,12 +29,9 @@ from .grid_ops import (
     Tabulated,
     TimeGrid,
     ZeroK,
-    adjoint,
     apply,
     build_grid,
-    check_nonneg_definite,
     discretize_kernel,
-    invert_id_minus,
     resolvent,
     star_product,
     zero_kernel,

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 invariant or oracle-tolerance failure, 2 config
 error, 3 numerical error.  Every run writes a manifest with the config echo,
-package version, seed, the tolerance table actually used, and what the run
-cost the process.
+package version, seed, the tolerance table actually used, the grid size and
+path count the run used, and what the run cost the process.
 
 main sets the process's allocator policy (keep_freed_heap); importing the
 package leaves the allocator alone.
@@ -15,6 +15,7 @@ import argparse
 import csv
 import ctypes
 import json
+import math
 import platform
 import sys
 import time
@@ -297,9 +298,12 @@ def _player_counts(cfg: dict) -> list:
 
 
 def _tolerances(cfg: dict) -> dict:
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(cfg.get("run", {}).get("tolerances", {}))
-    return tol
+    given = cfg.get("run", {}).get("tolerances", {})
+    _require_keys(given, set(DEFAULT_TOLERANCES), "run.tolerances")
+    for name, value in given.items():
+        if not (type(value) is int or isinstance(value, float) and math.isfinite(value)):
+            raise ConfigError(f"run.tolerances.{name} must be a finite number, got {value!r}")
+    return {**DEFAULT_TOLERANCES, **given}
 
 
 def write_manifest(out: Path, cfg: dict, seed: int, tolerances: dict, extra: dict,
@@ -406,7 +410,7 @@ def run_solve(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
     diagnostics.update({"paths": paths, "seed": seed, "players": spec.n_players})
     (out / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2, sort_keys=True))
     failed = any(diagnostics[key] > tol[name] for key, name in SOLVE_GATES.items())
-    return int(failed), {}
+    return int(failed), {"grid_n": grid.n, "paths": paths}
 
 
 def run_converge(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
@@ -434,7 +438,8 @@ def run_converge(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
     bracket = (-1.4, -0.6) if iid else (-2.5, -1.5)
     slope = study.get("slope_mean", float("nan"))
     ok = bracket[0] <= slope <= bracket[1]
-    return 0 if ok else 1, {"slope_mean": slope, "bracket": bracket, "slope_ok": ok}
+    return 0 if ok else 1, {"slope_mean": slope, "bracket": bracket, "slope_ok": ok,
+                            "grid_n": grid.n, "paths": paths}
 
 
 def run_eps_nash(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
@@ -460,17 +465,19 @@ def run_eps_nash(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
     slope = fit_loglog_slope([r["N"] for r in rows], np.maximum(gaps, 1e-300)) \
         if len(rows) > 1 else float("nan")
     ok = (not np.isfinite(slope)) or slope <= -0.4
-    return 0 if ok else 1, {"gap_slope": slope, "slope_ok": bool(ok)}
+    return 0 if ok else 1, {"gap_slope": slope, "slope_ok": bool(ok), "grid_n": grid.n,
+                            "paths": paths}
 
 
 def run_validate(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
                  grid_n=None) -> tuple[int, dict]:
     grid = _grid_from(cfg, grid_n)
     spec = build_game_from_config(cfg, grid)
-    report = validation_report(spec, paths=max(4, min(paths, 16)), seed=seed, tolerances=tol)
+    paths = max(4, min(paths, 16))
+    report = validation_report(spec, paths=paths, seed=seed, tolerances=tol)
     out.mkdir(parents=True, exist_ok=True)
     (out / "validate.json").write_text(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if all(item["passed"] for item in report["checks"]) else 1, {}
+    return 0 if report["passed"] else 1, {"grid_n": grid.n, "paths": paths}
 
 
 def run_oracle_check(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
@@ -487,7 +494,7 @@ def run_oracle_check(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
     (out / "oracle.json").write_text(json.dumps(
         {"max_abs_diff": diff, "tolerance": tol["oracle"],
          "leaves": tree.n_leaves, "nodes": tree.total_nodes}, indent=2))
-    return 0 if diff <= tol["oracle"] else 1, {"oracle_diff": diff}
+    return 0 if diff <= tol["oracle"] else 1, {"oracle_diff": diff, "oracle_grid_n": grid.n}
 
 
 RUNNERS = {
@@ -512,11 +519,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="noise seed, at least 0")
     parser.add_argument("--grid-n", type=int, default=None, help="override grid point count")
     parser.add_argument("--oracle", action="store_true",
-                        help="also run the oracle comparison after the command")
+                        help="also run the oracle comparison after solve or validate")
     args = parser.parse_args(argv)
     keep_freed_heap()
 
     try:
+        if args.oracle and args.command in ("converge", "eps-nash"):
+            raise ConfigError(f"--oracle applies to solve and validate, not {args.command}")
         cfg = load_config(args.config)
         noise_cfg = cfg.get("noise", {})
         paths = args.paths if args.paths is not None \
@@ -531,9 +540,11 @@ def main(argv=None) -> int:
         commands = [args.command]
         if args.oracle and args.command != "oracle-check":
             commands.append("oracle-check")
+        extras = {}         # the sizes each command ran at, and its results
         for command in commands:
             code, extra = RUNNERS[command](cfg, tol, out, paths, seed, args.grid_n)
-            write_manifest(out, cfg, seed, tol, extra, run_record(started, usage))
+            extras.update(extra)
+            write_manifest(out, cfg, seed, tol, extras, run_record(started, usage))
             if code != 0:
                 break
     except ConfigError as exc:

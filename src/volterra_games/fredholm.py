@@ -66,8 +66,6 @@ class FredholmProblem:
             raise ShapeError("K and L live on different grids")
         if not (self.lam_eff > 0.0):
             raise InadmissibleKernel(f"lam_eff must be positive, got {self.lam_eff}")
-        if not (self.K.volterra and self.L.volterra):
-            raise InadmissibleKernel("K and L must be Volterra kernels")
         if self.K is self.L:
             return              # K + K^T is exactly symmetric: IEEE addition commutes
         sym = self.K.values + self.L.values.T

@@ -3,11 +3,12 @@
 Kernels G(t, s) vanish for s >= t (Volterra convention).  A kernel is stored
 as an n x n matrix of cell averages K[i, j] ~ (1/dt) * int_{t_j}^{t_j+dt}
 G(t_i, s) ds, strictly lower triangular, so that the induced integral
-operator acts on grid functions as (K f)[i] = sum_j K[i, j] f[j] dt.  Every
-id - dt K is then unit lower triangular, so triangular_inverse gives the
-resolvent's (id - dt K)^{-1}; fredholm builds its D_t factors' inverses with
-it too.  Adapted weights are strictly lower triangular as well, so the
-solver's products with them (lower_product) form only that triangle.
+operator acts on grid functions as (K f)[i] = sum_j K[i, j] f[j] dt.
+GridKernel refuses any other matrix, so every id - dt K is unit lower
+triangular: triangular_inverse gives the resolvent's (id - dt K)^{-1}, and
+fredholm builds its D_t factors' inverses with it too.  Adapted weights are
+strictly lower triangular as well, so the solver's products with them
+(lower_product) form only that triangle.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleKernel, InvalidGrid, ShapeError, SingularOperator
+from .errors import InadmissibleKernel, InvalidGrid, ShapeError
 
-SINGULAR_SV_TOL = 1e-10
 LU_LEAF = 32               # triangular blocks this small are inverted (or eliminated) directly
 TRI_BLOCK = 64             # column block of lower_product, row block of cut_upper
 _UPPER = np.triu(np.ones((TRI_BLOCK, TRI_BLOCK), dtype=bool))    # on and above the diagonal
@@ -57,7 +57,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridKernel:
-    """A discretized kernel: n x n matrix acting with quadrature weight dt.
+    """A discretized Volterra kernel: a strictly lower triangular n x n matrix
+    acting with quadrature weight dt; any other matrix raises InadmissibleKernel.
 
     Equality is identity, as for signals.CompiledSignal: comparing the arrays
     would be ambiguous.
@@ -65,12 +66,11 @@ class GridKernel:
     diag_half optionally stores the kernel's exact averages over the lower
     half of the diagonal cells, (2/dt^2) * int int_{t_j < s < t < t_j + dt}
     G(t, s); the strict lower triangle drops this mass, and definiteness
-    checks need it back (see check_nonneg_definite).
+    checks need it back (see symmetrized_form).
     """
 
     grid: TimeGrid
     values: np.ndarray
-    volterra: bool = True
     diag_half: np.ndarray | None = None
 
     def __post_init__(self):
@@ -79,8 +79,8 @@ class GridKernel:
             raise ShapeError(f"kernel values must be {self.grid.n} x {self.grid.n}, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise InadmissibleKernel("kernel has non-finite entries")
-        if self.volterra and _any_upper(v):
-            raise InadmissibleKernel("volterra kernel must be strictly lower triangular")
+        if _any_upper(v):
+            raise InadmissibleKernel("kernel must be strictly lower triangular")
         object.__setattr__(self, "values", _readonly(v))
         if self.diag_half is not None:
             d = np.asarray(self.diag_half, dtype=float)
@@ -92,7 +92,6 @@ class GridKernel:
         """Exact diagonal half-cell averages when known, else the nearest subdiagonal."""
         if self.diag_half is not None:
             return self.diag_half
-        n = self.grid.n
         sub = np.diagonal(self.values, -1)
         return np.concatenate([sub, sub[-1:]])
 
@@ -268,20 +267,16 @@ def apply(K: GridKernel, f: np.ndarray) -> np.ndarray:
     return K.values @ f * K.grid.dt
 
 
-def adjoint(K: GridKernel) -> GridKernel:
-    """Transposed kernel; the result is upper triangular, so volterra is cleared."""
-    return GridKernel(K.grid, K.values.T, volterra=False)
-
-
 def star_product(G: GridKernel, H: GridKernel) -> GridKernel:
     """(G * H)[i, j] = sum_k G[i, k] H[k, j] dt; Volterra is closed under it."""
     grid = _same_grid(G, H)
-    return GridKernel(grid, G.values @ H.values * grid.dt, volterra=G.volterra and H.volterra)
+    return GridKernel(grid, G.values @ H.values * grid.dt)
 
 
 def resolvent(K: GridKernel) -> GridKernel:
-    """R with R = K + K * R (equivalently (id - K)^{-1} = id + R)."""
-    return GridKernel(K.grid, invert_id_minus(K) @ K.values, volterra=K.volterra)
+    """R with R = K + K * R (equivalently (id - K)^{-1} = id + R): (id - dt K)^{-1} K."""
+    inverse = triangular_inverse(np.eye(K.grid.n) - K.grid.dt * K.values)
+    return GridKernel(K.grid, inverse @ K.values)
 
 
 def symmetrized_form(K: GridKernel) -> np.ndarray:
@@ -306,20 +301,13 @@ def min_eigenvalue(K: GridKernel) -> float:
     return float(np.linalg.eigvalsh(symmetrized_form(K))[0])
 
 
-def check_nonneg_definite(K: GridKernel, tol: float = 1e-8) -> bool:
-    """True iff the minimum eigenvalue of the symmetrized weighted form is >= -tol."""
-    return min_eigenvalue(K) >= -tol
-
-
-def triangular_inverse(T: np.ndarray, lower: bool = True, unit: bool = False) -> np.ndarray:
-    """Inverse of the lower (upper: via T^T) triangle of T, exactly zero off it.
+def triangular_inverse(T: np.ndarray, unit: bool = False) -> np.ndarray:
+    """Inverse of the lower triangle of T, exactly zero above it.
 
     [[A, 0], [C, B]]^{-1} = [[A^{-1}, 0], [-B^{-1} C A^{-1}, B^{-1}]] down to
     LU_LEAF rows, where np.linalg.inv is cut back to the triangle.  Only the
     triangle is read (unit=True: not its diagonal), so T may be a packed LU.
     """
-    if not lower:
-        return triangular_inverse(T.T, True, unit).T
     n = T.shape[0]
     if n <= LU_LEAF:
         leaf = np.tril(T, -1 if unit else 0)
@@ -328,8 +316,8 @@ def triangular_inverse(T: np.ndarray, lower: bool = True, unit: bool = False) ->
         return np.tril(np.linalg.inv(leaf))
     h = n // 2
     X = np.zeros((n, n))
-    X[:h, :h] = triangular_inverse(T[:h, :h], True, unit)
-    X[h:, h:] = triangular_inverse(T[h:, h:], True, unit)
+    X[:h, :h] = triangular_inverse(T[:h, :h], unit)
+    X[h:, h:] = triangular_inverse(T[h:, h:], unit)
     X[h:, :h] = -X[h:, h:] @ (T[h:, :h] @ X[:h, :h])
     return X
 
@@ -382,29 +370,17 @@ def lower_product(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
-def invert_id_minus(B: GridKernel) -> np.ndarray:
-    """The matrix (id - dt B)^{-1}: (id - B)^{-1} under the grid quadrature action."""
-    A = np.eye(B.grid.n) - B.grid.dt * B.values
-    if B.volterra:
-        return triangular_inverse(A)
-    if np.linalg.svd(A, compute_uv=False)[-1] <= SINGULAR_SV_TOL:
-        raise SingularOperator("id - dt*B is numerically singular")
-    return np.linalg.inv(A)
-
-
 def add_kernels(*terms: tuple[float, GridKernel]) -> GridKernel:
     """Entrywise linear combination sum_i coef_i * K_i; exact diagonals combine too."""
     coef0, K0 = terms[0]
     grid = K0.grid
     acc = coef0 * K0.values
-    volt = K0.volterra
     diag = coef0 * K0.diag_half if K0.diag_half is not None else None
     for coef, K in terms[1:]:
         _same_grid(K0, K)
         acc += coef * K.values
-        volt = volt and K.volterra
         diag = diag + coef * K.diag_half if (diag is not None and K.diag_half is not None) else None
-    return GridKernel(grid, acc, volterra=volt, diag_half=diag)
+    return GridKernel(grid, acc, diag_half=diag)
 
 
 def grid_inner(grid: TimeGrid, f: np.ndarray, g: np.ndarray) -> float:

@@ -190,7 +190,7 @@ def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
                 increments = pending.pop(order[k])
                 for s, out in zip(signals, values):
                     if order[k] in s.weights:
-                        s.add_tag_values(out, order[k], increments)
+                        out += s.tag_values(order[k], increments)
                 k += 1
             if tag in pending:      # still waiting: its buffer comes round again
                 pending[tag] = dW.copy()

@@ -122,8 +122,7 @@ def solve_linear_state(m_paths: np.ndarray, K: GridKernel, H: GridKernel) -> np.
     if m_paths.shape[1] != K.grid.n:
         raise ShapeError("state drivers do not match the grid")
     rk = resolvent(K)
-    rkh = resolvent(GridKernel(K.grid, K.values + H.values,
-                               volterra=K.volterra and H.volterra))
+    rkh = resolvent(GridKernel(K.grid, K.values + H.values))
     m_bar = m_paths.mean(axis=0)
     smooth = apply(H, m_bar) + apply(star_product(H, rkh), m_bar)
     out = np.empty_like(m_paths)
@@ -586,23 +585,18 @@ def build_advertising_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
     w_own = np.tril(np.ones((ext.n, ext.n)), k=-1)
     own_resp = w_own + apply(rk, w_own)
     smooth = apply_rk(apply_hop(w_own))
+
+    def response(scaled: dict) -> CompiledSignal:
+        """Goodwill driven by tag -> (n + 1)^2 response, without all-zero weights."""
+        return CompiledSignal(grid, np.zeros(n),
+                              {t: w[:n, :n] for t, w in scaled.items() if np.any(w)}, 0.0,
+                              {t: w[n, :n] for t, w in scaled.items() if np.any(w[n])})
+
+    # one mean-field signal that every player's goodwill shares, as systemic banks do
+    mean_field = response({f"adv{l}": (sigma[l] / N) * smooth for l in range(N)})
     d_signals, s_terms = [], []
     for i in range(N):
-        weights = {}
-        for l in range(N):
-            w = (sigma[l] / N) * smooth
-            if l == i:
-                w = w + sigma[i] * own_resp
-            if np.any(w):
-                weights[f"adv{l}"] = w[:n, :n]
-        weights_T = {}
-        for l in range(N):
-            w = (sigma[l] / N) * smooth[n]
-            if l == i:
-                w = w + sigma[i] * own_resp[n]
-            if np.any(w):
-                weights_T[f"adv{l}"] = w[:n]
-        goodwill = CompiledSignal(grid, np.zeros(n), weights, mean_T=0.0, weights_T=weights_T)
+        goodwill = mean_field + response({f"adv{i}": sigma[i] * own_resp})
         d_signals.append((goodwill, deterministic(grid, 0.0, terminal=0.0)))
         s_terms.append(TerminalVector(np.array([beta, 0.0]), {}))
 

@@ -97,8 +97,6 @@ class GameSpec:
         for name, K in (("A1", self.a1), ("A2hat", self.a2hat), ("A3", self.a3)):
             if K.grid != self.grid:
                 raise ShapeError(f"{name} lives on a different grid")
-            if not K.volterra:
-                raise InadmissibleKernel(f"{name} must be a Volterra kernel")
         if self.kernel_check == "strict":
             for name, K in (("A1", self.a1), ("A2hat", self.a2hat), ("A3", self.a3)):
                 low = self.margins[f"min_eig_{name}"] = min_eigenvalue(K)

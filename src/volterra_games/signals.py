@@ -139,7 +139,7 @@ class CompiledSignal:
         """
         out = np.broadcast_to(self.mean, (n_paths, self.grid.n)).copy()
         for tag in sorted(self.weights):
-            self.add_tag_values(out, tag, increments[tag])
+            out += self.tag_values(tag, increments[tag])
         return out
 
     def tag_values(self, tag, increments: np.ndarray) -> np.ndarray:
@@ -149,10 +149,6 @@ class CompiledSignal:
         that adds them in that order gets path_values bitwise.
         """
         return increments @ cut_upper(self.weights[tag].copy()).T
-
-    def add_tag_values(self, out: np.ndarray, tag, increments: np.ndarray) -> None:
-        """Add one tag's part of the adapted values (tag_values) to out."""
-        out += self.tag_values(tag, increments)
 
     def part(self, tag=None) -> CompiledSignal:
         """The mean alone (tag None), or tag's weights alone on a zero mean.

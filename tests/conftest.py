@@ -53,7 +53,7 @@ def mask_from(K: GridKernel, t_index: int) -> GridKernel:
     if K.diag_half is not None:
         diag = K.diag_half.copy()
         diag[:t_index] = 0.0
-    return GridKernel(K.grid, vals, volterra=K.volterra, diag_half=diag)
+    return GridKernel(K.grid, vals, diag_half=diag)
 
 
 def condition_number(solver, k: int) -> float:

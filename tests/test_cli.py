@@ -142,6 +142,16 @@ class TestConfigErrors:
         ("solve", {"model": {**WORKED["systemic"], "N": 3.5}}, []),
         ("solve", {"model": {**WORKED["liquidation"], "N": 2.5}}, []),
         ("solve", {"model": {**WORKED["advertising"], "N": True}}, []),
+        # run.tolerances once went unchecked: 5 ended in a TypeError (exit 1), and a
+        # misspelled key ran with the gate the user meant left at its default (exit 0)
+        ("solve", {"run": {"tolerances": 5}}, []),
+        ("solve", {"run": {"tolerances": {"fredholm_residul": 0.0}}}, []),
+        ("solve", {"run": {"tolerances": {"foc_residual": "1e-8"}}}, []),
+        ("solve", {"run": {"tolerances": {"foc_residual": None}}}, []),
+        ("solve", {"run": {"tolerances": {"foc_residual": True}}}, []),
+        ("validate", {"run": {"tolerances": {"admissibility": float("nan")}}}, []),
+        ("solve", {"run": {"tolerances": {"mean_consistency": float("inf")}}}, []),
+        ("solve", {"run": {"tolerances": {"oracle": [1e-8]}}}, []),
     ], ids=["grid-not-object", "T-not-number", "n-1", "grid-n-1", "grid-n-0",
             "paths-not-integer", "N-not-integer", "raw-lam-missing", "mfg-lam-missing",
             "mfg-lam-negative", "mfg-alpha-0.9", "Ns-not-list", "combination-empty",
@@ -151,7 +161,9 @@ class TestConfigErrors:
             "eps-nash-seed-negative", "N-fractional", "grid-n-fractional",
             "noise-paths-fractional", "noise-seed-fractional", "noise-paths-bool", "Ns-bool",
             "Ns-fractional", "systemic-N-fractional", "liquidation-N-fractional",
-            "advertising-N-bool"])
+            "advertising-N-bool", "tolerances-not-object", "tolerance-misspelled",
+            "tolerance-string", "tolerance-null", "tolerance-bool", "tolerance-nan",
+            "tolerance-inf", "tolerance-list"])
     def test_malformed_value_exits_2(self, tmp_path, command, overrides, argv):
         game = command in ("solve", "validate", "oracle-check")
         cfg = {"grid": {"T": 1.0, "n": 12}, "noise": {"paths": 6, "seed": 3},
@@ -159,6 +171,12 @@ class TestConfigErrors:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o"), *argv]) == 2
+
+    def test_integer_tolerance_is_a_number(self, tmp_path):
+        p = write_cfg(tmp_path, RAW_MODEL, run={"tolerances": {"foc_residual": 1}})
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(p), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["tolerances"]["foc_residual"] == 1
 
     def test_integral_floats_are_integers(self, tmp_path):
         p = write_cfg(tmp_path, RAW_MODEL, name="int.json")
@@ -450,6 +468,41 @@ class TestOracleFlag:
         assert (out / "strategies.csv").exists()
         assert (out / "oracle.json").exists()
 
+    @pytest.mark.parametrize("command", ["converge", "eps-nash"])
+    def test_refused_for_mean_field_studies(self, tmp_path, command):
+        # the oracle needs a finite game: these once wrote their table, then exited 2
+        p = write_cfg(tmp_path, MFG_MODEL, grid={"T": 1.0, "n": 8}, run={"Ns": [2, 4]})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out), "--oracle"]) == 2
+        assert not out.exists()
+
+
+class TestManifestSizes:
+    """manifest.json records the grid size and path count a run used, not the config's."""
+
+    BALANCED = {**MFG_MODEL, "player_kind": "balanced", "amplitude": 0.5}
+    BALANCED.pop("sigma")
+
+    @pytest.mark.parametrize("command, model, argv, expect", [
+        ("solve", RAW_MODEL, [], {"grid_n": 12, "paths": 6}),
+        ("solve", RAW_MODEL, ["--grid-n", "32", "--paths", "3"], {"grid_n": 32, "paths": 3}),
+        ("validate", RAW_MODEL, ["--paths", "40"], {"grid_n": 12, "paths": 16}),
+        ("oracle-check", RAW_MODEL, [], {"oracle_grid_n": 8}),
+        ("solve", RAW_MODEL, ["--oracle", "--grid-n", "10"],
+         {"grid_n": 10, "paths": 6, "oracle_grid_n": 8}),
+        ("eps-nash", MFG_MODEL, ["--grid-n", "8", "--paths", "4"], {"grid_n": 8, "paths": 4}),
+        # no noise tag at all: one path is exact, whatever the config asks for
+        ("converge", BALANCED, ["--grid-n", "16"], {"grid_n": 16, "paths": 1}),
+    ], ids=["config", "overrides", "validate-cap", "oracle-shrink", "solve-oracle",
+            "eps-nash", "converge-deterministic"])
+    def test_effective_sizes(self, tmp_path, command, model, argv, expect):
+        p = write_cfg(tmp_path, model, run={"Ns": [2, 4]} if model["kind"] == "mfg" else None)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out), *argv]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert {key: man.get(key) for key in expect} == expect
+        assert man["config"]["grid"]["n"] == 12      # the echo stays the config as read
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("config, command", SHIPPED)
@@ -496,6 +549,8 @@ class TestInProcessReruns:
         # the run block's figures differ, its size does not
         sizes = {(out / "manifest.json").stat().st_size for out in outs}
         assert len(sizes) == 1
+        assert all(json.loads((out / "manifest.json").read_text())["grid_n"] == grid_n
+                   for out in outs)
 
 
 # the third of three in-process solves: minor page faults it takes

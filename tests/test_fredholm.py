@@ -17,7 +17,6 @@ from volterra_games.grid_ops import (
     ExponentialDecay,
     GridKernel,
     PowerLaw,
-    adjoint,
     build_grid,
     discretize_kernel,
     zero_kernel,
@@ -75,7 +74,7 @@ def block_cores(n):
 
 def check_block_definition(n):
     """Li_k @ Ui_k inverts the trailing block of lam id + dt(mask_from(K,k) +
-    adjoint(mask_from(L,k))) for every k, on an SPD core, a symmetric
+    mask_from(L,k)^T) for every k, on an SPD core, a symmetric
     indefinite core and a non-symmetric core; pivots, min_pivot and cond1 agree.
     """
     rng = np.random.default_rng(4)
@@ -87,7 +86,7 @@ def check_block_definition(n):
             assert (np.linalg.eigvalsh(core).min() < 0) == (name == "indefinite")
         for k in range(n):
             D = lam * np.eye(n) + g.dt * (mask_from(Kc, k).values
-                                          + adjoint(mask_from(Lc, k)).values)
+                                          + mask_from(Lc, k).values.T)
             y = rng.standard_normal(n)
             inv_k = solver._Li[k:, k:] @ solver._Ui[k:, k:]
             exact = np.linalg.inv(core[k:, k:])

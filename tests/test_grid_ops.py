@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from volterra_games.errors import InadmissibleKernel, InvalidGrid, ShapeError, SingularOperator
+from volterra_games.errors import InadmissibleKernel, InvalidGrid, ShapeError
 from volterra_games.grid_ops import (
     ConstantLower,
     DelayIndicator,
@@ -12,16 +12,13 @@ from volterra_games.grid_ops import (
     PowerLaw,
     Tabulated,
     ZeroK,
-    adjoint,
     apply,
     build_grid,
-    check_nonneg_definite,
     cut_upper,
     discretize_kernel,
     discretize_kernel_rows,
-    grid_inner,
-    invert_id_minus,
     lower_product,
+    min_eigenvalue,
     resolvent,
     star_product,
     symmetrized_form,
@@ -181,36 +178,6 @@ class TestApply:
         with pytest.raises(ShapeError):
             apply(zero_kernel(g), np.ones(9))
 
-    def test_adjoint_pairing_random(self):
-        rng = np.random.default_rng(7)
-        g = build_grid(1.0, 32)
-        K = discretize_kernel(ExponentialDecay(c=1.3, rho=0.7), g)
-        Kt = adjoint(K)
-        for _ in range(100):
-            f = rng.standard_normal(32)
-            h = rng.standard_normal(32)
-            lhs = grid_inner(g, f, apply(K, h))
-            rhs = grid_inner(g, apply(Kt, f), h)
-            assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(f) * np.linalg.norm(h)
-
-
-class TestAdjoint:
-    def test_involution(self):
-        rng = np.random.default_rng(0)
-        g = build_grid(1.0, 12)
-        K = rand_lower(g, rng)
-        back = adjoint(adjoint(K))
-        assert np.array_equal(back.values, K.values)
-
-    def test_zero(self):
-        g = build_grid(1.0, 6)
-        assert np.all(adjoint(zero_kernel(g)).values == 0.0)
-
-    def test_clears_volterra_flag(self):
-        g = build_grid(1.0, 6)
-        K = discretize_kernel(ConstantLower(), g)
-        assert not adjoint(K).volterra
-
 
 class TestStarProduct:
     def test_zero_annihilates(self):
@@ -239,7 +206,6 @@ class TestStarProduct:
         g = build_grid(1.0, 10)
         for _ in range(20):
             P = star_product(rand_lower(g, rng), rand_lower(g, rng))
-            assert P.volterra
             assert np.all(np.triu(P.values) == 0.0)
 
     def test_grid_mismatch(self):
@@ -270,10 +236,11 @@ class TestResolvent:
         assert np.max(np.abs(np.tril(R.values, -1) - exact)) <= 5e-2
 
     def test_singular_non_volterra(self):
+        # dt K = id would make id - dt K singular; it is not a Volterra kernel and is refused,
+        # so every resolvent inverts a unit lower triangular matrix
         g = build_grid(1.0, 4)
-        K = GridKernel(g, np.eye(4) / g.dt, volterra=False)
-        with pytest.raises(SingularOperator):
-            resolvent(K)
+        with pytest.raises(InadmissibleKernel):
+            GridKernel(g, np.eye(4) / g.dt)
 
 
 class TestMask:
@@ -301,24 +268,24 @@ class TestMask:
 
 class TestNonnegDefinite:
     def test_zero_true(self):
-        assert check_nonneg_definite(zero_kernel(build_grid(1.0, 8)))
+        assert min_eigenvalue(zero_kernel(build_grid(1.0, 8))) >= -1e-8
 
     def test_exponential_decay_true(self):
         g = build_grid(1.0, 64)
-        assert check_nonneg_definite(discretize_kernel(ExponentialDecay(c=1.0, rho=1.0), g))
+        assert min_eigenvalue(discretize_kernel(ExponentialDecay(c=1.0, rho=1.0), g)) >= -1e-8
 
     def test_admissible_families_pass(self):
         g = build_grid(1.0, 64)
         for spec in (ConstantLower(c=1.0), ExponentialDecay(c=2.0, rho=5.0),
                      PowerLaw(c=1.0, alpha=0.3), PowerLaw(c=1.0, alpha=0.49),
                      DelayIndicator(tau=1.5)):
-            assert check_nonneg_definite(discretize_kernel(spec, g)), spec
+            assert min_eigenvalue(discretize_kernel(spec, g)) >= -1e-8, spec
 
     def test_negative_entry_fails(self):
         g = build_grid(1.0, 4)
         V = np.zeros((4, 4))
         V[1, 0] = -5.0
-        assert not check_nonneg_definite(GridKernel(g, V))
+        assert min_eigenvalue(GridKernel(g, V)) < -1e-8
 
     def test_delay_pulse_inside_horizon_is_indefinite(self):
         # tau < T: numerically not nonnegative definite, stable under refinement
@@ -327,13 +294,18 @@ class TestNonnegDefinite:
             K = discretize_kernel(DelayIndicator(tau=0.5), g)
             low = np.linalg.eigvalsh(symmetrized_form(K))[0]
             assert low < -1e-2
-            assert not check_nonneg_definite(K)
+            assert min_eigenvalue(K) < -1e-8
+
+
+def id_plus_resolvent(K):
+    """The matrix id + dt R = (id - dt K)^{-1}: (id - K)^{-1} under the grid quadrature action."""
+    return np.eye(K.grid.n) + K.grid.dt * resolvent(K).values
 
 
 class TestInvertIdMinus:
     def test_zero_is_identity(self):
         g = build_grid(1.0, 8)
-        h = invert_id_minus(zero_kernel(g))
+        h = id_plus_resolvent(zero_kernel(g))
         a = np.arange(8.0)
         assert np.array_equal(h @ a, a)
         assert np.all(h @ np.zeros(8) == 0.0)
@@ -343,42 +315,39 @@ class TestInvertIdMinus:
         errs = {}
         for n in (128, 256):
             g = build_grid(1.0, n)
-            h = invert_id_minus(discretize_kernel(ConstantLower(c=-1.0), g))
+            h = id_plus_resolvent(discretize_kernel(ConstantLower(c=-1.0), g))
             errs[n] = np.max(np.abs(h @ np.ones(n) - np.exp(-g.times)))
         assert errs[256] <= 5e-2
         assert 1.5 <= errs[128] / errs[256] <= 2.5
 
-    def test_singular_dense(self):
-        g = build_grid(1.0, 2)
-        B = GridKernel(g, np.eye(2) / g.dt, volterra=False)
-        with pytest.raises(SingularOperator):
-            invert_id_minus(B)
-
 
 class TestTriangularInverse:
     @pytest.mark.parametrize("n", [1, 2, LU_LEAF - 1, LU_LEAF, LU_LEAF + 1, 100, 512])
-    @pytest.mark.parametrize("lower", [True, False])
-    def test_inverse_and_exact_zeros(self, n, lower):
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_inverse_and_exact_zeros(self, n, unit):
         rng = np.random.default_rng(n)
         # unit-scale diagonal, off-diagonal entries small enough to keep it well conditioned
         T = rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
+        T = np.tril(T)
         T[np.diag_indices(n)] = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
-        T = np.tril(T) if lower else np.triu(T)
-        X = triangular_inverse(T, lower=lower)
+        if unit:
+            T[np.diag_indices(n)] = 1.0
+        X = triangular_inverse(T, unit=unit)
         assert np.max(np.abs(T @ X - np.eye(n))) <= 1e-12
-        off = np.triu(X, 1) if lower else np.tril(X, -1)
-        assert np.all(off == 0.0)
+        assert np.all(np.triu(X, 1) == 0.0)
 
-    @pytest.mark.parametrize("lower", [True, False])
-    def test_reads_only_the_triangle(self, lower):
-        # packed LU storage: the other triangle and, with unit=True, the diagonal are ignored
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_reads_only_the_triangle(self, unit):
+        # packed LU storage: the upper triangle and, with unit=True, the diagonal are ignored
         n = 3 * LU_LEAF + 5
         rng = np.random.default_rng(7)
         packed = rng.standard_normal((n, n)) / (2.0 * np.sqrt(n))
-        T = np.tril(packed, -1) if lower else np.triu(packed, 1)
-        T[np.diag_indices(n)] = 1.0
-        X = triangular_inverse(packed, lower=lower, unit=True)
-        assert np.array_equal(X, triangular_inverse(T, lower=lower))
+        packed[np.diag_indices(n)] += 1.5
+        T = np.tril(packed, -1 if unit else 0)
+        if unit:
+            T[np.diag_indices(n)] = 1.0
+        X = triangular_inverse(packed, unit=unit)
+        assert np.array_equal(X, triangular_inverse(T))
         assert np.max(np.abs(T @ X - np.eye(n))) <= 1e-12
 
 

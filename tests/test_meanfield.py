@@ -560,16 +560,16 @@ class TestStreamedNoise:
 
     def test_caller_failure_ends_the_helper(self, grid16, monkeypatch):
         spec, ns, noise = study_case("iid", grid16)
-        real = CompiledSignal.add_tag_values
+        real = CompiledSignal.tag_values
         calls = []
 
-        def failing(self, out, tag, increments):
+        def failing(self, tag, increments):
             calls.append(tag)
             if len(calls) == 5:
                 raise MemoryError("accumulator")
-            real(self, out, tag, increments)
+            return real(self, tag, increments)
 
-        monkeypatch.setattr(CompiledSignal, "add_tag_values", failing)
+        monkeypatch.setattr(CompiledSignal, "tag_values", failing)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="accumulator"):
             convergence_study(spec, ns, noise, player_paths=0)
