@@ -122,7 +122,24 @@ def parse_kernel(obj, grid: TimeGrid, context: str = "kernel"):
     raise ConfigError(f"unknown kernel family {fam!r} in {context}")
 
 
-def parse_signal(obj, grid: TimeGrid, idio_tag: str, context: str = "signal") -> CompiledSignal:
+def _on_grid(values, grid: TimeGrid, listed_n) -> list | np.ndarray:
+    """Listed signal values as floats, on the run's grid.
+
+    A list of exactly listed_n (the config's grid.n) entries, on a run whose n
+    differs (--grid-n, oracle-check's n = 8), is interpolated linearly over
+    t_k = k T / listed_n onto the run's grid, held constant past its last
+    point.  Any other list is returned as given, for deterministic() to check.
+    """
+    vals = [float(v) for v in np.atleast_1d(values)]
+    if len(vals) in (1, grid.n) or len(vals) != listed_n:
+        return vals
+    return np.interp(grid.times, build_grid(grid.horizon, len(vals)).times, vals)
+
+
+def parse_signal(obj, grid: TimeGrid, idio_tag: str, context: str = "signal",
+                 listed_n=None) -> CompiledSignal:
+    """The signal obj describes, on grid; inline values listed on a grid of
+    listed_n points are moved onto it (_on_grid)."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise ConfigError(f"{context} must be an object with a 'family' key")
     fam = obj["family"]
@@ -135,7 +152,7 @@ def parse_signal(obj, grid: TimeGrid, idio_tag: str, context: str = "signal") ->
         if vals is None:
             raise ConfigError(f"{context}: deterministic signal needs 'values' or affine kind")
         term = obj.get("terminal")
-        return deterministic(grid, [float(v) for v in np.atleast_1d(vals)],
+        return deterministic(grid, _on_grid(vals, grid, listed_n),
                              terminal=None if term is None else float(term))
     noise = obj.get("noise", "idiosyncratic")
     tag = "common" if noise == "common" else idio_tag
@@ -150,7 +167,8 @@ def parse_signal(obj, grid: TimeGrid, idio_tag: str, context: str = "signal") ->
         _require_keys(obj, {"family", "terms"}, context)
         if not obj["terms"]:
             raise ConfigError(f"{context}: a combination needs at least one term")
-        return sum(float(c) * parse_signal(s, grid, idio_tag, context) for c, s in obj["terms"])
+        return sum(float(c) * parse_signal(s, grid, idio_tag, context, listed_n)
+                   for c, s in obj["terms"])
     raise ConfigError(f"unknown signal family {fam!r} in {context}")
 
 
@@ -184,6 +202,7 @@ def build_mfg_from_config(cfg: dict, grid: TimeGrid) -> MFGSpec:
 def _build_game(cfg: dict, grid: TimeGrid):
     model = cfg["model"]
     kind = model.get("kind")
+    listed_n = cfg["grid"].get("n")
     if kind == "raw":
         _require_keys(model, {"kind", "N", "lam", "a1", "a2hat", "a3", "b", "b0"}, "model")
         N = integer_field(model["N"], "model.N")
@@ -196,9 +215,9 @@ def _build_game(cfg: dict, grid: TimeGrid):
             a1=discretize_kernel(parse_kernel(model["a1"], grid, "a1"), grid),
             a2hat=discretize_kernel(parse_kernel(model["a2hat"], grid, "a2hat"), grid),
             a3=discretize_kernel(parse_kernel(model["a3"], grid, "a3"), grid),
-            b_signals=tuple(parse_signal(s, grid, f"idio{i}", f"b[{i}]")
+            b_signals=tuple(parse_signal(s, grid, f"idio{i}", f"b[{i}]", listed_n)
                             for i, s in enumerate(b_list)),
-            b0_signal=parse_signal(model["b0"], grid, "common", "b0"),
+            b0_signal=parse_signal(model["b0"], grid, "common", "b0", listed_n),
             grid=grid,
         )
     if kind == "liquidation":
@@ -230,12 +249,13 @@ def _build_mfg(cfg: dict, grid: TimeGrid) -> MFGSpec:
     model = cfg["model"]
     _require_keys(model, {"kind", "lam", "a1", "a2hat", "a3", "b0", "player_base",
                           "player_kind", "amplitude", "shape", "sigma"}, "model")
-    base = parse_signal(model["player_base"], grid, "idio_base", "player_base")
+    listed_n = cfg["grid"].get("n")
+    base = parse_signal(model["player_base"], grid, "idio_base", "player_base", listed_n)
     pk = model.get("player_kind", "balanced")
     if pk == "balanced":
         shape = model.get("shape")
         shape = np.sin(np.pi * grid.times / grid.horizon) if shape is None \
-            else [float(s) for s in shape]
+            else _on_grid(shape, grid, listed_n)
         family = BalancedDeterministicFamily(base=base,
                                              amplitude=float(model.get("amplitude", 0.5)),
                                              shape=deterministic(grid, shape))
@@ -252,7 +272,7 @@ def _build_mfg(cfg: dict, grid: TimeGrid) -> MFGSpec:
         a3=discretize_kernel(parse_kernel(model["a3"], grid, "a3"), grid),
         beta=beta,
         beta0=deterministic(grid, 0.0),
-        b0_signal=parse_signal(model["b0"], grid, "common", "b0"),
+        b0_signal=parse_signal(model["b0"], grid, "common", "b0", listed_n),
         grid=grid,
         b_infty=base,
         player_family=family,
@@ -407,7 +427,8 @@ def run_solve(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
             for label, m, sd in zip(labels, means[k], stds[k]):
                 w.writerow([f"{t:.12g}", label, f"{m:.12g}", f"{sd:.12g}"])
     diagnostics = dict(sol.diagnostics)
-    diagnostics.update({"paths": paths, "seed": seed, "players": spec.n_players})
+    diagnostics.update({"grid_n": grid.n, "paths": paths, "seed": seed,
+                        "players": spec.n_players})
     (out / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2, sort_keys=True))
     failed = any(diagnostics[key] > tol[name] for key, name in SOLVE_GATES.items())
     return int(failed), {"grid_n": grid.n, "paths": paths}

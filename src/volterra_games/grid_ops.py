@@ -8,7 +8,8 @@ GridKernel refuses any other matrix, so every id - dt K is unit lower
 triangular: triangular_inverse gives the resolvent's (id - dt K)^{-1}, and
 fredholm builds its D_t factors' inverses with it too.  Adapted weights are
 strictly lower triangular as well, so the solver's products with them
-(lower_product) form only that triangle.
+(lower_product) form only that triangle, and read only the nonzero triangle
+of a triangular left factor.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import InadmissibleKernel, InvalidGrid, ShapeError
 
 LU_LEAF = 32               # triangular blocks this small are inverted (or eliminated) directly
-TRI_BLOCK = 64             # column block of lower_product, row block of cut_upper
+TRI_BLOCK = 64             # column block and row band of lower_product, row block of cut_upper
 _UPPER = np.triu(np.ones((TRI_BLOCK, TRI_BLOCK), dtype=bool))    # on and above the diagonal
 
 
@@ -297,7 +298,12 @@ def symmetrized_form(K: GridKernel) -> np.ndarray:
 
 
 def min_eigenvalue(K: GridKernel) -> float:
-    """The minimum eigenvalue of K's symmetrized weighted form (symmetrized_form)."""
+    """The minimum eigenvalue of K's symmetrized weighted form (symmetrized_form).
+
+    The zero kernel's form is the zero matrix: its 0.0 needs no eigensolver.
+    """
+    if not (K.values.any() or K.diagonal_estimate().any()):
+        return 0.0
     return float(np.linalg.eigvalsh(symmetrized_form(K))[0])
 
 
@@ -347,7 +353,7 @@ def _any_upper(a: np.ndarray) -> bool:
     return False
 
 
-def lower_product(A: np.ndarray, W: np.ndarray) -> np.ndarray:
+def lower_product(A: np.ndarray, W: np.ndarray, triangle: str | None = None) -> np.ndarray:
     """tril(A @ tril(W, -1), -1), formed one column block at a time.
 
     Column block [j, k) of the product reads only rows >= j of A and W, so it
@@ -356,17 +362,38 @@ def lower_product(A: np.ndarray, W: np.ndarray) -> np.ndarray:
     multiply-adds instead of n^3, and at n <= TRI_BLOCK the single GEMM A @ W.
     A may be any (n, n) matrix; only W's strictly lower triangle is read, and
     the result is exactly zero on and above the diagonal.
+
+    triangle="upper" or "lower" says that A is triangular, and only that
+    triangle of A is read.  Each column block then splits into row bands
+    [r, s) of TRI_BLOCK rows, and a band is one GEMM with only A's nonzero
+    part, A[r:s, r:] (upper) or A[r:s, j:s] (lower), read from a copy of the
+    band whose diagonal block is cut to the triangle: n^3/6 multiply-adds,
+    and at n <= TRI_BLOCK the single GEMM, with the cut copy for A.
     """
     n = W.shape[0]
     out = np.zeros((n, n))
+    upper_A = triangle == "upper"
+    bands = []                # A's row bands, each diagonal block cut to the triangle
+    if triangle is not None:
+        cut = ~_UPPER if upper_A else ~_UPPER.T
+        for r in range(0, n, TRI_BLOCK):
+            m = min(TRI_BLOCK, n - r)
+            band = np.array(A[r:r + m, r:] if upper_A else A[r:r + m, :r + m])
+            np.copyto(band[:, :m] if upper_A else band[:, r:], 0.0, where=cut[:m, :m])
+            bands.append(band)
     for j in range(0, n, TRI_BLOCK):
         k = min(j + TRI_BLOCK, n)
         upper = _UPPER[:k - j, :k - j]
         w = W[j:, j:k].copy()
         w[:k - j][upper] = 0.0
-        block = out[j:, j:k]
-        np.matmul(A[j:, j:], w, out=block)
-        block[:k - j][upper] = 0.0
+        if triangle is None:
+            np.matmul(A[j:, j:], w, out=out[j:, j:k])
+        for r, band in zip(range(j, n, TRI_BLOCK), bands[j // TRI_BLOCK:]):
+            if upper_A:
+                np.matmul(band, w[r - j:], out=out[r:r + len(band), j:k])
+            else:
+                np.matmul(band[:, j:], w[:r + len(band) - j], out=out[r:r + len(band), j:k])
+        out[j:k, j:k][upper] = 0.0
     return out
 
 

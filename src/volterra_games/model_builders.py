@@ -25,7 +25,6 @@ from .grid_ops import (
     apply,
     discretize_kernel,
     discretize_kernel_rows,
-    min_eigenvalue,
     resolvent,
     star_product,
 )
@@ -344,17 +343,17 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
         b_signals.append(b_i)
         b0_extras.append(rest if np.any(rest.mean) or rest.weights else None)
 
-    low = min_eigenvalue(a2hat)
-    if low < -(vspec.p + 1e-8):
-        raise InadmissibleKernel(
-            f"assembled instantaneous cost loses definiteness: min eig {low:.3e} < -p")
-
-    return GameSpec(
+    spec = GameSpec(
         n_players=N, lam=vspec.p, a1=a1, a2hat=a2hat, a3=a3,
         b_signals=tuple(b_signals), b0_signal=b0, grid=grid,
         c_constants=tuple(c_consts), kernel_check="concave",
         b0_extras=tuple(b0_extras),
     )
+    low = spec.margins["min_eig_A2hat"]
+    if low < -(vspec.p + 1e-8):
+        raise InadmissibleKernel(
+            f"assembled instantaneous cost loses definiteness: min eig {low:.3e} < -p")
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,8 @@ class GameSpec:
     required, which is what strict concavity of the objective needs.
     margins keeps the minimum eigenvalue of each form the check tests:
     min_eig_A1, min_eig_A2hat and min_eig_A3 ("strict") or min_eig_player_form
-    ("concave").
+    ("concave", with min_eig_A2hat, which model_builders.reduce_volterra_game
+    checks against -lam).  Kept here, the margins survive dataclasses.replace.
     """
 
     n_players: int
@@ -106,6 +107,7 @@ class GameSpec:
             N = self.n_players
             hess = add_kernels((1.0 / N ** 2, self.a1), (2.0 / N, self.a3), (1.0, self.a2hat))
             low = self.margins["min_eig_player_form"] = min_eigenvalue(hess)
+            self.margins["min_eig_A2hat"] = min_eigenvalue(self.a2hat)
             if low < -(self.lam + ADMISSIBILITY_TOL):
                 raise InadmissibleKernel(
                     f"player quadratic form loses concavity: min eig {low:.3e} < -lam")

@@ -483,6 +483,13 @@ class TestManifestSizes:
     BALANCED = {**MFG_MODEL, "player_kind": "balanced", "amplitude": 0.5}
     BALANCED.pop("sigma")
 
+    @pytest.mark.parametrize("argv, n", [([], 12), (["--grid-n", "20"], 20)])
+    def test_diagnostics_record_the_grid(self, tmp_path, argv, n):
+        p = write_cfg(tmp_path, RAW_MODEL)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(p), "--out", str(out), *argv]) == 0
+        assert json.loads((out / "diagnostics.json").read_text())["grid_n"] == n
+
     @pytest.mark.parametrize("command, model, argv, expect", [
         ("solve", RAW_MODEL, [], {"grid_n": 12, "paths": 6}),
         ("solve", RAW_MODEL, ["--grid-n", "32", "--paths", "3"], {"grid_n": 32, "paths": 3}),
@@ -502,6 +509,54 @@ class TestManifestSizes:
         man = json.loads((out / "manifest.json").read_text())
         assert {key: man.get(key) for key in expect} == expect
         assert man["config"]["grid"]["n"] == 12      # the echo stays the config as read
+
+
+class TestListedSignalsOnAnotherGrid:
+    """Inline values list the config's grid; a run on another n interpolates them."""
+
+    T, N = 1.0, 64
+    LISTED = np.cos(3.0 * np.arange(N) / N).tolist()
+
+    def raw_cfg(self, tmp_path, values):
+        model = {**RAW_MODEL, "b0": {"family": "deterministic", "values": values}}
+        return write_cfg(tmp_path, model, grid={"T": self.T, "n": self.N})
+
+    def test_the_listed_grid_takes_the_values_as_given(self, tmp_path):
+        cfg = json.loads(self.raw_cfg(tmp_path, self.LISTED).read_text())
+        spec = build_game_from_config(cfg, build_grid(self.T, self.N))
+        assert spec.b0_signal.mean.tolist() == self.LISTED
+
+    @pytest.mark.parametrize("n", [8, 32, 100])
+    def test_values_are_interpolated_onto_the_run_grid(self, tmp_path, n):
+        cfg = json.loads(self.raw_cfg(tmp_path, self.LISTED).read_text())
+        grid = build_grid(self.T, n)
+        spec = build_game_from_config(cfg, grid)
+        listed_t = np.arange(self.N) * (self.T / self.N)
+        assert np.array_equal(spec.b0_signal.mean, np.interp(grid.times, listed_t, self.LISTED))
+
+    @pytest.mark.parametrize("command, argv", [("solve", ["--grid-n", "32", "--paths", "3"]),
+                                               ("oracle-check", [])])
+    def test_resized_runs_succeed(self, tmp_path, command, argv):
+        p = self.raw_cfg(tmp_path, self.LISTED)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o"), *argv]) == 0
+
+    def test_any_other_length_is_a_config_error(self, tmp_path):
+        p = self.raw_cfg(tmp_path, self.LISTED[:-1])
+        out = str(tmp_path / "o")
+        assert main(["solve", "--config", str(p), "--out", out, "--grid-n", "32"]) == 2
+
+    def test_mean_field_shape_is_interpolated(self, tmp_path):
+        model = {**MFG_MODEL, "player_kind": "balanced", "amplitude": 0.5,
+                 "shape": self.LISTED}
+        model.pop("sigma")
+        cfg = json.loads(write_cfg(tmp_path, model, grid={"T": self.T, "n": self.N})
+                         .read_text())
+        base = cli.build_mfg_from_config(cfg, build_grid(self.T, self.N)).player_family
+        grid = build_grid(self.T, 16)
+        family = cli.build_mfg_from_config(cfg, grid).player_family
+        listed_t = np.arange(self.N) * (self.T / self.N)
+        assert base.shape.mean.tolist() == self.LISTED
+        assert np.array_equal(family.shape.mean, np.interp(grid.times, listed_t, self.LISTED))
 
 
 class TestShippedConfigs:

@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from volterra_games.fredholm import (
     LU_LEAF,
     FredholmProblem,
     FredholmSolver,
+    _lu_inplace,
     build_Dt,
     stability_gap,
 )
@@ -21,7 +24,8 @@ from volterra_games.grid_ops import (
     discretize_kernel,
     zero_kernel,
 )
-from volterra_games.nplayer import conditional_surfaces
+from volterra_games.cli import build_game_from_config
+from volterra_games.nplayer import build_operators, conditional_surfaces
 from volterra_games.signals import CompiledSignal, draw_noise, martingale, ou
 
 from conftest import cond1, condition_number, mask_from
@@ -493,6 +497,52 @@ class TestSingularDt:
             build_Dt(K, K, lam)
 
 
+def two_sided(core):
+    """(pivots, Ui, Li) of core by the general recursion, which also inverts U^T,
+    assembled as build_Dt assembles them."""
+    n = core.shape[0]
+    A = np.array(core[::-1, ::-1])
+    L_inv, Rt_inv = np.zeros((n, n)), np.zeros((n, n))
+    _lu_inplace(A, L_inv, Rt_inv, 1e-10 * max(1.0, np.max(np.abs(core))), n)
+    return np.diagonal(A)[::-1], L_inv[::-1, ::-1], Rt_inv.T[::-1, ::-1]
+
+
+class TestSymmetricFactorization:
+    """A symmetric D is factored from one side: Lw = diag(pivots) U^T, Li = Ui^T / pivots."""
+
+    @pytest.mark.parametrize("n", [2, LU_LEAF, LU_LEAF + 1, 100, 300])
+    def test_one_sided_matches_two_sided(self, n):
+        for name, (solver, K, L, lam) in block_cores(n).items():
+            if name == "nonsymmetric":
+                continue
+            core, pivots, Ui, Li = build_Dt(K, L, lam)
+            for got, want in zip((pivots, Ui, Li), two_sided(core)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_equal_kernels_take_the_one_sided_path(self):
+        # L a distinct kernel with K's values: the formed core is exactly symmetric
+        g = build_grid(1.0, 100)
+        K = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g)
+        twin = GridKernel(g, K.values.copy())
+        for a, b in zip(build_Dt(K, K, 2.0), build_Dt(K, twin, 2.0)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("one_sided", [True, False])
+    def test_singular_block_past_the_leaf_is_named_on_both_paths(self, one_sided):
+        # the construction of test_error_names_the_singular_block_past_the_leaf
+        n, j, lam = 100, 37, 1.0
+        g = build_grid(1.0, n)
+        V = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g).values.copy()
+        D_next = lam * np.eye(n - j - 1) + g.dt * (V + V.T)[j + 1:, j + 1:]
+        b = g.dt * V[j + 1:, j]
+        V[:, j] *= np.sqrt(lam / (b @ np.linalg.solve(D_next, b)))
+        core = lam * np.eye(n) + g.dt * (V + V.T)
+        A = np.array(core[::-1, ::-1])
+        with pytest.raises(SingularOperator, match=f"D_{j} is"):
+            _lu_inplace(A, np.zeros((n, n)), None if one_sided else np.zeros((n, n)),
+                        1e-10 * max(1.0, np.max(np.abs(core))), n)
+
+
 class TestGridRefinementOfSolution:
     def test_first_order_convergence_on_shared_points(self):
         # smooth kernel and driver: restricting the fine-grid solution to the
@@ -601,3 +651,14 @@ class TestCond1Estimate:
         for solver, *_ in block_cores(n).values():
             exact = cond1(solver)
             assert 0.9 * exact <= solver.cond1_est() <= exact * (1.0 + 1e-12)
+
+    def test_block_estimate_on_the_systemic_player_operator(self):
+        # Hager's single-vector iteration stopped at 0.81 x exact on this operator
+        cfg = json.loads((Path(__file__).parent.parent / "run_configs" / "systemic_n16.json")
+                         .read_text())
+        spec = build_game_from_config(cfg, build_grid(cfg["grid"]["T"], 64))
+        solver = build_operators(spec).player_solver
+        exact = cond1(solver)
+        est = solver.cond1_est()
+        assert 0.95 * exact <= est <= exact * (1.0 + 1e-12)
+        assert solver.cond1_est() == est

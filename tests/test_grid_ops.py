@@ -267,6 +267,17 @@ class TestMask:
 
 
 class TestNonnegDefinite:
+    @pytest.mark.parametrize("n", [2, 16, 100])
+    def test_zero_kernel_skips_the_eigensolver_exactly(self, n):
+        # with and without the exact diagonal halves, as the eigensolver reads them
+        g = build_grid(1.0, n)
+        for K in (zero_kernel(g), GridKernel(g, np.zeros((n, n)))):
+            assert min_eigenvalue(K) == np.linalg.eigvalsh(symmetrized_form(K))[0] == 0.0
+        V = np.zeros((n, n))
+        V[n - 1, 0] = 1.0              # one nonzero entry goes to the eigensolver
+        K = GridKernel(g, V)
+        assert min_eigenvalue(K) == np.linalg.eigvalsh(symmetrized_form(K))[0] != 0.0
+
     def test_zero_true(self):
         assert min_eigenvalue(zero_kernel(build_grid(1.0, 8))) >= -1e-8
 
@@ -407,6 +418,26 @@ class TestLowerProduct:
         if n > 1:
             ref = np.tril(A @ W, -1)
             assert np.max(np.abs(lower_product(A, W) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("triangle", ["upper", "lower"])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 513])
+    def test_triangular_left_factor_never_reads_its_zero_triangle(self, n, triangle):
+        # NaN in A's strict other triangle and in W on and above its diagonal: a
+        # single read of either would make the product NaN
+        rng = np.random.default_rng(2000 + n)
+        cut = np.triu if triangle == "upper" else np.tril
+        A = cut(rng.standard_normal((n, n)))
+        W = np.tril(rng.standard_normal((n, n)), -1)
+        A_nan = np.where(cut(np.ones((n, n))) == 1.0, A, np.nan)
+        W_nan = np.where(np.tril(np.ones((n, n)), -1) == 1.0, W, np.nan)
+        got = lower_product(A_nan, W_nan, triangle)
+        assert np.all(np.isfinite(got))
+        assert not np.any(np.triu(got))
+        ref = lower_product(A, W)
+        if n <= TRI_BLOCK:
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
     def test_cut_upper_is_tril_in_place(self, n):

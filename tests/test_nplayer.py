@@ -508,7 +508,9 @@ class TestMargins:
         diag = solve_nash(spec, draw_noise(spec.grid, spec.noise_tags(), 2, 1)).diagnostics
         G, _ = build_GH(spec)
         assert diag["min_eig_player_form"] == np.linalg.eigvalsh(symmetrized_form(G))[0]
-        assert not any(f"min_eig_{name}" in diag for name in ("A1", "A2hat", "A3"))
+        # the reduction checks the instantaneous cost against -p and records its margin
+        assert diag["min_eig_A2hat"] == np.linalg.eigvalsh(symmetrized_form(spec.a2hat))[0]
+        assert not any(f"min_eig_{name}" in diag for name in ("A1", "A3"))
 
     @pytest.mark.parametrize("model", ["strict", "systemic"])
     def test_validation_report_reads_the_same_eigenvalues(self, grid16, model):
