@@ -47,7 +47,6 @@ from .signals import (
     ou,
 )
 from .fredholm import (
-    FredholmProblem,
     FredholmSolver,
     build_Dt,
     stability_gap,

@@ -312,8 +312,10 @@ def _player_counts(cfg: dict) -> list:
     ns = cfg.get("run", {}).get("Ns", [4, 8, 16, 32, 64])
     if isinstance(ns, list) and ns:
         ns = [integer_field(N, "run.Ns") for N in ns]
-    if not (isinstance(ns, list) and ns and min(ns) >= 1):
-        raise ConfigError(f"run.Ns must be a nonempty list of positive integers, got {ns!r}")
+    # a repeated N gives the slope fit a repeated point: rank-deficient, yet in a bracket
+    if not (isinstance(ns, list) and ns and min(ns) >= 1 and len(set(ns)) == len(ns)):
+        raise ConfigError(f"run.Ns must be a nonempty list of distinct positive integers, "
+                          f"got {ns!r}")
     return ns
 
 

@@ -3,13 +3,15 @@
 The discrete problem on a grid with step dt is, per path,
 
     lam * v[k] = f[k] - dt * sum_{r<k} K[k,r] v[r]
-                       - dt * sum_{r>k} L[r,k] E_{t_k}[v[r]],
+                       - dt * sum_{r>k} K[r,k] E_{t_k}[v[r]],
 
-with K, L strictly lower triangular.  Conditioning the equation at t_k on
-the time-k sigma-algebra closes it over the unknowns m_k[j] = E_{t_k}[v[j]],
-j >= k, through the operator
+with K strictly lower triangular.  A player's first-order condition is the
+gradient of a quadratic cost, so its operator is the kernel plus its own
+adjoint, and the one kernel K acts forward and backward.  Conditioning the
+equation at t_k on the time-k sigma-algebra closes it over the unknowns
+m_k[j] = E_{t_k}[v[j]], j >= k, through the symmetric operator
 
-    D_k = lam * id + dt * (K + L^T) restricted to indices >= k.
+    D_k = lam * id + dt * (K + K^T) restricted to indices >= k.
 
 Drivers are affine in Brownian increments (signals.CompiledSignal) and the
 solution map is linear, so the solver works on coefficients and the solution
@@ -26,106 +28,64 @@ Every D_k is a trailing block of D = D_0, so one reversed triangular
 factorization of D (O(n^3) time, O(n^2) memory) serves all of them.  The
 factorization is a recursive LU computed in place on one copy of the
 index-reversed D, whose off-diagonal blocks are products with the leading
-block's inverse factors.  The recursion also fills in the factors' own
-inverses, block by block as grid_ops.triangular_inverse builds them, so no
-block is inverted twice.  The games pass one kernel as K and L, so D is
-exactly symmetric, and then the recursion runs from one side: the lower
-factor is the transposed upper one scaled by the pivots, and only its
-inverse is built.  A solve is two triangular products per noise tag.  Each
-forms only the strictly lower half of its result and reads only the nonzero
-triangle of its triangular left factor, one column block and row band at a
-time (grid_ops.lower_product): n^3/3 multiply-adds per tag instead of 2n^3.
-The callers (nplayer, meanfield) form each equilibrium's mean-field shift
-once and hand the solver drivers that already carry it.
+block's inverse factor.  D is symmetric, so the recursion runs from one side:
+the lower factor is the transposed upper one scaled by the pivots, and only
+its inverse is built, block by block as grid_ops.triangular_inverse builds
+it, so no block is inverted twice.  A solve is two triangular products per
+noise tag.  Each forms only the strictly lower half of its result and reads
+only the nonzero triangle of its triangular left factor, one column block and
+row band at a time (grid_ops.lower_product): n^3/3 multiply-adds per tag
+instead of 2n^3.  The callers (nplayer, meanfield) form each equilibrium's
+mean-field shift once and hand the solver drivers that already carry it.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InadmissibleKernel, ShapeError, SingularOperator
-from .grid_ops import (LU_LEAF, GridKernel, TimeGrid, cut_upper, lower_product,
-                       triangular_inverse)
+from .grid_ops import LU_LEAF, GridKernel, cut_upper, lower_product, triangular_inverse
 from .signals import CompiledSignal, NoiseBundle
 
-SELFADJOINT_TOL = 1e-10
 NORMEST_ITERATIONS = 5     # block products with D_0^{-1} in cond1_est, Higham and Tisseur's itmax
 
 
-@dataclass(frozen=True)
-class FredholmProblem:
-    """Forward kernel K, backward kernel L, and the identity coefficient lam_eff."""
-
-    K: GridKernel
-    L: GridKernel
-    lam_eff: float
-    strict_selfadjoint: bool = True
-
-    def __post_init__(self):
-        if self.K.grid != self.L.grid:
-            raise ShapeError("K and L live on different grids")
-        if not (self.lam_eff > 0.0):
-            raise InadmissibleKernel(f"lam_eff must be positive, got {self.lam_eff}")
-        if self.K is self.L:
-            return              # K + K^T is exactly symmetric: IEEE addition commutes
-        sym = self.K.values + self.L.values.T
-        gap = float(np.max(np.abs(sym - sym.T))) if sym.size else 0.0
-        if gap > SELFADJOINT_TOL:
-            msg = f"K + L* deviates from self-adjoint by {gap:.3e}"
-            if self.strict_selfadjoint:
-                raise InadmissibleKernel(msg)
-            warnings.warn(msg + "; proceeding on D_t invertibility alone")
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.K.grid
-
-
-def build_Dt(K: GridKernel, L: GridKernel, lam_eff: float) -> tuple[np.ndarray, ...]:
-    """Form D = lam_eff*id + dt*(K + L^T) and factor it once for every D_k.
+def build_Dt(K: GridKernel, lam_eff: float) -> tuple[np.ndarray, ...]:
+    """Form D = lam_eff*id + dt*(K + K^T) and factor it once for every D_k.
 
     Returns (core, pivots, Ui, Li) for core = D = U @ Lw, U unit upper and Lw
     lower triangular: pivots = diag(Lw), Ui = U^{-1} and Li = Lw^{-1}.
     All come from a non-pivoted LU of the index-reversed matrix J D J = L R,
     whose leading blocks are the D_k, computed in place on one copy: U = J L J
     and Lw = J R J, so the factors' inverses are the recursion's, reversed.
-    Once the pivots are read, the copy's buffer takes Ui.  When D is exactly
-    symmetric (K is L, or the formed core equals its transpose),
-    Lw = diag(pivots) U^T, so the recursion inverts L alone, and
-    Li = Ui^T / pivots is returned as the transpose of a row scaling of Ui.
+    Once the pivots are read, the copy's buffer takes Ui.  D is exactly
+    symmetric (IEEE addition commutes), so Lw = diag(pivots) U^T, the
+    recursion inverts L alone, and Li = Ui^T / pivots is returned as the
+    transpose of a row scaling of Ui.
     SingularOperator names the largest k whose pivot is at most tol: elimination
     runs from the last index down, and every pivot after a failed one is meaningless.
     """
     n = K.grid.n
-    core = K.values + L.values.T
+    core = K.values + K.values.T
     core *= K.grid.dt
     core[np.diag_indices(n)] += float(lam_eff)
     tol = 1e-10 * max(1.0, float(core.max()), -float(core.min()))
     A = np.array(core[::-1, ::-1])
     L_inv = np.zeros((n, n))
-    Rt_inv = None if K is L or np.array_equal(core, core.T) else np.zeros((n, n))
     with np.errstate(all="ignore"):
-        _lu_inplace(A, L_inv, Rt_inv, tol, n)
+        _lu_inplace(A, L_inv, tol, n)
     pivots = np.diagonal(A)[::-1].copy()
     A[...] = L_inv[::-1, ::-1]
-    if Rt_inv is None:        # Li = Ui^T / pivots, as the transpose of a row scaling
-        return core, pivots, A, np.divide(A, pivots[:, None], out=L_inv).T
-    L_inv[...] = Rt_inv.T[::-1, ::-1]
-    return core, pivots, A, L_inv
+    return core, pivots, A, np.divide(A, pivots[:, None], out=L_inv).T
 
 
-def _lu_inplace(A: np.ndarray, L_inv: np.ndarray, Ut_inv: np.ndarray | None, tol: float,
-                end: int) -> None:
-    """Non-pivoted LU overwriting A with L (unit diagonal, below) and U (on and above).
+def _lu_inplace(A: np.ndarray, L_inv: np.ndarray, tol: float, end: int) -> None:
+    """Non-pivoted LU of symmetric A in place: L (unit diagonal) below, U on and above.
 
-    Fills the zeroed L_inv with L^{-1} and Ut_inv with (U^T)^{-1}, block by block
-    as grid_ops.triangular_inverse builds them, so every block is inverted once.
-    Ut_inv=None declares A symmetric: then U = diag(U) L^T, so each off-diagonal
-    block of L is the transposed block of U scaled by the pivots, and
-    (U^T)^{-1} = L^{-1} / diag(U) row by row is left to the caller.
+    Fills the zeroed L_inv with L^{-1}, block by block as
+    grid_ops.triangular_inverse builds it, so every block is inverted once.
+    A is symmetric, so U = diag(U) L^T: each off-diagonal block of L is the
+    transposed block of U scaled by the pivots, and U is never inverted.
     A's first index is grid index end - 1.  The halves recurse on views down to
     LU_LEAF, where a rank-1 loop tests the pivots in elimination order.
     """
@@ -137,22 +97,14 @@ def _lu_inplace(A: np.ndarray, L_inv: np.ndarray, Ut_inv: np.ndarray | None, tol
             A[j + 1:, j] /= A[j, j]
             A[j + 1:, j + 1:] -= A[j + 1:, j, None] * A[j, None, j + 1:]
         L_inv[...] = triangular_inverse(A, unit=True)
-        if Ut_inv is not None:
-            Ut_inv[...] = triangular_inverse(A.T)
         return
     h = n // 2
-    head, tail = (None, None) if Ut_inv is None else (Ut_inv[:h, :h], Ut_inv[h:, h:])
-    _lu_inplace(A[:h, :h], L_inv[:h, :h], head, tol, end)
+    _lu_inplace(A[:h, :h], L_inv[:h, :h], tol, end)
     A[:h, h:] = L_inv[:h, :h] @ A[:h, h:]
-    if Ut_inv is None:
-        np.divide(A[:h, h:].T, np.diagonal(A[:h, :h]), out=A[h:, :h])
-    else:
-        A[h:, :h] = A[h:, :h] @ head.T
+    np.divide(A[:h, h:].T, np.diagonal(A[:h, :h]), out=A[h:, :h])
     A[h:, h:] -= A[h:, :h] @ A[:h, h:]
-    _lu_inplace(A[h:, h:], L_inv[h:, h:], tail, tol, end - h)
+    _lu_inplace(A[h:, h:], L_inv[h:, h:], tol, end - h)
     L_inv[h:, :h] = -L_inv[h:, h:] @ (A[h:, :h] @ L_inv[:h, :h])
-    if Ut_inv is not None:
-        Ut_inv[h:, :h] = -tail @ (A[:h, h:].T @ head)
 
 
 def _singular(k: int) -> SingularOperator:
@@ -160,24 +112,24 @@ def _singular(k: int) -> SingularOperator:
 
 
 class FredholmSolver:
-    """Every D_k = lam*id + dt*(K + L^T)[k:, k:] of one problem, from one reversed
-    factorization, and coefficient solves against them.
+    """Every D_k = lam_eff*id + dt*(K + K^T)[k:, k:] of one kernel, from one
+    reversed factorization, and coefficient solves against them.
 
     D = U @ Lw with U upper and Lw lower triangular.  Triangular factors keep
     their trailing blocks, so D_k = U_k @ Lw_k for every k, and the trailing
     blocks of Ui = U^{-1} and Li = Lw^{-1} give D_k^{-1} = Li_k @ Ui_k, which
     solve applies directly, n^3/6 multiply-adds per product.  Setup is one
-    O(n^3) factorization (build_Dt) with O(n^2) memory, one-sided when D is
-    symmetric (Li = Ui^T / pivots).  The factorization is a non-pivoted UL
-    (U has a unit diagonal), which exists exactly when every D_k is invertible.
+    O(n^3) one-sided factorization (build_Dt) with O(n^2) memory:
+    Li = Ui^T / pivots.  The factorization is a non-pivoted UL (U has a unit
+    diagonal), which exists exactly when every D_k is invertible.
     pivots[k] = Lw[k,k] is the Schur pivot det(D_k) / det(D_{k+1}).
     """
 
-    def __init__(self, problem: FredholmProblem):
-        self.problem = problem
-        self.grid = problem.grid
-        self.core, self.pivots, self._Ui, self._Li = build_Dt(problem.K, problem.L,
-                                                              problem.lam_eff)
+    def __init__(self, K: GridKernel, lam_eff: float):
+        if not (lam_eff > 0.0):
+            raise InadmissibleKernel(f"lam_eff must be positive, got {lam_eff}")
+        self.K, self.lam_eff, self.grid = K, lam_eff, K.grid
+        self.core, self.pivots, self._Ui, self._Li = build_Dt(K, lam_eff)
 
     def min_pivot(self) -> float:
         """Smallest |Schur pivot| over all D_k: how close any D_k is to singular."""
@@ -246,7 +198,7 @@ class FredholmSolver:
         return CompiledSignal(self.grid, Li @ (Ui @ f.mean), weights)
 
     def residual(self, f: CompiledSignal, v: CompiledSignal) -> CompiledSignal:
-        """D v - f with D = lam id + dt (K + L^T): the discretized equation itself.
+        """D v - f with D = lam id + dt (K + K^T): the discretized equation itself.
 
         The mean row is the equation's expectation; per tag only the strictly
         lower weights enter adapted values, so the rest is cut off.  v is a
@@ -257,16 +209,15 @@ class FredholmSolver:
         return CompiledSignal(self.grid, r.mean, {t: cut_upper(w) for t, w in r.weights.items()})
 
 
-def stability_gap(problem_n: FredholmProblem, problem_limit: FredholmProblem,
+def stability_gap(solver_n: FredholmSolver, solver_limit: FredholmSolver,
                   bundle: NoiseBundle, f_n: CompiledSignal,
                   f_limit: CompiledSignal | None = None) -> float:
     """Monte Carlo estimate of sup_k E[(v^N_k - v_k)^2] on the bundle's paths.
 
-    f_n drives problem_n and f_limit (default f_n) drives problem_limit.
+    f_n drives solver_n and f_limit (default f_n) drives solver_limit.
     """
     f_limit = f_n if f_limit is None else f_limit
-    v_n = FredholmSolver(problem_n).solve(f_n)
-    v_l = FredholmSolver(problem_limit).solve(f_limit)
     P = bundle.n_paths
-    diff = v_n.path_values(bundle.increments, P) - v_l.path_values(bundle.increments, P)
+    diff = (solver_n.solve(f_n).path_values(bundle.increments, P)
+            - solver_limit.solve(f_limit).path_values(bundle.increments, P))
     return float(np.max(np.mean(diff ** 2, axis=0)))

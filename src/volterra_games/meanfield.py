@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InadmissibleKernel, ShapeError
-from .fredholm import FredholmProblem, FredholmSolver
+from .fredholm import FredholmSolver
 from .grid_ops import GridKernel, TimeGrid
 from .nplayer import (
     GameSpec,
@@ -411,7 +411,7 @@ def best_response_gap(spec: MFGSpec, n_players: int, noise: CrossedNoise) -> dic
     game = induced_game(spec, n_players)
     G, H = build_GH(game)
     N = n_players
-    br_solver = FredholmSolver(FredholmProblem(K=G, L=G, lam_eff=2.0 * spec.lam))
+    br_solver = FredholmSolver(G, 2.0 * spec.lam)
 
     # the others' sum over N: (N-1)/N times their average, as the H shift weighs it
     others = sum((1.0 / N) * s for s in sol.strategies) - (1.0 / N) * sol.strategies[0]

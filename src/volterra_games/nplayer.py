@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConsistencyViolation, InadmissibleKernel, ShapeError
-from .fredholm import FredholmProblem, FredholmSolver
+from .fredholm import FredholmSolver
 from .grid_ops import (
     GridKernel,
     TimeGrid,
@@ -149,8 +149,8 @@ def build_operators(spec: GameSpec) -> GameOperators:
     kbar = add_kernels(((N - 1.0) / N if N < math.inf else 1.0, H), (1.0, G))
     khat = add_kernels((1.0, G), (-1.0 / N, H))
     lam_eff = 2.0 * spec.lam
-    mean_solver = FredholmSolver(FredholmProblem(K=kbar, L=kbar, lam_eff=lam_eff))
-    player_solver = FredholmSolver(FredholmProblem(K=khat, L=khat, lam_eff=lam_eff))
+    mean_solver = FredholmSolver(kbar, lam_eff)
+    player_solver = FredholmSolver(khat, lam_eff)
     return GameOperators(G, H, mean_solver, player_solver)
 
 

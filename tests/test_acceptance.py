@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from volterra_games.fredholm import FredholmProblem, FredholmSolver, stability_gap
+from volterra_games.fredholm import FredholmSolver, stability_gap
 from volterra_games.grid_ops import (
     ConstantLower,
     ExponentialDecay,
@@ -17,6 +17,7 @@ from volterra_games.grid_ops import (
     add_kernels,
     build_grid,
     discretize_kernel,
+    resolvent,
     zero_kernel,
 )
 from volterra_games.meanfield import (
@@ -114,14 +115,14 @@ def test_criterion_2_fredholm_exactness():
     worst = 0.0
     for trial in range(100):
         K = random_admissible_kernel(grid, rng, allow_zero=False)
-        L = K if rng.integers(2) else add_kernels(
-            (1.0, K), (rng.uniform(0.0, 0.3), zero_kernel(grid)))
+        if not rng.integers(2):
+            rng.uniform(0.0, 0.3)   # the draw of a retired case: later problems stay the same
         lam_eff = float(rng.uniform(0.5, 4.0))
         f = (martingale(grid, sigma=rng.uniform(0.3, 1.0), noise="common")
              + ou(grid, kappa=rng.uniform(0.5, 2.0), sigma=rng.uniform(0.2, 0.8),
                   x0=rng.uniform(-1, 1), noise="idio")
              + deterministic(grid, rng.standard_normal(64)))
-        solver = FredholmSolver(FredholmProblem(K=K, L=L, lam_eff=lam_eff))
+        solver = FredholmSolver(K, lam_eff)
         residual = solver.residual(f, solver.solve(f)).path_values(bundle.increments, 10)
         worst = max(worst, float(np.max(np.abs(residual))))
     report(2, "Fredholm exactness", worst <= 1e-9,
@@ -135,15 +136,11 @@ def test_criterion_3_analytic_limits():
         grid = build_grid(1.0, n)
         K = discretize_kernel(ConstantLower(c=1.0), grid)
         ones = deterministic(grid, 1.0)
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            prob = FredholmProblem(K=K, L=zero_kernel(grid), lam_eff=1.0,
-                                   strict_selfadjoint=False)
-        v_exp = FredholmSolver(prob).solve(ones).mean
+        # v = 1 - int_0^t v solves (id + dt K) v = 1, so v = 1 + dt R 1 for R the
+        # resolvent of -K
+        v_exp = 1.0 + grid.dt * resolvent(add_kernels((-1.0, K))).values.sum(axis=1)
         errs_exp[n] = float(np.max(np.abs(v_exp - np.exp(-grid.times))))
-        prob2 = FredholmProblem(K=K, L=K, lam_eff=1.0)
-        errs_const[n] = float(np.max(np.abs(FredholmSolver(prob2).solve(ones).mean - 0.5)))
+        errs_const[n] = float(np.max(np.abs(FredholmSolver(K, 1.0).solve(ones).mean - 0.5)))
     r1 = errs_exp[128] / errs_exp[256]
     r2 = errs_const[128] / errs_const[256]
     ok = (errs_exp[256] <= 5e-2 and errs_const[256] <= 5e-2
@@ -306,7 +303,7 @@ def test_criterion_9_model_reduction_fidelity():
 def test_criterion_10_stability_rates():
     grid = build_grid(1.0, 32)
     K = discretize_kernel(ExponentialDecay(c=1.0, rho=1.0), grid)
-    prob = FredholmProblem(K=K, L=K, lam_eff=2.0)
+    solver = FredholmSolver(K, 2.0)
     ns = [4, 8, 16, 32, 64]
 
     bundle = draw_noise(grid, {"common"}, 16, seed=5)
@@ -314,8 +311,7 @@ def test_criterion_10_stability_rates():
     kernel_gaps = []
     for N in ns:
         KN = add_kernels((1.0, K), (1.0 / N, discretize_kernel(ConstantLower(c=1.0), grid)))
-        kernel_gaps.append(stability_gap(FredholmProblem(K=KN, L=KN, lam_eff=2.0),
-                                         prob, bundle, base))
+        kernel_gaps.append(stability_gap(FredholmSolver(KN, 2.0), solver, bundle, base))
     slope_k = fit_loglog_slope(ns, kernel_gaps)
 
     M = 256
@@ -323,7 +319,7 @@ def test_criterion_10_stability_rates():
     driver_gaps = []
     for N in ns:
         pert = base + (1.0 / np.sqrt(N)) * martingale(grid, sigma=1.0, noise="pert")
-        driver_gaps.append(stability_gap(prob, prob, bundle2, pert, base))
+        driver_gaps.append(stability_gap(solver, solver, bundle2, pert, base))
     slope_f = fit_loglog_slope(ns, driver_gaps)
 
     ok = (-2.4 <= slope_k <= -1.6) and (-1.4 <= slope_f <= -0.6)

@@ -139,6 +139,9 @@ class TestConfigErrors:
         ("solve", {"noise": {"paths": True, "seed": 3}}, []),
         ("eps-nash", {"run": {"Ns": [True, 2]}}, []),
         ("converge", {"run": {"Ns": [2.5, 4]}}, []),
+        # a repeated N once fit the convergence slope through two equal points (exit 0)
+        ("converge", {"run": {"Ns": [8, 8]}}, []),
+        ("eps-nash", {"run": {"Ns": [8, 8]}}, []),
         ("solve", {"model": {**WORKED["systemic"], "N": 3.5}}, []),
         ("solve", {"model": {**WORKED["liquidation"], "N": 2.5}}, []),
         ("solve", {"model": {**WORKED["advertising"], "N": True}}, []),
@@ -160,8 +163,8 @@ class TestConfigErrors:
             "oracle-check-seed-negative", "converge-paths-negative", "eps-nash-paths-0",
             "eps-nash-seed-negative", "N-fractional", "grid-n-fractional",
             "noise-paths-fractional", "noise-seed-fractional", "noise-paths-bool", "Ns-bool",
-            "Ns-fractional", "systemic-N-fractional", "liquidation-N-fractional",
-            "advertising-N-bool", "tolerances-not-object", "tolerance-misspelled",
+            "Ns-fractional", "Ns-repeated", "eps-nash-Ns-repeated", "systemic-N-fractional",
+            "liquidation-N-fractional", "advertising-N-bool", "tolerances-not-object", "tolerance-misspelled",
             "tolerance-string", "tolerance-null", "tolerance-bool", "tolerance-nan",
             "tolerance-inf", "tolerance-list"])
     def test_malformed_value_exits_2(self, tmp_path, command, overrides, argv):

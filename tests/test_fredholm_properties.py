@@ -2,12 +2,8 @@
 
 Each example draws a kernel family and its parameters, lam_eff, a grid with
 2 to 256 points and drivers mixing deterministic, martingale and OU terms on
-one or two noise tags.  The check against the paper's per-k closed form also
-draws a backward kernel L of its own, so K + L^T need not be symmetric.
-Derandomized, so every run checks the same examples.
+one or two noise tags.  Derandomized, so every run checks the same examples.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from volterra_games.errors import SingularOperator
-from volterra_games.fredholm import FredholmProblem, FredholmSolver
+from volterra_games.fredholm import FredholmSolver
 from volterra_games.grid_ops import (
     ConstantLower,
     DelayIndicator,
@@ -44,29 +40,21 @@ def kernels(grid):
 
 
 @st.composite
-def solvers(draw, max_n=256, own_backward=False):
-    """A solver with L = K, or with L drawn on its own when own_backward is set.
+def solvers(draw, max_n=256):
+    """A solver of lam_eff id + dt (K + K^T) for a drawn kernel K.
 
-    Every kernel drawn here has dt (K + K^T) >= -0.75 (the worst case is a
-    power law on two points), so with its own L, lam_eff starts at 1.  With
-    L = K it starts at 0.5, which can make D singular (ConstantLower(c=1) on
-    two points), so draws whose core D has a symmetric part that is not
-    positive definite are rejected.  A positive definite symmetric part bounds
-    every Schur pivot of every D_k below by its smallest eigenvalue; the margin
-    is the pivot threshold build_Dt applies.
+    lam_eff starts at 0.5, which can make D singular (ConstantLower(c=1) on
+    two points), so draws whose core D is not positive definite are rejected.
+    A positive definite D bounds every Schur pivot of every D_k below by its
+    smallest eigenvalue; the margin is the pivot threshold build_Dt applies.
     """
     grid = build_grid(1.0, draw(st.integers(2, max_n)))
     K = draw(kernels(grid))
-    L = draw(kernels(grid)) if own_backward else K
-    lam_eff = draw(unit(1.0 if own_backward else 0.5, 4.0))
-    core = lam_eff * np.eye(grid.n) + grid.dt * (K.values + L.values.T)
+    lam_eff = draw(unit(0.5, 4.0))
+    core = lam_eff * np.eye(grid.n) + grid.dt * (K.values + K.values.T)
     margin = 1e-10 * max(1.0, float(np.max(np.abs(core))))
-    assume(np.linalg.eigvalsh(0.5 * (core + core.T))[0] > margin)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        problem = FredholmProblem(K=K, L=L, lam_eff=lam_eff,
-                                  strict_selfadjoint=not own_backward)
-    return FredholmSolver(problem)
+    assume(np.linalg.eigvalsh(core)[0] > margin)
+    return FredholmSolver(K, lam_eff)
 
 
 @st.composite
@@ -102,7 +90,7 @@ def test_lowest_drawable_lam_eff_makes_two_point_constant_kernel_singular():
     grid = build_grid(1.0, 2)
     K = discretize_kernel(ConstantLower(c=1.0), grid)
     with pytest.raises(SingularOperator, match="D_0 is"):
-        FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=0.5))
+        FredholmSolver(K, 0.5)
 
 
 @PROPERTIES
@@ -135,16 +123,15 @@ def test_solve_is_linear_in_the_driver(data):
 @given(st.data())
 def test_solution_satisfies_the_per_k_closed_form(data):
     """v = a + dt B v with the paper's w_k = D_k^{-T} ell_k, a and B, one solve per k."""
-    solver = data.draw(solvers(max_n=96, own_backward=True))
+    solver = data.draw(solvers(max_n=96))
     f = data.draw(drivers(solver.grid))
-    grid, problem = solver.grid, solver.problem
-    n, dt, lam = grid.n, grid.dt, problem.lam_eff
-    K, L = problem.K.values, problem.L.values
-    core = lam * np.eye(n) + dt * (K + L.T)
+    grid, K = solver.grid, solver.K.values
+    n, dt, lam = grid.n, grid.dt, solver.lam_eff
+    core = lam * np.eye(n) + dt * (K + K.T)
     w = np.zeros((n, n))
     B = np.zeros((n, n))
     for k in range(n):
-        w[k, k:] = np.linalg.solve(core[k:, k:].T, L[k:, k])
+        w[k, k:] = np.linalg.solve(core[k:, k:].T, K[k:, k])
         B[k, :k] = (dt * (w[k, k:] @ K[k:, :k]) - K[k, :k]) / lam
     v = solver.solve(f)
     bundle = draw_noise(grid, TAGS, 2, seed=data.draw(st.integers(0, 2 ** 16)))

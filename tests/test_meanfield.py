@@ -111,9 +111,8 @@ class TestLimitOperators:
         # the kernels the limit game was built with before it shared nplayer's operators
         mean = add_kernels((1.0, spec.a2hat), (1.0, spec.a3))
         for solver, K in ((ops.mean_solver, mean), (ops.player_solver, spec.a2hat)):
-            assert solver.problem.K.values.tobytes() == K.values.tobytes()
-            assert solver.problem.L is solver.problem.K
-            assert solver.problem.lam_eff == 2.0 * spec.lam
+            assert solver.K.values.tobytes() == K.values.tobytes()
+            assert solver.lam_eff == 2.0 * spec.lam
         assert ops.H.values.tobytes() == spec.a3.values.tobytes()
 
     @pytest.mark.parametrize("n", [16, 100])
@@ -354,11 +353,11 @@ class TestEpsNash:
 class TestBatchedPipelineCrossValidation:
     def test_batched_driver_matches_per_path_assembly(self, grid16):
         # the coefficient solve against a = (f - dt <w_k, E_{t_k} f>) / lam per path
-        from volterra_games.fredholm import FredholmProblem, FredholmSolver
+        from volterra_games.fredholm import FredholmSolver
         from volterra_games.grid_ops import ExponentialDecay, discretize_kernel
 
         K = discretize_kernel(ExponentialDecay(c=0.6, rho=1.5), grid16)
-        solver = FredholmSolver(FredholmProblem(K=K, L=K, lam_eff=2.0))
+        solver = FredholmSolver(K, 2.0)
         cs = (deterministic(grid16, 1.0 + grid16.times)
               + martingale(grid16, sigma=0.5, noise="a")
               + 0.7 * martingale(grid16, sigma=0.8, noise="b"))

@@ -135,7 +135,7 @@ class TestOperators:
         spec = make_spec(grid16, N=N)
         G, H = build_GH(spec)
         want = add_kernels(((N - 1.0) / N, H), (1.0, G)).values
-        assert build_operators(spec).mean_solver.problem.K.values.tobytes() == want.tobytes()
+        assert build_operators(spec).mean_solver.K.values.tobytes() == want.tobytes()
 
 
 class TestSolve:
