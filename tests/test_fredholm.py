@@ -8,6 +8,7 @@ from volterra_games.errors import InadmissibleKernel, SingularOperator
 from volterra_games.fredholm import (
     LU_LEAF,
     FredholmSolver,
+    _lu_inplace,
     build_Dt,
     stability_gap,
 )
@@ -19,6 +20,7 @@ from volterra_games.grid_ops import (
     PowerLaw,
     build_grid,
     discretize_kernel,
+    triangular_inverse,
     zero_kernel,
 )
 from volterra_games.cli import build_game_from_config
@@ -432,6 +434,70 @@ class TestSingularDt:
         K = GridKernel(g, V)
         with pytest.raises(SingularOperator, match=f"D_{j} is"):
             build_Dt(K, lam)
+
+
+def general_lu(A, L_inv, Ut_inv, tol, end):
+    """Non-pivoted LU of any A in place, the recursion of _lu_inplace without
+    its symmetric shortcut: it fills L_inv = L^{-1} and Ut_inv = (U^T)^{-1},
+    inverting U as well, and derives no block of L from U."""
+    n = A.shape[0]
+    if n <= LU_LEAF:
+        for j in range(n):
+            if not abs(A[j, j]) > tol:
+                raise SingularOperator(f"conditional operator D_{end - 1 - j} is numerically singular")
+            A[j + 1:, j] /= A[j, j]
+            A[j + 1:, j + 1:] -= A[j + 1:, j, None] * A[j, None, j + 1:]
+        L_inv[...] = triangular_inverse(A, unit=True)
+        Ut_inv[...] = triangular_inverse(A.T)
+        return
+    h = n // 2
+    head, tail = Ut_inv[:h, :h], Ut_inv[h:, h:]
+    general_lu(A[:h, :h], L_inv[:h, :h], head, tol, end)
+    A[:h, h:] = L_inv[:h, :h] @ A[:h, h:]
+    A[h:, :h] = A[h:, :h] @ head.T
+    A[h:, h:] -= A[h:, :h] @ A[:h, h:]
+    general_lu(A[h:, h:], L_inv[h:, h:], tail, tol, end - h)
+    L_inv[h:, :h] = -L_inv[h:, h:] @ (A[h:, :h] @ L_inv[:h, :h])
+    Ut_inv[h:, :h] = -tail @ (A[:h, h:].T @ head)
+
+
+def two_sided(core):
+    """(pivots, Ui, Li) of core by the general recursion, which also inverts U^T,
+    assembled as build_Dt assembles them."""
+    n = core.shape[0]
+    A = np.array(core[::-1, ::-1])
+    L_inv, Rt_inv = np.zeros((n, n)), np.zeros((n, n))
+    general_lu(A, L_inv, Rt_inv, 1e-10 * max(1.0, np.max(np.abs(core))), n)
+    return np.diagonal(A)[::-1], L_inv[::-1, ::-1], Rt_inv.T[::-1, ::-1]
+
+
+class TestSymmetricFactorization:
+    """A symmetric D is factored from one side: Lw = diag(pivots) U^T, Li = Ui^T / pivots."""
+
+    @pytest.mark.parametrize("n", [2, LU_LEAF, LU_LEAF + 1, 100, 300])
+    def test_one_sided_matches_two_sided(self, n):
+        for _, K, lam in block_cores(n).values():
+            core, pivots, Ui, Li = build_Dt(K, lam)
+            for got, want in zip((pivots, Ui, Li), two_sided(core)):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("one_sided", [True, False])
+    def test_singular_block_past_the_leaf_is_named_on_both_paths(self, one_sided):
+        # the construction of test_error_names_the_singular_block_past_the_leaf
+        n, j, lam = 100, 37, 1.0
+        g = build_grid(1.0, n)
+        V = discretize_kernel(ExponentialDecay(c=0.8, rho=1.1), g).values.copy()
+        D_next = lam * np.eye(n - j - 1) + g.dt * (V + V.T)[j + 1:, j + 1:]
+        b = g.dt * V[j + 1:, j]
+        V[:, j] *= np.sqrt(lam / (b @ np.linalg.solve(D_next, b)))
+        core = lam * np.eye(n) + g.dt * (V + V.T)
+        A = np.array(core[::-1, ::-1])
+        tol = 1e-10 * max(1.0, np.max(np.abs(core)))
+        with pytest.raises(SingularOperator, match=f"D_{j} is"):
+            if one_sided:
+                _lu_inplace(A, np.zeros((n, n)), tol, n)
+            else:
+                general_lu(A, np.zeros((n, n)), np.zeros((n, n)), tol, n)
 
 
 class TestGridRefinementOfSolution:
