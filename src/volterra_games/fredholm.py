@@ -31,11 +31,12 @@ index-reversed D, whose off-diagonal blocks are products with the leading
 block's inverse factor.  D is symmetric, so the recursion runs from one side:
 the lower factor is the transposed upper one scaled by the pivots, and only
 its inverse is built, block by block as grid_ops.triangular_inverse builds
-it, so no block is inverted twice.  A solve is two triangular products per
-noise tag.  Each forms only the strictly lower half of its result and reads
-only the nonzero triangle of its triangular left factor, one column block and
-row band at a time (grid_ops.lower_product): n^3/3 multiply-adds per tag
-instead of 2n^3.  The callers (nplayer, meanfield) form each equilibrium's
+it, so no block is inverted twice.  The solver keeps the two inverse factors
+only as the row bands its products read, n^2 doubles in all, built once.  A
+solve is two triangular products per noise tag.  Each forms only the
+strictly lower half of its result and reads only those bands, one column
+block and row band at a time (grid_ops.lower_product): n^3/3 multiply-adds
+per tag instead of 2n^3.  The callers (nplayer, meanfield) form each equilibrium's
 mean-field shift once and hand the solver drivers that already carry it.
 """
 
@@ -44,10 +45,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InadmissibleKernel, ShapeError, SingularOperator
-from .grid_ops import LU_LEAF, GridKernel, cut_upper, lower_product, triangular_inverse
+from .grid_ops import (
+    LU_LEAF,
+    GridKernel,
+    cut_upper,
+    lower_product,
+    triangle_bands,
+    triangular_inverse,
+)
 from .signals import CompiledSignal, NoiseBundle
 
-NORMEST_ITERATIONS = 5     # block products with D_0^{-1} in cond1_est, Higham and Tisseur's itmax
+NORMEST_ITERATIONS = 5     # block products with D_0^{-1} in _cond1_est, Higham and Tisseur's itmax
 
 
 def build_Dt(K: GridKernel, lam_eff: float) -> tuple[np.ndarray, ...]:
@@ -61,7 +69,7 @@ def build_Dt(K: GridKernel, lam_eff: float) -> tuple[np.ndarray, ...]:
     Once the pivots are read, the copy's buffer takes Ui.  D is exactly
     symmetric (IEEE addition commutes), so Lw = diag(pivots) U^T, the
     recursion inverts L alone, and Li = Ui^T / pivots is returned as the
-    transpose of a row scaling of Ui.
+    transpose of a row scaling of Ui; FredholmSolver keeps only its bands.
     SingularOperator names the largest k whose pivot is at most tol: elimination
     runs from the last index down, and every pivot after a failed one is meaningless.
     """
@@ -119,24 +127,33 @@ class FredholmSolver:
     their trailing blocks, so D_k = U_k @ Lw_k for every k, and the trailing
     blocks of Ui = U^{-1} and Li = Lw^{-1} give D_k^{-1} = Li_k @ Ui_k, which
     solve applies directly, n^3/6 multiply-adds per product.  Setup is one
-    O(n^3) one-sided factorization (build_Dt) with O(n^2) memory:
-    Li = Ui^T / pivots.  The factorization is a non-pivoted UL (U has a unit
-    diagonal), which exists exactly when every D_k is invertible.
-    pivots[k] = Lw[k,k] is the Schur pivot det(D_k) / det(D_{k+1}).
+    O(n^3) one-sided factorization (build_Dt), Li = Ui^T / pivots, kept only
+    as the row bands every product reads (grid_ops.triangle_bands), built
+    once: n^2 + TRI_BLOCK n doubles, not the dense pair's 2 n^2.  The
+    factorization is a non-pivoted UL (U has a unit diagonal), which exists
+    exactly when every D_k is invertible.  pivots[k] = Lw[k,k] is the Schur
+    pivot det(D_k) / det(D_{k+1}).
     """
 
     def __init__(self, K: GridKernel, lam_eff: float):
         if not (lam_eff > 0.0):
             raise InadmissibleKernel(f"lam_eff must be positive, got {lam_eff}")
-        self.K, self.lam_eff, self.grid = K, lam_eff, K.grid
-        self.core, self.pivots, self._Ui, self._Li = build_Dt(K, lam_eff)
+        self.lam_eff, self.grid = lam_eff, K.grid
+        self.core, self.pivots, Ui, Li = build_Dt(K, lam_eff)
+        self._cond1 = self._cond1_est(self.core, Ui, Li)
+        self._ui_bands, self._li_bands = triangle_bands(Ui, "upper"), triangle_bands(Li, "lower")
 
     def min_pivot(self) -> float:
         """Smallest |Schur pivot| over all D_k: how close any D_k is to singular."""
         return float(np.min(np.abs(self.pivots)))
 
     def cond1_est(self) -> float:
-        """1-norm condition number of D_0, with ||D_0^{-1}||_1 estimated from the factors.
+        """1-norm condition number of D_0, estimated from the dense factors at setup."""
+        return self._cond1
+
+    @staticmethod
+    def _cond1_est(core: np.ndarray, Ui: np.ndarray, Li: np.ndarray) -> float:
+        """1-norm condition number of core = D_0, with ||D_0^{-1}||_1 estimated from the factors.
 
         The block estimator of Higham and Tisseur (SIAM J. Matrix Anal. Appl.
         21(4), 2000) with two columns, made deterministic: it starts from the
@@ -147,7 +164,6 @@ class FredholmSolver:
         alternating sign (ACM TOMS 14(4), 1988) is tried last.  Every column
         is D_0^{-1} x for a unit x, so the estimate never exceeds the exact value.
         """
-        Li, Ui = self._Li, self._Ui
         n = Li.shape[0]
         X = np.full((n, 2), 1.0 / n)
         X[1::2, 1] *= -1.0
@@ -175,7 +191,7 @@ class FredholmSolver:
             X[cols, np.arange(len(cols))] = 1.0
         alt = (1.0 + np.arange(n) / (n - 1)) * np.where(np.arange(n) % 2, -1.0, 1.0)
         est = max(est, float(np.abs(Li @ (Ui @ alt)).sum()) / float(np.abs(alt).sum()))
-        return float(np.linalg.norm(self.core, 1)) * est
+        return float(np.linalg.norm(core, 1)) * est
 
     def solve(self, f: CompiledSignal) -> CompiledSignal:
         """The solution for driver f, as a mean plus one weight matrix per tag.
@@ -187,15 +203,18 @@ class FredholmSolver:
         triangular and the solution is adapted.  Ui is upper triangular, so
         that part reads only w's strictly lower part, even for anticipative
         weights, and both products form only their strictly lower half and
-        read only the nonzero triangle of Ui and Li (grid_ops.lower_product).
+        read only the solver's bands of Ui and Li (grid_ops.lower_product).
         Tags go one at a time, so no stacked right-hand side is built.
         """
         if f.grid != self.grid:
             raise ShapeError("driver lives on a different grid")
-        Ui, Li = self._Ui, self._Li
-        weights = {t: lower_product(Li, lower_product(Ui, w, "upper"), "lower")
+        weights = {t: lower_product(self._li_bands,
+                                    lower_product(self._ui_bands, w, "upper"), "lower")
                    for t, w in f.weights.items()}
-        return CompiledSignal(self.grid, Li @ (Ui @ f.mean), weights)
+        # an upper band reads the columns from its first row on, a lower one up to its last
+        y = np.concatenate([band @ f.mean[-band.shape[1]:] for band in self._ui_bands])
+        mean = np.concatenate([band @ y[:band.shape[1]] for band in self._li_bands])
+        return CompiledSignal(self.grid, mean, weights)
 
     def residual(self, f: CompiledSignal, v: CompiledSignal) -> CompiledSignal:
         """D v - f with D = lam id + dt (K + K^T): the discretized equation itself.
@@ -203,9 +222,9 @@ class FredholmSolver:
         The mean row is the equation's expectation; per tag only the strictly
         lower weights enter adapted values, so the rest is cut off.  v is a
         solution, so its weights are strictly lower and D v is an adapted
-        product; every weight of the difference is a new array, cut in place.
+        product; f is subtracted into its arrays, which are then cut in place.
         """
-        r = v.adapted_matmul(self.core) - f
+        r = v.adapted_matmul(self.core).accumulate(f, subtract=True)
         return CompiledSignal(self.grid, r.mean, {t: cut_upper(w) for t, w in r.weights.items()})
 
 

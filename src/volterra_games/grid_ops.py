@@ -353,7 +353,24 @@ def _any_upper(a: np.ndarray) -> bool:
     return False
 
 
-def lower_product(A: np.ndarray, W: np.ndarray, triangle: str | None = None) -> np.ndarray:
+def triangle_bands(A: np.ndarray, triangle: str) -> list[np.ndarray]:
+    """Copies of A[r:s, r:] (triangle "upper") or A[r:s, :s] ("lower") per TRI_BLOCK rows
+    [r, s), diagonal block cut to the triangle: the row bands lower_product reads of a
+    triangular A, n^2/2 + TRI_BLOCK n/2 doubles in all.  Only A's triangle is read."""
+    n = A.shape[0]
+    upper = triangle == "upper"
+    cut = ~_UPPER if upper else ~_UPPER.T
+    bands = []
+    for r in range(0, n, TRI_BLOCK):
+        m = min(TRI_BLOCK, n - r)
+        band = np.array(A[r:r + m, r:] if upper else A[r:r + m, :r + m])
+        np.copyto(band[:, :m] if upper else band[:, r:], 0.0, where=cut[:m, :m])
+        bands.append(band)
+    return bands
+
+
+def lower_product(A: np.ndarray | list[np.ndarray], W: np.ndarray,
+                  triangle: str | None = None) -> np.ndarray:
     """tril(A @ tril(W, -1), -1), formed one column block at a time.
 
     Column block [j, k) of the product reads only rows >= j of A and W, so it
@@ -363,24 +380,17 @@ def lower_product(A: np.ndarray, W: np.ndarray, triangle: str | None = None) -> 
     A may be any (n, n) matrix; only W's strictly lower triangle is read, and
     the result is exactly zero on and above the diagonal.
 
-    triangle="upper" or "lower" says that A is triangular, and only that
-    triangle of A is read.  Each column block then splits into row bands
-    [r, s) of TRI_BLOCK rows, and a band is one GEMM with only A's nonzero
-    part, A[r:s, r:] (upper) or A[r:s, j:s] (lower), read from a copy of the
-    band whose diagonal block is cut to the triangle: n^3/6 multiply-adds,
-    and at n <= TRI_BLOCK the single GEMM, with the cut copy for A.
+    triangle="upper" or "lower" says that A is triangular and passed as its
+    triangle_bands, which a caller with one left factor for many products
+    builds once.  Each column block then splits into those row bands, and a
+    band is one GEMM with only A's nonzero part, A[r:s, r:] (upper) or
+    A[r:s, j:s] (lower): n^3/6 multiply-adds, and at n <= TRI_BLOCK the
+    single GEMM with the cut band.
     """
     n = W.shape[0]
     out = np.zeros((n, n))
     upper_A = triangle == "upper"
-    bands = []                # A's row bands, each diagonal block cut to the triangle
-    if triangle is not None:
-        cut = ~_UPPER if upper_A else ~_UPPER.T
-        for r in range(0, n, TRI_BLOCK):
-            m = min(TRI_BLOCK, n - r)
-            band = np.array(A[r:r + m, r:] if upper_A else A[r:r + m, :r + m])
-            np.copyto(band[:, :m] if upper_A else band[:, r:], 0.0, where=cut[:m, :m])
-            bands.append(band)
+    bands = [] if triangle is None else A
     for j in range(0, n, TRI_BLOCK):
         k = min(j + TRI_BLOCK, n)
         upper = _UPPER[:k - j, :k - j]

@@ -146,13 +146,13 @@ def draw_crossed_noise(grid: TimeGrid, common_tags, idio_tags, n_common: int,
 _END = object()
 
 
-def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
-    """Each signal's path values on every path of the noise, from one pass over its stream.
+def _streamed_path_values(signals, rows, noise: CrossedNoise):
+    """Each signal's path values on its first rows paths, from one pass over the noise stream.
 
-    Returns the (n_paths, n) values per signal, each tag's first head_rows rows
-    and each tag's first row per common block.  A tag is added into every
-    signal that carries it, in sorted tag order as CompiledSignal.path_values
-    adds them, so the values equal path_values on the bundle bitwise.  Of the
+    Returns the (rows, n) values per signal and each tag's first row per
+    common block.  A tag is added into every signal that carries it, in
+    sorted tag order as CompiledSignal.path_values adds them, so the values
+    equal path_values on the bundle's first rows bitwise.  Of the
     increments, only the tag in use, copies of the tags waiting for their
     turn, and the next tag, drawn by one worker thread meanwhile, are held
     whole.  The worker draws into two buffers allocated here, in turn, and
@@ -169,8 +169,8 @@ def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
     missing = set().union(*(s.noise_tags() for s in signals)) - set(order)
     if missing:
         raise ShapeError(f"noise lacks tags {sorted(missing)}")
-    values = [np.broadcast_to(s.mean, (P, n)).copy() for s in signals]
-    head, blocks, pending = {}, {}, {}
+    values = [np.broadcast_to(s.mean, (r, n)).copy() for s, r in zip(signals, rows)]
+    blocks, pending = {}, {}
     k = 0
     # a buffer is redrawn only after the next tag's draw has been collected,
     # when this thread is done with the tag it held
@@ -181,7 +181,6 @@ def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
         while (item := ahead.result()) is not _END:
             ahead = pool.submit(next, stream, _END)
             tag, dW = item
-            head[tag] = dW[:head_rows].copy()
             blocks[tag] = dW[::noise.n_idio].copy()
             pending[tag] = dW
             # the stream is sorted within common and within idiosyncratic tags;
@@ -190,11 +189,11 @@ def _streamed_path_values(signals, noise: CrossedNoise, head_rows: int):
                 increments = pending.pop(order[k])
                 for s, out in zip(signals, values):
                     if order[k] in s.weights:
-                        out += s.tag_values(order[k], increments)
+                        out += s.tag_values(order[k], increments[:len(out)])
                 k += 1
             if tag in pending:      # still waiting: its buffer comes round again
                 pending[tag] = dW.copy()
-    return values, head, blocks
+    return values, blocks
 
 
 @dataclass
@@ -347,7 +346,8 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     The mean-strategy MSE uses every path of the noise; the per-player MSE
     may be restricted to the first player_paths paths.  Every coefficient
     solve comes first; then one pass over the noise stream forms every N's
-    mean paths, so the noise is never held whole.
+    mean paths and, on those first paths, both players' paths, so the noise
+    is never held whole.  Each MSE is formed in place on its paths.
     """
     ops = build_operators(spec)
     grid = spec.grid
@@ -365,19 +365,22 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
         if pp > 0:
             u1 = gops.player_solver.solve(shifted_drive(player_base(game, 0), gops.H, means[-1]))
             v1 = ops.player_solver.solve(shifted_drive(game.b_signals[0], ops.H, nu_cs))
-            players.append((u1, v1))
+            players += [u1, v1]
 
-    ubars, first_pp, first = _streamed_path_values(means, noise, pp)
-    # the limit, read at each common block's first path
-    nu_full = np.repeat(nu_cs.path_values(first, C), I, axis=0)
+    paths, first = _streamed_path_values([*means, *players],
+                                         [P] * len(means) + [pp] * len(players), noise)
+    # the limit, read at each common block's first path, against every path of the block
+    nu = nu_cs.path_values(first, C)[:, None, :]
     rows = []
     for j, N in enumerate(ns):
-        mse_mean = float(np.max(np.mean((ubars[j] - nu_full) ** 2, axis=0)))
+        err = paths[j].reshape(C, I, grid.n)
+        err -= nu
+        mse_mean = float(np.max(np.mean(np.square(paths[j], out=paths[j]), axis=0)))
         mse_player = np.nan
         if pp > 0:
-            u1, v1 = players[j]
-            gap = u1.path_values(first_pp, pp) - v1.path_values(first_pp, pp)
-            mse_player = float(np.max(np.mean(gap ** 2, axis=0)))
+            gap = paths[len(ns) + 2 * j]
+            gap -= paths[len(ns) + 2 * j + 1]
+            mse_player = float(np.max(np.mean(np.square(gap, out=gap), axis=0)))
         rows.append({"N": int(N), "mse_mean": mse_mean, "mse_player": mse_player})
 
     out = {"rows": rows}

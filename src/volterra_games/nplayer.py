@@ -133,9 +133,8 @@ def build_GH(spec: GameSpec) -> tuple[GridKernel, GridKernel]:
 
 @dataclass
 class GameOperators:
-    """Per-spec factorizations, shared across paths and players."""
+    """Per-spec factorizations, shared across paths and players, and the shift kernel H."""
 
-    G: GridKernel
     H: GridKernel
     mean_solver: FredholmSolver
     player_solver: FredholmSolver
@@ -151,7 +150,7 @@ def build_operators(spec: GameSpec) -> GameOperators:
     lam_eff = 2.0 * spec.lam
     mean_solver = FredholmSolver(kbar, lam_eff)
     player_solver = FredholmSolver(khat, lam_eff)
-    return GameOperators(G, H, mean_solver, player_solver)
+    return GameOperators(H, mean_solver, player_solver)
 
 
 def mean_field_shift(H: GridKernel, w: CompiledSignal) -> CompiledSignal:
@@ -243,6 +242,7 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
     mean_strategy = ops.mean_solver.solve(mean_drive)
     fred_residual = sup_on_paths(ops.mean_solver.residual(mean_drive, mean_strategy),
                                  increments, P)
+    del mean_drive          # nothing reads the driver past its residual
     # every player's driver shares one shift by the mean strategy, every FOC the term cross
     shift = mean_field_shift(ops.H, mean_strategy)
     own, cross = _foc_terms(spec, mean_strategy)
@@ -254,16 +254,20 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
 
         The samples are those of the strategy, the Fredholm residual, the FOC
         and the driver; a tag's part is None where the driver lacks the tag.
+        Each check is sampled as soon as it is formed and then dropped.
         """
+        def sample(part: CompiledSignal):
+            return (part.path_values(increments, P) if tag is None
+                    else part.tag_values(tag, increments[tag]) if part.weights else None)
+
         base = b.part(tag) + b0.part(tag)
         drive = base - shift.part(tag)
         strategy = ops.player_solver.solve(drive)
-        parts = (strategy, ops.player_solver.residual(drive, strategy),
-                 strategy.adapted_matmul(own) + cross.part(tag) - base, base)
-        if tag is None:
-            return strategy, [p.path_values(increments, P) for p in parts]
-        return strategy, [p.tag_values(tag, increments[tag]) if p.weights else None
-                          for p in parts]
+        residual = sample(ops.player_solver.residual(drive, strategy))
+        del drive               # nothing reads the driver past its residual
+        condition = strategy.adapted_matmul(own).accumulate(cross.part(tag))
+        condition = sample(condition.accumulate(base, subtract=True))
+        return strategy, [sample(strategy), residual, condition, sample(base)]
 
     shared = IdentityMemo((tag, (f.weights.get(tag),)) for f in spec.b_signals for tag in tags)
     strategies = []

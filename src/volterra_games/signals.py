@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeError, UnsupportedSignal
-from .grid_ops import TimeGrid, cut_upper, lower_product
+from .grid_ops import TimeGrid, _any_upper, cut_upper, lower_product
 
 COMMON = "common"
 
@@ -130,6 +130,20 @@ class CompiledSignal:
         return CompiledSignal(self.grid, M @ self.mean,
                               {tag: product(M, w) for tag, w in self.weights.items()})
 
+    def accumulate(self, other: CompiledSignal, subtract: bool = False) -> CompiledSignal:
+        """self + other (self - other with subtract), written into self's arrays.
+
+        For a signal that alone holds its arrays, as a fresh product does: the
+        values of + and -, with no new array for a tag both carry; a tag only
+        other carries gets a copy of its array, or 0.0 - it.  No extension to T.
+        """
+        op = np.subtract if subtract else np.add
+        weights = {tag: op(self.weights[tag], w, out=self.weights[tag]) if tag in self.weights
+                   else np.subtract(0.0, w) if subtract else w.copy()
+                   for tag, w in other.weights.items()}
+        return CompiledSignal(self.grid, op(self.mean, other.mean, out=self.mean),
+                              {**self.weights, **weights})
+
     def path_values(self, increments: dict, n_paths: int) -> np.ndarray:
         """Adapted values E_{t_j}[f_j] on every path, shape (n_paths, n).
 
@@ -146,9 +160,13 @@ class CompiledSignal:
         """One tag's part of the adapted values at its (n_paths, n) increments.
 
         path_values is the mean plus these parts in sorted tag order; a caller
-        that adds them in that order gets path_values bitwise.
+        that adds them in that order gets path_values bitwise.  Strictly lower
+        weights, as a solver's, are read in place, others from a cut copy.
         """
-        return increments @ cut_upper(self.weights[tag].copy()).T
+        w = self.weights[tag]
+        if _any_upper(w) or not w.flags.c_contiguous:
+            w = cut_upper(np.array(w, order="C"))
+        return increments @ w.T
 
     def part(self, tag=None) -> CompiledSignal:
         """The mean alone (tag None), or tag's weights alone on a zero mean.

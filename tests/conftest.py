@@ -5,6 +5,7 @@ from volterra_games.errors import ShapeError
 from volterra_games.grid_ops import (
     ConstantLower,
     ExponentialDecay,
+    TRI_BLOCK,
     GridKernel,
     TimeGrid,
     build_grid,
@@ -62,10 +63,20 @@ def condition_number(solver, k: int) -> float:
     return float(sv[0] / sv[-1])
 
 
+def dense_factors(solver) -> tuple[np.ndarray, np.ndarray]:
+    """(Ui, Li): a FredholmSolver's inverse factors as dense matrices, rebuilt from its bands."""
+    n = solver.grid.n
+    Ui, Li = np.zeros((n, n)), np.zeros((n, n))
+    for r, upper, lower in zip(range(0, n, TRI_BLOCK), solver._ui_bands, solver._li_bands):
+        Ui[r:r + len(upper), r:] = upper
+        Li[r:r + len(lower), :r + len(lower)] = lower
+    return Ui, Li
+
+
 def cond1(solver) -> float:
     """Exact 1-norm condition number of a FredholmSolver's D_0, from the whole inverse Li @ Ui."""
-    return float(np.linalg.norm(solver.core, 1)
-                 * np.linalg.norm(solver._Li @ solver._Ui, 1))
+    Ui, Li = dense_factors(solver)
+    return float(np.linalg.norm(solver.core, 1) * np.linalg.norm(Li @ Ui, 1))
 
 
 def mu_surface(solution) -> np.ndarray:

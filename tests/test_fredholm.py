@@ -20,6 +20,8 @@ from volterra_games.grid_ops import (
     PowerLaw,
     build_grid,
     discretize_kernel,
+    lower_product,
+    triangle_bands,
     triangular_inverse,
     zero_kernel,
 )
@@ -27,7 +29,7 @@ from volterra_games.cli import build_game_from_config
 from volterra_games.nplayer import build_operators, conditional_surfaces
 from volterra_games.signals import CompiledSignal, draw_noise, martingale, ou
 
-from conftest import cond1, condition_number, mask_from
+from conftest import cond1, condition_number, dense_factors, mask_from
 
 
 def det_signal(grid, values):
@@ -70,13 +72,14 @@ def check_block_definition(n):
     rng.standard_normal((n, n))            # the draw block_cores takes
     g = build_grid(1.0, n)
     for name, (solver, Kc, lam) in block_cores(n).items():
+        Ui, Li = dense_factors(solver)
         core = lam * np.eye(n) + g.dt * (Kc.values + Kc.values.T)
         assert (np.linalg.eigvalsh(core).min() < 0) == (name == "indefinite")
         for k in range(n):
             D = lam * np.eye(n) + g.dt * (mask_from(Kc, k).values
                                           + mask_from(Kc, k).values.T)
             y = rng.standard_normal(n)
-            inv_k = solver._Li[k:, k:] @ solver._Ui[k:, k:]
+            inv_k = Li[k:, k:] @ Ui[k:, k:]
             exact = np.linalg.inv(core[k:, k:])
             assert np.max(np.abs(inv_k - exact)) < 1e-12
             x = inv_k @ y[k:]
@@ -101,15 +104,15 @@ class TestDtFamily:
     def test_zero_kernels_divide_by_scale(self):
         g = build_grid(1.0, 8)
         Z = zero_kernel(g)
-        solver = FredholmSolver(Z, 2.0)
+        Ui, Li = dense_factors(FredholmSolver(Z, 2.0))
         for k in (0, 3, 7):
-            assert np.allclose(solver._Li[k:, k:] @ solver._Ui[k:, k:], np.eye(8 - k) / 2.0)
+            assert np.allclose(Li[k:, k:] @ Ui[k:, k:], np.eye(8 - k) / 2.0)
 
     def test_last_index_masks_to_single_cell(self):
         g = build_grid(1.0, 8)
         K = discretize_kernel(ExponentialDecay(), g)
-        solver = FredholmSolver(K, 1.0)
-        out = solver._Li[7:, 7:] @ (solver._Ui[7:, 7:] @ np.array([3.0]))
+        Ui, Li = dense_factors(FredholmSolver(K, 1.0))
+        out = Li[7:, 7:] @ (Ui[7:, 7:] @ np.array([3.0]))
         # surviving block is the single masked cell: (1 + dt*(K+K^T)[7,7]) x = y
         assert abs(out[0] - 3.0) < 1e-14
 
@@ -577,7 +580,7 @@ class TestTriangularSolve:
         # the expression the solve replaced, Li @ tril(Ui @ w, -1): the same GEMMs
         # up to one column block, rounding apart past it
         f, solver = self.problems(n)
-        Ui, Li = solver._Ui, solver._Li
+        Ui, Li = dense_factors(solver)
         v = solver.solve(f)
         for tag, w in f.weights.items():
             ref = Li @ np.tril(Ui @ w, -1)
@@ -586,6 +589,42 @@ class TestTriangularSolve:
             else:
                 err = np.max(np.abs(v.weights[tag] - ref))
                 assert err <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [2, 33, 64, 65, 130, 300, 513])
+    def test_stored_bands_give_the_dense_factor_products(self, n):
+        # the bands the solver builds once, against bands cut from build_Dt's dense
+        # factors for this product: the same GEMMs, bit for bit, on the SPD core and
+        # on the indefinite one (negative pivots)
+        rng = np.random.default_rng(n)
+        for solver, K, lam in block_cores(n).values():
+            _, _, Ui, Li = build_Dt(K, lam)
+            f = CompiledSignal(solver.grid, rng.standard_normal(n),
+                               {"a": rng.standard_normal((n, n))})
+            v = solver.solve(f)
+            ref = lower_product(triangle_bands(Li, "lower"),
+                                lower_product(triangle_bands(Ui, "upper"), f.weights["a"],
+                                              "upper"), "lower")
+            assert v.weights["a"].tobytes() == ref.tobytes()
+            # the mean's products run band by band: rounding apart from the dense ones
+            scale = np.abs(Li) @ (np.abs(Ui) @ np.abs(f.mean))
+            assert np.max(np.abs(v.mean - Li @ (Ui @ f.mean)) / scale) <= 1e-13
+
+
+class TestFactorMemory:
+    @pytest.mark.parametrize("n", [2, 65, 300, 513])
+    def test_factors_take_n_squared_doubles(self, n):
+        # the inverse factors as row bands: n^2 + TRI_BLOCK n doubles, pivots
+        # included, at most (n^2 + 2 TRI_BLOCK n) besides core; nothing holds K
+        solver = FredholmSolver(discretize_kernel(ExponentialDecay(), build_grid(1.0, n)), 2.0)
+        owners = {}
+        for name, value in vars(solver).items():
+            for a in value if isinstance(value, list) else [value]:
+                if isinstance(a, np.ndarray) and name != "core":
+                    owner = a if a.base is None else a.base
+                    owners[id(owner)] = owner.nbytes
+        assert sum(owners.values()) <= (n * n + 2 * TRI_BLOCK * n) * 8
+        assert solver.core.nbytes == n * n * 8
+        assert not hasattr(solver, "K")
 
 
 class TestCond1Estimate:

@@ -40,8 +40,8 @@ def kernels(grid):
 
 
 @st.composite
-def solvers(draw, max_n=256):
-    """A solver of lam_eff id + dt (K + K^T) for a drawn kernel K.
+def problems(draw, max_n=256):
+    """A kernel K and a scale lam_eff for a solver of lam_eff id + dt (K + K^T).
 
     lam_eff starts at 0.5, which can make D singular (ConstantLower(c=1) on
     two points), so draws whose core D is not positive definite are rejected.
@@ -54,7 +54,11 @@ def solvers(draw, max_n=256):
     core = lam_eff * np.eye(grid.n) + grid.dt * (K.values + K.values.T)
     margin = 1e-10 * max(1.0, float(np.max(np.abs(core))))
     assume(np.linalg.eigvalsh(core)[0] > margin)
-    return FredholmSolver(K, lam_eff)
+    return K, lam_eff
+
+
+def solvers(max_n=256):
+    return problems(max_n).map(lambda problem: FredholmSolver(*problem))
 
 
 @st.composite
@@ -123,10 +127,11 @@ def test_solve_is_linear_in_the_driver(data):
 @given(st.data())
 def test_solution_satisfies_the_per_k_closed_form(data):
     """v = a + dt B v with the paper's w_k = D_k^{-T} ell_k, a and B, one solve per k."""
-    solver = data.draw(solvers(max_n=96))
+    kernel, lam = data.draw(problems(max_n=96))
+    solver = FredholmSolver(kernel, lam)
     f = data.draw(drivers(solver.grid))
-    grid, K = solver.grid, solver.K.values
-    n, dt, lam = grid.n, grid.dt, solver.lam_eff
+    grid, K = solver.grid, kernel.values
+    n, dt = grid.n, grid.dt
     core = lam * np.eye(n) + dt * (K + K.T)
     w = np.zeros((n, n))
     B = np.zeros((n, n))

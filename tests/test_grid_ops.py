@@ -22,6 +22,7 @@ from volterra_games.grid_ops import (
     resolvent,
     star_product,
     symmetrized_form,
+    triangle_bands,
     triangular_inverse,
     zero_kernel,
 )
@@ -430,7 +431,7 @@ class TestLowerProduct:
         W = np.tril(rng.standard_normal((n, n)), -1)
         A_nan = np.where(cut(np.ones((n, n))) == 1.0, A, np.nan)
         W_nan = np.where(np.tril(np.ones((n, n)), -1) == 1.0, W, np.nan)
-        got = lower_product(A_nan, W_nan, triangle)
+        got = lower_product(triangle_bands(A_nan, triangle), W_nan, triangle)
         assert np.all(np.isfinite(got))
         assert not np.any(np.triu(got))
         ref = lower_product(A, W)

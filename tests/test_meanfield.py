@@ -7,6 +7,7 @@ import pytest
 
 from volterra_games import meanfield
 from volterra_games.errors import ShapeError
+from volterra_games.fredholm import build_Dt
 from volterra_games.grid_ops import (
     ConstantLower,
     ExponentialDecay,
@@ -111,7 +112,7 @@ class TestLimitOperators:
         # the kernels the limit game was built with before it shared nplayer's operators
         mean = add_kernels((1.0, spec.a2hat), (1.0, spec.a3))
         for solver, K in ((ops.mean_solver, mean), (ops.player_solver, spec.a2hat)):
-            assert solver.K.values.tobytes() == K.values.tobytes()
+            assert solver.core.tobytes() == build_Dt(K, solver.lam_eff)[0].tobytes()
             assert solver.lam_eff == 2.0 * spec.lam
         assert ops.H.values.tobytes() == spec.a3.values.tobytes()
 

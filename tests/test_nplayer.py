@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from volterra_games import nplayer
 from volterra_games.cli import build_game_from_config
 from volterra_games.errors import ConsistencyViolation, InadmissibleKernel, ShapeError
+from volterra_games.fredholm import build_Dt
 from volterra_games.grid_ops import (
     TRI_BLOCK,
     ConstantLower,
@@ -134,8 +136,10 @@ class TestOperators:
         assert 1.0 - 1.0 / N != (N - 1.0) / N
         spec = make_spec(grid16, N=N)
         G, H = build_GH(spec)
-        want = add_kernels(((N - 1.0) / N, H), (1.0, G)).values
-        assert build_operators(spec).mean_solver.K.values.tobytes() == want.tobytes()
+        solver = build_operators(spec).mean_solver
+        want = build_Dt(add_kernels(((N - 1.0) / N, H), (1.0, G)), solver.lam_eff)[0]
+        other = build_Dt(add_kernels((1.0 - 1.0 / N, H), (1.0, G)), solver.lam_eff)[0]
+        assert solver.core.tobytes() == want.tobytes() != other.tobytes()
 
 
 class TestSolve:
@@ -400,7 +404,7 @@ class TestLiteralTranscription:
         n, dt = grid16.n, grid16.dt
         lam = spec.lam
         N = spec.n_players
-        G, H = ops.G.values, ops.H.values
+        G, H = (K.values for K in build_GH(spec))
         kbar = (N - 1) / N * H + G
         bundle = bundle_for(spec, 1, 51)
         dW = bundle.path(0)
@@ -492,6 +496,20 @@ class TestBlockedProducts:
                 assert np.array_equal(got, want)
             else:
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_raw_game_solve_peak_memory(self):
+        # the most solve_nash holds at once, its solution included, in n x n arrays:
+        # 19.2 here, 27.4 with dense factors, a kernel kept per solver and a new
+        # array per + or - in the checks
+        cfg, spec = shipped_game("raw_game", 256)
+        bundle = draw_noise(spec.grid, spec.noise_tags(), 4, cfg["noise"]["seed"])
+        tracemalloc.start()
+        try:
+            solve_nash(spec, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 23 * spec.grid.n ** 2 * 8
 
 
 class TestMargins:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from volterra_games.errors import ShapeError, UnsupportedSignal
-from volterra_games.grid_ops import build_grid, zero_kernel
+from volterra_games.grid_ops import build_grid, cut_upper, zero_kernel
 from volterra_games.meanfield import MFGSpec
 from volterra_games.model_builders import TerminalVector, VolterraGameSpec
 from volterra_games.nplayer import GameSpec
@@ -116,6 +116,28 @@ class TestFamilies:
         bundle = draw_noise(g, {"other"}, 1, 0)
         with pytest.raises(UnsupportedSignal):
             realize(martingale(g, noise="common"), bundle, 0)
+
+
+class TestTagValues:
+    """tag_values reads strictly lower weights in place and cuts a copy of any others."""
+
+    @pytest.mark.parametrize("n", [2, 64, 65, 130])
+    def test_bitwise_the_cut_copy_signed_zeros_included(self, n):
+        rng = np.random.default_rng(n)
+        g = build_grid(1.0, n)
+        lower = np.tril(rng.standard_normal((n, n)), -1)
+        negative_zeros = np.where(np.tril(np.ones((n, n)), -1) == 1.0, lower, -0.0)
+        anticipative = rng.standard_normal((n, n))
+        poisoned = np.where(np.tril(np.ones((n, n)), -1) == 1.0, lower, np.nan)
+        increments = rng.standard_normal((5, n))
+        increments[:, ::3] = 0.0
+        increments[1] = -0.0
+        for w in (lower, negative_zeros, anticipative, poisoned, np.asfortranarray(lower)):
+            kept = w.tobytes()
+            got = CompiledSignal(g, np.zeros(n), {"a": w}).tag_values("a", increments)
+            want = increments @ cut_upper(w.copy()).T
+            assert got.tobytes() == want.tobytes()
+            assert w.tobytes() == kept
 
 
 class TestInvariants:
