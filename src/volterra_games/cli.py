@@ -113,11 +113,12 @@ def parse_kernel(obj, grid: TimeGrid, context: str = "kernel"):
         return DelayIndicator(scale=scale, tau=float(obj.get("tau", 0.5)))
     if fam == "tabulated":
         _require_keys(obj, common | {"path"}, context)
-        rows = []
-        with open(obj["path"]) as fh:
-            for line in fh:
-                if line.strip():
-                    rows.append([float(x) for x in line.replace(",", " ").split()])
+        try:
+            with open(obj["path"]) as fh:
+                rows = [[float(x) for x in line.replace(",", " ").split()]
+                        for line in fh if line.strip()]
+        except OSError as exc:
+            raise ConfigError(f"cannot read {context} table: {exc}")
         return Tabulated(scale=scale, table=tuple(map(tuple, rows)))
     raise ConfigError(f"unknown kernel family {fam!r} in {context}")
 

@@ -37,7 +37,7 @@ solve is two triangular products per noise tag.  Each forms only the
 strictly lower half of its result and reads only those bands, one column
 block and row band at a time (grid_ops.lower_product): n^3/3 multiply-adds
 per tag instead of 2n^3.  The callers (nplayer, meanfield) form each equilibrium's
-mean-field shift once and hand the solver drivers that already carry it.
+mean-field coupling once and hand the solver drivers that already carry it.
 """
 
 from __future__ import annotations

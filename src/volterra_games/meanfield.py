@@ -2,8 +2,9 @@
 
 The mean-field game is the N-player game at N = inf: MFGSpec.n_players is
 math.inf, and nplayer.build_operators, with every 1/N term at 0, gives its
-player solver F (kernel A2hat), its mean solver G (kernel A2hat + A3), both
-at scale 2*lambda, and its shift kernel H = A3.  The generic player's
+player solver F (kernel A2hat) and its mean solver G (kernel A2hat + A3),
+both at scale 2*lambda; nplayer.mean_field_coupling gives its coupling
+dt (A3 + A3^T) mu, the A3 shift of the player's driver.  The generic player's
 equilibrium is mu = G(E[beta] + beta0) with v = F(b - A3(mu) - A3*(E_. mu)),
 and its first-order condition is nplayer's at N = inf.  The infinite-player view
 replaces the conditional-mean driver by the declared limit b_infty.
@@ -35,7 +36,7 @@ from .nplayer import (
     build_GH,
     build_operators,
     mean_driver,
-    mean_field_shift,
+    mean_field_coupling,
     objective_per_path,
     player_base,
     shifted_drive,
@@ -217,7 +218,7 @@ def solve_generic(spec: MFGSpec, noise: CrossedNoise) -> MFGSolution:
 
     cx = spec.mean_field_driver()
     mu_cs = ops.mean_solver.solve(cx)
-    v_cs = ops.player_solver.solve(shifted_drive(spec.b_family(), ops.H, mu_cs))
+    v_cs = ops.player_solver.solve(shifted_drive(spec, spec.b_family(), mu_cs))
     first = noise.block_increments()
     mu = mu_cs.path_values(first, C)
     v = v_cs.path_values(noise.bundle.increments, C * I).reshape(C, I, grid.n)
@@ -261,7 +262,7 @@ def solve_infinite(spec: MFGSpec, n_view: int, noise: CrossedNoise) -> MFGSoluti
         raise ShapeError("b_infty must be measurable with respect to common noise")
 
     nu_cs = ops.mean_solver.solve(c_lim)
-    shift = mean_field_shift(ops.H, nu_cs)
+    shift = mean_field_coupling(spec, nu_cs)
     strategies = []
     v = np.empty((n_view, P, grid.n))
     for i in range(n_view):
@@ -356,6 +357,7 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     pp = P if player_paths is None else min(player_paths, P)
 
     nu_cs = ops.mean_solver.solve(spec.limit_family())
+    nu_coupling = mean_field_coupling(spec, nu_cs)      # every N's v1 shares it
     means, players = [], []
     for N in ns:
         game = induced_game(spec, N)
@@ -363,8 +365,8 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
         means.append(gops.mean_solver.solve(mean_driver(game)))
         # player 1 of the finite game against the mean-field v^1, on a path subset
         if pp > 0:
-            u1 = gops.player_solver.solve(shifted_drive(player_base(game, 0), gops.H, means[-1]))
-            v1 = ops.player_solver.solve(shifted_drive(game.b_signals[0], ops.H, nu_cs))
+            u1 = gops.player_solver.solve(shifted_drive(game, player_base(game, 0), means[-1]))
+            v1 = ops.player_solver.solve(game.b_signals[0] - nu_coupling)
             players += [u1, v1]
 
     paths, first = _streamed_path_values([*means, *players],
@@ -412,13 +414,13 @@ def best_response_gap(spec: MFGSpec, n_players: int, noise: CrossedNoise) -> dic
     """
     sol = solve_infinite(spec, n_players, noise)
     game = induced_game(spec, n_players)
-    G, H = build_GH(game)
+    G, _ = build_GH(game)
     N = n_players
     br_solver = FredholmSolver(G, 2.0 * spec.lam)
 
-    # the others' sum over N: (N-1)/N times their average, as the H shift weighs it
+    # the others' sum over N: (N-1)/N times their average, as the coupling weighs it
     others = sum((1.0 / N) * s for s in sol.strategies) - (1.0 / N) * sol.strategies[0]
-    br = br_solver.solve(shifted_drive(player_base(game, 0), H, others))
+    br = br_solver.solve(shifted_drive(game, player_base(game, 0), others))
     dev_profile = sol.v.copy()
     dev_profile[0] = br.path_values(noise.bundle.increments, noise.bundle.n_paths)
     return _gain(game, sol.v, dev_profile, noise.bundle)

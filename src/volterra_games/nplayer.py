@@ -2,20 +2,21 @@
 
 The mean strategy solves a Fredholm problem with kernel
 Kbar = ((N-1)/N) H + G and driver bbar + b0/N; each player then solves one
-with kernel Khat = G - H/N and a driver shifted by the realized and expected
-action of the mean, where G = A1/N^2 + 2 A3/N + A2hat and H = A1/N + A3.
-Both solves share the scale lam_eff = 2*lambda.  The shift
-dt (H + H^T) ubar is formed once per solve_nash and serves every player's
-driver.  The first-order condition is the gradient of J^i formed from A1,
-A2hat and A3 directly, not from G and H, so it also checks build_GH and the
-reduction to the two Fredholm problems.  The shift and the condition apply
-matrices to solver outputs, whose weights are strictly lower, so each is an
-adapted product (CompiledSignal.adapted_matmul).
+with kernel Khat = G - H/N, where G = A1/N^2 + 2 A3/N + A2hat and
+H = A1/N + A3, both at scale lam_eff = 2*lambda.  Each player's driver is
+shifted by the one term of its first-order condition in the other players,
+the coupling H(ubar) + H*(E_. ubar) = dt ((A1 + A1^T)/N + A3 + A3^T) ubar,
+formed once per solve_nash from A1 and A3 (mean_field_coupling).  The
+condition, the gradient of J^i from A2hat, A3 and that coupling, shows a
+wrong G or H; the mean gap, the players' average against ubar, also shows a
+wrong H.  The coupling and the condition apply matrices to solver outputs,
+whose weights are strictly lower, so each is an adapted product
+(CompiledSignal.adapted_matmul).
 
 The mean-field game is this game at N = inf (meanfield.MFGSpec.n_players =
-math.inf): build_GH, build_operators and the first-order terms serve it as
-they stand, every 1/N term evaluating to 0, so its mean kernel is
-A2hat + A3, its player kernel A2hat and its shift kernel H = A3.
+math.inf): build_GH, build_operators, mean_field_coupling and the FOC terms
+serve it as they stand, every 1/N term evaluating to 0, so its mean kernel
+is A2hat + A3, its player kernel A2hat and its coupling dt (A3 + A3^T) mu.
 
 Drivers and strategies are signals.CompiledSignal values (a mean plus one
 weight matrix per noise tag), so each solve runs once for all paths.  Path
@@ -104,9 +105,8 @@ class GameSpec:
                 if low < -ADMISSIBILITY_TOL:
                     raise InadmissibleKernel(f"{name} fails nonnegative-definiteness")
         elif self.kernel_check == "concave":
-            N = self.n_players
-            hess = add_kernels((1.0 / N ** 2, self.a1), (2.0 / N, self.a3), (1.0, self.a2hat))
-            low = self.margins["min_eig_player_form"] = min_eigenvalue(hess)
+            G, _ = build_GH(self)
+            low = self.margins["min_eig_player_form"] = min_eigenvalue(G)
             self.margins["min_eig_A2hat"] = min_eigenvalue(self.a2hat)
             if low < -(self.lam + ADMISSIBILITY_TOL):
                 raise InadmissibleKernel(
@@ -133,9 +133,8 @@ def build_GH(spec: GameSpec) -> tuple[GridKernel, GridKernel]:
 
 @dataclass
 class GameOperators:
-    """Per-spec factorizations, shared across paths and players, and the shift kernel H."""
+    """Factorizations of the mean and player problems, shared across paths and players."""
 
-    H: GridKernel
     mean_solver: FredholmSolver
     player_solver: FredholmSolver
 
@@ -150,26 +149,29 @@ def build_operators(spec: GameSpec) -> GameOperators:
     lam_eff = 2.0 * spec.lam
     mean_solver = FredholmSolver(kbar, lam_eff)
     player_solver = FredholmSolver(khat, lam_eff)
-    return GameOperators(H, mean_solver, player_solver)
+    return GameOperators(mean_solver, player_solver)
 
 
-def mean_field_shift(H: GridKernel, w: CompiledSignal) -> CompiledSignal:
-    """H(w) + H*(E_. w), on coefficients dt (H + H^T) w.
+def mean_field_coupling(spec, w: CompiledSignal) -> CompiledSignal:
+    """H(w) + H*(E_. w) with H = A1/N + A3, on coefficients dt ((A1 + A1^T)/N + A3 + A3^T) w.
 
-    w is a solver output (or a sum of them), so its weights are strictly lower.
+    Read off the spec's A1 and A3 (a GameSpec or an MFGSpec), not off build_GH's
+    H.  w is a solver output (or a sum of them), so its weights are strictly lower.
     """
-    S = H.values + H.values.T
-    S *= H.grid.dt
+    S = spec.a1.values + spec.a1.values.T
+    S /= spec.n_players
+    S += spec.a3.values + spec.a3.values.T
+    S *= spec.grid.dt
     return w.adapted_matmul(S)
 
 
-def shifted_drive(base: CompiledSignal, H: GridKernel, w: CompiledSignal) -> CompiledSignal:
-    """Driver base - H(w) - H*(E_. w), on coefficients base - dt (H + H^T) w.
+def shifted_drive(spec, base: CompiledSignal, w: CompiledSignal) -> CompiledSignal:
+    """Driver base - H(w) - H*(E_. w), on coefficients base - mean_field_coupling(spec, w).
 
     The shift acts on the mean and on every tag's weights alike, so the
     driver's conditional surfaces stay tower-consistent.
     """
-    return base - mean_field_shift(H, w)
+    return base - mean_field_coupling(spec, w)
 
 
 def player_base(spec: GameSpec, i: int) -> CompiledSignal:
@@ -243,9 +245,8 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
     fred_residual = sup_on_paths(ops.mean_solver.residual(mean_drive, mean_strategy),
                                  increments, P)
     del mean_drive          # nothing reads the driver past its residual
-    # every player's driver shares one shift by the mean strategy, every FOC the term cross
-    shift = mean_field_shift(ops.H, mean_strategy)
-    own, cross = _foc_terms(spec, mean_strategy)
+    # one coupling to the mean strategy shifts every player's driver and enters every FOC
+    own, coupling = _foc_terms(spec, mean_strategy)
     b0 = (1.0 / N) * spec.b0_signal
     tags = sorted(mean_strategy.weights)       # every tag of every driver
 
@@ -261,11 +262,11 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
                     else part.tag_values(tag, increments[tag]) if part.weights else None)
 
         base = b.part(tag) + b0.part(tag)
-        drive = base - shift.part(tag)
+        drive = base - coupling.part(tag)
         strategy = ops.player_solver.solve(drive)
         residual = sample(ops.player_solver.residual(drive, strategy))
         del drive               # nothing reads the driver past its residual
-        condition = strategy.adapted_matmul(own).accumulate(cross.part(tag))
+        condition = strategy.adapted_matmul(own).accumulate(coupling.part(tag))
         condition = sample(condition.accumulate(base, subtract=True))
         return strategy, [sample(strategy), residual, condition, sample(base)]
 
@@ -312,32 +313,26 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
 
 def foc_residual(spec: GameSpec, solution: NashSolution, i: int) -> float:
     """Sup over the sampled paths of player i's discretized first-order condition."""
-    own, cross = _foc_terms(spec, solution.mean_strategy)
-    return sup_on_paths(solution.strategies[i].adapted_matmul(own) + cross
+    own, coupling = _foc_terms(spec, solution.mean_strategy)
+    return sup_on_paths(solution.strategies[i].adapted_matmul(own) + coupling
                         - player_base(spec, i),
                         solution.increments, len(solution.ubar))
 
 
 def _foc_terms(spec: GameSpec, mean_strategy: CompiledSignal) -> tuple[np.ndarray, CompiledSignal]:
-    """(own, cross) such that own @ u^i + cross - (b^i + b^0/N) is minus J^i's gradient.
+    """(own, coupling) such that own @ u^i + coupling - (b^i + b^0/N) is minus J^i's gradient.
 
-    own = 2 lam id + dt (A2hat + A2hat^T + (A3 + A3^T)/N) and
-    cross = dt ((A1 + A1^T)/N + A3 + A3^T) ubar, read off the objective's A1,
-    A2hat and A3, so a wrong G, H or solver shows in the residual.  Formed on
+    own = 2 lam id + dt (A2hat + A2hat^T + (A3 + A3^T)/N) and the coupling is
+    mean_field_coupling's of ubar, both read off the objective's A1, A2hat
+    and A3, so a wrong G, H or solver shows in the residual.  Formed on
     coefficients; sup_on_paths then evaluates the condition on every path.
     """
-    N, dt = spec.n_players, spec.grid.dt
-    A1, A2, A3 = spec.a1.values, spec.a2hat.values, spec.a3.values
-    sym3 = A3 + A3.T
+    A2, A3 = spec.a2hat.values, spec.a3.values
     own = A2 + A2.T
-    own += sym3 / N
-    own *= dt
+    own += (A3 + A3.T) / spec.n_players
+    own *= spec.grid.dt
     own[np.diag_indices(spec.grid.n)] += 2.0 * spec.lam
-    cross = A1 + A1.T
-    cross /= N
-    cross += sym3
-    cross *= dt
-    return own, mean_strategy.adapted_matmul(cross)
+    return own, mean_field_coupling(spec, mean_strategy)
 
 
 def objective_per_path(spec: GameSpec, i: int, strategies: np.ndarray,

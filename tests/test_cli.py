@@ -462,6 +462,22 @@ class TestTabulatedKernel:
         p = write_cfg(tmp_path, model, grid={"T": 1.0, "n": n})
         assert main(["oracle-check", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
 
+    def test_missing_table_exits_2(self, tmp_path):
+        # an unreadable table once escaped as a FileNotFoundError traceback, exit 1
+        cfg = json.loads((CONFIGS / "raw_game.json").read_text())
+        missing = tmp_path / "no_such_kernel.csv"
+        cfg["model"]["a2hat"] = {"family": "tabulated", "path": str(missing)}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        res = subprocess.run([sys.executable, "-m", "volterra_games.cli", "solve",
+                              "--config", str(p), "--out", str(tmp_path / "o")],
+                             env=dict(os.environ, PYTHONPATH=SRC_PATH),
+                             capture_output=True, text=True, timeout=600)
+        assert res.returncode == 2
+        assert "config error" in res.stderr
+        assert "a2hat" in res.stderr and str(missing) in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestOracleFlag:
     def test_solve_with_oracle_append(self, tmp_path):

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from volterra_games import meanfield
+from volterra_games import meanfield, nplayer
 from volterra_games.errors import ShapeError
 from volterra_games.fredholm import build_Dt
 from volterra_games.grid_ops import (
@@ -33,6 +33,7 @@ from volterra_games.meanfield import (
 from volterra_games.nplayer import (
     build_operators,
     conditional_surfaces,
+    mean_field_coupling,
     player_base,
     shifted_drive,
     solve_nash,
@@ -114,7 +115,14 @@ class TestLimitOperators:
         for solver, K in ((ops.mean_solver, mean), (ops.player_solver, spec.a2hat)):
             assert solver.core.tobytes() == build_Dt(K, solver.lam_eff)[0].tobytes()
             assert solver.lam_eff == 2.0 * spec.lam
-        assert ops.H.values.tobytes() == spec.a3.values.tobytes()
+        # the coupling is the A3 shift dt (A3 + A3^T), the A1 term gone
+        dt, A3 = spec.grid.dt, spec.a3.values
+        mu = ops.mean_solver.solve(spec.mean_field_driver())
+        got, want = mean_field_coupling(spec, mu), mu.adapted_matmul(dt * (A3 + A3.T))
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.weights.keys() == want.weights.keys()
+        for tag, w in want.weights.items():
+            assert got.weights[tag].tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("n", [16, 100])
     def test_foc_residual_is_the_limit_formula(self, n):
@@ -171,7 +179,7 @@ class TestGenericPlayer:
         # the same condition path by path, through the on-demand surfaces
         ops = build_operators(spec)
         cb = spec.b_family()
-        v = ops.player_solver.solve(shifted_drive(cb, spec.a3, sol.mean_field))
+        v = ops.player_solver.solve(shifted_drive(spec, cb, sol.mean_field))
         v_surface = conditional_surfaces(v, noise.bundle.increments, 8)
         mu_surf = mu_surface(sol)
         dt, A3, A2 = grid16.dt, spec.a3.values, spec.a2hat.values
@@ -395,6 +403,23 @@ class TestBatchedPipelineCrossValidation:
         assert abs(row["mse_mean"] - mse_mean) <= 1e-11
         assert abs(row["mse_player"] - mse_player) <= 1e-11
 
+    @pytest.mark.parametrize("ns", [[4], [4, 8, 16]])
+    def test_limit_coupling_formed_once(self, grid16, monkeypatch, ns):
+        # every N's mean-field player shares the limit's one coupling of nu
+        specs = []
+
+        def counted(spec, w):
+            specs.append(spec)
+            return coupling(spec, w)
+
+        coupling = nplayer.mean_field_coupling
+        monkeypatch.setattr(nplayer, "mean_field_coupling", counted)
+        monkeypatch.setattr(meanfield, "mean_field_coupling", counted)
+        spec, _, noise = study_case("iid", grid16)
+        convergence_study(spec, ns, noise)
+        assert sum(s is spec for s in specs) == 1
+        assert len(specs) == 1 + len(ns)        # and one per finite game, for its player
+
 
 def materialized_study(spec, ns, noise, player_paths=None):
     """convergence_study's rows from the whole bundle, one path_values per N.
@@ -420,9 +445,9 @@ def materialized_study(spec, ns, noise, player_paths=None):
         mse_mean = float(np.max(np.mean((ubar - nu_full) ** 2, axis=0)))
         mse_player = np.nan
         if pp > 0:
-            u1 = gops.player_solver.solve(shifted_drive(player_base(game, 0), gops.H, ubar_cs))
-            v1 = ops.player_solver.solve(shifted_drive(spec.player_family.signal(0, N), spec.a3,
-                                                  nu_cs))
+            u1 = gops.player_solver.solve(shifted_drive(game, player_base(game, 0), ubar_cs))
+            v1 = ops.player_solver.solve(shifted_drive(spec, spec.player_family.signal(0, N),
+                                                       nu_cs))
             gap = u1.path_values(first_pp, pp) - v1.path_values(first_pp, pp)
             mse_player = float(np.max(np.mean(gap ** 2, axis=0)))
         rows.append({"N": int(N), "mse_mean": mse_mean, "mse_player": mse_player})

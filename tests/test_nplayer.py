@@ -221,9 +221,8 @@ class TestDrive:
         spec = make_spec(grid16, N=2, zero=True)
         bundle = bundle_for(spec, 1, 0)
         b = spec.b_signals[0]
-        _, H = build_GH(spec)
         zero = CompiledSignal(grid16, np.zeros(16), {"common": np.zeros((16, 16))})
-        d = shifted_drive(b, H, zero)
+        d = shifted_drive(spec, b, zero)
         assert np.array_equal(d.mean, b.mean)
         for tag in b.weights:
             assert np.array_equal(d.weights[tag], b.weights[tag])
@@ -235,8 +234,7 @@ class TestDrive:
         spec = make_spec(grid16, N=2)
         base = CompiledSignal(grid16, 1.0 + grid16.times, {})
         w = CompiledSignal(grid16, np.sin(grid16.times), {})
-        _, H = build_GH(spec)
-        values, surface = shifted_drive(base, H, w).values_and_surface({})
+        values, surface = shifted_drive(spec, base, w).values_and_surface({})
         assert np.max(np.abs(surface - values[None, :])) < 1e-14
 
     def test_tower_property_on_enumerated_filtration(self):
@@ -251,7 +249,7 @@ class TestDrive:
         bp, b0p = spec.b_signals[0], spec.b0_signal
         base = 1.0 * bp + 0.5 * b0p
         ms = ops.mean_solver.solve(0.5 * bp + 0.5 * bp + 0.5 * b0p)  # symmetric players share bp
-        drives = conditional_surfaces(shifted_drive(base, ops.H, ms), bundle.increments, L)
+        drives = conditional_surfaces(shifted_drive(spec, base, ms), bundle.increments, L)
         rng = np.random.default_rng(1)
         for _ in range(25):
             i = rng.integers(0, 4)
@@ -303,6 +301,36 @@ class TestFOC:
         sol = solve_nash(spec, bundle)
         assert sol.diagnostics["fredholm_residual_max"] < 1e-12
         assert sol.diagnostics["foc_residual_max"] > 1e-6
+
+    def test_wrong_H_shows_in_foc_and_mean_gap(self, monkeypatch):
+        # H with A3 weighted 0.5: the solves stay exact for the wrong kernels, but the
+        # drivers are shifted by the coupling read off A1 and A3, so the players'
+        # average leaves the mean strategy as well as the first-order condition
+        def wrong_GH(spec):
+            G, _ = build_GH(spec)
+            return G, add_kernels((1.0 / spec.n_players, spec.a1), (0.5, spec.a3))
+
+        cfg, spec = shipped_game("raw_game", 32)
+        bundle = draw_noise(spec.grid, spec.noise_tags(), 8, cfg["noise"]["seed"])
+        monkeypatch.setattr(nplayer, "build_GH", wrong_GH)
+        sol = solve_nash(spec, bundle, mean_gap_tol=np.inf)
+        assert sol.diagnostics["fredholm_residual_max"] < 1e-12
+        assert sol.diagnostics["foc_residual_max"] > 1e-6
+        assert sol.diagnostics["mean_gap"] > 1e-6
+
+    def test_coupling_formed_once_per_solve(self, grid16, monkeypatch):
+        # one coupling to the mean serves every player's driver and every FOC
+        specs = []
+
+        def counted(spec, w):
+            specs.append(spec)
+            return coupling(spec, w)
+
+        coupling = nplayer.mean_field_coupling
+        monkeypatch.setattr(nplayer, "mean_field_coupling", counted)
+        spec = make_spec(grid16, N=3)
+        solve_nash(spec, bundle_for(spec, 2, 5))
+        assert specs == [spec]
 
 
 class TestObjective:
@@ -384,7 +412,7 @@ class TestFunctionalForms:
         ubar = ops.mean_solver.solve(driver)
         full = solve_nash(spec, bundle)
         assert np.max(np.abs(ubar.path_values(bundle.increments, 2) - full.ubar)) <= 1e-12
-        u0 = ops.player_solver.solve(shifted_drive(player_base(spec, 0), ops.H, ubar))
+        u0 = ops.player_solver.solve(shifted_drive(spec, player_base(spec, 0), ubar))
         assert np.max(np.abs(u0.path_values(bundle.increments, 2) - full.u[0])) <= 1e-12
 
 
@@ -448,7 +476,7 @@ class TestLiteralTranscription:
         assert np.max(np.abs(abar - abar_lit)) <= 1e-12
 
         khat = G - H / N
-        drive = shifted_drive(player_base(spec, 0), ops.H, mean_sol)
+        drive = shifted_drive(spec, player_base(spec, 0), mean_sol)
         u_lit, ahat_lit, Bhat_lit = literal_solution(khat, drive)
         u = ops.player_solver.solve(drive).values_and_surface(dW)[0]
         assert np.max(np.abs(u - u_lit)) <= 1e-12
@@ -499,17 +527,28 @@ class TestBlockedProducts:
 
     def test_raw_game_solve_peak_memory(self):
         # the most solve_nash holds at once, its solution included, in n x n arrays:
-        # 19.2 here, 27.4 with dense factors, a kernel kept per solver and a new
-        # array per + or - in the checks
-        cfg, spec = shipped_game("raw_game", 256)
-        bundle = draw_noise(spec.grid, spec.noise_tags(), 4, cfg["noise"]["seed"])
-        tracemalloc.start()
-        try:
-            solve_nash(spec, bundle)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 23 * spec.grid.n ** 2 * 8
+        # 16.3 here; 19.3 with a driver shift held beside the FOC's cross term and a
+        # kernel H for it, 27.4 with dense factors, a kernel kept per solver and a
+        # new array per + or - in the checks
+        assert solve_peak("raw_game", 256) <= 17
+
+    def test_systemic_n16_solve_peak_memory(self):
+        # 16 banks, 32 distinct weights per tag: 92.7 n x n arrays here, 109.7 with
+        # the driver shift held beside the FOC's cross term
+        assert solve_peak("systemic_n16", 128) <= 100
+
+
+def solve_peak(model, n):
+    """Peak of solve_nash on a shipped game, its solution included, in n x n arrays."""
+    cfg, spec = shipped_game(model, n)
+    bundle = draw_noise(spec.grid, spec.noise_tags(), 4, cfg["noise"]["seed"])
+    tracemalloc.start()
+    try:
+        solve_nash(spec, bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (spec.grid.n ** 2 * 8)
 
 
 class TestMargins:
