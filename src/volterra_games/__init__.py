@@ -7,7 +7,6 @@ brute-force oracle cross-checks the equilibria on small grids.
 
 from .errors import (
     ConfigError,
-    ConsistencyViolation,
     ConvexityViolation,
     InadmissibleKernel,
     InvalidGrid,

@@ -57,9 +57,9 @@ from .model_builders import (
     build_systemic_game,
     integer_field,
 )
-from .nplayer import GameSpec, solve_nash
+from .nplayer import DEFAULT_TOLERANCES, GameSpec, solve_nash
 from .signals import GENERATOR_NAME, CompiledSignal, deterministic, draw_noise, martingale, ou
-from .validation import DEFAULT_TOLERANCES, validation_report
+from .validation import validation_report
 
 # diagnostics.json entry -> the tolerance that gates it in `solve`
 SOLVE_GATES = {"fredholm_residual_max": "fredholm_residual", "foc_residual_max": "foc_residual",
@@ -280,10 +280,19 @@ def _build_mfg(cfg: dict, grid: TimeGrid) -> MFGSpec:
     )
 
 
+def _finite(text: str, number=float):
+    """A JSON number or constant (NaN, Infinity) as number; ConfigError unless a finite float."""
+    if not math.isfinite(float(text)):
+        raise ConfigError(f"config numbers must be finite, got {text}")
+    return number(text)
+
+
 def load_config(path: str) -> dict:
+    """The config at path; a NaN, an infinity or an out-of-range number is a ConfigError."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite, parse_int=lambda text: _finite(text, int),
+                            parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
@@ -324,8 +333,8 @@ def _tolerances(cfg: dict) -> dict:
     given = cfg.get("run", {}).get("tolerances", {})
     _require_keys(given, set(DEFAULT_TOLERANCES), "run.tolerances")
     for name, value in given.items():
-        if not (type(value) is int or isinstance(value, float) and math.isfinite(value)):
-            raise ConfigError(f"run.tolerances.{name} must be a finite number, got {value!r}")
+        if type(value) not in (int, float):       # load_config refuses non-finite numbers
+            raise ConfigError(f"run.tolerances.{name} must be a number, got {value!r}")
     return {**DEFAULT_TOLERANCES, **given}
 
 
@@ -409,7 +418,7 @@ def run_solve(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
     spec = build_game_from_config(cfg, grid)
     bundle = draw_noise(grid, spec.noise_tags() or {"common"}, paths, seed)
     # the gates apply after the outputs are written, so a failed run leaves its diagnostics
-    sol = solve_nash(spec, bundle, mean_gap_tol=np.inf)
+    sol = solve_nash(spec, bundle)
 
     # one reduction per strategy over its (n, P) samples, copied contiguous over
     # paths: bitwise equal to numpy's mean/std per row, and the only temporary
@@ -433,8 +442,9 @@ def run_solve(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
     diagnostics.update({"grid_n": grid.n, "paths": paths, "seed": seed,
                         "players": spec.n_players})
     (out / "diagnostics.json").write_text(json.dumps(diagnostics, indent=2, sort_keys=True))
-    failed = any(diagnostics[key] > tol[name] for key, name in SOLVE_GATES.items())
-    return int(failed), {"grid_n": grid.n, "paths": paths}
+    # written as value <= tol, so that a NaN fails its gate
+    passed = all(diagnostics[key] <= tol[name] for key, name in SOLVE_GATES.items())
+    return 0 if passed else 1, {"grid_n": grid.n, "paths": paths}
 
 
 def run_converge(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
@@ -488,7 +498,8 @@ def run_eps_nash(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
     gaps = [max(r["gap"], 0.0) for r in rows]
     slope = fit_loglog_slope([r["N"] for r in rows], np.maximum(gaps, 1e-300)) \
         if len(rows) > 1 else float("nan")
-    ok = (not np.isfinite(slope)) or slope <= -0.4
+    # one N has no slope to gate; past it a NaN slope fails, as slope <= -0.4 is False
+    ok = len(rows) == 1 or slope <= -0.4
     return 0 if ok else 1, {"gap_slope": slope, "slope_ok": bool(ok), "grid_n": grid.n,
                             "paths": paths}
 

@@ -25,10 +25,6 @@ class UnsupportedSignal(VolterraGamesError):
     """An input is not a signal, or the noise lacks one of a signal's tags."""
 
 
-class ConsistencyViolation(VolterraGamesError):
-    """Per-player strategies fail to average to the solved mean strategy."""
-
-
 class ConvexityViolation(VolterraGamesError):
     """Model parameters violate the convexity condition of the game."""
 

@@ -28,8 +28,8 @@ from .grid_ops import (
     resolvent,
     star_product,
 )
-from .nplayer import GameSpec
-from .signals import CompiledSignal, IdentityMemo, deterministic, martingale, on_grid
+from .nplayer import DEFAULT_TOLERANCES, GameSpec
+from .signals import CompiledSignal, deterministic, martingale, on_grid
 
 
 def integer_field(value, name: str) -> int:
@@ -42,6 +42,15 @@ def integer_field(value, name: str) -> int:
                                        or (isinstance(value, float) and value.is_integer())):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def player_count(params: dict, *lists: str) -> int:
+    """model.N, at least 1, with N entries in each per-player list of lists that params has."""
+    N = integer_field(params["N"], "model.N")
+    if N < 1 or any(len(params[key]) != N for key in lists if key in params):
+        raise ShapeError(f"need model.N >= 1 and one entry per player in {', '.join(lists)}; "
+                         f"got N = {N}")
+    return N
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +257,10 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
     shares (the systemic mean field) costs one map, not N, and the cost
     grows with the distinct signals' tags, not with players x tags.  The
     sharing carries through: sums keep an operand's array where it alone
-    carries a tag, and the fold into b^i runs once per distinct (tag, row
-    weights), so players hold the same weight object wherever their weights
-    are the same function of the same state signals.
+    carries a tag, and the fold into b^i runs tag by tag, once per distinct
+    pair of row weights of the tag, so players hold the same weight object
+    wherever their weights are the same function of the same state signals.
+    Each tag's row arrays are released once the tag is folded.
     """
     if vspec.grid != grid:
         raise ShapeError("vspec was discretized on a different grid")
@@ -309,7 +319,7 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
             c_i += dt * sum(float(wT @ s_term.weights[t][a]) for t, wT in d[a].weights_T.items()
                             if t in s_term.weights)
         c_consts.append(float(c_i))
-    del mapped
+    del mapped, parts       # the last player's parts hold the shared row pair
 
     # common b^0 = cross-player average of second rows; remainders fold into b^i
     b0 = _nonzero_tags(sum(row[1] for row in rows) / N)
@@ -325,32 +335,33 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
         return [f.weights[tag] if tag in f.weights and np.any(f.weights[tag]) else None
                 for f in fold(row0, row1, tag)]
 
-    # a tag's fold depends on a player only through the row weights it carries
-    # for the tag: each distinct pair folds once, and the players share the result
-    shared = IdentityMemo((tag, (row0.weights.get(tag), row1.weights.get(tag)))
-                          for row0, row1 in rows for tag in tags)
-    b_signals, b0_extras = [], []
-    for i, (row0, row1) in enumerate(rows):
-        rows[i] = None             # each player's rows are released once consumed
-        means = [f.mean for f in fold(row0, row1, None)]
-        weights = ({}, {})
-        for tag in tags:
+    # a tag's fold depends on a player only through the row weights it carries for
+    # the tag: tag by tag, each distinct pair folds once and the players share it
+    means = [[f.mean for f in fold(row0, row1, None)] for row0, row1 in rows]
+    weights = [({}, {}) for _ in rows]
+    for tag in tags:
+        done = {}       # this tag's row weights, by id: (the weights, their fold)
+        for (row0, row1), out in zip(rows, weights):
             pair = (row0.weights.get(tag), row1.weights.get(tag))
-            for out, w in zip(weights, shared(tag, pair, fold_tag, row0, row1, tag)):
+            key = tuple(map(id, pair))
+            if key not in done:
+                done[key] = pair, fold_tag(row0, row1, tag)
+            for o, w in zip(out, done[key][1]):
                 if w is not None:
-                    out[tag] = w
-        b_i, rest = (CompiledSignal(grid, m, w) for m, w in zip(means, weights))
-        b_signals.append(b_i)
-        b0_extras.append(rest if np.any(rest.mean) or rest.weights else None)
+                    o[tag] = w
+            for r in (row0, row1):      # rows are sums made here: drop the folded tag
+                r.weights.pop(tag, None)
+    b_signals = tuple(CompiledSignal(grid, m[0], w[0]) for m, w in zip(means, weights))
+    b0_extras = tuple(CompiledSignal(grid, m[1], w[1]) if np.any(m[1]) or w[1] else None
+                      for m, w in zip(means, weights))
 
     spec = GameSpec(
         n_players=N, lam=vspec.p, a1=a1, a2hat=a2hat, a3=a3,
-        b_signals=tuple(b_signals), b0_signal=b0, grid=grid,
-        c_constants=tuple(c_consts), kernel_check="concave",
-        b0_extras=tuple(b0_extras),
+        b_signals=b_signals, b0_signal=b0, grid=grid,
+        c_constants=tuple(c_consts), kernel_check="concave", b0_extras=b0_extras,
     )
     low = spec.margins["min_eig_A2hat"]
-    if low < -(vspec.p + 1e-8):
+    if low < -(vspec.p + DEFAULT_TOLERANCES["admissibility"]):
         raise InadmissibleKernel(
             f"assembled instantaneous cost loses definiteness: min eig {low:.3e} < -p")
     return spec
@@ -447,13 +458,11 @@ def build_liquidation_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
     signal_sigma (per player, price martingale volatility; 0 for none),
     common_signal_sigma (optional common price factor).
     """
-    N = integer_field(params["N"], "model.N")
+    N = player_count(params, "x0", "signal_sigma")
     lam, phi, rho_term = float(params["lam"]), float(params["phi"]), float(params["rho_term"])
     if min(lam, phi, rho_term) <= 0.0:
         raise InadmissibleKernel("liquidation needs lam, phi, rho_term > 0")
     x0 = np.asarray(params["x0"], dtype=float)
-    if x0.shape != (N,):
-        raise ShapeError("x0 must list one initial inventory per player")
     sigmas = np.asarray(params.get("signal_sigma", np.zeros(N)), dtype=float)
     sigma0 = float(params.get("common_signal_sigma", 0.0))
 
@@ -498,7 +507,7 @@ def build_systemic_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volterr
     params: N, beta, eps, cost_c, sigma (per player), delay (DelayMeasure),
     x0 (per player), h (optional per-player drift cell values).
     """
-    N = integer_field(params["N"], "model.N")
+    N = player_count(params, "sigma", "x0", "h")
     beta, eps, cost_c = float(params["beta"]), float(params["eps"]), float(params["cost_c"])
     if beta ** 2 > eps:
         raise ConvexityViolation(f"need beta^2 <= eps, got beta^2 = {beta ** 2}, eps = {eps}")
@@ -553,7 +562,7 @@ def build_advertising_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
     sigma (per player).  The state response to controls and to noise is built
     from resolvents on a grid extended to the horizon endpoint.
     """
-    N = integer_field(params["N"], "model.N")
+    N = player_count(params, "sigma")
     lam, beta = float(params["lam"]), float(params["beta"])
     if lam <= 0.0 or beta < 0.0:
         raise InadmissibleKernel("advertising needs lam > 0 and beta >= 0")

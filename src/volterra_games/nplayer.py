@@ -26,7 +26,9 @@ surfaces are built only when asked for.
 Players that carry the same weight object for a noise tag share one solve,
 one residual and FOC check and one sampling for that tag: every step is
 linear and acts on each tag apart, so a tag's part of a player's strategy
-depends on the player only through that object.  The reduction of a dynamic
+depends on the player only through that object.  solve_nash therefore runs
+the players tag by tag, with a dict from that tag's weight objects to their
+parts, and drops the tag's parts before the next.  The reduction of a dynamic
 game hands out such shared objects (a bank's weights for another bank's
 noise come from the one mean field), so an exchangeable game costs and holds
 O(distinct weights), not players x tags.
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConsistencyViolation, InadmissibleKernel, ShapeError
+from .errors import InadmissibleKernel, ShapeError
 from .fredholm import FredholmSolver
 from .grid_ops import (
     GridKernel,
@@ -47,10 +49,11 @@ from .grid_ops import (
     add_kernels,
     min_eigenvalue,
 )
-from .signals import CompiledSignal, IdentityMemo, NoiseBundle, on_grid
+from .signals import CompiledSignal, NoiseBundle, on_grid
 
-ADMISSIBILITY_TOL = 1e-8
-MEAN_GAP_TOL = 1e-6
+# the one tolerance table: the CLI and validation_report copy it, then apply run.tolerances
+DEFAULT_TOLERANCES = {"fredholm_residual": 1e-9, "mean_consistency": 1e-6, "foc_residual": 1e-8,
+                      "admissibility": 1e-8, "oracle": 1e-8}
 
 
 @dataclass(frozen=True)
@@ -102,13 +105,13 @@ class GameSpec:
         if self.kernel_check == "strict":
             for name, K in (("A1", self.a1), ("A2hat", self.a2hat), ("A3", self.a3)):
                 low = self.margins[f"min_eig_{name}"] = min_eigenvalue(K)
-                if low < -ADMISSIBILITY_TOL:
+                if low < -DEFAULT_TOLERANCES["admissibility"]:
                     raise InadmissibleKernel(f"{name} fails nonnegative-definiteness")
         elif self.kernel_check == "concave":
             G, _ = build_GH(self)
             low = self.margins["min_eig_player_form"] = min_eigenvalue(G)
             self.margins["min_eig_A2hat"] = min_eigenvalue(self.a2hat)
-            if low < -(self.lam + ADMISSIBILITY_TOL):
+            if low < -(self.lam + DEFAULT_TOLERANCES["admissibility"]):
                 raise InadmissibleKernel(
                     f"player quadratic form loses concavity: min eig {low:.3e} < -lam")
         else:
@@ -222,19 +225,19 @@ class NashSolution:
                          for s in self.strategies])
 
 
-def solve_nash(spec: GameSpec, bundle: NoiseBundle,
-               mean_gap_tol: float = MEAN_GAP_TOL) -> NashSolution:
-    """Full equilibrium: mean first, then every player; asserts mean consistency.
+def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
+    """Full equilibrium: mean first, then every player; reports the mean gap.
 
     A player's driver, strategy, Fredholm residual and FOC are affine in b^i,
     so each is the sum of its parts (CompiledSignal.part): the mean, formed
     per player, and one part per noise tag, which depends on the player only
-    through the weight object b^i carries for that tag.  Each distinct
-    (tag, weights) is therefore solved, checked and sampled once, and every
-    player that carries it shares the resulting arrays; exchangeable players
-    (one mean field in every driver) share all but their own tags.  Each
-    player's samples add the parts in sorted tag order, as path_values does,
-    so every output is bitwise what a player-by-player solve gives.
+    through the weight object b^i carries for that tag.  The players run tag
+    by tag: each distinct weight object of a tag is solved, checked and
+    sampled once, and every player that carries it shares the resulting
+    arrays; exchangeable players (one mean field in every driver) share all
+    but their own tags.  Each player's samples add the parts after the mean
+    in sorted tag order, as path_values does, so every output is bitwise what
+    a player-by-player solve gives.
     """
     ops = build_operators(spec)
     N, grid = spec.n_players, spec.grid
@@ -247,7 +250,6 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
     del mean_drive          # nothing reads the driver past its residual
     # one coupling to the mean strategy shifts every player's driver and enters every FOC
     own, coupling = _foc_terms(spec, mean_strategy)
-    b0 = (1.0 / N) * spec.b0_signal
     tags = sorted(mean_strategy.weights)       # every tag of every driver
 
     def player_part(b: CompiledSignal, tag):
@@ -261,7 +263,8 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
             return (part.path_values(increments, P) if tag is None
                     else part.tag_values(tag, increments[tag]) if part.weights else None)
 
-        base = b.part(tag) + b0.part(tag)
+        # b^0/N formed part by part: no scaled copy of b^0 is held through the loop
+        base = b.part(tag) + (1.0 / N) * spec.b0_signal.part(tag)
         drive = base - coupling.part(tag)
         strategy = ops.player_solver.solve(drive)
         residual = sample(ops.player_solver.residual(drive, strategy))
@@ -270,38 +273,38 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle,
         condition = sample(condition.accumulate(base, subtract=True))
         return strategy, [sample(strategy), residual, condition, sample(base)]
 
-    shared = IdentityMemo((tag, (f.weights.get(tag),)) for f in spec.b_signals for tag in tags)
-    strategies = []
-    u = np.empty((N, P, grid.n))
-    base_values = np.empty((N, P, grid.n))
-    foc = []
+    # every player's mean part, then each tag's parts in sorted order
+    samples = u, residual, condition, base_values = [np.empty((N, P, grid.n)) for _ in range(4)]
+    means, weights = [], [{} for _ in range(N)]
     for i, b in enumerate(spec.b_signals):
-        strategy, samples = player_part(b, None)
-        weights = {}
-        for tag in tags:
-            part, tag_samples = shared(tag, (b.weights.get(tag),), player_part, b, tag)
-            weights[tag] = part.weights[tag]
+        strategy, mean_samples = player_part(b, None)
+        means.append(strategy.mean)
+        for out, values in zip(samples, mean_samples):
+            out[i] = values
+    for tag in tags:
+        done = {}       # this tag's driver weights, by id: (the weights, their part)
+        for i, b in enumerate(spec.b_signals):
+            w = b.weights.get(tag)
+            if id(w) not in done:
+                done[id(w)] = w, player_part(b, tag)
+            part, tag_samples = done[id(w)][1]
+            weights[i][tag] = part.weights[tag]
             for out, values in zip(samples, tag_samples):
                 if values is not None:
-                    out += values
-        strategies.append(CompiledSignal(grid, strategy.mean, weights))
-        u[i], residual, foc_i, base_values[i] = samples
-        fred_residual = max(fred_residual, float(np.max(np.abs(residual), initial=0.0)))
-        foc.append(float(np.max(np.abs(foc_i), initial=0.0)))
+                    out[i] += values
+    fred_residual = max(fred_residual, float(np.max(np.abs(residual), initial=0.0)))
+    foc = float(np.max(np.abs(condition), initial=0.0))
     ubar = mean_strategy.path_values(increments, P)
-
     mean_gap = float(np.max(np.abs(u.mean(axis=0) - ubar))) if P else 0.0
-    if mean_gap > mean_gap_tol:
-        raise ConsistencyViolation(
-            f"per-player average deviates from mean strategy by {mean_gap:.3e}")
 
     return NashSolution(
         ubar=ubar, u=u, base_values=base_values, mean_strategy=mean_strategy,
-        strategies=tuple(strategies), increments=increments,
+        strategies=tuple(CompiledSignal(grid, m, w) for m, w in zip(means, weights)),
+        increments=increments,
         diagnostics={
             "mean_gap": mean_gap,
             "fredholm_residual_max": fred_residual,
-            "foc_residual_max": max(foc),
+            "foc_residual_max": foc,
             "min_pivot_D_mean": ops.mean_solver.min_pivot(),
             "min_pivot_D_player": ops.player_solver.min_pivot(),
             "cond1_est_D_mean_0": ops.mean_solver.cond1_est(),

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numbers
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -209,37 +208,6 @@ def _tagwise(op, a: dict, b: dict) -> dict:
             else b[tag] if tag not in a and op is operator.add
             else op(a.get(tag, 0.0), b[tag])
             for tag in dict.fromkeys([*a, *b])}
-
-
-class IdentityMemo:
-    """Work per (tag, operand objects): done at a key's first use, dropped after its last.
-
-    Exchangeable players carry the same weight objects, so work that depends
-    on a player only through them is done once per distinct key.  uses lists
-    every (tag, operands) the caller will ask for, once per request: an entry
-    is dropped at its counted last use, so the memo holds only pending work.
-    Operands compare by identity, and an entry keeps its operands alive, so no
-    id is reused while it is pending.
-    """
-
-    def __init__(self, uses):
-        self._left = Counter(self._key(tag, operands) for tag, operands in uses)
-        self._held = {}
-
-    @staticmethod
-    def _key(tag, operands) -> tuple:
-        return (tag, *map(id, operands))
-
-    def __call__(self, tag, operands: tuple, work, *args):
-        """work(*args) for this key: computed at the first request, dropped after the last."""
-        key = self._key(tag, operands)
-        if key not in self._held:
-            self._held[key] = operands, work(*args)
-        result = self._held[key][1]
-        self._left[key] -= 1
-        if self._left[key] <= 0:
-            del self._held[key]
-        return result
 
 
 def on_grid(grid: TimeGrid, *signals) -> None:

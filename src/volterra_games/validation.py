@@ -5,12 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grid_ops import apply, grid_inner, min_eigenvalue, resolvent, star_product
-from .nplayer import GameSpec, solve_nash
+from .nplayer import DEFAULT_TOLERANCES, GameSpec, solve_nash
 from .signals import draw_noise
-
-# the one tolerance table: the CLI and validation_report copy it, then apply run.tolerances
-DEFAULT_TOLERANCES = {"fredholm_residual": 1e-9, "mean_consistency": 1e-6, "foc_residual": 1e-8,
-                      "admissibility": 1e-8, "oracle": 1e-8}
 
 
 def _check(name, value, tolerance, larger_ok=False):
@@ -81,7 +77,7 @@ def validation_report(spec: GameSpec, paths: int = 8, seed: int = 0,
             adapt = max(adapt, float(np.max(np.abs(surf[ii, jj] - values[p, jj]))))
     checks.append(_check("signal_adaptedness", adapt, 1e-12))
 
-    sol = solve_nash(spec, bundle, mean_gap_tol=np.inf)
+    sol = solve_nash(spec, bundle)
     checks.append(_check("fredholm_residual",
                          sol.diagnostics["fredholm_residual_max"], tol["fredholm_residual"]))
     checks.append(_check("mean_consistency",

@@ -155,6 +155,21 @@ class TestConfigErrors:
         ("validate", {"run": {"tolerances": {"admissibility": float("nan")}}}, []),
         ("solve", {"run": {"tolerances": {"mean_consistency": float("inf")}}}, []),
         ("solve", {"run": {"tolerances": {"oracle": [1e-8]}}}, []),
+        # json reads NaN, Infinity and numbers past float's range: a NaN once ran to
+        # NaN diagnostics (exit 0), lam Infinity ended in SingularOperator (exit 3) and
+        # 10^999, written out in digits, in an OverflowError (exit 1)
+        ("solve", {"model": {**RAW_MODEL,
+                             "b0": {"family": "deterministic", "values": [float("nan")]}}},
+         []),
+        ("solve", {"model": {**RAW_MODEL, "lam": float("inf")}}, []),
+        ("solve", {"model": {**RAW_MODEL, "lam": 10 ** 999}}, []),
+        # each once ended in a ZeroDivisionError or an IndexError (exit 1)
+        ("solve", {"model": {**WORKED["systemic"], "N": 0}}, []),
+        ("solve", {"model": {**WORKED["advertising"], "N": 0}}, []),
+        ("solve", {"model": {**WORKED["systemic"], "sigma": [0.2, 0.2]}}, []),
+        ("solve", {"model": {**WORKED["advertising"], "sigma": [0.3]}}, []),
+        ("solve", {"model": {**WORKED["systemic"], "x0": [1.0, 0.5]}}, []),
+        ("solve", {"model": {**WORKED["liquidation"], "signal_sigma": [0.2]}}, []),
     ], ids=["grid-not-object", "T-not-number", "n-1", "grid-n-1", "grid-n-0",
             "paths-not-integer", "N-not-integer", "raw-lam-missing", "mfg-lam-missing",
             "mfg-lam-negative", "mfg-alpha-0.9", "Ns-not-list", "combination-empty",
@@ -166,7 +181,9 @@ class TestConfigErrors:
             "Ns-fractional", "Ns-repeated", "eps-nash-Ns-repeated", "systemic-N-fractional",
             "liquidation-N-fractional", "advertising-N-bool", "tolerances-not-object", "tolerance-misspelled",
             "tolerance-string", "tolerance-null", "tolerance-bool", "tolerance-nan",
-            "tolerance-inf", "tolerance-list"])
+            "tolerance-inf", "tolerance-list", "values-nan", "lam-inf", "lam-10**999",
+            "systemic-N-0", "advertising-N-0", "systemic-sigma-short",
+            "advertising-sigma-short", "systemic-x0-short", "liquidation-signal-sigma-short"])
     def test_malformed_value_exits_2(self, tmp_path, command, overrides, argv):
         game = command in ("solve", "validate", "oracle-check")
         cfg = {"grid": {"T": 1.0, "n": 12}, "noise": {"paths": 6, "seed": 3},
@@ -174,6 +191,12 @@ class TestConfigErrors:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(cfg))
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o"), *argv]) == 2
+
+    def test_number_past_float_range_exits_2(self, tmp_path):
+        # json reads the literal 1e999 as inf; json.dumps cannot write it, so it is put in
+        p = write_cfg(tmp_path, {**RAW_MODEL, "lam": 1234.5})
+        p.write_text(p.read_text().replace("1234.5", "1e999"))
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
     def test_integer_tolerance_is_a_number(self, tmp_path):
         p = write_cfg(tmp_path, RAW_MODEL, run={"tolerances": {"foc_residual": 1}})
@@ -232,6 +255,17 @@ class TestSolve:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag[key] >= 0.0
         assert (out / "strategies.csv").exists()
+
+    def test_nan_diagnostic_fails_its_gate(self, tmp_path, monkeypatch):
+        # NaN > tol is False: a gate written that way once passed a NaN residual (exit 0)
+        def nan_foc(spec, bundle):
+            sol = solve_nash(spec, bundle)
+            sol.diagnostics["foc_residual_max"] = float("nan")
+            return sol
+
+        monkeypatch.setattr(cli, "solve_nash", nan_foc)
+        p = write_cfg(tmp_path, RAW_MODEL)
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
 
     def test_manifest_completeness(self, tmp_path):
         runs = [("solve", RAW_MODEL, None), ("converge", MFG_MODEL, {"Ns": [4, 8]})]
@@ -418,6 +452,18 @@ class TestStudies:
         gaps = [float(r.split(",")[1]) for r in rows[1:]]
         assert all(g >= -1e-12 for g in gaps)
         assert gaps[0] > gaps[-1]
+
+
+    def test_nan_gap_fails_eps_nash(self, tmp_path, monkeypatch):
+        # NaN gaps fit a NaN slope, which once passed as "not finite" (exit 0)
+        gap = cli.best_response_gap
+
+        def nan_gap(spec, N, noise):
+            return {**gap(spec, N, noise), "gap": float("nan")}
+
+        monkeypatch.setattr(cli, "best_response_gap", nan_gap)
+        p = write_cfg(tmp_path, MFG_MODEL, noise={"paths": 4, "seed": 1}, run={"Ns": [4, 8]})
+        assert main(["eps-nash", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
 
 
 class TestTabulatedKernel:

@@ -17,7 +17,7 @@ from volterra_games.cli import build_game_from_config
 from volterra_games.fredholm import FredholmSolver
 from volterra_games.grid_ops import build_grid
 from volterra_games.nplayer import solve_nash
-from volterra_games.signals import CompiledSignal, IdentityMemo, draw_noise
+from volterra_games.signals import CompiledSignal, draw_noise
 
 CONFIGS = Path(__file__).resolve().parent.parent / "run_configs"
 
@@ -147,18 +147,3 @@ def test_unshared_game_does_the_full_work(monkeypatch):
     counts, _ = work_counts(unshared(spec), bundle, monkeypatch)
     assert counts["solves"] == N + N * N
 
-
-class TestIdentityMemo:
-    def test_work_runs_once_per_key_and_is_dropped_after_its_last_use(self):
-        a, b = np.zeros(2), np.zeros(2)          # equal, but distinct objects
-        calls = []
-
-        def work(x):
-            calls.append(x)
-            return len(calls)
-
-        memo = IdentityMemo([("t", (a,)), ("t", (b,)), ("t", (a,)), ("u", (a,))])
-        assert [memo("t", (a,), work, "a"), memo("t", (b,), work, "b"),
-                memo("t", (a,), work, "a"), memo("u", (a,), work, "ua")] == [1, 2, 1, 3]
-        # the counted uses of ("t", a) are spent: a further request works again
-        assert memo("t", (a,), work, "a") == 4
