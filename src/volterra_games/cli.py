@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import dataclasses
 import json
 import math
 import platform
@@ -56,6 +57,7 @@ from .model_builders import (
     build_liquidation_game,
     build_systemic_game,
     integer_field,
+    number,
 )
 from .nplayer import DEFAULT_TOLERANCES, GameSpec, solve_nash
 from .signals import GENERATOR_NAME, CompiledSignal, deterministic, draw_noise, martingale, ou
@@ -88,50 +90,51 @@ def _require_keys(obj: dict, allowed: set, context: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {context}")
 
 
+def _numbers(obj: dict, context: str, skip=(), lists: bool = False) -> dict:
+    """obj's entries but skip's, each read by number as context.key."""
+    return {key: number(value, f"{context}.{key}", lists) for key, value in obj.items()
+            if key not in skip}
+
+
+# a family's parameters and their defaults are the fields of its KernelSpec
+KERNEL_FAMILIES = {"zero": ZeroK, "constant": ConstantLower, "constant_lower": ConstantLower,
+                   "exp": ExponentialDecay, "exponential": ExponentialDecay,
+                   "exponential_decay": ExponentialDecay, "power_law": PowerLaw,
+                   "delay_indicator": DelayIndicator}
+
+
 def parse_kernel(obj, grid: TimeGrid, context: str = "kernel"):
     if not isinstance(obj, dict) or "family" not in obj:
         raise ConfigError(f"{context} must be an object with a 'family' key")
     fam = obj["family"]
-    scale = float(obj.get("scale", 1.0))
-    common = {"family", "scale"}
-    if fam in ("zero",):
-        _require_keys(obj, common, context)
-        return ZeroK(scale=scale)
-    if fam in ("constant", "constant_lower"):
-        _require_keys(obj, common | {"c"}, context)
-        return ConstantLower(scale=scale, c=float(obj.get("c", 1.0)))
-    if fam in ("exp", "exponential", "exponential_decay"):
-        _require_keys(obj, common | {"c", "rho"}, context)
-        return ExponentialDecay(scale=scale, c=float(obj.get("c", 1.0)),
-                                rho=float(obj.get("rho", 1.0)))
-    if fam == "power_law":
-        _require_keys(obj, common | {"c", "alpha"}, context)
-        return PowerLaw(scale=scale, c=float(obj.get("c", 1.0)),
-                        alpha=float(obj.get("alpha", 0.3)))
-    if fam == "delay_indicator":
-        _require_keys(obj, common | {"tau"}, context)
-        return DelayIndicator(scale=scale, tau=float(obj.get("tau", 0.5)))
     if fam == "tabulated":
-        _require_keys(obj, common | {"path"}, context)
+        _require_keys(obj, {"family", "scale", "path"}, context)
+        if not isinstance(obj.get("path"), str):       # open() takes an int as a descriptor
+            raise ConfigError(f"{context}.path must be a file name")
         try:
             with open(obj["path"]) as fh:
                 rows = [[float(x) for x in line.replace(",", " ").split()]
                         for line in fh if line.strip()]
         except OSError as exc:
             raise ConfigError(f"cannot read {context} table: {exc}")
-        return Tabulated(scale=scale, table=tuple(map(tuple, rows)))
-    raise ConfigError(f"unknown kernel family {fam!r} in {context}")
+        return Tabulated(scale=number(obj.get("scale", 1.0), f"{context}.scale"),
+                         table=tuple(map(tuple, rows)))
+    if not isinstance(fam, str) or fam not in KERNEL_FAMILIES:
+        raise ConfigError(f"unknown kernel family {fam!r} in {context}")
+    family = KERNEL_FAMILIES[fam]
+    _require_keys(obj, {"family", *(f.name for f in dataclasses.fields(family))}, context)
+    return family(**_numbers(obj, context, skip=("family",)))
 
 
-def _on_grid(values, grid: TimeGrid, listed_n) -> list | np.ndarray:
-    """Listed signal values as floats, on the run's grid.
+def _on_grid(values, grid: TimeGrid, listed_n, name: str) -> list | np.ndarray:
+    """Listed signal values (the config field name) as floats, on the run's grid.
 
     A list of exactly listed_n (the config's grid.n) entries, on a run whose n
     differs (--grid-n, oracle-check's n = 8), is interpolated linearly over
     t_k = k T / listed_n onto the run's grid, held constant past its last
     point.  Any other list is returned as given, for deterministic() to check.
     """
-    vals = [float(v) for v in np.atleast_1d(values)]
+    vals = number(values if isinstance(values, list) else [values], name, lists=True)
     if len(vals) in (1, grid.n) or len(vals) != listed_n:
         return vals
     return np.interp(grid.times, build_grid(grid.horizon, len(vals)).times, vals)
@@ -146,38 +149,42 @@ def parse_signal(obj, grid: TimeGrid, idio_tag: str, context: str = "signal",
     fam = obj["family"]
     if fam == "deterministic":
         _require_keys(obj, {"family", "values", "kind", "a", "b", "terminal"}, context)
-        if obj.get("kind") == "affine":
-            a, b = float(obj.get("a", 0.0)), float(obj.get("b", 0.0))
+        kind = obj.get("kind")
+        if kind == "affine":
+            a, b = (number(obj.get(key, 0.0), f"{context}.{key}") for key in "ab")
             return deterministic(grid, a + b * grid.times, terminal=a + b * grid.horizon)
         vals = obj.get("values")
-        if vals is None:
-            raise ConfigError(f"{context}: deterministic signal needs 'values' or affine kind")
+        if kind is not None or vals is None:
+            raise ConfigError(f"{context}: deterministic signal needs 'values' or kind 'affine'")
         term = obj.get("terminal")
-        return deterministic(grid, _on_grid(vals, grid, listed_n),
-                             terminal=None if term is None else float(term))
+        return deterministic(grid, _on_grid(vals, grid, listed_n, f"{context}.values"),
+                             terminal=None if term is None else number(term, f"{context}.terminal"))
     noise = obj.get("noise", "idiosyncratic")
+    if noise not in ("common", "idiosyncratic"):
+        raise ConfigError(f"{context}: noise must be 'common' or 'idiosyncratic', got {noise!r}")
     tag = "common" if noise == "common" else idio_tag
     if fam == "martingale":
         _require_keys(obj, {"family", "sigma", "noise"}, context)
-        return martingale(grid, float(obj.get("sigma", 1.0)), tag)
+        return martingale(grid, noise=tag, **_numbers(obj, context, skip=("family", "noise")))
     if fam == "ou":
         _require_keys(obj, {"family", "kappa", "sigma", "x0", "noise"}, context)
-        return ou(grid, kappa=float(obj.get("kappa", 1.0)), sigma=float(obj.get("sigma", 1.0)),
-                  x0=float(obj.get("x0", 0.0)), noise=tag)
+        return ou(grid, noise=tag, **_numbers(obj, context, skip=("family", "noise")))
     if fam == "combination":
         _require_keys(obj, {"family", "terms"}, context)
         if not obj["terms"]:
             raise ConfigError(f"{context}: a combination needs at least one term")
-        return sum(float(c) * parse_signal(s, grid, idio_tag, context, listed_n)
-                   for c, s in obj["terms"])
+        return sum(number(c, f"{context}.terms")
+                   * parse_signal(s, grid, idio_tag, context, listed_n) for c, s in obj["terms"])
     raise ConfigError(f"unknown signal family {fam!r} in {context}")
 
 
 def parse_measure(obj, context: str = "measure") -> DelayMeasure:
     _require_keys(obj, {"atoms", "density"}, context)
-    atoms = tuple((float(t), float(m)) for t, m in obj.get("atoms", ()))
+    atoms = tuple((number(t, f"{context}.atoms"), number(m, f"{context}.atoms"))
+                  for t, m in obj.get("atoms", ()))
     dens = obj.get("density")
-    return DelayMeasure(atoms=atoms, density=None if dens is None else tuple(map(float, dens)))
+    return DelayMeasure(atoms=atoms, density=None if dens is None
+                        else tuple(number(dens, f"{context}.density", lists=True)))
 
 
 def _model_from(build, cfg: dict, grid: TimeGrid):
@@ -212,7 +219,7 @@ def _build_game(cfg: dict, grid: TimeGrid):
             raise ConfigError("model.b must list one signal per player")
         return GameSpec(
             n_players=N,
-            lam=float(model["lam"]),
+            lam=number(model["lam"], "model.lam"),
             a1=discretize_kernel(parse_kernel(model["a1"], grid, "a1"), grid),
             a2hat=discretize_kernel(parse_kernel(model["a2hat"], grid, "a2hat"), grid),
             a3=discretize_kernel(parse_kernel(model["a3"], grid, "a3"), grid),
@@ -224,30 +231,29 @@ def _build_game(cfg: dict, grid: TimeGrid):
     if kind == "liquidation":
         _require_keys(model, {"kind", "N", "lam", "phi", "rho_term", "propagator",
                               "x0", "signal_sigma", "common_signal_sigma"}, "model")
-        params = dict(model)
-        params.pop("kind")
-        params["propagator"] = parse_kernel(model["propagator"], grid, "propagator")
-        return build_liquidation_game(params, grid)[0]
+        return build_liquidation_game({
+            **_numbers(model, "model", ("kind", "propagator"), lists=True),
+            "propagator": parse_kernel(model["propagator"], grid, "propagator")}, grid)[0]
     if kind == "systemic":
         _require_keys(model, {"kind", "N", "beta", "eps", "cost_c", "sigma",
                               "x0", "delay", "h"}, "model")
-        params = dict(model)
-        params.pop("kind")
-        params["delay"] = parse_measure(model["delay"], "delay")
-        return build_systemic_game(params, grid)[0]
+        return build_systemic_game({**_numbers(model, "model", ("kind", "delay"), lists=True),
+                                    "delay": parse_measure(model["delay"], "delay")}, grid)[0]
     if kind == "advertising":
         _require_keys(model, {"kind", "N", "lam", "beta", "forgetting",
                               "competition", "sigma"}, "model")
-        params = dict(model)
-        params.pop("kind")
-        params["forgetting"] = parse_measure(model.get("forgetting", {}), "forgetting")
-        params["competition"] = parse_measure(model.get("competition", {}), "competition")
-        return build_advertising_game(params, grid)[0]
+        measures = {key: parse_measure(model.get(key, {}), key)
+                    for key in ("forgetting", "competition")}
+        return build_advertising_game(
+            {**_numbers(model, "model", ("kind", *measures), lists=True), **measures}, grid)[0]
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def _build_mfg(cfg: dict, grid: TimeGrid) -> MFGSpec:
     model = cfg["model"]
+    if model.get("kind") != "mfg":
+        raise ConfigError(f"converge and eps-nash need model kind 'mfg', "
+                          f"got {model.get('kind')!r}")
     _require_keys(model, {"kind", "lam", "a1", "a2hat", "a3", "b0", "player_base",
                           "player_kind", "amplitude", "shape", "sigma"}, "model")
     listed_n = cfg["grid"].get("n")
@@ -256,18 +262,18 @@ def _build_mfg(cfg: dict, grid: TimeGrid) -> MFGSpec:
     if pk == "balanced":
         shape = model.get("shape")
         shape = np.sin(np.pi * grid.times / grid.horizon) if shape is None \
-            else _on_grid(shape, grid, listed_n)
-        family = BalancedDeterministicFamily(base=base,
-                                             amplitude=float(model.get("amplitude", 0.5)),
-                                             shape=deterministic(grid, shape))
+            else _on_grid(shape, grid, listed_n, "model.shape")
+        family = BalancedDeterministicFamily(
+            base=base, amplitude=number(model.get("amplitude", 0.5), "model.amplitude"),
+            shape=deterministic(grid, shape))
         beta = base
     elif pk == "iid":
-        family = IIDBrownianFamily(base=base, sigma=float(model.get("sigma", 0.5)))
+        family = IIDBrownianFamily(base=base, sigma=number(model.get("sigma", 0.5), "model.sigma"))
         beta = family.signal(0, 1)
     else:
         raise ConfigError(f"unknown player_kind {pk!r}")
     return MFGSpec(
-        lam=float(model["lam"]),
+        lam=number(model["lam"], "model.lam"),
         a1=discretize_kernel(parse_kernel(model["a1"], grid, "a1"), grid),
         a2hat=discretize_kernel(parse_kernel(model["a2hat"], grid, "a2hat"), grid),
         a3=discretize_kernel(parse_kernel(model["a3"], grid, "a3"), grid),
@@ -306,14 +312,19 @@ def load_config(path: str) -> dict:
     _require_keys(cfg["grid"], {"T", "n"}, "grid")
     _require_keys(cfg.get("noise", {}), {"paths", "seed"}, "noise")
     _require_keys(cfg.get("run", {}), {"out", "Ns", "tolerances"}, "run")
+    if not isinstance(cfg["model"], dict):
+        raise ConfigError("model must be an object")
+    if not isinstance(cfg.get("run", {}).get("out", ""), str):
+        raise ConfigError("run.out must be a string")
     return cfg
 
 
 def _grid_from(cfg: dict, override_n=None) -> TimeGrid:
     g = cfg["grid"]
     try:
-        n = integer_field(g["n"], "grid.n") if override_n is None else override_n
-        return build_grid(float(g["T"]), n)
+        # the listed n is read even under an override: listed values are interpolated from it
+        n = integer_field(g["n"], "grid.n") if "n" in g or override_n is None else None
+        return build_grid(number(g["T"], "grid.T"), n if override_n is None else override_n)
     except (KeyError, TypeError, ValueError, InvalidGrid) as exc:
         raise ConfigError(f"invalid grid: {type(exc).__name__}: {exc}")
 
@@ -332,10 +343,7 @@ def _player_counts(cfg: dict) -> list:
 def _tolerances(cfg: dict) -> dict:
     given = cfg.get("run", {}).get("tolerances", {})
     _require_keys(given, set(DEFAULT_TOLERANCES), "run.tolerances")
-    for name, value in given.items():
-        if type(value) not in (int, float):       # load_config refuses non-finite numbers
-            raise ConfigError(f"run.tolerances.{name} must be a number, got {value!r}")
-    return {**DEFAULT_TOLERANCES, **given}
+    return {**DEFAULT_TOLERANCES, **_numbers(given, "run.tolerances")}
 
 
 def write_manifest(out: Path, cfg: dict, seed: int, tolerances: dict, extra: dict,

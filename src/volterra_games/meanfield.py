@@ -35,6 +35,7 @@ from .nplayer import (
     _foc_terms,
     build_GH,
     build_operators,
+    kernel_margins,
     mean_driver,
     mean_field_coupling,
     objective_per_path,
@@ -56,7 +57,7 @@ from .signals import (
 class MFGSpec:
     """Mean-field game data: operators plus the generic player's noise split.
 
-    The signals are CompiledSignals on grid, checked on entry.
+    Signals are CompiledSignals on grid, kernels nonnegative definite; both checked on entry.
     """
 
     n_players: ClassVar[float] = math.inf     # nplayer's 1/N terms vanish
@@ -74,6 +75,7 @@ class MFGSpec:
     def __post_init__(self):
         if not (self.lam > 0.0):
             raise InadmissibleKernel(f"lambda must be positive, got {self.lam}")
+        kernel_margins(A1=self.a1, A2hat=self.a2hat, A3=self.a3)
         on_grid(self.grid, self.beta, self.beta0, self.b0_signal)
         if self.b_infty is not None:
             on_grid(self.grid, self.b_infty)
@@ -300,9 +302,6 @@ class BalancedDeterministicFamily:
         sign = 1.0 if i % 2 == 0 else -1.0
         return self.base + (sign * self.amplitude) * self.shape
 
-    def h_rate(self, n_players: int) -> float:
-        return 0.0
-
 
 @dataclass(frozen=True)
 class IIDBrownianFamily:
@@ -316,9 +315,6 @@ class IIDBrownianFamily:
 
     def idio_tags(self, n_players: int):
         return {f"idio{i}" for i in range(n_players)}
-
-    def h_rate(self, n_players: int) -> float:
-        return self.sigma ** 2 / n_players
 
 
 def induced_game(spec: MFGSpec, n_players: int) -> GameSpec:

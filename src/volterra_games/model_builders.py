@@ -11,6 +11,7 @@ serves as the independent fidelity oracle.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -32,23 +33,31 @@ from .nplayer import DEFAULT_TOLERANCES, GameSpec
 from .signals import CompiledSignal, deterministic, martingale, on_grid
 
 
-def integer_field(value, name: str) -> int:
-    """A count or seed read from a config: an integer, or a float with no fractional part.
+def number(value, name: str, lists: bool = False):
+    """A config number as a float, or with lists also a (nested) list of them as a list.
 
-    Booleans, fractional or non-finite numbers and anything else raise
-    ConfigError naming the field, where int() would truncate or accept them.
+    Anything else raises ConfigError naming the field: float() would take "2" or true.
     """
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                       or (isinstance(value, float) and value.is_integer())):
+    if lists and isinstance(value, list):
+        return [number(v, f"{name}[{i}]", lists) for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number{' or a list' if lists else ''}, "
+                          f"got {value!r}")
+    return float(value)
+
+
+def integer_field(value, name: str) -> int:
+    """A count or seed read from a config: a number with no fractional part, as an int."""
+    if not number(value, name).is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def player_count(params: dict, *lists: str) -> int:
-    """model.N, at least 1, with N entries in each per-player list of lists that params has."""
+    """model.N, at least 1, with N numbers in each per-player list of lists that params has."""
     N = integer_field(params["N"], "model.N")
-    if N < 1 or any(len(params[key]) != N for key in lists if key in params):
-        raise ShapeError(f"need model.N >= 1 and one entry per player in {', '.join(lists)}; "
+    if N < 1 or any(np.shape(params[key]) != (N,) for key in lists if key in params):
+        raise ShapeError(f"need model.N >= 1 and one number per player in {', '.join(lists)}; "
                          f"got N = {N}")
     return N
 
@@ -201,8 +210,9 @@ def _nonzero_tags(cs: CompiledSignal) -> CompiledSignal:
                           {t: cs.weights[t] for t in sorted(cs.weights) if np.any(cs.weights[t])})
 
 
-def _moments(x: CompiledSignal, y: CompiledSignal, dt: float) -> tuple[float, float]:
+def _moments(x: CompiledSignal, y: CompiledSignal) -> tuple[float, float]:
     """E[sum_k x_k y_k] over the grid and E[x_T y_T] at the horizon."""
+    dt = x.grid.dt
     body = float(x.mean @ y.mean)
     body += dt * sum(float(np.vdot(w, y.weights[t])) for t, w in x.weights.items()
                      if t in y.weights)
@@ -238,8 +248,8 @@ def _state_rows(grid: TimeGrid, Rc: np.ndarray, RTc: np.ndarray, cs: CompiledSig
     return _rows(grid, Rc @ cs.mean + RTc * cs.mean_T, weights)
 
 
-def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
-    """Exact static form of the discrete Volterra game.
+def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
+    """Exact static form of the discrete Volterra game, on vspec's grid.
 
     The quadratic part expands over ordered time pairs l < j, giving the
     kernel block [[A2hat, A3], [A3, A1]]; the two cross slots are averaged
@@ -253,19 +263,19 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
     stacked as 2n rows, is R_1 d^i_1 + R_2 d^i_2 + T s^i with fixed (2n x n)
     row maps R_c (plus a terminal column) built once from the state blocks,
     Q, S and q.  Each distinct state signal object is mapped once per
-    component it fills, one GEMM per tag, so a signal that every player
-    shares (the systemic mean field) costs one map, not N, and the cost
-    grows with the distinct signals' tags, not with players x tags.  The
+    component it fills, one GEMM per tag, and each ordered pair of them gives
+    its moments for c^i once, so a signal that every player shares (the
+    systemic mean field) costs one map, not N, and the cost grows with the
+    distinct signals' tags, not with players x tags.  The
     sharing carries through: sums keep an operand's array where it alone
     carries a tag, and the fold into b^i runs tag by tag, once per distinct
     pair of row weights of the tag, so players hold the same weight object
     wherever their weights are the same function of the same state signals.
     Each tag's row arrays are released once the tag is folded.
     """
-    if vspec.grid != grid:
-        raise ShapeError("vspec was discretized on a different grid")
     if not (vspec.p > 0.0):
         raise InadmissibleKernel("reduction to a game needs strictly positive control cost")
+    grid = vspec.grid
     n = grid.n
     dt = grid.dt
     N = vspec.n_players
@@ -294,12 +304,11 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
     RT = -np.einsum("jab,ac->bjc", DmT, Sbar).reshape(2 * n, 2)
     T = np.einsum("jab->bja", DmT).reshape(2 * n, 2)
 
-    mapped = {}        # (component, state signal) -> its row pair; keys live in vspec
-
+    @functools.cache    # keyed on (component, state signal); the signals live in vspec
     def row_pair(c, cs):
-        if (c, cs) not in mapped:
-            mapped[c, cs] = _state_rows(grid, R[c], RT[:, c], cs)
-        return mapped[c, cs]
+        return _state_rows(grid, R[c], RT[:, c], cs)
+
+    moments = functools.cache(_moments)
 
     rows = []
     c_consts = []
@@ -313,13 +322,13 @@ def reduce_volterra_game(vspec: VolterraGameSpec, grid: TimeGrid) -> GameSpec:
         c_i = 0.0
         for a in (0, 1):
             for b in (0, 1):
-                body, term = _moments(d[a], d[b], dt)
+                body, term = moments(d[a], d[b])
                 c_i -= dt * vspec.qmat[a, b] * body + vspec.smat[a, b] * term
             c_i += d[a].mean_T * s_term.mean[a]
             c_i += dt * sum(float(wT @ s_term.weights[t][a]) for t, wT in d[a].weights_T.items()
                             if t in s_term.weights)
         c_consts.append(float(c_i))
-    del mapped, parts       # the last player's parts hold the shared row pair
+    del row_pair, parts     # the cache and the last player's parts hold the shared row pair
 
     # common b^0 = cross-player average of second rows; remainders fold into b^i
     b0 = _nonzero_tags(sum(row[1] for row in rows) / N)
@@ -442,13 +451,8 @@ def direct_objective(vspec: VolterraGameSpec, i: int, profile: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _terminal_rows(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    """(n + 1, n) rows of a kernel at grid times plus the horizon endpoint."""
-    row_times = np.concatenate([grid.times, [grid.horizon]])
-    out = np.zeros((grid.n + 1, grid.n))
-    body = discretize_kernel(spec, grid).values
-    out[:grid.n] = body
-    out[grid.n] = discretize_kernel_rows(spec, grid, np.array([grid.horizon]))[0]
-    return out
+    """(n + 1, n) rows of a kernel at the grid times (discretize_kernel's values) and at T."""
+    return discretize_kernel_rows(spec, grid, np.append(grid.times, grid.horizon))
 
 
 def build_liquidation_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, VolterraGameSpec]:
@@ -492,7 +496,7 @@ def build_liquidation_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
         dblock=dblock, d_signals=tuple(d_signals), s_terminals=tuple(s_terms),
         grid=grid,
     )
-    return reduce_volterra_game(vspec, grid), vspec
+    return reduce_volterra_game(vspec), vspec
 
 
 def inventory_path(x0: float, u: np.ndarray, grid: TimeGrid):
@@ -505,9 +509,9 @@ def build_systemic_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volterr
     """Inter-bank lending with delayed repayment.
 
     params: N, beta, eps, cost_c, sigma (per player), delay (DelayMeasure),
-    x0 (per player), h (optional per-player drift cell values).
+    x0 (per player), h (optional: per player, one drift value per cell).
     """
-    N = player_count(params, "sigma", "x0", "h")
+    N = player_count(params, "sigma", "x0")
     beta, eps, cost_c = float(params["beta"]), float(params["eps"]), float(params["cost_c"])
     if beta ** 2 > eps:
         raise ConvexityViolation(f"need beta^2 <= eps, got beta^2 = {beta ** 2}, eps = {eps}")
@@ -523,16 +527,13 @@ def build_systemic_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volterr
     dblock[:, :, 0, 0] = rows
     dblock[:, :, 1, 1] = rows
 
-    h_all = params.get("h")
+    h = np.asarray(params.get("h", np.zeros((N, n))), dtype=float)
+    if h.shape != (N, n):
+        raise ShapeError(f"h must list one value per cell ({n}) for each of the {N} players")
     reserves = []
     for i in range(N):
-        drift = np.full(n, x0[i])
-        term = float(x0[i])
-        if h_all is not None:
-            h_i = np.asarray(h_all[i], dtype=float)
-            drift = x0[i] + np.concatenate([[0.0], np.cumsum(h_i)[:-1]]) * grid.dt
-            term = x0[i] + float(np.sum(h_i)) * grid.dt
-        reserve = deterministic(grid, drift, terminal=term)
+        drift = x0[i] + np.concatenate([[0.0], np.cumsum(h[i])[:-1]]) * grid.dt
+        reserve = deterministic(grid, drift, terminal=x0[i] + float(np.sum(h[i])) * grid.dt)
         if sigma[i] != 0.0:
             reserve = reserve + martingale(grid, sigma[i], f"reserve{i}")
         reserves.append(reserve)
@@ -548,19 +549,16 @@ def build_systemic_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volterr
         qvec=beta * np.array([-1.0, 1.0]),
         dblock=dblock, d_signals=d_signals, s_terminals=s_terms, grid=grid,
     )
-    return reduce_volterra_game(vspec, grid), vspec
-
-
-def _extended_grid(grid: TimeGrid) -> TimeGrid:
-    return TimeGrid(grid.horizon + grid.dt, grid.n + 1)
+    return reduce_volterra_game(vspec), vspec
 
 
 def build_advertising_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, VolterraGameSpec]:
     """Goodwill advertising with delayed forgetting and delayed competition.
 
     params: N, lam, beta, forgetting (DelayMeasure), competition (DelayMeasure),
-    sigma (per player).  The state response to controls and to noise is built
-    from resolvents on a grid extended to the horizon endpoint.
+    sigma (per player).  The state response to noise is built from resolvents on
+    a grid extended to the horizon endpoint, each operator product formed once;
+    the control blocks are beta times those responses' first n columns.
     """
     N = player_count(params, "sigma")
     lam, beta = float(params["lam"]), float(params["beta"])
@@ -568,31 +566,23 @@ def build_advertising_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
         raise InadmissibleKernel("advertising needs lam > 0 and beta >= 0")
     sigma = np.asarray(params["sigma"], dtype=float)
     n = grid.n
-    ext = _extended_grid(grid)
+    ext = TimeGrid(grid.horizon + grid.dt, n + 1)      # T is its last grid time
     K_ext = measure_to_kernel(params.get("forgetting", DelayMeasure()), ext)
     H_ext = measure_to_kernel(params.get("competition", DelayMeasure()), ext)
     rk = resolvent(K_ext)
     rkh = resolvent(GridKernel(ext, K_ext.values + H_ext.values))
 
-    def apply_rk(f):
-        return f + apply(rk, f)
-
-    def apply_hop(f):
-        return apply(H_ext, f) + apply(star_product(H_ext, rkh), f)
-
-    # unit-control impulse responses give the state blocks column by column
-    dblock = np.zeros((n + 1, n, 2, 2))
-    for j in range(n):
-        # response to a unit-rate control on cell j, divided by the cell weight
-        pulse = np.zeros(ext.n)
-        pulse[j + 1:] = beta
-        dblock[:, j, 0, 0] = apply_rk(pulse)
-        dblock[:, j, 0, 1] = apply_rk(apply_hop(pulse))
-
     # noise response: own Brownian plus resolvent-smoothed average of all
     w_own = np.tril(np.ones((ext.n, ext.n)), k=-1)
     own_resp = w_own + apply(rk, w_own)
-    smooth = apply_rk(apply_hop(w_own))
+    smooth = apply(H_ext, w_own) + apply(star_product(H_ext, rkh), w_own)
+    smooth += apply(rk, smooth)
+
+    # a unit-rate control on cell j, divided by the cell weight, adds beta at every
+    # later point: beta times column j of w_own
+    dblock = np.zeros((n + 1, n, 2, 2))
+    dblock[:, :, 0, 0] = beta * own_resp[:, :n]
+    dblock[:, :, 0, 1] = beta * smooth[:, :n]
 
     def response(scaled: dict) -> CompiledSignal:
         """Goodwill driven by tag -> (n + 1)^2 response, without all-zero weights."""
@@ -614,4 +604,4 @@ def build_advertising_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
         dblock=dblock, d_signals=tuple(d_signals), s_terminals=tuple(s_terms),
         grid=grid,
     )
-    return reduce_volterra_game(vspec, grid), vspec
+    return reduce_volterra_game(vspec), vspec

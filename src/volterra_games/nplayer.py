@@ -103,10 +103,7 @@ class GameSpec:
             if K.grid != self.grid:
                 raise ShapeError(f"{name} lives on a different grid")
         if self.kernel_check == "strict":
-            for name, K in (("A1", self.a1), ("A2hat", self.a2hat), ("A3", self.a3)):
-                low = self.margins[f"min_eig_{name}"] = min_eigenvalue(K)
-                if low < -DEFAULT_TOLERANCES["admissibility"]:
-                    raise InadmissibleKernel(f"{name} fails nonnegative-definiteness")
+            self.margins.update(kernel_margins(A1=self.a1, A2hat=self.a2hat, A3=self.a3))
         elif self.kernel_check == "concave":
             G, _ = build_GH(self)
             low = self.margins["min_eig_player_form"] = min_eigenvalue(G)
@@ -124,6 +121,16 @@ class GameSpec:
     def noise_tags(self) -> frozenset:
         """Noise tags of every driver, b^i and b^0."""
         return frozenset().union(*(f.noise_tags() for f in (*self.b_signals, self.b0_signal)))
+
+
+def kernel_margins(**kernels: GridKernel) -> dict:
+    """min_eig_<name> of each kernel; InadmissibleKernel where one is not nonnegative definite."""
+    margins = {}
+    for name, K in kernels.items():
+        low = margins[f"min_eig_{name}"] = min_eigenvalue(K)
+        if low < -DEFAULT_TOLERANCES["admissibility"]:
+            raise InadmissibleKernel(f"{name} fails nonnegative-definiteness")
+    return margins
 
 
 def build_GH(spec: GameSpec) -> tuple[GridKernel, GridKernel]:

@@ -69,9 +69,6 @@ class ScenarioTree:
         span = self.n_leaves // self.level_size(k)
         return h * span, (h + 1) * span
 
-    def ancestor(self, k: int, h: int, r: int) -> int:
-        return h // (self.joint ** (min(k, self.depth) - min(r, self.depth)))
-
     def node_prob(self, k: int, h: int) -> float:
         lo, hi = self.leaf_range(k, h)
         return float(self.leaf_probs[lo:hi].sum())

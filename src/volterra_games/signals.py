@@ -225,7 +225,7 @@ def deterministic(grid: TimeGrid, values, terminal: float | None = None) -> Comp
     terminal defaults to the last value.
     """
     g = np.array(values, dtype=float)
-    if g.ndim == 0 or g.size == 1:
+    if g.shape in ((), (1,)):
         g = np.full(grid.n, float(g.reshape(-1)[0]))
     if g.shape != (grid.n,):
         raise ShapeError(f"deterministic signal has length {g.shape}, expected {grid.n}")

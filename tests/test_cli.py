@@ -170,6 +170,40 @@ class TestConfigErrors:
         ("solve", {"model": {**WORKED["advertising"], "sigma": [0.3]}}, []),
         ("solve", {"model": {**WORKED["systemic"], "x0": [1.0, 0.5]}}, []),
         ("solve", {"model": {**WORKED["liquidation"], "signal_sigma": [0.2]}}, []),
+        # float() once read these: a string or a boolean ran as its number (exit 0),
+        # and "Infinity" as a string passed the finite check (SingularOperator, exit 3)
+        ("solve", {"model": {**RAW_MODEL, "lam": "2"}}, []),
+        ("solve", {"model": {**RAW_MODEL, "lam": True}}, []),
+        ("solve", {"model": {**RAW_MODEL, "a2hat": {"family": "exp", "c": "0.5"}}}, []),
+        ("solve", {"model": {**RAW_MODEL,
+                             "b0": {"family": "deterministic", "values": ["0.25"]}}}, []),
+        ("solve", {"model": {**WORKED["systemic"], "sigma": ["0.2", "0.2", "0.2"]}}, []),
+        ("solve", {"model": {**WORKED["liquidation"], "lam": "1e-3"}}, []),
+        ("solve", {"grid": {"T": "1.0", "n": 12}}, []),
+        ("solve", {"model": {**RAW_MODEL, "lam": "Infinity"}}, []),
+        # a misspelled noise or deterministic kind ran as the default (exit 0)
+        ("solve", {"model": {**RAW_MODEL, "b0": {"family": "martingale", "noise": "commn"}}},
+         []),
+        ("solve", {"model": {**RAW_MODEL, "b0": {"family": "deterministic", "kind": "afine",
+                                                 "values": [0.25]}}}, []),
+        # these ended in an AttributeError or a TypeError (exit 1)
+        ("solve", {"model": None}, []),
+        ("solve", {"model": []}, []),
+        ("solve", {"run": {"out": 5}}, []),
+        # a one-value h row ran with the drift held at x0 and 0.5 dt added at T (exit 0)
+        ("solve", {"model": {**WORKED["systemic"], "h": [[0.5], [0.5], [0.5]]}}, []),
+        # a nested list is not its one number: systemic's sigma ran so (exit 0), and
+        # values, once refused only by float() of a one-element array, stay refused
+        ("solve", {"model": {**RAW_MODEL,
+                             "b0": {"family": "deterministic", "values": [[0.25]]}}}, []),
+        ("solve", {"model": {**WORKED["systemic"], "sigma": [[0.2], [0.2], [0.2]]}}, []),
+        # an indefinite mean-field kernel was found only by the first induced game,
+        # outside the config stage (InadmissibleKernel, exit 3)
+        ("converge", {"model": {**MFG_MODEL, "a1": {"family": "constant", "c": -1.0}}}, []),
+        ("eps-nash", {"model": {**MFG_MODEL, "a3": {"family": "exp", "c": 0.4, "rho": -1.0}}},
+         []),
+        # the mean-field commands ran a model of any kind as the mean-field game (exit 0)
+        ("eps-nash", {"model": {**MFG_MODEL, "kind": "mgf"}}, []),
     ], ids=["grid-not-object", "T-not-number", "n-1", "grid-n-1", "grid-n-0",
             "paths-not-integer", "N-not-integer", "raw-lam-missing", "mfg-lam-missing",
             "mfg-lam-negative", "mfg-alpha-0.9", "Ns-not-list", "combination-empty",
@@ -183,7 +217,13 @@ class TestConfigErrors:
             "tolerance-string", "tolerance-null", "tolerance-bool", "tolerance-nan",
             "tolerance-inf", "tolerance-list", "values-nan", "lam-inf", "lam-10**999",
             "systemic-N-0", "advertising-N-0", "systemic-sigma-short",
-            "advertising-sigma-short", "systemic-x0-short", "liquidation-signal-sigma-short"])
+            "advertising-sigma-short", "systemic-x0-short", "liquidation-signal-sigma-short",
+            "lam-string", "lam-bool", "kernel-c-string", "values-string",
+            "systemic-sigma-strings", "liquidation-lam-string", "T-string", "lam-string-inf",
+            "noise-misspelled", "deterministic-kind-misspelled", "model-null", "model-list",
+            "out-not-string", "systemic-h-row-short", "values-nested",
+            "systemic-sigma-nested", "mfg-a1-indefinite",
+            "eps-nash-a3-indefinite", "mfg-kind-misspelled"])
     def test_malformed_value_exits_2(self, tmp_path, command, overrides, argv):
         game = command in ("solve", "validate", "oracle-check")
         cfg = {"grid": {"T": 1.0, "n": 12}, "noise": {"paths": 6, "seed": 3},

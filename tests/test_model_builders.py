@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from volterra_games.errors import ConvexityViolation, InadmissibleKernel
+from volterra_games.errors import ConvexityViolation, InadmissibleKernel, ShapeError
 from volterra_games.grid_ops import (
     ConstantLower,
     DelayIndicator,
@@ -115,7 +115,7 @@ class TestReduce:
             qvec=np.zeros(2), dblock=dblock,
             d_signals=((zero_sig, zero_sig),) * 2,
             s_terminals=(TerminalVector.zero(),) * 2, grid=grid16)
-        game = reduce_volterra_game(vspec, grid16)
+        game = reduce_volterra_game(vspec)
         assert game.lam == 1.3
         for K in (game.a1, game.a2hat, game.a3):
             assert np.all(K.values == 0.0)
@@ -131,7 +131,7 @@ class TestReduce:
             d_signals=((zero_sig, zero_sig),), s_terminals=(TerminalVector.zero(),),
             grid=grid16)
         with pytest.raises(InadmissibleKernel):
-            reduce_volterra_game(vspec, grid16)
+            reduce_volterra_game(vspec)
 
     def test_random_vspec_fidelity_symmetric_profiles(self, grid16):
         # 20 random strategies, each played by every player: reduced static
@@ -160,7 +160,7 @@ class TestReduce:
             vspec = VolterraGameSpec(n_players=2, p=2.0, qmat=Qr, smat=Sr, qvec=q,
                                      dblock=dblock, d_signals=sigs,
                                      s_terminals=terms, grid=g)
-            game = reduce_volterra_game(vspec, g)
+            game = reduce_volterra_game(vspec)
             bundle = draw_noise(g, {"x"}, 1, 0)
             dW = bundle.path(0)
             for _ in range(20):
@@ -200,7 +200,7 @@ class TestReduce:
             vspec = VolterraGameSpec(n_players=2, p=2.0, qmat=Qr, smat=Sr, qvec=q,
                                      dblock=dblock, d_signals=sigs,
                                      s_terminals=terms, grid=g)
-            game = reduce_volterra_game(vspec, g)
+            game = reduce_volterra_game(vspec)
             for _ in range(5):
                 u = rng.standard_normal(n) + sum(
                     bundle.increments[t] @ np.tril(rng.standard_normal((n, n)), -1).T
@@ -291,6 +291,18 @@ class TestSystemic:
     def test_convexity_violation(self, grid16):
         with pytest.raises(ConvexityViolation):
             build_systemic_game(self.params(beta=0.6, eps=0.25), grid16)
+
+    def test_drift_cells_accumulate_into_the_reserves(self, grid16):
+        # h[i][j] is bank i's drift rate on cell j: the reserve gains h dt per cell passed
+        h = [[0.5] * 16, [-1.0] * 16, list(np.arange(16.0))]
+        _, vspec = build_systemic_game(self.params(h=h), grid16)
+        dt = grid16.dt
+        for (reserve, _), x0, rates in zip(vspec.d_signals, [1.0, 0.5, -0.2], h):
+            passed = np.concatenate([[0.0], np.cumsum(rates)]) * dt
+            assert np.allclose(reserve.mean, x0 + passed[:-1], rtol=0.0, atol=1e-15)
+            assert abs(reserve.mean_T - (x0 + passed[-1])) <= 1e-14
+        with pytest.raises(ShapeError):
+            build_systemic_game(self.params(h=[rates[:15] for rates in h]), grid16)
 
     def test_delay_beyond_horizon_is_constant_kernel(self, grid16):
         _, vspec = build_systemic_game(
@@ -410,6 +422,24 @@ class TestAdvertising:
                 # expectation while the direct value is pathwise
                 assert abs((jd - jd0) - (js - js0)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [16, 65])
+    def test_state_blocks_match_a_state_solve(self, n):
+        # the blocks against solve_linear_state on the grid extended to T, with the
+        # control's drive m^i[k] = beta sum_{j<k} u^i_j dt formed here
+        g = build_grid(1.0, n)
+        forgetting = DelayMeasure(atoms=((0.0, -0.3),))
+        competition = DelayMeasure(atoms=((0.0, 0.5), (0.2, -0.5)))
+        _, vspec = build_advertising_game(self.params(
+            N=3, forgetting=forgetting, competition=competition, sigma=[0.3, 0.2, 0.1]), g)
+        ext = build_grid(g.horizon + g.dt, n + 1)
+        u = np.random.default_rng(n).standard_normal((3, n))
+        m = 0.7 * np.concatenate([np.zeros((3, 1)), np.cumsum(u, axis=1) * g.dt], axis=1)
+        x = solve_linear_state(m, measure_to_kernel(forgetting, ext),
+                               measure_to_kernel(competition, ext))
+        d = vspec.dblock
+        blocks = (d[:, :, 0, 0] @ u.T + d[:, :, 0, 1] @ u.mean(axis=0)[:, None]) * g.dt
+        assert np.max(np.abs(x - blocks.T)) <= 1e-13
+
     def test_oracle_match_with_competition_delay(self):
         from volterra_games.oracle import build_tree, compare, discrete_nash_kkt, solve_game_on_tree
 
@@ -472,7 +502,7 @@ class TestStochasticStateReduction:
         terms = tuple(TerminalVector(rng.standard_normal(2), {}) for _ in range(N))
         vspec = VolterraGameSpec(n_players=N, p=2.0, qmat=Q, smat=S, qvec=q,
                                  dblock=dblock, d_signals=sigs, s_terminals=terms, grid=g)
-        game = reduce_volterra_game(vspec, g)
+        game = reduce_volterra_game(vspec)
 
         M = 4000
         bundle = draw_noise(g, {"w0", "w1"}, M, seed=123)

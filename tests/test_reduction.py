@@ -6,10 +6,14 @@ the union of their tags, and one einsum per player and tag.  It is the
 reference for reduce_volterra_game's drivers, kernels and constants.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import volterra_games.model_builders as mb
+from volterra_games.cli import build_game_from_config
 from volterra_games.grid_ops import (
     ExponentialDecay,
     build_grid,
@@ -118,7 +122,7 @@ def signal_size(f):
 
 
 def assert_matches_einsum_reduction(vspec, grid):
-    game = reduce_volterra_game(vspec, grid)
+    game = reduce_volterra_game(vspec)
     a1, a2hat, a3, b_sigs, b0, extras, c_consts = einsum_reduction(vspec, grid)
     scale = max([float(np.max(np.abs(k))) for k in (a1, a2hat, a3)]
                 + [signal_size(f) for f in (*b_sigs, b0, *extras)]
@@ -226,5 +230,28 @@ def test_shared_state_signal_is_mapped_once(monkeypatch):
         return state_rows(grid, Rc, RTc, cs)
 
     monkeypatch.setattr(mb, "_state_rows", counting)
-    reduce_volterra_game(vspec, g)
+    reduce_volterra_game(vspec)
     assert len(calls) == N + 1
+
+
+def test_each_operator_is_formed_once(monkeypatch):
+    # advertising forms its one (n+1)^3 product once, not once per grid column; the
+    # 16 banks' reduction maps each state signal once and takes each ordered pair's
+    # moments once, the shared mean-field pair's for every bank together
+    counts = dict.fromkeys(["star_product", "_moments", "_state_rows"], 0)
+    for name in counts:
+        def counting(*args, name=name, wrapped=getattr(mb, name)):
+            counts[name] += 1
+            return wrapped(*args)
+
+        monkeypatch.setattr(mb, name, counting)
+    g = build_grid(1.0, 64)
+    build_advertising_game(dict(
+        N=2, lam=1.0, beta=0.7, forgetting=DelayMeasure(atoms=((0.0, -0.3),)),
+        competition=DelayMeasure(atoms=((0.0, 0.5), (0.2, -0.5))), sigma=[0.3, 0.2]), g)
+    assert counts["star_product"] == 1
+    counts.update(_moments=0, _state_rows=0)
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "run_configs"
+                      / "systemic_n16.json").read_text())
+    build_game_from_config(cfg, g)
+    assert (counts["_moments"], counts["_state_rows"]) == (49, 17)
