@@ -571,10 +571,11 @@ def main(argv=None) -> int:
             raise ConfigError(f"--oracle applies to solve and validate, not {args.command}")
         cfg = load_config(args.config)
         noise_cfg = cfg.get("noise", {})
-        paths = args.paths if args.paths is not None \
-            else integer_field(noise_cfg.get("paths", 64), "noise.paths")
-        seed = args.seed if args.seed is not None \
-            else integer_field(noise_cfg.get("seed", 0), "noise.seed")
+        # read whatever the flags say: a malformed config value is an error either way
+        paths = integer_field(noise_cfg.get("paths", 64), "noise.paths")
+        seed = integer_field(noise_cfg.get("seed", 0), "noise.seed")
+        paths = paths if args.paths is None else args.paths
+        seed = seed if args.seed is None else args.seed
         if paths < 1 or seed < 0:
             raise ConfigError(f"need paths >= 1 and seed >= 0, got paths={paths}, seed={seed}")
         out = Path(cfg.get("run", {}).get("out", args.out)) if args.out == "out" \

@@ -53,7 +53,7 @@ from .grid_ops import (
     triangle_bands,
     triangular_inverse,
 )
-from .signals import CompiledSignal, NoiseBundle
+from .signals import CompiledSignal, NoiseBundle, once_per_array
 
 NORMEST_ITERATIONS = 5     # block products with D_0^{-1} in _cond1_est, Higham and Tisseur's itmax
 
@@ -204,13 +204,15 @@ class FredholmSolver:
         that part reads only w's strictly lower part, even for anticipative
         weights, and both products form only their strictly lower half and
         read only the solver's bands of Ui and Li (grid_ops.lower_product).
-        Tags go one at a time, so no stacked right-hand side is built.
+        Tags go one at a time, so no stacked right-hand side is built, and
+        each distinct weight array is solved once: the tags that hold it share
+        the solution's array.
         """
         if f.grid != self.grid:
             raise ShapeError("driver lives on a different grid")
-        weights = {t: lower_product(self._li_bands,
-                                    lower_product(self._ui_bands, w, "upper"), "lower")
-                   for t, w in f.weights.items()}
+        once = once_per_array(lambda w: lower_product(
+            self._li_bands, lower_product(self._ui_bands, w, "upper"), "lower"))
+        weights = {t: once(w) for t, w in f.weights.items()}
         # an upper band reads the columns from its first row on, a lower one up to its last
         y = np.concatenate([band @ f.mean[-band.shape[1]:] for band in self._ui_bands])
         mean = np.concatenate([band @ y[:band.shape[1]] for band in self._li_bands])
@@ -223,9 +225,12 @@ class FredholmSolver:
         lower weights enter adapted values, so the rest is cut off.  v is a
         solution, so its weights are strictly lower and D v is an adapted
         product; f is subtracted into its arrays, which are then cut in place.
+        Every array of that difference is new, so the cut writes into no array
+        of v or f, and it runs once per distinct array.
         """
         r = v.adapted_matmul(self.core).accumulate(f, subtract=True)
-        return CompiledSignal(self.grid, r.mean, {t: cut_upper(w) for t, w in r.weights.items()})
+        cut = once_per_array(cut_upper)
+        return CompiledSignal(self.grid, r.mean, {t: cut(w) for t, w in r.weights.items()})
 
 
 def stability_gap(solver_n: FredholmSolver, solver_limit: FredholmSolver,

@@ -44,6 +44,7 @@ from .nplayer import (
     sup_on_paths,
 )
 from .signals import (
+    COMMON,
     CompiledSignal,
     NoiseBundle,
     deterministic,
@@ -310,8 +311,16 @@ class IIDBrownianFamily:
     base: CompiledSignal
     sigma: float
 
+    @cached_property
+    def _noise(self) -> CompiledSignal:
+        """sigma W on one tag, built once: every player's idio{i} holds its arrays."""
+        return martingale(self.base.grid, self.sigma)
+
     def signal(self, i: int, n_players: int) -> CompiledSignal:
-        return self.base + martingale(self.base.grid, self.sigma, f"idio{i}")
+        w = self._noise
+        tag = f"idio{i}"
+        return self.base + CompiledSignal(w.grid, w.mean, {tag: w.weights[COMMON]}, w.mean_T,
+                                          {tag: w.weights_T[COMMON]})
 
     def idio_tags(self, n_players: int):
         return {f"idio{i}" for i in range(n_players)}
@@ -344,7 +353,10 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     may be restricted to the first player_paths paths.  Every coefficient
     solve comes first; then one pass over the noise stream forms every N's
     mean paths and, on those first paths, both players' paths, so the noise
-    is never held whole.  Each MSE is formed in place on its paths.
+    is never held whole.  Each MSE is formed in place on its paths.  The IID
+    family hands every player's tag one weight array and every solve runs
+    once per distinct array, so each N's coefficients hold a few arrays, not
+    one per player.
     """
     ops = build_operators(spec)
     grid = spec.grid

@@ -248,6 +248,22 @@ def _state_rows(grid: TimeGrid, Rc: np.ndarray, RTc: np.ndarray, cs: CompiledSig
     return _rows(grid, Rc @ cs.mean + RTc * cs.mean_T, weights)
 
 
+def terminal_block(DmT: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
+    """M[j, l, b, d] = sum_{a, c} DmT[j, a, b] Sbar[a, c] DmT[l, c, d], the terminal cost's block.
+
+    Four broadcast products added in the (a, c) order of
+    np.einsum("jab,ac,lcd->jlbd", DmT, Sbar, DmT), each term rounded as
+    (DmT Sbar) DmT as its three-operand loop rounds it, so the result is that
+    einsum's bitwise, without its element-by-element loop.
+    """
+    n = DmT.shape[0]
+    M = np.zeros((n, n, 2, 2))
+    for a in range(2):
+        for c in range(2):
+            M += (DmT[:, None, a, :, None] * Sbar[a, c]) * DmT[None, :, c, None, :]
+    return M
+
+
 def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     """Exact static form of the discrete Volterra game, on vspec's grid.
 
@@ -285,7 +301,7 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     Sbar = vspec.smat + vspec.smat.T
 
     # kernel block M[j, l] for l < j
-    M = np.einsum("jab,ac,lcd->jlbd", DmT, Sbar, DmT)
+    M = terminal_block(DmT, Sbar)
     M += dt * np.einsum("kjab,ac,klcd->jlbd", Dm, Qbar, Dm, optimize=True)
     qrow = np.einsum("c,jlcd->jld", vspec.qvec, Dm)        # (q^T D)[j, l, d]
     M[:, :, 0, :] -= 0.5 * qrow

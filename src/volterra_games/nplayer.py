@@ -49,7 +49,7 @@ from .grid_ops import (
     add_kernels,
     min_eigenvalue,
 )
-from .signals import CompiledSignal, NoiseBundle, on_grid
+from .signals import CompiledSignal, NoiseBundle, on_grid, scaled_sum
 
 # the one tolerance table: the CLI and validation_report copy it, then apply run.tolerances
 DEFAULT_TOLERANCES = {"fredholm_residual": 1e-9, "mean_consistency": 1e-6, "foc_residual": 1e-8,
@@ -190,9 +190,12 @@ def player_base(spec: GameSpec, i: int) -> CompiledSignal:
 
 
 def mean_driver(spec: GameSpec) -> CompiledSignal:
-    """The mean strategy's driver bbar + b^0/N, the players' average of b^i + b^0/N."""
-    N = spec.n_players
-    return sum((1.0 / N) * f for f in (*spec.b_signals, spec.b0_signal))
+    """The mean strategy's driver bbar + b^0/N, the players' average of b^i + b^0/N.
+
+    sum() of (1/N) f in player order, bitwise, with each distinct array of the
+    drivers scaled once (signals.scaled_sum).
+    """
+    return scaled_sum(1.0 / spec.n_players, (*spec.b_signals, spec.b0_signal))
 
 
 def conditional_surfaces(cs: CompiledSignal, increments: dict, n_paths: int) -> np.ndarray:

@@ -16,10 +16,19 @@ Inputs are built on their grid by deterministic, martingale, ou and
 brownian_weighted, and combined with + and *; there is no other signal type.
 Sampled paths are read off the coefficients: path_values for every path at
 once, values_and_surface for one path with its conditional surface.
+
+Tags may hold one weight array between them, as the players of an
+exchangeable game do.  Every operation computes once per distinct array
+object (once_per_array), and every tag that carries the object gets the one
+result, so arrays shared at the source stay shared through every sum, scaling,
+product and solve.  Arrays are never written in place once shared: only
+accumulate writes, and only into an array that one tag alone holds.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -49,6 +58,10 @@ class CompiledSignal:
     operand's is); M @ f has none.  numpy scalars and arrays defer to these
     operators, and sum() works from its start value 0.  Equality is identity:
     a comparison of the coefficients would be ambiguous on arrays.
+
+    Several tags may hold the same array object.  Each operator computes once
+    per distinct object (or pair of objects, for + and -) and gives every tag
+    that carried it the one result, so the result shares as its operands do.
     """
 
     grid: TimeGrid
@@ -85,7 +98,8 @@ class CompiledSignal:
         return NotImplemented
 
     def _scaled(self, fn):
-        """fn applied to the mean, to every tag's weights and to the terminal extension."""
+        """fn applied to the mean, to every distinct weight array and to the terminal extension."""
+        fn = once_per_array(fn)
         mean_T = None if self.mean_T is None else fn(self.mean_T)
         return CompiledSignal(self.grid, fn(self.mean),
                               {tag: fn(w) for tag, w in self.weights.items()}, mean_T,
@@ -126,19 +140,25 @@ class CompiledSignal:
         if M.shape != (self.grid.n, self.grid.n):
             raise ShapeError(f"matrix of shape {M.shape} does not act on a signal of length "
                              f"{self.grid.n}")
+        once = once_per_array(lambda w: product(M, w))
         return CompiledSignal(self.grid, M @ self.mean,
-                              {tag: product(M, w) for tag, w in self.weights.items()})
+                              {tag: once(w) for tag, w in self.weights.items()})
 
     def accumulate(self, other: CompiledSignal, subtract: bool = False) -> CompiledSignal:
         """self + other (self - other with subtract), written into self's arrays.
 
         For a signal that alone holds its arrays, as a fresh product does: the
-        values of + and -, with no new array for a tag both carry; a tag only
-        other carries gets a copy of its array, or 0.0 - it.  No extension to T.
+        values of + and -.  An array that one tag of self alone holds takes the
+        result in place; one that several tags hold is left as it is, and each
+        distinct pair of arrays gets one new result.  A tag only other carries
+        gets a copy of its array, or 0.0 - it, one per distinct array.  No
+        extension to T.
         """
         op = np.subtract if subtract else np.add
-        weights = {tag: op(self.weights[tag], w, out=self.weights[tag]) if tag in self.weights
-                   else np.subtract(0.0, w) if subtract else w.copy()
+        holders = collections.Counter(map(id, self.weights.values()))
+        into = once_per_array(lambda x, y: op(x, y, out=x) if holders[id(x)] == 1 else op(x, y))
+        alone = once_per_array(lambda w: np.subtract(0.0, w) if subtract else w.copy())
+        weights = {tag: into(self.weights[tag], w) if tag in self.weights else alone(w)
                    for tag, w in other.weights.items()}
         return CompiledSignal(self.grid, op(self.mean, other.mean, out=self.mean),
                               {**self.weights, **weights})
@@ -202,12 +222,69 @@ def _tagwise(op, a: dict, b: dict) -> dict:
     A tag that only one operand of a sum carries keeps that operand's array
     (signals never write to their arrays): a running sum over many signals
     copies each array once, and a tag's weights stay the same object wherever
-    they are the same sum of the same arrays.
+    they are the same sum of the same arrays.  op runs once per distinct pair
+    of operand arrays, 0.0 - w once per distinct w, and the tags that carry a
+    pair share its result.
     """
+    once = once_per_array(op)
     return {tag: a[tag] if tag not in b
             else b[tag] if tag not in a and op is operator.add
-            else op(a.get(tag, 0.0), b[tag])
+            else once(a.get(tag, 0.0), b[tag])
             for tag in dict.fromkeys([*a, *b])}
+
+
+def once_per_array(fn, calls: collections.Counter | None = None):
+    """fn computed once per distinct tuple of argument objects, by identity.
+
+    A call with the same objects as an earlier one returns that call's
+    result, the same object.  The memo keeps every argument alive while its
+    id is a key, so no new array can take the id meanwhile.  Make one per
+    operation and drop it after: it holds every argument and result it saw,
+    unless calls counts the calls each key (the tuple of ids) will get; then
+    an entry is dropped after its last call.
+    """
+    done = {}
+
+    def once(*args):
+        key = tuple(map(id, args))
+        if key not in done:
+            done[key] = args, fn(*args)
+        result = done[key][1]
+        if calls is not None:
+            calls[key] -= 1
+            if not calls[key]:
+                del done[key]
+        return result
+    return once
+
+
+def scaled_sum(c: float, signals) -> CompiledSignal:
+    """sum(c * f for f in signals), bitwise, formed one tag at a time.
+
+    The mean, each tag's weights and the extension to T are each the sum in
+    operand order that sum() forms (mean_T is None if any operand's is).
+    Every distinct array is scaled once for all the tags and operands that
+    hold it, and its scaled copy is dropped after its last use: while a tag
+    is summed, only the scaled arrays that a later tag reads are held besides
+    it, not every operand's scaled copy.
+    """
+    c, signals = float(c), list(signals)
+    on_grid(signals[0].grid, *signals)
+
+    def fold(values):
+        return functools.reduce(operator.add, values)
+
+    def tagwise(arrays: list) -> dict:
+        uses = collections.Counter((id(w),) for a in arrays for w in a.values())
+        scale = once_per_array(lambda w: c * w, uses)
+        return {tag: fold(scale(a[tag]) for a in arrays if tag in a)
+                for tag in dict.fromkeys(t for a in arrays for t in a)}
+
+    mean_T = None if any(f.mean_T is None for f in signals) \
+        else fold(c * f.mean_T for f in signals)
+    return CompiledSignal(signals[0].grid, fold(c * f.mean for f in signals),
+                          tagwise([f.weights for f in signals]), mean_T,
+                          tagwise([f.weights_T for f in signals]))
 
 
 def on_grid(grid: TimeGrid, *signals) -> None:

@@ -204,6 +204,10 @@ class TestConfigErrors:
          []),
         # the mean-field commands ran a model of any kind as the mean-field game (exit 0)
         ("eps-nash", {"model": {**MFG_MODEL, "kind": "mgf"}}, []),
+        # a flag that overrides a noise value once left it unread (exit 0)
+        ("solve", {"noise": {"paths": "text", "seed": 3}}, ["--paths", "2"]),
+        ("solve", {"noise": {"paths": 6, "seed": [0.5]}}, ["--seed", "1"]),
+        ("converge", {"noise": {"paths": 6.5, "seed": 3}}, ["--paths", "2"]),
     ], ids=["grid-not-object", "T-not-number", "n-1", "grid-n-1", "grid-n-0",
             "paths-not-integer", "N-not-integer", "raw-lam-missing", "mfg-lam-missing",
             "mfg-lam-negative", "mfg-alpha-0.9", "Ns-not-list", "combination-empty",
@@ -223,7 +227,8 @@ class TestConfigErrors:
             "noise-misspelled", "deterministic-kind-misspelled", "model-null", "model-list",
             "out-not-string", "systemic-h-row-short", "values-nested",
             "systemic-sigma-nested", "mfg-a1-indefinite",
-            "eps-nash-a3-indefinite", "mfg-kind-misspelled"])
+            "eps-nash-a3-indefinite", "mfg-kind-misspelled", "noise-paths-string-under-flag",
+            "noise-seed-list-under-flag", "converge-noise-paths-fractional-under-flag"])
     def test_malformed_value_exits_2(self, tmp_path, command, overrides, argv):
         game = command in ("solve", "validate", "oracle-check")
         cfg = {"grid": {"T": 1.0, "n": 12}, "noise": {"paths": 6, "seed": 3},

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from volterra_games import fredholm
 from volterra_games.errors import InadmissibleKernel, SingularOperator
 from volterra_games.fredholm import (
     LU_LEAF,
@@ -359,6 +360,38 @@ class TestExactness:
         b = solve(K, 2.0, f)
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.values_and_surface({})[1], b.values_and_surface({})[1])
+
+
+    def test_each_distinct_weight_array_is_solved_once(self, monkeypatch):
+        # five tags over two arrays: two products per distinct array, and the
+        # tags that held one array share one solution, equal to the unshared solve
+        g = build_grid(1.0, 80)        # past one row band: the blocked products
+        K = discretize_kernel(ExponentialDecay(c=0.7, rho=2.0), g)
+        solver = FredholmSolver(K, 2.0)
+        rng = np.random.default_rng(6)
+        X, Y = rng.standard_normal((2, 80, 80))
+        f = CompiledSignal(g, rng.standard_normal(80), {"a": X, "b": X, "c": Y, "d": X, "e": Y})
+        products = []
+
+        def counted(A, W, triangle=None):
+            products.append(triangle)
+            return lower_product(A, W, triangle)
+
+        monkeypatch.setattr(fredholm, "lower_product", counted)
+        sol = solver.solve(f)
+        assert sorted(products) == ["lower", "lower", "upper", "upper"]
+        assert sol.weights["a"] is sol.weights["b"] is sol.weights["d"]
+        assert sol.weights["c"] is sol.weights["e"]
+        monkeypatch.undo()
+        ref = solver.solve(CompiledSignal(g, f.mean, {t: w.copy() for t, w in f.weights.items()}))
+        for tag in f.weights:
+            assert np.array_equal(sol.weights[tag], ref.weights[tag])
+        # the residual's difference arrays are new: the cut in place leaves f and sol intact
+        kept = [w.copy() for w in (X, Y, sol.weights["a"], sol.weights["c"])]
+        res = solver.residual(f, sol)
+        assert res.weights["a"] is res.weights["b"]
+        for w, k in zip((X, Y, sol.weights["a"], sol.weights["c"]), kept):
+            assert np.array_equal(w, k)
 
 
 class TestStability:

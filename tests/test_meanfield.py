@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -599,3 +600,54 @@ class TestStreamedNoise:
         with pytest.raises(MemoryError, match="accumulator"):
             convergence_study(spec, ns, noise, player_paths=0)
         assert threading.active_count() == before
+
+
+def distinct(cs: CompiledSignal) -> int:
+    """The number of distinct weight arrays cs holds."""
+    return len({id(w) for w in cs.weights.values()})
+
+
+class TestSharedWeights:
+    def test_study_holds_one_array_per_signal_not_per_tag(self, grid16, monkeypatch):
+        seen = []
+        streamed = meanfield._streamed_path_values
+
+        def captured(signals, rows, noise):
+            seen.extend(signals)
+            return streamed(signals, rows, noise)
+
+        monkeypatch.setattr(meanfield, "_streamed_path_values", captured)
+        spec, ns, noise = study_case("iid", grid16)
+        convergence_study(spec, ns, noise)
+        means, players = seen[:len(ns)], seen[len(ns):]
+        for N, mean, u1, v1 in zip(ns, means, players[::2], players[1::2]):
+            assert len(mean.weights) == N and distinct(mean) == 1
+            # player 1's own idio0, and one array for every other player's tag
+            assert len(u1.weights) == N and distinct(u1) == 2
+            assert list(v1.weights) == ["idio0"]
+        # the family hands every player's idio tag its one array
+        game = induced_game(spec, 8)
+        assert len({id(f.weights[f"idio{i}"]) for i, f in enumerate(game.b_signals)}) == 1
+
+    def test_study_peak_memory(self):
+        # the most convergence_study holds at once at n = 64, N = 4..64 and 4 paths,
+        # in n x n arrays: 45.3 here; 400.1 with one array per player and tag in
+        # every mean and player solve
+        assert study_peak(64) <= 60
+
+
+def study_peak(n):
+    """Peak of convergence_study on the IID family at 4 paths, in n x n arrays."""
+    def study(grid, trace):
+        spec = TestConvergence().base_spec(grid, "iid")
+        noise = draw_crossed_noise(grid, set(), spec.player_family.idio_tags(64), 1, 4, seed=1)
+        if trace:
+            tracemalloc.start()
+        try:
+            convergence_study(spec, [4, 8, 16, 32, 64], noise)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    study(build_grid(1.0, 8), trace=False)      # the noise pass imports its executor once
+    return study(build_grid(1.0, n), trace=True) / (n ** 2 * 8)

@@ -255,3 +255,31 @@ def test_each_operator_is_formed_once(monkeypatch):
                       / "systemic_n16.json").read_text())
     build_game_from_config(cfg, g)
     assert (counts["_moments"], counts["_state_rows"]) == (49, 17)
+
+
+class _Built(Exception):
+    """Raised in place of the reduction, with the Volterra game it was handed."""
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 513])
+def test_terminal_block_is_the_einsum_bitwise(n, monkeypatch):
+    # the einsum's three-operand loop, replaced by four broadcast terms: the same
+    # bits on random blocks and on the worked models' terminal rows
+    rng = np.random.default_rng(n)
+    S = rng.standard_normal((2, 2))
+    blocks = [(rng.standard_normal((n, 2, 2)), S + S.T)]
+
+    def built(vspec):
+        raise _Built(vspec)
+
+    monkeypatch.setattr(mb, "reduce_volterra_game", built)
+    for model in ("systemic", "liquidation", "advertising") if n > 1 else ():
+        cfg = json.loads((Path(__file__).resolve().parent.parent / "run_configs"
+                          / f"{model}.json").read_text())
+        with pytest.raises(_Built) as stopped:
+            build_game_from_config(cfg, build_grid(cfg["grid"]["T"], n))
+        vspec = stopped.value.args[0]
+        blocks += [(vspec.dblock[n], vspec.smat + vspec.smat.T), (vspec.dblock[n], S + S.T)]
+    for DmT, Sbar in blocks:
+        assert np.array_equal(mb.terminal_block(DmT, Sbar),
+                              np.einsum("jab,ac,lcd->jlbd", DmT, Sbar, DmT))

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -15,7 +16,9 @@ from volterra_games.signals import (
     deterministic,
     draw_noise,
     martingale,
+    once_per_array,
     ou,
+    scaled_sum,
 )
 
 # each builds its signal on a given grid
@@ -351,6 +354,116 @@ class TestArithmetic:
                     beta0=f, b0_signal=deterministic(g4, 0.0), grid=g4, b_infty=h)
         with pytest.raises(ShapeError):
             deterministic(g4, (1.0, 2.0, 3.0))
+
+
+def objects(weights: dict) -> list:
+    """For each tag in order, the index of its array among the distinct arrays seen."""
+    seen = {}
+    return [seen.setdefault(id(w), len(seen)) for w in weights.values()]
+
+
+class TestSharedArrays:
+    """Tags that hold one array: each operation computes once and shares the result alike."""
+
+    def shared(self, g, rng):
+        X, Y = rng.standard_normal((2, g.n, g.n))
+        return CompiledSignal(g, rng.standard_normal(g.n), {"a": X, "b": X, "c": Y})
+
+    def unshared(self, f):
+        return CompiledSignal(f.grid, f.mean.copy(), {t: w.copy() for t, w in f.weights.items()})
+
+    def test_every_operator_shares_as_its_operands(self):
+        g = build_grid(1.0, 6)
+        rng = np.random.default_rng(7)
+        f = self.shared(g, rng)
+        h = CompiledSignal(g, np.zeros(6), {"a": f.weights["c"], "b": f.weights["c"],
+                                            "d": f.weights["a"], "e": f.weights["a"]})
+        M = rng.standard_normal((6, 6))
+        cut = once_per_array(lambda w: np.tril(w, -1))
+        lower = CompiledSignal(g, f.mean, {t: cut(w) for t, w in f.weights.items()})
+        cases = [(2.0 * f, 2.0 * self.unshared(f)), (f / 3.0, self.unshared(f) / 3.0),
+                 (M @ f, M @ self.unshared(f)),
+                 (lower.adapted_matmul(M), self.unshared(lower).adapted_matmul(M)),
+                 (f + h, self.unshared(f) + self.unshared(h)),
+                 (f - h, self.unshared(f) - self.unshared(h)),
+                 (h - f, self.unshared(h) - self.unshared(f))]
+        for got, want in cases:
+            assert_same_signal(got, want)
+        for got, _ in cases[:4]:
+            assert objects(got.weights) == [0, 0, 1]
+        # a and b: one X + Y; c keeps Y; d and e keep X
+        assert objects(cases[4][0].weights) == [0, 0, 1, 2, 2]
+        assert cases[4][0].weights["d"] is f.weights["a"]
+        # h's a, b, d, e, then f's c, which h lacks: 0.0 - Y
+        assert objects(cases[6][0].weights) == [0, 0, 1, 1, 2]
+
+    @pytest.mark.parametrize("subtract", [False, True])
+    def test_accumulate_writes_only_into_an_array_one_tag_holds(self, subtract):
+        g = build_grid(1.0, 5)
+        rng = np.random.default_rng(3)
+        f = self.shared(g, rng)
+        X, Y = f.weights["a"], f.weights["c"]
+        Z1, Z2, Z3 = rng.standard_normal((3, 5, 5))
+        other = CompiledSignal(g, rng.standard_normal(5), {"a": Z1, "b": Z2, "c": Z3,
+                                                           "d": Z1, "e": Z1})
+        before = {id(w): w.copy() for w in (X, Z1, Z2, Z3)}
+        want = (self.unshared(f) - other) if subtract else (self.unshared(f) + other)
+        got = f.accumulate(other, subtract)
+        assert_same_signal(got, CompiledSignal(g, want.mean, want.weights))
+        # X, which a and b both hold, is left as it was; Y, c's alone, takes c's sum
+        assert got.weights["c"] is Y
+        assert got.weights["a"] is not X and got.weights["b"] is not X
+        for w in (X, Z1, Z2, Z3):
+            assert np.array_equal(w, before[id(w)])
+        # other's one array for d and e: one new array, not other's
+        assert got.weights["d"] is got.weights["e"]
+        assert got.weights["d"] is not Z1
+
+    def test_once_per_array_keys_on_identity_and_drops_after_the_last_call(self):
+        calls = []
+        once = once_per_array(lambda *args: calls.append(args) or len(calls))
+        x, y = np.zeros(3), np.zeros(3)
+        assert [once(x), once(x), once(y), once(x, y), once(x, y)] == [1, 1, 2, 3, 3]
+        uses = {(id(x),): 2}
+        counted = once_per_array(lambda w: w + 1.0, uses)
+        first = counted(x)
+        assert counted(x) is first
+        assert counted(x) is not first          # the entry went after its second call
+
+    def test_scaled_sum_is_the_sum_bitwise(self):
+        g = build_grid(1.0, 6)
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((6, 6))
+        terms = [random_weighted(g, rng, "a"), random_weighted(g, rng, "b", terminal=False),
+                 CompiledSignal(g, rng.standard_normal(6), {"c": X, "a": X}, 0.5),
+                 CompiledSignal(g, rng.standard_normal(6), {"d": X, "b": X}, 1.5)]
+        for picked in (terms[:1], terms[2:], terms):
+            assert_same_signal(scaled_sum(0.3, picked), sum(0.3 * f for f in picked))
+        out = scaled_sum(0.3, terms[2:])
+        # X, scaled once: c and d, each carried by one operand, share the scaled copy
+        assert out.weights["c"] is out.weights["d"]
+
+    def test_scaled_sum_holds_one_tag_of_scaled_copies(self):
+        # tag j: one own array for signal j, one shared by every other signal, as
+        # the banks of an exchangeable game carry them
+        g = build_grid(1.0, 64)
+        rng = np.random.default_rng(2)
+        N = 16
+        own, common = (list(a) for a in rng.standard_normal((2, N, 64, 64)))
+        signals = [CompiledSignal(g, np.zeros(64), {j: own[j] if j == i else common[j]
+                                                    for j in range(N)})
+                   for i in range(N)]
+        tracemalloc.start()
+        try:
+            out = scaled_sum(1.0 / N, signals)
+            peak = tracemalloc.get_traced_memory()[1] / (64 ** 2 * 8)
+        finally:
+            tracemalloc.stop()
+        # in n x n arrays: the N sums, one tag's two scaled copies and a partial sum,
+        # 19.8 here; 49.3 for sum() of the scaled signals, 66.1 with each shared
+        # array scaled once but held until the last signal that carries it is added
+        assert peak <= N + 6
+        assert_same_signal(out, sum((1.0 / N) * f for f in signals))
 
 
 class TestMotivatingWeightedSignal:
