@@ -12,9 +12,10 @@ Convergence and epsilon-Nash experiments re-solve the induced finite games
 on shared noise and fit log-log rates.  Every solve maps a CompiledSignal
 driver to a CompiledSignal strategy once for all paths (see nplayer); paths
 are read off the coefficients at the sampled increments.  The convergence
-study reads the noise as a stream, one tag at a time, so its memory does not
-grow with the number of tags; a one-worker concurrent.futures pool draws the
-next tag, into one of two recycled buffers, while the current one is added in.
+study reads the noise as a stream, one row block of one tag at a time
+(signals.row_blocks), so its noise memory grows with neither tags nor paths;
+a one-worker concurrent.futures pool draws the next block, into one of two
+recycled buffers, while the current one is added in.
 """
 
 from __future__ import annotations
@@ -48,8 +49,10 @@ from .signals import (
     CompiledSignal,
     NoiseBundle,
     deterministic,
+    gather_increments,
     martingale,
     on_grid,
+    row_blocks,
     stream_increments,
 )
 
@@ -123,15 +126,16 @@ class CrossedNoise:
     seed: int
 
     def stream(self, buffers=None):
-        """Yield (tag, (n_common * n_idio, n) increments) in draw order (stream_increments)."""
+        """Yield (tag, rows, increments) row block by row block in draw order (stream_increments)."""
         return stream_increments(self.grid, self.common_tags, self.idio_tags,
                                  self.n_common, self.n_idio, self.seed, buffers)
 
     @cached_property
     def bundle(self) -> NoiseBundle:
         """Every tag's increments, drawn once and kept."""
-        return NoiseBundle(self.grid, self.n_common * self.n_idio, self.seed,
-                           dict(self.stream()))
+        P = self.n_common * self.n_idio
+        return NoiseBundle(self.grid, P, self.seed,
+                           gather_increments(self.stream(), P, self.grid.n))
 
     def block_increments(self) -> dict:
         """Increments at the first path of every common block: tag -> (n_common, n)."""
@@ -155,49 +159,71 @@ def _streamed_path_values(signals, rows, noise: CrossedNoise):
 
     Returns the (rows, n) values per signal and each tag's first row per
     common block.  A tag is added into every signal that carries it, in
-    sorted tag order as CompiledSignal.path_values adds them, so the values
-    equal path_values on the bundle's first rows bitwise.  Of the
-    increments, only the tag in use, copies of the tags waiting for their
-    turn, and the next tag, drawn by one worker thread meanwhile, are held
-    whole.  The worker draws into two buffers allocated here, in turn, and
-    allocates nothing of that size itself: every large array is allocated and
-    freed by this thread in a fixed order, so the process's peak memory does
-    not depend on how the two threads interleave.
+    sorted tag order as CompiledSignal.path_values adds them, one product per
+    row block as tag_values forms them, so the values equal path_values on
+    the bundle's first rows bitwise.  Each signal's adapted weights are
+    resolved once per tag.  Of the increments, only the block in use, the
+    next block, drawn by one worker thread meanwhile, and the first rows of
+    each tag are held.  The worker draws into two block buffers allocated
+    here, in turn, and allocates nothing of that size itself: every large
+    array is allocated and freed by this thread in a fixed order, so the
+    process's peak memory does not depend on how the two threads interleave.
     """
     # imported here: the executor's import would otherwise count against
     # every command's start-up, and only this pass uses it
     from concurrent.futures import ThreadPoolExecutor
 
-    P, n = noise.n_common * noise.n_idio, noise.grid.n
+    C, I, n = noise.n_common, noise.n_idio, noise.grid.n
     order = sorted((*noise.common_tags, *noise.idio_tags))
     missing = set().union(*(s.noise_tags() for s in signals)) - set(order)
     if missing:
         raise ShapeError(f"noise lacks tags {sorted(missing)}")
     values = [np.broadcast_to(s.mean, (r, n)).copy() for s, r in zip(signals, rows)]
-    blocks, pending = {}, {}
-    k = 0
-    # a buffer is redrawn only after the next tag's draw has been collected,
-    # when this thread is done with the tag it held
-    stream = noise.stream(itertools.cycle([np.empty((P, n)), np.empty((P, n))]))
-    # the worker draws one tag ahead; leaving the block waits for that draw
+    first = {tag: np.empty((C, n)) for tag in order}
+    blocks = row_blocks(C * I, n)
+
+    def carriers(tag):
+        """(values, adapted weights transposed) of every signal that carries tag."""
+        return [(out, s.adapted_weights(tag).T)
+                for s, out in zip(signals, values) if tag in s.weights]
+
+    def add(carrying, block, dW):
+        for out, wT in carrying:
+            if len(part := out[block]):
+                part += dW[:len(part)] @ wT
+
+    def add_common(tag):
+        """A common tag, constant over each common block, added from its first rows."""
+        carrying = carriers(tag)
+        for block in blocks if carrying else ():
+            add(carrying, block, first[tag][np.arange(block.start, block.stop) // I])
+
+    k = 0       # order[k] is the next tag to add
+    # a buffer is redrawn only after the next block's draw has been collected,
+    # when this thread is done with the block it held
+    stream = noise.stream(itertools.cycle([np.empty((blocks[0].stop, n)) for _ in range(2)]))
+    # the worker draws one block ahead; leaving the block waits for that draw
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="noise-draw") as pool:
         ahead = pool.submit(next, stream, _END)
         while (item := ahead.result()) is not _END:
             ahead = pool.submit(next, stream, _END)
-            tag, dW = item
-            blocks[tag] = dW[::noise.n_idio].copy()
-            pending[tag] = dW
-            # the stream is sorted within common and within idiosyncratic tags;
-            # a tag that arrives before its turn waits here
-            while k < len(order) and order[k] in pending:
-                increments = pending.pop(order[k])
-                for s, out in zip(signals, values):
-                    if order[k] in s.weights:
-                        out += s.tag_values(order[k], increments[:len(out)])
+            tag, block, dW = item
+            # the block's rows c * I, the first paths of its common blocks
+            first[tag][-(-block.start // I):-(-block.stop // I)] = dW[-block.start % I::I]
+            if tag in noise.common_tags:
+                continue        # added from its first rows when its turn comes
+            # the tags sorted before it are common, all drawn by now, or added
+            while order[k] != tag:
+                add_common(order[k])
                 k += 1
-            if tag in pending:      # still waiting: its buffer comes round again
-                pending[tag] = dW.copy()
-    return values, blocks
+            if not block.start:
+                carrying = carriers(tag)
+            add(carrying, block, dW)
+            if block.stop == C * I:
+                k += 1
+    for tag in order[k:]:
+        add_common(tag)
+    return values, first
 
 
 @dataclass
@@ -282,8 +308,9 @@ def mfg_foc_residual(spec: MFGSpec, solution: MFGSolution, noise: CrossedNoise) 
     nplayer's condition at N = inf, 2 lam v - b + dt (A3 + A3^T) mu
     + dt (A2hat + A2hat^T) v, formed on the coefficients of solve_generic's (v, mu).
     """
-    own, cross = _foc_terms(spec, solution.mean_field)
-    res = solution.strategies[0].adapted_matmul(own) + cross - spec.b_family()
+    own, S = _foc_terms(spec)
+    res = (solution.strategies[0].adapted_matmul(own) + solution.mean_field.adapted_matmul(S)
+           - spec.b_family())
     return sup_on_paths(res, noise.bundle.increments, noise.bundle.n_paths)
 
 
@@ -356,7 +383,8 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     is never held whole.  Each MSE is formed in place on its paths.  The IID
     family hands every player's tag one weight array and every solve runs
     once per distinct array, so each N's coefficients hold a few arrays, not
-    one per player.
+    one per player.  The mean-field player is solved and sampled once: it is
+    the family's player 1 at N = inf, and neither family's b^1 depends on N.
     """
     ops = build_operators(spec)
     grid = spec.grid
@@ -365,7 +393,6 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     pp = P if player_paths is None else min(player_paths, P)
 
     nu_cs = ops.mean_solver.solve(spec.limit_family())
-    nu_coupling = mean_field_coupling(spec, nu_cs)      # every N's v1 shares it
     means, players = [], []
     for N in ns:
         game = induced_game(spec, N)
@@ -373,9 +400,11 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
         means.append(gops.mean_solver.solve(mean_driver(game)))
         # player 1 of the finite game against the mean-field v^1, on a path subset
         if pp > 0:
-            u1 = gops.player_solver.solve(shifted_drive(game, player_base(game, 0), means[-1]))
-            v1 = ops.player_solver.solve(game.b_signals[0] - nu_coupling)
-            players += [u1, v1]
+            players.append(gops.player_solver.solve(
+                shifted_drive(game, player_base(game, 0), means[-1])))
+    if pp > 0:
+        b1 = spec.player_family.signal(0, spec.n_players)
+        players.append(ops.player_solver.solve(shifted_drive(spec, b1, nu_cs)))
 
     paths, first = _streamed_path_values([*means, *players],
                                          [P] * len(means) + [pp] * len(players), noise)
@@ -388,8 +417,8 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
         mse_mean = float(np.max(np.mean(np.square(paths[j], out=paths[j]), axis=0)))
         mse_player = np.nan
         if pp > 0:
-            gap = paths[len(ns) + 2 * j]
-            gap -= paths[len(ns) + 2 * j + 1]
+            gap = paths[len(ns) + j]
+            gap -= paths[-1]
             mse_player = float(np.max(np.mean(np.square(gap, out=gap), axis=0)))
         rows.append({"N": int(N), "mse_mean": mse_mean, "mse_player": mse_player})
 

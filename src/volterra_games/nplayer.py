@@ -6,7 +6,7 @@ with kernel Khat = G - H/N, where G = A1/N^2 + 2 A3/N + A2hat and
 H = A1/N + A3, both at scale lam_eff = 2*lambda.  Each player's driver is
 shifted by the one term of its first-order condition in the other players,
 the coupling H(ubar) + H*(E_. ubar) = dt ((A1 + A1^T)/N + A3 + A3^T) ubar,
-formed once per solve_nash from A1 and A3 (mean_field_coupling).  The
+its matrix formed once per solve_nash from A1 and A3 (coupling_matrix).  The
 condition, the gradient of J^i from A2hat, A3 and that coupling, shows a
 wrong G or H; the mean gap, the players' average against ubar, also shows a
 wrong H.  The coupling and the condition apply matrices to solver outputs,
@@ -36,6 +36,7 @@ O(distinct weights), not players x tags.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field, replace
 
@@ -47,9 +48,10 @@ from .grid_ops import (
     GridKernel,
     TimeGrid,
     add_kernels,
+    lower_product,
     min_eigenvalue,
 )
-from .signals import CompiledSignal, NoiseBundle, on_grid, scaled_sum
+from .signals import CompiledSignal, NoiseBundle, on_grid, once_per_array, scaled_sum
 
 # the one tolerance table: the CLI and validation_report copy it, then apply run.tolerances
 DEFAULT_TOLERANCES = {"fredholm_residual": 1e-9, "mean_consistency": 1e-6, "foc_residual": 1e-8,
@@ -162,17 +164,24 @@ def build_operators(spec: GameSpec) -> GameOperators:
     return GameOperators(mean_solver, player_solver)
 
 
-def mean_field_coupling(spec, w: CompiledSignal) -> CompiledSignal:
-    """H(w) + H*(E_. w) with H = A1/N + A3, on coefficients dt ((A1 + A1^T)/N + A3 + A3^T) w.
+def coupling_matrix(spec) -> np.ndarray:
+    """dt ((A1 + A1^T)/N + A3 + A3^T), read off the spec's A1 and A3 (a GameSpec or an MFGSpec).
 
-    Read off the spec's A1 and A3 (a GameSpec or an MFGSpec), not off build_GH's
-    H.  w is a solver output (or a sum of them), so its weights are strictly lower.
+    Not off build_GH's H: the coupling checks the solvers' kernels.
     """
     S = spec.a1.values + spec.a1.values.T
     S /= spec.n_players
     S += spec.a3.values + spec.a3.values.T
     S *= spec.grid.dt
-    return w.adapted_matmul(S)
+    return S
+
+
+def mean_field_coupling(spec, w: CompiledSignal) -> CompiledSignal:
+    """H(w) + H*(E_. w) with H = A1/N + A3, on coefficients coupling_matrix(spec) @ w.
+
+    w is a solver output (or a sum of them), so its weights are strictly lower.
+    """
+    return w.adapted_matmul(coupling_matrix(spec))
 
 
 def shifted_drive(spec, base: CompiledSignal, w: CompiledSignal) -> CompiledSignal:
@@ -247,7 +256,9 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
     arrays; exchangeable players (one mean field in every driver) share all
     but their own tags.  Each player's samples add the parts after the mean
     in sorted tag order, as path_values does, so every output is bitwise what
-    a player-by-player solve gives.
+    a player-by-player solve gives.  A tag's coupling to the mean strategy is
+    formed when the tag comes, once per distinct weight array, and dropped
+    after the last tag that holds the array.
     """
     ops = build_operators(spec)
     N, grid = spec.n_players, spec.grid
@@ -258,11 +269,13 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
     fred_residual = sup_on_paths(ops.mean_solver.residual(mean_drive, mean_strategy),
                                  increments, P)
     del mean_drive          # nothing reads the driver past its residual
-    # one coupling to the mean strategy shifts every player's driver and enters every FOC
-    own, coupling = _foc_terms(spec, mean_strategy)
+    # the coupling to the mean strategy shifts every player's driver and enters every FOC
+    own, S = _foc_terms(spec)
     tags = sorted(mean_strategy.weights)       # every tag of every driver
+    uses = collections.Counter((id(w),) for w in mean_strategy.weights.values())
+    coupled = once_per_array(lambda w: lower_product(S, w), uses)
 
-    def player_part(b: CompiledSignal, tag):
+    def player_part(b: CompiledSignal, tag, coupling: CompiledSignal):
         """Part tag (None: the mean) of the strategy for b, and its samples.
 
         The samples are those of the strategy, the Fredholm residual, the FOC
@@ -275,28 +288,31 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
 
         # b^0/N formed part by part: no scaled copy of b^0 is held through the loop
         base = b.part(tag) + (1.0 / N) * spec.b0_signal.part(tag)
-        drive = base - coupling.part(tag)
+        drive = base - coupling
         strategy = ops.player_solver.solve(drive)
         residual = sample(ops.player_solver.residual(drive, strategy))
         del drive               # nothing reads the driver past its residual
-        condition = strategy.adapted_matmul(own).accumulate(coupling.part(tag))
+        condition = strategy.adapted_matmul(own).accumulate(coupling)
         condition = sample(condition.accumulate(base, subtract=True))
         return strategy, [sample(strategy), residual, condition, sample(base)]
 
     # every player's mean part, then each tag's parts in sorted order
     samples = u, residual, condition, base_values = [np.empty((N, P, grid.n)) for _ in range(4)]
     means, weights = [], [{} for _ in range(N)]
+    coupling = mean_strategy.part().adapted_matmul(S)
     for i, b in enumerate(spec.b_signals):
-        strategy, mean_samples = player_part(b, None)
+        strategy, mean_samples = player_part(b, None, coupling)
         means.append(strategy.mean)
         for out, values in zip(samples, mean_samples):
             out[i] = values
     for tag in tags:
+        coupling = CompiledSignal(grid, np.zeros(grid.n),
+                                  {tag: coupled(mean_strategy.weights[tag])})
         done = {}       # this tag's driver weights, by id: (the weights, their part)
         for i, b in enumerate(spec.b_signals):
             w = b.weights.get(tag)
             if id(w) not in done:
-                done[id(w)] = w, player_part(b, tag)
+                done[id(w)] = w, player_part(b, tag, coupling)
             part, tag_samples = done[id(w)][1]
             weights[i][tag] = part.weights[tag]
             for out, values in zip(samples, tag_samples):
@@ -326,26 +342,26 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
 
 def foc_residual(spec: GameSpec, solution: NashSolution, i: int) -> float:
     """Sup over the sampled paths of player i's discretized first-order condition."""
-    own, coupling = _foc_terms(spec, solution.mean_strategy)
-    return sup_on_paths(solution.strategies[i].adapted_matmul(own) + coupling
-                        - player_base(spec, i),
+    own, S = _foc_terms(spec)
+    return sup_on_paths(solution.strategies[i].adapted_matmul(own)
+                        + solution.mean_strategy.adapted_matmul(S) - player_base(spec, i),
                         solution.increments, len(solution.ubar))
 
 
-def _foc_terms(spec: GameSpec, mean_strategy: CompiledSignal) -> tuple[np.ndarray, CompiledSignal]:
-    """(own, coupling) such that own @ u^i + coupling - (b^i + b^0/N) is minus J^i's gradient.
+def _foc_terms(spec: GameSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(own, S) such that own @ u^i + S @ ubar - (b^i + b^0/N) is minus J^i's gradient.
 
-    own = 2 lam id + dt (A2hat + A2hat^T + (A3 + A3^T)/N) and the coupling is
-    mean_field_coupling's of ubar, both read off the objective's A1, A2hat
-    and A3, so a wrong G, H or solver shows in the residual.  Formed on
-    coefficients; sup_on_paths then evaluates the condition on every path.
+    own = 2 lam id + dt (A2hat + A2hat^T + (A3 + A3^T)/N) and S is
+    coupling_matrix's, both read off the objective's A1, A2hat and A3, so a
+    wrong G, H or solver shows in the residual.  Both act on coefficients as
+    adapted products; sup_on_paths then evaluates the condition on every path.
     """
     A2, A3 = spec.a2hat.values, spec.a3.values
     own = A2 + A2.T
     own += (A3 + A3.T) / spec.n_players
     own *= spec.grid.dt
     own[np.diag_indices(spec.grid.n)] += 2.0 * spec.lam
-    return own, mean_field_coupling(spec, mean_strategy)
+    return own, coupling_matrix(spec)
 
 
 def objective_per_path(spec: GameSpec, i: int, strategies: np.ndarray,

@@ -15,7 +15,10 @@ form (sums, scalings, matrices applied to every weight) lives here only.
 Inputs are built on their grid by deterministic, martingale, ou and
 brownian_weighted, and combined with + and *; there is no other signal type.
 Sampled paths are read off the coefficients: path_values for every path at
-once, values_and_surface for one path with its conditional surface.
+once, values_and_surface for one path with its conditional surface.  Paths
+are formed, and noise is drawn, in row blocks of ROW_BLOCK_BYTES (row_blocks):
+a product's rounding depends on its row count, so every caller that must
+agree bitwise splits the rows there.
 
 Tags may hold one weight array between them, as the players of an
 exchangeable game do.  Every operation computes once per distinct array
@@ -39,6 +42,13 @@ from .errors import ShapeError, UnsupportedSignal
 from .grid_ops import TimeGrid, _any_upper, cut_upper, lower_product
 
 COMMON = "common"
+ROW_BLOCK_BYTES = 1 << 20       # bytes per row block of paths: 2048 rows at n = 64
+
+
+def row_blocks(n_rows: int, n: int) -> list:
+    """Slices of ROW_BLOCK_BYTES of consecutive rows of (n_rows, n) doubles; one empty if no rows."""
+    step = max(1, ROW_BLOCK_BYTES // (8 * n))
+    return [slice(r, min(r + step, n_rows)) for r in range(0, max(n_rows, 1), step)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +176,9 @@ class CompiledSignal:
     def path_values(self, increments: dict, n_paths: int) -> np.ndarray:
         """Adapted values E_{t_j}[f_j] on every path, shape (n_paths, n).
 
-        increments maps each tag to its (n_paths, n) draws: one GEMM per tag, no
-        stacked copy, and tags in sorted order, so the order that built the signal
-        does not change the rounding.
+        increments maps each tag to its (n_paths, n) draws: one GEMM per tag and
+        row block (tag_values), no stacked copy, and tags in sorted order, so the
+        order that built the signal does not change the rounding.
         """
         out = np.broadcast_to(self.mean, (n_paths, self.grid.n)).copy()
         for tag in sorted(self.weights):
@@ -179,13 +189,22 @@ class CompiledSignal:
         """One tag's part of the adapted values at its (n_paths, n) increments.
 
         path_values is the mean plus these parts in sorted tag order; a caller
-        that adds them in that order gets path_values bitwise.  Strictly lower
-        weights, as a solver's, are read in place, others from a cut copy.
+        that adds them in that order gets path_values bitwise.  One product per
+        row block (row_blocks) with adapted_weights: a caller that forms the
+        products of the same blocks gets these values bitwise.
         """
+        wT = self.adapted_weights(tag).T
+        out = np.empty((len(increments), self.grid.n))
+        for rows in row_blocks(len(increments), self.grid.n):
+            np.matmul(increments[rows], wT, out=out[rows])
+        return out
+
+    def adapted_weights(self, tag) -> np.ndarray:
+        """tag's weights strictly lower and C-ordered: a solver's as they are, others cut in a copy."""
         w = self.weights[tag]
         if _any_upper(w) or not w.flags.c_contiguous:
             w = cut_upper(np.array(w, order="C"))
-        return increments @ w.T
+        return w
 
     def part(self, tag=None) -> CompiledSignal:
         """The mean alone (tag None), or tag's weights alone on a zero mean.
@@ -369,35 +388,50 @@ GENERATOR_NAME = "numpy.default_rng(PCG64)"
 
 def stream_increments(grid: TimeGrid, common_tags, idio_tags, n_common: int, n_idio: int,
                       seed: int, buffers=None):
-    """Yield (tag, increments) one tag at a time, each (n_common * n_idio, n) and read-only.
+    """Yield (tag, rows, increments), one tag after another and each row block by row block.
 
-    One generator seeded with seed draws the sorted common tags, then the
-    sorted idiosyncratic tags.  Path p = c * n_idio + e lies in common block c:
-    a common tag draws one row per block and repeats it over the block's
-    n_idio paths, an idiosyncratic tag draws every row.  Each tag is drawn
-    into a new array, or, if buffers (an iterator of writable arrays of that
-    shape) is given, into the next buffer, yielded as a read-only view: the
-    caller must be done with a buffer's last tag before it comes round again.
+    increments are the rows (a slice, row_blocks) of the tag's (n_common *
+    n_idio, n) draws.  One generator seeded with seed draws the sorted common
+    tags, then the sorted idiosyncratic tags.  Path p = c * n_idio + e lies
+    in common block c: a common tag draws one row per block, all at once, and
+    repeats it over the block's n_idio paths; an idiosyncratic tag draws its
+    rows block by block, in order, the numbers of one draw of the whole tag.
+    Each block is drawn into a new array, or, if buffers (an iterator of
+    writable arrays of n columns and at least a block's rows) is given, into
+    the next buffer's leading rows, and yielded read-only: the caller must be
+    done with a buffer's block before it comes round again.
     """
     rng = np.random.default_rng(seed)
     std = np.sqrt(grid.dt)
-    draws = [(tag, n_common, n_idio) for tag in sorted(set(common_tags))]
-    draws += [(tag, n_common * n_idio, 1) for tag in sorted(set(idio_tags))]
-    for tag, rows, repeats in draws:
-        arr = np.empty((n_common * n_idio, grid.n)) if buffers is None else next(buffers)
-        if repeats > 1:
-            block = rng.standard_normal((rows, grid.n))
-            block *= std
-            arr.reshape(rows, repeats, grid.n)[:] = block[:, None, :]
-        else:
-            rng.standard_normal(out=arr)
-            arr *= std
-        view = arr.view()
-        view.flags.writeable = False       # increments are shared read-only
-        yield tag, view
+    common = sorted(set(common_tags))
+    for tag in [*common, *sorted(set(idio_tags))]:
+        if tag in common:
+            once = rng.standard_normal((n_common, grid.n))
+            once *= std
+        for rows in row_blocks(n_common * n_idio, grid.n):
+            m = rows.stop - rows.start
+            arr = (np.empty((m, grid.n)) if buffers is None else next(buffers))[:m]
+            if tag in common:
+                np.take(once, np.arange(rows.start, rows.stop) // n_idio, axis=0, out=arr)
+            else:
+                rng.standard_normal(out=arr)
+                arr *= std
+            view = arr.view()
+            view.flags.writeable = False       # increments are shared read-only
+            yield tag, rows, view
+
+
+def gather_increments(stream, n_paths: int, n: int) -> dict:
+    """Every tag's whole (n_paths, n) increments, read-only, from stream_increments's blocks."""
+    whole = collections.defaultdict(lambda: np.empty((n_paths, n)))
+    for tag, rows, arr in stream:
+        whole[tag][rows] = arr
+    for arr in whole.values():
+        arr.flags.writeable = False
+    return dict(whole)
 
 
 def draw_noise(grid: TimeGrid, tags, n_paths: int, seed: int) -> NoiseBundle:
     """Every tag idiosyncratic in one common block: the stream, kept whole."""
-    incs = dict(stream_increments(grid, (), tags, 1, n_paths, seed))
+    incs = gather_increments(stream_increments(grid, (), tags, 1, n_paths, seed), n_paths, grid.n)
     return NoiseBundle(grid, n_paths, seed, incs)

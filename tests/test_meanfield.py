@@ -1,3 +1,4 @@
+import collections
 import itertools
 import sys
 import threading
@@ -6,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from volterra_games import meanfield, nplayer
+from volterra_games import meanfield, nplayer, signals
 from volterra_games.errors import ShapeError
-from volterra_games.fredholm import build_Dt
+from volterra_games.fredholm import FredholmSolver, build_Dt
 from volterra_games.grid_ops import (
     ConstantLower,
     ExponentialDecay,
@@ -40,7 +41,13 @@ from volterra_games.nplayer import (
     solve_nash,
     sup_on_paths,
 )
-from volterra_games.signals import CompiledSignal, deterministic, draw_noise, martingale
+from volterra_games.signals import (
+    CompiledSignal,
+    deterministic,
+    draw_noise,
+    martingale,
+    row_blocks,
+)
 
 from conftest import mu_surface
 
@@ -421,6 +428,27 @@ class TestBatchedPipelineCrossValidation:
         assert sum(s is spec for s in specs) == 1
         assert len(specs) == 1 + len(ns)        # and one per finite game, for its player
 
+    @pytest.mark.parametrize("kind", ["iid", "deterministic"])
+    def test_mean_field_player_solved_once(self, grid16, monkeypatch, kind):
+        # neither family's player 1 depends on N: one mean-field solve serves every N
+        built, solves = {}, collections.Counter()
+        build, solve = meanfield.build_operators, FredholmSolver.solve
+
+        def captured(spec):
+            built[id(spec)] = spec, build(spec)
+            return built[id(spec)][1]
+
+        def counted(self, f):
+            solves[id(self)] += 1
+            return solve(self, f)
+
+        monkeypatch.setattr(meanfield, "build_operators", captured)
+        monkeypatch.setattr(FredholmSolver, "solve", counted)
+        spec, ns, noise = study_case(kind, grid16)
+        convergence_study(spec, ns, noise)
+        assert len(ns) > 1
+        assert solves[id(built[id(spec)][1].player_solver)] == 1
+
 
 def materialized_study(spec, ns, noise, player_paths=None):
     """convergence_study's rows from the whole bundle, one path_values per N.
@@ -484,12 +512,22 @@ def study_case(kind, grid):
 
 
 class TestStreamedNoise:
-    @pytest.mark.parametrize("n_common, n_idio", [(3, 4), (2, 1)])
-    def test_stream_order_and_arrays(self, grid16, n_common, n_idio):
+    @pytest.mark.parametrize("n_common, n_idio, block", [
+        pytest.param(3, 4, None, id="3-4"), pytest.param(2, 1, None, id="2-1"),
+        pytest.param(3, 4, 5, id="3-4-blocks-of-5"),
+    ])
+    def test_stream_order_and_arrays(self, grid16, monkeypatch, n_common, n_idio, block):
+        if block:       # row blocks of 5 rows, across the common blocks of 4
+            monkeypatch.setattr(signals, "ROW_BLOCK_BYTES", block * 8 * grid16.n)
         noise = draw_crossed_noise(grid16, {"zc", "a0"}, {"idio1", "idio0"},
                                    n_common, n_idio, seed=7)
+        P = n_common * n_idio
+        blocks = row_blocks(P, grid16.n)
+        assert len(blocks) == (1 if block is None else 3)
+        tags = ["a0", "zc", "idio0", "idio1"]
         streamed = list(noise.stream())
-        assert [tag for tag, _ in streamed] == ["a0", "zc", "idio0", "idio1"]
+        assert [(tag, rows) for tag, rows, _ in streamed] == \
+            [(tag, rows) for tag in tags for rows in blocks]
         # the eager draw before the noise was streamed, kept as the reference
         rng = np.random.default_rng(7)
         std = np.sqrt(grid16.dt)
@@ -497,32 +535,45 @@ class TestStreamedNoise:
         for tag in ("a0", "zc"):
             want[tag] = np.repeat(std * rng.standard_normal((n_common, grid16.n)), n_idio, axis=0)
         for tag in ("idio0", "idio1"):
-            want[tag] = std * rng.standard_normal((n_common * n_idio, grid16.n))
+            want[tag] = std * rng.standard_normal((P, grid16.n))
         assert noise.bundle is noise.bundle
-        assert noise.bundle.n_paths == n_common * n_idio
-        for tag, arr in streamed:
-            assert np.array_equal(arr, want[tag])
+        assert noise.bundle.n_paths == P
+        for tag, rows, arr in streamed:
+            assert np.array_equal(arr, want[tag][rows])
+        for tag in tags:
             assert np.array_equal(noise.bundle.increments[tag], want[tag])
+            assert not noise.bundle.increments[tag].flags.writeable
             assert np.array_equal(noise.block_increments()[tag], want[tag][::n_idio])
         # drawn into one recycled buffer: the same arrays, as read-only views of it
-        buffer = np.full((n_common * n_idio, grid16.n), np.nan)
-        recycled = [(tag, arr.copy()) for tag, arr in noise.stream(itertools.repeat(buffer))
+        buffer = np.full((blocks[0].stop, grid16.n), np.nan)
+        recycled = [(tag, rows, arr.copy())
+                    for tag, rows, arr in noise.stream(itertools.repeat(buffer))
                     if np.shares_memory(arr, buffer) and not arr.flags.writeable]
-        assert [tag for tag, _ in recycled] == ["a0", "zc", "idio0", "idio1"]
-        for tag, arr in recycled:
-            assert np.array_equal(arr, want[tag])
+        assert [(tag, rows) for tag, rows, _ in recycled] == \
+            [(tag, rows) for tag in tags for rows in blocks]
+        for tag, rows, arr in recycled:
+            assert np.array_equal(arr, want[tag][rows])
 
     def test_tag_both_common_and_idiosyncratic_rejected(self, grid16):
         with pytest.raises(ShapeError, match="both common and idiosyncratic"):
             draw_crossed_noise(grid16, {"w", "c"}, {"w"}, 1, 4, seed=0)
 
-    @pytest.mark.parametrize("kind, player_paths", [
-        ("iid", 0), ("iid", 100), ("iid", None),
-        ("crossed", 0), ("crossed", 50), ("crossed", None),
-        ("deterministic", None),
+    @pytest.mark.parametrize("kind, player_paths, block", [
+        *(pytest.param(kind, paths, None, id=f"{kind}-{paths}") for kind, paths in [
+            ("iid", 0), ("iid", 100), ("iid", None),
+            ("crossed", 0), ("crossed", 50), ("crossed", None),
+            ("deterministic", None),
+        ]),
+        pytest.param("crossed", 50, 7, id="crossed-50-blocks-of-7"),
     ])
-    def test_streamed_rows_match_materialized(self, grid16, kind, player_paths):
+    def test_streamed_rows_match_materialized(self, grid16, monkeypatch, kind, player_paths,
+                                              block):
+        if block:
+            monkeypatch.setattr(signals, "ROW_BLOCK_BYTES", block * 8 * grid16.n)
         spec, ns, noise = study_case(kind, grid16)
+        if block:       # the means' and the players' last blocks are one row each
+            for rows in (noise.n_common * noise.n_idio, player_paths):
+                assert row_blocks(rows, grid16.n)[-1] == slice(rows - 1, rows)
         got = convergence_study(spec, ns, noise, player_paths=player_paths)["rows"]
         want = materialized_study(spec, ns, noise, player_paths=player_paths)
         assert [r["N"] for r in got] == ns
@@ -532,9 +583,10 @@ class TestStreamedNoise:
             if player_paths == 0:
                 assert np.isnan(g["mse_player"]) and np.isnan(w["mse_player"])
             else:
-                assert abs(g["mse_player"] - w["mse_player"]) <= 1e-15 * abs(w["mse_player"])
-            # the stream adds tags in the order path_values adds them: the mean
-            # paths, and so this row, agree bitwise
+                assert g["mse_player"] == w["mse_player"]
+            # the stream adds tags in the order path_values adds them, one product
+            # per row block as tag_values forms them: the paths, and so this row,
+            # agree bitwise
             assert g["mse_mean"] == w["mse_mean"]
 
     def test_noise_missing_a_tag_rejected(self, grid16):
@@ -586,16 +638,17 @@ class TestStreamedNoise:
 
     def test_caller_failure_ends_the_helper(self, grid16, monkeypatch):
         spec, ns, noise = study_case("iid", grid16)
-        real = CompiledSignal.tag_values
+        real = CompiledSignal.adapted_weights
         calls = []
 
-        def failing(self, tag, increments):
+        def failing(self, tag):
+            # the pass reads each signal's weights as a tag's first block arrives
             calls.append(tag)
             if len(calls) == 5:
                 raise MemoryError("accumulator")
-            return real(self, tag, increments)
+            return real(self, tag)
 
-        monkeypatch.setattr(CompiledSignal, "tag_values", failing)
+        monkeypatch.setattr(CompiledSignal, "adapted_weights", failing)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="accumulator"):
             convergence_study(spec, ns, noise, player_paths=0)
@@ -619,35 +672,45 @@ class TestSharedWeights:
         monkeypatch.setattr(meanfield, "_streamed_path_values", captured)
         spec, ns, noise = study_case("iid", grid16)
         convergence_study(spec, ns, noise)
-        means, players = seen[:len(ns)], seen[len(ns):]
-        for N, mean, u1, v1 in zip(ns, means, players[::2], players[1::2]):
+        # every N's mean and player 1, then the one mean-field player 1
+        means, players, v1 = seen[:len(ns)], seen[len(ns):-1], seen[-1]
+        assert len(seen) == 2 * len(ns) + 1
+        for N, mean, u1 in zip(ns, means, players):
             assert len(mean.weights) == N and distinct(mean) == 1
             # player 1's own idio0, and one array for every other player's tag
             assert len(u1.weights) == N and distinct(u1) == 2
-            assert list(v1.weights) == ["idio0"]
+        assert list(v1.weights) == ["idio0"]
         # the family hands every player's idio tag its one array
         game = induced_game(spec, 8)
         assert len({id(f.weights[f"idio{i}"]) for i, f in enumerate(game.b_signals)}) == 1
 
     def test_study_peak_memory(self):
         # the most convergence_study holds at once at n = 64, N = 4..64 and 4 paths,
-        # in n x n arrays: 45.3 here; 400.1 with one array per player and tag in
-        # every mean and player solve
-        assert study_peak(64) <= 60
+        # in n x n arrays: 41.0 here; 45.2 with one mean-field player solved per N,
+        # 400.1 with one array per player and tag in every mean and player solve
+        assert study_peak(64, 4, [4, 8, 16, 32, 64]) / (64 ** 2 * 8) <= 50
+
+    def test_study_peak_memory_past_one_row_block(self):
+        # at n = 64 and 10^4 paths, five row blocks, in (paths, n) arrays: 2.8 here,
+        # the two N values' mean paths and three blocks; 5.2 with two whole-tag draw
+        # buffers and a whole-tag product held beside them
+        assert len(row_blocks(10 ** 4, 64)) == 5
+        assert study_peak(64, 10 ** 4, [4, 8], player_paths=200) / (10 ** 4 * 64 * 8) <= 3.2
 
 
-def study_peak(n):
-    """Peak of convergence_study on the IID family at 4 paths, in n x n arrays."""
-    def study(grid, trace):
+def study_peak(n, paths, ns, player_paths=None):
+    """Peak of convergence_study on the IID family, one common block, in bytes."""
+    def study(grid, paths, trace):
         spec = TestConvergence().base_spec(grid, "iid")
-        noise = draw_crossed_noise(grid, set(), spec.player_family.idio_tags(64), 1, 4, seed=1)
+        noise = draw_crossed_noise(grid, set(), spec.player_family.idio_tags(max(ns)), 1, paths,
+                                   seed=1)
         if trace:
             tracemalloc.start()
         try:
-            convergence_study(spec, [4, 8, 16, 32, 64], noise)
+            convergence_study(spec, ns, noise, player_paths=player_paths)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    study(build_grid(1.0, 8), trace=False)      # the noise pass imports its executor once
-    return study(build_grid(1.0, n), trace=True) / (n ** 2 * 8)
+    study(build_grid(1.0, 8), 4, trace=False)      # the noise pass imports its executor once
+    return study(build_grid(1.0, n), paths, trace=True)

@@ -314,15 +314,15 @@ class TestFOC:
         assert sol.diagnostics["mean_gap"] > 1e-6
 
     def test_coupling_formed_once_per_solve(self, grid16, monkeypatch):
-        # one coupling to the mean serves every player's driver and every FOC
+        # one coupling matrix serves every tag, every player's driver and every FOC
         specs = []
 
-        def counted(spec, w):
+        def counted(spec):
             specs.append(spec)
-            return coupling(spec, w)
+            return coupling(spec)
 
-        coupling = nplayer.mean_field_coupling
-        monkeypatch.setattr(nplayer, "mean_field_coupling", counted)
+        coupling = nplayer.coupling_matrix
+        monkeypatch.setattr(nplayer, "coupling_matrix", counted)
         spec = make_spec(grid16, N=3)
         solve_nash(spec, bundle_for(spec, 2, 5))
         assert specs == [spec]
@@ -528,9 +528,9 @@ class TestBlockedProducts:
         assert solve_peak("raw_game", 256) <= 17
 
     def test_systemic_n16_solve_peak_memory(self):
-        # 16 banks, 32 distinct weights per tag: 92.7 n x n arrays here, 109.7 with
-        # the driver shift held beside the FOC's cross term
-        assert solve_peak("systemic_n16", 128) <= 100
+        # 16 banks, 32 distinct weights per tag: 62.7 n x n arrays here, 76.7 with
+        # every tag's coupling to the mean strategy held through the tag loop
+        assert solve_peak("systemic_n16", 128) <= 70
 
     def test_systemic_n16_reduction_peak_memory(self):
         # the game's setup, its reduction included, in n x n arrays: 142.8 here, 166.6
