@@ -80,7 +80,6 @@ from .model_builders import (
     build_systemic_game,
     measure_to_kernel,
     reduce_volterra_game,
-    solve_linear_state,
 )
 from .oracle import ScenarioTree, build_tree, compare, discrete_nash_kkt
 

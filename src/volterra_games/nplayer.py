@@ -23,15 +23,18 @@ weight matrix per noise tag), so each solve runs once for all paths.  Path
 values come from the weights and the sampled increments; conditional
 surfaces are built only when asked for.
 
-Players that carry the same weight object for a noise tag share one solve,
-one residual and FOC check and one sampling for that tag: every step is
-linear and acts on each tag apart, so a tag's part of a player's strategy
-depends on the player only through that object.  solve_nash therefore runs
-the players tag by tag, with a dict from that tag's weight objects to their
-parts, and drops the tag's parts before the next.  The reduction of a dynamic
-game hands out such shared objects (a bank's weights for another bank's
-noise come from the one mean field), so an exchangeable game costs and holds
-O(distinct weights), not players x tags.
+Every step is linear and acts on each noise tag apart, so a tag's part of a
+player's strategy depends on the player and the tag only through three weight
+arrays: the player's driver's, the mean strategy's and b^0's for that tag, and
+the mean part only through the driver's mean.  solve_nash maps the drivers'
+arrays to one array per distinct value (signals.distinct_arrays), solves and
+checks each distinct triple once, with a dict from the triples to their parts,
+and samples it once per tag that uses it; a part is held only until its last
+tag.  The mean driver is the family mean of the drivers (signals.family_mean),
+one array per distinct value.  The reduction of a dynamic game hands out such
+shared values (a bank's weights for another bank's noise come from the one
+mean field, and banks of one volatility carry equal own weights), so an
+exchangeable game costs and holds O(distinct weights), not players x tags.
 """
 
 from __future__ import annotations
@@ -51,7 +54,15 @@ from .grid_ops import (
     lower_product,
     min_eigenvalue,
 )
-from .signals import CompiledSignal, NoiseBundle, on_grid, once_per_array, scaled_sum
+from .signals import (
+    CompiledSignal,
+    NoiseBundle,
+    adapted_values,
+    distinct_arrays,
+    family_mean,
+    on_grid,
+    once_per_array,
+)
 
 # the one tolerance table: the CLI and validation_report copy it, then apply run.tolerances
 DEFAULT_TOLERANCES = {"fredholm_residual": 1e-9, "mean_consistency": 1e-6, "foc_residual": 1e-8,
@@ -201,10 +212,12 @@ def player_base(spec: GameSpec, i: int) -> CompiledSignal:
 def mean_driver(spec: GameSpec) -> CompiledSignal:
     """The mean strategy's driver bbar + b^0/N, the players' average of b^i + b^0/N.
 
-    sum() of (1/N) f in player order, bitwise, with each distinct array of the
-    drivers scaled once (signals.scaled_sum).
+    Each tag's weights are sum_k (m_k / N) W_k over the distinct values W_k
+    that m_k of the drivers carry (signals.family_mean): sum() of (1/N) f in
+    player order where no two drivers of a tag carry equal weights, and one
+    array per distinct value where players are exchangeable.
     """
-    return scaled_sum(1.0 / spec.n_players, (*spec.b_signals, spec.b0_signal))
+    return family_mean(1.0 / spec.n_players, (*spec.b_signals, spec.b0_signal))
 
 
 def conditional_surfaces(cs: CompiledSignal, increments: dict, n_paths: int) -> np.ndarray:
@@ -248,17 +261,22 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
     """Full equilibrium: mean first, then every player; reports the mean gap.
 
     A player's driver, strategy, Fredholm residual and FOC are affine in b^i,
-    so each is the sum of its parts (CompiledSignal.part): the mean, formed
-    per player, and one part per noise tag, which depends on the player only
-    through the weight object b^i carries for that tag.  The players run tag
-    by tag: each distinct weight object of a tag is solved, checked and
-    sampled once, and every player that carries it shares the resulting
-    arrays; exchangeable players (one mean field in every driver) share all
-    but their own tags.  Each player's samples add the parts after the mean
-    in sorted tag order, as path_values does, so every output is bitwise what
-    a player-by-player solve gives.  A tag's coupling to the mean strategy is
-    formed when the tag comes, once per distinct weight array, and dropped
-    after the last tag that holds the array.
+    so each is the sum of its parts (CompiledSignal.part): the mean, and one
+    part per noise tag, which depends on the player and the tag only through
+    three weight arrays: b^i's, the mean strategy's and b^0's for that tag.
+    The drivers' arrays are first mapped to one array per distinct value
+    (signals.distinct_arrays).  The mean part is formed once per distinct
+    driver mean, and each distinct triple is solved and checked once, across
+    players and tags: exchangeable players (one mean field in every driver)
+    share all but their own tags, and banks of one volatility share their own
+    tags' parts too.  A triple that one tag alone uses is sampled as soon as
+    it is formed and dropped; for one that several tags use, the strategy's
+    and the checks' adapted weights are held until its last tag.  Each tag
+    samples its parts with its own increments, and each player's samples add
+    the parts after the mean in sorted tag order, as path_values does, so
+    every output is bitwise what a player-by-player solve of the same drivers
+    gives.  A tag's coupling to the mean strategy is formed for the first
+    triple that needs it, once per distinct array, and dropped after the last.
     """
     ops = build_operators(spec)
     N, grid = spec.n_players, spec.grid
@@ -271,23 +289,28 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
     del mean_drive          # nothing reads the driver past its residual
     # the coupling to the mean strategy shifts every player's driver and enters every FOC
     own, S = _foc_terms(spec)
+    same = distinct_arrays()
+    drivers = [CompiledSignal(grid, same(b.mean), {t: same(w) for t, w in b.weights.items()})
+               for b in spec.b_signals]
+    b0 = CompiledSignal(grid, spec.b0_signal.mean,
+                        {t: same(w) for t, w in spec.b0_signal.weights.items()})
     tags = sorted(mean_strategy.weights)       # every tag of every driver
-    uses = collections.Counter((id(w),) for w in mean_strategy.weights.values())
-    coupled = once_per_array(lambda w: lower_product(S, w), uses)
 
-    def player_part(b: CompiledSignal, tag, coupling: CompiledSignal):
-        """Part tag (None: the mean) of the strategy for b, and its samples.
+    # tag -> each player's triple: the ids of the arrays its part of the strategy depends on
+    triples = {tag: [tuple(map(id, (b.weights.get(tag), mean_strategy.weights[tag],
+                                    b0.weights.get(tag)))) for b in drivers] for tag in tags}
+    tags_left = collections.Counter(k for ks in triples.values() for k in set(ks))
+    coupled = once_per_array(lambda w: lower_product(S, w),
+                             collections.Counter((k[1],) for k in tags_left))
 
-        The samples are those of the strategy, the Fredholm residual, the FOC
-        and the driver; a tag's part is None where the driver lacks the tag.
-        Each check is sampled as soon as it is formed and then dropped.
+    def player_part(b: CompiledSignal, tag, coupling: CompiledSignal, sample):
+        """Part tag (None: the mean) of the strategy for b, and its four checks through sample.
+
+        The checks are the strategy, the Fredholm residual, the FOC and the
+        driver; each is passed to sample as soon as it is formed.
         """
-        def sample(part: CompiledSignal):
-            return (part.path_values(increments, P) if tag is None
-                    else part.tag_values(tag, increments[tag]) if part.weights else None)
-
         # b^0/N formed part by part: no scaled copy of b^0 is held through the loop
-        base = b.part(tag) + (1.0 / N) * spec.b0_signal.part(tag)
+        base = b.part(tag) + (1.0 / N) * b0.part(tag)
         drive = base - coupling
         strategy = ops.player_solver.solve(drive)
         residual = sample(ops.player_solver.residual(drive, strategy))
@@ -296,28 +319,58 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
         condition = sample(condition.accumulate(base, subtract=True))
         return strategy, [sample(strategy), residual, condition, sample(base)]
 
-    # every player's mean part, then each tag's parts in sorted order
+    def values_at(tag):
+        """A part's values at tag's increments; None if it has no weights."""
+        return lambda part: part.tag_values(tag, increments[tag]) if part.weights else None
+
+    def adapted(tag):
+        """A part's adapted weights for tag, to sample at every tag that shares them."""
+        return lambda part: part.adapted_weights(tag) if part.weights else None
+
+    # every player's mean part, once per distinct driver mean, then each tag's parts in
+    # sorted order
     samples = u, residual, condition, base_values = [np.empty((N, P, grid.n)) for _ in range(4)]
     means, weights = [], [{} for _ in range(N)]
     coupling = mean_strategy.part().adapted_matmul(S)
-    for i, b in enumerate(spec.b_signals):
-        strategy, mean_samples = player_part(b, None, coupling)
+    carrier = {}        # driver mean -> the first player that carries it
+    for i, b in enumerate(drivers):
+        j = carrier.setdefault(id(b.mean), i)
+        if j < i:
+            means.append(means[j])
+            for out in samples:
+                out[i] = out[j]
+            continue
+        strategy, mean_samples = player_part(b, None, coupling,
+                                             lambda part: part.path_values(increments, P))
         means.append(strategy.mean)
         for out, values in zip(samples, mean_samples):
             out[i] = values
+    held = {}           # triple -> (strategy weights, the checks' adapted weights) for later tags
     for tag in tags:
-        coupling = CompiledSignal(grid, np.zeros(grid.n),
-                                  {tag: coupled(mean_strategy.weights[tag])})
-        done = {}       # this tag's driver weights, by id: (the weights, their part)
-        for i, b in enumerate(spec.b_signals):
-            w = b.weights.get(tag)
-            if id(w) not in done:
-                done[id(w)] = w, player_part(b, tag, coupling)
-            part, tag_samples = done[id(w)][1]
-            weights[i][tag] = part.weights[tag]
+        done = {}       # this tag's triples: (strategy weights, samples)
+        for i, (b, k) in enumerate(zip(drivers, triples[tag])):
+            if k not in done and k not in held:
+                coupling = CompiledSignal(grid, np.zeros(grid.n),
+                                          {tag: coupled(mean_strategy.weights[tag])})
+                if tags_left[k] == 1:
+                    strategy, checks = player_part(b, tag, coupling, values_at(tag))
+                    done[k] = strategy.weights[tag], checks
+                else:
+                    strategy, checks = player_part(b, tag, coupling, adapted(tag))
+                    held[k] = strategy.weights[tag], checks
+            if k not in done:
+                w, checks = held[k]
+                done[k] = w, [None if a is None else adapted_values(a, increments[tag])
+                              for a in checks]
+            w, tag_samples = done[k]
+            weights[i][tag] = w
             for out, values in zip(samples, tag_samples):
                 if values is not None:
                     out[i] += values
+        for k in done:
+            tags_left[k] -= 1
+            if not tags_left[k]:
+                held.pop(k, None)
     fred_residual = max(fred_residual, float(np.max(np.abs(residual), initial=0.0)))
     foc = float(np.max(np.abs(condition), initial=0.0))
     ubar = mean_strategy.path_values(increments, P)

@@ -290,16 +290,3 @@ def tree_objective(spec: GameSpec, tree: ScenarioTree, i: int,
     return total + spec.c_constants[i]
 
 
-def kkt_gradient_norm(spec: GameSpec, tree: ScenarioTree, u_nodes: np.ndarray,
-                      step: float = 0.5) -> float:
-    """Sup norm of the central-difference gradient of every player's objective."""
-    worst = 0.0
-    for i in range(spec.n_players):
-        for node in range(tree.total_nodes):
-            up = u_nodes.copy()
-            up[i, node] += step
-            um = u_nodes.copy()
-            um[i, node] -= step
-            g = (tree_objective(spec, tree, i, up) - tree_objective(spec, tree, i, um)) / (2 * step)
-            worst = max(worst, abs(g))
-    return worst

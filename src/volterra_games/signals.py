@@ -24,8 +24,12 @@ Tags may hold one weight array between them, as the players of an
 exchangeable game do.  Every operation computes once per distinct array
 object (once_per_array), and every tag that carries the object gets the one
 result, so arrays shared at the source stay shared through every sum, scaling,
-product and solve.  Arrays are never written in place once shared: only
-accumulate writes, and only into an array that one tag alone holds.
+product and solve.  Equal values that separate computations made are made
+one object by value (distinct_arrays), and the family mean of many signals
+(family_mean) adds each distinct value of a tag once, scaled by its count,
+so work follows distinct values across tags as well as players.  Arrays are
+never written in place once shared: only accumulate writes, and only into an
+array that one tag alone holds.
 """
 
 from __future__ import annotations
@@ -193,11 +197,7 @@ class CompiledSignal:
         row block (row_blocks) with adapted_weights: a caller that forms the
         products of the same blocks gets these values bitwise.
         """
-        wT = self.adapted_weights(tag).T
-        out = np.empty((len(increments), self.grid.n))
-        for rows in row_blocks(len(increments), self.grid.n):
-            np.matmul(increments[rows], wT, out=out[rows])
-        return out
+        return adapted_values(self.adapted_weights(tag), increments)
 
     def adapted_weights(self, tag) -> np.ndarray:
         """tag's weights strictly lower and C-ordered: a solver's as they are, others cut in a copy."""
@@ -233,6 +233,19 @@ class CompiledSignal:
         surface = self.mean[None, :] + C[jj, mm]
         values = surface.diagonal().copy()
         return values, surface
+
+
+def adapted_values(w: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """increments @ w.T one row block at a time: a tag's part at its (n_paths, n) increments.
+
+    w is the tag's adapted_weights, strictly lower and C-ordered; a caller
+    that samples one array at several tags' increments adapts it once.
+    """
+    wT = w.T
+    out = np.empty((len(increments), w.shape[0]))
+    for rows in row_blocks(len(increments), w.shape[0]):
+        np.matmul(increments[rows], wT, out=out[rows])
+    return out
 
 
 def _tagwise(op, a: dict, b: dict) -> dict:
@@ -277,27 +290,87 @@ def once_per_array(fn, calls: collections.Counter | None = None):
     return once
 
 
-def scaled_sum(c: float, signals) -> CompiledSignal:
-    """sum(c * f for f in signals), bitwise, formed one tag at a time.
+def distinct_arrays():
+    """A function that maps each float64 array to the first array it was given with its bytes.
 
-    The mean, each tag's weights and the extension to T are each the sum in
-    operand order that sum() forms (mean_T is None if any operand's is).
-    Every distinct array is scaled once for all the tags and operands that
-    hold it, and its scaled copy is dropped after its last use: while a tag
-    is summed, only the scaled arrays that a later tag reads are held besides
-    it, not every operand's scaled copy.
+    Identity first: an array given before maps as it did.  Otherwise the array
+    is bucketed by its shape and the probe sum(w @ z), for the fixed vector
+    z = _probe(columns), and a hit is confirmed by comparing bytes, so -0.0
+    stays apart from +0.0, and an array whose probe is NaN maps to itself and
+    never merges.  Hashing the bytes would copy every array; the probe costs
+    one matrix-vector product.  The function holds every array it was given
+    (their ids stay keys) until it is dropped: make one per operation.
+    """
+    seen, buckets = {}, {}
+
+    def same(w: np.ndarray) -> np.ndarray:
+        if id(w) in seen:
+            return seen[id(w)][1]
+        probe = float(np.sum(w @ _probe(w.shape[-1])))
+        first = w
+        if probe == probe:
+            bucket = buckets.setdefault((w.shape, probe), [])
+            first = next((u for u in bucket if np.array_equal(u.view(np.int64), w.view(np.int64))),
+                         w)
+            if first is w:
+                bucket.append(w)
+        seen[id(w)] = w, first
+        return first
+    return same
+
+
+@functools.cache
+def _probe(n: int) -> np.ndarray:
+    """distinct_arrays' fixed probe vector for arrays of n columns: sqrt(2), ..., sqrt(n + 1).
+
+    A formula, not a draw: numpy.random is imported lazily, and its import
+    would add about 17 ms to every game's set-up.
+    """
+    z = np.sqrt(np.arange(2.0, n + 2.0))
+    z.flags.writeable = False       # one cached array for every caller
+    return z
+
+
+def family_mean(c: float, signals) -> CompiledSignal:
+    """sum(c * f for f in signals), each tag's operands grouped by value: sum_k (m_k c) W_k.
+
+    A tag's operands are grouped by their bytes (distinct_arrays), across
+    tags as well as signals, in the order of their first operand, and the
+    group of W_k, held by m_k operands, adds (m_k c) W_k once.  Where no two
+    operands of a tag are equal by value, every m_k is 1 and each tag's sum is
+    sum()'s bitwise; elsewhere the order of the adds changes and the sum
+    moves at rounding level.  Tags whose groups are alike get one result
+    object, and results equal by value are one object too, so the result
+    holds one array per distinct value.  The mean and the extension to T are
+    sum()'s, in operand order (mean_T is None if any operand's is).
     """
     c, signals = float(c), list(signals)
     on_grid(signals[0].grid, *signals)
+    same, results = distinct_arrays(), distinct_arrays()
+
+    def tagwise(arrays: list) -> dict:
+        done = {}       # group signature: (id, count) per distinct value -> the tag's sum
+        out = {}
+        for tag in dict.fromkeys(t for a in arrays for t in a):
+            operands = {}
+            counts = collections.Counter()      # in the order of each value's first operand
+            for a in arrays:
+                if tag in a:
+                    w = same(a[tag])
+                    operands[id(w)] = w
+                    counts[id(w)] += 1
+            key = tuple(counts.items())
+            if key not in done:
+                (k, m), *rest = key
+                total = (m * c) * operands[k]
+                for k, m in rest:
+                    total += (m * c) * operands[k]
+                done[key] = results(total)
+            out[tag] = done[key]
+        return out
 
     def fold(values):
         return functools.reduce(operator.add, values)
-
-    def tagwise(arrays: list) -> dict:
-        uses = collections.Counter((id(w),) for a in arrays for w in a.values())
-        scale = once_per_array(lambda w: c * w, uses)
-        return {tag: fold(scale(a[tag]) for a in arrays if tag in a)
-                for tag in dict.fromkeys(t for a in arrays for t in a)}
 
     mean_T = None if any(f.mean_T is None for f in signals) \
         else fold(c * f.mean_T for f in signals)

@@ -35,11 +35,12 @@ from volterra_games.model_builders import (
     build_advertising_game,
     build_liquidation_game,
     build_systemic_game,
-    direct_objective,
 )
 from volterra_games.nplayer import GameSpec, concavity_check, objective, solve_nash
 from volterra_games.oracle import build_tree, compare, discrete_nash_kkt, solve_game_on_tree
 from volterra_games.signals import deterministic, draw_noise, martingale, ou
+
+from references import direct_objective
 
 
 def report(num, name, passed, detail):

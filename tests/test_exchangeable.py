@@ -1,9 +1,9 @@
-"""Exchangeable players: each distinct (tag, weights) is solved, checked and sampled once.
+"""Exchangeable players: each distinct (weights, mean strategy, b^0) triple is solved once.
 
-Players whose drivers carry the same weight object for a tag share that tag's
-work.  The sharing must change no result: solve_nash on a game equals,
-bitwise, solve_nash on a copy in which every array is a fresh copy, so that
-nothing is shared.  The work counts pin how much is shared.
+Players and tags whose parts depend on equal weight values share that work.
+Sharing goes by value, so it must change no result: solve_nash on a game
+equals, bitwise, solve_nash on a copy in which every array is a fresh copy,
+and the copy does the same work.  The work counts pin how much is shared.
 """
 
 import json
@@ -13,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from volterra_games import nplayer, signals
 from volterra_games.cli import build_game_from_config
 from volterra_games.fredholm import FredholmSolver
 from volterra_games.grid_ops import build_grid
-from volterra_games.nplayer import solve_nash
+from volterra_games.nplayer import mean_driver, solve_nash
 from volterra_games.signals import CompiledSignal, draw_noise
 
 CONFIGS = Path(__file__).resolve().parent.parent / "run_configs"
@@ -100,20 +101,21 @@ def test_reduction_hands_out_shared_weights(name):
 
 
 def work_counts(spec, bundle, monkeypatch):
-    """solve_nash's per-tag solves and per-tag samples, and its solution."""
+    """solve_nash's solves of weight arrays and per-tag samples, and its solution."""
     counts = {"solves": 0, "samples": 0}
-    solve, tag_values = FredholmSolver.solve, CompiledSignal.tag_values
+    solve, adapted_values = FredholmSolver.solve, signals.adapted_values
 
     def counted_solve(self, f):
-        counts["solves"] += len(f.weights)
+        counts["solves"] += weight_objects([f])       # the solver solves each object once
         return solve(self, f)
 
-    def counted_tag_values(self, tag, increments):
+    def counted_adapted_values(w, increments):
         counts["samples"] += 1
-        return tag_values(self, tag, increments)
+        return adapted_values(w, increments)
 
     monkeypatch.setattr(FredholmSolver, "solve", counted_solve)
-    monkeypatch.setattr(CompiledSignal, "tag_values", counted_tag_values)
+    for module in (nplayer, signals):
+        monkeypatch.setattr(module, "adapted_values", counted_adapted_values)
     sol = solve_nash(spec, bundle)
     return counts, sol
 
@@ -140,10 +142,25 @@ def test_heterogeneous_work_is_linear_in_players(players, monkeypatch):
     assert weight_objects(sol.strategies) <= 2 * players
 
 
-def test_unshared_game_does_the_full_work(monkeypatch):
-    # the counts measure sharing: with fresh arrays every (player, tag) is solved
+def test_unshared_game_does_the_shared_work(monkeypatch):
+    # fresh copies are equal by value to the arrays they copy, so they share alike
     spec, bundle = GAMES["systemic16"]()
-    N = spec.n_players
+    shared, _ = work_counts(spec, bundle, monkeypatch)
+    monkeypatch.undo()
     counts, _ = work_counts(unshared(spec), bundle, monkeypatch)
-    assert counts["solves"] == N + N * N
+    assert counts == shared
+    assert counts["solves"] == 1 + 2
 
+
+def test_distinct_sigmas_do_the_full_work(monkeypatch):
+    # 16 distinct sigma: every tag has two player parts of its own, the bank's and
+    # the mean field's, and the mean solves each distinct value of its driver.  The
+    # mean driver's weights are zero but for rounding (the players' average cancels
+    # the mean field), and on some tags that rounding is exactly 0.0: those tags
+    # are one value, 12 values for the 16 tags here
+    N = 16
+    spec, bundle = game("systemic", players=N, sigmas=[0.1 + 0.02 * i for i in range(N)])
+    values = {w.tobytes() for w in mean_driver(spec).weights.values()}
+    assert 1 < len(values) < N
+    counts, _ = work_counts(spec, bundle, monkeypatch)
+    assert counts["solves"] == len(values) + 2 * N

@@ -18,16 +18,19 @@ from volterra_games.model_builders import (
     build_advertising_game,
     build_liquidation_game,
     build_systemic_game,
-    direct_objective,
-    inventory_path,
-    linear_state_residual,
     measure_to_kernel,
     reduce_volterra_game,
-    solve_linear_state,
 )
 from volterra_games.nplayer import concavity_check, objective, objective_per_path, solve_nash
 from volterra_games.signals import NoiseBundle, deterministic, draw_noise, martingale, ou
 from volterra_games.validation import validation_report
+
+from references import (
+    direct_objective,
+    inventory_path,
+    linear_state_residual,
+    solve_linear_state,
+)
 
 
 class TestMeasureToKernel:

@@ -15,7 +15,6 @@ from volterra_games.oracle import (
     build_tree,
     compare,
     discrete_nash_kkt,
-    kkt_gradient_norm,
     nodes_to_leaves,
     solve_game_on_tree,
     strategies_to_nodes,
@@ -23,6 +22,8 @@ from volterra_games.oracle import (
     _node_values,
 )
 from volterra_games.signals import brownian_weighted, deterministic, martingale, ou
+
+from references import kkt_gradient_norm
 
 
 def small_spec(grid, N=2, zero=False, signal="martingale", lam=1.0):

@@ -4,6 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from volterra_games import signals
 from volterra_games.errors import ShapeError, UnsupportedSignal
 from volterra_games.grid_ops import build_grid, cut_upper, zero_kernel
 from volterra_games.meanfield import MFGSpec
@@ -14,11 +15,12 @@ from volterra_games.signals import (
     NoiseBundle,
     brownian_weighted,
     deterministic,
+    distinct_arrays,
     draw_noise,
+    family_mean,
     martingale,
     once_per_array,
     ou,
-    scaled_sum,
 )
 
 # each builds its signal on a given grid
@@ -430,7 +432,8 @@ class TestSharedArrays:
         assert counted(x) is first
         assert counted(x) is not first          # the entry went after its second call
 
-    def test_scaled_sum_is_the_sum_bitwise(self):
+    def test_family_mean_is_the_sum_bitwise_without_equal_operands(self):
+        # no two operands of a tag are equal by value: every group holds one operand
         g = build_grid(1.0, 6)
         rng = np.random.default_rng(5)
         X = rng.standard_normal((6, 6))
@@ -438,12 +441,12 @@ class TestSharedArrays:
                  CompiledSignal(g, rng.standard_normal(6), {"c": X, "a": X}, 0.5),
                  CompiledSignal(g, rng.standard_normal(6), {"d": X, "b": X}, 1.5)]
         for picked in (terms[:1], terms[2:], terms):
-            assert_same_signal(scaled_sum(0.3, picked), sum(0.3 * f for f in picked))
-        out = scaled_sum(0.3, terms[2:])
-        # X, scaled once: c and d, each carried by one operand, share the scaled copy
+            assert_same_signal(family_mean(0.3, picked), sum(0.3 * f for f in picked))
+        out = family_mean(0.3, terms[2:])
+        # c and d, each X alone, are one group: they share the one result
         assert out.weights["c"] is out.weights["d"]
 
-    def test_scaled_sum_holds_one_tag_of_scaled_copies(self):
+    def test_family_mean_holds_one_tag_of_scaled_copies(self):
         # tag j: one own array for signal j, one shared by every other signal, as
         # the banks of an exchangeable game carry them
         g = build_grid(1.0, 64)
@@ -455,15 +458,74 @@ class TestSharedArrays:
                    for i in range(N)]
         tracemalloc.start()
         try:
-            out = scaled_sum(1.0 / N, signals)
+            out = family_mean(1.0 / N, signals)
             peak = tracemalloc.get_traced_memory()[1] / (64 ** 2 * 8)
         finally:
             tracemalloc.stop()
-        # in n x n arrays: the N sums, one tag's two scaled copies and a partial sum,
-        # 19.8 here; 49.3 for sum() of the scaled signals, 66.1 with each shared
-        # array scaled once but held until the last signal that carries it is added
+        # in n x n arrays: the N sums and one tag's scaled operands, 17.5 here;
+        # 49.3 for sum() of the scaled signals
         assert peak <= N + 6
-        assert_same_signal(out, sum((1.0 / N) * f for f in signals))
+        # common[j] is 15 of tag j's operands: one group, added once, so the sum
+        # moves at rounding level from sum()'s
+        want = sum((1.0 / N) * f for f in signals)
+        assert list(out.weights) == list(want.weights)
+        for tag, w in want.weights.items():
+            assert np.max(np.abs(out.weights[tag] - w)) <= 1e-15 * np.max(np.abs(w))
+
+    def test_family_mean_groups_by_value_across_tags(self):
+        # copies equal by value group as the one object does, in every tag
+        g = build_grid(1.0, 8)
+        rng = np.random.default_rng(4)
+        X, Y = rng.standard_normal((2, 8, 8))
+        shared = [CompiledSignal(g, np.zeros(8), {t: X if i else Y for t in "ab"})
+                  for i in range(3)]
+        copies = [CompiledSignal(g, np.zeros(8), {t: (X if i else Y).copy() for t in "ab"})
+                  for i in range(3)]
+        got, want = family_mean(0.25, copies), family_mean(0.25, shared)
+        assert_same_signal(got, want)
+        assert got.weights["a"] is got.weights["b"]
+        assert np.array_equal(got.weights["a"], 0.25 * Y + 0.5 * X)
+
+
+class TestDistinctArrays:
+    """distinct_arrays maps each array to the first one it was given with the same bytes."""
+
+    def test_equal_bytes_map_to_the_first_array(self):
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((5, 5))
+        same = distinct_arrays()
+        assert same(X) is X
+        assert same(X.copy()) is X
+        # one ulp off X, and X's values in another shape
+        bumped = X.copy()
+        bumped[2, 3] = np.nextafter(bumped[2, 3], np.inf)
+        assert same(bumped) is bumped
+        assert same(X.reshape(25)) is not X
+
+    def test_signed_zeros_stay_apart(self):
+        same = distinct_arrays()
+        plus, minus = np.zeros((4, 4)), np.zeros((4, 4))
+        minus[1, 0] = -0.0
+        assert same(plus) is plus
+        assert same(minus) is minus
+        assert same(np.zeros((4, 4))) is plus
+
+    def test_nan_arrays_never_merge(self):
+        same = distinct_arrays()
+        X = np.full((3, 3), np.nan)
+        Y = X.copy()
+        assert same(X) is X
+        assert same(Y) is Y
+        assert same(X) is X             # an array given before maps as it did
+
+    def test_probe_collision_is_settled_by_the_bytes(self, monkeypatch):
+        # every probe 0: all arrays share one bucket, and only the bytes tell them apart
+        monkeypatch.setattr(signals, "_probe", lambda n: np.zeros(n))
+        rng = np.random.default_rng(9)
+        arrays = list(rng.standard_normal((4, 6, 6)))
+        same = distinct_arrays()
+        assert [same(w) is w for w in arrays] == [True] * 4
+        assert [same(w.copy()) is w for w in arrays] == [True] * 4
 
 
 class TestMotivatingWeightedSignal:
