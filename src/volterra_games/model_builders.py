@@ -208,14 +208,26 @@ def _state_rows(grid: TimeGrid, Rc: np.ndarray, RTc: np.ndarray, cs: CompiledSig
     """Row pair of one state component cs: Rc on its grid values, RTc on its terminal value."""
     if cs.mean_T is None:
         raise ShapeError("state signals need terminal extensions for the reduction")
-    n = grid.n
-    weights = {}
-    for tag in dict.fromkeys([*cs.weights, *cs.weights_T]):
-        w = Rc @ cs.weights[tag] if tag in cs.weights else np.zeros((2 * n, n))
-        if tag in cs.weights_T:
-            w += np.outer(RTc, cs.weights_T[tag])
-        weights[tag] = w
+    weights = {tag: _row_map(Rc, RTc, cs.weights.get(tag), cs.weights_T.get(tag))
+               for tag in dict.fromkeys([*cs.weights, *cs.weights_T])}
     return _rows(grid, Rc @ cs.mean + RTc * cs.mean_T, weights)
+
+
+def _row_map(Rc: np.ndarray, RTc: np.ndarray, w, wT) -> np.ndarray:
+    """One tag's (2n, n) row weights: Rc on its weights w, RTc on its terminal weights wT.
+
+    Either may be None, for a tag the signal carries only at the horizon or only before it.
+    """
+    out = Rc @ w if w is not None else np.zeros(Rc.shape)
+    if wT is not None:
+        out += np.outer(RTc, wT)
+    return out
+
+
+def _fold(row0: CompiledSignal, row1: CompiledSignal, b0: CompiledSignal, N, tag) -> tuple:
+    """Part tag (None: the mean) of (b^i, rest) = (row0 + rest / N, row1 - b^0)."""
+    rest = row1.part(tag) - b0.part(tag)
+    return row0.part(tag) + rest / N, rest
 
 
 def terminal_block(DmT: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
@@ -321,19 +333,14 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     b0 = _nonzero_tags(family_mean(1.0 / N, [row[1] for row in rows]))
     tags = sorted(set(b0.weights).union(*(r.weights for row in rows for r in row)))
 
-    def fold(row0, row1, tag):
-        """Part tag of (b^i, rest) = (row0 + rest / N, row1 - b^0)."""
-        rest = row1.part(tag) - b0.part(tag)
-        return row0.part(tag) + rest / N, rest
-
     def fold_tag(row0, row1, tag):
-        """fold's weights for tag, None where missing or all zero."""
+        """_fold's weights for tag, None where missing or all zero."""
         return [f.weights[tag] if tag in f.weights and np.any(f.weights[tag]) else None
-                for f in fold(row0, row1, tag)]
+                for f in _fold(row0, row1, b0, N, tag)]
 
     # a tag's fold depends on a player only through the row weights it carries for
     # the tag: tag by tag, each distinct pair folds once and the players share it
-    means = [[f.mean for f in fold(row0, row1, None)] for row0, row1 in rows]
+    means = [[f.mean for f in _fold(row0, row1, b0, N, None)] for row0, row1 in rows]
     weights = [({}, {}) for _ in rows]
     for tag in tags:
         done = {}       # this tag's row weights, by id: (the weights, their fold)

@@ -12,7 +12,11 @@ functions wrapped where the package calls them.  LEDGER pins, per run:
 - the numpy.linalg.eigvalsh calls (the admissibility margins);
 - the tag samples, signals.adapted_values calls: one product with a tag's
   increments per row block (CompiledSignal.tag_values makes one, path_values
-  one per tag).
+  one per tag);
+- the reduction's work on a dynamic game (model_builders): the row maps, one
+  (2n x n) @ (n x n) GEMM R[c] @ w each, and their multiply-adds, the
+  terminal columns np.outer(RT[:, c], w_T), and the folds of a row pair into
+  b^i and the b^0 remainder (one per call, the means' included).
 
 The counts are exact and repeat on every run.  A change that lowers one
 updates LEDGER in its diff; one that raises one says why.  Counting must not
@@ -25,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volterra_games import cli, fredholm, nplayer, signals
+from volterra_games import cli, fredholm, model_builders, nplayer, signals
 from volterra_games.fredholm import FredholmSolver
 from volterra_games.grid_ops import TRI_BLOCK
 
@@ -44,27 +48,32 @@ RUNS = {
 }
 OUTPUTS = {"solve": ["strategies.csv", "diagnostics.json"], "converge": ["convergence.csv"]}
 
-KEYS = ("factorizations", "solves", "lower_products", "multiply_adds", "eigvalsh", "tag_samples")
+KEYS = ("factorizations", "solves", "lower_products", "multiply_adds", "eigvalsh", "tag_samples",
+        "row_maps", "row_map_multiply_adds", "terminal_columns", "folds")
 LEDGER = {
     # two factorizations (mean and player problems) at n = 64 per solve; the
     # multiply-adds are 64^3 per lower_product, one block
-    "raw_game": dict(zip(KEYS, ([64, 64], 6, 24, 6_291_456, 2, 18))),
+    "raw_game": dict(zip(KEYS, ([64, 64], 6, 24, 6_291_456, 2, 18, 0, 0, 0, 0))),
     # 3 banks of one sigma: 9 solves and 36 lower_products while each tag
     # solved its own parts
-    "systemic": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 30))),
+    "systemic": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 30, 6, 3_145_728, 6, 9))),
     # 16 banks over 3 sigma values: 48 solves, 192 lower_products and
     # 50,331,648 multiply-adds while each tag solved its own parts
-    "systemic_n16": dict(zip(KEYS, ([64, 64], 9, 36, 9_437_184, 2, 160))),
+    "systemic_n16": dict(zip(KEYS, ([64, 64], 9, 36, 9_437_184, 2, 160,
+                                      32, 16_777_216, 32, 48))),
     # 16 banks of one sigma: 1 mean-strategy solve and 2 player parts, the
     # bank's own and the mean field's, for all 16 tags; 48 solves (16 + 32) and
-    # 192 lower_products while each tag solved its own parts
-    "systemic_16_banks": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 160))),
+    # 192 lower_products while each tag solved its own parts.  The reduction
+    # maps the 16 own reserves and the mean field's 16 tags one GEMM each, and
+    # folds the 16 means and 2 row pairs per tag
+    "systemic_16_banks": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 160,
+                                           32, 16_777_216, 32, 48))),
     # the reduced worked models carry no noise tags at the shipped parameters;
     # advertising's kernels are all zero, so its margins need no eigensolver
-    "liquidation": dict(zip(KEYS, ([64, 64], 0, 0, 0, 2, 0))),
-    "advertising": dict(zip(KEYS, ([64, 64], 0, 0, 0, 0, 0))),
+    "liquidation": dict(zip(KEYS, ([64, 64], 0, 0, 0, 2, 0, 4, 2_097_152, 4, 8))),
+    "advertising": dict(zip(KEYS, ([64, 64], 0, 0, 0, 0, 0, 4, 2_097_152, 4, 6))),
     # the limit and five induced games; the study samples its own row blocks
-    "mfg_convergence": dict(zip(KEYS, ([32] * 12, 16, 37, 1_212_416, 18, 0))),
+    "mfg_convergence": dict(zip(KEYS, ([32] * 12, 16, 37, 1_212_416, 18, 0, 0, 0, 0, 0))),
 }
 
 
@@ -102,6 +111,7 @@ def counted(name: str, out: Path, monkeypatch) -> dict:
     build_Dt, solve = fredholm.build_Dt, FredholmSolver.solve
     lower_product, eigvalsh = fredholm.lower_product, np.linalg.eigvalsh
     adapted_values = signals.adapted_values
+    row_map, fold = model_builders._row_map, model_builders._fold
 
     def counted_build_Dt(K, lam_eff):
         factorizations.append(K.grid.n)
@@ -124,6 +134,17 @@ def counted(name: str, out: Path, monkeypatch) -> dict:
         counts["tag_samples"] += 1
         return adapted_values(w, increments)
 
+    def counted_row_map(Rc, RTc, w, wT):
+        if w is not None:
+            counts["row_maps"] += 1
+            counts["row_map_multiply_adds"] += Rc.shape[0] * Rc.shape[1] * w.shape[1]
+        counts["terminal_columns"] += wT is not None
+        return row_map(Rc, RTc, w, wT)
+
+    def counted_fold(*args):
+        counts["folds"] += 1
+        return fold(*args)
+
     monkeypatch.setattr(fredholm, "build_Dt", counted_build_Dt)
     monkeypatch.setattr(FredholmSolver, "solve", counted_solve)
     for module in (fredholm, nplayer, signals):
@@ -131,6 +152,8 @@ def counted(name: str, out: Path, monkeypatch) -> dict:
     for module in (nplayer, signals):
         monkeypatch.setattr(module, "adapted_values", counted_adapted_values)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(model_builders, "_row_map", counted_row_map)
+    monkeypatch.setattr(model_builders, "_fold", counted_fold)
     assert run(name, out) == 0
     monkeypatch.undo()
     return {"factorizations": factorizations, **counts}
