@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,15 @@ from .grid_ops import (
     star_product,
 )
 from .nplayer import DEFAULT_TOLERANCES, GameSpec
-from .signals import CompiledSignal, deterministic, family_mean, martingale, on_grid
+from .signals import (
+    CompiledSignal,
+    canonicalizer,
+    deterministic,
+    family_mean,
+    martingale,
+    on_grid,
+    once_per_array,
+)
 
 
 def number(value, name: str, lists: bool = False):
@@ -150,7 +159,8 @@ class VolterraGameSpec:
     """Discrete dynamic game: Z^i[k] = d^i[k] + sum_{j<k} D[k, j] (u^i_j, ubar_j) dt.
 
     dblock has shape (n + 1, n, 2, 2): one row per grid time plus a final row
-    at the horizon T, columns are cell averages in s.
+    at the horizon T, columns are cell averages in s.  The state signals and
+    terminal vectors go through one signals.canonicalizer: one array per value.
     """
 
     n_players: int
@@ -172,6 +182,12 @@ class VolterraGameSpec:
         if len(self.d_signals) != self.n_players or len(self.s_terminals) != self.n_players:
             raise ShapeError("per-player signal data must cover every player")
         on_grid(self.grid, *(d for pair in self.d_signals for d in pair))
+        canonical = canonicalizer()
+        object.__setattr__(self, "d_signals", tuple(tuple(map(canonical, pair))
+                                                    for pair in self.d_signals))
+        object.__setattr__(self, "s_terminals", tuple(
+            TerminalVector(canonical(s.mean), {t: canonical(w) for t, w in s.weights.items()})
+            for s in self.s_terminals))
 
 
 def _nonzero_tags(cs: CompiledSignal) -> CompiledSignal:
@@ -180,48 +196,31 @@ def _nonzero_tags(cs: CompiledSignal) -> CompiledSignal:
                           {t: cs.weights[t] for t in sorted(cs.weights) if np.any(cs.weights[t])})
 
 
-def _moments(x: CompiledSignal, y: CompiledSignal) -> tuple[float, float]:
-    """E[sum_k x_k y_k] over the grid and E[x_T y_T] at the horizon."""
+def _moments(x: CompiledSignal, y: CompiledSignal, inner) -> tuple[float, float]:
+    """E[sum_k x_k y_k] over the grid and E[x_T y_T] at the horizon.
+
+    inner(w, v) is float(np.vdot(w, v)), which the caller forms once per pair of arrays.
+    """
     dt = x.grid.dt
     body = float(x.mean @ y.mean)
-    body += dt * sum(float(np.vdot(w, y.weights[t])) for t, w in x.weights.items()
-                     if t in y.weights)
+    body += dt * sum(inner(w, y.weights[t]) for t, w in x.weights.items() if t in y.weights)
     term = float(x.mean_T * y.mean_T)
     term += dt * sum(float(w @ y.weights_T[t]) for t, w in x.weights_T.items()
                      if t in y.weights_T)
     return body, term
 
 
-def _rows(grid: TimeGrid, mean: np.ndarray, weights: dict) -> tuple:
-    """A stacked (2n,) mean and (2n, n) weights as the two row signals.
-
-    Weights are projected onto past increments (r < j): the value and surface
-    conventions never read the rest, and the raw form stays adapted.
-    """
-    n = grid.n
-    cut = {t: np.tril(w.reshape(2, n, n), -1) for t, w in weights.items()}
-    return tuple(CompiledSignal(grid, mean[b * n:(b + 1) * n], {t: w[b] for t, w in cut.items()})
-                 for b in (0, 1))
-
-
-def _state_rows(grid: TimeGrid, Rc: np.ndarray, RTc: np.ndarray, cs: CompiledSignal) -> tuple:
-    """Row pair of one state component cs: Rc on its grid values, RTc on its terminal value."""
-    if cs.mean_T is None:
-        raise ShapeError("state signals need terminal extensions for the reduction")
-    weights = {tag: _row_map(Rc, RTc, cs.weights.get(tag), cs.weights_T.get(tag))
-               for tag in dict.fromkeys([*cs.weights, *cs.weights_T])}
-    return _rows(grid, Rc @ cs.mean + RTc * cs.mean_T, weights)
-
-
 def _row_map(Rc: np.ndarray, RTc: np.ndarray, w, wT) -> np.ndarray:
-    """One tag's (2n, n) row weights: Rc on its weights w, RTc on its terminal weights wT.
+    """One tag's two (n, n) row blocks: Rc on its weights w plus RTc on its terminal weights wT.
 
-    Either may be None, for a tag the signal carries only at the horizon or only before it.
+    Either is None where the signal carries the tag only at the horizon or only before it.
+    The blocks are projected onto past increments (r < j): the value and surface
+    conventions never read the rest, and the raw form stays adapted.
     """
     out = Rc @ w if w is not None else np.zeros(Rc.shape)
     if wT is not None:
         out += np.outer(RTc, wT)
-    return out
+    return np.tril(out.reshape(2, -1, Rc.shape[1]), -1)
 
 
 def _fold(row0: CompiledSignal, row1: CompiledSignal, b0: CompiledSignal, N, tag) -> tuple:
@@ -260,16 +259,15 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     The driver rows are linear in each state component: player i's row pair,
     stacked as 2n rows, is R_1 d^i_1 + R_2 d^i_2 + T s^i with fixed (2n x n)
     row maps R_c (plus a terminal column) built once from the state blocks,
-    Q, S and q.  Each distinct state signal object is mapped once per
-    component it fills, one GEMM per tag, and each ordered pair of them gives
-    its moments for c^i once, so a signal that every player shares (the
-    systemic mean field) costs one map, not N, and the cost grows with the
-    distinct signals' tags, not with players x tags.  The
-    sharing carries through: sums keep an operand's array where it alone
-    carries a tag, and the fold into b^i runs tag by tag, once per distinct
-    pair of row weights of the tag, so players hold the same weight object
-    wherever their weights are the same function of the same state signals.
-    Each tag's row arrays are released once the tag is folded.
+    Q, S and q.  A player's rows for a tag depend on the player only through
+    the tag's sources: each state component's weights and terminal weights
+    and the target's weights.  vspec holds one array per value, so, by id,
+    each distinct state array is mapped once per component it fills, each
+    distinct source tuple is added into rows once and folded into b^i once
+    per b^0 weights, and each pair of weight arrays gives its inner product
+    for c^i once, across players and tags: the systemic banks cost
+    O(distinct values), not players x tags.  The maps are dropped once every
+    row is formed, and each tag's rows once the tag is folded.
     """
     if not (vspec.p > 0.0):
         raise InadmissibleKernel("reduction to a game needs strictly positive control cost")
@@ -302,57 +300,68 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     RT = -np.einsum("jab,ac->bjc", DmT, Sbar).reshape(2 * n, 2)
     T = np.einsum("jab->bja", DmT).reshape(2 * n, 2)
 
-    @functools.cache    # keyed on (component, state signal); the signals live in vspec
-    def row_pair(c, cs):
-        return _state_rows(grid, R[c], RT[:, c], cs)
+    def sources(i, tag) -> tuple:
+        """Player i's arrays its rows for tag depend on, None where it lacks the tag."""
+        (x, y), s = vspec.d_signals[i], vspec.s_terminals[i]
+        return (x.weights.get(tag), x.weights_T.get(tag), y.weights.get(tag),
+                y.weights_T.get(tag), s.weights.get(tag))
 
-    moments = functools.cache(_moments)
+    maps = [once_per_array(functools.partial(_row_map, R[c], RT[:, c])) for c in (0, 1)]
 
+    @once_per_array
+    def rows_of(w0, wT0, w1, wT1, ws):
+        """The two row blocks of one tag's sources: the parts present, added in order."""
+        parts = [maps[c](w, wT) for c, w, wT in ((0, w0, wT0), (1, w1, wT1))
+                 if w is not None or wT is not None]
+        if ws is not None:
+            parts.append(np.tril((T @ ws).reshape(2, n, n), -1))      # cut as _row_map cuts
+        return [functools.reduce(operator.add, (p[b] for p in parts)) for b in (0, 1)]
+
+    inner = once_per_array(lambda w, v: float(np.vdot(w, v)))
     rows = []
     c_consts = []
-    for i, d in enumerate(vspec.d_signals):
-        s_term = vspec.s_terminals[i]
-        target = _rows(grid, T @ s_term.mean, {t: T @ w for t, w in s_term.weights.items()})
-        parts = (row_pair(0, d[0]), row_pair(1, d[1]), target)
-        rows.append([sum(part[b] for part in parts) for b in (0, 1)])
+    for i, (d, s_term) in enumerate(zip(vspec.d_signals, vspec.s_terminals)):
+        if d[0].mean_T is None or d[1].mean_T is None:
+            raise ShapeError("state signals need terminal extensions for the reduction")
+        m = [R[c] @ d[c].mean + RT[:, c] * d[c].mean_T for c in (0, 1)]
+        mean = m[0] + m[1] + T @ s_term.mean
+        own = {*s_term.weights, *(t for f in d for t in (*f.weights, *f.weights_T))}
+        weights = {t: rows_of(*sources(i, t)) for t in sorted(own)}
+        rows.append([CompiledSignal(grid, mean[b * n:(b + 1) * n],
+                                    {t: w[b] for t, w in weights.items()}) for b in (0, 1)])
 
         # c_i = -dt E[sum_k d_k^T Q d_k] - E[d_T^T S d_T] + E[d_T . s], component by component
         c_i = 0.0
         for a in (0, 1):
             for b in (0, 1):
-                body, term = moments(d[a], d[b])
+                body, term = _moments(d[a], d[b], inner)
                 c_i -= dt * vspec.qmat[a, b] * body + vspec.smat[a, b] * term
             c_i += d[a].mean_T * s_term.mean[a]
             c_i += dt * sum(float(wT @ s_term.weights[t][a]) for t, wT in d[a].weights_T.items()
                             if t in s_term.weights)
         c_consts.append(float(c_i))
-    del row_pair, parts     # the cache and the last player's parts hold the shared row pair
+    del maps, rows_of, weights      # the memos and the last player's rows hold shared rows
 
     # common b^0 = cross-player average of second rows, each distinct value added once
     # (on systemic it cancels exactly for a power-of-two N); remainders fold into b^i
     b0 = _nonzero_tags(family_mean(1.0 / N, [row[1] for row in rows]))
-    tags = sorted(set(b0.weights).union(*(r.weights for row in rows for r in row)))
+    tags = sorted(set().union(*(r.weights for row in rows for r in row)))
 
-    def fold_tag(row0, row1, tag):
-        """_fold's weights for tag, None where missing or all zero."""
-        return [f.weights[tag] if tag in f.weights and np.any(f.weights[tag]) else None
-                for f in _fold(row0, row1, b0, N, tag)]
-
-    # a tag's fold depends on a player only through the row weights it carries for
-    # the tag: tag by tag, each distinct pair folds once and the players share it
+    # a fold depends on a player and a tag only through the tag's sources and b^0's
+    # weights: each distinct pair folds once, and the players and tags share it
+    folds = {}      # (sources, b^0's weights) by id -> the fold's weights, None where all zero
     means = [[f.mean for f in _fold(row0, row1, b0, N, None)] for row0, row1 in rows]
     weights = [({}, {}) for _ in rows]
     for tag in tags:
-        done = {}       # this tag's row weights, by id: (the weights, their fold)
-        for (row0, row1), out in zip(rows, weights):
-            pair = (row0.weights.get(tag), row1.weights.get(tag))
-            key = tuple(map(id, pair))
-            if key not in done:
-                done[key] = pair, fold_tag(row0, row1, tag)
-            for o, w in zip(out, done[key][1]):
+        for i, ((row0, row1), out) in enumerate(zip(rows, weights)):
+            key = tuple(map(id, (*sources(i, tag), b0.weights.get(tag))))
+            if key not in folds:
+                folds[key] = [f.weights[tag] if tag in f.weights and np.any(f.weights[tag])
+                              else None for f in _fold(row0, row1, b0, N, tag)]
+            for o, w in zip(out, folds[key]):
                 if w is not None:
                     o[tag] = w
-            for r in (row0, row1):      # rows are sums made here: drop the folded tag
+            for r in (row0, row1):      # rows are made here: drop the folded tag
                 r.weights.pop(tag, None)
     b_signals = tuple(CompiledSignal(grid, m[0], w[0]) for m, w in zip(means, weights))
     b0_extras = tuple(CompiledSignal(grid, m[1], w[1]) if np.any(m[1]) or w[1] else None

@@ -26,15 +26,15 @@ surfaces are built only when asked for.
 Every step is linear and acts on each noise tag apart, so a tag's part of a
 player's strategy depends on the player and the tag only through three weight
 arrays: the player's driver's, the mean strategy's and b^0's for that tag, and
-the mean part only through the driver's mean.  solve_nash maps the drivers'
-arrays to one array per distinct value (signals.distinct_arrays), solves and
-checks each distinct triple once, with a dict from the triples to their parts,
-and samples it once per tag that uses it; a part is held only until its last
-tag.  The mean driver is the family mean of the drivers (signals.family_mean),
-one array per distinct value.  The reduction of a dynamic game hands out such
-shared values (a bank's weights for another bank's noise come from the one
-mean field, and banks of one volatility carry equal own weights), so an
-exchangeable game costs and holds O(distinct weights), not players x tags.
+the mean part only through the driver's mean.  A GameSpec holds one array
+per distinct value (signals.canonicalizer), so solve_nash keys the triples by
+identity: it solves and checks each distinct triple once, with a dict from
+the triples to their parts, and samples it once per tag that uses it; a part
+is held only until its last tag.  The mean driver is the family mean of the
+drivers (signals.family_mean), one array per distinct value.  In a reduced
+exchangeable game a bank's weights for another bank's noise come from the one
+mean field, and banks of one volatility carry equal own weights, so the game
+costs and holds O(distinct weights), not players x tags.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .signals import (
     CompiledSignal,
     NoiseBundle,
     adapted_values,
-    distinct_arrays,
+    canonicalizer,
     family_mean,
     on_grid,
     once_per_array,
@@ -74,7 +74,8 @@ class GameSpec:
     """Static game data: operators, per-player drivers, constants.
 
     The drivers b^i, b^0 and the b0_extras are CompiledSignals on grid,
-    checked on entry.
+    checked on entry and mapped through one signals.canonicalizer, so the
+    spec holds one array per distinct value.
 
     kernel_check is "strict" for hand-assembled games (each kernel must be
     nonnegative definite on its own) or "concave" for games reduced from
@@ -112,6 +113,11 @@ class GameSpec:
             raise ShapeError("one b signal required per player")
         on_grid(self.grid, *self.b_signals, self.b0_signal,
                 *(e for e in self.b0_extras if e is not None))
+        canonical = canonicalizer()
+        object.__setattr__(self, "b_signals", tuple(map(canonical, self.b_signals)))
+        object.__setattr__(self, "b0_signal", canonical(self.b0_signal))
+        object.__setattr__(self, "b0_extras", tuple(None if e is None else canonical(e)
+                                                       for e in self.b0_extras))
         for name, K in (("A1", self.a1), ("A2hat", self.a2hat), ("A3", self.a3)):
             if K.grid != self.grid:
                 raise ShapeError(f"{name} lives on a different grid")
@@ -264,19 +270,17 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
     so each is the sum of its parts (CompiledSignal.part): the mean, and one
     part per noise tag, which depends on the player and the tag only through
     three weight arrays: b^i's, the mean strategy's and b^0's for that tag.
-    The drivers' arrays are first mapped to one array per distinct value
-    (signals.distinct_arrays).  The mean part is formed once per distinct
-    driver mean, and each distinct triple is solved and checked once, across
-    players and tags: exchangeable players (one mean field in every driver)
-    share all but their own tags, and banks of one volatility share their own
-    tags' parts too.  A triple that one tag alone uses is sampled as soon as
-    it is formed and dropped; for one that several tags use, the strategy's
-    and the checks' adapted weights are held until its last tag.  Each tag
-    samples its parts with its own increments, and each player's samples add
-    the parts after the mean in sorted tag order, as path_values does, so
-    every output is bitwise what a player-by-player solve of the same drivers
-    gives.  A tag's coupling to the mean strategy is formed for the first
-    triple that needs it, once per distinct array, and dropped after the last.
+    The spec holds one array per value (GameSpec), so the mean part is formed
+    once per distinct driver mean, and each distinct triple of arrays, by id,
+    is solved and checked once across players and tags.  Its checks are
+    sampled at its first tag as they are formed; for a triple that later tags
+    use too, the strategy's and the checks' adapted weights are held until its
+    last tag.  Each tag samples its parts with its own increments, and each
+    player's samples add the parts after the mean in sorted tag order, as
+    path_values does, so every output is bitwise what a player-by-player solve
+    of the same drivers gives.  A tag's coupling to the mean strategy is formed
+    for the first triple that needs it, once per distinct array, and dropped
+    after the last.
     """
     ops = build_operators(spec)
     N, grid = spec.n_players, spec.grid
@@ -289,16 +293,13 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
     del mean_drive          # nothing reads the driver past its residual
     # the coupling to the mean strategy shifts every player's driver and enters every FOC
     own, S = _foc_terms(spec)
-    same = distinct_arrays()
-    drivers = [CompiledSignal(grid, same(b.mean), {t: same(w) for t, w in b.weights.items()})
-               for b in spec.b_signals]
-    b0 = CompiledSignal(grid, spec.b0_signal.mean,
-                        {t: same(w) for t, w in spec.b0_signal.weights.items()})
+    b0 = spec.b0_signal
     tags = sorted(mean_strategy.weights)       # every tag of every driver
 
     # tag -> each player's triple: the ids of the arrays its part of the strategy depends on
     triples = {tag: [tuple(map(id, (b.weights.get(tag), mean_strategy.weights[tag],
-                                    b0.weights.get(tag)))) for b in drivers] for tag in tags}
+                                    b0.weights.get(tag)))) for b in spec.b_signals]
+               for tag in tags}
     tags_left = collections.Counter(k for ks in triples.values() for k in set(ks))
     coupled = once_per_array(lambda w: lower_product(S, w),
                              collections.Counter((k[1],) for k in tags_left))
@@ -319,13 +320,17 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
         condition = sample(condition.accumulate(base, subtract=True))
         return strategy, [sample(strategy), residual, condition, sample(base)]
 
-    def values_at(tag):
-        """A part's values at tag's increments; None if it has no weights."""
-        return lambda part: part.tag_values(tag, increments[tag]) if part.weights else None
+    def sampler(tag, keep: bool):
+        """A part's (values at tag's increments, adapted weights if keep); (None, None) if empty.
 
-    def adapted(tag):
-        """A part's adapted weights for tag, to sample at every tag that shares them."""
-        return lambda part: part.adapted_weights(tag) if part.weights else None
+        The weights are kept to sample at the later tags that share the part.
+        """
+        def sample(part):
+            if not part.weights:
+                return None, None
+            w = part.adapted_weights(tag)
+            return adapted_values(w, increments[tag]), w if keep else None
+        return sample
 
     # every player's mean part, once per distinct driver mean, then each tag's parts in
     # sorted order
@@ -333,7 +338,7 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
     means, weights = [], [{} for _ in range(N)]
     coupling = mean_strategy.part().adapted_matmul(S)
     carrier = {}        # driver mean -> the first player that carries it
-    for i, b in enumerate(drivers):
+    for i, b in enumerate(spec.b_signals):
         j = carrier.setdefault(id(b.mean), i)
         if j < i:
             means.append(means[j])
@@ -347,30 +352,25 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
             out[i] = values
     held = {}           # triple -> (strategy weights, the checks' adapted weights) for later tags
     for tag in tags:
-        done = {}       # this tag's triples: (strategy weights, samples)
-        for i, (b, k) in enumerate(zip(drivers, triples[tag])):
-            if k not in done and k not in held:
+        done = {}       # this tag's triples -> their samples
+        for i, (b, k) in enumerate(zip(spec.b_signals, triples[tag])):
+            if k not in held:
                 coupling = CompiledSignal(grid, np.zeros(grid.n),
                                           {tag: coupled(mean_strategy.weights[tag])})
-                if tags_left[k] == 1:
-                    strategy, checks = player_part(b, tag, coupling, values_at(tag))
-                    done[k] = strategy.weights[tag], checks
-                else:
-                    strategy, checks = player_part(b, tag, coupling, adapted(tag))
-                    held[k] = strategy.weights[tag], checks
-            if k not in done:
-                w, checks = held[k]
-                done[k] = w, [None if a is None else adapted_values(a, increments[tag])
-                              for a in checks]
-            w, tag_samples = done[k]
-            weights[i][tag] = w
-            for out, values in zip(samples, tag_samples):
+                strategy, checks = player_part(b, tag, coupling, sampler(tag, tags_left[k] > 1))
+                done[k] = [values for values, _ in checks]
+                held[k] = strategy.weights[tag], [w for _, w in checks]
+            elif k not in done:
+                done[k] = [None if w is None else adapted_values(w, increments[tag])
+                           for w in held[k][1]]
+            weights[i][tag] = held[k][0]
+            for out, values in zip(samples, done[k]):
                 if values is not None:
                     out[i] += values
         for k in done:
             tags_left[k] -= 1
             if not tags_left[k]:
-                held.pop(k, None)
+                del held[k]
     fred_residual = max(fred_residual, float(np.max(np.abs(residual), initial=0.0)))
     foc = float(np.max(np.abs(condition), initial=0.0))
     ubar = mean_strategy.path_values(increments, P)

@@ -21,15 +21,16 @@ a product's rounding depends on its row count, so every caller that must
 agree bitwise splits the rows there.
 
 Tags may hold one weight array between them, as the players of an
-exchangeable game do.  Every operation computes once per distinct array
-object (once_per_array), and every tag that carries the object gets the one
-result, so arrays shared at the source stay shared through every sum, scaling,
-product and solve.  Equal values that separate computations made are made
-one object by value (distinct_arrays), and the family mean of many signals
-(family_mean) adds each distinct value of a tag once, scaled by its count,
-so work follows distinct values across tags as well as players.  Arrays are
-never written in place once shared: only accumulate writes, and only into an
-array that one tag alone holds.
+exchangeable game do.  A game maps its players' arrays through one
+canonicalizer where it is made (nplayer.GameSpec,
+model_builders.VolterraGameSpec), so equal values are one object, and from
+then on sharing goes by identity alone.  Every operation computes once per
+distinct array object (once_per_array), and every tag that carries the object
+gets the one result, so shared arrays stay shared through every sum, scaling,
+product and solve; the family mean of many signals (family_mean) adds each
+distinct value of a tag once, scaled by its count.  Arrays are never written
+in place once shared: only accumulate writes, and only into an array that
+one tag alone holds.
 """
 
 from __future__ import annotations
@@ -290,38 +291,49 @@ def once_per_array(fn, calls: collections.Counter | None = None):
     return once
 
 
-def distinct_arrays():
+def canonicalizer():
     """A function that maps each float64 array to the first array it was given with its bytes.
 
-    Identity first: an array given before maps as it did.  Otherwise the array
-    is bucketed by its shape and the probe sum(w @ z), for the fixed vector
-    z = _probe(columns), and a hit is confirmed by comparing bytes, so -0.0
-    stays apart from +0.0, and an array whose probe is NaN maps to itself and
-    never merges.  Hashing the bytes would copy every array; the probe costs
-    one matrix-vector product.  The function holds every array it was given
-    (their ids stay keys) until it is dropped: make one per operation.
+    A signal maps to one whose mean, weights and terminal weights went through
+    the function.  A game maps its players' data through one canonicalizer
+    where it is made, so equal values are one object and every computation
+    keyed by identity runs once per value.  Identity first: an array or
+    signal given before maps as it did.  Otherwise an array is bucketed by its
+    shape and the probe sum(w @ z), for the fixed vector z = _probe(columns),
+    and a hit is confirmed by comparing bytes, so -0.0 stays apart from +0.0,
+    and an array whose probe is NaN never merges.  Hashing the bytes would
+    copy every array; the probe costs one matrix-vector product.  The function
+    holds everything it was given (their ids stay keys) until it is dropped.
     """
-    seen, buckets = {}, {}
+    buckets = {}
 
+    # same and canonical do not refer to themselves: no reference cycle keeps what they
+    # hold past the caller's last reference
+    @once_per_array
     def same(w: np.ndarray) -> np.ndarray:
-        if id(w) in seen:
-            return seen[id(w)][1]
         probe = float(np.sum(w @ _probe(w.shape[-1])))
-        first = w
-        if probe == probe:
-            bucket = buckets.setdefault((w.shape, probe), [])
-            first = next((u for u in bucket if np.array_equal(u.view(np.int64), w.view(np.int64))),
-                         w)
-            if first is w:
-                bucket.append(w)
-        seen[id(w)] = w, first
+        if probe != probe:
+            return w
+        bucket = buckets.setdefault((w.shape, probe), [])
+        first = next((u for u in bucket if np.array_equal(u.view(np.int64), w.view(np.int64))),
+                     None)
+        if first is None:
+            first = w
+            bucket.append(w)
         return first
-    return same
+
+    @once_per_array
+    def canonical(f):
+        if isinstance(f, np.ndarray):
+            return same(f)
+        return CompiledSignal(f.grid, same(f.mean), {t: same(w) for t, w in f.weights.items()},
+                              f.mean_T, {t: same(w) for t, w in f.weights_T.items()})
+    return canonical
 
 
 @functools.cache
 def _probe(n: int) -> np.ndarray:
-    """distinct_arrays' fixed probe vector for arrays of n columns: sqrt(2), ..., sqrt(n + 1).
+    """canonicalizer's fixed probe vector for arrays of n columns: sqrt(2), ..., sqrt(n + 1).
 
     A formula, not a draw: numpy.random is imported lazily, and its import
     would add about 17 ms to every game's set-up.
@@ -332,51 +344,48 @@ def _probe(n: int) -> np.ndarray:
 
 
 def family_mean(c: float, signals) -> CompiledSignal:
-    """sum(c * f for f in signals), each tag's operands grouped by value: sum_k (m_k c) W_k.
+    """sum(c * f for f in signals), each tag's operands grouped by object: sum_k (m_k c) W_k.
 
-    A tag's operands are grouped by their bytes (distinct_arrays), across
-    tags as well as signals, in the order of their first operand, and the
-    group of W_k, held by m_k operands, adds (m_k c) W_k once.  Where no two
-    operands of a tag are equal by value, every m_k is 1 and each tag's sum is
-    sum()'s bitwise; elsewhere the order of the adds changes and the sum
-    moves at rounding level.  Tags whose groups are alike get one result
-    object, and results equal by value are one object too, so the result
-    holds one array per distinct value.  The mean and the extension to T are
+    One pass over the signals' tags groups each tag's operands by identity,
+    in the order of each object's first operand, and the group of W_k, held by
+    m_k operands, adds (m_k c) W_k once.  A game's signals hold one array per
+    value (canonicalizer), so there the groups are the distinct values across
+    tags as well as signals.  Where no array is held twice within a tag, every
+    m_k is 1 and each tag's sum is sum()'s bitwise; elsewhere the order of the
+    adds changes and the sum moves at rounding level.  Tags whose groups are
+    alike get one result object, and the result goes through a canonicalizer:
+    sums of different operands can still agree in value (the mean driver's
+    rounding residue is exactly 0.0 on some tags of a game of distinct banks),
+    and each value is then solved once.  The mean and the extension to T are
     sum()'s, in operand order (mean_T is None if any operand's is).
     """
     c, signals = float(c), list(signals)
     on_grid(signals[0].grid, *signals)
-    same, results = distinct_arrays(), distinct_arrays()
 
     def tagwise(arrays: list) -> dict:
-        done = {}       # group signature: (id, count) per distinct value -> the tag's sum
-        out = {}
-        for tag in dict.fromkeys(t for a in arrays for t in a):
-            operands = {}
-            counts = collections.Counter()      # in the order of each value's first operand
-            for a in arrays:
-                if tag in a:
-                    w = same(a[tag])
-                    operands[id(w)] = w
-                    counts[id(w)] += 1
-            key = tuple(counts.items())
+        groups = {}         # tag -> id -> [the array, its operand count]
+        for a in arrays:
+            for tag, w in a.items():
+                groups.setdefault(tag, {}).setdefault(id(w), [w, 0])[1] += 1
+        done = {}           # group signature: (id, count) per array -> the tag's sum
+        for tag, group in groups.items():
+            key = tuple((k, m) for k, (_, m) in group.items())
             if key not in done:
-                (k, m), *rest = key
-                total = (m * c) * operands[k]
-                for k, m in rest:
-                    total += (m * c) * operands[k]
-                done[key] = results(total)
-            out[tag] = done[key]
-        return out
+                (w, m), *rest = group.values()
+                done[key] = (m * c) * w
+                for w, m in rest:
+                    done[key] += (m * c) * w
+            groups[tag] = done[key]
+        return groups
 
     def fold(values):
         return functools.reduce(operator.add, values)
 
     mean_T = None if any(f.mean_T is None for f in signals) \
         else fold(c * f.mean_T for f in signals)
-    return CompiledSignal(signals[0].grid, fold(c * f.mean for f in signals),
-                          tagwise([f.weights for f in signals]), mean_T,
-                          tagwise([f.weights_T for f in signals]))
+    return canonicalizer()(CompiledSignal(signals[0].grid, fold(c * f.mean for f in signals),
+                                          tagwise([f.weights for f in signals]), mean_T,
+                                          tagwise([f.weights_T for f in signals])))
 
 
 def on_grid(grid: TimeGrid, *signals) -> None:

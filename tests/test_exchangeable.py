@@ -58,8 +58,12 @@ def fresh(f):
                           f.mean_T, {t: w.copy() for t, w in f.weights_T.items()})
 
 
-def unshared(spec):
-    return replace(spec, b_signals=tuple(fresh(f) for f in spec.b_signals),
+def unshared(spec, copies=None):
+    """spec made again from fresh copies of its signals (copies: the players').
+
+    GameSpec maps the copies to one array per value again.
+    """
+    return replace(spec, b_signals=copies or tuple(fresh(f) for f in spec.b_signals),
                    b0_signal=fresh(spec.b0_signal),
                    b0_extras=tuple(fresh(e) for e in spec.b0_extras))
 
@@ -78,8 +82,10 @@ def assert_signals_equal(a, b):
 @pytest.mark.parametrize("name", sorted(GAMES))
 def test_sharing_changes_no_result(name):
     spec, bundle = GAMES[name]()
-    plain = unshared(spec)
-    assert weight_objects(plain.b_signals) == sum(len(f.weights) for f in spec.b_signals)
+    copies = tuple(fresh(f) for f in spec.b_signals)
+    assert weight_objects(copies) == sum(len(f.weights) for f in spec.b_signals)
+    plain = unshared(spec, copies)
+    assert weight_objects(plain.b_signals) == weight_objects(spec.b_signals)
     sol, ref = solve_nash(spec, bundle), solve_nash(plain, bundle)
     assert np.array_equal(sol.ubar, ref.ubar)
     assert np.array_equal(sol.u, ref.u)

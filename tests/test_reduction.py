@@ -223,38 +223,41 @@ def test_shared_state_signal_is_mapped_once(monkeypatch):
     _, vspec = build_systemic_game(systemic_params(N), g)
     assert len({id(pair[1]) for pair in vspec.d_signals}) == 1
     calls = []
-    state_rows = mb._state_rows
+    row_map = mb._row_map
 
-    def counting(grid, Rc, RTc, cs):
-        calls.append(cs)
-        return state_rows(grid, Rc, RTc, cs)
+    def counting(Rc, RTc, w, wT):
+        calls.append((w, wT))
+        return row_map(Rc, RTc, w, wT)
 
-    monkeypatch.setattr(mb, "_state_rows", counting)
+    monkeypatch.setattr(mb, "_row_map", counting)
     reduce_volterra_game(vspec)
-    assert len(calls) == N + 1
+    # 11 banks carry noise, over 2 sigma values, and the mean field's 11 tags the
+    # same 2 values scaled: each component maps each of its 2 values once
+    assert len(calls) == 4
 
 
 def test_each_operator_is_formed_once(monkeypatch):
     # advertising forms its one (n+1)^3 product once, not once per grid column; the
-    # 16 banks' reduction maps each state signal once and takes each ordered pair's
-    # moments once, the shared mean-field pair's for every bank together
-    counts = dict.fromkeys(["star_product", "_moments", "_state_rows"], 0)
-    for name in counts:
-        def counting(*args, name=name, wrapped=getattr(mb, name)):
+    # 16 banks' reduction maps each distinct state array once and takes each ordered
+    # pair of weight arrays' inner product once: 3 sigma values, in a bank's own
+    # reserve and in the mean field
+    counts = dict.fromkeys(["star_product", "_row_map", "vdot"], 0)
+    for module, name in ((mb, "star_product"), (mb, "_row_map"), (np, "vdot")):
+        def counting(*args, name=name, wrapped=getattr(module, name)):
             counts[name] += 1
             return wrapped(*args)
 
-        monkeypatch.setattr(mb, name, counting)
+        monkeypatch.setattr(module, name, counting)
     g = build_grid(1.0, 64)
     build_advertising_game(dict(
         N=2, lam=1.0, beta=0.7, forgetting=DelayMeasure(atoms=((0.0, -0.3),)),
         competition=DelayMeasure(atoms=((0.0, 0.5), (0.2, -0.5))), sigma=[0.3, 0.2]), g)
     assert counts["star_product"] == 1
-    counts.update(_moments=0, _state_rows=0)
+    counts.update(_row_map=0, vdot=0)
     cfg = json.loads((Path(__file__).resolve().parent.parent / "run_configs"
                       / "systemic_n16.json").read_text())
     build_game_from_config(cfg, g)
-    assert (counts["_moments"], counts["_state_rows"]) == (49, 17)
+    assert (counts["vdot"], counts["_row_map"]) == (12, 6)
 
 
 class _Built(Exception):

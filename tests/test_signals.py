@@ -14,8 +14,8 @@ from volterra_games.signals import (
     CompiledSignal,
     NoiseBundle,
     brownian_weighted,
+    canonicalizer,
     deterministic,
-    distinct_arrays,
     draw_noise,
     family_mean,
     martingale,
@@ -473,7 +473,8 @@ class TestSharedArrays:
             assert np.max(np.abs(out.weights[tag] - w)) <= 1e-15 * np.max(np.abs(w))
 
     def test_family_mean_groups_by_value_across_tags(self):
-        # copies equal by value group as the one object does, in every tag
+        # copies equal by value, mapped through one canonicalizer as a game maps its
+        # signals, group as the one object does, in every tag
         g = build_grid(1.0, 8)
         rng = np.random.default_rng(4)
         X, Y = rng.standard_normal((2, 8, 8))
@@ -481,19 +482,20 @@ class TestSharedArrays:
                   for i in range(3)]
         copies = [CompiledSignal(g, np.zeros(8), {t: (X if i else Y).copy() for t in "ab"})
                   for i in range(3)]
-        got, want = family_mean(0.25, copies), family_mean(0.25, shared)
+        got = family_mean(0.25, map(canonicalizer(), copies))
+        want = family_mean(0.25, shared)
         assert_same_signal(got, want)
         assert got.weights["a"] is got.weights["b"]
         assert np.array_equal(got.weights["a"], 0.25 * Y + 0.5 * X)
 
 
 class TestDistinctArrays:
-    """distinct_arrays maps each array to the first one it was given with the same bytes."""
+    """canonicalizer maps each array to the first one it was given with the same bytes."""
 
     def test_equal_bytes_map_to_the_first_array(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((5, 5))
-        same = distinct_arrays()
+        same = canonicalizer()
         assert same(X) is X
         assert same(X.copy()) is X
         # one ulp off X, and X's values in another shape
@@ -503,7 +505,7 @@ class TestDistinctArrays:
         assert same(X.reshape(25)) is not X
 
     def test_signed_zeros_stay_apart(self):
-        same = distinct_arrays()
+        same = canonicalizer()
         plus, minus = np.zeros((4, 4)), np.zeros((4, 4))
         minus[1, 0] = -0.0
         assert same(plus) is plus
@@ -511,7 +513,7 @@ class TestDistinctArrays:
         assert same(np.zeros((4, 4))) is plus
 
     def test_nan_arrays_never_merge(self):
-        same = distinct_arrays()
+        same = canonicalizer()
         X = np.full((3, 3), np.nan)
         Y = X.copy()
         assert same(X) is X
@@ -523,7 +525,7 @@ class TestDistinctArrays:
         monkeypatch.setattr(signals, "_probe", lambda n: np.zeros(n))
         rng = np.random.default_rng(9)
         arrays = list(rng.standard_normal((4, 6, 6)))
-        same = distinct_arrays()
+        same = canonicalizer()
         assert [same(w) is w for w in arrays] == [True] * 4
         assert [same(w.copy()) is w for w in arrays] == [True] * 4
 

@@ -23,7 +23,9 @@ updates LEDGER in its diff; one that raises one says why.  Counting must not
 change an output: a wrapped run writes the bytes an unwrapped run writes.
 """
 
+import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ import pytest
 from volterra_games import cli, fredholm, model_builders, nplayer, signals
 from volterra_games.fredholm import FredholmSolver
 from volterra_games.grid_ops import TRI_BLOCK
+from volterra_games.signals import CompiledSignal
 
 CONFIGS = Path(__file__).resolve().parent.parent / "run_configs"
 SOLVE = ["solve", "--grid-n", "64", "--paths", "4"]
@@ -55,22 +58,28 @@ LEDGER = {
     # multiply-adds are 64^3 per lower_product, one block
     "raw_game": dict(zip(KEYS, ([64, 64], 6, 24, 6_291_456, 2, 18, 0, 0, 0, 0))),
     # 3 banks of one sigma: 9 solves and 36 lower_products while each tag
-    # solved its own parts
-    "systemic": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 30, 6, 3_145_728, 6, 9))),
+    # solved its own parts; 6 row maps and 9 folds while the reduction went by
+    # signal object and by tag
+    "systemic": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 30, 2, 1_048_576, 2, 5))),
     # 16 banks over 3 sigma values: 48 solves, 192 lower_products and
-    # 50,331,648 multiply-adds while each tag solved its own parts
+    # 50,331,648 multiply-adds while each tag solved its own parts; 32 row maps
+    # and 48 folds while the reduction went by signal object and by tag
     "systemic_n16": dict(zip(KEYS, ([64, 64], 9, 36, 9_437_184, 2, 160,
-                                      32, 16_777_216, 32, 48))),
+                                      6, 3_145_728, 6, 22))),
     # 16 banks of one sigma: 1 mean-strategy solve and 2 player parts, the
     # bank's own and the mean field's, for all 16 tags; 48 solves (16 + 32) and
     # 192 lower_products while each tag solved its own parts.  The reduction
-    # maps the 16 own reserves and the mean field's 16 tags one GEMM each, and
-    # folds the 16 means and 2 row pairs per tag
+    # maps the one own-reserve value and the mean field's one value, and folds
+    # the 16 means and the 2 row pairs every tag shares: 32 row maps and 48
+    # folds while it mapped each state signal's tags one by one and folded
+    # each tag's row pairs apart
     "systemic_16_banks": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 160,
-                                           32, 16_777_216, 32, 48))),
+                                           2, 1_048_576, 2, 18))),
     # the reduced worked models carry no noise tags at the shipped parameters;
-    # advertising's kernels are all zero, so its margins need no eigensolver
-    "liquidation": dict(zip(KEYS, ([64, 64], 0, 0, 0, 2, 0, 4, 2_097_152, 4, 8))),
+    # advertising's kernels are all zero, so its margins need no eigensolver;
+    # liquidation's 2 players carry 2 price weight values over 3 tags (4 row
+    # maps and 8 folds by signal object and by tag)
+    "liquidation": dict(zip(KEYS, ([64, 64], 0, 0, 0, 2, 0, 2, 1_048_576, 2, 5))),
     "advertising": dict(zip(KEYS, ([64, 64], 0, 0, 0, 0, 0, 4, 2_097_152, 4, 6))),
     # the limit and five induced games; the study samples its own row blocks
     "mfg_convergence": dict(zip(KEYS, ([32] * 12, 16, 37, 1_212_416, 18, 0, 0, 0, 0, 0))),
@@ -91,30 +100,36 @@ def multiply_adds(n: int, triangle) -> int:
     return total
 
 
-def run(name: str, out: Path) -> int:
-    config, banks, argv = RUNS[name]
-    cfg = json.loads((CONFIGS / f"{config}.json").read_text())
+def config(name: str) -> dict:
+    """The config of run name: the shipped one, systemic widened to its banks."""
+    shipped, banks, _ = RUNS[name]
+    cfg = json.loads((CONFIGS / f"{shipped}.json").read_text())
     if banks:
         model = cfg["model"]
         model["N"] = banks
         for key in ("sigma", "x0"):
             model[key] = [model[key][i % len(model[key])] for i in range(banks)]
+    return cfg
+
+
+def run(name: str, out: Path, cfg: dict | None = None) -> int:
+    """Run name's command line on its config, or on cfg, writing the outputs to out."""
+    argv = RUNS[name][2]
     out.mkdir()
-    (out / "config.json").write_text(json.dumps(cfg))
+    (out / "config.json").write_text(json.dumps(cfg or config(name)))
     return cli.main([argv[0], "--config", str(out / "config.json"), *argv[1:], "--out", str(out)])
 
 
-def counted(name: str, out: Path, monkeypatch) -> dict:
-    """LEDGER's counts for one run of name, its outputs written to out."""
-    counts = dict.fromkeys(KEYS[1:], 0)
-    factorizations = []
+def counting(monkeypatch) -> dict:
+    """LEDGER's counts, filled in as the package runs until monkeypatch is undone."""
+    counts = {"factorizations": [], **dict.fromkeys(KEYS[1:], 0)}
     build_Dt, solve = fredholm.build_Dt, FredholmSolver.solve
     lower_product, eigvalsh = fredholm.lower_product, np.linalg.eigvalsh
     adapted_values = signals.adapted_values
     row_map, fold = model_builders._row_map, model_builders._fold
 
     def counted_build_Dt(K, lam_eff):
-        factorizations.append(K.grid.n)
+        counts["factorizations"].append(K.grid.n)
         return build_Dt(K, lam_eff)
 
     def counted_solve(self, f):
@@ -154,9 +169,15 @@ def counted(name: str, out: Path, monkeypatch) -> dict:
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(model_builders, "_row_map", counted_row_map)
     monkeypatch.setattr(model_builders, "_fold", counted_fold)
+    return counts
+
+
+def counted(name: str, out: Path, monkeypatch) -> dict:
+    """LEDGER's counts for one run of name, its outputs written to out."""
+    counts = counting(monkeypatch)
     assert run(name, out) == 0
     monkeypatch.undo()
-    return {"factorizations": factorizations, **counts}
+    return counts
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
@@ -167,3 +188,48 @@ def test_work_ledger(name, tmp_path, monkeypatch):
     assert run(name, tmp_path / "plain") == 0
     for file in OUTPUTS[RUNS[name][2][0]]:
         assert (tmp_path / "counted" / file).read_bytes() == (tmp_path / "plain" / file).read_bytes()
+
+
+def copied_players(reduce):
+    """reduce_volterra_game on its game with each player's state and target copied apart."""
+    return lambda vspec: reduce(replace(
+        vspec, d_signals=tuple(copy.deepcopy(pair) for pair in vspec.d_signals),
+        s_terminals=tuple(copy.deepcopy(s) for s in vspec.s_terminals)))
+
+
+def shared_players(game_spec):
+    """GameSpec with every player's signal holding player 0's arrays under its own tags."""
+    def build(**fields):
+        first = fields["b_signals"][0]
+        fields["b_signals"] = tuple(
+            CompiledSignal(f.grid, first.mean, dict(zip(f.weights, first.weights.values())),
+                           f.mean_T, dict(zip(f.weights_T, first.weights_T.values())))
+            for f in fields["b_signals"])
+        return game_spec(**fields)
+    return build
+
+
+@pytest.mark.parametrize("case", ["systemic_16_banks", "raw_equal_players"])
+def test_copies_do_the_work_of_shared_arrays(case, tmp_path, monkeypatch):
+    # the same game from value-equal arrays held as separate objects and from shared
+    # objects writes the same bytes and does the same work
+    if case == "systemic_16_banks":
+        # the builder's banks share one mean field; the copies hold one each
+        name, cfg = case, config(case)
+        patches = {"shared": None,
+                   "copies": (model_builders, "reduce_volterra_game", copied_players)}
+    else:
+        # two raw players of one signal: each parsed apart, or both on player 0's arrays
+        name, cfg = "raw_game", config("raw_game")
+        cfg["model"]["b"][1] = cfg["model"]["b"][0]
+        patches = {"shared": (cli, "GameSpec", shared_players), "copies": None}
+    written = []
+    for variant, patch in patches.items():
+        counts = counting(monkeypatch)
+        if patch:
+            module, attr, wrap = patch
+            monkeypatch.setattr(module, attr, wrap(getattr(module, attr)))
+        assert run(name, tmp_path / variant, cfg) == 0
+        monkeypatch.undo()
+        written.append((counts, [(tmp_path / variant / f).read_bytes() for f in OUTPUTS["solve"]]))
+    assert written[0] == written[1]
