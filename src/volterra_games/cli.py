@@ -148,17 +148,15 @@ def parse_signal(obj, grid: TimeGrid, idio_tag: str, context: str = "signal",
         raise ConfigError(f"{context} must be an object with a 'family' key")
     fam = obj["family"]
     if fam == "deterministic":
-        _require_keys(obj, {"family", "values", "kind", "a", "b", "terminal"}, context)
+        _require_keys(obj, {"family", "values", "kind", "a", "b"}, context)
         kind = obj.get("kind")
         if kind == "affine":
             a, b = (number(obj.get(key, 0.0), f"{context}.{key}") for key in "ab")
-            return deterministic(grid, a + b * grid.times, terminal=a + b * grid.horizon)
+            return deterministic(grid, a + b * grid.times)
         vals = obj.get("values")
         if kind is not None or vals is None:
             raise ConfigError(f"{context}: deterministic signal needs 'values' or kind 'affine'")
-        term = obj.get("terminal")
-        return deterministic(grid, _on_grid(vals, grid, listed_n, f"{context}.values"),
-                             terminal=None if term is None else number(term, f"{context}.terminal"))
+        return deterministic(grid, _on_grid(vals, grid, listed_n, f"{context}.values"))
     noise = obj.get("noise", "idiosyncratic")
     if noise not in ("common", "idiosyncratic"):
         raise ConfigError(f"{context}: noise must be 'common' or 'idiosyncratic', got {noise!r}")

@@ -50,6 +50,15 @@ def build_grid(T: float, n: int) -> TimeGrid:
     return TimeGrid(float(T), int(n))
 
 
+def horizon_grid(grid: TimeGrid) -> TimeGrid:
+    """grid extended by its horizon point: n + 1 points, T last.
+
+    Its step (T + dt) / (n + 1) can differ from grid.dt in the last bit, so a
+    computation that needs the game's step reads grid.dt.
+    """
+    return TimeGrid(grid.horizon + grid.dt, grid.n + 1)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False

@@ -346,8 +346,7 @@ class IIDBrownianFamily:
     def signal(self, i: int, n_players: int) -> CompiledSignal:
         w = self._noise
         tag = f"idio{i}"
-        return self.base + CompiledSignal(w.grid, w.mean, {tag: w.weights[COMMON]}, w.mean_T,
-                                          {tag: w.weights_T[COMMON]})
+        return self.base + CompiledSignal(w.grid, w.mean, {tag: w.weights[COMMON]})
 
     def idio_tags(self, n_players: int):
         return {f"idio{i}" for i in range(n_players)}

@@ -2,7 +2,10 @@
 
 A Volterra game has per-player states Z^i = d^i + int D(t,s) (u^i, ubar) ds
 with a 2x2 block kernel D, quadratic running/terminal costs (Q, S), a
-control-state cross vector q, and control cost p.  The reduction expands the
+control-state cross vector q, and control cost p.  A state lives on the game
+grid extended by its horizon point (grid_ops.horizon_grid): n + 1 rows, the
+grid times and then T, weighed in one sum, dt Q at each grid time and S at
+T.  The reduction expands the
 discrete objective exactly over ordered time pairs, which yields strictly
 lower triangular A-kernels, affine-in-noise drivers b^i, b^0, and constants
 c^i.  The tests check it against a direct state simulator with the matching
@@ -27,6 +30,7 @@ from .grid_ops import (
     apply,
     discretize_kernel,
     discretize_kernel_rows,
+    horizon_grid,
     resolvent,
     star_product,
 )
@@ -158,9 +162,12 @@ class TerminalVector:
 class VolterraGameSpec:
     """Discrete dynamic game: Z^i[k] = d^i[k] + sum_{j<k} D[k, j] (u^i_j, ubar_j) dt.
 
-    dblock has shape (n + 1, n, 2, 2): one row per grid time plus a final row
-    at the horizon T, columns are cell averages in s.  The state signals and
-    terminal vectors go through one signals.canonicalizer: one array per value.
+    A state has n + 1 rows k, the grid times and then T: dblock has shape
+    (n + 1, n, 2, 2), columns cell averages in s, and the state signals d^i
+    live on horizon_grid(grid), their weights read on the game's n
+    increments (a last column, on an increment past T, is not read).  The
+    state signals and terminal vectors go through one signals.canonicalizer:
+    one array per value.
     """
 
     n_players: int
@@ -181,7 +188,7 @@ class VolterraGameSpec:
             raise ShapeError("dblock must have shape (n+1, n, 2, 2)")
         if len(self.d_signals) != self.n_players or len(self.s_terminals) != self.n_players:
             raise ShapeError("per-player signal data must cover every player")
-        on_grid(self.grid, *(d for pair in self.d_signals for d in pair))
+        on_grid(horizon_grid(self.grid), *(d for pair in self.d_signals for d in pair))
         canonical = canonicalizer()
         object.__setattr__(self, "d_signals", tuple(tuple(map(canonical, pair))
                                                     for pair in self.d_signals))
@@ -196,53 +203,38 @@ def _nonzero_tags(cs: CompiledSignal) -> CompiledSignal:
                           {t: cs.weights[t] for t in sorted(cs.weights) if np.any(cs.weights[t])})
 
 
-def _moments(x: CompiledSignal, y: CompiledSignal, inner) -> tuple[float, float]:
-    """E[sum_k x_k y_k] over the grid and E[x_T y_T] at the horizon.
+def _kernel_block(D: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """M[j, l, b, d] = sum_{k, a, c} D[k, j, a, b] W[k, a, c] D[k, l, c, d], one GEMM over (k, c).
 
-    inner(w, v) is float(np.vdot(w, v)), which the caller forms once per pair of arrays.
+    D is (n + 1, n, 2, 2) and W (n + 1, 2, 2): the weighted rows form the
+    (2n x 2(n + 1)) left factor, D's rows the (2(n + 1) x 2n) right one.
     """
-    dt = x.grid.dt
-    body = float(x.mean @ y.mean)
-    body += dt * sum(inner(w, y.weights[t]) for t, w in x.weights.items() if t in y.weights)
-    term = float(x.mean_T * y.mean_T)
-    term += dt * sum(float(w @ y.weights_T[t]) for t, w in x.weights_T.items()
-                     if t in y.weights_T)
-    return body, term
+    K, n = D.shape[:2]
+    left = np.einsum("kjab,kac->jbkc", D, W).reshape(2 * n, 2 * K)
+    right = D.transpose(0, 2, 1, 3).reshape(2 * K, 2 * n)
+    return (left @ right).reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
 
 
-def _row_map(Rc: np.ndarray, RTc: np.ndarray, w, wT) -> np.ndarray:
-    """One tag's two (n, n) row blocks: Rc on its weights w plus RTc on its terminal weights wT.
+def _row_inner(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_r w[k, r] v[k, r] at each state row k, over the game's n increments."""
+    n = w.shape[1] - 1
+    return np.einsum("kr,kr->k", w[:, :n], v[:, :n])
 
-    Either is None where the signal carries the tag only at the horizon or only before it.
+
+def _row_map(Rc: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """One tag's two (n, n) row blocks: Rc on the state weights w, over the game's n increments.
+
     The blocks are projected onto past increments (r < j): the value and surface
     conventions never read the rest, and the raw form stays adapted.
     """
-    out = Rc @ w if w is not None else np.zeros(Rc.shape)
-    if wT is not None:
-        out += np.outer(RTc, wT)
-    return np.tril(out.reshape(2, -1, Rc.shape[1]), -1)
+    n = Rc.shape[0] // 2
+    return np.tril((Rc @ w[:, :n]).reshape(2, n, n), -1)
 
 
 def _fold(row0: CompiledSignal, row1: CompiledSignal, b0: CompiledSignal, N, tag) -> tuple:
     """Part tag (None: the mean) of (b^i, rest) = (row0 + rest / N, row1 - b^0)."""
     rest = row1.part(tag) - b0.part(tag)
     return row0.part(tag) + rest / N, rest
-
-
-def terminal_block(DmT: np.ndarray, Sbar: np.ndarray) -> np.ndarray:
-    """M[j, l, b, d] = sum_{a, c} DmT[j, a, b] Sbar[a, c] DmT[l, c, d], the terminal cost's block.
-
-    Four broadcast products added in the (a, c) order of
-    np.einsum("jab,ac,lcd->jlbd", DmT, Sbar, DmT), each term rounded as
-    (DmT Sbar) DmT as its three-operand loop rounds it, so the result is that
-    einsum's bitwise, without its element-by-element loop.
-    """
-    n = DmT.shape[0]
-    M = np.zeros((n, n, 2, 2))
-    for a in range(2):
-        for c in range(2):
-            M += (DmT[:, None, a, :, None] * Sbar[a, c]) * DmT[None, :, c, None, :]
-    return M
 
 
 def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
@@ -254,18 +246,19 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     blocks, and for symmetric strategy profiles otherwise).  Drivers b^i and
     the common b^0 come out as compiled signals; the player-dependent part of
     the second row is folded into b^i with weight 1/N, which leaves every
-    first-order condition unchanged.
+    first-order condition unchanged.  Every state row k enters with its
+    weight, dt Q at a grid time and S at T, dt the game grid's step.
 
     The driver rows are linear in each state component: player i's row pair,
-    stacked as 2n rows, is R_1 d^i_1 + R_2 d^i_2 + T s^i with fixed (2n x n)
-    row maps R_c (plus a terminal column) built once from the state blocks,
-    Q, S and q.  A player's rows for a tag depend on the player only through
-    the tag's sources: each state component's weights and terminal weights
-    and the target's weights.  vspec holds one array per value, so, by id,
-    each distinct state array is mapped once per component it fills, each
+    stacked as 2n rows, is R_1 d^i_1 + R_2 d^i_2 + T s^i with fixed
+    (2n x (n + 1)) row maps R_c over the state's rows, built once from the
+    state blocks, Q, S and q.  A player's rows for a tag depend on the player
+    only through the tag's sources: each state component's weights and the
+    target's weights.  vspec holds one array per value, so, by id, each
+    distinct state array is mapped once per component it fills, each
     distinct source tuple is added into rows once and folded into b^i once
-    per b^0 weights, and each pair of weight arrays gives its inner product
-    for c^i once, across players and tags: the systemic banks cost
+    per b^0 weights, and each pair of weight arrays gives its row inner
+    products for c^i once, across players and tags: the systemic banks cost
     O(distinct values), not players x tags.  The maps are dropped once every
     row is formed, and each tag's rows once the tag is folded.
     """
@@ -275,15 +268,14 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     n = grid.n
     dt = grid.dt
     N = vspec.n_players
-    Dm = np.asarray(vspec.dblock[:n])          # (k, j, 2, 2)
-    DmT = np.asarray(vspec.dblock[n])          # (j, 2, 2)
-    Qbar = vspec.qmat + vspec.qmat.T
-    Sbar = vspec.smat + vspec.smat.T
+    D = np.asarray(vspec.dblock)               # (k, j, 2, 2), k = n the row at T
+    # the state rows' weights: dt (Q + Q^T) at each grid time, S + S^T at T
+    W = np.concatenate([np.broadcast_to(dt * (vspec.qmat + vspec.qmat.T), (n, 2, 2)),
+                        (vspec.smat + vspec.smat.T)[None]])
 
     # kernel block M[j, l] for l < j
-    M = terminal_block(DmT, Sbar)
-    M += dt * np.einsum("kjab,ac,klcd->jlbd", Dm, Qbar, Dm, optimize=True)
-    qrow = np.einsum("c,jlcd->jld", vspec.qvec, Dm)        # (q^T D)[j, l, d]
+    M = _kernel_block(D, W)
+    qrow = np.einsum("c,jlcd->jld", vspec.qvec, D[:n])     # (q^T D)[j, l, d]
     M[:, :, 0, :] -= 0.5 * qrow
     M[:, :, :, 0] -= 0.5 * qrow
     lower = np.tril(np.ones((n, n)), k=-1)
@@ -293,52 +285,49 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     del M, qrow, lower
 
     # drivers: row 1 is b^i, row 2 the player's share of b^0, stacked as 2n rows
-    # (b, j).  State component c enters through R[c] on its grid values and
-    # RT[:, c] on its terminal value, the terminal target s^i through T.
-    R = -dt * np.einsum("kjab,ac->cbjk", Dm, Qbar).reshape(2, 2 * n, n)
-    R[:, :n] += vspec.qvec[:, None, None] * np.eye(n)
-    RT = -np.einsum("jab,ac->bjc", DmT, Sbar).reshape(2 * n, 2)
-    T = np.einsum("jab->bja", DmT).reshape(2 * n, 2)
+    # (b, j).  State component c enters through R[c] on its n + 1 rows, the
+    # terminal target s^i through T.
+    R = -np.einsum("kjab,kac->cbjk", D, W).reshape(2, 2 * n, n + 1)
+    R[:, :n, :n] += vspec.qvec[:, None, None] * np.eye(n)
+    T = np.einsum("jab->bja", D[n]).reshape(2 * n, 2)
 
     def sources(i, tag) -> tuple:
         """Player i's arrays its rows for tag depend on, None where it lacks the tag."""
         (x, y), s = vspec.d_signals[i], vspec.s_terminals[i]
-        return (x.weights.get(tag), x.weights_T.get(tag), y.weights.get(tag),
-                y.weights_T.get(tag), s.weights.get(tag))
+        return x.weights.get(tag), y.weights.get(tag), s.weights.get(tag)
 
-    maps = [once_per_array(functools.partial(_row_map, R[c], RT[:, c])) for c in (0, 1)]
+    maps = [once_per_array(functools.partial(_row_map, R[c])) for c in (0, 1)]
 
     @once_per_array
-    def rows_of(w0, wT0, w1, wT1, ws):
+    def rows_of(w0, w1, ws):
         """The two row blocks of one tag's sources: the parts present, added in order."""
-        parts = [maps[c](w, wT) for c, w, wT in ((0, w0, wT0), (1, w1, wT1))
-                 if w is not None or wT is not None]
+        parts = [maps[c](w) for c, w in ((0, w0), (1, w1)) if w is not None]
         if ws is not None:
             parts.append(np.tril((T @ ws).reshape(2, n, n), -1))      # cut as _row_map cuts
         return [functools.reduce(operator.add, (p[b] for p in parts)) for b in (0, 1)]
 
-    inner = once_per_array(lambda w, v: float(np.vdot(w, v)))
+    inner = once_per_array(_row_inner)
     rows = []
     c_consts = []
     for i, (d, s_term) in enumerate(zip(vspec.d_signals, vspec.s_terminals)):
-        if d[0].mean_T is None or d[1].mean_T is None:
-            raise ShapeError("state signals need terminal extensions for the reduction")
-        m = [R[c] @ d[c].mean + RT[:, c] * d[c].mean_T for c in (0, 1)]
-        mean = m[0] + m[1] + T @ s_term.mean
-        own = {*s_term.weights, *(t for f in d for t in (*f.weights, *f.weights_T))}
+        mean = R[0] @ d[0].mean + R[1] @ d[1].mean + T @ s_term.mean
+        own = {*s_term.weights, *d[0].weights, *d[1].weights}
         weights = {t: rows_of(*sources(i, t)) for t in sorted(own)}
         rows.append([CompiledSignal(grid, mean[b * n:(b + 1) * n],
                                     {t: w[b] for t, w in weights.items()}) for b in (0, 1)])
 
-        # c_i = -dt E[sum_k d_k^T Q d_k] - E[d_T^T S d_T] + E[d_T . s], component by component
+        # c_i = -sum_k E[d_k^T W[k] d_k] / 2 + E[d_T . s], component by component, where
+        # E[x_k y_k] = x_k y_k on the means plus dt times each common tag's row inner product
         c_i = 0.0
         for a in (0, 1):
             for b in (0, 1):
-                body, term = _moments(d[a], d[b], inner)
-                c_i -= dt * vspec.qmat[a, b] * body + vspec.smat[a, b] * term
-            c_i += d[a].mean_T * s_term.mean[a]
-            c_i += dt * sum(float(wT @ s_term.weights[t][a]) for t, wT in d[a].weights_T.items()
-                            if t in s_term.weights)
+                moments = d[a].mean * d[b].mean + dt * sum(
+                    inner(w, d[b].weights[t]) for t, w in d[a].weights.items()
+                    if t in d[b].weights)
+                c_i -= 0.5 * (W[:, a, b] @ moments)
+            c_i += d[a].mean[n] * s_term.mean[a]
+            c_i += dt * sum(float(w[n, :n] @ s_term.weights[t][a])
+                            for t, w in d[a].weights.items() if t in s_term.weights)
         c_consts.append(float(c_i))
     del maps, rows_of, weights      # the memos and the last player's rows hold shared rows
 
@@ -383,7 +372,7 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
 # worked models
 # ---------------------------------------------------------------------------
 
-def _terminal_rows(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
+def _horizon_rows(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """(n + 1, n) rows of a kernel at the grid times (discretize_kernel's values) and at T."""
     return discretize_kernel_rows(spec, grid, np.append(grid.times, grid.horizon))
 
@@ -403,23 +392,22 @@ def build_liquidation_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
     sigmas = np.asarray(params.get("signal_sigma", np.zeros(N)), dtype=float)
     sigma0 = float(params.get("common_signal_sigma", 0.0))
 
-    n = grid.n
+    n, ext = grid.n, horizon_grid(grid)
     dblock = np.zeros((n + 1, n, 2, 2))
-    dblock[:, :, 0, 0] = _terminal_rows(ConstantLower(c=-1.0), grid)
-    dblock[:, :, 1, 1] = -_terminal_rows(params["propagator"], grid)
+    dblock[:, :, 0, 0] = _horizon_rows(ConstantLower(c=-1.0), grid)
+    dblock[:, :, 1, 1] = -_horizon_rows(params["propagator"], grid)
 
     d_signals, s_terms = [], []
     for i in range(N):
-        price = deterministic(grid, 0.0, terminal=0.0)
+        price = deterministic(ext, 0.0)
         if sigmas[i] != 0.0:
-            price = price + martingale(grid, sigmas[i], f"price{i}")
+            price = price + martingale(ext, sigmas[i], f"price{i}")
         if sigma0 != 0.0:
-            price = price + martingale(grid, sigma0, "price_common")
-        inv = deterministic(grid, x0[i], terminal=float(x0[i]))
-        d_signals.append((inv, price))
-        s_terms.append(TerminalVector(np.array([price.mean_T, 0.0]),
-                                      {t: np.stack([wT, np.zeros(n)])
-                                       for t, wT in price.weights_T.items()}))
+            price = price + martingale(ext, sigma0, "price_common")
+        d_signals.append((deterministic(ext, x0[i]), price))
+        s_terms.append(TerminalVector(np.array([price.mean[n], 0.0]),
+                                      {t: np.stack([w[n, :n], np.zeros(n)])
+                                       for t, w in price.weights.items()}))
 
     vspec = VolterraGameSpec(
         n_players=N, p=lam,
@@ -446,10 +434,10 @@ def build_systemic_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volterr
         raise InadmissibleKernel("need eps > 0 and cost_c >= 0")
     sigma = np.asarray(params["sigma"], dtype=float)
     x0 = np.asarray(params["x0"], dtype=float)
-    n = grid.n
+    n, ext = grid.n, horizon_grid(grid)
 
     gk = MeasureConvolution(measure=params["delay"])
-    rows = _terminal_rows(gk, grid)
+    rows = _horizon_rows(gk, grid)
     dblock = np.zeros((n + 1, n, 2, 2))
     dblock[:, :, 0, 0] = rows
     dblock[:, :, 1, 1] = rows
@@ -459,10 +447,9 @@ def build_systemic_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volterr
         raise ShapeError(f"h must list one value per cell ({n}) for each of the {N} players")
     reserves = []
     for i in range(N):
-        drift = x0[i] + np.concatenate([[0.0], np.cumsum(h[i])[:-1]]) * grid.dt
-        reserve = deterministic(grid, drift, terminal=x0[i] + float(np.sum(h[i])) * grid.dt)
+        reserve = deterministic(ext, x0[i] + np.concatenate([[0.0], np.cumsum(h[i])]) * grid.dt)
         if sigma[i] != 0.0:
-            reserve = reserve + martingale(grid, sigma[i], f"reserve{i}")
+            reserve = reserve + martingale(ext, sigma[i], f"reserve{i}")
         reserves.append(reserve)
     # one mean-field object in every bank's pair: the reduction maps it once
     mean_field = sum((1.0 / N) * r for r in reserves)
@@ -484,8 +471,8 @@ def build_advertising_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
 
     params: N, lam, beta, forgetting (DelayMeasure), competition (DelayMeasure),
     sigma (per player).  The state response to noise is built from resolvents on
-    a grid extended to the horizon endpoint, each operator product formed once;
-    the control blocks are beta times those responses' first n columns.
+    the horizon grid, each operator product formed once; the control blocks are
+    beta times those responses' first n columns.
     """
     N = player_count(params, "sigma")
     lam, beta = float(params["lam"]), float(params["beta"])
@@ -493,7 +480,7 @@ def build_advertising_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
         raise InadmissibleKernel("advertising needs lam > 0 and beta >= 0")
     sigma = np.asarray(params["sigma"], dtype=float)
     n = grid.n
-    ext = TimeGrid(grid.horizon + grid.dt, n + 1)      # T is its last grid time
+    ext = horizon_grid(grid)
     K_ext = measure_to_kernel(params.get("forgetting", DelayMeasure()), ext)
     H_ext = measure_to_kernel(params.get("competition", DelayMeasure()), ext)
     rk = resolvent(K_ext)
@@ -513,16 +500,14 @@ def build_advertising_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
 
     def response(scaled: dict) -> CompiledSignal:
         """Goodwill driven by tag -> (n + 1)^2 response, without all-zero weights."""
-        return CompiledSignal(grid, np.zeros(n),
-                              {t: w[:n, :n] for t, w in scaled.items() if np.any(w)}, 0.0,
-                              {t: w[n, :n] for t, w in scaled.items() if np.any(w[n])})
+        return CompiledSignal(ext, np.zeros(n + 1), {t: w for t, w in scaled.items() if np.any(w)})
 
     # one mean-field signal that every player's goodwill shares, as systemic banks do
     mean_field = response({f"adv{l}": (sigma[l] / N) * smooth for l in range(N)})
     d_signals, s_terms = [], []
     for i in range(N):
         goodwill = mean_field + response({f"adv{i}": sigma[i] * own_resp})
-        d_signals.append((goodwill, deterministic(grid, 0.0, terminal=0.0)))
+        d_signals.append((goodwill, deterministic(ext, 0.0)))
         s_terms.append(TerminalVector(np.array([beta, 0.0]), {}))
 
     vspec = VolterraGameSpec(

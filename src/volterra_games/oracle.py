@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NonConcave, ShapeError, SingularSystem, SizeExceeded
 from .grid_ops import TimeGrid
-from .nplayer import GameSpec, build_GH
+from .nplayer import GameSpec, build_GH, objective_per_path, solve_nash
 from .signals import NoiseBundle
 
 MAX_UNKNOWNS = 50_000
@@ -258,8 +258,6 @@ def compare(oracle_nodes: np.ndarray, solver_nodes: np.ndarray, tree: ScenarioTr
 
 def solve_game_on_tree(spec: GameSpec, tree: ScenarioTree) -> np.ndarray:
     """Run the production solver on every leaf path; return node strategies."""
-    from .nplayer import solve_nash
-
     sol = solve_nash(spec, tree.bundle())
     return strategies_to_nodes(tree, sol.u)
 
@@ -267,26 +265,5 @@ def solve_game_on_tree(spec: GameSpec, tree: ScenarioTree) -> np.ndarray:
 def tree_objective(spec: GameSpec, tree: ScenarioTree, i: int,
                    u_nodes: np.ndarray) -> float:
     """Tree-exact expected objective of player i at flat node strategies."""
-    dt = spec.grid.dt
-    u_leaf = nodes_to_leaves(tree, u_nodes)
-    bundle = tree.bundle()
-    extra = spec.b0_extras[i] if spec.b0_extras else None
-    total = 0.0
-    for p in range(tree.n_leaves):
-        dW = bundle.path(p)
-        bi, _ = spec.b_signals[i].values_and_surface(dW)
-        b0, _ = spec.b0_signal.values_and_surface(dW)
-        ui = u_leaf[i, p]
-        ub = u_leaf[:, p].mean(axis=0)
-        val = (-float(ub @ spec.a1.values @ ub) * dt ** 2
-               - spec.lam * float(ui @ ui) * dt
-               - float(ui @ spec.a2hat.values @ ui) * dt ** 2
-               - float(ui @ (spec.a3.values + spec.a3.values.T) @ ub) * dt ** 2
-               + float(bi @ ui) * dt + float(b0 @ ub) * dt)
-        if extra is not None:
-            ex, _ = extra.values_and_surface(dW)
-            val += float(ex @ (ub - ui / spec.n_players)) * dt
-        total += tree.leaf_probs[p] * val
-    return total + spec.c_constants[i]
-
-
+    return float(tree.leaf_probs @ objective_per_path(spec, i, nodes_to_leaves(tree, u_nodes),
+                                                      tree.bundle()))

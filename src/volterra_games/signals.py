@@ -14,6 +14,8 @@ equilibria are carried in this same form, and the linear algebra of the
 form (sums, scalings, matrices applied to every weight) lives here only.
 Inputs are built on their grid by deterministic, martingale, ou and
 brownian_weighted, and combined with + and *; there is no other signal type.
+A signal that has a value at the horizon T, as a dynamic game's state does,
+lives on grid_ops.horizon_grid: T is its last point and its last row.
 Sampled paths are read off the coefficients: path_values for every path at
 once, values_and_surface for one path with its conditional surface.  Paths
 are formed, and noise is drawn, in row blocks of ROW_BLOCK_BYTES (row_blocks):
@@ -39,7 +41,7 @@ import collections
 import functools
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,19 +62,15 @@ def row_blocks(n_rows: int, n: int) -> list:
 class CompiledSignal:
     """Affine-in-increments representation of a signal on a grid.
 
-    mean_T / weights_T extend the signal to the horizon endpoint T; they are
-    optional and only required by model reductions with terminal data.
-
     Signals form a vector space: f + g, f - g, c * f and f / c act on the mean
     and on every tag's weights, and M @ f applies an (n, n) matrix to them
     (adapted_matmul forms only the strictly lower part of the weights).  A
     sum carries the union of its operands' tags in operand order, a missing
     tag reading as zero, and keeps a tag even where the sum is zero; where one
-    operand alone carries a tag, the sum holds that operand's array.  Its
-    terminal extension is the sum of the operands' (mean_T is None if any
-    operand's is); M @ f has none.  numpy scalars and arrays defer to these
-    operators, and sum() works from its start value 0.  Equality is identity:
-    a comparison of the coefficients would be ambiguous on arrays.
+    operand alone carries a tag, the sum holds that operand's array.  numpy
+    scalars and arrays defer to these operators, and sum() works from its
+    start value 0.  Equality is identity: a comparison of the coefficients
+    would be ambiguous on arrays.
 
     Several tags may hold the same array object.  Each operator computes once
     per distinct object (or pair of objects, for + and -) and gives every tag
@@ -82,8 +80,6 @@ class CompiledSignal:
     grid: TimeGrid
     mean: np.ndarray
     weights: dict          # tag -> (n, n) array
-    mean_T: float | None = None
-    weights_T: dict = field(default_factory=dict)   # tag -> (n,) array
 
     __array_ufunc__ = None    # np.float64 * f and ndarray @ f reach __rmul__ / __rmatmul__
 
@@ -95,11 +91,8 @@ class CompiledSignal:
             return NotImplemented
         if other.grid != self.grid:
             raise ShapeError("signals live on different grids")
-        mean_T = None if self.mean_T is None or other.mean_T is None \
-            else op(self.mean_T, other.mean_T)
         return CompiledSignal(self.grid, op(self.mean, other.mean),
-                              _tagwise(op, self.weights, other.weights),
-                              mean_T, _tagwise(op, self.weights_T, other.weights_T))
+                              _tagwise(op, self.weights, other.weights))
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -113,12 +106,10 @@ class CompiledSignal:
         return NotImplemented
 
     def _scaled(self, fn):
-        """fn applied to the mean, to every distinct weight array and to the terminal extension."""
+        """fn applied to the mean and to every distinct weight array."""
         fn = once_per_array(fn)
-        mean_T = None if self.mean_T is None else fn(self.mean_T)
         return CompiledSignal(self.grid, fn(self.mean),
-                              {tag: fn(w) for tag, w in self.weights.items()}, mean_T,
-                              {tag: fn(w) for tag, w in self.weights_T.items()})
+                              {tag: fn(w) for tag, w in self.weights.items()})
 
     def __mul__(self, c):
         if not isinstance(c, numbers.Real):
@@ -151,7 +142,7 @@ class CompiledSignal:
         return self._applied(M, lower_product)
 
     def _applied(self, M: np.ndarray, product) -> CompiledSignal:
-        """M on the mean and product(M, w) on every tag's weights; no extension to T."""
+        """M on the mean and product(M, w) on every tag's weights."""
         if M.shape != (self.grid.n, self.grid.n):
             raise ShapeError(f"matrix of shape {M.shape} does not act on a signal of length "
                              f"{self.grid.n}")
@@ -166,8 +157,7 @@ class CompiledSignal:
         values of + and -.  An array that one tag of self alone holds takes the
         result in place; one that several tags hold is left as it is, and each
         distinct pair of arrays gets one new result.  A tag only other carries
-        gets a copy of its array, or 0.0 - it, one per distinct array.  No
-        extension to T.
+        gets a copy of its array, or 0.0 - it, one per distinct array.
         """
         op = np.subtract if subtract else np.add
         holders = collections.Counter(map(id, self.weights.values()))
@@ -212,7 +202,7 @@ class CompiledSignal:
 
         Every operator acts on the mean and on each tag apart, so an expression
         in signals equals, part by part, the same expression in their parts.  A
-        signal without the tag has an empty part; the extension to T is dropped.
+        signal without the tag has an empty part.
         """
         if tag is None:
             return CompiledSignal(self.grid, self.mean, {})
@@ -294,10 +284,10 @@ def once_per_array(fn, calls: collections.Counter | None = None):
 def canonicalizer():
     """A function that maps each float64 array to the first array it was given with its bytes.
 
-    A signal maps to one whose mean, weights and terminal weights went through
-    the function.  A game maps its players' data through one canonicalizer
-    where it is made, so equal values are one object and every computation
-    keyed by identity runs once per value.  Identity first: an array or
+    A signal maps to one whose mean and weights went through the function.  A
+    game maps its players' data through one canonicalizer where it is made,
+    so equal values are one object and every computation keyed by identity
+    runs once per value.  Identity first: an array or
     signal given before maps as it did.  Otherwise an array is bucketed by its
     shape and the probe sum(w @ z), for the fixed vector z = _probe(columns),
     and a hit is confirmed by comparing bytes, so -0.0 stays apart from +0.0,
@@ -326,8 +316,7 @@ def canonicalizer():
     def canonical(f):
         if isinstance(f, np.ndarray):
             return same(f)
-        return CompiledSignal(f.grid, same(f.mean), {t: same(w) for t, w in f.weights.items()},
-                              f.mean_T, {t: same(w) for t, w in f.weights_T.items()})
+        return CompiledSignal(f.grid, same(f.mean), {t: same(w) for t, w in f.weights.items()})
     return canonical
 
 
@@ -356,8 +345,7 @@ def family_mean(c: float, signals) -> CompiledSignal:
     alike get one result object, and the result goes through a canonicalizer:
     sums of different operands can still agree in value (the mean driver's
     rounding residue is exactly 0.0 on some tags of a game of distinct banks),
-    and each value is then solved once.  The mean and the extension to T are
-    sum()'s, in operand order (mean_T is None if any operand's is).
+    and each value is then solved once.  The mean is sum()'s, in operand order.
     """
     c, signals = float(c), list(signals)
     on_grid(signals[0].grid, *signals)
@@ -378,14 +366,9 @@ def family_mean(c: float, signals) -> CompiledSignal:
             groups[tag] = done[key]
         return groups
 
-    def fold(values):
-        return functools.reduce(operator.add, values)
-
-    mean_T = None if any(f.mean_T is None for f in signals) \
-        else fold(c * f.mean_T for f in signals)
-    return canonicalizer()(CompiledSignal(signals[0].grid, fold(c * f.mean for f in signals),
-                                          tagwise([f.weights for f in signals]), mean_T,
-                                          tagwise([f.weights_T for f in signals])))
+    mean = functools.reduce(operator.add, (c * f.mean for f in signals))
+    return canonicalizer()(CompiledSignal(signals[0].grid, mean,
+                                          tagwise([f.weights for f in signals])))
 
 
 def on_grid(grid: TimeGrid, *signals) -> None:
@@ -397,26 +380,21 @@ def on_grid(grid: TimeGrid, *signals) -> None:
             raise ShapeError("signal lives on a different grid")
 
 
-def deterministic(grid: TimeGrid, values, terminal: float | None = None) -> CompiledSignal:
-    """A known function of time: n values, or one held constant; it ends at terminal.
-
-    terminal defaults to the last value.
-    """
+def deterministic(grid: TimeGrid, values) -> CompiledSignal:
+    """A known function of time: n values, or one held constant."""
     g = np.array(values, dtype=float)
     if g.shape in ((), (1,)):
         g = np.full(grid.n, float(g.reshape(-1)[0]))
     if g.shape != (grid.n,):
         raise ShapeError(f"deterministic signal has length {g.shape}, expected {grid.n}")
-    term = terminal if terminal is not None else float(g[-1])
-    return CompiledSignal(grid, g, {}, mean_T=term)
+    return CompiledSignal(grid, g, {})
 
 
 def martingale(grid: TimeGrid, sigma: float = 1.0, noise: str = COMMON) -> CompiledSignal:
     """Scaled Brownian motion started at 0: f = sigma * W."""
     n = grid.n
     w = sigma * np.tril(np.ones((n, n)), k=-1)
-    return CompiledSignal(grid, np.zeros(n), {noise: w},
-                          mean_T=0.0, weights_T={noise: np.full(n, sigma)})
+    return CompiledSignal(grid, np.zeros(n), {noise: w})
 
 
 def ou(grid: TimeGrid, kappa: float = 1.0, sigma: float = 1.0, x0: float = 0.0,
@@ -425,20 +403,16 @@ def ou(grid: TimeGrid, kappa: float = 1.0, sigma: float = 1.0, x0: float = 0.0,
     dt, t = grid.dt, grid.times
     mean = x0 * np.exp(-kappa * t)
     w = np.tril(sigma * np.exp(-kappa * (t[:, None] - (t[None, :] + dt))), k=-1)
-    wT = sigma * np.exp(-kappa * (grid.horizon - (t + dt)))
-    return CompiledSignal(grid, mean, {noise: w}, mean_T=x0 * np.exp(-kappa * grid.horizon),
-                          weights_T={noise: wT})
+    return CompiledSignal(grid, mean, {noise: w})
 
 
-def brownian_weighted(grid: TimeGrid, g, w, noise: str = COMMON, g_T: float | None = None,
-                      w_T=None) -> CompiledSignal:
+def brownian_weighted(grid: TimeGrid, g, w, noise: str = COMMON) -> CompiledSignal:
     """f_j = g[j] + sum_r w[j, r] dW_r with arbitrary (possibly anticipative) weights."""
     g = np.array(g, dtype=float)
     w = np.array(w, dtype=float)
     if g.shape != (grid.n,) or w.shape != (grid.n, grid.n):
         raise ShapeError("a Brownian-weighted signal needs g of shape (n,) and w of shape (n, n)")
-    wT = {noise: np.array(w_T, dtype=float)} if w_T is not None else {}
-    return CompiledSignal(grid, g, {noise: w}, mean_T=g_T, weights_T=wT)
+    return CompiledSignal(grid, g, {noise: w})
 
 
 # ---------------------------------------------------------------------------

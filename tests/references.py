@@ -58,27 +58,18 @@ def simulate_states(vspec: VolterraGameSpec, profile: np.ndarray, dW: dict):
     ZT = np.empty((N, 2))
     for i, (c1, c2) in enumerate(vspec.d_signals):
         w = np.stack([profile[i], ubar], axis=1)           # (n, 2)
-        dvals = np.stack([_raw_values(c1, dW), _raw_values(c2, dW)], axis=1)   # (n, 2)
-        dT = np.array([_raw_terminal(c1, dW), _raw_terminal(c2, dW)])
+        dvals = np.stack([_raw_values(c1, dW), _raw_values(c2, dW)], axis=1)   # (n + 1, 2)
         conv = np.einsum("kjab,jb->ka", vspec.dblock[:n], w) * dt
-        Z[i] = dvals + conv
-        ZT[i] = dT + np.einsum("jab,jb->a", vspec.dblock[n], w) * dt
+        Z[i] = dvals[:n] + conv
+        ZT[i] = dvals[n] + np.einsum("jab,jb->a", vspec.dblock[n], w) * dt
     return Z, ZT
 
 
 def _raw_values(cs: CompiledSignal, dW: dict) -> np.ndarray:
+    """A state signal's n + 1 rows, the last at T, at the game's n increments dW."""
     out = cs.mean.copy()
     for tag, w in cs.weights.items():
-        out = out + w @ dW[tag]
-    return out
-
-
-def _raw_terminal(cs: CompiledSignal, dW: dict) -> float:
-    if cs.mean_T is None:
-        raise ShapeError("state signal lacks a terminal extension")
-    out = float(cs.mean_T)
-    for tag, wT in cs.weights_T.items():
-        out += float(wT @ dW[tag])
+        out = out + w[:, :-1] @ dW[tag]
     return out
 
 

@@ -82,6 +82,15 @@ class TestConfigErrors:
         p = write_cfg(tmp_path, model)
         assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("signal", [{"values": [0.25]}, {"kind": "affine", "a": 1.0}])
+    def test_deterministic_terminal_is_an_unknown_key(self, tmp_path, capsys, signal):
+        # a deterministic signal takes values or kind "affine": no signal has a value past
+        # the grid, so a terminal value is refused, not ignored
+        model = {**RAW_MODEL, "b0": {"family": "deterministic", **signal, "terminal": 0.5}}
+        p = write_cfg(tmp_path, model)
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown keys ['terminal']" in capsys.readouterr().err
+
     def test_inadmissible_power_law_is_config_error(self, tmp_path):
         model = dict(RAW_MODEL)
         model["a2hat"] = {"family": "power_law", "c": 1.0, "alpha": 0.6}

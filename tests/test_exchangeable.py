@@ -54,8 +54,7 @@ def fresh(f):
     """f with every array copied: it shares no object with anything."""
     if f is None:
         return None
-    return CompiledSignal(f.grid, f.mean.copy(), {t: w.copy() for t, w in f.weights.items()},
-                          f.mean_T, {t: w.copy() for t, w in f.weights_T.items()})
+    return CompiledSignal(f.grid, f.mean.copy(), {t: w.copy() for t, w in f.weights.items()})
 
 
 def unshared(spec, copies=None):

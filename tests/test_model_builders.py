@@ -9,6 +9,7 @@ from volterra_games.grid_ops import (
     apply,
     build_grid,
     discretize_kernel,
+    horizon_grid,
     zero_kernel,
 )
 from volterra_games.model_builders import (
@@ -112,7 +113,7 @@ class TestReduce:
         n = grid16.n
         dblock = np.zeros((n + 1, n, 2, 2))
         dblock[:, :, 0, 0] = 1.0  # any block; costs are zero
-        zero_sig = deterministic(grid16, 0.0, terminal=0.0)
+        zero_sig = deterministic(horizon_grid(grid16), 0.0)
         vspec = VolterraGameSpec(
             n_players=2, p=1.3, qmat=np.zeros((2, 2)), smat=np.zeros((2, 2)),
             qvec=np.zeros(2), dblock=dblock,
@@ -125,9 +126,21 @@ class TestReduce:
         assert np.all(game.b_signals[0].mean == 0.0)
         assert game.c_constants == (0.0, 0.0)
 
+    def test_state_signals_live_on_the_horizon_grid(self, grid16):
+        # a state has n + 1 rows, its value at T the last: n rows on the game grid are refused
+        n = grid16.n
+        for grid in (grid16, build_grid(1.0, n + 1)):
+            with pytest.raises(ShapeError):
+                VolterraGameSpec(
+                    n_players=1, p=1.0, qmat=np.zeros((2, 2)), smat=np.zeros((2, 2)),
+                    qvec=np.zeros(2), dblock=np.zeros((n + 1, n, 2, 2)),
+                    d_signals=((deterministic(horizon_grid(grid16), 0.0),
+                                deterministic(grid, 0.0)),),
+                    s_terminals=(TerminalVector.zero(),), grid=grid16)
+
     def test_positive_control_cost_required(self, grid16):
         n = grid16.n
-        zero_sig = deterministic(grid16, 0.0, terminal=0.0)
+        zero_sig = deterministic(horizon_grid(grid16), 0.0)
         vspec = VolterraGameSpec(
             n_players=1, p=0.0, qmat=np.zeros((2, 2)), smat=np.zeros((2, 2)),
             qvec=np.zeros(2), dblock=np.zeros((n + 1, n, 2, 2)),
@@ -141,7 +154,7 @@ class TestReduce:
         # objective equals the direct dynamic simulation to rounding
         rng = np.random.default_rng(5)
         g = build_grid(1.0, 6)
-        n = g.n
+        n, ext = g.n, horizon_grid(g)
         for trial in range(3):
             dblock = np.zeros((n + 1, n, 2, 2))
             for a in range(2):
@@ -154,10 +167,10 @@ class TestReduce:
             Qr = rng.standard_normal((2, 2)) * 0.3
             Sr = rng.standard_normal((2, 2)) * 0.3
             q = rng.standard_normal(2) * 0.5
-            sigs = tuple((deterministic(g, rng.standard_normal(n),
-                                        terminal=float(rng.standard_normal())),
-                          deterministic(g, rng.standard_normal(n),
-                                        terminal=float(rng.standard_normal())))
+            sigs = tuple((deterministic(ext, np.append(rng.standard_normal(n),
+                                                       rng.standard_normal())),
+                          deterministic(ext, np.append(rng.standard_normal(n),
+                                                       rng.standard_normal())))
                          for _ in range(2))
             terms = tuple(TerminalVector(rng.standard_normal(2), {}) for _ in range(2))
             vspec = VolterraGameSpec(n_players=2, p=2.0, qmat=Qr, smat=Sr, qvec=q,
@@ -189,10 +202,10 @@ class TestReduce:
             Qr = rng.standard_normal((2, 2)) * 0.3
             Sr = rng.standard_normal((2, 2)) * 0.3
             q = rng.standard_normal(2) * 0.5
-            common = ou(g, kappa=rng.uniform(0.5, 2.0), sigma=0.4, x0=0.2, noise="common")
-            sigs = tuple((deterministic(g, rng.standard_normal(n),
-                                        terminal=float(rng.standard_normal()))
-                          + rng.uniform(0.2, 0.8) * martingale(g, sigma=0.5, noise=f"x{i}")
+            common = ou(ext, kappa=rng.uniform(0.5, 2.0), sigma=0.4, x0=0.2, noise="common")
+            sigs = tuple((deterministic(ext, np.append(rng.standard_normal(n),
+                                                       rng.standard_normal()))
+                          + rng.uniform(0.2, 0.8) * martingale(ext, sigma=0.5, noise=f"x{i}")
                           + rng.uniform(-0.5, 0.5) * common,
                           common)
                          for i in range(2))
@@ -302,8 +315,8 @@ class TestSystemic:
         dt = grid16.dt
         for (reserve, _), x0, rates in zip(vspec.d_signals, [1.0, 0.5, -0.2], h):
             passed = np.concatenate([[0.0], np.cumsum(rates)]) * dt
-            assert np.allclose(reserve.mean, x0 + passed[:-1], rtol=0.0, atol=1e-15)
-            assert abs(reserve.mean_T - (x0 + passed[-1])) <= 1e-14
+            assert np.allclose(reserve.mean[:-1], x0 + passed[:-1], rtol=0.0, atol=1e-15)
+            assert abs(reserve.mean[-1] - (x0 + passed[-1])) <= 1e-14
         with pytest.raises(ShapeError):
             build_systemic_game(self.params(h=[rates[:15] for rates in h]), grid16)
 
@@ -500,8 +513,9 @@ class TestStochasticStateReduction:
         Q = rng.standard_normal((2, 2)) * 0.2
         S = rng.standard_normal((2, 2)) * 0.2
         q = rng.standard_normal(2) * 0.4
-        sigs = tuple((martingale(g, sigma=0.5, noise=f"w{i}"),
-                      ou(g, kappa=1.0, sigma=0.4, x0=0.3, noise=f"w{i}")) for i in range(N))
+        ext = horizon_grid(g)
+        sigs = tuple((martingale(ext, sigma=0.5, noise=f"w{i}"),
+                      ou(ext, kappa=1.0, sigma=0.4, x0=0.3, noise=f"w{i}")) for i in range(N))
         terms = tuple(TerminalVector(rng.standard_normal(2), {}) for _ in range(N))
         vspec = VolterraGameSpec(n_players=N, p=2.0, qmat=Q, smat=S, qvec=q,
                                  dblock=dblock, d_signals=sigs, s_terminals=terms, grid=g)

@@ -535,8 +535,9 @@ class TestBlockedProducts:
         assert solve_peak("systemic_n16", 128) <= 36
 
     def test_systemic_n16_reduction_peak_memory(self):
-        # the game's setup, its reduction included, in n x n arrays: 66.2 here, with one
-        # array per value; 142.8 with each state signal object mapped tag by tag, 166.6
+        # the game's setup, its reduction included, in n x n arrays: 66.7 here, with one
+        # array per value (66.5 with the state's value at T held apart from its grid
+        # rows); 142.8 with each state signal object mapped tag by tag, 166.6
         # with the last bank's row maps held to the end, 194.5 with every row held
         # until the whole fold is done
         assert reduction_peak("systemic_n16", 128) <= 75

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_games.errors import NonConcave, SizeExceeded
 from volterra_games.grid_ops import (
@@ -9,6 +11,12 @@ from volterra_games.grid_ops import (
     build_grid,
     discretize_kernel,
     zero_kernel,
+)
+from volterra_games.model_builders import (
+    DelayMeasure,
+    build_advertising_game,
+    build_liquidation_game,
+    build_systemic_game,
 )
 from volterra_games.nplayer import GameSpec
 from volterra_games.oracle import (
@@ -270,3 +278,56 @@ class TestDynamicStateToyGame:
         tree = build_tree(spec, branching=2, depth=2)
         diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)
         assert diff <= 1e-8
+
+
+def unit(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def reduced_games(draw):
+    """A reduced worked game and its tree: 2 systemic banks of distinct sigma > 0 at
+    n <= 5, branching 2 and depth n - 1 (4^(n - 1) <= 256 leaves over their 2 tags), or
+    liquidation or advertising at random parameters.  Liquidation's costs stay small
+    against lam on T <= 1, so each player's problem on the tree is concave, as the
+    oracle requires."""
+    model = draw(st.sampled_from(["systemic", "liquidation", "advertising"]))
+    grid = build_grid(draw(unit(0.5, 1.0)), draw(st.integers(2, 5)))
+    if model == "systemic":
+        beta = draw(unit(0.05, 0.5))
+        sigma = draw(st.lists(unit(0.05, 0.5), min_size=2, max_size=2, unique=True))
+        game, _ = build_systemic_game(dict(
+            N=2, beta=beta, eps=beta ** 2 + draw(unit(0.05, 1.0)), cost_c=draw(unit(0.0, 2.0)),
+            sigma=sigma, x0=draw(st.lists(unit(-1.0, 1.0), min_size=2, max_size=2)),
+            delay=DelayMeasure(atoms=((0.0, 1.0), (draw(unit(0.1, 1.5)), -1.0)))), grid)
+        assert game.noise_tags() == {"reserve0", "reserve1"}
+        return game, build_tree(game, branching=2, depth=grid.n - 1)
+    N = draw(st.integers(1, 3))
+    players = st.lists(unit(0.0, 0.5), min_size=N, max_size=N)
+    if model == "liquidation":
+        game, _ = build_liquidation_game(dict(
+            N=N, lam=draw(unit(1.0, 2.0)), phi=draw(unit(0.1, 0.5)),
+            rho_term=draw(unit(0.1, 0.5)),
+            propagator=ExponentialDecay(c=draw(unit(0.1, 1.0)), rho=draw(unit(0.2, 3.0))),
+            x0=draw(st.lists(unit(-2.0, 2.0), min_size=N, max_size=N)),
+            signal_sigma=draw(players), common_signal_sigma=draw(unit(0.0, 0.5))), grid)
+    else:
+        game, _ = build_advertising_game(dict(
+            N=N, lam=draw(unit(0.5, 2.0)), beta=draw(unit(0.0, 1.0)),
+            forgetting=DelayMeasure(atoms=((0.0, -draw(unit(0.0, 0.5))),)),
+            competition=DelayMeasure(atoms=((0.0, draw(unit(0.0, 0.8))),
+                                            (draw(unit(0.0, 1.0)), -draw(unit(0.0, 0.8))))),
+            sigma=draw(players)), grid)
+    # a martingale price and a linear goodwill target leave no noise tag in b^i: the
+    # tree is one path, and the draw checks the deterministic solve of a reduced game
+    assert not game.noise_tags()
+    return game, build_tree(game, branching=2, depth=grid.n - 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(reduced_games())
+def test_reduced_games_match_the_oracle(game_and_tree):
+    # the reduction's noise tags (systemic's reserves) reach the oracle's tree, not one path
+    game, tree = game_and_tree
+    diff = compare(discrete_nash_kkt(game, tree), solve_game_on_tree(game, tree), tree)
+    assert diff <= 1e-8

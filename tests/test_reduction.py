@@ -19,6 +19,7 @@ from volterra_games.grid_ops import (
     build_grid,
     discretize_kernel,
     discretize_kernel_rows,
+    horizon_grid,
 )
 from volterra_games.model_builders import (
     DelayMeasure,
@@ -39,12 +40,14 @@ from volterra_games.signals import (
 
 
 def _stacked_state(vspec, i):
+    """Player i's state pair at the grid times and at T, the last of its n + 1 rows."""
     c1, c2 = vspec.d_signals[i]
     c1, c2 = c1 + 0.0 * c2, c2 + 0.0 * c1
-    return (np.stack([c1.mean, c2.mean]),
-            {t: np.stack([c1.weights[t], c2.weights[t]]) for t in sorted(c1.weights)},
-            np.array([c1.mean_T, c2.mean_T]),
-            {t: np.stack([c1.weights_T[t], c2.weights_T[t]]) for t in sorted(c1.weights_T)})
+    n = vspec.grid.n
+    mean = np.stack([c1.mean, c2.mean])
+    w = {t: np.stack([c1.weights[t], c2.weights[t]]) for t in sorted(c1.weights)}
+    return (mean[:, :n], {t: x[:, :n, :n] for t, x in w.items()},
+            mean[:, n], {t: x[:, n, :n] for t, x in w.items()})
 
 
 def _second_moment(grid, mean_x, w_x, mean_y, w_y, A):
@@ -153,27 +156,37 @@ def liquidation_params(**kw):
     return p
 
 
+def past_horizon(w, w_T):
+    """(n + 1, n + 1) state weights: w at the grid times, w_T at T, and a last column of
+    7.0 on the increment past T, which the reduction never reads."""
+    n = len(w_T)
+    out = np.full((n + 1, n + 1), 7.0)
+    out[:n, :n], out[n, :n] = w, w_T
+    return out
+
+
 def random_vspec(seed, n=10, N=3):
     """Random blocks and costs; state signals share objects and tags across players."""
     rng = np.random.default_rng(seed)
     g = build_grid(1.0, n)
+    ext = horizon_grid(g)
     dblock = np.zeros((n + 1, n, 2, 2))
     for a in range(2):
         for b in range(2):
             fam = ExponentialDecay(c=rng.uniform(0.1, 0.6), rho=rng.uniform(0.5, 2.0))
             dblock[:n, :, a, b] = discretize_kernel(fam, g).values
             dblock[n, :, a, b] = discretize_kernel_rows(fam, g, np.array([g.horizon]))[0]
-    common = ou(g, kappa=rng.uniform(0.5, 2.0), sigma=0.4, x0=0.3, noise="common")
-    anticipative = brownian_weighted(g, rng.standard_normal(n), rng.standard_normal((n, n)),
-                                     noise="w0", g_T=float(rng.standard_normal()),
-                                     w_T=rng.standard_normal(n))
+    common = ou(ext, kappa=rng.uniform(0.5, 2.0), sigma=0.4, x0=0.3, noise="common")
+    g0, w0 = rng.standard_normal(n), rng.standard_normal((n, n))
+    anticipative = brownian_weighted(ext, np.append(g0, rng.standard_normal()),
+                                     past_horizon(w0, rng.standard_normal(n)), noise="w0")
     # a noise source that reaches the state only at the horizon
-    terminal_only = CompiledSignal(g, np.zeros(n), {}, mean_T=0.0,
-                                   weights_T={"late": rng.standard_normal(n)})
+    terminal_only = CompiledSignal(ext, np.zeros(n + 1),
+                                   {"late": past_horizon(np.zeros((n, n)), rng.standard_normal(n))})
     sigs = []
     for i in range(N):
-        own = (deterministic(g, rng.standard_normal(n), terminal=float(rng.standard_normal()))
-               + rng.uniform(0.2, 0.8) * martingale(g, sigma=0.5, noise=f"w{i}")
+        own = (deterministic(ext, np.append(rng.standard_normal(n), rng.standard_normal()))
+               + rng.uniform(0.2, 0.8) * martingale(ext, sigma=0.5, noise=f"w{i}")
                + rng.uniform(-0.5, 0.5) * common
                + rng.uniform(-0.5, 0.5) * terminal_only)
         sigs.append((own, common if i < N - 1 else anticipative))
@@ -225,9 +238,9 @@ def test_shared_state_signal_is_mapped_once(monkeypatch):
     calls = []
     row_map = mb._row_map
 
-    def counting(Rc, RTc, w, wT):
-        calls.append((w, wT))
-        return row_map(Rc, RTc, w, wT)
+    def counting(Rc, w):
+        calls.append(w)
+        return row_map(Rc, w)
 
     monkeypatch.setattr(mb, "_row_map", counting)
     reduce_volterra_game(vspec)
@@ -239,10 +252,10 @@ def test_shared_state_signal_is_mapped_once(monkeypatch):
 def test_each_operator_is_formed_once(monkeypatch):
     # advertising forms its one (n+1)^3 product once, not once per grid column; the
     # 16 banks' reduction maps each distinct state array once and takes each ordered
-    # pair of weight arrays' inner product once: 3 sigma values, in a bank's own
+    # pair of weight arrays' row inner products once: 3 sigma values, in a bank's own
     # reserve and in the mean field
-    counts = dict.fromkeys(["star_product", "_row_map", "vdot"], 0)
-    for module, name in ((mb, "star_product"), (mb, "_row_map"), (np, "vdot")):
+    counts = dict.fromkeys(["star_product", "_row_map", "_row_inner"], 0)
+    for module, name in ((mb, "star_product"), (mb, "_row_map"), (mb, "_row_inner")):
         def counting(*args, name=name, wrapped=getattr(module, name)):
             counts[name] += 1
             return wrapped(*args)
@@ -253,11 +266,11 @@ def test_each_operator_is_formed_once(monkeypatch):
         N=2, lam=1.0, beta=0.7, forgetting=DelayMeasure(atoms=((0.0, -0.3),)),
         competition=DelayMeasure(atoms=((0.0, 0.5), (0.2, -0.5))), sigma=[0.3, 0.2]), g)
     assert counts["star_product"] == 1
-    counts.update(_row_map=0, vdot=0)
+    counts.update(_row_map=0, _row_inner=0)
     cfg = json.loads((Path(__file__).resolve().parent.parent / "run_configs"
                       / "systemic_n16.json").read_text())
     build_game_from_config(cfg, g)
-    assert (counts["vdot"], counts["_row_map"]) == (12, 6)
+    assert (counts["_row_inner"], counts["_row_map"]) == (12, 6)
 
 
 class _Built(Exception):
@@ -265,12 +278,11 @@ class _Built(Exception):
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 513])
-def test_terminal_block_is_the_einsum_bitwise(n, monkeypatch):
-    # the einsum's three-operand loop, replaced by four broadcast terms: the same
-    # bits on random blocks and on the worked models' terminal rows
+def test_kernel_block_is_the_einsum(n, monkeypatch):
+    # the one GEMM over (k, c) against the einsum's three-operand loop, on random
+    # blocks and row weights and on the worked models' blocks with their own weights
     rng = np.random.default_rng(n)
-    S = rng.standard_normal((2, 2))
-    blocks = [(rng.standard_normal((n, 2, 2)), S + S.T)]
+    blocks = [(rng.standard_normal((n + 1, n, 2, 2)), rng.standard_normal((n + 1, 2, 2)))]
 
     def built(vspec):
         raise _Built(vspec)
@@ -282,7 +294,13 @@ def test_terminal_block_is_the_einsum_bitwise(n, monkeypatch):
         with pytest.raises(_Built) as stopped:
             build_game_from_config(cfg, build_grid(cfg["grid"]["T"], n))
         vspec = stopped.value.args[0]
-        blocks += [(vspec.dblock[n], vspec.smat + vspec.smat.T), (vspec.dblock[n], S + S.T)]
-    for DmT, Sbar in blocks:
-        assert np.array_equal(mb.terminal_block(DmT, Sbar),
-                              np.einsum("jab,ac,lcd->jlbd", DmT, Sbar, DmT))
+        W = np.concatenate([np.broadcast_to(vspec.grid.dt * (vspec.qmat + vspec.qmat.T),
+                                            (n, 2, 2)), (vspec.smat + vspec.smat.T)[None]])
+        blocks += [(vspec.dblock, W), (vspec.dblock, blocks[0][1])]
+    for D, W in blocks:
+        want = np.einsum("kjab,kac,klcd->jlbd", D, W, D, optimize=True)
+        # each entry sums 4 (n + 1) products: both sides stay within the standard
+        # rounding bound of that many operations on the sum of the terms' magnitudes
+        scale = np.einsum("kjab,kac,klcd->jlbd", abs(D), abs(W), abs(D), optimize=True)
+        bound = 8 * (n + 1) * np.finfo(float).eps * scale
+        assert np.all(np.abs(mb._kernel_block(D, W) - want) <= bound)

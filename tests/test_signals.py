@@ -6,7 +6,7 @@ import pytest
 
 from volterra_games import signals
 from volterra_games.errors import ShapeError, UnsupportedSignal
-from volterra_games.grid_ops import build_grid, cut_upper, zero_kernel
+from volterra_games.grid_ops import build_grid, cut_upper, horizon_grid, zero_kernel
 from volterra_games.meanfield import MFGSpec
 from volterra_games.model_builders import TerminalVector, VolterraGameSpec
 from volterra_games.nplayer import GameSpec
@@ -113,7 +113,7 @@ class TestFamilies:
         with pytest.raises(UnsupportedSignal):
             VolterraGameSpec(n_players=1, p=1.0, qmat=np.zeros((2, 2)), smat=np.zeros((2, 2)),
                              qvec=np.zeros(2), dblock=np.zeros((5, 4, 2, 2)),
-                             d_signals=((object(), deterministic(g, 0.0, terminal=0.0)),),
+                             d_signals=((object(), deterministic(horizon_grid(g), 0.0)),),
                              s_terminals=(TerminalVector.zero(),), grid=g)
 
     def test_missing_noise_tag_rejected(self):
@@ -220,17 +220,11 @@ def reference_combination(terms, grid):
     """sum(c * s for c, s in terms) as a hand merge of tag dictionaries."""
     terms = [(float(c), cs) for c, cs in terms]
     mean = sum(c * cs.mean for c, cs in terms)
-    weights, weights_T = {}, {}
+    weights = {}
     for c, cs in terms:
         for tag, w in cs.weights.items():
             weights[tag] = weights.get(tag, 0.0) + c * w
-        for tag, wT in cs.weights_T.items():
-            weights_T[tag] = weights_T.get(tag, 0.0) + c * wT
-    mean_T = None
-    if all(cs.mean_T is not None for _, cs in terms):
-        mean_T = sum(c * cs.mean_T for c, cs in terms)
-    return CompiledSignal(grid, np.asarray(mean, dtype=float), weights,
-                          mean_T=mean_T, weights_T=weights_T)
+    return CompiledSignal(grid, np.asarray(mean, dtype=float), weights)
 
 
 def assert_same_signal(a, b):
@@ -238,19 +232,13 @@ def assert_same_signal(a, b):
     assert np.array_equal(a.mean, b.mean)
     for tag in a.weights:
         assert np.array_equal(a.weights[tag], b.weights[tag])
-    assert a.mean_T == b.mean_T
-    assert list(a.weights_T) == list(b.weights_T)
-    for tag in a.weights_T:
-        assert np.array_equal(a.weights_T[tag], b.weights_T[tag])
 
 
-def random_weighted(grid, rng, noise, terminal=True):
-    """Anticipative weights, optionally with a terminal extension."""
+def random_weighted(grid, rng, noise):
+    """Anticipative weights."""
     n = grid.n
     return brownian_weighted(grid, rng.standard_normal(n), rng.standard_normal((n, n)),
-                             noise=noise,
-                             g_T=float(rng.standard_normal()) if terminal else None,
-                             w_T=rng.standard_normal(n) if terminal else None)
+                             noise=noise)
 
 
 class TestEquality:
@@ -281,30 +269,22 @@ class TestArithmetic:
         assert list(zero.weights) == ["b", "a"]
         assert not np.any(zero.mean)
         assert all(not np.any(w) for w in zero.weights.values())
-        assert list(zero.weights_T) == ["b", "a"]
         # operand order, not set order
         h = martingale(g, noise="c") + f
         assert list(h.weights) == ["c", "b", "a"]
 
-    def test_terminal_extension_rules_match_the_hand_merge(self):
+    def test_combination_rules_match_the_hand_merge(self):
         g = build_grid(1.0, 6)
         rng = np.random.default_rng(4)
         cases = [
-            ((1.0, deterministic(g, 2.0, terminal=3.0)), (-0.5, martingale(g, noise="a"))),
+            ((1.0, deterministic(g, 2.0)), (-0.5, martingale(g, noise="a"))),
             ((0.3, ou(g, kappa=1.5, sigma=0.7, x0=1.0, noise="a")),
              (1.7, random_weighted(g, rng, "b")), (-2.0, martingale(g, sigma=0.4, noise="a"))),
-            # one operand without a terminal extension: mean_T is None, weights_T still add
-            ((1.0, random_weighted(g, rng, "a", terminal=False)),
+            ((1.0, random_weighted(g, rng, "a")),
              (0.25, random_weighted(g, rng, "a")), (3, ou(g, noise="b"))),
         ]
         for terms in cases:
             assert_same_signal(sum(c * cs for c, cs in terms), reference_combination(terms, g))
-        f = sum(c * cs for c, cs in cases[1])
-        scaled = f / 4.0
-        assert scaled.mean_T == f.mean_T / 4.0
-        assert np.array_equal(scaled.weights_T["b"], f.weights_T["b"] / 4.0)
-        mapped = rng.standard_normal((6, 6)) @ f
-        assert mapped.mean_T is None and mapped.weights_T == {}
 
     def test_numpy_operands_defer_to_the_operators(self):
         g = build_grid(1.0, 5)
@@ -437,9 +417,9 @@ class TestSharedArrays:
         g = build_grid(1.0, 6)
         rng = np.random.default_rng(5)
         X = rng.standard_normal((6, 6))
-        terms = [random_weighted(g, rng, "a"), random_weighted(g, rng, "b", terminal=False),
-                 CompiledSignal(g, rng.standard_normal(6), {"c": X, "a": X}, 0.5),
-                 CompiledSignal(g, rng.standard_normal(6), {"d": X, "b": X}, 1.5)]
+        terms = [random_weighted(g, rng, "a"), random_weighted(g, rng, "b"),
+                 CompiledSignal(g, rng.standard_normal(6), {"c": X, "a": X}),
+                 CompiledSignal(g, rng.standard_normal(6), {"d": X, "b": X})]
         for picked in (terms[:1], terms[2:], terms):
             assert_same_signal(family_mean(0.3, picked), sum(0.3 * f for f in picked))
         out = family_mean(0.3, terms[2:])

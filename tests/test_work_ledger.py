@@ -14,9 +14,10 @@ functions wrapped where the package calls them.  LEDGER pins, per run:
   increments per row block (CompiledSignal.tag_values makes one, path_values
   one per tag);
 - the reduction's work on a dynamic game (model_builders): the row maps, one
-  (2n x n) @ (n x n) GEMM R[c] @ w each, and their multiply-adds, the
-  terminal columns np.outer(RT[:, c], w_T), and the folds of a row pair into
-  b^i and the b^0 remainder (one per call, the means' included).
+  (2n x (n + 1)) @ ((n + 1) x n) GEMM R[c] @ w each over the state's n + 1
+  rows, and their multiply-adds; the folds of a row pair into b^i and the b^0
+  remainder (one per call, the means' included); and the multiply-adds of
+  the kernel block's one (2n x 2(n + 1)) @ (2(n + 1) x 2n) GEMM.
 
 The counts are exact and repeat on every run.  A change that lowers one
 updates LEDGER in its diff; one that raises one says why.  Counting must not
@@ -52,20 +53,24 @@ RUNS = {
 OUTPUTS = {"solve": ["strategies.csv", "diagnostics.json"], "converge": ["convergence.csv"]}
 
 KEYS = ("factorizations", "solves", "lower_products", "multiply_adds", "eigvalsh", "tag_samples",
-        "row_maps", "row_map_multiply_adds", "terminal_columns", "folds")
+        "row_maps", "row_map_multiply_adds", "folds", "kernel_block_multiply_adds")
 LEDGER = {
     # two factorizations (mean and player problems) at n = 64 per solve; the
     # multiply-adds are 64^3 per lower_product, one block
     "raw_game": dict(zip(KEYS, ([64, 64], 6, 24, 6_291_456, 2, 18, 0, 0, 0, 0))),
+    # the reduced games below each form one kernel block of 128 x 130 x 128
+    # multiply-adds, and each row map 128 x 65 x 64: 65/64 of its multiply-adds
+    # while the terminal column was a separate np.outer
     # 3 banks of one sigma: 9 solves and 36 lower_products while each tag
     # solved its own parts; 6 row maps and 9 folds while the reduction went by
     # signal object and by tag
-    "systemic": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 30, 2, 1_048_576, 2, 5))),
+    "systemic": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 30, 2, 1_064_960, 5,
+                                  2_129_920))),
     # 16 banks over 3 sigma values: 48 solves, 192 lower_products and
     # 50,331,648 multiply-adds while each tag solved its own parts; 32 row maps
     # and 48 folds while the reduction went by signal object and by tag
     "systemic_n16": dict(zip(KEYS, ([64, 64], 9, 36, 9_437_184, 2, 160,
-                                      6, 3_145_728, 6, 22))),
+                                      6, 3_194_880, 22, 2_129_920))),
     # 16 banks of one sigma: 1 mean-strategy solve and 2 player parts, the
     # bank's own and the mean field's, for all 16 tags; 48 solves (16 + 32) and
     # 192 lower_products while each tag solved its own parts.  The reduction
@@ -74,13 +79,13 @@ LEDGER = {
     # folds while it mapped each state signal's tags one by one and folded
     # each tag's row pairs apart
     "systemic_16_banks": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 160,
-                                           2, 1_048_576, 2, 18))),
+                                           2, 1_064_960, 18, 2_129_920))),
     # the reduced worked models carry no noise tags at the shipped parameters;
     # advertising's kernels are all zero, so its margins need no eigensolver;
     # liquidation's 2 players carry 2 price weight values over 3 tags (4 row
     # maps and 8 folds by signal object and by tag)
-    "liquidation": dict(zip(KEYS, ([64, 64], 0, 0, 0, 2, 0, 2, 1_048_576, 2, 5))),
-    "advertising": dict(zip(KEYS, ([64, 64], 0, 0, 0, 0, 0, 4, 2_097_152, 4, 6))),
+    "liquidation": dict(zip(KEYS, ([64, 64], 0, 0, 0, 2, 0, 2, 1_064_960, 5, 2_129_920))),
+    "advertising": dict(zip(KEYS, ([64, 64], 0, 0, 0, 0, 0, 4, 2_129_920, 6, 2_129_920))),
     # the limit and five induced games; the study samples its own row blocks
     "mfg_convergence": dict(zip(KEYS, ([32] * 12, 16, 37, 1_212_416, 18, 0, 0, 0, 0, 0))),
 }
@@ -127,6 +132,7 @@ def counting(monkeypatch) -> dict:
     lower_product, eigvalsh = fredholm.lower_product, np.linalg.eigvalsh
     adapted_values = signals.adapted_values
     row_map, fold = model_builders._row_map, model_builders._fold
+    kernel_block = model_builders._kernel_block
 
     def counted_build_Dt(K, lam_eff):
         counts["factorizations"].append(K.grid.n)
@@ -149,16 +155,19 @@ def counting(monkeypatch) -> dict:
         counts["tag_samples"] += 1
         return adapted_values(w, increments)
 
-    def counted_row_map(Rc, RTc, w, wT):
-        if w is not None:
-            counts["row_maps"] += 1
-            counts["row_map_multiply_adds"] += Rc.shape[0] * Rc.shape[1] * w.shape[1]
-        counts["terminal_columns"] += wT is not None
-        return row_map(Rc, RTc, w, wT)
+    def counted_row_map(Rc, w):
+        counts["row_maps"] += 1
+        counts["row_map_multiply_adds"] += Rc.shape[0] * Rc.shape[1] * (Rc.shape[1] - 1)
+        return row_map(Rc, w)
 
     def counted_fold(*args):
         counts["folds"] += 1
         return fold(*args)
+
+    def counted_kernel_block(D, W):
+        K, n = D.shape[:2]
+        counts["kernel_block_multiply_adds"] += 2 * n * 2 * K * 2 * n
+        return kernel_block(D, W)
 
     monkeypatch.setattr(fredholm, "build_Dt", counted_build_Dt)
     monkeypatch.setattr(FredholmSolver, "solve", counted_solve)
@@ -169,6 +178,7 @@ def counting(monkeypatch) -> dict:
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(model_builders, "_row_map", counted_row_map)
     monkeypatch.setattr(model_builders, "_fold", counted_fold)
+    monkeypatch.setattr(model_builders, "_kernel_block", counted_kernel_block)
     return counts
 
 
@@ -202,8 +212,7 @@ def shared_players(game_spec):
     def build(**fields):
         first = fields["b_signals"][0]
         fields["b_signals"] = tuple(
-            CompiledSignal(f.grid, first.mean, dict(zip(f.weights, first.weights.values())),
-                           f.mean_T, dict(zip(f.weights_T, first.weights_T.values())))
+            CompiledSignal(f.grid, first.mean, dict(zip(f.weights, first.weights.values())))
             for f in fields["b_signals"])
         return game_spec(**fields)
     return build
