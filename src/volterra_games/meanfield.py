@@ -113,9 +113,10 @@ class MFGSpec:
 class CrossedNoise:
     """Noise where path p = c * n_idio + e shares its common draws with block c.
 
-    Nothing is drawn up front.  stream() draws the tags one at a time, sorted
-    common tags first; bundle draws them all on first access and keeps them.
-    Both come from one generator seeded with seed, so the arrays are the same.
+    Nothing is drawn up front.  stream() draws the sorted common tags first and
+    yields every tag in sorted order; bundle draws them all on first access
+    and keeps them.  Both come from one generator seeded with seed, so the
+    arrays are the same.
     """
 
     grid: TimeGrid
@@ -126,7 +127,7 @@ class CrossedNoise:
     seed: int
 
     def stream(self, buffers=None):
-        """Yield (tag, rows, increments) row block by row block in draw order (stream_increments)."""
+        """Yield (tag, rows, increments), tags sorted, row block by row block (stream_increments)."""
         return stream_increments(self.grid, self.common_tags, self.idio_tags,
                                  self.n_common, self.n_idio, self.seed, buffers)
 
@@ -158,50 +159,34 @@ def _streamed_path_values(signals, rows, noise: CrossedNoise):
     """Each signal's path values on its first rows paths, from one pass over the noise stream.
 
     Returns the (rows, n) values per signal and each tag's first row per
-    common block.  A tag is added into every signal that carries it, in
-    sorted tag order as CompiledSignal.path_values adds them, one product per
-    row block as tag_values forms them, so the values equal path_values on
-    the bundle's first rows bitwise.  Each signal's adapted weights are
-    resolved once per tag.  Of the increments, only the block in use, the
-    next block, drawn by one worker thread meanwhile, and the first rows of
-    each tag are held.  The worker draws into two block buffers allocated
-    here, in turn, and allocates nothing of that size itself: every large
-    array is allocated and freed by this thread in a fixed order, so the
-    process's peak memory does not depend on how the two threads interleave.
+    common block.  The stream yields the tags in sorted order, and each block
+    is added into every signal that carries its tag as it arrives, as
+    CompiledSignal.path_values adds the tags, one product per row block as
+    tag_values forms them, so the values equal path_values on the bundle's
+    first rows bitwise.  Each signal's adapted weights are resolved once per
+    tag.  Of the increments, only the block in use, the next block (drawn by
+    one worker thread meanwhile), the common tags' rows per common block
+    (which the stream keeps) and the first rows of each tag stay in memory.
+    The worker draws into two block buffers allocated here, in turn, and
+    allocates nothing of that size itself: every large array is allocated and
+    freed by this thread in a fixed order, so the process's peak memory does
+    not depend on how the two threads interleave.
     """
     # imported here: the executor's import would otherwise count against
     # every command's start-up, and only this pass uses it
     from concurrent.futures import ThreadPoolExecutor
 
     C, I, n = noise.n_common, noise.n_idio, noise.grid.n
-    order = sorted((*noise.common_tags, *noise.idio_tags))
-    missing = set().union(*(s.noise_tags() for s in signals)) - set(order)
+    tags = (*noise.common_tags, *noise.idio_tags)
+    missing = set().union(*(s.noise_tags() for s in signals)) - set(tags)
     if missing:
         raise ShapeError(f"noise lacks tags {sorted(missing)}")
     values = [np.broadcast_to(s.mean, (r, n)).copy() for s, r in zip(signals, rows)]
-    first = {tag: np.empty((C, n)) for tag in order}
-    blocks = row_blocks(C * I, n)
-
-    def carriers(tag):
-        """(values, adapted weights transposed) of every signal that carries tag."""
-        return [(out, s.adapted_weights(tag).T)
-                for s, out in zip(signals, values) if tag in s.weights]
-
-    def add(carrying, block, dW):
-        for out, wT in carrying:
-            if len(part := out[block]):
-                part += dW[:len(part)] @ wT
-
-    def add_common(tag):
-        """A common tag, constant over each common block, added from its first rows."""
-        carrying = carriers(tag)
-        for block in blocks if carrying else ():
-            add(carrying, block, first[tag][np.arange(block.start, block.stop) // I])
-
-    k = 0       # order[k] is the next tag to add
+    first = {tag: np.empty((C, n)) for tag in tags}
     # a buffer is redrawn only after the next block's draw has been collected,
     # when this thread is done with the block it held
-    stream = noise.stream(itertools.cycle([np.empty((blocks[0].stop, n)) for _ in range(2)]))
+    rows_per_block = row_blocks(C * I, n)[0].stop
+    stream = noise.stream(itertools.cycle([np.empty((rows_per_block, n)) for _ in range(2)]))
     # the worker draws one block ahead; leaving the block waits for that draw
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="noise-draw") as pool:
         ahead = pool.submit(next, stream, _END)
@@ -210,19 +195,12 @@ def _streamed_path_values(signals, rows, noise: CrossedNoise):
             tag, block, dW = item
             # the block's rows c * I, the first paths of its common blocks
             first[tag][-(-block.start // I):-(-block.stop // I)] = dW[-block.start % I::I]
-            if tag in noise.common_tags:
-                continue        # added from its first rows when its turn comes
-            # the tags sorted before it are common, all drawn by now, or added
-            while order[k] != tag:
-                add_common(order[k])
-                k += 1
-            if not block.start:
-                carrying = carriers(tag)
-            add(carrying, block, dW)
-            if block.stop == C * I:
-                k += 1
-    for tag in order[k:]:
-        add_common(tag)
+            if not block.start:     # every signal that carries tag, with its adapted weights
+                carrying = [(out, s.adapted_weights(tag).T)
+                            for s, out in zip(signals, values) if tag in s.weights]
+            for out, wT in carrying:
+                if len(part := out[block]):
+                    part += dW[:len(part)] @ wT
     return values, first
 
 

@@ -26,15 +26,16 @@ surfaces are built only when asked for.
 Every step is linear and acts on each noise tag apart, so a tag's part of a
 player's strategy depends on the player and the tag only through three weight
 arrays: the player's driver's, the mean strategy's and b^0's for that tag, and
-the mean part only through the driver's mean.  A GameSpec holds one array
+the mean part only through their three means.  A GameSpec holds one array
 per distinct value (signals.canonicalizer), so solve_nash keys the triples by
-identity: it solves and checks each distinct triple once, with a dict from
-the triples to their parts, and samples it once per tag that uses it; a part
-is held only until its last tag.  The mean driver is the family mean of the
-drivers (signals.family_mean), one array per distinct value.  In a reduced
-exchangeable game a bank's weights for another bank's noise come from the one
-mean field, and banks of one volatility carry equal own weights, so the game
-costs and holds O(distinct weights), not players x tags.
+identity: it walks the parts once, the mean and then the tags in sorted
+order, solves and checks each distinct triple once (signals.once_per_array),
+samples it once per part that uses it, and releases it after the last.  The
+mean driver is the family mean of the drivers (signals.family_mean), one
+array per distinct value.  In a reduced exchangeable game a bank's weights
+for another bank's noise come from the one mean field, and banks of one
+volatility carry equal own weights, so the game costs and holds
+O(distinct weights), not players x tags.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .grid_ops import (
     GridKernel,
     TimeGrid,
     add_kernels,
-    lower_product,
     min_eigenvalue,
 )
 from .signals import (
@@ -241,15 +241,25 @@ def sup_on_paths(cs: CompiledSignal, increments: dict, n_paths: int) -> float:
 
 @dataclass
 class NashSolution:
-    """Equilibrium strategies as coefficients, their sampled paths, and diagnostics."""
+    """Equilibrium strategies as coefficients, their sampled paths, and diagnostics.
+
+    The drivers' paths (base_values) and the conditional surfaces are not
+    formed by the solve; each is built from the spec or the strategies on access.
+    """
 
     ubar: np.ndarray            # (paths, n)
     u: np.ndarray               # (players, paths, n)
-    base_values: np.ndarray     # (players, paths, n): b^i + b^0/N per path
     mean_strategy: CompiledSignal
     strategies: tuple           # one CompiledSignal per player
     increments: dict            # tag -> (paths, n): the sampled draws
+    spec: GameSpec
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def base_values(self) -> np.ndarray:
+        """(players, paths, n) drivers b^i + b^0/N per path, built on access."""
+        return np.stack([player_base(self.spec, i).path_values(self.increments, len(self.ubar))
+                         for i in range(self.spec.n_players)])
 
     @property
     def ubar_surface(self) -> np.ndarray:
@@ -268,19 +278,18 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
 
     A player's driver, strategy, Fredholm residual and FOC are affine in b^i,
     so each is the sum of its parts (CompiledSignal.part): the mean, and one
-    part per noise tag, which depends on the player and the tag only through
-    three weight arrays: b^i's, the mean strategy's and b^0's for that tag.
-    The spec holds one array per value (GameSpec), so the mean part is formed
-    once per distinct driver mean, and each distinct triple of arrays, by id,
-    is solved and checked once across players and tags.  Its checks are
-    sampled at its first tag as they are formed; for a triple that later tags
-    use too, the strategy's and the checks' adapted weights are held until its
-    last tag.  Each tag samples its parts with its own increments, and each
-    player's samples add the parts after the mean in sorted tag order, as
+    part per noise tag, which depends on the player and the part only through
+    three source arrays: b^i's, the mean strategy's and b^0's for that part
+    (their means for the mean part).  The spec holds one array per value
+    (GameSpec), so the parts are walked once, the mean and then the tags in
+    sorted order, and each distinct triple of source arrays, by id, is solved
+    and checked once across players and parts; it is released after the last
+    part that uses it.  Each part samples each of its triples once, at its own
+    increments, and each player adds the part's samples in walk order, as
     path_values does, so every output is bitwise what a player-by-player solve
-    of the same drivers gives.  A tag's coupling to the mean strategy is formed
-    for the first triple that needs it, once per distinct array, and dropped
-    after the last.
+    of the same drivers gives.  The coupling to the mean strategy is formed
+    once per distinct mean-strategy array and released after the last triple
+    that uses it.  The drivers are not sampled (NashSolution.base_values).
     """
     ops = build_operators(spec)
     N, grid = spec.n_players, spec.grid
@@ -294,92 +303,69 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
     # the coupling to the mean strategy shifts every player's driver and enters every FOC
     own, S = _foc_terms(spec)
     b0 = spec.b0_signal
-    tags = sorted(mean_strategy.weights)       # every tag of every driver
+    parts = [None, *sorted(mean_strategy.weights)]     # the mean, then every tag of every driver
 
-    # tag -> each player's triple: the ids of the arrays its part of the strategy depends on
-    triples = {tag: [tuple(map(id, (b.weights.get(tag), mean_strategy.weights[tag],
-                                    b0.weights.get(tag)))) for b in spec.b_signals]
-               for tag in tags}
-    tags_left = collections.Counter(k for ks in triples.values() for k in set(ks))
-    coupled = once_per_array(lambda w: lower_product(S, w),
-                             collections.Counter((k[1],) for k in tags_left))
+    def sources(b: CompiledSignal, part) -> tuple:
+        """The arrays of b, the mean strategy and b^0 that b's strategy's part depends on."""
+        return tuple(f.mean if part is None else f.weights.get(part)
+                     for f in (b, mean_strategy, b0))
 
-    def player_part(b: CompiledSignal, tag, coupling: CompiledSignal, sample):
-        """Part tag (None: the mean) of the strategy for b, and its four checks through sample.
+    def as_part(w) -> CompiledSignal:
+        """A source array as a signal: a mean (1-D) alone, or one tag's weights on a zero mean."""
+        if w is not None and w.ndim == 1:
+            return CompiledSignal(grid, w, {})
+        return CompiledSignal(grid, np.zeros(grid.n), {} if w is None else {"part": w})
 
-        The checks are the strategy, the Fredholm residual, the FOC and the
-        driver; each is passed to sample as soon as it is formed.
+    # uses[triple]: the parts that need it; uses[(mean strategy array,)]: the triples
+    uses = collections.Counter(k for p in parts
+                               for k in {tuple(map(id, sources(b, p))) for b in spec.b_signals})
+    uses.update((k[1],) for k in list(uses))
+    couple = once_per_array(lambda w: as_part(w).adapted_matmul(S), uses)
+
+    def solve_part(b_w, m_w, b0_w) -> list:
+        """A triple's part of the strategy, the Fredholm residual and the FOC, as source arrays.
+
+        Means for the mean part, else adapted weights: the strategy's are the
+        solver's own array, strictly lower already.
         """
         # b^0/N formed part by part: no scaled copy of b^0 is held through the loop
-        base = b.part(tag) + (1.0 / N) * b0.part(tag)
+        base = as_part(b_w) + (1.0 / N) * as_part(b0_w)
+        coupling = couple(m_w)
         drive = base - coupling
         strategy = ops.player_solver.solve(drive)
-        residual = sample(ops.player_solver.residual(drive, strategy))
+        residual = ops.player_solver.residual(drive, strategy)
         del drive               # nothing reads the driver past its residual
         condition = strategy.adapted_matmul(own).accumulate(coupling)
-        condition = sample(condition.accumulate(base, subtract=True))
-        return strategy, [sample(strategy), residual, condition, sample(base)]
+        condition = condition.accumulate(base, subtract=True)
+        return [c.mean if m_w.ndim == 1 else c.adapted_weights("part")
+                for c in (strategy, residual, condition)]
 
-    def sampler(tag, keep: bool):
-        """A part's (values at tag's increments, adapted weights if keep); (None, None) if empty.
+    solved = once_per_array(solve_part, uses)
+    samples = u, residual, condition = [np.empty((N, P, grid.n)) for _ in range(3)]
+    strategies = [{} for _ in range(N)]     # player -> part -> the strategy's source array
+    for p in parts:
+        @once_per_array
+        def sampled(*triple):
+            checks = solved(*triple)
+            return checks[0], [np.broadcast_to(w, (P, grid.n)).copy() if p is None
+                               else adapted_values(w, increments[p]) for w in checks]
 
-        The weights are kept to sample at the later tags that share the part.
-        """
-        def sample(part):
-            if not part.weights:
-                return None, None
-            w = part.adapted_weights(tag)
-            return adapted_values(w, increments[tag]), w if keep else None
-        return sample
-
-    # every player's mean part, once per distinct driver mean, then each tag's parts in
-    # sorted order
-    samples = u, residual, condition, base_values = [np.empty((N, P, grid.n)) for _ in range(4)]
-    means, weights = [], [{} for _ in range(N)]
-    coupling = mean_strategy.part().adapted_matmul(S)
-    carrier = {}        # driver mean -> the first player that carries it
-    for i, b in enumerate(spec.b_signals):
-        j = carrier.setdefault(id(b.mean), i)
-        if j < i:
-            means.append(means[j])
-            for out in samples:
-                out[i] = out[j]
-            continue
-        strategy, mean_samples = player_part(b, None, coupling,
-                                             lambda part: part.path_values(increments, P))
-        means.append(strategy.mean)
-        for out, values in zip(samples, mean_samples):
-            out[i] = values
-    held = {}           # triple -> (strategy weights, the checks' adapted weights) for later tags
-    for tag in tags:
-        done = {}       # this tag's triples -> their samples
-        for i, (b, k) in enumerate(zip(spec.b_signals, triples[tag])):
-            if k not in held:
-                coupling = CompiledSignal(grid, np.zeros(grid.n),
-                                          {tag: coupled(mean_strategy.weights[tag])})
-                strategy, checks = player_part(b, tag, coupling, sampler(tag, tags_left[k] > 1))
-                done[k] = [values for values, _ in checks]
-                held[k] = strategy.weights[tag], [w for _, w in checks]
-            elif k not in done:
-                done[k] = [None if w is None else adapted_values(w, increments[tag])
-                           for w in held[k][1]]
-            weights[i][tag] = held[k][0]
-            for out, values in zip(samples, done[k]):
-                if values is not None:
-                    out[i] += values
-        for k in done:
-            tags_left[k] -= 1
-            if not tags_left[k]:
-                del held[k]
+        for i, b in enumerate(spec.b_signals):
+            strategies[i][p], values = sampled(*sources(b, p))
+            for out, v in zip(samples, values):
+                if p is None:
+                    out[i] = v
+                else:
+                    out[i] += v
     fred_residual = max(fred_residual, float(np.max(np.abs(residual), initial=0.0)))
     foc = float(np.max(np.abs(condition), initial=0.0))
     ubar = mean_strategy.path_values(increments, P)
     mean_gap = float(np.max(np.abs(u.mean(axis=0) - ubar))) if P else 0.0
 
     return NashSolution(
-        ubar=ubar, u=u, base_values=base_values, mean_strategy=mean_strategy,
-        strategies=tuple(CompiledSignal(grid, m, w) for m, w in zip(means, weights)),
-        increments=increments,
+        ubar=ubar, u=u, mean_strategy=mean_strategy,
+        strategies=tuple(CompiledSignal(grid, w.pop(None), w) for w in strategies),
+        increments=increments, spec=spec,
         diagnostics={
             "mean_gap": mean_gap,
             "fredholm_residual_max": fred_residual,

@@ -424,8 +424,9 @@ class NoiseBundle:
     """Pre-drawn N(0, dt) increments per tag, reproducible from the seed.
 
     Each array has shape (n_paths, n); increments are generated by
-    numpy.random.default_rng (PCG64) in sorted-tag order, one tag at a time,
-    so results do not depend on thread count or evaluation order.
+    numpy.random.default_rng (PCG64) one tag at a time, the sorted common tags
+    and then the sorted idiosyncratic ones (stream_increments), so results do
+    not depend on thread count or evaluation order.
     """
 
     grid: TimeGrid
@@ -444,31 +445,29 @@ GENERATOR_NAME = "numpy.default_rng(PCG64)"
 
 def stream_increments(grid: TimeGrid, common_tags, idio_tags, n_common: int, n_idio: int,
                       seed: int, buffers=None):
-    """Yield (tag, rows, increments), one tag after another and each row block by row block.
+    """Yield (tag, rows, increments), tags in sorted order and each row block by row block.
 
     increments are the rows (a slice, row_blocks) of the tag's (n_common *
     n_idio, n) draws.  One generator seeded with seed draws the sorted common
-    tags, then the sorted idiosyncratic tags.  Path p = c * n_idio + e lies
-    in common block c: a common tag draws one row per block, all at once, and
-    repeats it over the block's n_idio paths; an idiosyncratic tag draws its
-    rows block by block, in order, the numbers of one draw of the whole tag.
-    Each block is drawn into a new array, or, if buffers (an iterator of
-    writable arrays of n columns and at least a block's rows) is given, into
-    the next buffer's leading rows, and yielded read-only: the caller must be
-    done with a buffer's block before it comes round again.
+    tags first, then the sorted idiosyncratic tags.  Path p = c * n_idio + e
+    lies in common block c: a common tag draws one row per block, all at once
+    and before any idiosyncratic tag, and repeats it over the block's n_idio
+    paths; an idiosyncratic tag draws its rows block by block, in order, the
+    numbers of one draw of the whole tag.  Each block is drawn into a new
+    array, or, if buffers (an iterator of writable arrays of n columns and at
+    least a block's rows) is given, into the next buffer's leading rows, and
+    yielded read-only: the caller must be done with a buffer's block before it
+    comes round again.
     """
     rng = np.random.default_rng(seed)
     std = np.sqrt(grid.dt)
-    common = sorted(set(common_tags))
-    for tag in [*common, *sorted(set(idio_tags))]:
-        if tag in common:
-            once = rng.standard_normal((n_common, grid.n))
-            once *= std
+    once = {tag: std * rng.standard_normal((n_common, grid.n)) for tag in sorted(set(common_tags))}
+    for tag in sorted({*once, *idio_tags}):
         for rows in row_blocks(n_common * n_idio, grid.n):
             m = rows.stop - rows.start
             arr = (np.empty((m, grid.n)) if buffers is None else next(buffers))[:m]
-            if tag in common:
-                np.take(once, np.arange(rows.start, rows.stop) // n_idio, axis=0, out=arr)
+            if tag in once:
+                np.take(once[tag], np.arange(rows.start, rows.stop) // n_idio, axis=0, out=arr)
             else:
                 rng.standard_normal(out=arr)
                 arr *= std

@@ -524,7 +524,7 @@ class TestStreamedNoise:
         P = n_common * n_idio
         blocks = row_blocks(P, grid16.n)
         assert len(blocks) == (1 if block is None else 3)
-        tags = ["a0", "zc", "idio0", "idio1"]
+        tags = ["a0", "idio0", "idio1", "zc"]
         streamed = list(noise.stream())
         assert [(tag, rows) for tag, rows, _ in streamed] == \
             [(tag, rows) for tag in tags for rows in blocks]

@@ -478,10 +478,11 @@ class TestLiteralTranscription:
         assert np.max(np.abs(u - dt * Bhat_lit @ u - ahat_lit)) <= 1e-12
 
 
-def shipped_game(model, n):
-    """(config, spec) of a shipped run config on an n-point grid."""
+def shipped_game(model, n, **model_keys):
+    """(config, spec) of a shipped run config, with model_keys set, on an n-point grid."""
     cfg = json.loads((Path(__file__).parent.parent / "run_configs" / f"{model}.json")
                      .read_text())
+    cfg["model"].update(model_keys)
     return cfg, build_game_from_config(cfg, build_grid(cfg["grid"]["T"], n))
 
 
@@ -522,17 +523,25 @@ class TestBlockedProducts:
 
     def test_raw_game_solve_peak_memory(self):
         # the most solve_nash holds at once, its solution included, in n x n arrays:
-        # 16.3 here; 19.3 with a driver shift held beside the FOC's cross term and a
+        # 16.2 here; 19.3 with a driver shift held beside the FOC's cross term and a
         # kernel H for it, 27.4 with dense factors, a kernel kept per solver and a
         # new array per + or - in the checks
         assert solve_peak("raw_game", 256) <= 17
 
     def test_systemic_n16_solve_peak_memory(self):
         # 16 banks over 3 sigma values, each distinct (weights, mean strategy, b^0)
-        # triple solved once across the tags: 33.0 n x n arrays here, 62.7 with one
+        # triple solved once across the tags: 32.0 n x n arrays here, 62.7 with one
         # part per tag and distinct weights, 76.7 with every tag's coupling to the
         # mean strategy held through the tag loop
         assert solve_peak("systemic_n16", 128) <= 36
+
+    def test_systemic_distinct_sigmas_solve_peak_memory(self):
+        # 16 banks of 16 distinct sigmas: each triple serves one tag only and is
+        # released after it, 61.0 n x n arrays here; 123.2 with every solved triple
+        # held to the end of the walk
+        sigmas = [round(0.10 + 0.02 * k, 2) for k in range(16)]
+        x0 = [1.0, 0.5, -0.2] * 5 + [1.0]
+        assert solve_peak("systemic", 128, N=16, sigma=sigmas, x0=x0) <= 63
 
     def test_systemic_n16_reduction_peak_memory(self):
         # the game's setup, its reduction included, in n x n arrays: 66.7 here, with one
@@ -557,9 +566,9 @@ def reduction_peak(model, n):
     return peak / (n ** 2 * 8)
 
 
-def solve_peak(model, n):
+def solve_peak(model, n, **model_keys):
     """Peak of solve_nash on a shipped game, its solution included, in n x n arrays."""
-    cfg, spec = shipped_game(model, n)
+    cfg, spec = shipped_game(model, n, **model_keys)
     bundle = draw_noise(spec.grid, spec.noise_tags(), 4, cfg["noise"]["seed"])
     tracemalloc.start()
     try:

@@ -56,20 +56,23 @@ KEYS = ("factorizations", "solves", "lower_products", "multiply_adds", "eigvalsh
         "row_maps", "row_map_multiply_adds", "folds", "kernel_block_multiply_adds")
 LEDGER = {
     # two factorizations (mean and player problems) at n = 64 per solve; the
-    # multiply-adds are 64^3 per lower_product, one block
-    "raw_game": dict(zip(KEYS, ([64, 64], 6, 24, 6_291_456, 2, 18, 0, 0, 0, 0))),
+    # multiply-adds are 64^3 per lower_product, one block; the solver samples
+    # each part's strategy, residual and FOC, 18 tag samples while it sampled
+    # the driver too
+    "raw_game": dict(zip(KEYS, ([64, 64], 6, 24, 6_291_456, 2, 16, 0, 0, 0, 0))),
     # the reduced games below each form one kernel block of 128 x 130 x 128
     # multiply-adds, and each row map 128 x 65 x 64: 65/64 of its multiply-adds
     # while the terminal column was a separate np.outer
     # 3 banks of one sigma: 9 solves and 36 lower_products while each tag
     # solved its own parts; 6 row maps and 9 folds while the reduction went by
-    # signal object and by tag
-    "systemic": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 30, 2, 1_064_960, 5,
+    # signal object and by tag; 30 tag samples while the driver was sampled
+    "systemic": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 24, 2, 1_064_960, 5,
                                   2_129_920))),
     # 16 banks over 3 sigma values: 48 solves, 192 lower_products and
     # 50,331,648 multiply-adds while each tag solved its own parts; 32 row maps
-    # and 48 folds while the reduction went by signal object and by tag
-    "systemic_n16": dict(zip(KEYS, ([64, 64], 9, 36, 9_437_184, 2, 160,
+    # and 48 folds while the reduction went by signal object and by tag; 160
+    # tag samples while the driver was sampled
+    "systemic_n16": dict(zip(KEYS, ([64, 64], 9, 36, 9_437_184, 2, 128,
                                       6, 3_194_880, 22, 2_129_920))),
     # 16 banks of one sigma: 1 mean-strategy solve and 2 player parts, the
     # bank's own and the mean field's, for all 16 tags; 48 solves (16 + 32) and
@@ -77,8 +80,8 @@ LEDGER = {
     # maps the one own-reserve value and the mean field's one value, and folds
     # the 16 means and the 2 row pairs every tag shares: 32 row maps and 48
     # folds while it mapped each state signal's tags one by one and folded
-    # each tag's row pairs apart
-    "systemic_16_banks": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 160,
+    # each tag's row pairs apart; 160 tag samples while the driver was sampled
+    "systemic_16_banks": dict(zip(KEYS, ([64, 64], 3, 12, 3_145_728, 2, 128,
                                            2, 1_064_960, 18, 2_129_920))),
     # the reduced worked models carry no noise tags at the shipped parameters;
     # advertising's kernels are all zero, so its margins need no eigensolver;
@@ -171,7 +174,7 @@ def counting(monkeypatch) -> dict:
 
     monkeypatch.setattr(fredholm, "build_Dt", counted_build_Dt)
     monkeypatch.setattr(FredholmSolver, "solve", counted_solve)
-    for module in (fredholm, nplayer, signals):
+    for module in (fredholm, signals):
         monkeypatch.setattr(module, "lower_product", counted_lower_product)
     for module in (nplayer, signals):
         monkeypatch.setattr(module, "adapted_values", counted_adapted_values)
