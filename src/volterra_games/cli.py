@@ -97,10 +97,8 @@ def _numbers(obj: dict, context: str, skip=(), lists: bool = False) -> dict:
 
 
 # a family's parameters and their defaults are the fields of its KernelSpec
-KERNEL_FAMILIES = {"zero": ZeroK, "constant": ConstantLower, "constant_lower": ConstantLower,
-                   "exp": ExponentialDecay, "exponential": ExponentialDecay,
-                   "exponential_decay": ExponentialDecay, "power_law": PowerLaw,
-                   "delay_indicator": DelayIndicator}
+KERNEL_FAMILIES = {"zero": ZeroK, "constant": ConstantLower, "exp": ExponentialDecay,
+                   "power_law": PowerLaw, "delay_indicator": DelayIndicator}
 
 
 def parse_kernel(obj, grid: TimeGrid, context: str = "kernel"):

@@ -257,6 +257,14 @@ def solve_generic(spec: MFGSpec, noise: CrossedNoise) -> MFGSolution:
     )
 
 
+def _common_limit(spec: MFGSpec, noise: CrossedNoise) -> CompiledSignal:
+    """b_infty, refused unless noise draws every tag it carries as common."""
+    c_lim = spec.limit_family()
+    if not c_lim.noise_tags() <= set(noise.common_tags):
+        raise ShapeError("b_infty must be measurable with respect to common noise")
+    return c_lim
+
+
 def solve_infinite(spec: MFGSpec, n_view: int, noise: CrossedNoise) -> MFGSolution:
     """Infinite-player equilibrium: nu = G(b_infty), v^i = F(b^i - A3 shift of nu)."""
     if spec.player_family is None:
@@ -264,11 +272,7 @@ def solve_infinite(spec: MFGSpec, n_view: int, noise: CrossedNoise) -> MFGSoluti
     ops = build_operators(spec)
     grid = spec.grid
     P = noise.bundle.n_paths
-    c_lim = spec.limit_family()
-    if not c_lim.noise_tags() <= set(noise.common_tags):
-        raise ShapeError("b_infty must be measurable with respect to common noise")
-
-    nu_cs = ops.mean_solver.solve(c_lim)
+    nu_cs = ops.mean_solver.solve(_common_limit(spec, noise))
     shift = mean_field_coupling(spec, nu_cs)
     strategies = []
     v = np.empty((n_view, P, grid.n))
@@ -362,6 +366,8 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     once per distinct array, so each N's coefficients hold a few arrays, not
     one per player.  The mean-field player is solved and sampled once: it is
     the family's player 1 at N = inf, and neither family's b^1 depends on N.
+    The limit is read at each common block's first path, so a b_infty on a tag
+    the noise draws as idiosyncratic is refused, as solve_infinite refuses it.
     """
     ops = build_operators(spec)
     grid = spec.grid
@@ -369,7 +375,7 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     P = C * I
     pp = P if player_paths is None else min(player_paths, P)
 
-    nu_cs = ops.mean_solver.solve(spec.limit_family())
+    nu_cs = ops.mean_solver.solve(_common_limit(spec, noise))
     means, players = [], []
     for N in ns:
         game = induced_game(spec, N)

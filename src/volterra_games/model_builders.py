@@ -39,7 +39,6 @@ from .signals import (
     CompiledSignal,
     canonicalizer,
     deterministic,
-    family_mean,
     martingale,
     on_grid,
     once_per_array,
@@ -98,20 +97,12 @@ class MeasureConvolution(KernelSpec):
 
     measure: DelayMeasure = DelayMeasure()
 
-    def _cum_density(self, grid: TimeGrid) -> np.ndarray | None:
-        if self.measure.density is None:
-            return None
+    def _eval_cum(self, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
+        """G_d(x) = int_0^x density, piecewise linear, clamped beyond the grid."""
         g = np.asarray(self.measure.density, dtype=float)
         if g.shape != (grid.n,):
             raise ShapeError(f"density needs {grid.n} cell values, got {g.shape}")
-        return np.concatenate([[0.0], np.cumsum(g) * grid.dt])
-
-    def _eval_cum(self, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
-        """G_d(x) = int_0^x density, piecewise linear, clamped beyond the grid."""
-        cum = self._cum_density(grid)
-        if cum is None:
-            return np.zeros_like(x)
-        g = np.asarray(self.measure.density, dtype=float)
+        cum = np.concatenate([[0.0], np.cumsum(g) * grid.dt])
         xc = np.clip(x, 0.0, grid.horizon)
         m = np.minimum((xc / grid.dt).astype(int), grid.n - 1)
         return cum[m] + g[m] * (xc - m * grid.dt)
@@ -197,12 +188,6 @@ class VolterraGameSpec:
             for s in self.s_terminals))
 
 
-def _nonzero_tags(cs: CompiledSignal) -> CompiledSignal:
-    """cs without its all-zero weights, tags in sorted order."""
-    return CompiledSignal(cs.grid, cs.mean,
-                          {t: cs.weights[t] for t in sorted(cs.weights) if np.any(cs.weights[t])})
-
-
 def _kernel_block(D: np.ndarray, W: np.ndarray) -> np.ndarray:
     """M[j, l, b, d] = sum_{k, a, c} D[k, j, a, b] W[k, a, c] D[k, l, c, d], one GEMM over (k, c).
 
@@ -231,10 +216,9 @@ def _row_map(Rc: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.tril((Rc @ w[:, :n]).reshape(2, n, n), -1)
 
 
-def _fold(row0: CompiledSignal, row1: CompiledSignal, b0: CompiledSignal, N, tag) -> tuple:
-    """Part tag (None: the mean) of (b^i, rest) = (row0 + rest / N, row1 - b^0)."""
-    rest = row1.part(tag) - b0.part(tag)
-    return row0.part(tag) + rest / N, rest
+def _fold(row0: np.ndarray, row1: np.ndarray, N) -> tuple:
+    """(b^i, its b^0 remainder) from a player's two driver rows: (row0 + row1 / N, row1)."""
+    return row0 + row1 / N, row1
 
 
 def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
@@ -243,11 +227,14 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     The quadratic part expands over ordered time pairs l < j, giving the
     kernel block [[A2hat, A3], [A3, A1]]; the two cross slots are averaged
     into the single A3 (exact whenever they coincide, e.g. symmetric state
-    blocks, and for symmetric strategy profiles otherwise).  Drivers b^i and
-    the common b^0 come out as compiled signals; the player-dependent part of
-    the second row is folded into b^i with weight 1/N, which leaves every
-    first-order condition unchanged.  Every state row k enters with its
-    weight, dt Q at a grid time and S at T, dt the game grid's step.
+    blocks, and for symmetric strategy profiles otherwise).  Every state row
+    k enters with its weight, dt Q at a grid time and S at T, dt the game
+    grid's step.
+
+    The linear part of J^i is <row0_i, u^i> + <row1_i, ubar> for two driver
+    rows, compiled signals.  The solvers read only b^i + b^0 / N, so the
+    game takes b^0 = 0, b^i = row0_i + row1_i / N and all of row1_i as the
+    b^0 remainder that enters objective values (GameSpec.b0_extras).
 
     The driver rows are linear in each state component: player i's row pair,
     stacked as 2n rows, is R_1 d^i_1 + R_2 d^i_2 + T s^i with fixed
@@ -256,11 +243,10 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     only through the tag's sources: each state component's weights and the
     target's weights.  vspec holds one array per value, so, by id, each
     distinct state array is mapped once per component it fills, each
-    distinct source tuple is added into rows once and folded into b^i once
-    per b^0 weights, and each pair of weight arrays gives its row inner
-    products for c^i once, across players and tags: the systemic banks cost
-    O(distinct values), not players x tags.  The maps are dropped once every
-    row is formed, and each tag's rows once the tag is folded.
+    distinct source tuple is added into rows and folded once, and each pair
+    of weight arrays gives its row inner products for c^i once, across
+    players and tags: the systemic banks cost O(distinct values), not
+    players x tags.  The maps are dropped after the last player's rows.
     """
     if not (vspec.p > 0.0):
         raise InadmissibleKernel("reduction to a game needs strictly positive control cost")
@@ -284,37 +270,34 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     a3 = GridKernel(grid, 0.5 * (M[:, :, 0, 1] + M[:, :, 1, 0]) * lower)
     del M, qrow, lower
 
-    # drivers: row 1 is b^i, row 2 the player's share of b^0, stacked as 2n rows
-    # (b, j).  State component c enters through R[c] on its n + 1 rows, the
-    # terminal target s^i through T.
+    # the two driver rows, stacked as 2n rows (b, j).  State component c enters
+    # through R[c] on its n + 1 rows, the terminal target s^i through T.
     R = -np.einsum("kjab,kac->cbjk", D, W).reshape(2, 2 * n, n + 1)
     R[:, :n, :n] += vspec.qvec[:, None, None] * np.eye(n)
     T = np.einsum("jab->bja", D[n]).reshape(2 * n, 2)
 
-    def sources(i, tag) -> tuple:
-        """Player i's arrays its rows for tag depend on, None where it lacks the tag."""
-        (x, y), s = vspec.d_signals[i], vspec.s_terminals[i]
-        return x.weights.get(tag), y.weights.get(tag), s.weights.get(tag)
-
     maps = [once_per_array(functools.partial(_row_map, R[c])) for c in (0, 1)]
 
     @once_per_array
-    def rows_of(w0, w1, ws):
-        """The two row blocks of one tag's sources: the parts present, added in order."""
+    def folded(w0, w1, ws):
+        """One tag's sources (None where absent) as (b^i, remainder) weights, None where all zero."""
         parts = [maps[c](w) for c, w in ((0, w0), (1, w1)) if w is not None]
         if ws is not None:
             parts.append(np.tril((T @ ws).reshape(2, n, n), -1))      # cut as _row_map cuts
-        return [functools.reduce(operator.add, (p[b] for p in parts)) for b in (0, 1)]
+        rows = [functools.reduce(operator.add, (p[b] for p in parts)) for b in (0, 1)]
+        return [w if np.any(w) else None for w in _fold(*rows, N)]
 
     inner = once_per_array(_row_inner)
-    rows = []
-    c_consts = []
-    for i, (d, s_term) in enumerate(zip(vspec.d_signals, vspec.s_terminals)):
+    b_signals, b0_extras, c_consts = [], [], []
+    for d, s_term in zip(vspec.d_signals, vspec.s_terminals):
         mean = R[0] @ d[0].mean + R[1] @ d[1].mean + T @ s_term.mean
-        own = {*s_term.weights, *d[0].weights, *d[1].weights}
-        weights = {t: rows_of(*sources(i, t)) for t in sorted(own)}
-        rows.append([CompiledSignal(grid, mean[b * n:(b + 1) * n],
-                                    {t: w[b] for t, w in weights.items()}) for b in (0, 1)])
+        weights = {t: folded(d[0].weights.get(t), d[1].weights.get(t), s_term.weights.get(t))
+                   for t in sorted({*s_term.weights, *d[0].weights, *d[1].weights})}
+        drive, extra = (CompiledSignal(grid, m, {t: w[k] for t, w in weights.items()
+                                                 if w[k] is not None})
+                        for k, m in enumerate(_fold(mean[:n], mean[n:], N)))
+        b_signals.append(drive)
+        b0_extras.append(extra if np.any(extra.mean) or extra.weights else None)
 
         # c_i = -sum_k E[d_k^T W[k] d_k] / 2 + E[d_T . s], component by component, where
         # E[x_k y_k] = x_k y_k on the means plus dt times each common tag's row inner product
@@ -329,37 +312,12 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
             c_i += dt * sum(float(w[n, :n] @ s_term.weights[t][a])
                             for t, w in d[a].weights.items() if t in s_term.weights)
         c_consts.append(float(c_i))
-    del maps, rows_of, weights      # the memos and the last player's rows hold shared rows
-
-    # common b^0 = cross-player average of second rows, each distinct value added once
-    # (on systemic it cancels exactly for a power-of-two N); remainders fold into b^i
-    b0 = _nonzero_tags(family_mean(1.0 / N, [row[1] for row in rows]))
-    tags = sorted(set().union(*(r.weights for row in rows for r in row)))
-
-    # a fold depends on a player and a tag only through the tag's sources and b^0's
-    # weights: each distinct pair folds once, and the players and tags share it
-    folds = {}      # (sources, b^0's weights) by id -> the fold's weights, None where all zero
-    means = [[f.mean for f in _fold(row0, row1, b0, N, None)] for row0, row1 in rows]
-    weights = [({}, {}) for _ in rows]
-    for tag in tags:
-        for i, ((row0, row1), out) in enumerate(zip(rows, weights)):
-            key = tuple(map(id, (*sources(i, tag), b0.weights.get(tag))))
-            if key not in folds:
-                folds[key] = [f.weights[tag] if tag in f.weights and np.any(f.weights[tag])
-                              else None for f in _fold(row0, row1, b0, N, tag)]
-            for o, w in zip(out, folds[key]):
-                if w is not None:
-                    o[tag] = w
-            for r in (row0, row1):      # rows are made here: drop the folded tag
-                r.weights.pop(tag, None)
-    b_signals = tuple(CompiledSignal(grid, m[0], w[0]) for m, w in zip(means, weights))
-    b0_extras = tuple(CompiledSignal(grid, m[1], w[1]) if np.any(m[1]) or w[1] else None
-                      for m, w in zip(means, weights))
+    del maps, folded        # the memos hold every mapped state array's rows
 
     spec = GameSpec(
         n_players=N, lam=vspec.p, a1=a1, a2hat=a2hat, a3=a3,
-        b_signals=b_signals, b0_signal=b0, grid=grid,
-        c_constants=tuple(c_consts), kernel_check="concave", b0_extras=b0_extras,
+        b_signals=tuple(b_signals), b0_signal=deterministic(grid, 0.0), grid=grid,
+        c_constants=tuple(c_consts), kernel_check="concave", b0_extras=tuple(b0_extras),
     )
     low = spec.margins["min_eig_A2hat"]
     if low < -(vspec.p + DEFAULT_TOLERANCES["admissibility"]):

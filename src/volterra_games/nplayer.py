@@ -99,7 +99,8 @@ class GameSpec:
     c_constants: tuple = ()
     kernel_check: str = "strict"
     # per-player remainder of a player-dependent b^0, already folded into
-    # b_signals for the solvers; enters only objective values, through the
+    # b_signals for the solvers (a reduced game's is all of its second driver
+    # row, its b^0 zero); enters only objective values, through the
     # first-order-null term <extra_i, ubar - u^i/N>
     b0_extras: tuple = ()
     margins: dict = field(init=False, default_factory=dict, compare=False, repr=False)
@@ -277,10 +278,10 @@ def solve_nash(spec: GameSpec, bundle: NoiseBundle) -> NashSolution:
     """Full equilibrium: mean first, then every player; reports the mean gap.
 
     A player's driver, strategy, Fredholm residual and FOC are affine in b^i,
-    so each is the sum of its parts (CompiledSignal.part): the mean, and one
-    part per noise tag, which depends on the player and the part only through
-    three source arrays: b^i's, the mean strategy's and b^0's for that part
-    (their means for the mean part).  The spec holds one array per value
+    so each is the sum of its parts: the mean, and one part per noise tag,
+    which depends on the player and the part only through three source
+    arrays: b^i's, the mean strategy's and b^0's for that part (their means
+    for the mean part).  The spec holds one array per value
     (GameSpec), so the parts are walked once, the mean and then the tags in
     sorted order, and each distinct triple of source arrays, by id, is solved
     and checked once across players and parts; it is released after the last

@@ -197,18 +197,6 @@ class CompiledSignal:
             w = cut_upper(np.array(w, order="C"))
         return w
 
-    def part(self, tag=None) -> CompiledSignal:
-        """The mean alone (tag None), or tag's weights alone on a zero mean.
-
-        Every operator acts on the mean and on each tag apart, so an expression
-        in signals equals, part by part, the same expression in their parts.  A
-        signal without the tag has an empty part.
-        """
-        if tag is None:
-            return CompiledSignal(self.grid, self.mean, {})
-        weights = {tag: self.weights[tag]} if tag in self.weights else {}
-        return CompiledSignal(self.grid, np.zeros(self.grid.n), weights)
-
     def values_and_surface(self, dW: dict) -> tuple[np.ndarray, np.ndarray]:
         """Adapted path values and the full surface m[i, j] for one increment draw."""
         missing = self.noise_tags() - set(dW)

@@ -97,6 +97,14 @@ class TestConfigErrors:
         p = write_cfg(tmp_path, model)
         assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("family", ["constant_lower", "exponential", "exponential_decay"])
+    def test_kernel_family_alias_is_unknown(self, tmp_path, capsys, family):
+        # one name per kernel family: the long spellings are not aliases
+        model = {**RAW_MODEL, "a2hat": {"family": family, "c": 0.5, "rho": 2.0}}
+        p = write_cfg(tmp_path, model)
+        assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown kernel family {family!r}" in capsys.readouterr().err
+
     def test_missing_grid_block(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"model": RAW_MODEL}))
@@ -518,6 +526,24 @@ class TestStudies:
         monkeypatch.setattr(cli, "best_response_gap", nan_gap)
         p = write_cfg(tmp_path, MFG_MODEL, noise={"paths": 4, "seed": 1}, run={"Ns": [4, 8]})
         assert main(["eps-nash", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("model, message", [
+    ("liquidation", "tabulated kernels have no off-grid rows"),
+    ("systemic", "density needs 12 cell values"),
+])
+def test_worked_model_input_checks_exit_2(tmp_path, capsys, model, message):
+    # a worked model's state kernel is read at T too, and a delay density on every cell
+    cfg = dict(WORKED[model])
+    if model == "liquidation":
+        table = tmp_path / "propagator.csv"
+        table.write_text("\n".join(" ".join(["0.1"] * 12) for _ in range(12)))
+        cfg["propagator"] = {"family": "tabulated", "path": str(table)}
+    else:
+        cfg["delay"] = {"atoms": [[0.0, 1.0]], "density": [0.5] * 11}
+    p = write_cfg(tmp_path, cfg)
+    assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestTabulatedKernel:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from volterra_games import fredholm
-from volterra_games.errors import InadmissibleKernel, SingularOperator
+from volterra_games.errors import InadmissibleKernel, ShapeError, SingularOperator
 from volterra_games.fredholm import (
     LU_LEAF,
     FredholmSolver,
@@ -28,7 +28,7 @@ from volterra_games.grid_ops import (
 )
 from volterra_games.cli import build_game_from_config
 from volterra_games.nplayer import build_operators, conditional_surfaces
-from volterra_games.signals import CompiledSignal, draw_noise, martingale, ou
+from volterra_games.signals import CompiledSignal, deterministic, draw_noise, martingale, ou
 
 from conftest import cond1, condition_number, dense_factors, mask_from
 
@@ -677,3 +677,10 @@ class TestCond1Estimate:
         est = solver.cond1_est()
         assert 0.95 * exact <= est <= exact * (1.0 + 1e-12)
         assert solver.cond1_est() == est
+
+
+def test_driver_on_another_grid_refused():
+    solver = FredholmSolver(discretize_kernel(ExponentialDecay(c=0.5, rho=2.0),
+                                              build_grid(1.0, 16)), 2.0)
+    with pytest.raises(ShapeError, match="different grid"):
+        solver.solve(deterministic(build_grid(1.0, 8), 1.0))

@@ -470,3 +470,20 @@ class TestVolterraCheck:
         v = np.tril(np.random.default_rng(n).standard_normal((n, n)), -1)
         v[np.triu_indices(n)] = -0.0
         assert np.array_equal(GridKernel(g, v).values, v)
+
+
+def _inf_entry(n):
+    v = np.zeros((n, n))
+    v[3, 1] = np.inf
+    return v
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda g: GridKernel(g, _inf_entry(g.n)), InadmissibleKernel),
+    (lambda g: GridKernel(g, np.zeros((g.n, g.n - 1))), ShapeError),
+    (lambda g: GridKernel(g, np.zeros((g.n, g.n)), diag_half=np.zeros(g.n - 1)), ShapeError),
+    (lambda g: discretize_kernel(Tabulated(table=((0.0,) * 3,) * 3), g), ShapeError),
+], ids=["non-finite", "wrong-shape", "diag-half-length", "tabulated-shape"])
+def test_input_checks(grid16, make, error):
+    with pytest.raises(error):
+        make(grid16)

@@ -3,6 +3,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -714,3 +715,26 @@ def study_peak(n, paths, ns, player_paths=None):
 
     study(build_grid(1.0, 8), 4, trace=False)      # the noise pass imports its executor once
     return study(build_grid(1.0, n), paths, trace=True)
+
+
+def _limit_on_idio0(grid):
+    """An IID study whose limit carries idio0, and noise drawing idio0...idio7 as idiosyncratic."""
+    spec = TestConvergence().base_spec(grid, "iid")
+    spec = replace(spec, b_infty=spec.b_infty + martingale(grid, 0.3, "idio0"))
+    return spec, draw_crossed_noise(grid, set(), spec.player_family.idio_tags(8), 1, 20, seed=1)
+
+
+@pytest.mark.parametrize("run, match", [
+    (lambda spec, noise: solve_infinite(replace(spec, player_family=None), 2, noise),
+     "needs a player family"),
+    (lambda spec, noise: induced_game(replace(spec, player_family=None), 2),
+     "need a player family"),
+    # the limit is read at each common block's first path, so on common noise only
+    (lambda spec, noise: solve_infinite(spec, 2, noise), "b_infty must be measurable"),
+    (lambda spec, noise: convergence_study(spec, [2, 4, 8], noise), "b_infty must be measurable"),
+], ids=["solve-infinite-no-family", "induced-game-no-family", "solve-infinite-idio-limit",
+        "convergence-study-idio-limit"])
+def test_input_checks(grid16, run, match):
+    spec, noise = _limit_on_idio0(grid16)
+    with pytest.raises(ShapeError, match=match):
+        run(spec, noise)

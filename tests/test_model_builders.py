@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -535,3 +537,25 @@ class TestStochasticStateReduction:
                    - objective(game, 0, np.zeros((N, M, n)), bundle))
         se = direct.std(ddof=1) / np.sqrt(M)
         assert abs(direct.mean() - reduced) <= 4 * se
+
+
+def _liquidation_vspec(grid):
+    return build_liquidation_game(TestLiquidation().params(), grid)[1]
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda g: replace(_liquidation_vspec(g), p=-1.0), InadmissibleKernel),
+    (lambda g: replace(_liquidation_vspec(g), dblock=np.zeros((g.n, g.n, 2, 2))), ShapeError),
+    (lambda g: replace(_liquidation_vspec(g), d_signals=_liquidation_vspec(g).d_signals[:1]),
+     ShapeError),
+    (lambda g: build_systemic_game(TestSystemic().params(beta=0.0, eps=0.0), g),
+     InadmissibleKernel),
+    (lambda g: build_systemic_game(TestSystemic().params(cost_c=-1.0), g), InadmissibleKernel),
+    (lambda g: build_advertising_game(TestAdvertising().params(lam=0.0), g), InadmissibleKernel),
+    (lambda g: build_advertising_game(TestAdvertising().params(beta=-0.1), g),
+     InadmissibleKernel),
+], ids=["p-negative", "dblock-shape", "player-missing", "systemic-eps-zero",
+        "systemic-cost-negative", "advertising-lam-zero", "advertising-beta-negative"])
+def test_input_checks(grid16, make, error):
+    with pytest.raises(error):
+        make(grid16)

@@ -544,8 +544,9 @@ class TestBlockedProducts:
         assert solve_peak("systemic", 128, N=16, sigma=sigmas, x0=x0) <= 63
 
     def test_systemic_n16_reduction_peak_memory(self):
-        # the game's setup, its reduction included, in n x n arrays: 66.7 here, with one
-        # array per value (66.5 with the state's value at T held apart from its grid
+        # the game's setup, its reduction included, in n x n arrays: 68.5 here, the row
+        # maps held until the last player's rows are folded (66.7 with b^0 formed after
+        # they were dropped, 66.5 with the state's value at T held apart from its grid
         # rows); 142.8 with each state signal object mapped tag by tag, 166.6
         # with the last bank's row maps held to the end, 194.5 with every row held
         # until the whole fold is done
@@ -629,3 +630,32 @@ def test_signal_adaptedness_sees_values_that_read_ahead(grid16, monkeypatch):
                         lambda self, tag, increments: increments @ self.weights[tag].T)
     check = adaptedness()
     assert not check["passed"] and check["value"] > 1e-3
+
+
+def _plain_game(grid):
+    one = deterministic(grid, 1.0)
+    return GameSpec(n_players=2, lam=1.0, a1=zero_kernel(grid),
+                    a2hat=discretize_kernel(ExponentialDecay(c=0.5, rho=2.0), grid),
+                    a3=zero_kernel(grid), b_signals=(one, one), b0_signal=one, grid=grid)
+
+
+def _objective_on(grid, players, paths):
+    bundle = draw_noise(grid, set(), 3, 0)
+    return objective_per_path(_plain_game(grid), 0, np.zeros((players, paths, grid.n)), bundle)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda g: replace(_plain_game(g), n_players=0), ShapeError),
+    (lambda g: replace(_plain_game(g), a1=zero_kernel(build_grid(1.0, 8))), ShapeError),
+    (lambda g: replace(_plain_game(g), kernel_check="loose"), ShapeError),
+    (lambda g: replace(_plain_game(g), c_constants=(0.0,)), ShapeError),
+    # at n = 16 the player form's min eig reads -26.6, past -lam
+    (lambda g: replace(_plain_game(g), kernel_check="concave",
+                       a2hat=discretize_kernel(ConstantLower(c=-50.0), g)), InadmissibleKernel),
+    (lambda g: _objective_on(g, 1, 3), ShapeError),
+    (lambda g: _objective_on(g, 2, 4), ShapeError),
+], ids=["no-players", "kernel-on-another-grid", "unknown-kernel-check", "c-constants-length",
+        "concave-form-indefinite", "objective-players", "objective-paths"])
+def test_input_checks(grid16, make, error):
+    with pytest.raises(error):
+        make(grid16)

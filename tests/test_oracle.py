@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volterra_games.errors import NonConcave, SizeExceeded
+from volterra_games.errors import NonConcave, ShapeError, SizeExceeded
 from volterra_games.grid_ops import (
     ConstantLower,
     ExponentialDecay,
@@ -331,3 +331,12 @@ def test_reduced_games_match_the_oracle(game_and_tree):
     game, tree = game_and_tree
     diff = compare(discrete_nash_kkt(game, tree), solve_game_on_tree(game, tree), tree)
     assert diff <= 1e-8
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: build_tree(small_spec(g), 4, 2),
+    lambda g: compare(np.zeros((2, 5)), np.zeros((1, 5)), None),
+], ids=["branching-4", "layouts-differ"])
+def test_input_checks(make):
+    with pytest.raises(ShapeError):
+        make(build_grid(1.0, 8))

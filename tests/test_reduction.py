@@ -101,9 +101,9 @@ def einsum_reduction(vspec, grid):
         c_i += _second_moment(grid, dT_mean, dT_w, s_term.mean, s_term.weights, np.eye(2))
         c_consts.append(float(c_i))
 
-    b0 = sum(row[1] for row in rows) / N
-    b_signals = [row[0] + (row[1] - b0) / N for row in rows]
-    extras = [row[1] - b0 for row in rows]
+    b0 = CompiledSignal(grid, np.zeros(n), {})
+    b_signals = [row[0] + row[1] / N for row in rows]
+    extras = [row[1] for row in rows]
     return a1, a2hat, a3, b_signals, b0, extras, c_consts
 
 

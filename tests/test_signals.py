@@ -525,3 +525,14 @@ class TestMotivatingWeightedSignal:
             for j in range(8):
                 expect = w[j, :min(i, j)] @ dW[:min(i, j)]
                 assert abs(surface[i, j] - expect) < 1e-13
+
+
+@pytest.mark.parametrize("make", [
+    lambda g: brownian_weighted(g, np.zeros(g.n - 1), np.zeros((g.n, g.n))),
+    lambda g: brownian_weighted(g, np.zeros(g.n), np.zeros((g.n, g.n - 1))),
+    lambda g: draw_noise(g, {"w"}, 3, 0).path(3),
+    lambda g: draw_noise(g, {"w"}, 3, 0).path(-1),
+], ids=["brownian-g-shape", "brownian-w-shape", "path-past-end", "path-negative"])
+def test_input_checks(make):
+    with pytest.raises(ShapeError):
+        make(build_grid(1.0, 16))

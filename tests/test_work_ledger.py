@@ -86,8 +86,9 @@ LEDGER = {
     # the reduced worked models carry no noise tags at the shipped parameters;
     # advertising's kernels are all zero, so its margins need no eigensolver;
     # liquidation's 2 players carry 2 price weight values over 3 tags (4 row
-    # maps and 8 folds by signal object and by tag)
-    "liquidation": dict(zip(KEYS, ([64, 64], 0, 0, 0, 2, 0, 2, 1_064_960, 5, 2_129_920))),
+    # maps and 8 folds by signal object and by tag): 2 means and 2 source
+    # tuples fold, 5 folds while they folded per (sources, b^0 weights)
+    "liquidation": dict(zip(KEYS, ([64, 64], 0, 0, 0, 2, 0, 2, 1_064_960, 4, 2_129_920))),
     "advertising": dict(zip(KEYS, ([64, 64], 0, 0, 0, 0, 0, 4, 2_129_920, 6, 2_129_920))),
     # the limit and five induced games; the study samples its own row blocks
     "mfg_convergence": dict(zip(KEYS, ([32] * 12, 16, 37, 1_212_416, 18, 0, 0, 0, 0, 0))),
