@@ -78,7 +78,6 @@ from .model_builders import (
     build_advertising_game,
     build_liquidation_game,
     build_systemic_game,
-    measure_to_kernel,
     reduce_volterra_game,
 )
 from .oracle import ScenarioTree, build_tree, compare, discrete_nash_kkt

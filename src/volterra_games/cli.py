@@ -101,7 +101,7 @@ KERNEL_FAMILIES = {"zero": ZeroK, "constant": ConstantLower, "exp": ExponentialD
                    "power_law": PowerLaw, "delay_indicator": DelayIndicator}
 
 
-def parse_kernel(obj, grid: TimeGrid, context: str = "kernel"):
+def parse_kernel(obj, context: str = "kernel"):
     if not isinstance(obj, dict) or "family" not in obj:
         raise ConfigError(f"{context} must be an object with a 'family' key")
     fam = obj["family"]
@@ -216,9 +216,9 @@ def _build_game(cfg: dict, grid: TimeGrid):
         return GameSpec(
             n_players=N,
             lam=number(model["lam"], "model.lam"),
-            a1=discretize_kernel(parse_kernel(model["a1"], grid, "a1"), grid),
-            a2hat=discretize_kernel(parse_kernel(model["a2hat"], grid, "a2hat"), grid),
-            a3=discretize_kernel(parse_kernel(model["a3"], grid, "a3"), grid),
+            a1=discretize_kernel(parse_kernel(model["a1"], "a1"), grid),
+            a2hat=discretize_kernel(parse_kernel(model["a2hat"], "a2hat"), grid),
+            a3=discretize_kernel(parse_kernel(model["a3"], "a3"), grid),
             b_signals=tuple(parse_signal(s, grid, f"idio{i}", f"b[{i}]", listed_n)
                             for i, s in enumerate(b_list)),
             b0_signal=parse_signal(model["b0"], grid, "common", "b0", listed_n),
@@ -229,7 +229,7 @@ def _build_game(cfg: dict, grid: TimeGrid):
                               "x0", "signal_sigma", "common_signal_sigma"}, "model")
         return build_liquidation_game({
             **_numbers(model, "model", ("kind", "propagator"), lists=True),
-            "propagator": parse_kernel(model["propagator"], grid, "propagator")}, grid)[0]
+            "propagator": parse_kernel(model["propagator"], "propagator")}, grid)[0]
     if kind == "systemic":
         _require_keys(model, {"kind", "N", "beta", "eps", "cost_c", "sigma",
                               "x0", "delay", "h"}, "model")
@@ -265,14 +265,14 @@ def _build_mfg(cfg: dict, grid: TimeGrid) -> MFGSpec:
         beta = base
     elif pk == "iid":
         family = IIDBrownianFamily(base=base, sigma=number(model.get("sigma", 0.5), "model.sigma"))
-        beta = family.signal(0, 1)
+        beta = family.signal(0)
     else:
         raise ConfigError(f"unknown player_kind {pk!r}")
     return MFGSpec(
         lam=number(model["lam"], "model.lam"),
-        a1=discretize_kernel(parse_kernel(model["a1"], grid, "a1"), grid),
-        a2hat=discretize_kernel(parse_kernel(model["a2hat"], grid, "a2hat"), grid),
-        a3=discretize_kernel(parse_kernel(model["a3"], grid, "a3"), grid),
+        a1=discretize_kernel(parse_kernel(model["a1"], "a1"), grid),
+        a2hat=discretize_kernel(parse_kernel(model["a2hat"], "a2hat"), grid),
+        a3=discretize_kernel(parse_kernel(model["a3"], "a3"), grid),
         beta=beta,
         beta0=deterministic(grid, 0.0),
         b0_signal=parse_signal(model["b0"], grid, "common", "b0", listed_n),
@@ -528,7 +528,7 @@ def run_oracle_check(cfg: dict, tol: dict, out: Path, paths: int, seed: int,
         grid = build_grid(grid.horizon, 8)
     spec = build_game_from_config(cfg, grid)
     tree = build_tree(spec, branching=2, depth=min(5, grid.n - 1))
-    diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)
+    diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree))
     out.mkdir(parents=True, exist_ok=True)
     (out / "oracle.json").write_text(json.dumps(
         {"max_abs_diff": diff, "tolerance": tol["oracle"],

@@ -245,20 +245,6 @@ def discretize_kernel(spec: KernelSpec, grid: TimeGrid) -> GridKernel:
     return GridKernel(grid, out * spec.scale, diag_half=diag)
 
 
-def discretize_kernel_rows(spec: KernelSpec, grid: TimeGrid, row_times: np.ndarray) -> np.ndarray:
-    """Cell-averaged rows at arbitrary row times (used for terminal-time rows).
-
-    Entry [r, j] covers the column cell [t_j, t_j + dt); it is zero unless the
-    cell lies inside [0, row_times[r]].
-    """
-    spec.validate()
-    if isinstance(spec, Tabulated):
-        raise InadmissibleKernel("tabulated kernels have no off-grid rows")
-    t = np.asarray(row_times, dtype=float)[:, None]
-    live = grid.times + grid.dt <= t + 1e-12 * max(grid.horizon, 1.0)
-    return np.where(live, spec.row_averages(t, grid) * spec.scale, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # operator calculus
 # ---------------------------------------------------------------------------

@@ -277,7 +277,7 @@ def solve_infinite(spec: MFGSpec, n_view: int, noise: CrossedNoise) -> MFGSoluti
     strategies = []
     v = np.empty((n_view, P, grid.n))
     for i in range(n_view):
-        strategies.append(ops.player_solver.solve(spec.player_family.signal(i, n_view) - shift))
+        strategies.append(ops.player_solver.solve(spec.player_family.signal(i) - shift))
         v[i] = strategies[i].path_values(noise.bundle.increments, P)
     first = noise.block_increments()
     return MFGSolution(mu=nu_cs.path_values(first, noise.n_common), v=v, mean_field=nu_cs,
@@ -308,7 +308,7 @@ class BalancedDeterministicFamily:
     amplitude: float
     shape: CompiledSignal       # deterministic
 
-    def signal(self, i: int, n_players: int) -> CompiledSignal:
+    def signal(self, i: int) -> CompiledSignal:
         sign = 1.0 if i % 2 == 0 else -1.0
         return self.base + (sign * self.amplitude) * self.shape
 
@@ -325,7 +325,7 @@ class IIDBrownianFamily:
         """sigma W on one tag, built once: every player's idio{i} holds its arrays."""
         return martingale(self.base.grid, self.sigma)
 
-    def signal(self, i: int, n_players: int) -> CompiledSignal:
+    def signal(self, i: int) -> CompiledSignal:
         w = self._noise
         tag = f"idio{i}"
         return self.base + CompiledSignal(w.grid, w.mean, {tag: w.weights[COMMON]})
@@ -341,7 +341,7 @@ def induced_game(spec: MFGSpec, n_players: int) -> GameSpec:
         n_players=n_players,
         lam=spec.lam,
         a1=spec.a1, a2hat=spec.a2hat, a3=spec.a3,
-        b_signals=tuple(spec.player_family.signal(i, n_players) for i in range(n_players)),
+        b_signals=tuple(spec.player_family.signal(i) for i in range(n_players)),
         b0_signal=spec.b0_signal,
         grid=spec.grid,
     )
@@ -365,7 +365,7 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     family hands every player's tag one weight array and every solve runs
     once per distinct array, so each N's coefficients hold a few arrays, not
     one per player.  The mean-field player is solved and sampled once: it is
-    the family's player 1 at N = inf, and neither family's b^1 depends on N.
+    the family's player 1, whose signal(0) takes no N.
     The limit is read at each common block's first path, so a b_infty on a tag
     the noise draws as idiosyncratic is refused, as solve_infinite refuses it.
     """
@@ -386,7 +386,7 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
             players.append(gops.player_solver.solve(
                 shifted_drive(game, player_base(game, 0), means[-1])))
     if pp > 0:
-        b1 = spec.player_family.signal(0, spec.n_players)
+        b1 = spec.player_family.signal(0)
         players.append(ops.player_solver.solve(shifted_drive(spec, b1, nu_cs)))
 
     paths, first = _streamed_path_values([*means, *players],

@@ -5,11 +5,12 @@ with a 2x2 block kernel D, quadratic running/terminal costs (Q, S), a
 control-state cross vector q, and control cost p.  A state lives on the game
 grid extended by its horizon point (grid_ops.horizon_grid): n + 1 rows, the
 grid times and then T, weighed in one sum, dt Q at each grid time and S at
-T.  The reduction expands the
-discrete objective exactly over ordered time pairs, which yields strictly
-lower triangular A-kernels, affine-in-noise drivers b^i, b^0, and constants
-c^i.  The tests check it against a direct state simulator with the matching
-ordered-pair quadrature (tests/references.py).
+T.  The worked models discretize every state kernel on that grid with
+grid_ops.discretize_kernel; a delay measure is one more kernel family.  The
+reduction expands the discrete objective exactly over ordered time pairs,
+which yields strictly lower triangular A-kernels, affine-in-noise drivers
+b^i, b^0, and constants c^i.  The tests check it against a direct state
+simulator with the matching ordered-pair quadrature (tests/references.py).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,10 +27,10 @@ from .grid_ops import (
     ConstantLower,
     GridKernel,
     KernelSpec,
+    Tabulated,
     TimeGrid,
     apply,
     discretize_kernel,
-    discretize_kernel_rows,
     horizon_grid,
     resolvent,
     star_product,
@@ -79,8 +80,9 @@ def player_count(params: dict, *lists: str) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DelayMeasure:
-    """Signed measure on [0, infinity): point masses plus a piecewise-constant density."""
+class DelayMeasure(KernelSpec):
+    """Convolution kernel G(t - s), G(x) = nu([0, x]), of a signed measure nu on
+    [0, infinity): point masses plus a piecewise-constant density."""
 
     atoms: tuple = ()              # of (location tau >= 0, mass)
     density: tuple | None = None   # cell values of a density on the grid, or None
@@ -90,16 +92,9 @@ class DelayMeasure:
             if tau < 0.0 or not np.isfinite(mass):
                 raise ShapeError(f"bad atom ({tau}, {mass})")
 
-
-@dataclass(frozen=True)
-class MeasureConvolution(KernelSpec):
-    """Convolution kernel G(t - s) with G(x) = nu([0, x])."""
-
-    measure: DelayMeasure = DelayMeasure()
-
     def _eval_cum(self, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
         """G_d(x) = int_0^x density, piecewise linear, clamped beyond the grid."""
-        g = np.asarray(self.measure.density, dtype=float)
+        g = np.asarray(self.density, dtype=float)
         if g.shape != (grid.n,):
             raise ShapeError(f"density needs {grid.n} cell values, got {g.shape}")
         cum = np.concatenate([[0.0], np.cumsum(g) * grid.dt])
@@ -110,9 +105,9 @@ class MeasureConvolution(KernelSpec):
     def row_averages(self, t, grid):
         dt = grid.dt
         out = np.zeros(np.broadcast_shapes(np.shape(t), grid.times.shape))
-        for tau, mass in self.measure.atoms:
+        for tau, mass in self.atoms:
             out += mass * np.clip((t - tau - grid.times) / dt, 0.0, 1.0)
-        if self.measure.density is not None:
+        if self.density is not None:
             mid = t - grid.times - 0.5 * dt
             out += self._eval_cum(grid, np.maximum(mid, 0.0))
         return out
@@ -120,17 +115,12 @@ class MeasureConvolution(KernelSpec):
     def half_cell_average(self, grid):
         dt = grid.dt
         total = 0.0
-        for tau, mass in self.measure.atoms:
+        for tau, mass in self.atoms:
             if tau < dt:
                 total += mass * (1.0 - tau / dt) ** 2
-        if self.measure.density is not None:
-            total += float(np.asarray(self.measure.density)[0]) * dt / 3.0
+        if self.density is not None:
+            total += float(np.asarray(self.density)[0]) * dt / 3.0
         return total
-
-
-def measure_to_kernel(nu: DelayMeasure, grid: TimeGrid) -> GridKernel:
-    """Strictly lower cell-averaged kernel G(t_i - s), G(x) = nu([0, x])."""
-    return discretize_kernel(MeasureConvolution(measure=nu), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +178,16 @@ class VolterraGameSpec:
             for s in self.s_terminals))
 
 
-def _kernel_block(D: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """M[j, l, b, d] = sum_{k, a, c} D[k, j, a, b] W[k, a, c] D[k, l, c, d], one GEMM over (k, c).
+def _kernel_block(DW: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """M[j, l, b, d] = sum_{k, c} DW[j, b, k, c] D[k, l, c, d], one GEMM over (k, c).
 
-    D is (n + 1, n, 2, 2) and W (n + 1, 2, 2): the weighted rows form the
+    D is (n + 1, n, 2, 2), and DW[j, b, k, c] = sum_a D[k, j, a, b] W[k, a, c]
+    its rows weighted by the (n + 1, 2, 2) state weights W: DW is the
     (2n x 2(n + 1)) left factor, D's rows the (2(n + 1) x 2n) right one.
     """
     K, n = D.shape[:2]
-    left = np.einsum("kjab,kac->jbkc", D, W).reshape(2 * n, 2 * K)
     right = D.transpose(0, 2, 1, 3).reshape(2 * K, 2 * n)
-    return (left @ right).reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
+    return (DW.reshape(2 * n, 2 * K) @ right).reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
 
 
 def _row_inner(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -238,8 +228,9 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
 
     The driver rows are linear in each state component: player i's row pair,
     stacked as 2n rows, is R_1 d^i_1 + R_2 d^i_2 + T s^i with fixed
-    (2n x (n + 1)) row maps R_c over the state's rows, built once from the
-    state blocks, Q, S and q.  A player's rows for a tag depend on the player
+    (2n x (n + 1)) row maps R_c over the state's rows: minus the weighted
+    state rows DW, formed once and also the kernel block's left factor, plus
+    q on the grid rows.  A player's rows for a tag depend on the player
     only through the tag's sources: each state component's weights and the
     target's weights.  vspec holds one array per value, so, by id, each
     distinct state array is mapped once per component it fills, each
@@ -259,8 +250,9 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     W = np.concatenate([np.broadcast_to(dt * (vspec.qmat + vspec.qmat.T), (n, 2, 2)),
                         (vspec.smat + vspec.smat.T)[None]])
 
-    # kernel block M[j, l] for l < j
-    M = _kernel_block(D, W)
+    # kernel block M[j, l] for l < j, from the weighted state rows
+    DW = np.einsum("kjab,kac->jbkc", D, W)
+    M = _kernel_block(DW, D)
     qrow = np.einsum("c,jlcd->jld", vspec.qvec, D[:n])     # (q^T D)[j, l, d]
     M[:, :, 0, :] -= 0.5 * qrow
     M[:, :, :, 0] -= 0.5 * qrow
@@ -271,8 +263,10 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
     del M, qrow, lower
 
     # the two driver rows, stacked as 2n rows (b, j).  State component c enters
-    # through R[c] on its n + 1 rows, the terminal target s^i through T.
-    R = -np.einsum("kjab,kac->cbjk", D, W).reshape(2, 2 * n, n + 1)
+    # through R[c] on its n + 1 rows, minus the weighted state rows, and the
+    # terminal target s^i through T.
+    R = -DW.transpose(3, 1, 0, 2).reshape(2, 2 * n, n + 1)
+    del DW
     R[:, :n, :n] += vspec.qvec[:, None, None] * np.eye(n)
     T = np.einsum("jab->bja", D[n]).reshape(2 * n, 2)
 
@@ -330,9 +324,20 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
 # worked models
 # ---------------------------------------------------------------------------
 
-def _horizon_rows(spec: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    """(n + 1, n) rows of a kernel at the grid times (discretize_kernel's values) and at T."""
-    return discretize_kernel_rows(spec, grid, np.append(grid.times, grid.horizon))
+def _state_kernel(spec: KernelSpec, grid: TimeGrid) -> GridKernel:
+    """A state kernel on horizon_grid(grid), rows at the grid times and at T.
+
+    A delay density lists grid's n cells and gets one zero cell past T, which
+    no row reads (the largest lag is T - dt/2).  A table lists no row at T.
+    """
+    if isinstance(spec, Tabulated):
+        raise InadmissibleKernel("tabulated kernels have no off-grid rows")
+    if isinstance(spec, DelayMeasure) and spec.density is not None:
+        if np.shape(spec.density) != (grid.n,):
+            raise ShapeError(f"density needs {grid.n} cell values, "
+                             f"got {np.shape(spec.density)}")
+        spec = replace(spec, density=(*spec.density, 0.0))
+    return discretize_kernel(spec, horizon_grid(grid))
 
 
 def build_liquidation_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, VolterraGameSpec]:
@@ -352,8 +357,8 @@ def build_liquidation_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
 
     n, ext = grid.n, horizon_grid(grid)
     dblock = np.zeros((n + 1, n, 2, 2))
-    dblock[:, :, 0, 0] = _horizon_rows(ConstantLower(c=-1.0), grid)
-    dblock[:, :, 1, 1] = -_horizon_rows(params["propagator"], grid)
+    dblock[:, :, 0, 0] = _state_kernel(ConstantLower(c=-1.0), grid).values[:, :n]
+    dblock[:, :, 1, 1] = -_state_kernel(params["propagator"], grid).values[:, :n]
 
     d_signals, s_terms = [], []
     for i in range(N):
@@ -394,8 +399,7 @@ def build_systemic_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volterr
     x0 = np.asarray(params["x0"], dtype=float)
     n, ext = grid.n, horizon_grid(grid)
 
-    gk = MeasureConvolution(measure=params["delay"])
-    rows = _horizon_rows(gk, grid)
+    rows = _state_kernel(params["delay"], grid).values[:, :n]
     dblock = np.zeros((n + 1, n, 2, 2))
     dblock[:, :, 0, 0] = rows
     dblock[:, :, 1, 1] = rows
@@ -439,8 +443,8 @@ def build_advertising_game(params: dict, grid: TimeGrid) -> tuple[GameSpec, Volt
     sigma = np.asarray(params["sigma"], dtype=float)
     n = grid.n
     ext = horizon_grid(grid)
-    K_ext = measure_to_kernel(params.get("forgetting", DelayMeasure()), ext)
-    H_ext = measure_to_kernel(params.get("competition", DelayMeasure()), ext)
+    K_ext = _state_kernel(params.get("forgetting", DelayMeasure()), grid)
+    H_ext = _state_kernel(params.get("competition", DelayMeasure()), grid)
     rk = resolvent(K_ext)
     rkh = resolvent(GridKernel(ext, K_ext.values + H_ext.values))
 

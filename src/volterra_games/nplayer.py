@@ -444,18 +444,18 @@ def objective(spec: GameSpec, i: int, strategies: np.ndarray, bundle: NoiseBundl
 
 
 def concavity_check(spec: GameSpec, i: int, u_base: np.ndarray, direction: np.ndarray,
-                    bundle: NoiseBundle, delta: float = 1.0,
-                    tol: float = 1e-10) -> bool:
-    """Second central difference of eps -> J^i(u_base^i + eps*h) must be <= +tol."""
+                    bundle: NoiseBundle, tol: float = 1e-10) -> bool:
+    """Second central difference of eps -> J^i(u_base^i + eps*h) at eps = 0, step 1,
+    must be <= +tol; J^i is quadratic, so the difference is exact at any step."""
     h = np.asarray(direction, dtype=float)
     if not np.any(h != 0.0):
         raise ValueError("direction must not be identically zero")
     j0 = objective(spec, i, u_base, bundle)
     up = u_base.copy()
-    up[i] = up[i] + delta * h[None, :]
+    up[i] = up[i] + h[None, :]
     jp = objective(spec, i, up, bundle)
     um = u_base.copy()
-    um[i] = um[i] - delta * h[None, :]
+    um[i] = um[i] - h[None, :]
     jm = objective(spec, i, um, bundle)
     return (jp + jm - 2.0 * j0) <= tol
 

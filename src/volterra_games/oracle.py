@@ -22,6 +22,7 @@ from .signals import NoiseBundle
 
 MAX_UNKNOWNS = 50_000
 MAX_DENSE = 8_000
+HESSIAN_TOL = 1e-10        # a player Hessian block's lowest eigenvalue must reach this
 
 
 def _step_outcomes(branching: int, dt: float):
@@ -116,8 +117,7 @@ def _node_values(tree: ScenarioTree, values_by_leaf: np.ndarray) -> np.ndarray:
     return out
 
 
-def discrete_nash_kkt(spec: GameSpec, tree: ScenarioTree,
-                      hessian_tol: float = 1e-10) -> np.ndarray:
+def discrete_nash_kkt(spec: GameSpec, tree: ScenarioTree) -> np.ndarray:
     """Exact per-node Nash strategies: assemble every player's FOC and solve.
 
     Returns an array (players, total_nodes) in the tree's flat node layout.
@@ -173,8 +173,7 @@ def discrete_nash_kkt(spec: GameSpec, tree: ScenarioTree,
                           j * total + offsets[r]:j * total + offsets[r] + sizes[r]] \
                             += coef * W
 
-    _check_player_hessians(spec, tree, G.values, couplings, probs, offsets, sizes,
-                           hessian_tol)
+    _check_player_hessians(spec, tree, G.values, couplings, probs, offsets, sizes)
     try:
         u = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
@@ -205,7 +204,7 @@ def _level_couplings(tree: ScenarioTree, sizes, probs):
     return out
 
 
-def _check_player_hessians(spec, tree, Gv, couplings, probs, offsets, sizes, tol):
+def _check_player_hessians(spec, tree, Gv, couplings, probs, offsets, sizes):
     """Each player's negative Hessian 2 lam id + symmetrized G-part must be PD."""
     n = spec.grid.n
     dt = spec.grid.dt
@@ -222,7 +221,7 @@ def _check_player_hessians(spec, tree, Gv, couplings, probs, offsets, sizes, tol
                 M[offsets[k]:offsets[k] + sizes[k], offsets[r]:offsets[r] + sizes[r]] \
                     += dt * g * couplings[k][r] * (probs[k] * dt)[:, None]
     low = float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
-    if low < tol:
+    if low < HESSIAN_TOL:
         raise NonConcave(f"player Hessian block has eigenvalue {low:.3e}")
 
 
@@ -249,7 +248,7 @@ def nodes_to_leaves(tree: ScenarioTree, u_nodes: np.ndarray) -> np.ndarray:
     return out
 
 
-def compare(oracle_nodes: np.ndarray, solver_nodes: np.ndarray, tree: ScenarioTree) -> float:
+def compare(oracle_nodes: np.ndarray, solver_nodes: np.ndarray) -> float:
     """Max abs strategy difference over players and nodes."""
     if oracle_nodes.shape != solver_nodes.shape:
         raise ShapeError("strategy layouts differ")

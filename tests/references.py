@@ -7,7 +7,9 @@
   the reduction's independent oracle;
 - inventory_path: a liquidation player's held inventory;
 - kkt_gradient_norm: the central-difference gradient of every objective on a
-  scenario tree.
+  scenario tree;
+- coefficient_kkt: every player's equilibrium coefficients from the stacked
+  first-order conditions, one dense solve per mean and per weight column.
 """
 
 from __future__ import annotations
@@ -124,3 +126,53 @@ def kkt_gradient_norm(spec: GameSpec, tree: ScenarioTree, u_nodes: np.ndarray,
             g = (tree_objective(spec, tree, i, up) - tree_objective(spec, tree, i, um)) / (2 * step)
             worst = max(worst, abs(g))
     return worst
+
+
+def coefficient_kkt(spec: GameSpec) -> tuple[np.ndarray, dict]:
+    """Every player's equilibrium coefficients, solved from the first-order conditions.
+
+    objective_per_path forms, with <f, g> = dt sum_k f_k g_k and f^T K g
+    weighted dt^2,
+        J^i = <b^i, u^i> + <b^0, ubar> - lam <u^i, u^i> - dt^2 u^i.A2hat u^i
+              - dt^2 u^i.(A3 + A3^T) ubar - dt^2 ubar.A1 ubar + c^i,
+    plus <extra_i, ubar - u^i / N>, whose gradient in u^i is zero.  With
+    ubar = sum_k u^k / N, that gradient divided by dt is
+    b^i + b^0 / N - own u^i - S ubar, where
+        own = 2 lam id + dt (A2hat + A2hat^T) + dt (A3 + A3^T) / N,
+        S = dt ((A1 + A1^T) / N + A3 + A3^T),
+    and at equilibrium its conditional expectation at every t_k is zero.  A
+    strategy is a mean m plus weights w[k, r] on each tag's increment r < k,
+    so the condition holds for the means on every row and, for each tag's
+    weight column r, on the rows after r.  Each is one stacked system over
+    the players, (I_N kron own + (1/N) 1 1^T kron S) x = b^i + b^0 / N, solved
+    with np.linalg.solve.
+
+    Returns the means (N, n) and, for every noise tag of the game, the
+    weights (N, n, n), zero on and above the diagonal.
+    """
+    N, n, dt = spec.n_players, spec.grid.n, spec.grid.dt
+    A1, A2, A3 = spec.a1.values, spec.a2hat.values, spec.a3.values
+    own = 2.0 * spec.lam * np.eye(n) + dt * (A2 + A2.T) + dt * (A3 + A3.T) / N
+    S = dt * ((A1 + A1.T) / N + A3 + A3.T)
+
+    def solve(rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """The players' stacked conditions on rows, right-hand sides (N, len(rows))."""
+        block = np.ix_(rows, rows)
+        system = np.kron(np.eye(N), own[block]) + np.kron(np.full((N, N), 1.0 / N), S[block])
+        return np.linalg.solve(system, rhs.reshape(-1)).reshape(N, len(rows))
+
+    def drives(tag) -> np.ndarray:
+        """b^i + b^0 / N of every player: the means (tag None) or the tag's weights."""
+        def part(f):
+            return f.mean if tag is None else f.weights.get(tag, np.zeros((n, n)))
+        return np.stack([part(b) + part(spec.b0_signal) / N for b in spec.b_signals])
+
+    means = solve(np.arange(n), drives(None))
+    weights = {}
+    for tag in sorted(spec.noise_tags()):
+        rhs, w = drives(tag), np.zeros((N, n, n))
+        for r in range(n - 1):
+            rows = np.arange(r + 1, n)
+            w[:, rows, r] = solve(rows, rhs[:, rows, r])
+        weights[tag] = w
+    return means, weights

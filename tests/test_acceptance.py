@@ -101,7 +101,7 @@ def test_criterion_1_oracle_equivalence():
     for _ in range(50):
         spec, branching, depth = random_game(rng)
         tree = build_tree(spec, branching=branching, depth=depth)
-        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)
+        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree))
         worst = max(worst, diff)
     elapsed = time.time() - start
     report(1, "oracle equivalence",

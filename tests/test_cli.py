@@ -463,6 +463,19 @@ class TestOracleCheck:
         assert "SizeExceeded" in capsys.readouterr().err
         assert not (out / "oracle.json").exists()
 
+    def test_dense_solve_budget_exits_3(self, tmp_path, capsys):
+        # a third, deterministic driver in the raw game: its tree of 10,239 unknowns fits
+        # the tree budget of 50,000, but not the KKT system's dense-solve budget of 8,000
+        cfg = json.loads((CONFIGS / "raw_game.json").read_text())
+        cfg["model"]["N"] = 3
+        cfg["model"]["b"].append({"family": "deterministic", "values": [0.5]})
+        p = tmp_path / "raw3.json"
+        p.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert main(["oracle-check", "--config", str(p), "--out", str(out)]) == 3
+        assert "10239 unknowns exceed the dense-solve budget 8000" in capsys.readouterr().err
+        assert not (out / "oracle.json").exists()
+
 
 class TestStudies:
     def test_converge_balanced(self, tmp_path):
@@ -531,16 +544,20 @@ class TestStudies:
 @pytest.mark.parametrize("model, message", [
     ("liquidation", "tabulated kernels have no off-grid rows"),
     ("systemic", "density needs 12 cell values"),
+    ("advertising", "density needs 12 cell values"),
 ])
 def test_worked_model_input_checks_exit_2(tmp_path, capsys, model, message):
-    # a worked model's state kernel is read at T too, and a delay density on every cell
+    # a worked model's state kernel is read at T too, and a delay density lists the
+    # grid's n cells in every model: one short, or one for a cell past T, is refused
     cfg = dict(WORKED[model])
     if model == "liquidation":
         table = tmp_path / "propagator.csv"
         table.write_text("\n".join(" ".join(["0.1"] * 12) for _ in range(12)))
         cfg["propagator"] = {"family": "tabulated", "path": str(table)}
-    else:
+    elif model == "systemic":
         cfg["delay"] = {"atoms": [[0.0, 1.0]], "density": [0.5] * 11}
+    else:
+        cfg["forgetting"] = {"atoms": [[0.0, -0.3]], "density": [-0.1] * 13}
     p = write_cfg(tmp_path, cfg)
     assert main(["solve", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err

@@ -16,7 +16,6 @@ from volterra_games.grid_ops import (
     build_grid,
     cut_upper,
     discretize_kernel,
-    discretize_kernel_rows,
     lower_product,
     min_eigenvalue,
     resolvent,
@@ -27,7 +26,7 @@ from volterra_games.grid_ops import (
     zero_kernel,
 )
 
-from volterra_games.model_builders import DelayMeasure, MeasureConvolution
+from volterra_games.model_builders import DelayMeasure
 
 from conftest import mask_from, rand_lower
 
@@ -118,17 +117,6 @@ def row_loop_kernel(spec, g):
     return out * spec.scale
 
 
-def row_loop_rows(spec, g, row_times):
-    """discretize_kernel_rows as a loop over the row times."""
-    out = np.zeros((len(row_times), g.n))
-    cell_end = g.times + g.dt
-    for r, t in enumerate(row_times):
-        live = cell_end <= t + 1e-12 * max(g.horizon, 1.0)
-        row = spec.row_averages(t, g) * spec.scale
-        out[r, live] = row[live]
-    return out
-
-
 def every_family(g):
     """One kernel of each analytic family, with nondefault scales and parameters."""
     density = tuple(np.cos(3.0 * g.times))
@@ -140,8 +128,8 @@ def every_family(g):
         PowerLaw(c=0.5, alpha=0.4),
         DelayIndicator(tau=0.3),
         DelayIndicator(tau=1.5, scale=-2.0),
-        MeasureConvolution(measure=DelayMeasure(atoms=((0.0, 1.0), (0.3, -1.0)))),
-        MeasureConvolution(measure=DelayMeasure(atoms=((0.05, 0.5),), density=density)),
+        DelayMeasure(atoms=((0.0, 1.0), (0.3, -1.0))),
+        DelayMeasure(atoms=((0.05, 0.5),), density=density, scale=0.8),
     ]
 
 
@@ -153,14 +141,6 @@ class TestVectorisedRows:
         g = build_grid(1.0, n)
         for spec in every_family(g):
             assert np.array_equal(discretize_kernel(spec, g).values, row_loop_kernel(spec, g)), spec
-
-    @pytest.mark.parametrize("n", [2, 7, 64, 512])
-    def test_rows_match_row_loop_bitwise(self, n):
-        g = build_grid(1.3, n)
-        row_times = np.concatenate([g.times, [g.horizon, 0.37, 2.0]])
-        for spec in every_family(g):
-            assert np.array_equal(discretize_kernel_rows(spec, g, row_times),
-                                  row_loop_rows(spec, g, row_times)), spec
 
 
 class TestApply:

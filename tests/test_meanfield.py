@@ -476,7 +476,7 @@ def materialized_study(spec, ns, noise, player_paths=None):
         mse_player = np.nan
         if pp > 0:
             u1 = gops.player_solver.solve(shifted_drive(game, player_base(game, 0), ubar_cs))
-            v1 = ops.player_solver.solve(shifted_drive(spec, spec.player_family.signal(0, N),
+            v1 = ops.player_solver.solve(shifted_drive(spec, spec.player_family.signal(0),
                                                        nu_cs))
             gap = u1.path_values(first_pp, pp) - v1.path_values(first_pp, pp)
             mse_player = float(np.max(np.mean(gap ** 2, axis=0)))

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,10 +19,10 @@ from volterra_games.model_builders import (
     DelayMeasure,
     TerminalVector,
     VolterraGameSpec,
+    _state_kernel,
     build_advertising_game,
     build_liquidation_game,
     build_systemic_game,
-    measure_to_kernel,
     reduce_volterra_game,
 )
 from volterra_games.nplayer import concavity_check, objective, objective_per_path, solve_nash
@@ -38,31 +39,42 @@ from references import (
 
 class TestMeasureToKernel:
     def test_unit_atom_at_zero_is_constant(self, grid16):
-        K = measure_to_kernel(DelayMeasure(atoms=((0.0, 1.0),)), grid16)
+        K = discretize_kernel(DelayMeasure(atoms=((0.0, 1.0),)), grid16)
         C = discretize_kernel(ConstantLower(c=1.0), grid16)
         assert np.array_equal(K.values, C.values)
 
     def test_pulse_measure_is_delay_indicator(self, grid16):
         tau = 0.4
-        K = measure_to_kernel(DelayMeasure(atoms=((0.0, 1.0), (tau, -1.0))), grid16)
+        K = discretize_kernel(DelayMeasure(atoms=((0.0, 1.0), (tau, -1.0))), grid16)
         D = discretize_kernel(DelayIndicator(tau=tau), grid16)
         assert np.max(np.abs(K.values - D.values)) < 1e-14
 
     def test_constant_density(self, grid16):
         # nu(ds) = g0 ds: G(t) = g0 t; cell averages are g0 (t_i - t_j - dt/2)
         g0 = 0.7
-        K = measure_to_kernel(DelayMeasure(density=(g0,) * 16), grid16)
+        K = discretize_kernel(DelayMeasure(density=(g0,) * 16), grid16)
         for i in range(1, 16):
             for j in range(i):
                 expect = g0 * (grid16.times[i] - grid16.times[j] - grid16.dt / 2)
                 assert abs(K.values[i, j] - expect) < 1e-14
+
+    def test_density_cell_past_the_horizon_is_not_read(self, grid16):
+        # a state kernel's density lists the game grid's n cells; on the horizon grid
+        # no row reads a cell past T, so any value there gives the same kernel
+        density = tuple(np.cos(3.0 * grid16.times))
+        K = _state_kernel(DelayMeasure(atoms=((0.1, 0.5),), density=density), grid16)
+        for last in (0.0, 123.0):
+            nu = DelayMeasure(atoms=((0.1, 0.5),), density=(*density, last))
+            ext = discretize_kernel(nu, horizon_grid(grid16))
+            assert np.array_equal(ext.values, K.values)
+            assert np.array_equal(ext.diag_half, K.diag_half)
 
     def test_fubini_identity(self, grid16):
         # sum_j G[i, j] u[j] dt matches the double-integral form at O(dt)
         rng = np.random.default_rng(0)
         u = rng.standard_normal(16)
         nu = DelayMeasure(atoms=((0.0, 1.0), (0.25, -0.5)))
-        K = measure_to_kernel(nu, grid16)
+        K = discretize_kernel(nu, grid16)
         got = apply(K, u)
         direct = np.zeros(16)
         dt = grid16.dt
@@ -149,6 +161,27 @@ class TestReduce:
             d_signals=((zero_sig, zero_sig),), s_terminals=(TerminalVector.zero(),),
             grid=grid16)
         with pytest.raises(InadmissibleKernel):
+            reduce_volterra_game(vspec)
+
+    @pytest.mark.parametrize("q_second, message", [
+        (10.0, "assembled instantaneous cost loses definiteness: min eig -2.656e+00 < -p"),
+        (0.0, "player quadratic form loses concavity: min eig -2.656e+00 < -lam"),
+    ], ids=["A2hat-check", "player-form-check"])
+    def test_assembled_cost_must_stay_definite(self, grid16, q_second, message):
+        # a control cross q = (5, 0) on a unit-kernel state makes A2hat indefinite past
+        # -p.  A running cost on the second component, driven by ubar (u^1 at N = 1),
+        # adds A1 to the player's form and keeps it concave, so the A2hat check
+        # refuses; without that cost the player-form check refuses first
+        n, ext = grid16.n, horizon_grid(grid16)
+        rows = discretize_kernel(ConstantLower(c=1.0), ext).values[:, :n]
+        dblock = np.zeros((n + 1, n, 2, 2))
+        dblock[:, :, 0, 0], dblock[:, :, 1, 1] = rows, -rows
+        vspec = VolterraGameSpec(
+            n_players=1, p=1.0, qmat=np.diag([0.0, q_second]), smat=np.zeros((2, 2)),
+            qvec=np.array([5.0, 0.0]), dblock=dblock,
+            d_signals=((deterministic(ext, 1.0), deterministic(ext, 0.0)),),
+            s_terminals=(TerminalVector.zero(),), grid=grid16)
+        with pytest.raises(InadmissibleKernel, match=re.escape(message)):
             reduce_volterra_game(vspec)
 
     def test_random_vspec_fidelity_symmetric_profiles(self, grid16):
@@ -452,8 +485,8 @@ class TestAdvertising:
         ext = build_grid(g.horizon + g.dt, n + 1)
         u = np.random.default_rng(n).standard_normal((3, n))
         m = 0.7 * np.concatenate([np.zeros((3, 1)), np.cumsum(u, axis=1) * g.dt], axis=1)
-        x = solve_linear_state(m, measure_to_kernel(forgetting, ext),
-                               measure_to_kernel(competition, ext))
+        x = solve_linear_state(m, discretize_kernel(forgetting, ext),
+                               discretize_kernel(competition, ext))
         d = vspec.dblock
         blocks = (d[:, :, 0, 0] @ u.T + d[:, :, 0, 1] @ u.mean(axis=0)[:, None]) * g.dt
         assert np.max(np.abs(x - blocks.T)) <= 1e-13
@@ -465,7 +498,7 @@ class TestAdvertising:
         game, _ = build_advertising_game(self.params(
             competition=DelayMeasure(atoms=((0.0, 0.8),))), g)
         tree = build_tree(game, branching=1, depth=0)
-        diff = compare(discrete_nash_kkt(game, tree), solve_game_on_tree(game, tree), tree)
+        diff = compare(discrete_nash_kkt(game, tree), solve_game_on_tree(game, tree))
         assert diff <= 1e-8
 
 
@@ -504,14 +537,12 @@ class TestStochasticStateReduction:
         rng = np.random.default_rng(5)
         g = build_grid(1.0, 6)
         n, N = g.n, 2
-        from volterra_games.grid_ops import discretize_kernel_rows
-
         dblock = np.zeros((n + 1, n, 2, 2))
         for a in range(2):
             for b in range(2):
                 fam = ExponentialDecay(c=rng.uniform(0.2, 0.6), rho=rng.uniform(0.5, 1.5))
                 dblock[:n, :, a, b] = discretize_kernel(fam, g).values
-                dblock[n, :, a, b] = discretize_kernel_rows(fam, g, np.array([g.horizon]))[0]
+                dblock[n, :, a, b] = discretize_kernel(fam, horizon_grid(g)).values[n, :n]
         Q = rng.standard_normal((2, 2)) * 0.2
         S = rng.standard_normal((2, 2)) * 0.2
         q = rng.standard_normal(2) * 0.4

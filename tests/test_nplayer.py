@@ -41,6 +41,7 @@ from volterra_games.signals import (CompiledSignal, brownian_weighted, determini
 from volterra_games.validation import validation_report
 
 from conftest import cond1
+from references import coefficient_kkt
 
 
 def make_spec(grid, N=3, lam=1.0, zero=False, symmetric=False, seediness=0):
@@ -484,6 +485,35 @@ def shipped_game(model, n, **model_keys):
                      .read_text())
     cfg["model"].update(model_keys)
     return cfg, build_game_from_config(cfg, build_grid(cfg["grid"]["T"], n))
+
+
+COEFFICIENT_GAMES = {
+    "systemic-16-distinct-sigmas": ("systemic", dict(
+        N=16, sigma=[round(0.10 + 0.02 * k, 2) for k in range(16)],
+        x0=[(1.0, 0.5, -0.2)[k % 3] for k in range(16)])),
+    "systemic": ("systemic", {}),
+    "liquidation-4-players": ("liquidation", dict(
+        N=4, x0=[1.0, 2.0, -0.5, 0.5], signal_sigma=[0.2, 0.1, 0.3, 0.05])),
+    "raw": ("raw_game", {}),
+}
+
+
+@pytest.mark.parametrize("game", sorted(COEFFICIENT_GAMES))
+def test_strategy_coefficients_match_the_stacked_kkt(game):
+    # every player's mean and weights against one dense solve of all players' first-order
+    # conditions per part, heterogeneous players included, at the oracle's gate.  The
+    # liquidation players differ in x0 alone: their martingale prices leave b^i no tag
+    model, keys = COEFFICIENT_GAMES[game]
+    _, spec = shipped_game(model, 32, **keys)
+    sol = solve_nash(spec, draw_noise(spec.grid, spec.noise_tags() or {"common"}, 1, 0))
+    means, weights = coefficient_kkt(spec)
+    assert set(weights) == spec.noise_tags()
+    zero = np.zeros((spec.grid.n, spec.grid.n))
+    for i, strategy in enumerate(sol.strategies):
+        assert np.max(np.abs(strategy.mean - means[i])) <= 1e-8
+        for tag, w in weights.items():
+            got = strategy.adapted_weights(tag) if tag in strategy.weights else zero
+            assert np.max(np.abs(got - w[i])) <= 1e-8, (i, tag)
 
 
 class TestBlockedProducts:

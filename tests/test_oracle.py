@@ -143,14 +143,14 @@ class TestKKT:
                         b_signals=(deterministic(g, 1.0 + g.times),),
                         b0_signal=deterministic(g, 0.0), grid=g)
         tree = build_tree(spec, branching=1, depth=3)
-        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)
+        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree))
         assert diff <= 1e-10
 
     def test_three_players_binomial_depth(self):
         g = build_grid(1.0, 8)
         spec = small_spec(g, N=3)
         tree = build_tree(spec, branching=2, depth=6)
-        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)
+        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree))
         assert diff <= 1e-8
 
     def test_branching_one_equals_deterministic_solver(self):
@@ -159,7 +159,7 @@ class TestKKT:
         tree = build_tree(spec, branching=1, depth=0)
         uo = discrete_nash_kkt(spec, tree)
         us = solve_game_on_tree(spec, tree)
-        assert compare(uo, us, tree) <= 1e-10
+        assert compare(uo, us) <= 1e-10
 
     def test_non_concave_detected(self):
         # mixed-sign kernel at the concavity boundary: the spec-level check
@@ -205,10 +205,10 @@ class TestOptimality:
         spec = small_spec(g, N=2)
         tree = build_tree(spec, branching=2, depth=2)
         u = discrete_nash_kkt(spec, tree)
-        assert compare(u, u, tree) == 0.0
+        assert compare(u, u) == 0.0
         pert = u.copy()
         pert[1, 3] += 0.125
-        assert compare(u, pert, tree) == 0.125
+        assert compare(u, pert) == 0.125
 
     def test_node_leaf_roundtrip(self):
         g = build_grid(1.0, 5)
@@ -232,21 +232,21 @@ class TestEdgeCases:
                             + martingale(g, sigma=0.4, noise="common") for i in range(2)),
             b0_signal=deterministic(g, 0.3), grid=g)
         tree = build_tree(spec, branching=2, depth=5)
-        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)
+        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree))
         assert diff <= 1e-8
 
     def test_ou_signal_game_oracle_match(self):
         g = build_grid(1.0, 6)
         spec = small_spec(g, N=2, signal="ou")
         tree = build_tree(spec, branching=3, depth=3)
-        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)
+        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree))
         assert diff <= 1e-8
 
     def test_minimal_grid_game(self):
         g = build_grid(1.0, 2)
         spec = small_spec(g, N=2)
         tree = build_tree(spec, branching=2, depth=1)
-        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)
+        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree))
         assert diff <= 1e-10
 
 
@@ -276,7 +276,7 @@ class TestDynamicStateToyGame:
                         b0_signal=deterministic(g, 1.0), grid=g,
                         kernel_check="concave")
         tree = build_tree(spec, branching=2, depth=2)
-        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree), tree)
+        diff = compare(discrete_nash_kkt(spec, tree), solve_game_on_tree(spec, tree))
         assert diff <= 1e-8
 
 
@@ -329,13 +329,13 @@ def reduced_games(draw):
 def test_reduced_games_match_the_oracle(game_and_tree):
     # the reduction's noise tags (systemic's reserves) reach the oracle's tree, not one path
     game, tree = game_and_tree
-    diff = compare(discrete_nash_kkt(game, tree), solve_game_on_tree(game, tree), tree)
+    diff = compare(discrete_nash_kkt(game, tree), solve_game_on_tree(game, tree))
     assert diff <= 1e-8
 
 
 @pytest.mark.parametrize("make", [
     lambda g: build_tree(small_spec(g), 4, 2),
-    lambda g: compare(np.zeros((2, 5)), np.zeros((1, 5)), None),
+    lambda g: compare(np.zeros((2, 5)), np.zeros((1, 5))),
 ], ids=["branching-4", "layouts-differ"])
 def test_input_checks(make):
     with pytest.raises(ShapeError):

@@ -18,7 +18,6 @@ from volterra_games.grid_ops import (
     ExponentialDecay,
     build_grid,
     discretize_kernel,
-    discretize_kernel_rows,
     horizon_grid,
 )
 from volterra_games.model_builders import (
@@ -175,7 +174,7 @@ def random_vspec(seed, n=10, N=3):
         for b in range(2):
             fam = ExponentialDecay(c=rng.uniform(0.1, 0.6), rho=rng.uniform(0.5, 2.0))
             dblock[:n, :, a, b] = discretize_kernel(fam, g).values
-            dblock[n, :, a, b] = discretize_kernel_rows(fam, g, np.array([g.horizon]))[0]
+            dblock[n, :, a, b] = discretize_kernel(fam, ext).values[n, :n]
     common = ou(ext, kappa=rng.uniform(0.5, 2.0), sigma=0.4, x0=0.3, noise="common")
     g0, w0 = rng.standard_normal(n), rng.standard_normal((n, n))
     anticipative = brownian_weighted(ext, np.append(g0, rng.standard_normal()),
@@ -303,4 +302,5 @@ def test_kernel_block_is_the_einsum(n, monkeypatch):
         # rounding bound of that many operations on the sum of the terms' magnitudes
         scale = np.einsum("kjab,kac,klcd->jlbd", abs(D), abs(W), abs(D), optimize=True)
         bound = 8 * (n + 1) * np.finfo(float).eps * scale
-        assert np.all(np.abs(mb._kernel_block(D, W) - want) <= bound)
+        DW = np.einsum("kjab,kac->jbkc", D, W)
+        assert np.all(np.abs(mb._kernel_block(DW, D) - want) <= bound)

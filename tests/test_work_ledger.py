@@ -168,10 +168,10 @@ def counting(monkeypatch) -> dict:
         counts["folds"] += 1
         return fold(*args)
 
-    def counted_kernel_block(D, W):
+    def counted_kernel_block(DW, D):
         K, n = D.shape[:2]
         counts["kernel_block_multiply_adds"] += 2 * n * 2 * K * 2 * n
-        return kernel_block(D, W)
+        return kernel_block(DW, D)
 
     monkeypatch.setattr(fredholm, "build_Dt", counted_build_Dt)
     monkeypatch.setattr(FredholmSolver, "solve", counted_solve)
