@@ -21,6 +21,7 @@ from .errors import (
 from .grid_ops import (
     ConstantLower,
     DelayIndicator,
+    DelayMeasure,
     ExponentialDecay,
     GridKernel,
     KernelSpec,
@@ -73,7 +74,6 @@ from .meanfield import (
     solve_infinite,
 )
 from .model_builders import (
-    DelayMeasure,
     VolterraGameSpec,
     build_advertising_game,
     build_liquidation_game,

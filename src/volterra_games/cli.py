@@ -34,6 +34,7 @@ from .errors import ConfigError, InvalidGrid, VolterraGamesError
 from .grid_ops import (
     ConstantLower,
     DelayIndicator,
+    DelayMeasure,
     ExponentialDecay,
     PowerLaw,
     Tabulated,
@@ -52,7 +53,6 @@ from .meanfield import (
     fit_loglog_slope,
 )
 from .model_builders import (
-    DelayMeasure,
     build_advertising_game,
     build_liquidation_game,
     build_systemic_game,

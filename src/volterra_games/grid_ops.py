@@ -14,6 +14,7 @@ of a triangular left factor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,35 +117,27 @@ def zero_kernel(grid: TimeGrid) -> GridKernel:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Base class for analytic kernel families; `scale` multiplies the kernel."""
+    """Base class for analytic convolution kernel families G(t, s) = G(t - s);
+    `scale` multiplies the kernel.  A family checks its parameters where it is
+    made."""
 
     scale: float = 1.0
 
-    def row_averages(self, t, grid: TimeGrid) -> np.ndarray:
-        """Cell averages (1/dt) int_{t_j}^{t_j+dt} G(t, s) ds over all n columns.
-
-        t is one row time or a column of them, shape (r, 1); the result
-        broadcasts against the (r, n) rows (a family that does not depend on t
-        may return one row).  Columns whose cell is not strictly below t must
-        be zeroed by the caller; this returns the raw averages for cells
-        entirely inside [0, t].
-        """
+    def lag_averages(self, m: np.ndarray, dt: float) -> np.ndarray:
+        """Cell averages (1/dt) int_{(m-1)dt}^{m dt} G(x) dx at the integer lags m >= 1."""
         raise NotImplementedError
 
-    def half_cell_average(self, grid: TimeGrid) -> float:
-        """(2/dt^2) int int_{0 < s < t < dt} G(t, s): the dropped diagonal mass."""
+    def half_cell_average(self, dt: float) -> float:
+        """(2/dt^2) int_0^dt (dt - x) G(x) dx: the dropped diagonal mass."""
         raise NotImplementedError
-
-    def validate(self) -> None:
-        pass
 
 
 @dataclass(frozen=True)
 class ZeroK(KernelSpec):
-    def row_averages(self, t, grid):
-        return np.zeros(grid.n)
+    def lag_averages(self, m, dt):
+        return np.zeros(np.shape(m))
 
-    def half_cell_average(self, grid):
+    def half_cell_average(self, dt):
         return 0.0
 
 
@@ -152,72 +145,110 @@ class ZeroK(KernelSpec):
 class ConstantLower(KernelSpec):
     c: float = 1.0
 
-    def row_averages(self, t, grid):
-        return np.full(grid.n, self.c)
+    def lag_averages(self, m, dt):
+        return np.full(np.shape(m), self.c)
 
-    def half_cell_average(self, grid):
+    def half_cell_average(self, dt):
         return self.c
 
 
 @dataclass(frozen=True)
 class ExponentialDecay(KernelSpec):
-    """G(t, s) = c * exp(-rho (t - s)) for s < t."""
+    """G(x) = c * exp(-rho x)."""
 
     c: float = 1.0
     rho: float = 1.0
 
-    def row_averages(self, t, grid):
-        dt = grid.dt
+    def lag_averages(self, m, dt):
         x = self.rho * dt
-        # (1/dt) int_cell e^{-rho(t-s)} ds = e^{-rho(t - t_j)} * (e^{rho dt}-1)/(rho dt)
+        # (1/dt) int_{(m-1)dt}^{m dt} e^{-rho x} dx = e^{-rho m dt} * (e^{rho dt}-1)/(rho dt)
         fac = np.expm1(x) / x if x != 0.0 else 1.0
-        return self.c * np.exp(-self.rho * (t - grid.times)) * fac
+        return self.c * np.exp(-self.rho * (m * dt)) * fac
 
-    def half_cell_average(self, grid):
-        x = self.rho * grid.dt
-        if x == 0.0:
-            return self.c
+    def half_cell_average(self, dt):
+        # 2 (e^{-x} - 1 + x) / x^2; for small |x| its series, which does not cancel
+        x = self.rho * dt
+        if abs(x) < 0.5:
+            return self.c * 2.0 * sum((-x) ** k / math.factorial(k + 2) for k in range(17))
         return self.c * (2.0 / x) * (1.0 - (1.0 - np.exp(-x)) / x)
 
 
 @dataclass(frozen=True)
 class PowerLaw(KernelSpec):
-    """G(t, s) = c * (t - s)^(-alpha) for s < t, alpha in (0, 1/2)."""
+    """G(x) = c * x^(-alpha), alpha in (0, 1/2)."""
 
     c: float = 1.0
     alpha: float = 0.3
 
-    def validate(self):
+    def __post_init__(self):
         if not (0.0 < self.alpha < 0.5):
             raise InadmissibleKernel(f"power-law exponent must lie in (0, 1/2), got {self.alpha}")
 
-    def row_averages(self, t, grid):
-        dt = grid.dt
+    def lag_averages(self, m, dt):
         a = self.alpha
-        upper = np.maximum(t - grid.times, 0.0)
-        lower = np.maximum(upper - dt, 0.0)
-        # exact antiderivative of (t-s)^(-a); never evaluates the singularity
-        return self.c * (upper ** (1.0 - a) - lower ** (1.0 - a)) / ((1.0 - a) * dt)
+        # exact antiderivative of x^(-a); lag 1 never evaluates the singularity
+        return self.c * (m ** (1.0 - a) - (m - 1) ** (1.0 - a)) * dt ** (-a) / (1.0 - a)
 
-    def half_cell_average(self, grid):
+    def half_cell_average(self, dt):
         a = self.alpha
-        return 2.0 * self.c * grid.dt ** (-a) / ((1.0 - a) * (2.0 - a))
+        return 2.0 * self.c * dt ** (-a) / ((1.0 - a) * (2.0 - a))
 
 
 @dataclass(frozen=True)
 class DelayIndicator(KernelSpec):
-    """G(t, s) = 1_{0 <= t-s} - 1_{t-s >= tau} for s < t (unit pulse of width tau)."""
+    """G(x) = 1_{x < tau}: a unit pulse of width tau >= 0."""
 
     tau: float = 0.5
 
-    def row_averages(self, t, grid):
-        cut = np.clip((t - self.tau - grid.times) / grid.dt, 0.0, 1.0)
-        return 1.0 - cut
+    def __post_init__(self):
+        if not (self.tau >= 0.0):
+            raise InadmissibleKernel(f"delay pulse width must be >= 0, got {self.tau}")
 
-    def half_cell_average(self, grid):
-        if self.tau >= grid.dt:
+    def lag_averages(self, m, dt):
+        return 1.0 - np.clip(m - self.tau / dt, 0.0, 1.0)
+
+    def half_cell_average(self, dt):
+        if self.tau >= dt:
             return 1.0
-        return 1.0 - (1.0 - self.tau / grid.dt) ** 2
+        return 1.0 - (1.0 - self.tau / dt) ** 2
+
+
+@dataclass(frozen=True)
+class DelayMeasure(KernelSpec):
+    """G(x) = nu([0, x]) for a signed measure nu on [0, infinity): point masses
+    plus a density constant on each cell of width dt, the kernel's grid step."""
+
+    atoms: tuple = ()              # of (location tau >= 0, mass)
+    density: tuple | None = None   # cell values of a density on the grid, or None
+
+    def __post_init__(self):
+        for tau, mass in self.atoms:
+            if tau < 0.0 or not np.isfinite(mass):
+                raise ShapeError(f"bad atom ({tau}, {mass})")
+
+    def lag_averages(self, m, dt):
+        out = np.zeros(np.shape(m))
+        for tau, mass in self.atoms:
+            out += mass * np.clip(m - tau / dt, 0.0, 1.0)
+        if self.density is not None:
+            # the density's part of G is linear on lag m's cell, so its average is
+            # its value at (m - 1/2) dt: the mass through cell m - 2 plus half of cell m - 1
+            g = np.asarray(self.density, dtype=float)
+            if len(g) < np.max(m):
+                raise ShapeError(f"density needs a value for each of {np.max(m)} cells, "
+                                 f"got {len(g)}")
+            cum = np.concatenate([[0.0], np.cumsum(g) * dt])
+            out += cum[m - 1] + g[m - 1] * (0.5 * dt)
+        return out
+
+    def half_cell_average(self, dt):
+        total = 0.0
+        for tau, mass in self.atoms:
+            if tau < dt:
+                total += mass * (1.0 - tau / dt) ** 2
+        if self.density is not None:
+            total += float(np.asarray(self.density)[0]) * dt / 3.0
+        return total
 
 
 @dataclass(frozen=True)
@@ -226,13 +257,13 @@ class Tabulated(KernelSpec):
 
     table: tuple = ()
 
-    def row_averages(self, t, grid):
-        raise NotImplementedError("tabulated kernels bypass row_averages")
-
 
 def discretize_kernel(spec: KernelSpec, grid: TimeGrid) -> GridKernel:
-    """Nystrom discretization: strictly lower triangular cell-averaged matrix."""
-    spec.validate()
+    """Nystrom discretization: strictly lower triangular cell-averaged matrix.
+
+    An analytic family's matrix is Toeplitz: entry (i, j) is its average at
+    the lag i - j, so it is gathered from the n - 1 lag averages.
+    """
     n = grid.n
     if isinstance(spec, Tabulated):
         vals = np.asarray(spec.table, dtype=float)
@@ -240,9 +271,11 @@ def discretize_kernel(spec: KernelSpec, grid: TimeGrid) -> GridKernel:
             raise ShapeError(f"tabulated kernel must be {n} x {n}, got {vals.shape}")
         out = np.tril(vals, k=-1) * spec.scale
         return GridKernel(grid, out)
-    out = np.tril(np.broadcast_to(spec.row_averages(grid.times[:, None], grid), (n, n)), -1)
-    diag = np.full(n, spec.half_cell_average(grid) * spec.scale)
-    return GridKernel(grid, out * spec.scale, diag_half=diag)
+    lags = np.arange(n)
+    table = np.concatenate([[0.0], spec.lag_averages(lags[1:], grid.dt)]) * spec.scale
+    out = table[np.maximum(np.subtract.outer(lags, lags), 0)]      # lag 0 on and above the diagonal
+    diag = np.full(n, spec.half_cell_average(grid.dt) * spec.scale)
+    return GridKernel(grid, out, diag_half=diag)
 
 
 # ---------------------------------------------------------------------------

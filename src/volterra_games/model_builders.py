@@ -6,11 +6,12 @@ control-state cross vector q, and control cost p.  A state lives on the game
 grid extended by its horizon point (grid_ops.horizon_grid): n + 1 rows, the
 grid times and then T, weighed in one sum, dt Q at each grid time and S at
 T.  The worked models discretize every state kernel on that grid with
-grid_ops.discretize_kernel; a delay measure is one more kernel family.  The
-reduction expands the discrete objective exactly over ordered time pairs,
-which yields strictly lower triangular A-kernels, affine-in-noise drivers
-b^i, b^0, and constants c^i.  The tests check it against a direct state
-simulator with the matching ordered-pair quadrature (tests/references.py).
+grid_ops.discretize_kernel; a delay measure (grid_ops.DelayMeasure) is one
+more kernel family.  The reduction expands the discrete objective exactly
+over ordered time pairs, which yields strictly lower triangular A-kernels,
+affine-in-noise drivers b^i, b^0, and constants c^i.  The tests check it
+against a direct state simulator with the matching ordered-pair quadrature
+(tests/references.py).
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from __future__ import annotations
 import functools
 import numbers
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ConvexityViolation, InadmissibleKernel, ShapeError
 from .grid_ops import (
     ConstantLower,
+    DelayMeasure,
     GridKernel,
     KernelSpec,
     Tabulated,
@@ -73,54 +75,6 @@ def player_count(params: dict, *lists: str) -> int:
         raise ShapeError(f"need model.N >= 1 and one number per player in {', '.join(lists)}; "
                          f"got N = {N}")
     return N
-
-
-# ---------------------------------------------------------------------------
-# delay measures
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DelayMeasure(KernelSpec):
-    """Convolution kernel G(t - s), G(x) = nu([0, x]), of a signed measure nu on
-    [0, infinity): point masses plus a piecewise-constant density."""
-
-    atoms: tuple = ()              # of (location tau >= 0, mass)
-    density: tuple | None = None   # cell values of a density on the grid, or None
-
-    def __post_init__(self):
-        for tau, mass in self.atoms:
-            if tau < 0.0 or not np.isfinite(mass):
-                raise ShapeError(f"bad atom ({tau}, {mass})")
-
-    def _eval_cum(self, grid: TimeGrid, x: np.ndarray) -> np.ndarray:
-        """G_d(x) = int_0^x density, piecewise linear, clamped beyond the grid."""
-        g = np.asarray(self.density, dtype=float)
-        if g.shape != (grid.n,):
-            raise ShapeError(f"density needs {grid.n} cell values, got {g.shape}")
-        cum = np.concatenate([[0.0], np.cumsum(g) * grid.dt])
-        xc = np.clip(x, 0.0, grid.horizon)
-        m = np.minimum((xc / grid.dt).astype(int), grid.n - 1)
-        return cum[m] + g[m] * (xc - m * grid.dt)
-
-    def row_averages(self, t, grid):
-        dt = grid.dt
-        out = np.zeros(np.broadcast_shapes(np.shape(t), grid.times.shape))
-        for tau, mass in self.atoms:
-            out += mass * np.clip((t - tau - grid.times) / dt, 0.0, 1.0)
-        if self.density is not None:
-            mid = t - grid.times - 0.5 * dt
-            out += self._eval_cum(grid, np.maximum(mid, 0.0))
-        return out
-
-    def half_cell_average(self, grid):
-        dt = grid.dt
-        total = 0.0
-        for tau, mass in self.atoms:
-            if tau < dt:
-                total += mass * (1.0 - tau / dt) ** 2
-        if self.density is not None:
-            total += float(np.asarray(self.density)[0]) * dt / 3.0
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +281,14 @@ def reduce_volterra_game(vspec: VolterraGameSpec) -> GameSpec:
 def _state_kernel(spec: KernelSpec, grid: TimeGrid) -> GridKernel:
     """A state kernel on horizon_grid(grid), rows at the grid times and at T.
 
-    A delay density lists grid's n cells and gets one zero cell past T, which
-    no row reads (the largest lag is T - dt/2).  A table lists no row at T.
+    A delay density lists grid's n cells: the largest lag, n, reads the last.
+    A table lists no row at T.
     """
     if isinstance(spec, Tabulated):
         raise InadmissibleKernel("tabulated kernels have no off-grid rows")
-    if isinstance(spec, DelayMeasure) and spec.density is not None:
-        if np.shape(spec.density) != (grid.n,):
-            raise ShapeError(f"density needs {grid.n} cell values, "
-                             f"got {np.shape(spec.density)}")
-        spec = replace(spec, density=(*spec.density, 0.0))
+    if isinstance(spec, DelayMeasure) and spec.density is not None \
+            and np.shape(spec.density) != (grid.n,):
+        raise ShapeError(f"density needs {grid.n} cell values, got {np.shape(spec.density)}")
     return discretize_kernel(spec, horizon_grid(grid))
 
 

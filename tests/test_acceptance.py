@@ -12,6 +12,7 @@ import numpy as np
 from volterra_games.fredholm import FredholmSolver, stability_gap
 from volterra_games.grid_ops import (
     ConstantLower,
+    DelayMeasure,
     ExponentialDecay,
     PowerLaw,
     add_kernels,
@@ -31,7 +32,6 @@ from volterra_games.meanfield import (
     solve_generic,
 )
 from volterra_games.model_builders import (
-    DelayMeasure,
     build_advertising_game,
     build_liquidation_game,
     build_systemic_game,

@@ -225,6 +225,12 @@ class TestConfigErrors:
         ("solve", {"noise": {"paths": "text", "seed": 3}}, ["--paths", "2"]),
         ("solve", {"noise": {"paths": 6, "seed": [0.5]}}, ["--seed", "1"]),
         ("converge", {"noise": {"paths": 6.5, "seed": 3}}, ["--paths", "2"]),
+        # a negative pulse width discretized to the zero kernel: liquidation solved it as
+        # the zero propagator (exit 0), and a raw game's a3 failed as indefinite
+        ("solve", {"model": {**WORKED["liquidation"],
+                             "propagator": {"family": "delay_indicator", "tau": -1.0}}}, []),
+        ("solve", {"model": {**RAW_MODEL, "a3": {"family": "delay_indicator", "tau": -0.5}}},
+         []),
     ], ids=["grid-not-object", "T-not-number", "n-1", "grid-n-1", "grid-n-0",
             "paths-not-integer", "N-not-integer", "raw-lam-missing", "mfg-lam-missing",
             "mfg-lam-negative", "mfg-alpha-0.9", "Ns-not-list", "combination-empty",
@@ -245,7 +251,8 @@ class TestConfigErrors:
             "out-not-string", "systemic-h-row-short", "values-nested",
             "systemic-sigma-nested", "mfg-a1-indefinite",
             "eps-nash-a3-indefinite", "mfg-kind-misspelled", "noise-paths-string-under-flag",
-            "noise-seed-list-under-flag", "converge-noise-paths-fractional-under-flag"])
+            "noise-seed-list-under-flag", "converge-noise-paths-fractional-under-flag",
+            "liquidation-tau-negative", "a3-tau-negative"])
     def test_malformed_value_exits_2(self, tmp_path, command, overrides, argv):
         game = command in ("solve", "validate", "oracle-check")
         cfg = {"grid": {"T": 1.0, "n": 12}, "noise": {"paths": 6, "seed": 3},

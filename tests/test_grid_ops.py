@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_games.errors import InadmissibleKernel, InvalidGrid, ShapeError
 from volterra_games.grid_ops import (
     ConstantLower,
     DelayIndicator,
+    DelayMeasure,
     ExponentialDecay,
     GridKernel,
     LU_LEAF,
@@ -25,8 +28,6 @@ from volterra_games.grid_ops import (
     triangular_inverse,
     zero_kernel,
 )
-
-from volterra_games.model_builders import DelayMeasure
 
 from conftest import mask_from, rand_lower
 
@@ -71,10 +72,10 @@ class TestDiscretize:
         assert abs(K.values[1, 0] - g.dt ** (-0.3) / 0.7) < 1e-13
 
     def test_power_law_inadmissible_exponent(self):
-        g = build_grid(1.0, 4)
-        for alpha in (0.5, 0.7):
-            with pytest.raises(InadmissibleKernel):
-                discretize_kernel(PowerLaw(c=1.0, alpha=alpha), g)
+        # refused where it is made, before any grid
+        for alpha in (0.0, 0.5, 0.7, float("nan")):
+            with pytest.raises(InadmissibleKernel, match="power-law exponent"):
+                PowerLaw(c=1.0, alpha=alpha)
 
     def test_exponential_cell_average_is_exact(self):
         g = build_grid(1.0, 8)
@@ -109,14 +110,6 @@ class TestDiscretize:
         assert np.allclose(K3.values, 3.0 * K1.values)
 
 
-def row_loop_kernel(spec, g):
-    """discretize_kernel's values as a loop over rows, one row time at a time."""
-    out = np.zeros((g.n, g.n))
-    for i in range(1, g.n):
-        out[i, :i] = spec.row_averages(g.times[i], g)[:i]
-    return out * spec.scale
-
-
 def every_family(g):
     """One kernel of each analytic family, with nondefault scales and parameters."""
     density = tuple(np.cos(3.0 * g.times))
@@ -133,14 +126,104 @@ def every_family(g):
     ]
 
 
-class TestVectorisedRows:
-    """All rows at once give the same bits as the loop over rows."""
+class TestExactLags:
+    """An analytic kernel is its lag averages laid out along the subdiagonals."""
 
-    @pytest.mark.parametrize("n", [2, 7, 64, 512])
-    def test_kernel_matches_row_loop_bitwise(self, n):
+    @pytest.mark.parametrize("n", [2, 7, 64, 100, 512, 513])
+    def test_every_family_is_toeplitz_bitwise(self, n):
         g = build_grid(1.0, n)
         for spec in every_family(g):
-            assert np.array_equal(discretize_kernel(spec, g).values, row_loop_kernel(spec, g)), spec
+            K = discretize_kernel(spec, g).values
+            assert np.array_equal(K[1:, 1:], K[:-1, :-1]), spec
+            assert not np.any(np.triu(K)), spec
+
+    @pytest.mark.parametrize("n", [100, 513])
+    def test_power_law_first_lag_is_its_closed_form(self, n):
+        # (1/dt) int_0^dt c x^(-alpha) dx = c dt^(-alpha) / (1 - alpha), on every row
+        g = build_grid(1.0, n)
+        K = discretize_kernel(PowerLaw(c=0.5, alpha=0.4), g)
+        exact = 0.5 * g.dt ** (-0.4) / 0.6
+        assert np.max(np.abs(np.diagonal(K.values, -1) - exact)) <= 1e-15 * exact
+
+
+# Gauss-Legendre nodes and weights on [-1, 1], exact for polynomials of degree 39
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def cell_integrals(G, edges, breaks=()):
+    """int G(x) dx over each cell [edges[k], edges[k + 1]]: Gauss-Legendre on each
+    piece between the edges and the breaks inside them, summed per cell."""
+    cuts = np.union1d(edges, [x for x in breaks if edges[0] < x < edges[-1]])
+    lo, hi = cuts[:-1], cuts[1:]
+    x = 0.5 * (hi - lo)[:, None] * GL_NODES + 0.5 * (hi + lo)[:, None]
+    pieces = 0.5 * (hi - lo) * (G(x) @ GL_WEIGHTS)
+    return np.bincount(np.searchsorted(edges, lo, side="right") - 1, pieces,
+                       minlength=len(edges) - 1)
+
+
+# coefficients: relative errors of subnormal products say nothing about the formulas
+COEF = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@st.composite
+def families_with_G(draw):
+    """(dt, n, [(spec, G, breaks, size)]): one kernel of each family, its G(x) written
+    out afresh, the points where G jumps, and a bound on |G| and on the terms it sums,
+    to which errors are relative.  The power law is bounded from lag 2 on."""
+    n = draw(st.integers(2, 64))
+    dt = draw(st.floats(0.25, 4.0)) / n
+    c = draw(COEF)
+    rho = draw(st.floats(0.0, 5.0))
+    alpha = draw(st.floats(0.01, 0.49))
+    tau = draw(st.floats(0.0, 1.5 * n * dt))
+    atoms = tuple(draw(st.lists(st.tuples(st.floats(0.0, 1.5 * n * dt), COEF),
+                                min_size=1, max_size=3)))
+    density = np.array(draw(st.lists(COEF, min_size=n, max_size=n)))
+
+    def measure(x):
+        jumps = sum(mass * (x >= t) for t, mass in atoms)
+        cells = np.clip(x[..., None] - dt * np.arange(n), 0.0, dt)    # x's overlap with each cell
+        return jumps + cells @ density
+
+    return dt, n, [
+        (ZeroK(), lambda x: 0.0 * x, (), 0.0),
+        (ConstantLower(c=c), lambda x: np.full_like(x, c), (), abs(c)),
+        (ExponentialDecay(c=c, rho=rho), lambda x: c * np.exp(-rho * x), (), abs(c)),
+        (PowerLaw(c=c, alpha=alpha), lambda x: c * x ** -alpha, (), abs(c) * dt ** -alpha),
+        (DelayIndicator(tau=tau), lambda x: (x < tau).astype(float), (tau,), 1.0),
+        (DelayMeasure(atoms=atoms, density=tuple(density)), measure, [t for t, _ in atoms],
+         sum(abs(mass) for _, mass in atoms) + dt * np.sum(np.abs(density))),
+    ]
+
+
+class TestReferenceAverages:
+    """Every family's averages against quadrature of its G(x), written out afresh."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(families_with_G())
+    def test_lag_and_half_cell_averages(self, case):
+        dt, n, families = case
+        lags = np.arange(1, n)
+        for spec, G, breaks, size in families:
+            got = spec.lag_averages(lags, dt)
+            ref = cell_integrals(G, dt * np.arange(n), breaks) / dt
+            half = 2.0 / dt ** 2 * cell_integrals(lambda x: (dt - x) * G(x), [0.0, dt], breaks)[0]
+            if isinstance(spec, PowerLaw):      # singular at 0: lag 1 and the half cell below
+                got, ref = got[1:], ref[1:]
+                half = spec.half_cell_average(dt)
+            assert np.all(np.abs(got - ref) <= 1e-12 * size), spec
+            assert abs(spec.half_cell_average(dt) - half) <= 1e-12 * size, spec
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(c=COEF, alpha=st.floats(0.01, 0.49), dt=st.floats(1e-3, 2.0))
+    def test_power_law_singular_cells(self, c, alpha, dt):
+        # (1/dt) int_0^dt c x^(-a) dx and (2/dt^2) int_0^dt (dt - x) c x^(-a) dx
+        spec = PowerLaw(c=c, alpha=alpha)
+        first = c * dt ** (1.0 - alpha) / (1.0 - alpha) / dt
+        half = 2.0 * c / dt ** 2 * (dt ** (2.0 - alpha) / (1.0 - alpha)
+                                     - dt ** (2.0 - alpha) / (2.0 - alpha))
+        assert abs(spec.lag_averages(np.array([1]), dt)[0] - first) <= 1e-12 * abs(first)
+        assert abs(spec.half_cell_average(dt) - half) <= 1e-12 * abs(half)
 
 
 class TestApply:
@@ -463,7 +546,12 @@ def _inf_entry(n):
     (lambda g: GridKernel(g, np.zeros((g.n, g.n - 1))), ShapeError),
     (lambda g: GridKernel(g, np.zeros((g.n, g.n)), diag_half=np.zeros(g.n - 1)), ShapeError),
     (lambda g: discretize_kernel(Tabulated(table=((0.0,) * 3,) * 3), g), ShapeError),
-], ids=["non-finite", "wrong-shape", "diag-half-length", "tabulated-shape"])
+    # a negative width once discretized to the zero kernel, with a negative half cell
+    (lambda g: DelayIndicator(tau=-0.5), InadmissibleKernel),
+    # lag n - 1 reads density cell n - 2: a shorter density is refused, not indexed past
+    (lambda g: discretize_kernel(DelayMeasure(density=(0.5,) * (g.n - 2)), g), ShapeError),
+], ids=["non-finite", "wrong-shape", "diag-half-length", "tabulated-shape", "pulse-width-negative",
+        "density-short"])
 def test_input_checks(grid16, make, error):
     with pytest.raises(error):
         make(grid16)

@@ -8,6 +8,7 @@ from volterra_games.errors import ConvexityViolation, InadmissibleKernel, ShapeE
 from volterra_games.grid_ops import (
     ConstantLower,
     DelayIndicator,
+    DelayMeasure,
     ExponentialDecay,
     apply,
     build_grid,
@@ -16,7 +17,6 @@ from volterra_games.grid_ops import (
     zero_kernel,
 )
 from volterra_games.model_builders import (
-    DelayMeasure,
     TerminalVector,
     VolterraGameSpec,
     _state_kernel,

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from volterra_games.errors import NonConcave, ShapeError, SizeExceeded
 from volterra_games.grid_ops import (
     ConstantLower,
+    DelayMeasure,
     ExponentialDecay,
     GridKernel,
     build_grid,
@@ -13,7 +14,6 @@ from volterra_games.grid_ops import (
     zero_kernel,
 )
 from volterra_games.model_builders import (
-    DelayMeasure,
     build_advertising_game,
     build_liquidation_game,
     build_systemic_game,

@@ -15,13 +15,13 @@ import pytest
 import volterra_games.model_builders as mb
 from volterra_games.cli import build_game_from_config
 from volterra_games.grid_ops import (
+    DelayMeasure,
     ExponentialDecay,
     build_grid,
     discretize_kernel,
     horizon_grid,
 )
 from volterra_games.model_builders import (
-    DelayMeasure,
     TerminalVector,
     VolterraGameSpec,
     build_advertising_game,

@@ -250,7 +250,8 @@ class TestEquality:
         assert len({f, h}) == 2
 
     def test_reduced_game_specs_compare_without_raising(self):
-        from volterra_games.model_builders import DelayMeasure, build_systemic_game
+        from volterra_games.grid_ops import DelayMeasure
+        from volterra_games.model_builders import build_systemic_game
 
         g = build_grid(1.0, 8)
         params = dict(N=2, beta=0.3, eps=0.25, cost_c=1.0, sigma=[0.2, 0.2], x0=[1.0, 0.5],
