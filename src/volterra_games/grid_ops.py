@@ -186,8 +186,11 @@ class PowerLaw(KernelSpec):
 
     def lag_averages(self, m, dt):
         a = self.alpha
-        # exact antiderivative of x^(-a); lag 1 never evaluates the singularity
-        return self.c * (m ** (1.0 - a) - (m - 1) ** (1.0 - a)) * dt ** (-a) / (1.0 - a)
+        # exact antiderivative of x^(-a): m^(1-a) - (m-1)^(1-a) = m^(1-a) (1 - (1 - 1/m)^(1-a)),
+        # the bracket by expm1 and log1p, which do not cancel at far lags; lag 1's is 1
+        m = np.asarray(m, dtype=float)
+        bracket = np.where(m > 1.0, -np.expm1((1.0 - a) * np.log1p(-1.0 / np.maximum(m, 2.0))), 1.0)
+        return self.c * m ** (1.0 - a) * bracket * dt ** (-a) / (1.0 - a)
 
     def half_cell_average(self, dt):
         a = self.alpha

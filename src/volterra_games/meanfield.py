@@ -14,8 +14,8 @@ driver to a CompiledSignal strategy once for all paths (see nplayer); paths
 are read off the coefficients at the sampled increments.  The convergence
 study reads the noise as a stream, one row block of one tag at a time
 (signals.row_blocks), so its noise memory grows with neither tags nor paths;
-a one-worker concurrent.futures pool draws the next block, into one of two
-recycled buffers, while the current one is added in.
+it sums the increments of the tags that share a weight array and forms one
+product per array and row block.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .signals import (
     COMMON,
     CompiledSignal,
     NoiseBundle,
+    adapted_values,
     deterministic,
     gather_increments,
     martingale,
@@ -152,56 +153,52 @@ def draw_crossed_noise(grid: TimeGrid, common_tags, idio_tags, n_common: int,
                         n_common, n_idio, seed)
 
 
-_END = object()
-
-
 def _streamed_path_values(signals, rows, noise: CrossedNoise):
     """Each signal's path values on its first rows paths, from one pass over the noise stream.
 
     Returns the (rows, n) values per signal and each tag's first row per
-    common block.  The stream yields the tags in sorted order, and each block
-    is added into every signal that carries its tag as it arrives, as
-    CompiledSignal.path_values adds the tags, one product per row block as
-    tag_values forms them, so the values equal path_values on the bundle's
-    first rows bitwise.  Each signal's adapted weights are resolved once per
-    tag.  Of the increments, only the block in use, the next block (drawn by
-    one worker thread meanwhile), the common tags' rows per common block
-    (which the stream keeps) and the first rows of each tag stay in memory.
-    The worker draws into two block buffers allocated here, in turn, and
-    allocates nothing of that size itself: every large array is allocated and
-    freed by this thread in a fixed order, so the process's peak memory does
-    not depend on how the two threads interleave.
+    common block.  A signal's tags are grouped by weight-array object.  The
+    increments of the tags of its most-shared array (the first such in sorted
+    tag order) are summed into its output rows as the stream yields them, in
+    sorted tag order; every other tag's product with its adapted weights goes
+    into one more (rows, n) array, made only if there is such a tag.  After
+    the stream, each row block becomes mean + sum @ W.T plus that array, one
+    block-sized product (signals.adapted_values) per array: path_values up to
+    rounding.  Of the increments, only the block in use (in one recycled
+    buffer), the common tags' rows per common block (kept by the stream) and
+    each tag's first rows stay in memory.
     """
-    # imported here: the executor's import would otherwise count against
-    # every command's start-up, and only this pass uses it
-    from concurrent.futures import ThreadPoolExecutor
-
     C, I, n = noise.n_common, noise.n_idio, noise.grid.n
     tags = (*noise.common_tags, *noise.idio_tags)
     missing = set().union(*(s.noise_tags() for s in signals)) - set(tags)
     if missing:
         raise ShapeError(f"noise lacks tags {sorted(missing)}")
-    values = [np.broadcast_to(s.mean, (r, n)).copy() for s, r in zip(signals, rows)]
     first = {tag: np.empty((C, n)) for tag in tags}
-    # a buffer is redrawn only after the next block's draw has been collected,
-    # when this thread is done with the block it held
+    into = {tag: [] for tag in tags}    # tag -> (array it goes into, weights or None to add)
+    sampled = []                        # (mean, values, main weights, other tags' products)
+    for s, r in zip(signals, rows):
+        groups = {}         # id -> (adapted weights, tags), in sorted tag order
+        for tag in sorted(s.weights):
+            groups.setdefault(id(s.weights[tag]), (s.adapted_weights(tag), []))[1].append(tag)
+        w, main = max(groups.values(), key=lambda g: len(g[1]), default=(None, []))
+        out, rest = np.zeros((r, n)), np.zeros((r, n)) if len(groups) > 1 else None
+        sampled.append((s.mean, out, w, rest))
+        for v, group in groups.values():
+            for tag in group:
+                into[tag].append((out, None) if group is main else (rest, v))
     rows_per_block = row_blocks(C * I, n)[0].stop
-    stream = noise.stream(itertools.cycle([np.empty((rows_per_block, n)) for _ in range(2)]))
-    # the worker draws one block ahead; leaving the block waits for that draw
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="noise-draw") as pool:
-        ahead = pool.submit(next, stream, _END)
-        while (item := ahead.result()) is not _END:
-            ahead = pool.submit(next, stream, _END)
-            tag, block, dW = item
-            # the block's rows c * I, the first paths of its common blocks
-            first[tag][-(-block.start // I):-(-block.stop // I)] = dW[-block.start % I::I]
-            if not block.start:     # every signal that carries tag, with its adapted weights
-                carrying = [(out, s.adapted_weights(tag).T)
-                            for s, out in zip(signals, values) if tag in s.weights]
-            for out, wT in carrying:
-                if len(part := out[block]):
-                    part += dW[:len(part)] @ wT
-    return values, first
+    for tag, block, dW in noise.stream(itertools.repeat(np.empty((rows_per_block, n)))):
+        # the block's rows c * I, the first paths of its common blocks
+        first[tag][-(-block.start // I):-(-block.stop // I)] = dW[-block.start % I::I]
+        for acc, v in into[tag]:
+            if len(part := acc[block]):
+                part += dW[:len(part)] if v is None else adapted_values(v, dW[:len(part)])
+    for mean, out, w, rest in sampled:
+        for block in row_blocks(len(out), n):
+            np.add(mean, 0.0 if w is None else adapted_values(w, out[block]), out=out[block])
+            if rest is not None:
+                out[block] += rest[block]
+    return [out for _, out, _, _ in sampled], first
 
 
 @dataclass
@@ -364,8 +361,11 @@ def convergence_study(spec: MFGSpec, ns, noise: CrossedNoise,
     is never held whole.  Each MSE is formed in place on its paths.  The IID
     family hands every player's tag one weight array and every solve runs
     once per distinct array, so each N's coefficients hold a few arrays, not
-    one per player.  The mean-field player is solved and sampled once: it is
-    the family's player 1, whose signal(0) takes no N.
+    one per player, and the pass sums the increments of an array's tags
+    before its one product per row block: the rows agree with path_values
+    on the whole bundle at rounding level, not bitwise.  The mean-field
+    player is solved and sampled once: it is the family's player 1, whose
+    signal(0) takes no N.
     The limit is read at each common block's first path, so a b_infty on a tag
     the noise draws as idiosyncratic is refused, as solve_infinite refuses it.
     """

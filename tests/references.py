@@ -9,7 +9,9 @@
 - kkt_gradient_norm: the central-difference gradient of every objective on a
   scenario tree;
 - coefficient_kkt: every player's equilibrium coefficients from the stacked
-  first-order conditions, one dense solve per mean and per weight column.
+  first-order conditions, one dense solve per mean and per weight column;
+- sums_first_values: a signal's adapted path values with the increments of
+  the tags that share its most-shared weight value summed before one product.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from volterra_games.grid_ops import GridKernel, TimeGrid, apply, resolvent, star
 from volterra_games.model_builders import VolterraGameSpec
 from volterra_games.nplayer import GameSpec
 from volterra_games.oracle import ScenarioTree, tree_objective
-from volterra_games.signals import CompiledSignal
+from volterra_games.signals import CompiledSignal, row_blocks
 
 
 def solve_linear_state(m_paths: np.ndarray, K: GridKernel, H: GridKernel) -> np.ndarray:
@@ -176,3 +178,39 @@ def coefficient_kkt(spec: GameSpec) -> tuple[np.ndarray, dict]:
             w[:, rows, r] = solve(rows, rhs[:, rows, r])
         weights[tag] = w
     return means, weights
+
+
+def sums_first_values(f: CompiledSignal, increments: dict, n_paths: int) -> np.ndarray:
+    """f's adapted values on the first n_paths paths, shared weights' increments summed first.
+
+    f's tags are grouped by the bytes of their weights, in sorted tag order,
+    and the largest group (the first such) is the main one.  Its tags'
+    increments are summed in sorted tag order and multiplied once; every other
+    tag's increments are multiplied by its own weights, and those products are
+    summed in sorted tag order.  The values are (mean + main product) + the
+    others.  Weights are read strictly lower, and every product runs row
+    block by row block (row_blocks), as a product's rounding depends on its
+    row count.
+    """
+    n = f.grid.n
+
+    def product(w, x):
+        wT = np.tril(w, -1).T
+        out = np.empty_like(x)
+        for rows in row_blocks(len(x), n):
+            np.matmul(x[rows], wT, out=out[rows])
+        return out
+
+    groups = {}
+    for tag in sorted(f.weights):
+        groups.setdefault(f.weights[tag].tobytes(), []).append(tag)
+    main = max(groups.values(), key=len, default=[])
+    total, rest = np.zeros((n_paths, n)), np.zeros((n_paths, n))
+    for tag in sorted(f.weights):
+        x = increments[tag][:n_paths]
+        if tag in main:
+            total += x
+        else:
+            rest += product(f.weights[tag], x)
+    main_product = product(f.weights[main[0]], total) if main else 0.0
+    return f.mean + main_product + rest

@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,23 @@ class TestReferenceAverages:
                                      - dt ** (2.0 - alpha) / (2.0 - alpha))
         assert abs(spec.lag_averages(np.array([1]), dt)[0] - first) <= 1e-12 * abs(first)
         assert abs(spec.half_cell_average(dt) - half) <= 1e-12 * abs(half)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.4, 0.49])
+    def test_power_law_far_lags_do_not_cancel(self, alpha):
+        # c dt^(-a) (m^(1-a) - (m-1)^(1-a)) / (1 - a) at 40 digits; the plain
+        # difference of powers was off by up to 1.2e-13 at alpha = 0.4
+        c, dt = 0.5, 1.0 / 1024
+        lags = np.arange(1, 1025)
+        got = PowerLaw(c=c, alpha=alpha).lag_averages(lags, dt)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            e = 1 - decimal.Decimal(alpha)
+            scale = decimal.Decimal(c) * decimal.Decimal(dt) ** -decimal.Decimal(alpha) / e
+            want = np.array([float(scale * (decimal.Decimal(int(m)) ** e
+                                            - decimal.Decimal(int(m) - 1) ** e))
+                             for m in lags])
+        assert got[0] == c * dt ** -alpha / (1.0 - alpha)
+        assert np.max(np.abs(got - want) / want) <= 2e-15
 
 
 class TestApply:

@@ -51,6 +51,7 @@ from volterra_games.signals import (
 )
 
 from conftest import mu_surface
+from references import sums_first_values
 
 
 def solve_on(solver, f, bundle):
@@ -451,10 +452,17 @@ class TestBatchedPipelineCrossValidation:
         assert solves[id(built[id(spec)][1].player_solver)] == 1
 
 
-def materialized_study(spec, ns, noise, player_paths=None):
-    """convergence_study's rows from the whole bundle, one path_values per N.
+def per_tag_values(f, increments, n_paths):
+    """path_values on the first n_paths paths: one product per tag."""
+    return f.path_values({tag: arr[:n_paths] for tag, arr in increments.items()}, n_paths)
 
-    The form the study had before it streamed the noise, kept as the reference.
+
+def materialized_study(spec, ns, noise, player_paths=None, sample=sums_first_values):
+    """convergence_study's rows from the whole bundle, each signal sampled by sample.
+
+    The form the study had before it streamed the noise, kept as the reference;
+    sums_first_values samples as the stream pass does, per_tag_values as
+    path_values does.
     """
     ops = build_operators(spec)
     grid = spec.grid
@@ -464,21 +472,20 @@ def materialized_study(spec, ns, noise, player_paths=None):
     nu_cs = ops.mean_solver.solve(spec.limit_family())
     nu_full = np.repeat(nu_cs.path_values(noise.block_increments(), C), I, axis=0)
     pp = P if player_paths is None else min(player_paths, P)
-    first_pp = {tag: arr[:pp] for tag, arr in increments.items()}
     rows = []
     for N in ns:
         game = induced_game(spec, N)
         gops = build_operators(game)
         c_mean = sum((1.0 / N) * f for f in (*game.b_signals, game.b0_signal))
         ubar_cs = gops.mean_solver.solve(c_mean)
-        ubar = ubar_cs.path_values(increments, P)
+        ubar = sample(ubar_cs, increments, P)
         mse_mean = float(np.max(np.mean((ubar - nu_full) ** 2, axis=0)))
         mse_player = np.nan
         if pp > 0:
             u1 = gops.player_solver.solve(shifted_drive(game, player_base(game, 0), ubar_cs))
             v1 = ops.player_solver.solve(shifted_drive(spec, spec.player_family.signal(0),
                                                        nu_cs))
-            gap = u1.path_values(first_pp, pp) - v1.path_values(first_pp, pp)
+            gap = sample(u1, increments, pp) - sample(v1, increments, pp)
             mse_player = float(np.max(np.mean(gap ** 2, axis=0)))
         rows.append({"N": int(N), "mse_mean": mse_mean, "mse_player": mse_player})
     return rows
@@ -577,18 +584,23 @@ class TestStreamedNoise:
                 assert row_blocks(rows, grid16.n)[-1] == slice(rows - 1, rows)
         got = convergence_study(spec, ns, noise, player_paths=player_paths)["rows"]
         want = materialized_study(spec, ns, noise, player_paths=player_paths)
+        per_tag = materialized_study(spec, ns, noise, player_paths=player_paths,
+                                     sample=per_tag_values)
         assert [r["N"] for r in got] == ns
-        for g, w in zip(got, want):
-            assert g["N"] == w["N"]
-            assert abs(g["mse_mean"] - w["mse_mean"]) <= 1e-15 * abs(w["mse_mean"])
+        for g, w, t in zip(got, want, per_tag):
+            assert g["N"] == w["N"] == t["N"]
+            # the pass sums each shared array's increments in sorted tag order and
+            # forms its products over the same row blocks: the paths, and so this
+            # row, agree bitwise with the sums-first reference
+            assert g["mse_mean"] == w["mse_mean"]
+            # and, at rounding level, with one product per tag
+            assert abs(g["mse_mean"] - t["mse_mean"]) <= 1e-13 * abs(t["mse_mean"])
             if player_paths == 0:
                 assert np.isnan(g["mse_player"]) and np.isnan(w["mse_player"])
+                assert np.isnan(t["mse_player"])
             else:
                 assert g["mse_player"] == w["mse_player"]
-            # the stream adds tags in the order path_values adds them, one product
-            # per row block as tag_values forms them: the paths, and so this row,
-            # agree bitwise
-            assert g["mse_mean"] == w["mse_mean"]
+                assert abs(g["mse_player"] - t["mse_player"]) <= 1e-13 * abs(t["mse_player"])
 
     def test_noise_missing_a_tag_rejected(self, grid16):
         spec, ns, _ = study_case("iid", grid16)
@@ -597,8 +609,8 @@ class TestStreamedNoise:
             convergence_study(spec, [4, 8], noise)
 
     def test_concurrent_studies_under_frequent_switches(self, grid16):
-        # four studies at once, each with its own helper, switching threads every
-        # microsecond: a handoff that lost or repeated a tag would change a row
+        # four studies at once, switching threads every microsecond: a pass that
+        # shared its buffer or its sums between calls would change a row
         spec, ns, noise = study_case("crossed", grid16)
         want = materialized_study(spec, ns, noise, player_paths=20)
         results = [None] * 4
@@ -637,23 +649,26 @@ class TestStreamedNoise:
             convergence_study(spec, ns, noise)
         assert threading.active_count() == before
 
-    def test_caller_failure_ends_the_helper(self, grid16, monkeypatch):
-        spec, ns, noise = study_case("iid", grid16)
-        real = CompiledSignal.adapted_weights
+    def test_product_failure_reaches_the_caller(self, grid16, monkeypatch):
+        # a product that fails mid-stream ends the pass, and the study runs again
+        spec, ns, noise = study_case("crossed", grid16)
+        want = convergence_study(spec, ns, noise, player_paths=20)["rows"]
+        real = meanfield.adapted_values
         calls = []
 
-        def failing(self, tag):
-            # the pass reads each signal's weights as a tag's first block arrives
-            calls.append(tag)
+        def failing(w, increments):
+            calls.append(len(increments))
             if len(calls) == 5:
-                raise MemoryError("accumulator")
-            return real(self, tag)
+                raise MemoryError("product")
+            return real(w, increments)
 
-        monkeypatch.setattr(CompiledSignal, "adapted_weights", failing)
+        monkeypatch.setattr(meanfield, "adapted_values", failing)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="accumulator"):
-            convergence_study(spec, ns, noise, player_paths=0)
+        with pytest.raises(MemoryError, match="product"):
+            convergence_study(spec, ns, noise, player_paths=20)
         assert threading.active_count() == before
+        monkeypatch.undo()
+        assert convergence_study(spec, ns, noise, player_paths=20)["rows"] == want
 
 
 def distinct(cs: CompiledSignal) -> int:
@@ -685,6 +700,29 @@ class TestSharedWeights:
         game = induced_game(spec, 8)
         assert len({id(f.weights[f"idio{i}"]) for i, f in enumerate(game.b_signals)}) == 1
 
+    def test_study_forms_one_product_per_array_and_row_block(self, monkeypatch):
+        # n = 64, 10^4 paths in five row blocks, N = 4..64, 200 player paths: each
+        # mean's one array per row block (25), each finite-game player's two arrays
+        # (10) and the mean-field player's one (1), each at one row block of 200
+        # rows; 124 tag-mean pairs times 5 blocks plus 125 player products while
+        # every tag formed its own
+        shapes = []
+        real = meanfield.adapted_values
+
+        def counted(w, increments):
+            shapes.append(increments.shape)
+            return real(w, increments)
+
+        monkeypatch.setattr(meanfield, "adapted_values", counted)
+        grid = build_grid(1.0, 64)
+        spec = TestConvergence().base_spec(grid, "iid")
+        noise = draw_crossed_noise(grid, set(), spec.player_family.idio_tags(64), 1, 10 ** 4,
+                                   seed=1)
+        convergence_study(spec, [4, 8, 16, 32, 64], noise, player_paths=200)
+        blocks = [b.stop - b.start for b in row_blocks(10 ** 4, 64)]
+        assert len(blocks) == 5
+        assert sorted(shapes) == sorted([(m, 64) for m in blocks] * 5 + [(200, 64)] * 11)
+
     def test_study_peak_memory(self):
         # the most convergence_study holds at once at n = 64, N = 4..64 and 4 paths,
         # in n x n arrays: 41.0 here; 45.2 with one mean-field player solved per N,
@@ -692,19 +730,30 @@ class TestSharedWeights:
         assert study_peak(64, 4, [4, 8, 16, 32, 64]) / (64 ** 2 * 8) <= 50
 
     def test_study_peak_memory_past_one_row_block(self):
-        # at n = 64 and 10^4 paths, five row blocks, in (paths, n) arrays: 2.8 here,
-        # the two N values' mean paths and three blocks; 5.2 with two whole-tag draw
-        # buffers and a whole-tag product held beside them
+        # at n = 64 and 10^4 paths, five row blocks, in (paths, n) arrays: 2.7 here,
+        # the two N values' mean paths and a few blocks; 2.8 with a product per tag
+        # and two draw buffers, 5.2 with two whole-tag draw buffers and a whole-tag
+        # product held beside them
         assert len(row_blocks(10 ** 4, 64)) == 5
-        assert study_peak(64, 10 ** 4, [4, 8], player_paths=200) / (10 ** 4 * 64 * 8) <= 3.2
+        assert study_peak(64, 10 ** 4, [4, 8], player_paths=200) / (10 ** 4 * 64 * 8) <= 2.9
+
+    def test_study_peak_memory_with_common_noise(self):
+        # common tags a0 and zc beside the idiosyncratic ones, 10 common blocks of
+        # 1000 paths: each N's mean holds its idiosyncratic increment sum and its
+        # common tags' products, two (paths, n) arrays, and each player two arrays of
+        # 200 rows; in (paths, n) arrays: 4.7 here, at most 2 per mean plus 0.9 for
+        # the players and the blocks; 3.1 with a product per tag
+        peak = study_peak(64, 10 ** 4, [4, 8], player_paths=200, kind="crossed", n_common=10)
+        assert peak / (10 ** 4 * 64 * 8) <= 2 * 2 + 0.9
 
 
-def study_peak(n, paths, ns, player_paths=None):
-    """Peak of convergence_study on the IID family, one common block, in bytes."""
+def study_peak(n, paths, ns, player_paths=None, kind="iid", n_common=1):
+    """Peak of convergence_study on the IID family, or crossed_spec, in bytes."""
     def study(grid, paths, trace):
-        spec = TestConvergence().base_spec(grid, "iid")
-        noise = draw_crossed_noise(grid, set(), spec.player_family.idio_tags(max(ns)), 1, paths,
-                                   seed=1)
+        spec = TestConvergence().base_spec(grid, "iid") if kind == "iid" else crossed_spec(grid)
+        noise = draw_crossed_noise(grid, spec.common_tags(),
+                                   spec.player_family.idio_tags(max(ns)), n_common,
+                                   paths // n_common, seed=1)
         if trace:
             tracemalloc.start()
         try:
@@ -713,7 +762,7 @@ def study_peak(n, paths, ns, player_paths=None):
         finally:
             tracemalloc.stop()
 
-    study(build_grid(1.0, 8), 4, trace=False)      # the noise pass imports its executor once
+    study(build_grid(1.0, 8), n_common, trace=False)     # lazy imports, once
     return study(build_grid(1.0, n), paths, trace=True)
 
 

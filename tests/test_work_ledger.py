@@ -12,7 +12,8 @@ functions wrapped where the package calls them.  LEDGER pins, per run:
 - the numpy.linalg.eigvalsh calls (the admissibility margins);
 - the tag samples, signals.adapted_values calls: one product with a tag's
   increments per row block (CompiledSignal.tag_values makes one, path_values
-  one per tag);
+  one per tag; the convergence study one per distinct weight array of each
+  sampled signal, or per tag outside the array its most tags share);
 - the reduction's work on a dynamic game (model_builders): the row maps, one
   (2n x (n + 1)) @ ((n + 1) x n) GEMM R[c] @ w each over the state's n + 1
   rows, and their multiply-adds; the folds of a row pair into b^i and the b^0
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volterra_games import cli, fredholm, model_builders, nplayer, signals
+from volterra_games import cli, fredholm, meanfield, model_builders, nplayer, signals
 from volterra_games.fredholm import FredholmSolver
 from volterra_games.grid_ops import TRI_BLOCK
 from volterra_games.signals import CompiledSignal
@@ -90,8 +91,11 @@ LEDGER = {
     # tuples fold, 5 folds while they folded per (sources, b^0 weights)
     "liquidation": dict(zip(KEYS, ([64, 64], 0, 0, 0, 2, 0, 2, 1_064_960, 4, 2_129_920))),
     "advertising": dict(zip(KEYS, ([64, 64], 0, 0, 0, 0, 0, 4, 2_129_920, 6, 2_129_920))),
-    # the limit and five induced games; the study samples its own row blocks
-    "mfg_convergence": dict(zip(KEYS, ([32] * 12, 16, 37, 1_212_416, 18, 0, 0, 0, 0, 0))),
+    # the limit and five induced games; the study samples 2000 paths, one row
+    # block: each N's mean once, each N's player 1 once for its own tag and once
+    # for the others', and the mean-field player once (16 products), while it
+    # formed 249 products, one per tag, inline and uncounted
+    "mfg_convergence": dict(zip(KEYS, ([32] * 12, 16, 37, 1_212_416, 18, 16, 0, 0, 0, 0))),
 }
 
 
@@ -177,7 +181,7 @@ def counting(monkeypatch) -> dict:
     monkeypatch.setattr(FredholmSolver, "solve", counted_solve)
     for module in (fredholm, signals):
         monkeypatch.setattr(module, "lower_product", counted_lower_product)
-    for module in (nplayer, signals):
+    for module in (nplayer, signals, meanfield):
         monkeypatch.setattr(module, "adapted_values", counted_adapted_values)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     monkeypatch.setattr(model_builders, "_row_map", counted_row_map)
